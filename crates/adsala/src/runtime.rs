@@ -23,6 +23,7 @@ use crate::cost::{CostModel, ModelEpoch, SwapError};
 use crate::install::InstalledRoutine;
 use crate::predictor::ThreadPredictor;
 use crate::store;
+use adsala_blas3::call::{op_shape, side_order};
 use adsala_blas3::op::{Dims, Routine};
 use adsala_blas3::{
     Blas2Op, Blas3Backend, Blas3Error, Blas3Op, Diag, Float, MatMut, MatRef, NativeBackend, Side,
@@ -406,14 +407,8 @@ impl<B: Blas3Backend> Adsala<B> {
         c: &mut [T],
         ldc: usize,
     ) -> usize {
-        let (ar, ac) = match transa {
-            Transpose::No => (m, k),
-            Transpose::Yes => (k, m),
-        };
-        let (br, bc) = match transb {
-            Transpose::No => (k, n),
-            Transpose::Yes => (n, k),
-        };
+        let (ar, ac) = op_shape(transa, m, k);
+        let (br, bc) = op_shape(transb, k, n);
         self.execute(Blas3Op::Gemm {
             transa,
             transb,
@@ -443,10 +438,7 @@ impl<B: Blas3Backend> Adsala<B> {
         c: &mut [T],
         ldc: usize,
     ) -> usize {
-        let na = match side {
-            Side::Left => m,
-            Side::Right => n,
-        };
+        let na = side_order(side, m, n);
         self.execute(Blas3Op::Symm {
             side,
             uplo,
@@ -474,10 +466,7 @@ impl<B: Blas3Backend> Adsala<B> {
         c: &mut [T],
         ldc: usize,
     ) -> usize {
-        let (ar, ac) = match trans {
-            Transpose::No => (n, k),
-            Transpose::Yes => (k, n),
-        };
+        let (ar, ac) = op_shape(trans, n, k);
         self.execute(Blas3Op::Syrk {
             uplo,
             trans,
@@ -506,10 +495,7 @@ impl<B: Blas3Backend> Adsala<B> {
         c: &mut [T],
         ldc: usize,
     ) -> usize {
-        let (ar, ac) = match trans {
-            Transpose::No => (n, k),
-            Transpose::Yes => (k, n),
-        };
+        let (ar, ac) = op_shape(trans, n, k);
         self.execute(Blas3Op::Syr2k {
             uplo,
             trans,
@@ -539,10 +525,7 @@ impl<B: Blas3Backend> Adsala<B> {
         b: &mut [T],
         ldb: usize,
     ) -> usize {
-        let na = match side {
-            Side::Left => m,
-            Side::Right => n,
-        };
+        let na = side_order(side, m, n);
         self.execute(Blas3Op::Trmm {
             side,
             uplo,
@@ -572,10 +555,7 @@ impl<B: Blas3Backend> Adsala<B> {
         b: &mut [T],
         ldb: usize,
     ) -> usize {
-        let na = match side {
-            Side::Left => m,
-            Side::Right => n,
-        };
+        let na = side_order(side, m, n);
         self.execute(Blas3Op::Trsm {
             side,
             uplo,

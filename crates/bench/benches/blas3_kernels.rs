@@ -10,7 +10,7 @@
 //! paper's `kernel_efficiency` feature summarises, and the headline
 //! speedup recorded in the README.
 
-use adsala_blas3::gemm::{gemm, gemm_chunked};
+use adsala_blas3::gemm::gemm;
 use adsala_blas3::kernel::{available_f32, available_f64, gemm_serial_with};
 use adsala_blas3::op::OpKind;
 use adsala_blas3::pack::PackSrc;
@@ -74,119 +74,34 @@ fn bench_kernel_dispatch(c: &mut Criterion) {
     group.finish();
 }
 
-/// Cooperative macro-kernel vs the old per-thread-chunk strategy (each
-/// worker re-packing the shared operand with the closure-gather packer —
-/// exactly the pre-cooperative code) across thread counts.
-///
-/// Measures explicitly (warm-up + mean over samples, like the criterion
-/// stand-in) so the per-configuration GFLOP/s can be **written to
-/// `BENCH_parallel.json` at the repo root** — re-running the bench
-/// refreshes the recorded numbers the README cites instead of letting
-/// them drift.
-fn bench_parallel_scaling(_c: &mut Criterion) {
-    use std::time::Instant;
-    const SAMPLES: usize = 10;
-    let mut rows = String::new();
+/// The cooperative GEMM driver across thread counts. The comparison this
+/// group used to make against the pre-cooperative per-thread-chunk engine
+/// is recorded in `BENCH_parallel.json`; that engine is gone, so the file
+/// is a historical record this bench no longer writes.
+fn bench_parallel_scaling(c: &mut Criterion) {
     for &n in &[384usize, 1024] {
-        let flops = 2.0 * (n as f64).powi(3);
+        let gflops = 2.0 * (n as f64).powi(3) / 1e9;
         let a = Matrix::<f32>::from_fn(n, n, |i, j| ((i * 7 + j) % 13) as f32 - 6.0);
         let b = Matrix::<f32>::from_fn(n, n, |i, j| ((i + j * 5) % 11) as f32 - 5.0);
         let mut cm = Matrix::<f32>::zeros(n, n);
+        let mut group = c.benchmark_group(format!("parallel_scaling/sgemm {n} ({gflops:.1} GF)"));
         for &nt in &[1usize, 2, 4, 8] {
-            let mut means = [0.0f64; 2];
-            for (which, mean_slot) in means.iter_mut().enumerate() {
-                let run = |cm: &mut Matrix<f32>| {
-                    let (c_slice, ld) = (cm.as_mut_slice(), n);
-                    if which == 0 {
-                        gemm(
-                            nt,
-                            Transpose::No,
-                            Transpose::No,
-                            n,
-                            n,
-                            n,
-                            1.0f32,
-                            a.as_slice(),
-                            n,
-                            b.as_slice(),
-                            n,
-                            0.0f32,
-                            c_slice,
-                            ld,
-                        );
-                    } else {
-                        gemm_chunked(
-                            nt,
-                            Transpose::No,
-                            Transpose::No,
-                            n,
-                            n,
-                            n,
-                            1.0f32,
-                            a.as_slice(),
-                            n,
-                            b.as_slice(),
-                            n,
-                            0.0f32,
-                            c_slice,
-                            ld,
-                        );
-                    }
-                };
-                run(&mut cm); // warm-up (arena, pool workers, page faults)
-                let mut total = 0.0;
-                for _ in 0..SAMPLES {
-                    let t0 = Instant::now();
-                    run(&mut cm);
-                    total += t0.elapsed().as_secs_f64();
-                }
-                *mean_slot = total / SAMPLES as f64;
-            }
-            let [coop, chunked] = means;
-            let (gf_c, gf_o) = (flops / coop / 1e9, flops / chunked / 1e9);
-            println!(
-                "parallel_scaling/sgemm {n}/nt={nt}: cooperative {:.3} ms ({gf_c:.1} GF/s), \
-                 chunked {:.3} ms ({gf_o:.1} GF/s), speedup {:.2}x",
-                coop * 1e3,
-                chunked * 1e3,
-                chunked / coop
-            );
-            if !rows.is_empty() {
-                rows.push_str(",\n");
-            }
-            rows.push_str(&format!(
-                "    {{\"n\": {n}, \"nt\": {nt}, \"cooperative_ms\": {:.3}, \"chunked_ms\": {:.3}, \
-                 \"cooperative_gflops\": {gf_c:.1}, \"chunked_gflops\": {gf_o:.1}, \
-                 \"speedup\": {:.2}}}",
-                coop * 1e3,
-                chunked * 1e3,
-                chunked / coop
-            ));
+            group.bench_with_input(BenchmarkId::from_parameter(nt), &nt, |bench, &nt| {
+                bench.iter(|| {
+                    gemm(
+                        nt,
+                        Transpose::No,
+                        Transpose::No,
+                        1.0f32,
+                        a.as_ref(),
+                        b.as_ref(),
+                        0.0f32,
+                        cm.as_mut(),
+                    )
+                });
+            });
         }
-    }
-    let kernel = adsala_blas3::kernel::available_f32()
-        .last()
-        .map(|d| d.name)
-        .unwrap_or("scalar");
-    let json = format!(
-        "{{\n  \"description\": \"parallel_scaling group of crates/bench/benches/blas3_kernels.rs: \
-         cooperative macro-kernel (shared packed panels, strided packing, buffer arena) vs the \
-         retained pre-cooperative per-thread-chunk path (closure-gather packing, per-call heap \
-         buffers). sgemm C = A*B, square n^3, f32.\",\n  \
-         \"command\": \"cargo bench -p adsala-bench --bench blas3_kernels --features adsala-blas3/avx512\",\n  \
-         \"host\": {{\"cores\": {}, \"kernel_f32\": \"{kernel}\", \"note\": \"on a host with fewer \
-         cores than nt, nt > 1 measures oversubscription overhead - the regime the ADSALA \
-         thread-count predictor must price; the cooperative win there is eliminated redundant \
-         packing + arena reuse\"}},\n  \
-         \"metric\": \"mean seconds per iteration over 10 samples after one warm-up; \
-         gflops = 2*n^3 / mean / 1e9\",\n  \"results\": [\n{rows}\n  ],\n  \
-         \"steady_state_packing_allocations\": 0\n}}\n",
-        adsala_blas3::ThreadPool::hardware_threads(),
-    );
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_parallel.json");
-    match std::fs::write(path, &json) {
-        Ok(()) => println!("parallel_scaling: results written to {path}"),
-        Err(e) => println!("parallel_scaling: could not write {path}: {e}"),
+        group.finish();
     }
 }
 
@@ -219,84 +134,84 @@ fn bench_routines(c: &mut Criterion) {
                 bench.iter(|| match op {
                     OpKind::Gemm => {
                         let mut cm = Matrix::<f64>::zeros(n, n);
-                        adsala_blas3::gemm::gemm_mat(
+                        gemm(
                             nt,
                             Transpose::No,
                             Transpose::No,
                             1.0,
-                            &a,
-                            &b,
+                            a.as_ref(),
+                            b.as_ref(),
                             0.0,
-                            &mut cm,
+                            cm.as_mut(),
                         );
                         cm
                     }
                     OpKind::Symm => {
                         let mut cm = Matrix::<f64>::zeros(n, n);
-                        adsala_blas3::symm::symm_mat(
+                        adsala_blas3::symm::symm(
                             nt,
                             Side::Left,
                             Uplo::Upper,
                             1.0,
-                            &a,
-                            &b,
+                            a.as_ref(),
+                            b.as_ref(),
                             0.0,
-                            &mut cm,
+                            cm.as_mut(),
                         );
                         cm
                     }
                     OpKind::Syrk => {
                         let mut cm = Matrix::<f64>::zeros(n, n);
-                        adsala_blas3::syrk::syrk_mat(
+                        adsala_blas3::syrk::syrk(
                             nt,
                             Uplo::Lower,
                             Transpose::No,
                             1.0,
-                            &a,
+                            a.as_ref(),
                             0.0,
-                            &mut cm,
+                            cm.as_mut(),
                         );
                         cm
                     }
                     OpKind::Syr2k => {
                         let mut cm = Matrix::<f64>::zeros(n, n);
-                        adsala_blas3::syr2k::syr2k_mat(
+                        adsala_blas3::syr2k::syr2k(
                             nt,
                             Uplo::Lower,
                             Transpose::No,
                             1.0,
-                            &a,
-                            &b,
+                            a.as_ref(),
+                            b.as_ref(),
                             0.0,
-                            &mut cm,
+                            cm.as_mut(),
                         );
                         cm
                     }
                     OpKind::Trmm => {
                         let mut bm = b.clone();
-                        adsala_blas3::trmm::trmm_mat(
+                        adsala_blas3::trmm::trmm(
                             nt,
                             Side::Left,
                             Uplo::Upper,
                             Transpose::No,
                             Diag::NonUnit,
                             1.0,
-                            &tri,
-                            &mut bm,
+                            tri.as_ref(),
+                            bm.as_mut(),
                         );
                         bm
                     }
                     OpKind::Trsm => {
                         let mut bm = b.clone();
-                        adsala_blas3::trsm::trsm_mat(
+                        adsala_blas3::trsm::trsm(
                             nt,
                             Side::Left,
                             Uplo::Upper,
                             Transpose::No,
                             Diag::NonUnit,
                             1.0,
-                            &tri,
-                            &mut bm,
+                            tri.as_ref(),
+                            bm.as_mut(),
                         );
                         bm
                     }

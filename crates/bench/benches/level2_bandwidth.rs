@@ -14,7 +14,7 @@
 //! smaller operands, fewer samples).
 
 use adsala_blas3::kernel::{set_kernel_choice, KernelChoice};
-use adsala_blas3::{level2, Diag, ThreadPool, Transpose, Uplo};
+use adsala_blas3::{level2, Diag, MatMut, MatRef, ThreadPool, Transpose, Uplo, VecMut, VecRef};
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::time::Instant;
 
@@ -81,22 +81,25 @@ fn run_routine(routine: &str, ops: &mut Operands, nt: usize, samples: usize) -> 
                 level2::gemv(
                     nt,
                     Transpose::No,
-                    n,
-                    n,
                     1.0,
-                    &ops.a,
-                    n,
-                    &ops.x,
-                    1,
+                    MatRef::new(n, n, n, &ops.a),
+                    VecRef::new(n, 1, &ops.x),
                     0.5,
-                    &mut ops.y,
-                    1,
+                    VecMut::new(n, 1, &mut ops.y),
                 );
             },
             samples,
         ),
         "dger" => measure(
-            || level2::ger(nt, n, n, 1e-3, &ops.x, 1, &ops.y, 1, &mut ops.a, n),
+            || {
+                level2::ger(
+                    nt,
+                    1e-3,
+                    VecRef::new(n, 1, &ops.x),
+                    VecRef::new(n, 1, &ops.y),
+                    MatMut::new(n, n, n, &mut ops.a),
+                )
+            },
             samples,
         ),
         "dsymv" => measure(
@@ -104,15 +107,11 @@ fn run_routine(routine: &str, ops: &mut Operands, nt: usize, samples: usize) -> 
                 level2::symv(
                     nt,
                     Uplo::Lower,
-                    n,
                     1.0,
-                    &ops.a,
-                    n,
-                    &ops.x,
-                    1,
+                    MatRef::new(n, n, n, &ops.a),
+                    VecRef::new(n, 1, &ops.x),
                     0.5,
-                    &mut ops.y,
-                    1,
+                    VecMut::new(n, 1, &mut ops.y),
                 );
             },
             samples,
@@ -123,11 +122,8 @@ fn run_routine(routine: &str, ops: &mut Operands, nt: usize, samples: usize) -> 
                     Uplo::Upper,
                     Transpose::No,
                     Diag::NonUnit,
-                    n,
-                    &ops.tri,
-                    n,
-                    &mut ops.x,
-                    1,
+                    MatRef::new(n, n, n, &ops.tri),
+                    VecMut::new(n, 1, &mut ops.x),
                 );
             },
             samples,
@@ -138,11 +134,8 @@ fn run_routine(routine: &str, ops: &mut Operands, nt: usize, samples: usize) -> 
                     Uplo::Upper,
                     Transpose::No,
                     Diag::NonUnit,
-                    n,
-                    &ops.tri,
-                    n,
-                    &mut ops.x,
-                    1,
+                    MatRef::new(n, n, n, &ops.tri),
+                    VecMut::new(n, 1, &mut ops.x),
                 );
             },
             samples,

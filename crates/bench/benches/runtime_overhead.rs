@@ -61,15 +61,15 @@ fn bench_end_to_end_small_gemm(c: &mut Criterion) {
     group.bench_function("gemm64_raw", |bch| {
         bch.iter(|| {
             let mut cm = Matrix::<f64>::zeros(n, n);
-            adsala_blas3::gemm::gemm_mat(
+            adsala_blas3::gemm::gemm(
                 1,
                 adsala_blas3::Transpose::No,
                 adsala_blas3::Transpose::No,
                 1.0,
-                &a,
-                &b,
+                a.as_ref(),
+                b.as_ref(),
                 0.0,
-                &mut cm,
+                cm.as_mut(),
             );
             cm
         })
@@ -80,15 +80,15 @@ fn bench_end_to_end_small_gemm(c: &mut Criterion) {
         bch.iter(|| {
             let _nt = p.predict(std::hint::black_box(d));
             let mut cm = Matrix::<f64>::zeros(n, n);
-            adsala_blas3::gemm::gemm_mat(
+            adsala_blas3::gemm::gemm(
                 1,
                 adsala_blas3::Transpose::No,
                 adsala_blas3::Transpose::No,
                 1.0,
-                &a,
-                &b,
+                a.as_ref(),
+                b.as_ref(),
                 0.0,
-                &mut cm,
+                cm.as_mut(),
             );
             cm
         })
@@ -98,33 +98,27 @@ fn bench_end_to_end_small_gemm(c: &mut Criterion) {
 
 fn bench_backend_dispatch(c: &mut Criterion) {
     // Cost of the typed call-description layer: the same gemm through the
-    // raw wide-signature kernel entry point vs described as a Blas3Op and
-    // dispatched through the Blas3Backend trait (validation included). The
-    // difference is the price of the backend seam, which must stay
-    // negligible against even a small call.
+    // driver directly vs described as a Blas3Op and dispatched through the
+    // Blas3Backend trait (one more validation). The difference is the price
+    // of the backend seam, which must stay negligible against even a small
+    // call.
     use adsala_blas3::{Blas3Backend, Blas3Op, Matrix, NativeBackend, Transpose};
     let n = 64;
     let a = Matrix::<f64>::from_fn(n, n, |i, j| (i + j) as f64 / n as f64);
     let b = Matrix::<f64>::from_fn(n, n, |i, j| (i * 2 + j) as f64 / n as f64);
     let mut group = c.benchmark_group("runtime/backend_dispatch");
-    group.bench_function("gemm64_wide_signature", |bch| {
+    group.bench_function("gemm64_driver", |bch| {
         bch.iter(|| {
             let mut cm = Matrix::<f64>::zeros(n, n);
             adsala_blas3::gemm::gemm(
                 1,
                 Transpose::No,
                 Transpose::No,
-                n,
-                n,
-                n,
                 1.0,
-                a.as_slice(),
-                n,
-                b.as_slice(),
-                n,
+                a.as_ref(),
+                b.as_ref(),
                 0.0,
-                cm.as_mut_slice(),
-                n,
+                cm.as_mut(),
             );
             cm
         })

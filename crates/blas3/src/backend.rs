@@ -136,13 +136,10 @@ pub struct NativeBackend;
 impl NativeBackend {
     /// Validate and execute one call with the blocked kernels.
     pub fn run<T: Float>(&self, nt: usize, op: Blas3Op<'_, T>) -> Result<(), Blas3Error> {
+        use Blas3Op::*;
         op.validate()?;
-        // One source of shape truth: the canonical dimension tuple the
-        // runtime also predicts from (GEMM (m, k, n); SYMM (m, n);
-        // SYRK/SYR2K (n, k); TRMM/TRSM (m, n)).
-        let dims = op.dims();
         match op {
-            Blas3Op::Gemm {
+            Gemm {
                 transa,
                 transb,
                 alpha,
@@ -150,27 +147,8 @@ impl NativeBackend {
                 b,
                 beta,
                 c,
-            } => {
-                let (m, k, n) = (dims.a(), dims.b(), dims.c());
-                let ldc = c.ld();
-                crate::gemm::gemm(
-                    nt,
-                    transa,
-                    transb,
-                    m,
-                    n,
-                    k,
-                    alpha,
-                    a.data(),
-                    a.ld(),
-                    b.data(),
-                    b.ld(),
-                    beta,
-                    c.into_slice(),
-                    ldc,
-                );
-            }
-            Blas3Op::Symm {
+            } => crate::gemm::gemm(nt, transa, transb, alpha, a, b, beta, c),
+            Symm {
                 side,
                 uplo,
                 alpha,
@@ -178,50 +156,16 @@ impl NativeBackend {
                 b,
                 beta,
                 c,
-            } => {
-                let (m, n) = (dims.a(), dims.b());
-                let ldc = c.ld();
-                crate::symm::symm(
-                    nt,
-                    side,
-                    uplo,
-                    m,
-                    n,
-                    alpha,
-                    a.data(),
-                    a.ld(),
-                    b.data(),
-                    b.ld(),
-                    beta,
-                    c.into_slice(),
-                    ldc,
-                );
-            }
-            Blas3Op::Syrk {
+            } => crate::symm::symm(nt, side, uplo, alpha, a, b, beta, c),
+            Syrk {
                 uplo,
                 trans,
                 alpha,
                 a,
                 beta,
                 c,
-            } => {
-                let (n, k) = (dims.a(), dims.b());
-                let ldc = c.ld();
-                crate::syrk::syrk(
-                    nt,
-                    uplo,
-                    trans,
-                    n,
-                    k,
-                    alpha,
-                    a.data(),
-                    a.ld(),
-                    beta,
-                    c.into_slice(),
-                    ldc,
-                );
-            }
-            Blas3Op::Syr2k {
+            } => crate::syrk::syrk(nt, uplo, trans, alpha, a, beta, c),
+            Syr2k {
                 uplo,
                 trans,
                 alpha,
@@ -229,26 +173,8 @@ impl NativeBackend {
                 b,
                 beta,
                 c,
-            } => {
-                let (n, k) = (dims.a(), dims.b());
-                let ldc = c.ld();
-                crate::syr2k::syr2k(
-                    nt,
-                    uplo,
-                    trans,
-                    n,
-                    k,
-                    alpha,
-                    a.data(),
-                    a.ld(),
-                    b.data(),
-                    b.ld(),
-                    beta,
-                    c.into_slice(),
-                    ldc,
-                );
-            }
-            Blas3Op::Trmm {
+            } => crate::syr2k::syr2k(nt, uplo, trans, alpha, a, b, beta, c),
+            Trmm {
                 side,
                 uplo,
                 trans,
@@ -256,25 +182,8 @@ impl NativeBackend {
                 alpha,
                 a,
                 b,
-            } => {
-                let (m, n) = (dims.a(), dims.b());
-                let ldb = b.ld();
-                crate::trmm::trmm(
-                    nt,
-                    side,
-                    uplo,
-                    trans,
-                    diag,
-                    m,
-                    n,
-                    alpha,
-                    a.data(),
-                    a.ld(),
-                    b.into_slice(),
-                    ldb,
-                );
-            }
-            Blas3Op::Trsm {
+            } => crate::trmm::trmm(nt, side, uplo, trans, diag, alpha, a, b),
+            Trsm {
                 side,
                 uplo,
                 trans,
@@ -282,24 +191,7 @@ impl NativeBackend {
                 alpha,
                 a,
                 b,
-            } => {
-                let (m, n) = (dims.a(), dims.b());
-                let ldb = b.ld();
-                crate::trsm::trsm(
-                    nt,
-                    side,
-                    uplo,
-                    trans,
-                    diag,
-                    m,
-                    n,
-                    alpha,
-                    a.data(),
-                    a.ld(),
-                    b.into_slice(),
-                    ldb,
-                );
-            }
+            } => crate::trsm::trsm(nt, side, uplo, trans, diag, alpha, a, b),
         }
         Ok(())
     }
@@ -307,6 +199,7 @@ impl NativeBackend {
     /// Validate and execute one Level 2 call with the streaming column
     /// kernels of [`crate::level2`].
     pub fn run2<T: Float>(&self, nt: usize, op: Blas2Op<'_, T>) -> Result<(), Blas3Error> {
+        use crate::level2::{gemv, ger, symv, trmv, trsv};
         op.validate()?;
         match op {
             Blas2Op::Gemv {
@@ -316,39 +209,8 @@ impl NativeBackend {
                 x,
                 beta,
                 y,
-            } => {
-                let (m, n, lda) = (a.rows(), a.cols(), a.ld());
-                let (incx, incy) = (x.inc(), y.inc());
-                crate::level2::gemv(
-                    nt,
-                    trans,
-                    m,
-                    n,
-                    alpha,
-                    a.data(),
-                    lda,
-                    x.data(),
-                    incx,
-                    beta,
-                    y.into_slice(),
-                    incy,
-                );
-            }
-            Blas2Op::Ger { alpha, x, y, a } => {
-                let (m, n, lda) = (a.rows(), a.cols(), a.ld());
-                crate::level2::ger(
-                    nt,
-                    m,
-                    n,
-                    alpha,
-                    x.data(),
-                    x.inc(),
-                    y.data(),
-                    y.inc(),
-                    a.into_slice(),
-                    lda,
-                );
-            }
+            } => gemv(nt, trans, alpha, a, x, beta, y),
+            Blas2Op::Ger { alpha, x, y, a } => ger(nt, alpha, x, y, a),
             Blas2Op::Symv {
                 uplo,
                 alpha,
@@ -356,45 +218,21 @@ impl NativeBackend {
                 x,
                 beta,
                 y,
-            } => {
-                let (n, lda) = (a.rows(), a.ld());
-                let (incx, incy) = (x.inc(), y.inc());
-                crate::level2::symv(
-                    nt,
-                    uplo,
-                    n,
-                    alpha,
-                    a.data(),
-                    lda,
-                    x.data(),
-                    incx,
-                    beta,
-                    y.into_slice(),
-                    incy,
-                );
-            }
+            } => symv(nt, uplo, alpha, a, x, beta, y),
             Blas2Op::Trmv {
                 uplo,
                 trans,
                 diag,
                 a,
                 x,
-            } => {
-                let (n, lda) = (a.rows(), a.ld());
-                let incx = x.inc();
-                crate::level2::trmv(uplo, trans, diag, n, a.data(), lda, x.into_slice(), incx);
-            }
+            } => trmv(uplo, trans, diag, a, x),
             Blas2Op::Trsv {
                 uplo,
                 trans,
                 diag,
                 a,
                 x,
-            } => {
-                let (n, lda) = (a.rows(), a.ld());
-                let incx = x.inc();
-                crate::level2::trsv(uplo, trans, diag, n, a.data(), lda, x.into_slice(), incx);
-            }
+            } => trsv(uplo, trans, diag, a, x),
         }
         Ok(())
     }

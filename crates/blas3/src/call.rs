@@ -205,12 +205,154 @@ impl fmt::Display for Blas3Error {
 
 impl std::error::Error for Blas3Error {}
 
-/// Shape of `op(M)` for a view under a transpose flag.
-fn op_shape<T: Float>(m: &MatRef<'_, T>, trans: Transpose) -> (usize, usize) {
+/// Shape of `op(M)` for a stored `rows x cols` operand under a transpose
+/// flag — and, the swap being its own inverse, the stored shape of an
+/// operand whose `op(M)` is `rows x cols`.
+///
+/// The one place the rule is written: [`Blas3Op::validate`],
+/// [`Blas3Op::dims`], their Level 2 counterparts, the drivers' entry checks
+/// and the classic slice shims of the ADSALA runtime all call it.
+pub fn op_shape(trans: Transpose, rows: usize, cols: usize) -> (usize, usize) {
     match trans {
-        Transpose::No => (m.rows(), m.cols()),
-        Transpose::Yes => (m.cols(), m.rows()),
+        Transpose::No => (rows, cols),
+        Transpose::Yes => (cols, rows),
     }
+}
+
+/// Order of the square operand (SYMM's symmetric, TRMM/TRSM's triangular A)
+/// that multiplies an `m x n` operand from `side`.
+pub fn side_order(side: Side, m: usize, n: usize) -> usize {
+    match side {
+        Side::Left => m,
+        Side::Right => n,
+    }
+}
+
+/// A routine's shape rule applied to one set of operands: the canonical
+/// dimension tuple, and the first cross-operand constraint the operands
+/// violate. On a violation the extents still come from the output operand
+/// (and `k` from A), which is what [`Blas3Op::dims`] documents.
+pub(crate) type Shape = (Dims, Result<(), Blas3Error>);
+
+/// The single entry check of a public driver: a malformed call panics with
+/// the text of the typed error [`Blas3Op::validate`] would have returned.
+pub(crate) fn entry(shape: Shape) -> Dims {
+    match shape {
+        (dims, Ok(())) => dims,
+        (_, Err(e)) => panic!("{e}"),
+    }
+}
+
+/// `Ok` when two extents that must be equal are.
+pub(crate) fn agree(
+    op: OpKind,
+    expected: &'static str,
+    x: usize,
+    y: usize,
+) -> Result<(), Blas3Error> {
+    if x == y {
+        Ok(())
+    } else {
+        Err(Blas3Error::DimMismatch {
+            op,
+            expected,
+            got: (x, y),
+        })
+    }
+}
+
+/// `Ok` when an operand that must be square is.
+pub(crate) fn square<T: Float>(
+    op: OpKind,
+    name: &'static str,
+    m: MatRef<'_, T>,
+) -> Result<(), Blas3Error> {
+    if m.rows() == m.cols() {
+        Ok(())
+    } else {
+        Err(Blas3Error::NotSquare {
+            op,
+            name,
+            rows: m.rows(),
+            cols: m.cols(),
+        })
+    }
+}
+
+/// GEMM `(m, k, n)`: C is `m x n`, `op(A)` is `m x k`, `op(B)` is `k x n`.
+pub(crate) fn gemm_shape<T: Float>(
+    transa: Transpose,
+    transb: Transpose,
+    a: MatRef<'_, T>,
+    b: MatRef<'_, T>,
+    c: MatRef<'_, T>,
+) -> Shape {
+    let (am, ak) = op_shape(transa, a.rows(), a.cols());
+    let (bk, bn) = op_shape(transb, b.rows(), b.cols());
+    let ok = agree(OpKind::Gemm, "op(A) rows and C rows", am, c.rows())
+        .and_then(|()| agree(OpKind::Gemm, "op(B) columns and C columns", bn, c.cols()))
+        .and_then(|()| agree(OpKind::Gemm, "op(A) columns and op(B) rows", ak, bk));
+    (Dims::d3(c.rows(), ak, c.cols()), ok)
+}
+
+/// SYMM `(m, n)`: B and C are `m x n`, A is square of the order of the
+/// extent it multiplies (`m` on the Left, `n` on the Right).
+pub(crate) fn symm_shape<T: Float>(
+    side: Side,
+    a: MatRef<'_, T>,
+    b: MatRef<'_, T>,
+    c: MatRef<'_, T>,
+) -> Shape {
+    let order = side_order(side, c.rows(), c.cols());
+    let ok = square(OpKind::Symm, "A", a)
+        .and_then(|()| {
+            agree(
+                OpKind::Symm,
+                "A order and the multiplied C extent",
+                a.rows(),
+                order,
+            )
+        })
+        .and_then(|()| agree(OpKind::Symm, "B rows and C rows", b.rows(), c.rows()))
+        .and_then(|()| agree(OpKind::Symm, "B columns and C columns", b.cols(), c.cols()));
+    (Dims::d2(c.rows(), c.cols()), ok)
+}
+
+/// SYRK / SYR2K `(n, k)`: C is square of order `n`, `op(A)` — and for SYR2K
+/// `op(B)` — is `n x k`.
+pub(crate) fn syrk_shape<T: Float>(
+    op: OpKind,
+    trans: Transpose,
+    a: MatRef<'_, T>,
+    b: Option<MatRef<'_, T>>,
+    c: MatRef<'_, T>,
+) -> Shape {
+    let (an, ak) = op_shape(trans, a.rows(), a.cols());
+    let ok = square(op, "C", c)
+        .and_then(|()| agree(op, "op(A) rows and C order", an, c.rows()))
+        .and_then(|()| match b {
+            None => Ok(()),
+            Some(b) => {
+                let (bn, bk) = op_shape(trans, b.rows(), b.cols());
+                agree(op, "op(B) rows and C order", bn, c.rows())
+                    .and_then(|()| agree(op, "op(A) and op(B) inner extents", ak, bk))
+            }
+        });
+    (Dims::d2(c.rows(), ak), ok)
+}
+
+/// TRMM / TRSM `(m, n)`: B is `m x n`, A is square of the order of the
+/// extent it multiplies.
+pub(crate) fn tri_shape<T: Float>(
+    op: OpKind,
+    side: Side,
+    a: MatRef<'_, T>,
+    b: MatRef<'_, T>,
+) -> Shape {
+    let order = side_order(side, b.rows(), b.cols());
+    let ok = square(op, "A", a)
+        .and_then(|()| agree(op, "A order and the multiplied B extent", a.rows(), order));
+    (Dims::d2(b.rows(), b.cols()), ok)
 }
 
 /// A fully-described BLAS Level 3 call: flags, scalars, and operand views.
@@ -345,6 +487,30 @@ impl<'a, T: Float> Blas3Op<'a, T> {
         Routine::new(self.op_kind(), T::PRECISION)
     }
 
+    /// This call's operands under its routine's shape rule.
+    fn shape(&self) -> Shape {
+        match self {
+            Blas3Op::Gemm {
+                transa,
+                transb,
+                a,
+                b,
+                c,
+                ..
+            } => gemm_shape(*transa, *transb, *a, *b, c.as_ref()),
+            Blas3Op::Symm { side, a, b, c, .. } => symm_shape(*side, *a, *b, c.as_ref()),
+            Blas3Op::Syrk { trans, a, c, .. } => {
+                syrk_shape(OpKind::Syrk, *trans, *a, None, c.as_ref())
+            }
+            Blas3Op::Syr2k { trans, a, b, c, .. } => {
+                syrk_shape(OpKind::Syr2k, *trans, *a, Some(*b), c.as_ref())
+            }
+            Blas3Op::Trmm { side, a, b, .. } | Blas3Op::Trsm { side, a, b, .. } => {
+                tri_shape(self.op_kind(), *side, *a, b.as_ref())
+            }
+        }
+    }
+
     /// Canonical dimension tuple (paper Table I order), derived from the
     /// operand views: GEMM `(m, k, n)`; SYMM `(m, n)`; SYRK/SYR2K `(n, k)`;
     /// TRMM/TRSM `(m, n)`.
@@ -352,22 +518,7 @@ impl<'a, T: Float> Blas3Op<'a, T> {
     /// Meaningful only up to the consistency [`Blas3Op::validate`] checks;
     /// on an inconsistent call the extents come from C (and `k` from A).
     pub fn dims(&self) -> Dims {
-        match self {
-            Blas3Op::Gemm { transa, a, c, .. } => {
-                let (_, k) = op_shape(a, *transa);
-                Dims::d3(c.rows(), k, c.cols())
-            }
-            Blas3Op::Symm { c, .. } => Dims::d2(c.rows(), c.cols()),
-            Blas3Op::Syrk { trans, a, c, .. } => {
-                let (_, k) = op_shape(a, *trans);
-                Dims::d2(c.rows(), k)
-            }
-            Blas3Op::Syr2k { trans, a, c, .. } => {
-                let (_, k) = op_shape(a, *trans);
-                Dims::d2(c.rows(), k)
-            }
-            Blas3Op::Trmm { b, .. } | Blas3Op::Trsm { b, .. } => Dims::d2(b.rows(), b.cols()),
-        }
+        self.shape().0
     }
 
     /// Floating-point operation count of this call.
@@ -388,96 +539,12 @@ impl<'a, T: Float> Blas3Op<'a, T> {
     /// the view constructors, so this only needs to relate the operands to
     /// each other.
     pub fn validate(&self) -> Result<(), Blas3Error> {
-        let kind = self.op_kind();
-        let square = |name: &'static str, m: &MatRef<'_, T>| {
-            if m.rows() != m.cols() {
-                Err(Blas3Error::NotSquare {
-                    op: kind,
-                    name,
-                    rows: m.rows(),
-                    cols: m.cols(),
-                })
-            } else {
-                Ok(())
-            }
-        };
-        let matches = |expected: &'static str, x: usize, y: usize| {
-            if x != y {
-                Err(Blas3Error::DimMismatch {
-                    op: kind,
-                    expected,
-                    got: (x, y),
-                })
-            } else {
-                Ok(())
-            }
-        };
-        match self {
-            Blas3Op::Gemm {
-                transa,
-                transb,
-                a,
-                b,
-                c,
-                ..
-            } => {
-                let (am, ak) = op_shape(a, *transa);
-                let (bk, bn) = op_shape(b, *transb);
-                matches("op(A) rows and C rows", am, c.rows())?;
-                matches("op(B) columns and C columns", bn, c.cols())?;
-                matches("op(A) columns and op(B) rows", ak, bk)
-            }
-            Blas3Op::Symm { side, a, b, c, .. } => {
-                square("A", a)?;
-                let expect = match side {
-                    Side::Left => c.rows(),
-                    Side::Right => c.cols(),
-                };
-                matches("A order and the multiplied C extent", a.rows(), expect)?;
-                matches("B rows and C rows", b.rows(), c.rows())?;
-                matches("B columns and C columns", b.cols(), c.cols())
-            }
-            Blas3Op::Syrk { trans, a, c, .. } => {
-                if c.rows() != c.cols() {
-                    return Err(Blas3Error::NotSquare {
-                        op: kind,
-                        name: "C",
-                        rows: c.rows(),
-                        cols: c.cols(),
-                    });
-                }
-                let (an, _) = op_shape(a, *trans);
-                matches("op(A) rows and C order", an, c.rows())
-            }
-            Blas3Op::Syr2k { trans, a, b, c, .. } => {
-                if c.rows() != c.cols() {
-                    return Err(Blas3Error::NotSquare {
-                        op: kind,
-                        name: "C",
-                        rows: c.rows(),
-                        cols: c.cols(),
-                    });
-                }
-                let (an, ak) = op_shape(a, *trans);
-                let (bn, bk) = op_shape(b, *trans);
-                matches("op(A) rows and C order", an, c.rows())?;
-                matches("op(B) rows and C order", bn, c.rows())?;
-                matches("op(A) and op(B) inner extents", ak, bk)
-            }
-            Blas3Op::Trmm { side, a, b, .. } | Blas3Op::Trsm { side, a, b, .. } => {
-                square("A", a)?;
-                let expect = match side {
-                    Side::Left => b.rows(),
-                    Side::Right => b.cols(),
-                };
-                matches("A order and the multiplied B extent", a.rows(), expect)
-            }
-        }
+        self.shape().1
     }
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::matrix::Matrix;
 
@@ -610,5 +677,239 @@ mod tests {
         assert_eq!(op.dims(), Dims::d3(3, 5, 7));
         assert_eq!(op.routine().name(), "sgemm");
         assert!(op.validate().is_ok());
+    }
+
+    /// One matrix operand as a classic entry point describes it:
+    /// `(name, rows, cols, ld, slice length)`.
+    pub(crate) type Operand = (&'static str, usize, usize, usize, usize);
+
+    /// The name the classic entry points give an operand, e.g. `"gemm A"`.
+    pub(crate) fn operand_name(kind: OpKind, letter: char) -> &'static str {
+        Box::leak(format!("{} {letter}", kind.name()).into_boxed_str())
+    }
+
+    /// A tightly packed operand.
+    pub(crate) fn packed(name: &'static str, (rows, cols): (usize, usize)) -> Operand {
+        (name, rows, cols, rows.max(1), rows * cols)
+    }
+
+    /// The two malformed descriptions a view constructor must reject by
+    /// operand name: a short leading dimension and a short slice.
+    pub(crate) fn malformed((name, rows, cols, ld, len): Operand) -> [(Operand, Blas3Error); 2] {
+        let (ld_err, needed, got) = (rows - 1, len, len - 1);
+        [
+            (
+                (name, rows, cols, ld_err, len),
+                Blas3Error::BadLeadingDim {
+                    name,
+                    ld: ld_err,
+                    rows,
+                },
+            ),
+            (
+                (name, rows, cols, ld, got),
+                Blas3Error::ShortSlice {
+                    name,
+                    rows,
+                    cols,
+                    ld,
+                    needed,
+                    got,
+                },
+            ),
+        ]
+    }
+
+    /// The view, through the panicking (`classic`) or fallible constructor.
+    pub(crate) fn view(
+        (name, rows, cols, ld, len): Operand,
+        buf: &[f64],
+        classic: bool,
+    ) -> Result<MatRef<'_, f64>, Blas3Error> {
+        if classic {
+            Ok(MatRef::new_named(name, rows, cols, ld, &buf[..len]))
+        } else {
+            MatRef::try_new_named(name, rows, cols, ld, &buf[..len])
+        }
+    }
+
+    /// [`view`] for an output operand.
+    pub(crate) fn view_mut(
+        (name, rows, cols, ld, len): Operand,
+        buf: &mut [f64],
+        classic: bool,
+    ) -> Result<MatMut<'_, f64>, Blas3Error> {
+        if classic {
+            Ok(MatMut::new_named(name, rows, cols, ld, &mut buf[..len]))
+        } else {
+            MatMut::try_new_named(name, rows, cols, ld, &mut buf[..len])
+        }
+    }
+
+    /// Assert that `call` fails (or, for `None`, succeeds) identically down
+    /// both paths: `call(false)` is the typed one — fallible view
+    /// constructors, then `validate()` — and `call(true)` the classic one —
+    /// panicking constructors, then the public driver — whose panic text
+    /// must be the typed error's.
+    pub(crate) fn assert_same_failure(
+        label: &str,
+        expect: Option<&Blas3Error>,
+        call: impl Fn(bool) -> Result<(), Blas3Error>,
+    ) {
+        assert_eq!(call(false).err().as_ref(), expect, "{label}: typed path");
+        let panic = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| call(true)));
+        let text = panic
+            .err()
+            .map(|p| *p.downcast::<String>().expect("formatted panic"));
+        assert_eq!(text, expect.map(|e| e.to_string()), "{label}: classic path");
+    }
+
+    /// One Level 3 call: the family, its transpose flags (`transa`/`transb`
+    /// for GEMM, `trans` first otherwise) and side, and the stored operand
+    /// shapes in entry-point order (inputs, then the output).
+    type Call = (OpKind, [Transpose; 2], Side, &'static [(usize, usize)]);
+
+    /// Describe `call` over `specs` and run it down one of the two paths of
+    /// [`assert_same_failure`].
+    fn run(
+        (kind, [trans, transb], side, _): Call,
+        specs: &[Operand],
+        classic: bool,
+    ) -> Result<(), Blas3Error> {
+        let mut bufs = vec![[0.0f64; 64]; specs.len()];
+        let (out, ins) = bufs.split_last_mut().unwrap();
+        let (out_spec, in_specs) = specs.split_last().unwrap();
+        let views = in_specs.iter().zip(ins.iter());
+        let ins = views
+            .map(|(&o, buf)| view(o, buf, classic))
+            .collect::<Result<Vec<_>, _>>()?;
+        let c = view_mut(*out_spec, out, classic)?;
+        let (uplo, diag, alpha, beta) = (Uplo::Upper, Diag::NonUnit, 1.0, 0.0);
+        let (a, b) = (ins[0], ins[ins.len() - 1]);
+        if classic {
+            match kind {
+                OpKind::Gemm => crate::gemm::gemm(1, trans, transb, alpha, a, b, beta, c),
+                OpKind::Symm => crate::symm::symm(1, side, uplo, alpha, a, b, beta, c),
+                OpKind::Syrk => crate::syrk::syrk(1, uplo, trans, alpha, a, beta, c),
+                OpKind::Syr2k => crate::syr2k::syr2k(1, uplo, trans, alpha, a, b, beta, c),
+                OpKind::Trmm => crate::trmm::trmm(1, side, uplo, trans, diag, alpha, a, c),
+                OpKind::Trsm => crate::trsm::trsm(1, side, uplo, trans, diag, alpha, a, c),
+                _ => unreachable!("Level 2 families have their own table in call2.rs"),
+            }
+            return Ok(());
+        }
+        #[rustfmt::skip]
+        let op = match kind {
+            OpKind::Gemm => Blas3Op::Gemm { transa: trans, transb, alpha, a, b, beta, c },
+            OpKind::Symm => Blas3Op::Symm { side, uplo, alpha, a, b, beta, c },
+            OpKind::Syrk => Blas3Op::Syrk { uplo, trans, alpha, a, beta, c },
+            OpKind::Syr2k => Blas3Op::Syr2k { uplo, trans, alpha, a, b, beta, c },
+            OpKind::Trmm => Blas3Op::Trmm { side, uplo, trans, diag, alpha, a, b: c },
+            OpKind::Trsm => Blas3Op::Trsm { side, uplo, trans, diag, alpha, a, b: c },
+            _ => unreachable!("Level 2 families have their own table in call2.rs"),
+        };
+        op.validate()
+    }
+
+    #[test]
+    fn every_malformed_call_fails_the_same_way_typed_and_through_the_driver() {
+        use OpKind::{Gemm, Symm, Syr2k, Syrk, Trmm, Trsm};
+        use Side::{Left as L, Right as R};
+        use Transpose::{No as N, Yes as T};
+        let mismatch = |op, expected, x, y| {
+            Some(Blas3Error::DimMismatch {
+                op,
+                expected,
+                got: (x, y),
+            })
+        };
+        let not_square = |op, name, rows, cols| {
+            Some(Blas3Error::NotSquare {
+                op,
+                name,
+                rows,
+                cols,
+            })
+        };
+        // Each call, and the first constraint its operands violate.
+        #[rustfmt::skip]
+        let table: &[(Call, Option<Blas3Error>)] = &[
+            // GEMM: op(A) m x k, op(B) k x n, C m x n.
+            ((Gemm, [N, N], L, &[(4, 5), (5, 3), (4, 3)]), None),
+            ((Gemm, [T, T], L, &[(5, 4), (3, 5), (4, 3)]), None),
+            ((Gemm, [N, N], L, &[(4, 5), (5, 3), (6, 3)]), mismatch(Gemm, "op(A) rows and C rows", 4, 6)),
+            ((Gemm, [N, N], L, &[(7, 5), (5, 3), (4, 3)]), mismatch(Gemm, "op(A) rows and C rows", 7, 4)),
+            ((Gemm, [N, N], L, &[(4, 5), (5, 3), (4, 7)]), mismatch(Gemm, "op(B) columns and C columns", 3, 7)),
+            ((Gemm, [N, N], L, &[(4, 5), (5, 2), (4, 3)]), mismatch(Gemm, "op(B) columns and C columns", 2, 3)),
+            ((Gemm, [N, N], L, &[(4, 6), (5, 3), (4, 3)]), mismatch(Gemm, "op(A) columns and op(B) rows", 6, 5)),
+            ((Gemm, [N, N], L, &[(4, 5), (6, 3), (4, 3)]), mismatch(Gemm, "op(A) columns and op(B) rows", 5, 6)),
+            // The inner mismatch only the transpose flag reveals.
+            ((Gemm, [T, N], L, &[(4, 5), (5, 3), (5, 3)]), mismatch(Gemm, "op(A) columns and op(B) rows", 4, 5)),
+            // SYMM: A square of the multiplied extent, B and C m x n.
+            ((Symm, [N, N], L, &[(4, 4), (4, 3), (4, 3)]), None),
+            ((Symm, [N, N], R, &[(3, 3), (4, 3), (4, 3)]), None),
+            ((Symm, [N, N], L, &[(4, 5), (4, 3), (4, 3)]), not_square(Symm, "A", 4, 5)),
+            ((Symm, [N, N], L, &[(5, 4), (4, 3), (4, 3)]), not_square(Symm, "A", 5, 4)),
+            ((Symm, [N, N], R, &[(4, 4), (4, 3), (4, 3)]), mismatch(Symm, "A order and the multiplied C extent", 4, 3)),
+            ((Symm, [N, N], L, &[(4, 4), (4, 3), (5, 3)]), mismatch(Symm, "A order and the multiplied C extent", 4, 5)),
+            ((Symm, [N, N], L, &[(4, 4), (6, 3), (4, 3)]), mismatch(Symm, "B rows and C rows", 6, 4)),
+            ((Symm, [N, N], L, &[(4, 4), (4, 9), (4, 3)]), mismatch(Symm, "B columns and C columns", 9, 3)),
+            ((Symm, [N, N], L, &[(4, 4), (4, 3), (4, 2)]), mismatch(Symm, "B columns and C columns", 3, 2)),
+            // SYRK: C square of order n, op(A) n x k.
+            ((Syrk, [N, N], L, &[(4, 6), (4, 4)]), None),
+            ((Syrk, [T, N], L, &[(4, 6), (6, 6)]), None),
+            ((Syrk, [N, N], L, &[(4, 6), (4, 5)]), not_square(Syrk, "C", 4, 5)),
+            ((Syrk, [N, N], L, &[(4, 6), (5, 4)]), not_square(Syrk, "C", 5, 4)),
+            ((Syrk, [N, N], L, &[(4, 6), (6, 6)]), mismatch(Syrk, "op(A) rows and C order", 4, 6)),
+            ((Syrk, [T, N], L, &[(4, 6), (4, 4)]), mismatch(Syrk, "op(A) rows and C order", 6, 4)),
+            // SYR2K: as SYRK, with op(B) congruent to op(A).
+            ((Syr2k, [N, N], L, &[(5, 3), (5, 3), (5, 5)]), None),
+            ((Syr2k, [T, N], L, &[(3, 5), (3, 5), (5, 5)]), None),
+            ((Syr2k, [N, N], L, &[(5, 3), (5, 3), (5, 6)]), not_square(Syr2k, "C", 5, 6)),
+            ((Syr2k, [N, N], L, &[(6, 3), (5, 3), (5, 5)]), mismatch(Syr2k, "op(A) rows and C order", 6, 5)),
+            ((Syr2k, [N, N], L, &[(5, 3), (7, 3), (5, 5)]), mismatch(Syr2k, "op(B) rows and C order", 7, 5)),
+            ((Syr2k, [N, N], L, &[(5, 3), (5, 4), (5, 5)]), mismatch(Syr2k, "op(A) and op(B) inner extents", 3, 4)),
+            ((Syr2k, [T, N], L, &[(2, 5), (3, 5), (5, 5)]), mismatch(Syr2k, "op(A) and op(B) inner extents", 2, 3)),
+            // TRMM / TRSM: A square of the multiplied extent of B.
+            ((Trmm, [N, N], L, &[(4, 4), (4, 6)]), None),
+            ((Trsm, [T, N], R, &[(6, 6), (4, 6)]), None),
+            ((Trmm, [N, N], L, &[(4, 6), (4, 6)]), not_square(Trmm, "A", 4, 6)),
+            ((Trsm, [T, N], L, &[(6, 4), (4, 6)]), not_square(Trsm, "A", 6, 4)),
+            ((Trmm, [N, N], L, &[(4, 4), (5, 6)]), mismatch(Trmm, "A order and the multiplied B extent", 4, 5)),
+            ((Trmm, [T, N], R, &[(6, 6), (4, 5)]), mismatch(Trmm, "A order and the multiplied B extent", 6, 5)),
+            ((Trsm, [T, N], R, &[(4, 4), (4, 6)]), mismatch(Trsm, "A order and the multiplied B extent", 4, 6)),
+            ((Trsm, [N, N], L, &[(4, 4), (6, 6)]), mismatch(Trsm, "A order and the multiplied B extent", 4, 6)),
+        ];
+        for (call, expect) in table {
+            let (kind, .., shapes) = *call;
+            let letters = match kind {
+                Syrk => "AC",
+                Trmm | Trsm => "AB",
+                _ => "ABC",
+            };
+            let specs: Vec<Operand> = letters
+                .chars()
+                .zip(shapes)
+                .map(|(l, &shape)| packed(operand_name(kind, l), shape))
+                .collect();
+            let label = format!("{call:?}");
+            assert_same_failure(&label, expect.as_ref(), |classic| {
+                run(*call, &specs, classic)
+            });
+            if expect.is_some() {
+                continue;
+            }
+            // A well-formed call, with each operand in turn malformed.
+            for i in 0..specs.len() {
+                for (bad, error) in malformed(specs[i]) {
+                    let mut specs = specs.clone();
+                    specs[i] = bad;
+                    let label = format!("{label}, malformed {}", bad.0);
+                    assert_same_failure(&label, Some(&error), |classic| {
+                        run(*call, &specs, classic)
+                    });
+                }
+            }
+        }
     }
 }

@@ -4,71 +4,55 @@
 //! ([`gemm_cooperative`]) — the whole team walks the same cache-block
 //! schedule, jointly packs one shared B panel per `(jc, pc)` iteration and
 //! one shared A block per `ic` iteration, then splits the macro-kernel's
-//! register-tile loop. Shared operands are packed once per block instead of once per
-//! worker (the old per-thread-chunk strategy re-packed all of A `nt` times
-//! when splitting columns), and the tile split stays balanced at thread
-//! counts where per-worker C chunks would go ragged.
+//! register-tile loop. Shared operands are packed once per block instead of
+//! once per worker, and the tile split stays balanced at thread counts where
+//! per-worker C chunks would go ragged.
 //!
-//! The pre-cooperative driver is kept as [`gemm_chunked`] so benches and
-//! parity tests can race the two strategies.
-//!
-//! Within the backend seam this module is the kernel level: the wide
-//! slice-signature entry point below is what
-//! [`NativeBackend`](crate::backend::NativeBackend) invokes for a validated
-//! [`Blas3Op::Gemm`](crate::call::Blas3Op) description.
+//! Within the backend seam this module is the kernel level: the driver
+//! below takes the operand views a validated
+//! [`Blas3Op::Gemm`](crate::call::Blas3Op) holds, and is what
+//! [`NativeBackend`](crate::backend::NativeBackend) invokes for one.
 
 use crate::arena;
+use crate::call::{entry, gemm_shape};
 use crate::kernel::{gemm_cooperative, scale_block, shared_pack_lens, SharedPack};
-use crate::matrix::{check_operand, Matrix};
+use crate::matrix::{MatMut, MatRef};
+use crate::op::Dims;
 use crate::pack::PackSrc;
 use crate::pool::{SendPtr, ThreadPool};
 use crate::{Float, Transpose};
 
-/// Slice-based GEMM with explicit leading dimensions and thread count.
-///
-/// Computes `C = alpha * op(A) * op(B) + beta * C` where `op(A)` is
-/// `m x k` and `op(B)` is `k x n`, using exactly `nt` threads.
+/// GEMM on operand views with an explicit thread count: computes
+/// `C = alpha * op(A) * op(B) + beta * C` using exactly `nt` threads.
 ///
 /// # Panics
-/// If any leading dimension or slice length is inconsistent with the shape.
-#[allow(clippy::too_many_arguments)]
+/// If the operand shapes disagree (`op(A)` must be `m x k`, `op(B)`
+/// `k x n`, for the `m x n` view C), with the text of the
+/// [`Blas3Error`](crate::Blas3Error) that
+/// [`Blas3Op::validate`](crate::call::Blas3Op::validate) returns for the
+/// same call.
 pub fn gemm<T: Float>(
     nt: usize,
     transa: Transpose,
     transb: Transpose,
-    m: usize,
-    n: usize,
-    k: usize,
     alpha: T,
-    a: &[T],
-    lda: usize,
-    b: &[T],
-    ldb: usize,
+    a: MatRef<'_, T>,
+    b: MatRef<'_, T>,
     beta: T,
-    c: &mut [T],
-    ldc: usize,
+    c: MatMut<'_, T>,
 ) {
-    let (ar, ac) = match transa {
-        Transpose::No => (m, k),
-        Transpose::Yes => (k, m),
-    };
-    let (br, bc) = match transb {
-        Transpose::No => (k, n),
-        Transpose::Yes => (n, k),
-    };
-    check_operand("gemm A", ar, ac, lda, a);
-    check_operand("gemm B", br, bc, ldb, b);
-    check_operand("gemm C", m, n, ldc, c);
+    let Dims([m, k, n]) = entry(gemm_shape(transa, transb, a, b, c.as_ref()));
     if m == 0 || n == 0 {
         return;
     }
 
     // Both transpose cases are affine layouts — always the strided packing
     // fast path.
-    let a_src = PackSrc::matrix(a, lda, transa, m, k);
-    let b_src = PackSrc::matrix(b, ldb, transb, k, n);
+    let a_src = PackSrc::matrix(a, transa);
+    let b_src = PackSrc::matrix(b, transb);
 
-    let cptr = SendPtr(c.as_mut_ptr());
+    let ldc = c.ld();
+    let cptr = SendPtr(c.into_slice().as_mut_ptr());
     let skip_product = alpha == T::ZERO || k == 0;
     // Resolve the micro-kernel once; the whole team shares it.
     let disp = T::kernel();
@@ -91,7 +75,7 @@ pub fn gemm<T: Float>(
         }
         // SAFETY: C is exclusively borrowed for this call and the team is
         // the only accessor; shared bufs outlive the region; operands cover
-        // the m x k / k x n extents (checked above).
+        // the m x k / k x n extents (view invariants plus the entry check).
         unsafe {
             gemm_cooperative(
                 &disp,
@@ -110,156 +94,12 @@ pub fn gemm<T: Float>(
     });
 }
 
-/// The pre-cooperative parallel strategy: split the larger extent of C into
-/// per-thread chunks, each worker running the *legacy* serial engine
-/// (closure-gather packing, fresh heap buffers) on its private chunk — so
-/// the shared operand is re-packed by every worker.
-///
-/// Kept only as the baseline the `parallel_scaling` bench and the parity
-/// suite race [`gemm`] against; not used by any backend path.
-#[doc(hidden)]
-#[allow(clippy::too_many_arguments)]
-pub fn gemm_chunked<T: Float>(
-    nt: usize,
-    transa: Transpose,
-    transb: Transpose,
-    m: usize,
-    n: usize,
-    k: usize,
-    alpha: T,
-    a: &[T],
-    lda: usize,
-    b: &[T],
-    ldb: usize,
-    beta: T,
-    c: &mut [T],
-    ldc: usize,
-) {
-    use crate::kernel::legacy::gemm_serial_gather;
-    let (ar, ac) = match transa {
-        Transpose::No => (m, k),
-        Transpose::Yes => (k, m),
-    };
-    let (br, bc) = match transb {
-        Transpose::No => (k, n),
-        Transpose::Yes => (n, k),
-    };
-    check_operand("gemm A", ar, ac, lda, a);
-    check_operand("gemm B", br, bc, ldb, b);
-    check_operand("gemm C", m, n, ldc, c);
-    if m == 0 || n == 0 {
-        return;
-    }
-    let a_at = move |i: usize, p: usize| match transa {
-        Transpose::No => a[i + p * lda],
-        Transpose::Yes => a[p + i * lda],
-    };
-    let b_at = move |p: usize, j: usize| match transb {
-        Transpose::No => b[p + j * ldb],
-        Transpose::Yes => b[j + p * ldb],
-    };
-    let cptr = SendPtr(c.as_mut_ptr());
-    let skip_product = alpha == T::ZERO || k == 0;
-    let split_cols = n >= m;
-    let disp = T::kernel();
-    ThreadPool::run_current(nt, |tid| {
-        if split_cols {
-            let (js, je) = ThreadPool::chunk(n, nt, tid);
-            if js >= je {
-                return;
-            }
-            // SAFETY: disjoint column ranges per worker.
-            unsafe {
-                let cp = cptr.get().add(js * ldc);
-                scale_block(m, je - js, beta, cp, ldc);
-                if !skip_product {
-                    gemm_serial_gather(
-                        &disp,
-                        m,
-                        je - js,
-                        k,
-                        alpha,
-                        &a_at,
-                        &|p, j| b_at(p, js + j),
-                        cp,
-                        ldc,
-                    );
-                }
-            }
-        } else {
-            let (is, ie) = ThreadPool::chunk(m, nt, tid);
-            if is >= ie {
-                return;
-            }
-            // SAFETY: disjoint row ranges per worker.
-            unsafe {
-                let cp = cptr.get().add(is);
-                scale_block(ie - is, n, beta, cp, ldc);
-                if !skip_product {
-                    gemm_serial_gather(
-                        &disp,
-                        ie - is,
-                        n,
-                        k,
-                        alpha,
-                        &|i, p| a_at(is + i, p),
-                        &b_at,
-                        cp,
-                        ldc,
-                    );
-                }
-            }
-        }
-    });
-}
-
-/// Matrix-typed convenience wrapper: shapes are taken from the operands.
-///
-/// `op(A)` must be `c.rows() x k` and `op(B)` `k x c.cols()`.
-pub fn gemm_mat<T: Float>(
-    nt: usize,
-    transa: Transpose,
-    transb: Transpose,
-    alpha: T,
-    a: &Matrix<T>,
-    b: &Matrix<T>,
-    beta: T,
-    c: &mut Matrix<T>,
-) {
-    let m = c.rows();
-    let n = c.cols();
-    let k = match transa {
-        Transpose::No => a.cols(),
-        Transpose::Yes => a.rows(),
-    };
-    let kb = match transb {
-        Transpose::No => b.rows(),
-        Transpose::Yes => b.cols(),
-    };
-    assert_eq!(k, kb, "inner dimensions of op(A) and op(B) must agree");
-    let (lda, ldb, ldc) = (a.ld(), b.ld(), c.ld());
-    gemm(
-        nt,
-        transa,
-        transb,
-        m,
-        n,
-        k,
-        alpha,
-        a.as_slice(),
-        lda,
-        b.as_slice(),
-        ldb,
-        beta,
-        c.as_mut_slice(),
-        ldc,
-    );
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::matrix::Matrix;
     use crate::reference;
+    use crate::Transpose::{No, Yes};
 
     fn test_mat(r: usize, c: usize, seed: u64) -> Matrix<f64> {
         Matrix::from_fn(r, c, |i, j| {
@@ -281,19 +121,28 @@ mod tests {
             (300, 5, 80),
         ] {
             for &nt in &[1usize, 2, 4] {
-                for transa in [Transpose::No, Transpose::Yes] {
-                    for transb in [Transpose::No, Transpose::Yes] {
+                for transa in [No, Yes] {
+                    for transb in [No, Yes] {
                         let a = match transa {
-                            Transpose::No => test_mat(m, k, 1),
-                            Transpose::Yes => test_mat(k, m, 1),
+                            No => test_mat(m, k, 1),
+                            Yes => test_mat(k, m, 1),
                         };
                         let b = match transb {
-                            Transpose::No => test_mat(k, n, 2),
-                            Transpose::Yes => test_mat(n, k, 2),
+                            No => test_mat(k, n, 2),
+                            Yes => test_mat(n, k, 2),
                         };
                         let c0 = test_mat(m, n, 3);
                         let mut c = c0.clone();
-                        gemm_mat(nt, transa, transb, 1.3, &a, &b, 0.7, &mut c);
+                        gemm(
+                            nt,
+                            transa,
+                            transb,
+                            1.3,
+                            a.as_ref(),
+                            b.as_ref(),
+                            0.7,
+                            c.as_mut(),
+                        );
                         let mut expect = c0.clone();
                         reference::gemm(transa, transb, 1.3, &a, &b, 0.7, &mut expect);
                         let scale = expect.frob_norm().max(1.0);
@@ -317,60 +166,11 @@ mod tests {
         let b = test_mat(n, k, 6); // op(B) = B' is k x n
         let c0 = test_mat(m, n, 7);
         let mut base = c0.clone();
-        gemm_mat(
-            1,
-            Transpose::No,
-            Transpose::Yes,
-            1.1,
-            &a,
-            &b,
-            -0.4,
-            &mut base,
-        );
+        gemm(1, No, Yes, 1.1, a.as_ref(), b.as_ref(), -0.4, base.as_mut());
         for nt in [2usize, 3, 7] {
             let mut c = c0.clone();
-            gemm_mat(nt, Transpose::No, Transpose::Yes, 1.1, &a, &b, -0.4, &mut c);
+            gemm(nt, No, Yes, 1.1, a.as_ref(), b.as_ref(), -0.4, c.as_mut());
             assert_eq!(c.as_slice(), base.as_slice(), "nt={nt} changed bits");
-        }
-    }
-
-    #[test]
-    fn chunked_baseline_matches_cooperative() {
-        let (m, n, k) = (90, 110, 70);
-        let a = test_mat(m, k, 11);
-        let b = test_mat(k, n, 12);
-        let c0 = test_mat(m, n, 13);
-        for nt in [1usize, 4] {
-            let mut coop = c0.clone();
-            gemm_mat(
-                nt,
-                Transpose::No,
-                Transpose::No,
-                1.0,
-                &a,
-                &b,
-                0.5,
-                &mut coop,
-            );
-            let mut chunked = c0.clone();
-            gemm_chunked(
-                nt,
-                Transpose::No,
-                Transpose::No,
-                m,
-                n,
-                k,
-                1.0,
-                a.as_slice(),
-                m,
-                b.as_slice(),
-                k,
-                0.5,
-                chunked.as_mut_slice(),
-                m,
-            );
-            let scale = coop.frob_norm().max(1.0);
-            assert!(coop.max_abs_diff(&chunked) / scale < 1e-12, "nt={nt}");
         }
     }
 
@@ -379,7 +179,7 @@ mod tests {
         let a = Matrix::<f64>::identity(4);
         let b = Matrix::<f64>::filled(4, 4, 2.0);
         let mut c = Matrix::<f64>::filled(4, 4, f64::NAN);
-        gemm_mat(2, Transpose::No, Transpose::No, 1.0, &a, &b, 0.0, &mut c);
+        gemm(2, No, No, 1.0, a.as_ref(), b.as_ref(), 0.0, c.as_mut());
         assert!(c.max_abs_diff(&b) < 1e-15);
     }
 
@@ -389,7 +189,7 @@ mod tests {
         let b = test_mat(6, 6, 2);
         let c0 = test_mat(6, 6, 3);
         let mut c = c0.clone();
-        gemm_mat(3, Transpose::No, Transpose::No, 0.0, &a, &b, 2.0, &mut c);
+        gemm(3, No, No, 0.0, a.as_ref(), b.as_ref(), 2.0, c.as_mut());
         let expect = Matrix::from_fn(6, 6, |i, j| 2.0 * c0.get(i, j));
         assert!(c.max_abs_diff(&expect) < 1e-12);
     }
@@ -399,7 +199,7 @@ mod tests {
         let a = Matrix::<f64>::zeros(4, 0);
         let b = Matrix::<f64>::zeros(0, 3);
         let mut c = Matrix::<f64>::filled(4, 3, 1.5);
-        gemm_mat(2, Transpose::No, Transpose::No, 1.0, &a, &b, 2.0, &mut c);
+        gemm(2, No, No, 1.0, a.as_ref(), b.as_ref(), 2.0, c.as_mut());
         assert!(c.max_abs_diff(&Matrix::filled(4, 3, 3.0)) < 1e-15);
     }
 
@@ -410,9 +210,9 @@ mod tests {
         let a = test_mat(3, 3, 1);
         let b = test_mat(3, 3, 2);
         let mut c = Matrix::<f64>::zeros(3, 3);
-        gemm_mat(16, Transpose::No, Transpose::No, 1.0, &a, &b, 0.0, &mut c);
+        gemm(16, No, No, 1.0, a.as_ref(), b.as_ref(), 0.0, c.as_mut());
         let mut expect = Matrix::<f64>::zeros(3, 3);
-        reference::gemm(Transpose::No, Transpose::No, 1.0, &a, &b, 0.0, &mut expect);
+        reference::gemm(No, No, 1.0, &a, &b, 0.0, &mut expect);
         assert!(c.max_abs_diff(&expect) < 1e-12);
     }
 
@@ -421,9 +221,9 @@ mod tests {
         let a = Matrix::<f32>::from_fn(20, 10, |i, j| ((i + j) % 5) as f32);
         let b = Matrix::<f32>::from_fn(10, 15, |i, j| ((i * 2 + j) % 7) as f32);
         let mut c = Matrix::<f32>::zeros(20, 15);
-        gemm_mat(2, Transpose::No, Transpose::No, 1.0, &a, &b, 0.0, &mut c);
+        gemm(2, No, No, 1.0, a.as_ref(), b.as_ref(), 0.0, c.as_mut());
         let mut expect = Matrix::<f32>::zeros(20, 15);
-        reference::gemm(Transpose::No, Transpose::No, 1.0, &a, &b, 0.0, &mut expect);
+        reference::gemm(No, No, 1.0, &a, &b, 0.0, &mut expect);
         assert!(c.max_abs_diff(&expect) < 1e-3);
     }
 
@@ -435,40 +235,16 @@ mod tests {
         let mut c = Matrix::<f64>::zeros(m, n);
         // Warm every participating thread's arena.
         for _ in 0..2 {
-            gemm_mat(4, Transpose::No, Transpose::No, 1.0, &a, &b, 0.0, &mut c);
+            gemm(4, No, No, 1.0, a.as_ref(), b.as_ref(), 0.0, c.as_mut());
         }
         let before = crate::arena::allocation_count();
         for _ in 0..10 {
-            gemm_mat(4, Transpose::No, Transpose::No, 1.0, &a, &b, 0.0, &mut c);
+            gemm(4, No, No, 1.0, a.as_ref(), b.as_ref(), 0.0, c.as_mut());
         }
         assert_eq!(
             crate::arena::allocation_count(),
             before,
             "steady-state parallel GEMM must perform zero packing allocations"
-        );
-    }
-
-    #[test]
-    #[should_panic(expected = "gemm C")]
-    fn bad_ldc_panics() {
-        let a = [0.0f64; 4];
-        let b = [0.0f64; 4];
-        let mut c = [0.0f64; 2];
-        gemm(
-            1,
-            Transpose::No,
-            Transpose::No,
-            2,
-            2,
-            2,
-            1.0,
-            &a,
-            2,
-            &b,
-            2,
-            0.0,
-            &mut c,
-            1,
         );
     }
 }

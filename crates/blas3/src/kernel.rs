@@ -20,10 +20,10 @@
 //! Two execution engines share the same packing and micro-kernel layers:
 //!
 //! * [`gemm_serial_with`] — the five-loop blocked algorithm on one thread,
-//!   with packing buffers drawn from the reuse [`arena`](crate::arena)
+//!   with packing buffers drawn from the reuse [`arena`]
 //!   (steady-state calls allocate nothing).
 //! * [`gemm_cooperative`] — the BLIS-style cooperative parallel version:
-//!   every member of a [`TeamCtx`](crate::pool::TeamCtx) walks the same
+//!   every member of a [`TeamCtx`] walks the same
 //!   `jc/pc/ic` block schedule, jointly packs **one shared** B panel and
 //!   **one shared** A block per iteration (split by panel, published by a
 //!   barrier), then splits the flattened register-tile loop over the
@@ -352,7 +352,7 @@ pub unsafe fn gemm_serial<T: Float>(
 /// parity/bench harnesses that pin a specific kernel) resolve the dispatch
 /// once and pass it here; packing and blocking follow the dispatch's
 /// geometry, and packing buffers come from the thread-local
-/// [`arena`](crate::arena) (zero allocations once warm).
+/// [`arena`] (zero allocations once warm).
 ///
 /// # Safety
 /// As for [`gemm_serial`]; additionally `disp` must be runnable on this CPU
@@ -647,126 +647,6 @@ pub unsafe fn scale_block<T: Float>(m: usize, n: usize, beta: T, c: *mut T, ldc:
     }
 }
 
-#[doc(hidden)]
-pub mod legacy {
-    //! The pre-cooperative serial engine, kept verbatim as a benchmark and
-    //! parity baseline: closure-gather packing (one call per element) and
-    //! fresh heap buffers per call. `parallel_scaling` races the
-    //! cooperative drivers against per-thread chunking over *this* engine —
-    //! exactly the code the cooperative redesign replaced — so the recorded
-    //! speedups measure the whole change, not a strawman.
-
-    use super::KernelDispatch;
-    use crate::Float;
-
-    /// Closure-gather A pack into a freshly grown `Vec` (the seed layout).
-    pub fn pack_a_gather<T: Float>(
-        mr: usize,
-        mc: usize,
-        kc: usize,
-        src: impl Fn(usize, usize) -> T,
-        buf: &mut Vec<T>,
-    ) {
-        let panels = mc.div_ceil(mr);
-        buf.clear();
-        buf.resize(panels * mr * kc, T::ZERO);
-        for panel in 0..panels {
-            let i0 = panel * mr;
-            let rows = mr.min(mc - i0);
-            let base = panel * mr * kc;
-            for p in 0..kc {
-                let dst = &mut buf[base + p * mr..base + p * mr + mr];
-                for (r, d) in dst.iter_mut().enumerate().take(rows) {
-                    *d = src(i0 + r, p);
-                }
-            }
-        }
-    }
-
-    /// Closure-gather B pack into a freshly grown `Vec` (the seed layout).
-    pub fn pack_b_gather<T: Float>(
-        nr: usize,
-        kc: usize,
-        nc: usize,
-        src: impl Fn(usize, usize) -> T,
-        buf: &mut Vec<T>,
-    ) {
-        let panels = nc.div_ceil(nr);
-        buf.clear();
-        buf.resize(panels * nr * kc, T::ZERO);
-        for panel in 0..panels {
-            let j0 = panel * nr;
-            let cols = nr.min(nc - j0);
-            let base = panel * nr * kc;
-            for p in 0..kc {
-                let dst = &mut buf[base + p * nr..base + p * nr + nr];
-                for (c, d) in dst.iter_mut().enumerate().take(cols) {
-                    *d = src(p, j0 + c);
-                }
-            }
-        }
-    }
-
-    /// The seed's serial blocked GEMM: closure accessors, per-call heap
-    /// buffers, no prefetch.
-    ///
-    /// # Safety
-    /// As for [`gemm_serial_with`](super::gemm_serial_with).
-    #[allow(clippy::too_many_arguments)]
-    pub unsafe fn gemm_serial_gather<T: Float>(
-        disp: &KernelDispatch<T>,
-        m: usize,
-        n: usize,
-        k: usize,
-        alpha: T,
-        a: &impl Fn(usize, usize) -> T,
-        b: &impl Fn(usize, usize) -> T,
-        c: *mut T,
-        ldc: usize,
-    ) {
-        if m == 0 || n == 0 || k == 0 {
-            return;
-        }
-        let mut abuf: Vec<T> = Vec::new();
-        let mut bbuf: Vec<T> = Vec::new();
-        let mr = disp.mr;
-        let nr = disp.nr;
-        let mut jc = 0;
-        while jc < n {
-            let nc = disp.nc.min(n - jc);
-            let mut pc = 0;
-            while pc < k {
-                let kc = disp.kc.min(k - pc);
-                pack_b_gather(nr, kc, nc, |p, j| b(pc + p, jc + j), &mut bbuf);
-                let mut ic = 0;
-                while ic < m {
-                    let mc = disp.mc.min(m - ic);
-                    pack_a_gather(mr, mc, kc, |i, p| a(ic + i, pc + p), &mut abuf);
-                    let a_panels = mc.div_ceil(mr);
-                    let b_panels = nc.div_ceil(nr);
-                    for jp in 0..b_panels {
-                        let j0 = jp * nr;
-                        let nr_eff = nr.min(nc - j0);
-                        let bp = &bbuf[jp * nr * kc..(jp + 1) * nr * kc];
-                        for ip in 0..a_panels {
-                            let i0 = ip * mr;
-                            let mr_eff = mr.min(mc - i0);
-                            let ap = &abuf[ip * mr * kc..(ip + 1) * mr * kc];
-                            // SAFETY: tile anchor inside the caller's
-                            // exclusive m x n block, as in the seed.
-                            let cptr = c.add((ic + i0) + (jc + j0) * ldc);
-                            disp.run(kc, alpha, ap, bp, cptr, ldc, mr_eff, nr_eff);
-                        }
-                    }
-                    ic += mc;
-                }
-                pc += kc;
-            }
-            jc += nc;
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -893,41 +773,6 @@ mod tests {
                 "cooperative nt={nt} diverged from serial"
             );
         }
-    }
-
-    #[test]
-    fn legacy_gather_engine_matches_new() {
-        let (m, n, k) = (45, 52, 33);
-        let a = Matrix::<f64>::from_fn(m, k, |i, j| ((i * 5 + j) % 23) as f64 - 11.0);
-        let b = Matrix::<f64>::from_fn(k, n, |i, j| ((i + j * 9) % 29) as f64 - 14.0);
-        let disp = f64::kernel();
-        let mut c_new = Matrix::<f64>::zeros(m, n);
-        let mut c_old = Matrix::<f64>::zeros(m, n);
-        unsafe {
-            gemm_serial_with(
-                &disp,
-                m,
-                n,
-                k,
-                1.5,
-                &PackSrc::strided(a.as_slice(), 0, 1, m, m, k),
-                &PackSrc::strided(b.as_slice(), 0, 1, k, k, n),
-                c_new.as_mut_slice().as_mut_ptr(),
-                m,
-            );
-            legacy::gemm_serial_gather(
-                &disp,
-                m,
-                n,
-                k,
-                1.5,
-                &|i, p| a.get(i, p),
-                &|p, j| b.get(p, j),
-                c_old.as_mut_slice().as_mut_ptr(),
-                m,
-            );
-        }
-        assert_eq!(c_new.as_slice(), c_old.as_slice());
     }
 
     #[test]

@@ -4,10 +4,9 @@
 //! O(n^2) operand bytes, so every matrix element is loaded exactly once
 //! and the packed-panel machinery the Level 3 drivers use would only add
 //! traffic. Each routine is instead a walk over raw column-major columns
-//! built from the two streaming primitives of
-//! [`Level2Dispatch`](crate::kernel::level2::Level2Dispatch) — `axpy` for
-//! column updates, `dot` for column reductions — with software prefetch of
-//! the next column when the selected kernel asks for it.
+//! built from the two streaming primitives of [`Level2Dispatch`] — `axpy`
+//! for column updates, `dot` for column reductions — with software prefetch
+//! of the next column when the selected kernel asks for it.
 //!
 //! Parallel strategy, where there is one:
 //!
@@ -27,13 +26,17 @@
 //!   blocking into Level 3 calls, which the tiny sizes this family serves
 //!   never amortise. The predictor learns `nt = 1` for them instead.
 //!
-//! All entry points take BLAS-style slices with explicit leading dimension
-//! and vector increments; strided (`inc != 1`) vectors are staged through
-//! contiguous temporaries so the kernels always stream unit-stride.
+//! All entry points take the operand views a validated
+//! [`Blas2Op`](crate::call2::Blas2Op) holds; strided (`inc != 1`) vectors
+//! are staged through contiguous temporaries so the kernels always stream
+//! unit-stride.
 
+use crate::call::entry;
+use crate::call2::{gemv_shape, ger_shape, square_shape};
 use crate::kernel::level2::Level2Dispatch;
 use crate::kernel::prefetch_read;
-use crate::matrix::check_operand;
+use crate::matrix::{MatMut, MatRef};
+use crate::op::{Dims, OpKind};
 use crate::pool::{SendPtr, ThreadPool};
 use crate::vector::{VecMut, VecRef};
 use crate::{Diag, Float, Transpose, Uplo};
@@ -42,11 +45,17 @@ use crate::{Diag, Float, Transpose, Uplo};
 /// streams (same window as the Level 3 macro-kernel uses for panels).
 const PREFETCH_LINES: usize = 4;
 
-/// One column of a column-major `rows x cols` slice with leading dimension
-/// `lda`.
+/// Column `j` of a matrix view.
 #[inline]
-fn col<T>(a: &[T], lda: usize, rows: usize, j: usize) -> &[T] {
-    &a[j * lda..j * lda + rows]
+fn col<'a, T: Float>(a: &MatRef<'a, T>, j: usize) -> &'a [T] {
+    &a.data()[j * a.ld()..j * a.ld() + a.rows()]
+}
+
+/// Pull the head of column `j` (from row `i0`) towards the cache while the
+/// current column streams.
+#[inline]
+fn prefetch_col<T: Float>(a: &MatRef<'_, T>, j: usize, i0: usize) {
+    prefetch_read(a.data()[j * a.ld() + i0..].as_ptr(), PREFETCH_LINES);
 }
 
 /// Scale a vector in place; `beta == 0` stores zeros (clearing NaNs, per
@@ -82,52 +91,41 @@ fn staged<'a, T: Float>(v: &VecRef<'a, T>, buf: &'a mut Vec<T>) -> &'a [T] {
 /// Trans); `nt <= 1` runs the serial column walk.
 ///
 /// # Panics
-/// If `lda`/slice lengths are inconsistent with the shape, or a vector
-/// increment is zero / its slice too short.
+/// If the vector lengths disagree with `op(A)`, with the text of the typed
+/// error [`Blas2Op::validate`](crate::call2::Blas2Op::validate) returns.
 pub fn gemv<T: Float>(
     nt: usize,
     trans: Transpose,
-    m: usize,
-    n: usize,
     alpha: T,
-    a: &[T],
-    lda: usize,
-    x: &[T],
-    incx: usize,
+    a: MatRef<'_, T>,
+    x: VecRef<'_, T>,
     beta: T,
-    y: &mut [T],
-    incy: usize,
+    mut y: VecMut<'_, T>,
 ) {
-    check_operand("gemv A", m, n, lda, a);
-    let (xlen, ylen) = match trans {
-        Transpose::No => (n, m),
-        Transpose::Yes => (m, n),
-    };
-    let xv = VecRef::new_named("gemv x", xlen, incx, x);
-    let mut yv = VecMut::new_named("gemv y", ylen, incy, y);
-    if ylen == 0 {
+    entry(gemv_shape(trans, a, x.len(), y.len()));
+    if y.is_empty() {
         return;
     }
 
     let mut xbuf = Vec::new();
-    let xs = staged(&xv, &mut xbuf);
+    let xs = staged(&x, &mut xbuf);
     let run = |ys: &mut [T]| {
         scale_vec(beta, ys);
-        if alpha != T::ZERO && xlen != 0 {
+        if alpha != T::ZERO && !xs.is_empty() {
             let disp = T::kernel2();
             match trans {
-                Transpose::No => gemv_notrans(nt, &disp, m, n, alpha, a, lda, xs, ys),
-                Transpose::Yes => gemv_trans(nt, &disp, m, n, alpha, a, lda, xs, ys),
+                Transpose::No => gemv_notrans(nt, &disp, alpha, a, xs, ys),
+                Transpose::Yes => gemv_trans(nt, &disp, alpha, a, xs, ys),
             }
         }
     };
     // Strided y: run the whole routine on a contiguous copy, write back once.
-    match yv.contiguous_mut() {
+    match y.contiguous_mut() {
         Some(ys) => run(ys),
         None => {
-            let mut ybuf = yv.as_ref().to_vec();
+            let mut ybuf = y.as_ref().to_vec();
             run(&mut ybuf);
-            yv.copy_from_slice(&ybuf);
+            y.copy_from_slice(&ybuf);
         }
     }
 }
@@ -137,21 +135,18 @@ pub fn gemv<T: Float>(
 fn gemv_notrans<T: Float>(
     nt: usize,
     disp: &Level2Dispatch<T>,
-    m: usize,
-    n: usize,
     alpha: T,
-    a: &[T],
-    lda: usize,
+    a: MatRef<'_, T>,
     x: &[T],
     y: &mut [T],
 ) {
+    let (m, n) = (a.rows(), a.cols());
     if nt <= 1 || m < 2 {
-        for j in 0..n {
-            let c = col(a, lda, m, j);
+        for (j, &xj) in x.iter().enumerate() {
             if disp.prefetch && j + 1 < n {
-                prefetch_read(a[(j + 1) * lda..].as_ptr(), PREFETCH_LINES);
+                prefetch_col(&a, j + 1, 0);
             }
-            (disp.axpy)(alpha * x[j], c, y);
+            (disp.axpy)(alpha * xj, col(&a, j), y);
         }
         return;
     }
@@ -164,12 +159,11 @@ fn gemv_notrans<T: Float>(
         // SAFETY: row ranges are disjoint across workers, so each mutable
         // slice of y is exclusive; `y` outlives the fork/join region.
         let my_y = unsafe { std::slice::from_raw_parts_mut(yptr.get().add(is), ie - is) };
-        for j in 0..n {
-            let c = &col(a, lda, m, j)[is..ie];
+        for (j, &xj) in x.iter().enumerate() {
             if disp.prefetch && j + 1 < n {
-                prefetch_read(a[(j + 1) * lda + is..].as_ptr(), PREFETCH_LINES);
+                prefetch_col(&a, j + 1, is);
             }
-            (disp.axpy)(alpha * x[j], c, my_y);
+            (disp.axpy)(alpha * xj, &col(&a, j)[is..ie], my_y);
         }
     });
 }
@@ -179,21 +173,18 @@ fn gemv_notrans<T: Float>(
 fn gemv_trans<T: Float>(
     nt: usize,
     disp: &Level2Dispatch<T>,
-    m: usize,
-    n: usize,
     alpha: T,
-    a: &[T],
-    lda: usize,
+    a: MatRef<'_, T>,
     x: &[T],
     y: &mut [T],
 ) {
+    let n = a.cols();
     if nt <= 1 || n < 2 {
         for (j, yj) in y.iter_mut().enumerate().take(n) {
-            let c = col(a, lda, m, j);
             if disp.prefetch && j + 1 < n {
-                prefetch_read(a[(j + 1) * lda..].as_ptr(), PREFETCH_LINES);
+                prefetch_col(&a, j + 1, 0);
             }
-            *yj = alpha.mul_add((disp.dot)(c, x), *yj);
+            *yj = alpha.mul_add((disp.dot)(col(&a, j), x), *yj);
         }
         return;
     }
@@ -208,11 +199,10 @@ fn gemv_trans<T: Float>(
         let my_y = unsafe { std::slice::from_raw_parts_mut(yptr.get().add(js), je - js) };
         for (jj, yj) in my_y.iter_mut().enumerate() {
             let j = js + jj;
-            let c = col(a, lda, m, j);
             if disp.prefetch && j + 1 < je {
-                prefetch_read(a[(j + 1) * lda..].as_ptr(), PREFETCH_LINES);
+                prefetch_col(&a, j + 1, 0);
             }
-            *yj = alpha.mul_add((disp.dot)(c, x), *yj);
+            *yj = alpha.mul_add((disp.dot)(col(&a, j), x), *yj);
         }
     });
 }
@@ -223,29 +213,18 @@ fn gemv_trans<T: Float>(
 /// column range (no reduction, no synchronisation).
 ///
 /// # Panics
-/// On inconsistent shapes, as for [`gemv`].
-pub fn ger<T: Float>(
-    nt: usize,
-    m: usize,
-    n: usize,
-    alpha: T,
-    x: &[T],
-    incx: usize,
-    y: &[T],
-    incy: usize,
-    a: &mut [T],
-    lda: usize,
-) {
-    check_operand("ger A", m, n, lda, a);
-    let xv = VecRef::new_named("ger x", m, incx, x);
-    let yv = VecRef::new_named("ger y", n, incy, y);
+/// On disagreeing shapes, as for [`gemv`].
+pub fn ger<T: Float>(nt: usize, alpha: T, x: VecRef<'_, T>, y: VecRef<'_, T>, a: MatMut<'_, T>) {
+    let Dims([m, n, _]) = entry(ger_shape(x.len(), y.len(), a.as_ref()));
     if m == 0 || n == 0 || alpha == T::ZERO {
         return;
     }
     let (mut xbuf, mut ybuf) = (Vec::new(), Vec::new());
-    let xs = staged(&xv, &mut xbuf);
-    let ys = staged(&yv, &mut ybuf);
+    let xs = staged(&x, &mut xbuf);
+    let ys = staged(&y, &mut ybuf);
     let disp = T::kernel2();
+    let lda = a.ld();
+    let a = a.into_slice();
 
     if nt <= 1 || n < 2 {
         for j in 0..n {
@@ -260,7 +239,7 @@ pub fn ger<T: Float>(
         for (j, &yj) in ys.iter().enumerate().take(je).skip(js) {
             // SAFETY: column ranges are disjoint across workers and each
             // column is m <= lda elements starting at j * lda, inside the
-            // checked operand.
+            // extent the view constructor checked.
             let c = unsafe { std::slice::from_raw_parts_mut(aptr.get().add(j * lda), m) };
             (disp.axpy)(alpha * yj, xs, c);
         }
@@ -275,45 +254,39 @@ pub fn ger<T: Float>(
 /// disjoint row chunks of the partials into `y` after a barrier.
 ///
 /// # Panics
-/// On inconsistent shapes, as for [`gemv`].
+/// On disagreeing shapes, as for [`gemv`].
 pub fn symv<T: Float>(
     nt: usize,
     uplo: Uplo,
-    n: usize,
     alpha: T,
-    a: &[T],
-    lda: usize,
-    x: &[T],
-    incx: usize,
+    a: MatRef<'_, T>,
+    x: VecRef<'_, T>,
     beta: T,
-    y: &mut [T],
-    incy: usize,
+    mut y: VecMut<'_, T>,
 ) {
-    check_operand("symv A", n, n, lda, a);
-    let xv = VecRef::new_named("symv x", n, incx, x);
-    let mut yv = VecMut::new_named("symv y", n, incy, y);
+    let Dims([n, ..]) = entry(square_shape(OpKind::Symv, a, x.len(), Some(y.len())));
     if n == 0 {
         return;
     }
     let mut xbuf = Vec::new();
-    let xs = staged(&xv, &mut xbuf);
+    let xs = staged(&x, &mut xbuf);
     let run = |ys: &mut [T]| {
         scale_vec(beta, ys);
         if alpha != T::ZERO {
             let disp = T::kernel2();
             if nt <= 1 || n < 2 {
-                symv_serial_into(&disp, uplo, n, alpha, a, lda, xs, ys);
+                symv_serial_into(&disp, uplo, alpha, a, xs, ys);
             } else {
-                symv_parallel(nt, &disp, uplo, n, alpha, a, lda, xs, ys);
+                symv_parallel(nt, &disp, uplo, alpha, a, xs, ys);
             }
         }
     };
-    match yv.contiguous_mut() {
+    match y.contiguous_mut() {
         Some(ys) => run(ys),
         None => {
-            let mut ybuf = yv.as_ref().to_vec();
+            let mut ybuf = y.as_ref().to_vec();
             run(&mut ybuf);
-            yv.copy_from_slice(&ybuf);
+            y.copy_from_slice(&ybuf);
         }
     }
 }
@@ -324,15 +297,14 @@ pub fn symv<T: Float>(
 fn symv_serial_into<T: Float>(
     disp: &Level2Dispatch<T>,
     uplo: Uplo,
-    n: usize,
     alpha: T,
-    a: &[T],
-    lda: usize,
+    a: MatRef<'_, T>,
     x: &[T],
     y: &mut [T],
 ) {
+    let n = a.rows();
     for j in 0..n {
-        let c = col(a, lda, n, j);
+        let c = col(&a, j);
         match uplo {
             Uplo::Upper => {
                 // Stored rows 0..=j; c[j] is the diagonal.
@@ -358,13 +330,12 @@ fn symv_parallel<T: Float>(
     nt: usize,
     disp: &Level2Dispatch<T>,
     uplo: Uplo,
-    n: usize,
     alpha: T,
-    a: &[T],
-    lda: usize,
+    a: MatRef<'_, T>,
     x: &[T],
     y: &mut [T],
 ) {
+    let n = a.rows();
     // One private full-length partial per team member, in one allocation.
     let mut partials = vec![T::ZERO; nt * n];
     let pptr = SendPtr(partials.as_mut_ptr());
@@ -376,7 +347,7 @@ fn symv_parallel<T: Float>(
         let mine = unsafe { std::slice::from_raw_parts_mut(pptr.get().add(tid * n), n) };
         let (js, je) = team.chunk(n);
         for j in js..je {
-            let c = col(a, lda, n, j);
+            let c = col(&a, j);
             match uplo {
                 Uplo::Upper => {
                     let off = &c[..j];
@@ -414,19 +385,15 @@ fn symv_parallel<T: Float>(
 /// optionally unit-diagonal). Serial by design — see the module docs.
 ///
 /// # Panics
-/// On inconsistent shapes, as for [`gemv`].
+/// On disagreeing shapes, as for [`gemv`].
 pub fn trmv<T: Float>(
     uplo: Uplo,
     trans: Transpose,
     diag: Diag,
-    n: usize,
-    a: &[T],
-    lda: usize,
-    x: &mut [T],
-    incx: usize,
+    a: MatRef<'_, T>,
+    mut x: VecMut<'_, T>,
 ) {
-    check_operand("trmv A", n, n, lda, a);
-    let mut xv = VecMut::new_named("trmv x", n, incx, x);
+    let Dims([n, ..]) = entry(square_shape(OpKind::Trmv, a, x.len(), None));
     if n == 0 {
         return;
     }
@@ -438,7 +405,7 @@ pub fn trmv<T: Float>(
             // x[i] <- sum_{j >= i}: ascending columns, x[j] still original
             // when column j is consumed.
             for j in 0..n {
-                let c = col(a, lda, n, j);
+                let c = col(&a, j);
                 let t = xs[j];
                 (disp.axpy)(t, &c[..j], &mut xs[..j]);
                 xs[j] = match diag {
@@ -450,7 +417,7 @@ pub fn trmv<T: Float>(
         (Uplo::Lower, Transpose::No) => {
             // Descending columns for the lower triangle.
             for j in (0..n).rev() {
-                let c = col(a, lda, n, j);
+                let c = col(&a, j);
                 let t = xs[j];
                 (disp.axpy)(t, &c[j + 1..n], &mut xs[j + 1..n]);
                 xs[j] = match diag {
@@ -462,7 +429,7 @@ pub fn trmv<T: Float>(
         (Uplo::Upper, Transpose::Yes) => {
             // op(A) is lower: descending dot walk keeps x[..j] original.
             for j in (0..n).rev() {
-                let c = col(a, lda, n, j);
+                let c = col(&a, j);
                 let mirror = (disp.dot)(&c[..j], &xs[..j]);
                 let d = match diag {
                     Diag::NonUnit => c[j],
@@ -474,7 +441,7 @@ pub fn trmv<T: Float>(
         (Uplo::Lower, Transpose::Yes) => {
             // op(A) is upper: ascending dot walk keeps x[j+1..] original.
             for j in 0..n {
-                let c = col(a, lda, n, j);
+                let c = col(&a, j);
                 let mirror = (disp.dot)(&c[j + 1..n], &xs[j + 1..n]);
                 let d = match diag {
                     Diag::NonUnit => c[j],
@@ -484,12 +451,12 @@ pub fn trmv<T: Float>(
             }
         }
     };
-    match xv.contiguous_mut() {
+    match x.contiguous_mut() {
         Some(xs) => walk(xs),
         None => {
-            let mut xbuf = xv.as_ref().to_vec();
+            let mut xbuf = x.as_ref().to_vec();
             walk(&mut xbuf);
-            xv.copy_from_slice(&xbuf);
+            x.copy_from_slice(&xbuf);
         }
     }
 }
@@ -499,19 +466,15 @@ pub fn trmv<T: Float>(
 /// every step depend on the previous one — see the module docs.
 ///
 /// # Panics
-/// On inconsistent shapes, as for [`gemv`].
+/// On disagreeing shapes, as for [`gemv`].
 pub fn trsv<T: Float>(
     uplo: Uplo,
     trans: Transpose,
     diag: Diag,
-    n: usize,
-    a: &[T],
-    lda: usize,
-    x: &mut [T],
-    incx: usize,
+    a: MatRef<'_, T>,
+    mut x: VecMut<'_, T>,
 ) {
-    check_operand("trsv A", n, n, lda, a);
-    let mut xv = VecMut::new_named("trsv x", n, incx, x);
+    let Dims([n, ..]) = entry(square_shape(OpKind::Trsv, a, x.len(), None));
     if n == 0 {
         return;
     }
@@ -521,7 +484,7 @@ pub fn trsv<T: Float>(
             // Back substitution, column-oriented: once x[j] is final,
             // eliminate its contribution from every earlier row at once.
             for j in (0..n).rev() {
-                let c = col(a, lda, n, j);
+                let c = col(&a, j);
                 if diag == Diag::NonUnit {
                     xs[j] = xs[j] / c[j];
                 }
@@ -531,7 +494,7 @@ pub fn trsv<T: Float>(
         }
         (Uplo::Lower, Transpose::No) => {
             for j in 0..n {
-                let c = col(a, lda, n, j);
+                let c = col(&a, j);
                 if diag == Diag::NonUnit {
                     xs[j] = xs[j] / c[j];
                 }
@@ -543,7 +506,7 @@ pub fn trsv<T: Float>(
             // op(A) is lower: forward substitution by dot against the
             // already-solved prefix.
             for j in 0..n {
-                let c = col(a, lda, n, j);
+                let c = col(&a, j);
                 let s = xs[j] - (disp.dot)(&c[..j], &xs[..j]);
                 xs[j] = match diag {
                     Diag::NonUnit => s / c[j],
@@ -553,7 +516,7 @@ pub fn trsv<T: Float>(
         }
         (Uplo::Lower, Transpose::Yes) => {
             for j in (0..n).rev() {
-                let c = col(a, lda, n, j);
+                let c = col(&a, j);
                 let s = xs[j] - (disp.dot)(&c[j + 1..n], &xs[j + 1..n]);
                 xs[j] = match diag {
                     Diag::NonUnit => s / c[j],
@@ -562,12 +525,12 @@ pub fn trsv<T: Float>(
             }
         }
     };
-    match xv.contiguous_mut() {
+    match x.contiguous_mut() {
         Some(xs) => walk(xs),
         None => {
-            let mut xbuf = xv.as_ref().to_vec();
+            let mut xbuf = x.as_ref().to_vec();
             walk(&mut xbuf);
-            xv.copy_from_slice(&xbuf);
+            x.copy_from_slice(&xbuf);
         }
     }
 }
@@ -577,6 +540,7 @@ mod tests {
     use super::*;
     use crate::matrix::Matrix;
     use crate::reference;
+    use crate::{Diag::*, Transpose::*, Uplo::*};
 
     fn test_mat(r: usize, c: usize, seed: u64) -> Matrix<f64> {
         Matrix::from_fn(r, c, |i, j| {
@@ -598,10 +562,10 @@ mod tests {
     fn gemv_matches_reference_across_threads_and_flags() {
         for &(m, n) in &[(1, 1), (3, 7), (16, 16), (33, 9), (64, 65)] {
             let a = test_mat(m, n, 5);
-            for trans in [Transpose::No, Transpose::Yes] {
+            for trans in [No, Yes] {
                 let (xl, yl) = match trans {
-                    Transpose::No => (n, m),
-                    Transpose::Yes => (m, n),
+                    No => (n, m),
+                    Yes => (m, n),
                 };
                 let x = test_vec(xl, 1);
                 let y0 = test_vec(yl, 2);
@@ -612,16 +576,11 @@ mod tests {
                     gemv(
                         nt,
                         trans,
-                        m,
-                        n,
                         1.25,
-                        a.as_slice(),
-                        m,
-                        &x,
-                        1,
+                        a.as_ref(),
+                        VecRef::new(xl, 1, &x),
                         -0.5,
-                        &mut y,
-                        1,
+                        VecMut::new(yl, 1, &mut y),
                     );
                     for i in 0..yl {
                         assert!(
@@ -644,31 +603,21 @@ mod tests {
         let mut y1: Vec<f64> = y.iter().step_by(3).copied().collect();
         gemv(
             2,
-            Transpose::No,
-            m,
-            n,
+            No,
             2.0,
-            a.as_slice(),
-            m,
-            &x,
-            2,
+            a.as_ref(),
+            VecRef::new(n, 2, &x),
             0.5,
-            &mut y,
-            3,
+            VecMut::new(m, 3, &mut y),
         );
         gemv(
             1,
-            Transpose::No,
-            m,
-            n,
+            No,
             2.0,
-            a.as_slice(),
-            m,
-            &x1,
-            1,
+            a.as_ref(),
+            VecRef::new(n, 1, &x1),
             0.5,
-            &mut y1,
-            1,
+            VecMut::new(m, 1, &mut y1),
         );
         for i in 0..m {
             assert!((y[3 * i] - y1[i]).abs() < 1e-12, "strided gemv i={i}");
@@ -685,7 +634,13 @@ mod tests {
         reference::ger(0.75, &x, &y, &mut want);
         for nt in [1usize, 3, 6] {
             let mut a = a0.clone();
-            ger(nt, m, n, 0.75, &x, 1, &y, 1, a.as_mut_slice(), m);
+            ger(
+                nt,
+                0.75,
+                VecRef::new(m, 1, &x),
+                VecRef::new(n, 1, &y),
+                a.as_mut(),
+            );
             assert!(a.max_abs_diff(&want) < 1e-12, "ger nt={nt}");
         }
     }
@@ -695,17 +650,25 @@ mod tests {
         let n = 37;
         let full = {
             let mut m = test_mat(n, n, 11);
-            m.symmetrize_from(Uplo::Upper);
+            m.symmetrize_from(Upper);
             m
         };
         let x = test_vec(n, 12);
         let y0 = test_vec(n, 13);
-        for uplo in [Uplo::Upper, Uplo::Lower] {
+        for uplo in [Upper, Lower] {
             let mut want = y0.clone();
             reference::symv(uplo, 1.5, &full, &x, 0.25, &mut want);
             for nt in [1usize, 2, 4, 7] {
                 let mut y = y0.clone();
-                symv(nt, uplo, n, 1.5, full.as_slice(), n, &x, 1, 0.25, &mut y, 1);
+                symv(
+                    nt,
+                    uplo,
+                    1.5,
+                    full.as_ref(),
+                    VecRef::new(n, 1, &x),
+                    0.25,
+                    VecMut::new(n, 1, &mut y),
+                );
                 for i in 0..n {
                     assert!(
                         (y[i] - want[i]).abs() < 1e-10,
@@ -728,11 +691,11 @@ mod tests {
             }
         });
         let x0 = test_vec(n, 14);
-        for uplo in [Uplo::Upper, Uplo::Lower] {
-            for trans in [Transpose::No, Transpose::Yes] {
-                for diag in [Diag::NonUnit, Diag::Unit] {
+        for uplo in [Upper, Lower] {
+            for trans in [No, Yes] {
+                for diag in [NonUnit, Unit] {
                     let mut x = x0.clone();
-                    trmv(uplo, trans, diag, n, a.as_slice(), n, &mut x, 1);
+                    trmv(uplo, trans, diag, a.as_ref(), VecMut::new(n, 1, &mut x));
                     let mut want = x0.clone();
                     reference::trmv(uplo, trans, diag, &a, &mut want);
                     for i in 0..n {
@@ -741,7 +704,7 @@ mod tests {
                             "trmv {uplo:?}/{trans:?}/{diag:?} i={i}"
                         );
                     }
-                    trsv(uplo, trans, diag, n, a.as_slice(), n, &mut x, 1);
+                    trsv(uplo, trans, diag, a.as_ref(), VecMut::new(n, 1, &mut x));
                     for i in 0..n {
                         assert!(
                             (x[i] - x0[i]).abs() < 1e-8,
@@ -755,64 +718,54 @@ mod tests {
 
     #[test]
     fn empty_and_degenerate_shapes_are_no_ops() {
+        let empty = |rows, cols| MatRef::<f64>::new(rows, cols, rows.max(1), &[]);
         // m == 0: nothing to do, not even beta-scaling.
-        gemv::<f64>(
+        gemv(
             2,
-            Transpose::No,
-            0,
-            5,
+            No,
             1.0,
-            &[],
-            1,
-            &[0.0; 5],
-            1,
+            empty(0, 5),
+            VecRef::new(5, 1, &[0.0; 5]),
             0.0,
-            &mut [],
-            1,
+            VecMut::new(0, 1, &mut []),
         );
         // n == 0: y = beta * y only.
         let mut y = vec![2.0f64; 3];
-        gemv(2, Transpose::No, 3, 0, 1.0, &[], 3, &[], 1, 0.5, &mut y, 1);
+        gemv(
+            2,
+            No,
+            1.0,
+            empty(3, 0),
+            VecRef::new(0, 1, &[]),
+            0.5,
+            VecMut::new(3, 1, &mut y),
+        );
         assert_eq!(y, vec![1.0; 3]);
         // alpha == 0 skips the product even with poisoned A.
         let mut y = vec![1.0f64; 2];
         gemv(
             1,
-            Transpose::No,
-            2,
-            2,
+            No,
             0.0,
-            &[f64::NAN; 4],
-            2,
-            &[1.0, 1.0],
-            1,
+            MatRef::new(2, 2, 2, &[f64::NAN; 4]),
+            VecRef::new(2, 1, &[1.0, 1.0]),
             2.0,
-            &mut y,
-            1,
+            VecMut::new(2, 1, &mut y),
         );
         assert_eq!(y, vec![2.0; 2]);
-        ger::<f64>(2, 0, 0, 1.0, &[], 1, &[], 1, &mut [], 1);
-        symv::<f64>(2, Uplo::Upper, 0, 1.0, &[], 1, &[], 1, 0.0, &mut [], 1);
-        trmv::<f64>(
-            Uplo::Upper,
-            Transpose::No,
-            Diag::NonUnit,
-            0,
-            &[],
-            1,
-            &mut [],
-            1,
+        let none = || VecRef::<f64>::new(0, 1, &[]);
+        ger(2, 1.0, none(), none(), MatMut::new(0, 0, 1, &mut []));
+        symv(
+            2,
+            Upper,
+            1.0,
+            empty(0, 0),
+            none(),
+            0.0,
+            VecMut::new(0, 1, &mut []),
         );
-        trsv::<f64>(
-            Uplo::Lower,
-            Transpose::Yes,
-            Diag::Unit,
-            0,
-            &[],
-            1,
-            &mut [],
-            1,
-        );
+        trmv(Upper, No, NonUnit, empty(0, 0), VecMut::new(0, 1, &mut []));
+        trsv(Lower, Yes, Unit, empty(0, 0), VecMut::new(0, 1, &mut []));
     }
 
     #[test]
@@ -823,17 +776,12 @@ mod tests {
         let mut y = vec![f64::NAN; m];
         gemv(
             1,
-            Transpose::No,
-            m,
-            n,
+            No,
             1.0,
-            a.as_slice(),
-            m,
-            &x,
-            1,
+            a.as_ref(),
+            VecRef::new(n, 1, &x),
             0.0,
-            &mut y,
-            1,
+            VecMut::new(m, 1, &mut y),
         );
         assert!(y.iter().all(|v| v.is_finite()));
     }

@@ -15,7 +15,8 @@
 //!
 //! Matrices are **column-major** with an explicit leading dimension, exactly
 //! like the reference BLAS. The [`Matrix`] type owns storage; the routines
-//! accept slices plus a leading dimension so callers can pass sub-matrices.
+//! take checked [`MatRef`]/[`MatMut`] views (a slice plus shape and leading
+//! dimension) so callers can pass sub-matrices.
 //!
 //! ## Structure
 //!
@@ -50,7 +51,7 @@
 //! * One module per Level 3 subroutine family, plus [`level2`] for the
 //!   matrix-vector drivers (the memory-bound regime: O(n^2) flops over
 //!   O(n^2) bytes, so the profitable thread count saturates at the
-//!   memory-bandwidth knee, not the core count); [`reference`] holds naive
+//!   memory-bandwidth knee, not the core count); [`mod@reference`] holds naive
 //!   implementations used as test oracles.
 
 #![warn(missing_docs)]

@@ -429,8 +429,8 @@ impl<'a, T: Float> MatMut<'a, T> {
         }
     }
 
-    /// Consume the view, recovering the underlying slice (used by backends
-    /// that hand the storage to slice-based kernels).
+    /// Consume the view, recovering the underlying slice (the drivers split
+    /// it across their team through a raw pointer).
     pub fn into_slice(self) -> &'a mut [T] {
         self.data
     }
@@ -463,25 +463,6 @@ impl<'a, T: Float> MatMut<'a, T> {
         }
         let offset = i + j * self.ld;
         MatMut::try_new(rows, cols, self.ld, &mut self.data[offset..])
-    }
-}
-
-/// Check leading-dimension / length invariants for an input operand slice.
-///
-/// All public BLAS entry points call this for each operand so that invalid
-/// call sites panic with a clear message instead of corrupting memory.
-pub fn check_operand<T>(name: &str, rows: usize, cols: usize, ld: usize, data: &[T]) {
-    assert!(
-        ld >= rows.max(1),
-        "{name}: leading dimension {ld} < rows {rows}"
-    );
-    if cols > 0 && rows > 0 {
-        let need = ld * (cols - 1) + rows;
-        assert!(
-            data.len() >= need,
-            "{name}: slice length {} < required {need} ({rows}x{cols}, ld {ld})",
-            data.len()
-        );
     }
 }
 

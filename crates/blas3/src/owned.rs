@@ -9,7 +9,7 @@
 //! [`Blas3Op`] for execution, and [`OwnedOp::output`]/[`OwnedOp::into_output`]
 //! hand the result back to the submitting client afterwards.
 
-use crate::call::{Blas3Error, Blas3Op};
+use crate::call::{op_shape, Blas3Error, Blas3Op};
 use crate::matrix::Matrix;
 use crate::op::{Diag, Dims, OpKind, Routine, Side, Transpose, Uplo};
 use crate::Float;
@@ -122,14 +122,6 @@ pub enum OwnedOp<T: Float> {
     },
 }
 
-/// Shape of `op(M)` for an owned matrix under a transpose flag.
-fn op_shape<T: Float>(m: &Matrix<T>, trans: Transpose) -> (usize, usize) {
-    match trans {
-        Transpose::No => (m.rows(), m.cols()),
-        Transpose::Yes => (m.cols(), m.rows()),
-    }
-}
-
 impl<T: Float> OwnedOp<T> {
     /// The subroutine family this call belongs to.
     pub fn op_kind(&self) -> OpKind {
@@ -152,12 +144,12 @@ impl<T: Float> OwnedOp<T> {
     pub fn dims(&self) -> Dims {
         match self {
             OwnedOp::Gemm { transa, a, c, .. } => {
-                let (_, k) = op_shape(a, *transa);
+                let (_, k) = op_shape(*transa, a.rows(), a.cols());
                 Dims::d3(c.rows(), k, c.cols())
             }
             OwnedOp::Symm { c, .. } => Dims::d2(c.rows(), c.cols()),
             OwnedOp::Syrk { trans, a, c, .. } | OwnedOp::Syr2k { trans, a, c, .. } => {
-                let (_, k) = op_shape(a, *trans);
+                let (_, k) = op_shape(*trans, a.rows(), a.cols());
                 Dims::d2(c.rows(), k)
             }
             OwnedOp::Trmm { b, .. } | OwnedOp::Trsm { b, .. } => Dims::d2(b.rows(), b.cols()),

@@ -6,8 +6,8 @@
 //! matrix-vector family, identical flags and scalars, but [`Matrix`]- and
 //! `Vec`-owned operands (owned vectors are always contiguous, `inc = 1`).
 //! [`OwnedOp2::as_op`] reborrows it as a [`Blas2Op`] for execution, and
-//! [`OwnedOp2::output`]/[`OwnedOp2::into_output`] hand the result back to
-//! the submitting client afterwards.
+//! [`OwnedOp2::into_output`] hands the result back to the submitting client
+//! afterwards.
 //!
 //! Because the Level 2 output operand is a vector for every family except
 //! GER (whose rank-1 update lands in the matrix), the output accessors

@@ -32,7 +32,9 @@
 //! [`TeamCtx`](crate::pool::TeamCtx) so one shared packed block is produced
 //! jointly by the whole team.
 
-use crate::Float;
+use crate::call::op_shape;
+use crate::matrix::MatRef;
+use crate::{Float, Transpose};
 use std::marker::PhantomData;
 
 /// A strided, read-only 2-D operand view: `at(i, j) = base[i*rs + j*cs]`.
@@ -135,20 +137,13 @@ impl<'a, T: Float> PackSrc<'a, T> {
         PackSrc::Strided(StridedSrc::new(data, off, rs, cs, rows, cols))
     }
 
-    /// A column-major matrix `rows x cols` stored in `data` with leading
-    /// dimension `ld`, optionally transposed: the view indexes the
-    /// *operated* shape `op(M)`.
-    pub fn matrix(
-        data: &'a [T],
-        ld: usize,
-        trans: crate::Transpose,
-        rows: usize,
-        cols: usize,
-    ) -> Self {
-        match trans {
-            crate::Transpose::No => PackSrc::strided(data, 0, 1, ld, rows, cols),
-            crate::Transpose::Yes => PackSrc::strided(data, 0, ld, 1, rows, cols),
-        }
+    /// The *operated* shape `op(M)` of a column-major matrix view: element
+    /// `(i, j)` reads `M[i, j]`, or `M[j, i]` when transposed.
+    pub fn matrix(m: MatRef<'a, T>, trans: Transpose) -> Self {
+        let (rows, cols) = op_shape(trans, m.rows(), m.cols());
+        // The strides swap with the extents.
+        let (rs, cs) = op_shape(trans, 1, m.ld());
+        PackSrc::strided(m.data(), 0, rs, cs, rows, cols)
     }
 
     /// Unchecked strided view (see [`StridedSrc::from_raw`]).

@@ -10,45 +10,39 @@
 //! here because the gather path is the expensive one — and the micro-kernel
 //! is oblivious. The dense B operand takes the strided fast path.
 //!
-//! Within the backend seam this module is the kernel level: the wide
-//! slice-signature entry point below is what
-//! [`NativeBackend`](crate::backend::NativeBackend) invokes for a validated
-//! [`Blas3Op::Symm`](crate::call::Blas3Op) description.
+//! Within the backend seam this module is the kernel level: the driver
+//! below takes the operand views a validated
+//! [`Blas3Op::Symm`](crate::call::Blas3Op) holds, and is what
+//! [`NativeBackend`](crate::backend::NativeBackend) invokes for one.
 
 use crate::arena;
+use crate::call::{entry, symm_shape};
 use crate::kernel::{gemm_cooperative, scale_block, shared_pack_lens, SharedPack};
-use crate::matrix::{check_operand, Matrix};
+use crate::matrix::{MatMut, MatRef};
+use crate::op::Dims;
 use crate::pack::PackSrc;
 use crate::pool::{SendPtr, ThreadPool};
 use crate::{Float, Side, Transpose, Uplo};
 
-/// Slice-based SYMM with explicit leading dimensions and thread count.
+/// SYMM on operand views with an explicit thread count.
 ///
-/// `C` is `m x n`; `A` is `m x m` (Left) or `n x n` (Right), symmetric,
-/// with only the `uplo` triangle referenced.
-#[allow(clippy::too_many_arguments)]
+/// `B` and `C` are `m x n`; `A` is `m x m` (Left) or `n x n` (Right),
+/// symmetric, with only the `uplo` triangle referenced.
+///
+/// # Panics
+/// If the operand shapes disagree, with the text of the typed error
+/// [`Blas3Op::validate`](crate::call::Blas3Op::validate) returns.
 pub fn symm<T: Float>(
     nt: usize,
     side: Side,
     uplo: Uplo,
-    m: usize,
-    n: usize,
     alpha: T,
-    a: &[T],
-    lda: usize,
-    b: &[T],
-    ldb: usize,
+    a: MatRef<'_, T>,
+    b: MatRef<'_, T>,
     beta: T,
-    c: &mut [T],
-    ldc: usize,
+    c: MatMut<'_, T>,
 ) {
-    let na = match side {
-        Side::Left => m,
-        Side::Right => n,
-    };
-    check_operand("symm A", na, na, lda, a);
-    check_operand("symm B", m, n, ldb, b);
-    check_operand("symm C", m, n, ldc, c);
+    let Dims([m, n, _]) = entry(symm_shape(side, a, b, c.as_ref()));
     if m == 0 || n == 0 {
         return;
     }
@@ -59,22 +53,20 @@ pub fn symm<T: Float>(
             Uplo::Lower => i >= j,
         };
         if stored {
-            a[i + j * lda]
+            a.get(i, j)
         } else {
-            a[j + i * lda]
+            a.get(j, i)
         }
     };
     let sym_src = PackSrc::gather(&sym_at);
-    let b_src = PackSrc::matrix(b, ldb, Transpose::No, m, n);
+    let b_src = PackSrc::matrix(b, Transpose::No);
 
-    let cptr = SendPtr(c.as_mut_ptr());
+    let ldc = c.ld();
+    let cptr = SendPtr(c.into_slice().as_mut_ptr());
     let skip = alpha == T::ZERO;
     // Resolve the micro-kernel once; the whole team shares it.
     let disp = T::kernel();
-    let k = match side {
-        Side::Left => m,
-        Side::Right => n,
-    };
+    let k = a.rows();
     let (alen, blen) = shared_pack_lens(&disp, m, n, k);
     let mut abuf = arena::take::<T>(alen);
     let mut bbuf = arena::take::<T>(blen);
@@ -100,7 +92,7 @@ pub fn symm<T: Float>(
                     &team,
                     m,
                     n,
-                    m,
+                    k,
                     alpha,
                     &sym_src,
                     &b_src,
@@ -114,7 +106,7 @@ pub fn symm<T: Float>(
                     &team,
                     m,
                     n,
-                    n,
+                    k,
                     alpha,
                     &b_src,
                     &sym_src,
@@ -127,52 +119,15 @@ pub fn symm<T: Float>(
     });
 }
 
-/// Matrix-typed convenience wrapper; shapes from the operands.
-pub fn symm_mat<T: Float>(
-    nt: usize,
-    side: Side,
-    uplo: Uplo,
-    alpha: T,
-    a: &Matrix<T>,
-    b: &Matrix<T>,
-    beta: T,
-    c: &mut Matrix<T>,
-) {
-    let (m, n) = (c.rows(), c.cols());
-    assert_eq!(b.rows(), m);
-    assert_eq!(b.cols(), n);
-    let na = match side {
-        Side::Left => m,
-        Side::Right => n,
-    };
-    assert_eq!(
-        a.rows(),
-        na,
-        "A must be square matching the multiplied side"
-    );
-    assert_eq!(a.cols(), na);
-    let (lda, ldb, ldc) = (a.ld(), b.ld(), c.ld());
-    symm(
-        nt,
-        side,
-        uplo,
-        m,
-        n,
-        alpha,
-        a.as_slice(),
-        lda,
-        b.as_slice(),
-        ldb,
-        beta,
-        c.as_mut_slice(),
-        ldc,
-    );
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::matrix::Matrix;
     use crate::reference;
+    use crate::{
+        Side::{Left, Right},
+        Uplo::{Lower, Upper},
+    };
 
     fn test_mat(r: usize, c: usize, seed: u64) -> Matrix<f64> {
         Matrix::from_fn(r, c, |i, j| {
@@ -188,14 +143,23 @@ mod tests {
     fn matches_reference_all_flags() {
         for &(m, n) in &[(1, 1), (5, 7), (33, 17), (64, 64), (10, 130)] {
             for &nt in &[1usize, 3] {
-                for side in [Side::Left, Side::Right] {
-                    for uplo in [Uplo::Upper, Uplo::Lower] {
-                        let na = if side == Side::Left { m } else { n };
+                for side in [Left, Right] {
+                    for uplo in [Upper, Lower] {
+                        let na = if side == Left { m } else { n };
                         let a = test_mat(na, na, 11);
                         let b = test_mat(m, n, 22);
                         let c0 = test_mat(m, n, 33);
                         let mut c = c0.clone();
-                        symm_mat(nt, side, uplo, 1.7, &a, &b, -0.3, &mut c);
+                        symm(
+                            nt,
+                            side,
+                            uplo,
+                            1.7,
+                            a.as_ref(),
+                            b.as_ref(),
+                            -0.3,
+                            c.as_mut(),
+                        );
                         let mut expect = c0.clone();
                         reference::symm(side, uplo, 1.7, &a, &b, -0.3, &mut expect);
                         let scale = expect.frob_norm().max(1.0);
@@ -216,10 +180,28 @@ mod tests {
         let b = test_mat(m, n, 2);
         let c0 = test_mat(m, n, 3);
         let mut base = c0.clone();
-        symm_mat(1, Side::Left, Uplo::Upper, 1.2, &a, &b, 0.3, &mut base);
+        symm(
+            1,
+            Left,
+            Upper,
+            1.2,
+            a.as_ref(),
+            b.as_ref(),
+            0.3,
+            base.as_mut(),
+        );
         for nt in [2usize, 5] {
             let mut c = c0.clone();
-            symm_mat(nt, Side::Left, Uplo::Upper, 1.2, &a, &b, 0.3, &mut c);
+            symm(
+                nt,
+                Left,
+                Upper,
+                1.2,
+                a.as_ref(),
+                b.as_ref(),
+                0.3,
+                c.as_mut(),
+            );
             assert_eq!(c.as_slice(), base.as_slice(), "nt={nt}");
         }
     }
@@ -237,7 +219,7 @@ mod tests {
         }
         let b = test_mat(m, n, 2);
         let mut c = Matrix::<f64>::zeros(m, n);
-        symm_mat(2, Side::Left, Uplo::Upper, 1.0, &a, &b, 0.0, &mut c);
+        symm(2, Left, Upper, 1.0, a.as_ref(), b.as_ref(), 0.0, c.as_mut());
         assert!(c.as_slice().iter().all(|x| x.is_finite()));
     }
 
@@ -248,9 +230,18 @@ mod tests {
         let b = test_mat(12, 9, 6);
         let bf = Matrix::<f32>::from_fn(12, 9, |i, j| b.get(i, j) as f32);
         let mut c = Matrix::<f32>::zeros(12, 9);
-        symm_mat(2, Side::Left, Uplo::Lower, 1.0, &af, &bf, 0.0, &mut c);
+        symm(
+            2,
+            Left,
+            Lower,
+            1.0,
+            af.as_ref(),
+            bf.as_ref(),
+            0.0,
+            c.as_mut(),
+        );
         let mut expect = Matrix::<f32>::zeros(12, 9);
-        reference::symm(Side::Left, Uplo::Lower, 1.0, &af, &bf, 0.0, &mut expect);
+        reference::symm(Left, Lower, 1.0, &af, &bf, 0.0, &mut expect);
         assert!(c.max_abs_diff(&expect) < 1e-2);
     }
 }

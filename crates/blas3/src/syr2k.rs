@@ -10,47 +10,46 @@
 //! `C_dd += alpha * (S + S')` with `S = A_d * B_d'` — and are distributed
 //! round-robin across the team.
 //!
-//! Within the backend seam this module is the kernel level: the wide
-//! slice-signature entry point below is what
-//! [`NativeBackend`](crate::backend::NativeBackend) invokes for a validated
-//! [`Blas3Op::Syr2k`](crate::call::Blas3Op) description.
+//! Within the backend seam this module is the kernel level: the driver
+//! below takes the operand views a validated
+//! [`Blas3Op::Syr2k`](crate::call::Blas3Op) holds, and is what
+//! [`NativeBackend`](crate::backend::NativeBackend) invokes for one.
 
 use crate::arena;
+use crate::call::{entry, syrk_shape};
 use crate::kernel::{gemm_cooperative, gemm_serial_with, shared_pack_lens, SharedPack};
-use crate::matrix::{check_operand, Matrix};
+use crate::matrix::{MatMut, MatRef};
+use crate::op::{Dims, OpKind};
 use crate::pool::{SendPtr, ThreadPool};
 use crate::syrk::{a_cols_src, a_rows_src, scale_triangle_cols, strip_rect, NB};
 use crate::{Float, Transpose, Uplo};
 
-/// Slice-based SYR2K with explicit leading dimensions and thread count.
-#[allow(clippy::too_many_arguments)]
+/// SYR2K on operand views with an explicit thread count.
+///
+/// `C` is square of order `n` (only its `uplo` triangle is referenced and
+/// updated); `op(A)` and `op(B)` are both `n x k`.
+///
+/// # Panics
+/// If the operand shapes disagree, with the text of the typed error
+/// [`Blas3Op::validate`](crate::call::Blas3Op::validate) returns.
 pub fn syr2k<T: Float>(
     nt: usize,
     uplo: Uplo,
     trans: Transpose,
-    n: usize,
-    k: usize,
     alpha: T,
-    a: &[T],
-    lda: usize,
-    b: &[T],
-    ldb: usize,
+    a: MatRef<'_, T>,
+    b: MatRef<'_, T>,
     beta: T,
-    c: &mut [T],
-    ldc: usize,
+    c: MatMut<'_, T>,
 ) {
-    let (r, cdim) = match trans {
-        Transpose::No => (n, k),
-        Transpose::Yes => (k, n),
-    };
-    check_operand("syr2k A", r, cdim, lda, a);
-    check_operand("syr2k B", r, cdim, ldb, b);
-    check_operand("syr2k C", n, n, ldc, c);
+    let shape = syrk_shape(OpKind::Syr2k, trans, a, Some(b), c.as_ref());
+    let Dims([n, k, _]) = entry(shape);
     if n == 0 {
         return;
     }
 
-    let cptr = SendPtr(c.as_mut_ptr());
+    let ldc = c.ld();
+    let cptr = SendPtr(c.into_slice().as_mut_ptr());
     let skip = alpha == T::ZERO || k == 0;
     // Resolve the micro-kernel once; the whole team shares it.
     let disp = T::kernel();
@@ -87,8 +86,8 @@ pub fn syr2k<T: Float>(
                     w,
                     k,
                     alpha,
-                    &a_rows_src(a, lda, trans, r0, rows, k),
-                    &a_cols_src(b, ldb, trans, j0, k, w),
+                    &a_rows_src(a, trans, r0, rows),
+                    &a_cols_src(b, trans, j0, w),
                     cp.get(),
                     ldc,
                     &shared,
@@ -101,8 +100,8 @@ pub fn syr2k<T: Float>(
                     w,
                     k,
                     alpha,
-                    &a_rows_src(b, ldb, trans, r0, rows, k),
-                    &a_cols_src(a, lda, trans, j0, k, w),
+                    &a_rows_src(b, trans, r0, rows),
+                    &a_cols_src(a, trans, j0, w),
                     cp.get(),
                     ldc,
                     &shared,
@@ -123,8 +122,8 @@ pub fn syr2k<T: Float>(
                     w,
                     k,
                     alpha,
-                    &a_rows_src(a, lda, trans, j0, w, k),
-                    &a_cols_src(b, ldb, trans, j0, k, w),
+                    &a_rows_src(a, trans, j0, w),
+                    &a_cols_src(b, trans, j0, w),
                     scratch.as_mut_ptr(),
                     w,
                 );
@@ -147,53 +146,15 @@ pub fn syr2k<T: Float>(
     });
 }
 
-/// Matrix-typed convenience wrapper; `C` must be square, A and B congruent.
-pub fn syr2k_mat<T: Float>(
-    nt: usize,
-    uplo: Uplo,
-    trans: Transpose,
-    alpha: T,
-    a: &Matrix<T>,
-    b: &Matrix<T>,
-    beta: T,
-    c: &mut Matrix<T>,
-) {
-    let n = c.rows();
-    assert_eq!(c.cols(), n, "C must be square");
-    assert_eq!(a.rows(), b.rows());
-    assert_eq!(a.cols(), b.cols());
-    let k = match trans {
-        Transpose::No => {
-            assert_eq!(a.rows(), n);
-            a.cols()
-        }
-        Transpose::Yes => {
-            assert_eq!(a.cols(), n);
-            a.rows()
-        }
-    };
-    let (lda, ldb, ldc) = (a.ld(), b.ld(), c.ld());
-    syr2k(
-        nt,
-        uplo,
-        trans,
-        n,
-        k,
-        alpha,
-        a.as_slice(),
-        lda,
-        b.as_slice(),
-        ldb,
-        beta,
-        c.as_mut_slice(),
-        ldc,
-    );
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::matrix::Matrix;
     use crate::reference;
+    use crate::{
+        Transpose::{No, Yes},
+        Uplo::{Lower, Upper},
+    };
 
     fn test_mat(r: usize, c: usize, seed: u64) -> Matrix<f64> {
         Matrix::from_fn(r, c, |i, j| {
@@ -209,15 +170,24 @@ mod tests {
     fn matches_reference_all_flags() {
         for &(n, k) in &[(1, 1), (6, 9), (17, 5), (64, 40), (150, 16)] {
             for &nt in &[1usize, 4] {
-                for uplo in [Uplo::Upper, Uplo::Lower] {
-                    for trans in [Transpose::No, Transpose::Yes] {
+                for uplo in [Upper, Lower] {
+                    for trans in [No, Yes] {
                         let (a, b) = match trans {
-                            Transpose::No => (test_mat(n, k, 1), test_mat(n, k, 2)),
-                            Transpose::Yes => (test_mat(k, n, 1), test_mat(k, n, 2)),
+                            No => (test_mat(n, k, 1), test_mat(n, k, 2)),
+                            Yes => (test_mat(k, n, 1), test_mat(k, n, 2)),
                         };
                         let c0 = test_mat(n, n, 3);
                         let mut c = c0.clone();
-                        syr2k_mat(nt, uplo, trans, 1.1, &a, &b, 0.4, &mut c);
+                        syr2k(
+                            nt,
+                            uplo,
+                            trans,
+                            1.1,
+                            a.as_ref(),
+                            b.as_ref(),
+                            0.4,
+                            c.as_mut(),
+                        );
                         let mut expect = c0.clone();
                         reference::syr2k(uplo, trans, 1.1, &a, &b, 0.4, &mut expect);
                         let scale = expect.frob_norm().max(1.0);
@@ -238,10 +208,19 @@ mod tests {
         let b = test_mat(n, k, 5);
         let c0 = test_mat(n, n, 6);
         let mut base = c0.clone();
-        syr2k_mat(1, Uplo::Upper, Transpose::No, 1.3, &a, &b, 0.2, &mut base);
+        syr2k(
+            1,
+            Upper,
+            No,
+            1.3,
+            a.as_ref(),
+            b.as_ref(),
+            0.2,
+            base.as_mut(),
+        );
         for nt in [3usize, 6] {
             let mut c = c0.clone();
-            syr2k_mat(nt, Uplo::Upper, Transpose::No, 1.3, &a, &b, 0.2, &mut c);
+            syr2k(nt, Upper, No, 1.3, a.as_ref(), b.as_ref(), 0.2, c.as_mut());
             assert_eq!(c.as_slice(), base.as_slice(), "nt={nt}");
         }
     }
@@ -256,8 +235,8 @@ mod tests {
         let b = test_mat(n, k, 5);
         let mut cl = Matrix::<f64>::zeros(n, n);
         let mut cu = Matrix::<f64>::zeros(n, n);
-        syr2k_mat(2, Uplo::Lower, Transpose::No, 1.0, &a, &b, 0.0, &mut cl);
-        syr2k_mat(2, Uplo::Upper, Transpose::No, 1.0, &a, &b, 0.0, &mut cu);
+        syr2k(2, Lower, No, 1.0, a.as_ref(), b.as_ref(), 0.0, cl.as_mut());
+        syr2k(2, Upper, No, 1.0, a.as_ref(), b.as_ref(), 0.0, cu.as_mut());
         for j in 0..n {
             for i in j..n {
                 assert!((cl.get(i, j) - cu.get(j, i)).abs() < 1e-10);
@@ -271,7 +250,7 @@ mod tests {
         let a = test_mat(n, 6, 1);
         let b = test_mat(n, 6, 2);
         let mut c = Matrix::<f64>::filled(n, n, f64::NAN);
-        syr2k_mat(3, Uplo::Upper, Transpose::No, 1.0, &a, &b, 0.0, &mut c);
+        syr2k(3, Upper, No, 1.0, a.as_ref(), b.as_ref(), 0.0, c.as_mut());
         for j in 0..n {
             for i in 0..n {
                 if i <= j {

@@ -11,16 +11,18 @@
 //! across the team at the end: each is computed serially into arena
 //! scratch and only its triangular half committed.
 //!
-//! Within the backend seam this module is the kernel level: the wide
-//! slice-signature entry point below is what
-//! [`NativeBackend`](crate::backend::NativeBackend) invokes for a validated
-//! [`Blas3Op::Syrk`](crate::call::Blas3Op) description.
+//! Within the backend seam this module is the kernel level: the driver
+//! below takes the operand views a validated
+//! [`Blas3Op::Syrk`](crate::call::Blas3Op) holds, and is what
+//! [`NativeBackend`](crate::backend::NativeBackend) invokes for one.
 
 use crate::arena;
+use crate::call::{entry, op_shape, syrk_shape};
 use crate::kernel::{
     gemm_cooperative, gemm_serial_with, scale_block, shared_pack_lens, SharedPack,
 };
-use crate::matrix::{check_operand, Matrix};
+use crate::matrix::{MatMut, MatRef};
+use crate::op::{Dims, OpKind};
 use crate::pack::PackSrc;
 use crate::pool::{SendPtr, ThreadPool};
 use crate::{Float, Transpose, Uplo};
@@ -57,36 +59,44 @@ pub(crate) unsafe fn scale_triangle_cols<T: Float>(
     }
 }
 
-/// The operated view of A: `av(i, p) = op(A)[i, p]` rooted at row `r0`,
-/// with a checked extent of `rows x k`.
-pub(crate) fn a_rows_src<T: Float>(
-    a: &[T],
-    lda: usize,
+/// Rows `r0..r0 + rows` of `op(A)`, as the sub-view of A's storage that
+/// holds them (still to be read under `trans`).
+fn op_rows<'a, T: Float>(
+    a: MatRef<'a, T>,
     trans: Transpose,
     r0: usize,
     rows: usize,
-    k: usize,
+) -> MatRef<'a, T> {
+    let (i, j) = op_shape(trans, r0, 0);
+    let (_, k) = op_shape(trans, a.rows(), a.cols());
+    let (r, c) = op_shape(trans, rows, k);
+    a.submatrix(i, j, r, c)
+        .expect("strips lie inside the checked operand")
+}
+
+/// The operated view of A: `src(i, p) = op(A)[r0 + i, p]`, `rows x k`.
+pub(crate) fn a_rows_src<T: Float>(
+    a: MatRef<'_, T>,
+    trans: Transpose,
+    r0: usize,
+    rows: usize,
 ) -> PackSrc<'_, T> {
-    match trans {
-        Transpose::No => PackSrc::strided(a, r0, 1, lda, rows, k),
-        Transpose::Yes => PackSrc::strided(a, r0 * lda, lda, 1, rows, k),
-    }
+    PackSrc::matrix(op_rows(a, trans, r0, rows), trans)
 }
 
 /// The transposed operated view: `src(p, j) = op(A)[c0 + j, p]` — the
-/// "B side" of a rank-k product, with a checked extent of `k x cols`.
+/// "B side" of a rank-k product, `k x cols`.
 pub(crate) fn a_cols_src<T: Float>(
-    a: &[T],
-    lda: usize,
+    a: MatRef<'_, T>,
     trans: Transpose,
     c0: usize,
-    k: usize,
     cols: usize,
 ) -> PackSrc<'_, T> {
-    match trans {
-        Transpose::No => PackSrc::strided(a, c0, lda, 1, k, cols),
-        Transpose::Yes => PackSrc::strided(a, c0 * lda, 1, lda, k, cols),
-    }
+    let flipped = match trans {
+        Transpose::No => Transpose::Yes,
+        Transpose::Yes => Transpose::No,
+    };
+    PackSrc::matrix(op_rows(a, trans, c0, cols), flipped)
 }
 
 /// The off-diagonal rectangle of strip `bj`: `(row_start, row_count)` for
@@ -99,32 +109,30 @@ pub(crate) fn strip_rect(n: usize, uplo: Uplo, j0: usize, j1: usize) -> (usize, 
     }
 }
 
-/// Slice-based SYRK with explicit leading dimension and thread count.
-#[allow(clippy::too_many_arguments)]
+/// SYRK on operand views with an explicit thread count.
+///
+/// `C` is square of order `n` (only its `uplo` triangle is referenced and
+/// updated); `op(A)` is `n x k`.
+///
+/// # Panics
+/// If the operand shapes disagree, with the text of the typed error
+/// [`Blas3Op::validate`](crate::call::Blas3Op::validate) returns.
 pub fn syrk<T: Float>(
     nt: usize,
     uplo: Uplo,
     trans: Transpose,
-    n: usize,
-    k: usize,
     alpha: T,
-    a: &[T],
-    lda: usize,
+    a: MatRef<'_, T>,
     beta: T,
-    c: &mut [T],
-    ldc: usize,
+    c: MatMut<'_, T>,
 ) {
-    let (ar, ac) = match trans {
-        Transpose::No => (n, k),
-        Transpose::Yes => (k, n),
-    };
-    check_operand("syrk A", ar, ac, lda, a);
-    check_operand("syrk C", n, n, ldc, c);
+    let Dims([n, k, _]) = entry(syrk_shape(OpKind::Syrk, trans, a, None, c.as_ref()));
     if n == 0 {
         return;
     }
 
-    let cptr = SendPtr(c.as_mut_ptr());
+    let ldc = c.ld();
+    let cptr = SendPtr(c.into_slice().as_mut_ptr());
     let skip = alpha == T::ZERO || k == 0;
     // Resolve the micro-kernel once; the whole team shares it.
     let disp = T::kernel();
@@ -150,8 +158,8 @@ pub fn syrk<T: Float>(
             if rows == 0 {
                 continue;
             }
-            let a_src = a_rows_src(a, lda, trans, r0, rows, k);
-            let b_src = a_cols_src(a, lda, trans, j0, k, j1 - j0);
+            let a_src = a_rows_src(a, trans, r0, rows);
+            let b_src = a_cols_src(a, trans, j0, j1 - j0);
             // SAFETY: strip rectangles are disjoint regions of C, exclusive
             // to the team; shared bufs sized for the largest strip.
             unsafe {
@@ -176,8 +184,8 @@ pub fn syrk<T: Float>(
             let (j0, j1) = (bj * NB, ((bj + 1) * NB).min(n));
             let w = j1 - j0;
             let mut scratch = arena::take_zeroed::<T>(w * w);
-            let a_src = a_rows_src(a, lda, trans, j0, w, k);
-            let b_src = a_cols_src(a, lda, trans, j0, k, w);
+            let a_src = a_rows_src(a, trans, j0, w);
+            let b_src = a_cols_src(a, trans, j0, w);
             // SAFETY: scratch is thread-local.
             unsafe {
                 gemm_serial_with(
@@ -210,48 +218,15 @@ pub fn syrk<T: Float>(
     });
 }
 
-/// Matrix-typed convenience wrapper; `C` must be square.
-pub fn syrk_mat<T: Float>(
-    nt: usize,
-    uplo: Uplo,
-    trans: Transpose,
-    alpha: T,
-    a: &Matrix<T>,
-    beta: T,
-    c: &mut Matrix<T>,
-) {
-    let n = c.rows();
-    assert_eq!(c.cols(), n, "C must be square");
-    let k = match trans {
-        Transpose::No => {
-            assert_eq!(a.rows(), n);
-            a.cols()
-        }
-        Transpose::Yes => {
-            assert_eq!(a.cols(), n);
-            a.rows()
-        }
-    };
-    let (lda, ldc) = (a.ld(), c.ld());
-    syrk(
-        nt,
-        uplo,
-        trans,
-        n,
-        k,
-        alpha,
-        a.as_slice(),
-        lda,
-        beta,
-        c.as_mut_slice(),
-        ldc,
-    );
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::matrix::Matrix;
     use crate::reference;
+    use crate::{
+        Transpose::{No, Yes},
+        Uplo::{Lower, Upper},
+    };
 
     fn test_mat(r: usize, c: usize, seed: u64) -> Matrix<f64> {
         Matrix::from_fn(r, c, |i, j| {
@@ -267,15 +242,15 @@ mod tests {
     fn matches_reference_all_flags() {
         for &(n, k) in &[(1, 1), (5, 8), (17, 4), (64, 64), (150, 20), (200, 3)] {
             for &nt in &[1usize, 4] {
-                for uplo in [Uplo::Upper, Uplo::Lower] {
-                    for trans in [Transpose::No, Transpose::Yes] {
+                for uplo in [Upper, Lower] {
+                    for trans in [No, Yes] {
                         let a = match trans {
-                            Transpose::No => test_mat(n, k, 7),
-                            Transpose::Yes => test_mat(k, n, 7),
+                            No => test_mat(n, k, 7),
+                            Yes => test_mat(k, n, 7),
                         };
                         let c0 = test_mat(n, n, 9);
                         let mut c = c0.clone();
-                        syrk_mat(nt, uplo, trans, 0.9, &a, 1.2, &mut c);
+                        syrk(nt, uplo, trans, 0.9, a.as_ref(), 1.2, c.as_mut());
                         let mut expect = c0.clone();
                         reference::syrk(uplo, trans, 0.9, &a, 1.2, &mut expect);
                         let scale = expect.frob_norm().max(1.0);
@@ -297,10 +272,10 @@ mod tests {
         let a = test_mat(n, k, 3);
         let c0 = test_mat(n, n, 4);
         let mut base = c0.clone();
-        syrk_mat(1, Uplo::Lower, Transpose::No, 0.8, &a, 1.1, &mut base);
+        syrk(1, Lower, No, 0.8, a.as_ref(), 1.1, base.as_mut());
         for nt in [2usize, 5] {
             let mut c = c0.clone();
-            syrk_mat(nt, Uplo::Lower, Transpose::No, 0.8, &a, 1.1, &mut c);
+            syrk(nt, Lower, No, 0.8, a.as_ref(), 1.1, c.as_mut());
             assert_eq!(c.as_slice(), base.as_slice(), "nt={nt}");
         }
     }
@@ -311,7 +286,7 @@ mod tests {
         let k = 10;
         let a = test_mat(n, k, 3);
         let mut c = Matrix::<f64>::filled(n, n, f64::NAN);
-        syrk_mat(3, Uplo::Lower, Transpose::No, 1.0, &a, 0.0, &mut c);
+        syrk(3, Lower, No, 1.0, a.as_ref(), 0.0, c.as_mut());
         for j in 0..n {
             for i in 0..n {
                 if i >= j {
@@ -331,7 +306,7 @@ mod tests {
         // C = A*A' has non-negative diagonal.
         let a = test_mat(30, 12, 5);
         let mut c = Matrix::<f64>::zeros(30, 30);
-        syrk_mat(2, Uplo::Upper, Transpose::No, 1.0, &a, 0.0, &mut c);
+        syrk(2, Upper, No, 1.0, a.as_ref(), 0.0, c.as_mut());
         for i in 0..30 {
             assert!(c.get(i, i) >= -1e-12);
         }
@@ -343,7 +318,7 @@ mod tests {
         let a = test_mat(n, 4, 1);
         let c0 = test_mat(n, n, 2);
         let mut c = c0.clone();
-        syrk_mat(2, Uplo::Lower, Transpose::No, 0.0, &a, 3.0, &mut c);
+        syrk(2, Lower, No, 0.0, a.as_ref(), 3.0, c.as_mut());
         for j in 0..n {
             for i in 0..n {
                 let expect = if i >= j {

@@ -13,14 +13,16 @@
 //! original data, exactly as in the serial algorithm; barriers separate the
 //! two phases because they partition B differently.
 //!
-//! Within the backend seam this module is the kernel level: the wide
-//! slice-signature entry point below is what
-//! [`NativeBackend`](crate::backend::NativeBackend) invokes for a validated
-//! [`Blas3Op::Trmm`](crate::call::Blas3Op) description.
+//! Within the backend seam this module is the kernel level: the driver
+//! below takes the operand views a validated
+//! [`Blas3Op::Trmm`](crate::call::Blas3Op) holds, and is what
+//! [`NativeBackend`](crate::backend::NativeBackend) invokes for one.
 
 use crate::arena;
+use crate::call::{entry, tri_shape};
 use crate::kernel::{gemm_cooperative, scale_block, shared_pack_lens, SharedPack};
-use crate::matrix::{check_operand, Matrix};
+use crate::matrix::{MatMut, MatRef};
+use crate::op::{Dims, OpKind};
 use crate::pack::PackSrc;
 use crate::pool::{SendPtr, ThreadPool};
 use crate::{Diag, Float, Side, Transpose, Uplo};
@@ -31,8 +33,7 @@ const TB: usize = 64;
 /// Accessor for element `(i, j)` of the triangular `op(A)`.
 #[inline]
 pub(crate) fn tri_at<T: Float>(
-    a: &[T],
-    lda: usize,
+    a: MatRef<'_, T>,
     uplo: Uplo,
     trans: Transpose,
     diag: Diag,
@@ -47,7 +48,7 @@ pub(crate) fn tri_at<T: Float>(
     if si == sj {
         return match diag {
             Diag::Unit => T::ONE,
-            Diag::NonUnit => a[si + sj * lda],
+            Diag::NonUnit => a.get(si, sj),
         };
     }
     let stored = match uplo {
@@ -55,7 +56,7 @@ pub(crate) fn tri_at<T: Float>(
         Uplo::Lower => si > sj,
     };
     if stored {
-        a[si + sj * lda]
+        a.get(si, sj)
     } else {
         T::ZERO
     }
@@ -82,31 +83,27 @@ pub(crate) fn sweep_order(nblocks: usize, ascending: bool) -> Vec<usize> {
     }
 }
 
-/// Slice-based TRMM with explicit leading dimensions and thread count.
+/// TRMM on operand views with an explicit thread count.
 ///
 /// `B` is `m x n` and is overwritten with the product. `A` is `m x m`
 /// (Left) or `n x n` (Right); only its `uplo` triangle is referenced.
-#[allow(clippy::too_many_arguments)]
+///
+/// # Panics
+/// If the operand shapes disagree, with the text of the typed error
+/// [`Blas3Op::validate`](crate::call::Blas3Op::validate) returns.
 pub fn trmm<T: Float>(
     nt: usize,
     side: Side,
     uplo: Uplo,
     trans: Transpose,
     diag: Diag,
-    m: usize,
-    n: usize,
     alpha: T,
-    a: &[T],
-    lda: usize,
-    b: &mut [T],
-    ldb: usize,
+    a: MatRef<'_, T>,
+    b: MatMut<'_, T>,
 ) {
-    let na = match side {
-        Side::Left => m,
-        Side::Right => n,
-    };
-    check_operand("trmm A", na, na, lda, a);
-    check_operand("trmm B", m, n, ldb, b);
+    let Dims([m, n, _]) = entry(tri_shape(OpKind::Trmm, side, a, b.as_ref()));
+    let ldb = b.ld();
+    let b = b.into_slice();
     if m == 0 || n == 0 {
         return;
     }
@@ -123,7 +120,7 @@ pub fn trmm<T: Float>(
         return;
     }
 
-    let at = move |i: usize, j: usize| tri_at(a, lda, uplo, trans, diag, i, j);
+    let at = move |i: usize, j: usize| tri_at(a, uplo, trans, diag, i, j);
     let eff_upper = effective_upper(uplo, trans);
     let bp = SendPtr(b.as_mut_ptr());
     // Resolve the micro-kernel once; the whole team shares it.
@@ -300,45 +297,17 @@ pub fn trmm<T: Float>(
     }
 }
 
-/// Matrix-typed convenience wrapper.
-pub fn trmm_mat<T: Float>(
-    nt: usize,
-    side: Side,
-    uplo: Uplo,
-    trans: Transpose,
-    diag: Diag,
-    alpha: T,
-    a: &Matrix<T>,
-    b: &mut Matrix<T>,
-) {
-    let (m, n) = (b.rows(), b.cols());
-    let na = match side {
-        Side::Left => m,
-        Side::Right => n,
-    };
-    assert_eq!(a.rows(), na);
-    assert_eq!(a.cols(), na);
-    let (lda, ldb) = (a.ld(), b.ld());
-    trmm(
-        nt,
-        side,
-        uplo,
-        trans,
-        diag,
-        m,
-        n,
-        alpha,
-        a.as_slice(),
-        lda,
-        b.as_mut_slice(),
-        ldb,
-    );
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::matrix::Matrix;
     use crate::reference;
+    use crate::{
+        Diag::{NonUnit, Unit},
+        Side::{Left, Right},
+        Transpose::{No, Yes},
+        Uplo::{Lower, Upper},
+    };
 
     fn test_mat(r: usize, c: usize, seed: u64) -> Matrix<f64> {
         Matrix::from_fn(r, c, |i, j| {
@@ -354,15 +323,15 @@ mod tests {
     fn matches_reference_all_flags() {
         for &(m, n) in &[(1, 1), (5, 7), (64, 64), (70, 30), (130, 9), (9, 130)] {
             for &nt in &[1usize, 3] {
-                for side in [Side::Left, Side::Right] {
-                    for uplo in [Uplo::Upper, Uplo::Lower] {
-                        for trans in [Transpose::No, Transpose::Yes] {
-                            for diag in [Diag::NonUnit, Diag::Unit] {
-                                let na = if side == Side::Left { m } else { n };
+                for side in [Left, Right] {
+                    for uplo in [Upper, Lower] {
+                        for trans in [No, Yes] {
+                            for diag in [NonUnit, Unit] {
+                                let na = if side == Left { m } else { n };
                                 let a = test_mat(na, na, 17);
                                 let b0 = test_mat(m, n, 23);
                                 let mut b = b0.clone();
-                                trmm_mat(nt, side, uplo, trans, diag, 1.4, &a, &mut b);
+                                trmm(nt, side, uplo, trans, diag, 1.4, a.as_ref(), b.as_mut());
                                 let mut expect = b0.clone();
                                 reference::trmm(side, uplo, trans, diag, 1.4, &a, &mut expect);
                                 let scale = expect.frob_norm().max(1.0);
@@ -384,28 +353,10 @@ mod tests {
         let a = test_mat(m, m, 2);
         let b0 = test_mat(m, n, 3);
         let mut base = b0.clone();
-        trmm_mat(
-            1,
-            Side::Left,
-            Uplo::Lower,
-            Transpose::No,
-            Diag::NonUnit,
-            1.6,
-            &a,
-            &mut base,
-        );
+        trmm(1, Left, Lower, No, NonUnit, 1.6, a.as_ref(), base.as_mut());
         for nt in [2usize, 5] {
             let mut b = b0.clone();
-            trmm_mat(
-                nt,
-                Side::Left,
-                Uplo::Lower,
-                Transpose::No,
-                Diag::NonUnit,
-                1.6,
-                &a,
-                &mut b,
-            );
+            trmm(nt, Left, Lower, No, NonUnit, 1.6, a.as_ref(), b.as_mut());
             assert_eq!(b.as_slice(), base.as_slice(), "nt={nt}");
         }
     }
@@ -414,35 +365,17 @@ mod tests {
     fn alpha_zero_zeroes_b() {
         let a = test_mat(5, 5, 1);
         let mut b = test_mat(5, 4, 2);
-        trmm_mat(
-            2,
-            Side::Left,
-            Uplo::Upper,
-            Transpose::No,
-            Diag::NonUnit,
-            0.0,
-            &a,
-            &mut b,
-        );
+        trmm(2, Left, Upper, No, NonUnit, 0.0, a.as_ref(), b.as_mut());
         assert_eq!(b, Matrix::zeros(5, 4));
     }
 
     #[test]
     fn identity_triangular_is_noop_with_unit_diag() {
-        // A strictly-zero triangle with Diag::Unit acts as the identity.
+        // A strictly-zero triangle with Unit acts as the identity.
         let a = Matrix::<f64>::zeros(6, 6);
         let b0 = test_mat(6, 3, 9);
         let mut b = b0.clone();
-        trmm_mat(
-            2,
-            Side::Left,
-            Uplo::Upper,
-            Transpose::No,
-            Diag::Unit,
-            1.0,
-            &a,
-            &mut b,
-        );
+        trmm(2, Left, Upper, No, Unit, 1.0, a.as_ref(), b.as_mut());
         assert!(b.max_abs_diff(&b0) < 1e-15);
     }
 
@@ -457,16 +390,7 @@ mod tests {
             }
         }
         let mut b = test_mat(m, 10, 4);
-        trmm_mat(
-            2,
-            Side::Left,
-            Uplo::Upper,
-            Transpose::No,
-            Diag::NonUnit,
-            1.0,
-            &a,
-            &mut b,
-        );
+        trmm(2, Left, Upper, No, NonUnit, 1.0, a.as_ref(), b.as_mut());
         assert!(b.as_slice().iter().all(|x| x.is_finite()));
     }
 }

@@ -12,14 +12,16 @@
 //! Left, rows for Right — each member's slice is self-contained). A barrier
 //! after each substitution publishes the solved values the next fold reads.
 //!
-//! Within the backend seam this module is the kernel level: the wide
-//! slice-signature entry point below is what
-//! [`NativeBackend`](crate::backend::NativeBackend) invokes for a validated
-//! [`Blas3Op::Trsm`](crate::call::Blas3Op) description.
+//! Within the backend seam this module is the kernel level: the driver
+//! below takes the operand views a validated
+//! [`Blas3Op::Trsm`](crate::call::Blas3Op) holds, and is what
+//! [`NativeBackend`](crate::backend::NativeBackend) invokes for one.
 
 use crate::arena;
+use crate::call::{entry, tri_shape};
 use crate::kernel::{gemm_cooperative, scale_block, shared_pack_lens, SharedPack};
-use crate::matrix::{check_operand, Matrix};
+use crate::matrix::{MatMut, MatRef};
+use crate::op::{Dims, OpKind};
 use crate::pack::PackSrc;
 use crate::pool::{SendPtr, ThreadPool};
 use crate::trmm::{effective_upper, sweep_order, tri_at};
@@ -28,36 +30,32 @@ use crate::{Diag, Float, Side, Transpose, Uplo};
 /// Diagonal-block size for the substitution sweep.
 const TB: usize = 64;
 
-/// Slice-based TRSM with explicit leading dimensions and thread count.
+/// TRSM on operand views with an explicit thread count.
 ///
 /// On return, `B` holds `X` such that `op(A) X = alpha B_in` (Left) or
 /// `X op(A) = alpha B_in` (Right).
-#[allow(clippy::too_many_arguments)]
+///
+/// # Panics
+/// If the operand shapes disagree, with the text of the typed error
+/// [`Blas3Op::validate`](crate::call::Blas3Op::validate) returns.
 pub fn trsm<T: Float>(
     nt: usize,
     side: Side,
     uplo: Uplo,
     trans: Transpose,
     diag: Diag,
-    m: usize,
-    n: usize,
     alpha: T,
-    a: &[T],
-    lda: usize,
-    b: &mut [T],
-    ldb: usize,
+    a: MatRef<'_, T>,
+    b: MatMut<'_, T>,
 ) {
-    let na = match side {
-        Side::Left => m,
-        Side::Right => n,
-    };
-    check_operand("trsm A", na, na, lda, a);
-    check_operand("trsm B", m, n, ldb, b);
+    let Dims([m, n, _]) = entry(tri_shape(OpKind::Trsm, side, a, b.as_ref()));
+    let ldb = b.ld();
+    let b = b.into_slice();
     if m == 0 || n == 0 {
         return;
     }
 
-    let at = move |i: usize, j: usize| tri_at(a, lda, uplo, trans, diag, i, j);
+    let at = move |i: usize, j: usize| tri_at(a, uplo, trans, diag, i, j);
     let eff_upper = effective_upper(uplo, trans);
     let bp = SendPtr(b.as_mut_ptr());
     // Resolve the micro-kernel once; the whole team shares it.
@@ -244,46 +242,18 @@ pub fn trsm<T: Float>(
     }
 }
 
-/// Matrix-typed convenience wrapper.
-pub fn trsm_mat<T: Float>(
-    nt: usize,
-    side: Side,
-    uplo: Uplo,
-    trans: Transpose,
-    diag: Diag,
-    alpha: T,
-    a: &Matrix<T>,
-    b: &mut Matrix<T>,
-) {
-    let (m, n) = (b.rows(), b.cols());
-    let na = match side {
-        Side::Left => m,
-        Side::Right => n,
-    };
-    assert_eq!(a.rows(), na);
-    assert_eq!(a.cols(), na);
-    let (lda, ldb) = (a.ld(), b.ld());
-    trsm(
-        nt,
-        side,
-        uplo,
-        trans,
-        diag,
-        m,
-        n,
-        alpha,
-        a.as_slice(),
-        lda,
-        b.as_mut_slice(),
-        ldb,
-    );
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::matrix::Matrix;
     use crate::reference;
-    use crate::trmm::trmm_mat;
+    use crate::trmm::trmm;
+    use crate::{
+        Diag::{NonUnit, Unit},
+        Side::{Left, Right},
+        Transpose::{No, Yes},
+        Uplo::{Lower, Upper},
+    };
 
     /// Well-conditioned triangular test matrix: dominant diagonal.
     fn tri_test_mat(n: usize, seed: u64) -> Matrix<f64> {
@@ -314,15 +284,15 @@ mod tests {
     fn matches_reference_all_flags() {
         for &(m, n) in &[(1, 1), (5, 7), (64, 64), (70, 30), (130, 9), (9, 130)] {
             for &nt in &[1usize, 3] {
-                for side in [Side::Left, Side::Right] {
-                    for uplo in [Uplo::Upper, Uplo::Lower] {
-                        for trans in [Transpose::No, Transpose::Yes] {
-                            for diag in [Diag::NonUnit, Diag::Unit] {
-                                let na = if side == Side::Left { m } else { n };
+                for side in [Left, Right] {
+                    for uplo in [Upper, Lower] {
+                        for trans in [No, Yes] {
+                            for diag in [NonUnit, Unit] {
+                                let na = if side == Left { m } else { n };
                                 let a = tri_test_mat(na, 17);
                                 let b0 = test_mat(m, n, 23);
                                 let mut b = b0.clone();
-                                trsm_mat(nt, side, uplo, trans, diag, 1.5, &a, &mut b);
+                                trsm(nt, side, uplo, trans, diag, 1.5, a.as_ref(), b.as_mut());
                                 let mut expect = b0.clone();
                                 reference::trsm(side, uplo, trans, diag, 1.5, &a, &mut expect);
                                 let scale = expect.frob_norm().max(1.0);
@@ -344,28 +314,10 @@ mod tests {
         let a = tri_test_mat(m, 1);
         let b0 = test_mat(m, n, 2);
         let mut base = b0.clone();
-        trsm_mat(
-            1,
-            Side::Left,
-            Uplo::Lower,
-            Transpose::No,
-            Diag::NonUnit,
-            2.0,
-            &a,
-            &mut base,
-        );
+        trsm(1, Left, Lower, No, NonUnit, 2.0, a.as_ref(), base.as_mut());
         for nt in [2usize, 5] {
             let mut b = b0.clone();
-            trsm_mat(
-                nt,
-                Side::Left,
-                Uplo::Lower,
-                Transpose::No,
-                Diag::NonUnit,
-                2.0,
-                &a,
-                &mut b,
-            );
+            trsm(nt, Left, Lower, No, NonUnit, 2.0, a.as_ref(), b.as_mut());
             assert_eq!(b.as_slice(), base.as_slice(), "nt={nt}");
         }
     }
@@ -375,16 +327,16 @@ mod tests {
     fn trsm_inverts_trmm() {
         let m = 90;
         let n = 40;
-        for side in [Side::Left, Side::Right] {
-            for uplo in [Uplo::Upper, Uplo::Lower] {
-                for trans in [Transpose::No, Transpose::Yes] {
-                    for diag in [Diag::NonUnit, Diag::Unit] {
-                        let na = if side == Side::Left { m } else { n };
+        for side in [Left, Right] {
+            for uplo in [Upper, Lower] {
+                for trans in [No, Yes] {
+                    for diag in [NonUnit, Unit] {
+                        let na = if side == Left { m } else { n };
                         let a = tri_test_mat(na, 5);
                         let x0 = test_mat(m, n, 8);
                         let mut b = x0.clone();
-                        trmm_mat(2, side, uplo, trans, diag, 2.0, &a, &mut b);
-                        trsm_mat(2, side, uplo, trans, diag, 0.5, &a, &mut b);
+                        trmm(2, side, uplo, trans, diag, 2.0, a.as_ref(), b.as_mut());
+                        trsm(2, side, uplo, trans, diag, 0.5, a.as_ref(), b.as_mut());
                         let scale = x0.frob_norm().max(1.0);
                         assert!(
                             b.max_abs_diff(&x0) / scale < 1e-10,
@@ -404,27 +356,9 @@ mod tests {
         let a = tri_test_mat(m, 2);
         let b0 = test_mat(m, n, 3);
         let mut x = b0.clone();
-        trsm_mat(
-            4,
-            Side::Left,
-            Uplo::Lower,
-            Transpose::No,
-            Diag::NonUnit,
-            3.0,
-            &a,
-            &mut x,
-        );
+        trsm(4, Left, Lower, No, NonUnit, 3.0, a.as_ref(), x.as_mut());
         let mut ax = x.clone();
-        trmm_mat(
-            4,
-            Side::Left,
-            Uplo::Lower,
-            Transpose::No,
-            Diag::NonUnit,
-            1.0,
-            &a,
-            &mut ax,
-        );
+        trmm(4, Left, Lower, No, NonUnit, 1.0, a.as_ref(), ax.as_mut());
         let expect = Matrix::from_fn(m, n, |i, j| 3.0 * b0.get(i, j));
         assert!(ax.max_abs_diff(&expect) / expect.frob_norm() < 1e-12);
     }
@@ -434,19 +368,10 @@ mod tests {
         let n = 6;
         let mut a = tri_test_mat(n, 1);
         for i in 0..n {
-            a.set(i, i, f64::NAN); // must not be read under Diag::Unit
+            a.set(i, i, f64::NAN); // must not be read under Unit
         }
         let mut b = test_mat(n, 2, 4);
-        trsm_mat(
-            1,
-            Side::Left,
-            Uplo::Lower,
-            Transpose::No,
-            Diag::Unit,
-            1.0,
-            &a,
-            &mut b,
-        );
+        trsm(1, Left, Lower, No, Unit, 1.0, a.as_ref(), b.as_mut());
         assert!(b.as_slice().iter().all(|x| x.is_finite()));
     }
 }

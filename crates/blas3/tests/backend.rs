@@ -1,6 +1,7 @@
-//! Backend-seam tests: `Blas3Op::validate` must reject every malformed
-//! call shape with a typed error, and the two shipped backends must agree
-//! numerically when driven through the object-safe trait path.
+//! Backend-seam tests: the two shipped backends must agree numerically when
+//! driven through the object-safe trait path, and reject malformed calls
+//! with typed errors. (Which call shapes `validate` rejects, and with what,
+//! is the table-driven test of `call.rs` / `call2.rs`.)
 
 // Outside the Miri subset: exercises the OS thread pool.
 #![cfg(not(miri))]
@@ -29,230 +30,7 @@ fn tri(n: usize, seed: u64) -> Matrix<f64> {
     a
 }
 
-// ---------------------------------------------------------------- validate
-
-#[test]
-fn gemm_validate_rejects_every_mismatch() {
-    let a = mat(4, 5, 1);
-    let b = mat(5, 3, 2);
-
-    // op(A) rows vs C rows.
-    let mut c_bad = Matrix::<f64>::zeros(6, 3);
-    let op = Blas3Op::Gemm {
-        transa: Transpose::No,
-        transb: Transpose::No,
-        alpha: 1.0,
-        a: a.as_ref(),
-        b: b.as_ref(),
-        beta: 0.0,
-        c: c_bad.as_mut(),
-    };
-    assert!(matches!(
-        op.validate(),
-        Err(Blas3Error::DimMismatch { got: (4, 6), .. })
-    ));
-
-    // op(B) cols vs C cols.
-    let mut c_bad = Matrix::<f64>::zeros(4, 7);
-    let op = Blas3Op::Gemm {
-        transa: Transpose::No,
-        transb: Transpose::No,
-        alpha: 1.0,
-        a: a.as_ref(),
-        b: b.as_ref(),
-        beta: 0.0,
-        c: c_bad.as_mut(),
-    };
-    assert!(matches!(
-        op.validate(),
-        Err(Blas3Error::DimMismatch { got: (3, 7), .. })
-    ));
-
-    // Inner k mismatch, visible only with the transpose flag applied.
-    let mut c = Matrix::<f64>::zeros(5, 3);
-    let op = Blas3Op::Gemm {
-        transa: Transpose::Yes, // op(A) = 5x4, so k = 4 != 5
-        transb: Transpose::No,
-        alpha: 1.0,
-        a: a.as_ref(),
-        b: b.as_ref(),
-        beta: 0.0,
-        c: c.as_mut(),
-    };
-    assert!(matches!(
-        op.validate(),
-        Err(Blas3Error::DimMismatch { got: (4, 5), .. })
-    ));
-}
-
-#[test]
-fn symm_validate_rejects_nonsquare_and_wrong_side() {
-    let b = mat(4, 3, 2);
-    let mut c = Matrix::<f64>::zeros(4, 3);
-
-    let a_rect = mat(4, 5, 1);
-    let op = Blas3Op::Symm {
-        side: Side::Left,
-        uplo: Uplo::Upper,
-        alpha: 1.0,
-        a: a_rect.as_ref(),
-        b: b.as_ref(),
-        beta: 0.0,
-        c: c.as_mut(),
-    };
-    assert!(matches!(
-        op.validate(),
-        Err(Blas3Error::NotSquare {
-            rows: 4,
-            cols: 5,
-            ..
-        })
-    ));
-
-    // Square A of the wrong order for the Right side (needs n = 3).
-    let a_sq = mat(4, 4, 3);
-    let op = Blas3Op::Symm {
-        side: Side::Right,
-        uplo: Uplo::Lower,
-        alpha: 1.0,
-        a: a_sq.as_ref(),
-        b: b.as_ref(),
-        beta: 0.0,
-        c: c.as_mut(),
-    };
-    assert!(matches!(
-        op.validate(),
-        Err(Blas3Error::DimMismatch { got: (4, 3), .. })
-    ));
-
-    // B shape must match C.
-    let b_bad = mat(4, 9, 4);
-    let a_ok = mat(4, 4, 5);
-    let op = Blas3Op::Symm {
-        side: Side::Left,
-        uplo: Uplo::Upper,
-        alpha: 1.0,
-        a: a_ok.as_ref(),
-        b: b_bad.as_ref(),
-        beta: 0.0,
-        c: c.as_mut(),
-    };
-    assert!(matches!(
-        op.validate(),
-        Err(Blas3Error::DimMismatch { got: (9, 3), .. })
-    ));
-}
-
-#[test]
-fn syrk_validate_rejects_nonsquare_c_and_factor_mismatch() {
-    let a = mat(4, 6, 1);
-    let mut c_rect = Matrix::<f64>::zeros(4, 5);
-    let op = Blas3Op::Syrk {
-        uplo: Uplo::Lower,
-        trans: Transpose::No,
-        alpha: 1.0,
-        a: a.as_ref(),
-        beta: 0.0,
-        c: c_rect.as_mut(),
-    };
-    assert!(matches!(
-        op.validate(),
-        Err(Blas3Error::NotSquare { name: "C", .. })
-    ));
-
-    let mut c_wrong = Matrix::<f64>::zeros(6, 6); // needs op(A) rows = 6; a has 4
-    let op = Blas3Op::Syrk {
-        uplo: Uplo::Lower,
-        trans: Transpose::No,
-        alpha: 1.0,
-        a: a.as_ref(),
-        beta: 0.0,
-        c: c_wrong.as_mut(),
-    };
-    assert!(matches!(
-        op.validate(),
-        Err(Blas3Error::DimMismatch { got: (4, 6), .. })
-    ));
-
-    // With trans=Yes the same operands become consistent.
-    let op = Blas3Op::Syrk {
-        uplo: Uplo::Lower,
-        trans: Transpose::Yes,
-        alpha: 1.0,
-        a: a.as_ref(),
-        beta: 0.0,
-        c: c_wrong.as_mut(),
-    };
-    assert!(op.validate().is_ok());
-}
-
-#[test]
-fn syr2k_validate_rejects_factor_inconsistency() {
-    let a = mat(5, 3, 1);
-    let b_bad = mat(5, 4, 2); // inner extent 4 != 3
-    let mut c = Matrix::<f64>::zeros(5, 5);
-    let op = Blas3Op::Syr2k {
-        uplo: Uplo::Upper,
-        trans: Transpose::No,
-        alpha: 1.0,
-        a: a.as_ref(),
-        b: b_bad.as_ref(),
-        beta: 0.0,
-        c: c.as_mut(),
-    };
-    assert!(matches!(
-        op.validate(),
-        Err(Blas3Error::DimMismatch { got: (3, 4), .. })
-    ));
-
-    let b_off = mat(7, 3, 3); // rows 7 != C order 5
-    let op = Blas3Op::Syr2k {
-        uplo: Uplo::Upper,
-        trans: Transpose::No,
-        alpha: 1.0,
-        a: a.as_ref(),
-        b: b_off.as_ref(),
-        beta: 0.0,
-        c: c.as_mut(),
-    };
-    assert!(matches!(
-        op.validate(),
-        Err(Blas3Error::DimMismatch { got: (7, 5), .. })
-    ));
-}
-
-#[test]
-fn trmm_trsm_validate_reject_bad_triangles() {
-    let mut b = mat(4, 6, 1);
-
-    let a_rect = mat(4, 6, 2);
-    let op = Blas3Op::Trmm {
-        side: Side::Left,
-        uplo: Uplo::Upper,
-        trans: Transpose::No,
-        diag: Diag::NonUnit,
-        alpha: 1.0,
-        a: a_rect.as_ref(),
-        b: b.as_mut(),
-    };
-    assert!(matches!(op.validate(), Err(Blas3Error::NotSquare { .. })));
-
-    // Right side needs A of order n = 6; order-4 A must be rejected.
-    let a_sq = tri(4, 3);
-    let op = Blas3Op::Trsm {
-        side: Side::Right,
-        uplo: Uplo::Lower,
-        trans: Transpose::Yes,
-        diag: Diag::Unit,
-        alpha: 1.0,
-        a: a_sq.as_ref(),
-        b: b.as_mut(),
-    };
-    assert!(matches!(
-        op.validate(),
-        Err(Blas3Error::DimMismatch { got: (4, 6), .. })
-    ));
-}
+// ------------------------------------------------------------------- views
 
 #[test]
 fn view_construction_errors_carry_shape_context() {

@@ -12,7 +12,7 @@
 
 use adsala_blas3::kernel::{set_kernel_choice, KernelChoice};
 use adsala_blas3::{level2, reference};
-use adsala_blas3::{Diag, Float, Matrix, Transpose, Uplo};
+use adsala_blas3::{Diag, Float, MatMut, MatRef, Matrix, Transpose, Uplo, VecMut, VecRef};
 use proptest::prelude::*;
 
 /// Deterministic value stream in roughly [-2, 2].
@@ -119,7 +119,13 @@ fn check_level2<T: Float>(
         let mut y = strided::<T>(ylen, incy, seed ^ 0xB);
         let mut want = gather(&y, ylen, incy);
         level2::gemv(
-            nt, trans, m, n, alpha, &a, lda, &x, incx, beta, &mut y, incy,
+            nt,
+            trans,
+            alpha,
+            MatRef::new(m, n, lda, &a),
+            VecRef::new(xlen, incx, &x),
+            beta,
+            VecMut::new(ylen, incy, &mut y),
         );
         reference::gemv(trans, alpha, &am, &gather(&x, xlen, incx), beta, &mut want);
         assert_vec_close(&y, incy, &want, tol, &format!("{label} gemv {trans:?}"));
@@ -131,7 +137,13 @@ fn check_level2<T: Float>(
         let y = strided::<T>(n, incy, seed ^ 0xD);
         let mut a2 = a.clone();
         let mut want = am.clone();
-        level2::ger(nt, m, n, alpha, &x, incx, &y, incy, &mut a2, lda);
+        level2::ger(
+            nt,
+            alpha,
+            VecRef::new(m, incx, &x),
+            VecRef::new(n, incy, &y),
+            MatMut::new(m, n, lda, &mut a2),
+        );
         reference::ger(alpha, &gather(&x, m, incx), &gather(&y, n, incy), &mut want);
         for j in 0..n {
             for i in 0..lda {
@@ -158,6 +170,7 @@ fn check_level2<T: Float>(
         sa[i * lda2 + i] = T::from_f64(4.0 + (i % 3) as f64);
     }
     let sam = as_matrix(&sa, n2, n2, lda2);
+    let sav = MatRef::new(n2, n2, lda2, &sa);
     let tol2 = tol_for::<T>(n2);
 
     for uplo in [Uplo::Upper, Uplo::Lower] {
@@ -165,7 +178,15 @@ fn check_level2<T: Float>(
         let x = strided::<T>(n2, incx, seed ^ 0xF);
         let mut y = strided::<T>(n2, incy, seed ^ 0x10);
         let mut want = gather(&y, n2, incy);
-        level2::symv(nt, uplo, n2, alpha, &sa, lda2, &x, incx, beta, &mut y, incy);
+        level2::symv(
+            nt,
+            uplo,
+            alpha,
+            sav,
+            VecRef::new(n2, incx, &x),
+            beta,
+            VecMut::new(n2, incy, &mut y),
+        );
         reference::symv(uplo, alpha, &sam, &gather(&x, n2, incx), beta, &mut want);
         assert_vec_close(&y, incy, &want, tol2, &format!("{label} symv {uplo:?}"));
 
@@ -174,7 +195,7 @@ fn check_level2<T: Float>(
                 // TRMV
                 let mut x = strided::<T>(n2, incx, seed ^ 0x11);
                 let mut want = gather(&x, n2, incx);
-                level2::trmv(uplo, trans, diag, n2, &sa, lda2, &mut x, incx);
+                level2::trmv(uplo, trans, diag, sav, VecMut::new(n2, incx, &mut x));
                 reference::trmv(uplo, trans, diag, &sam, &mut want);
                 assert_vec_close(
                     &x,
@@ -187,7 +208,7 @@ fn check_level2<T: Float>(
                 // TRSV
                 let mut b = strided::<T>(n2, incx, seed ^ 0x12);
                 let mut want = gather(&b, n2, incx);
-                level2::trsv(uplo, trans, diag, n2, &sa, lda2, &mut b, incx);
+                level2::trsv(uplo, trans, diag, sav, VecMut::new(n2, incx, &mut b));
                 reference::trsv(uplo, trans, diag, &sam, &mut want);
                 assert_vec_close(
                     &b,

@@ -10,8 +10,6 @@
 //!   the same micro-kernel and block order regardless of team size, so
 //!   results must be *bitwise* identical across nt. (The old per-chunk
 //!   strategy could not make this promise: chunk boundaries moved with nt.)
-//! * **old-vs-new** — the retained per-thread-chunk GEMM baseline
-//!   ([`gemm_chunked`]) agrees with the cooperative driver to rounding.
 //! * **zero steady-state allocations** — after a warm-up call, replaying
 //!   the same shapes performs no packing allocations (the arena hook).
 //!
@@ -21,7 +19,6 @@
 // Outside the Miri subset: exercises the OS thread pool and spin barriers.
 #![cfg(not(miri))]
 
-use adsala_blas3::gemm::gemm_chunked;
 use adsala_blas3::pool::ThreadPool;
 use adsala_blas3::{arena, gemm, reference, symm, syr2k, syrk, trmm, trsm};
 use adsala_blas3::{Diag, Float, Matrix, Side, Transpose, Uplo};
@@ -100,7 +97,7 @@ fn check_all_routines<T: Float>(m: usize, n: usize, k: usize, seed: u64, tol: f6
         let mut first: Option<Matrix<T>> = None;
         for &nt in &nts {
             let mut c = c0.clone();
-            gemm::gemm_mat(nt, ta, tb, alpha, &a, &b, beta, &mut c);
+            gemm::gemm(nt, ta, tb, alpha, a.as_ref(), b.as_ref(), beta, c.as_mut());
             assert!(
                 rel_diff(&c, &expect) < tol,
                 "{label} gemm m={m} n={n} k={k} nt={nt} {ta:?}{tb:?}"
@@ -130,7 +127,16 @@ fn check_all_routines<T: Float>(m: usize, n: usize, k: usize, seed: u64, tol: f6
             let mut first: Option<Matrix<T>> = None;
             for &nt in &nts {
                 let mut c = c0.clone();
-                symm::symm_mat(nt, side, uplo, alpha, &a, &b, beta, &mut c);
+                symm::symm(
+                    nt,
+                    side,
+                    uplo,
+                    alpha,
+                    a.as_ref(),
+                    b.as_ref(),
+                    beta,
+                    c.as_mut(),
+                );
                 assert!(
                     rel_diff(&c, &expect) < tol,
                     "{label} symm m={m} n={n} nt={nt} {side:?} {uplo:?}"
@@ -165,7 +171,7 @@ fn check_all_routines<T: Float>(m: usize, n: usize, k: usize, seed: u64, tol: f6
             let mut first_r2k: Option<Matrix<T>> = None;
             for &nt in &nts {
                 let mut c = c0.clone();
-                syrk::syrk_mat(nt, uplo, trans, alpha, &a, beta, &mut c);
+                syrk::syrk(nt, uplo, trans, alpha, a.as_ref(), beta, c.as_mut());
                 assert!(
                     rel_diff(&c, &expect_rk) < tol,
                     "{label} syrk n={m} k={k} nt={nt} {uplo:?} {trans:?}"
@@ -175,7 +181,16 @@ fn check_all_routines<T: Float>(m: usize, n: usize, k: usize, seed: u64, tol: f6
                     Some(f) => assert_eq!(c.as_slice(), f.as_slice(), "{label} syrk nt={nt}"),
                 }
                 let mut c = c0.clone();
-                syr2k::syr2k_mat(nt, uplo, trans, alpha, &a, &b, beta, &mut c);
+                syr2k::syr2k(
+                    nt,
+                    uplo,
+                    trans,
+                    alpha,
+                    a.as_ref(),
+                    b.as_ref(),
+                    beta,
+                    c.as_mut(),
+                );
                 assert!(
                     rel_diff(&c, &expect_r2k) < tol,
                     "{label} syr2k n={m} k={k} nt={nt} {uplo:?} {trans:?}"
@@ -205,7 +220,7 @@ fn check_all_routines<T: Float>(m: usize, n: usize, k: usize, seed: u64, tol: f6
                     let mut first_sm: Option<Matrix<T>> = None;
                     for &nt in &nts {
                         let mut b = b0.clone();
-                        trmm::trmm_mat(nt, side, uplo, trans, diag, alpha, &a, &mut b);
+                        trmm::trmm(nt, side, uplo, trans, diag, alpha, a.as_ref(), b.as_mut());
                         assert!(
                             rel_diff(&b, &expect_mm) < tol,
                             "{label} trmm m={m} n={n} nt={nt} {side:?} {uplo:?} {trans:?} {diag:?}"
@@ -217,7 +232,7 @@ fn check_all_routines<T: Float>(m: usize, n: usize, k: usize, seed: u64, tol: f6
                             }
                         }
                         let mut b = b0.clone();
-                        trsm::trsm_mat(nt, side, uplo, trans, diag, alpha, &a, &mut b);
+                        trsm::trsm(nt, side, uplo, trans, diag, alpha, a.as_ref(), b.as_mut());
                         // TRSM amplifies error by the condition number;
                         // loosen by the order of the system.
                         assert!(
@@ -250,45 +265,6 @@ proptest! {
     ) {
         check_all_routines::<f64>(m, n, k, seed, 1e-11);
         check_all_routines::<f32>(m, n, k, seed, 1e-3);
-    }
-
-    /// The retained chunked GEMM baseline agrees with the cooperative
-    /// driver (to rounding — the block schedules differ).
-    #[test]
-    fn chunked_baseline_matches_cooperative(
-        m in 1usize..120,
-        n in 1usize..120,
-        k in 1usize..80,
-        seed in any::<u64>(),
-    ) {
-        let a = det_mat::<f64>(m, k, seed);
-        let b = det_mat::<f64>(k, n, seed ^ 1);
-        let c0 = det_mat::<f64>(m, n, seed ^ 2);
-        for nt in nt_sweep() {
-            let mut coop = c0.clone();
-            gemm::gemm_mat(nt, Transpose::No, Transpose::No, 1.0, &a, &b, 0.7, &mut coop);
-            let mut chunked = c0.clone();
-            gemm_chunked(
-                nt,
-                Transpose::No,
-                Transpose::No,
-                m,
-                n,
-                k,
-                1.0,
-                a.as_slice(),
-                m,
-                b.as_slice(),
-                k,
-                0.7,
-                chunked.as_mut_slice(),
-                m,
-            );
-            prop_assert!(
-                rel_diff(&coop, &chunked) < 1e-12,
-                "nt={nt} m={m} n={n} k={k}"
-            );
-        }
     }
 }
 
@@ -329,31 +305,66 @@ fn steady_state_packing_allocations_are_zero() {
     let tri = tri_mat::<f64>(m, 3);
     let mut c = Matrix::<f64>::zeros(m, n);
     let mut run_all = || {
-        gemm::gemm_mat(nt, Transpose::No, Transpose::No, 1.0, &a, &b, 0.0, &mut c);
-        symm::symm_mat(nt, Side::Left, Uplo::Upper, 1.0, &tri, &bs, 0.0, &mut c);
-        let mut sq = Matrix::<f64>::zeros(m, m);
-        syrk::syrk_mat(nt, Uplo::Lower, Transpose::No, 1.0, &a, 0.0, &mut sq);
-        syr2k::syr2k_mat(nt, Uplo::Lower, Transpose::No, 1.0, &a, &a, 0.0, &mut sq);
-        let mut bx = bs.clone();
-        trmm::trmm_mat(
+        gemm::gemm(
             nt,
-            Side::Left,
-            Uplo::Lower,
             Transpose::No,
-            Diag::NonUnit,
+            Transpose::No,
             1.0,
-            &tri,
-            &mut bx,
+            a.as_ref(),
+            b.as_ref(),
+            0.0,
+            c.as_mut(),
         );
-        trsm::trsm_mat(
+        symm::symm(
+            nt,
+            Side::Left,
+            Uplo::Upper,
+            1.0,
+            tri.as_ref(),
+            bs.as_ref(),
+            0.0,
+            c.as_mut(),
+        );
+        let mut sq = Matrix::<f64>::zeros(m, m);
+        syrk::syrk(
+            nt,
+            Uplo::Lower,
+            Transpose::No,
+            1.0,
+            a.as_ref(),
+            0.0,
+            sq.as_mut(),
+        );
+        syr2k::syr2k(
+            nt,
+            Uplo::Lower,
+            Transpose::No,
+            1.0,
+            a.as_ref(),
+            a.as_ref(),
+            0.0,
+            sq.as_mut(),
+        );
+        let mut bx = bs.clone();
+        trmm::trmm(
             nt,
             Side::Left,
             Uplo::Lower,
             Transpose::No,
             Diag::NonUnit,
             1.0,
-            &tri,
-            &mut bx,
+            tri.as_ref(),
+            bx.as_mut(),
+        );
+        trsm::trsm(
+            nt,
+            Side::Left,
+            Uplo::Lower,
+            Transpose::No,
+            Diag::NonUnit,
+            1.0,
+            tri.as_ref(),
+            bx.as_mut(),
         );
     };
     // Warm-up: twice, so every worker thread the pool may rotate through

@@ -33,10 +33,10 @@ proptest! {
         let b2 = det_mat(k, n, s2);
         let bsum = Matrix::from_fn(k, n, |i, j| b1.get(i, j) + b2.get(i, j));
         let mut lhs = Matrix::<f64>::zeros(m, n);
-        gemm::gemm_mat(nt, Transpose::No, Transpose::No, 1.0, &a, &bsum, 0.0, &mut lhs);
+        gemm::gemm(nt, Transpose::No, Transpose::No, 1.0, a.as_ref(), bsum.as_ref(), 0.0, lhs.as_mut());
         let mut rhs = Matrix::<f64>::zeros(m, n);
-        gemm::gemm_mat(nt, Transpose::No, Transpose::No, 1.0, &a, &b1, 0.0, &mut rhs);
-        gemm::gemm_mat(nt, Transpose::No, Transpose::No, 1.0, &a, &b2, 1.0, &mut rhs);
+        gemm::gemm(nt, Transpose::No, Transpose::No, 1.0, a.as_ref(), b1.as_ref(), 0.0, rhs.as_mut());
+        gemm::gemm(nt, Transpose::No, Transpose::No, 1.0, a.as_ref(), b2.as_ref(), 1.0, rhs.as_mut());
         let scale = rhs.frob_norm().max(1.0);
         prop_assert!(lhs.max_abs_diff(&rhs) / scale < 1e-13);
     }
@@ -49,10 +49,10 @@ proptest! {
         let a = det_mat(m, k, 3);
         let b = det_mat(k, n, 4);
         let mut ab = Matrix::<f64>::zeros(m, n);
-        gemm::gemm_mat(nt, Transpose::No, Transpose::No, 1.0, &a, &b, 0.0, &mut ab);
+        gemm::gemm(nt, Transpose::No, Transpose::No, 1.0, a.as_ref(), b.as_ref(), 0.0, ab.as_mut());
         // B'A' with the flag path: C2 = op(B)*op(A), both transposed.
         let mut btat = Matrix::<f64>::zeros(n, m);
-        gemm::gemm_mat(nt, Transpose::Yes, Transpose::Yes, 1.0, &b, &a, 0.0, &mut btat);
+        gemm::gemm(nt, Transpose::Yes, Transpose::Yes, 1.0, b.as_ref(), a.as_ref(), 0.0, btat.as_mut());
         prop_assert!(ab.transposed().max_abs_diff(&btat) < 1e-12);
     }
 
@@ -62,9 +62,9 @@ proptest! {
         let a = det_mat(n, k, 5);
         let at = a.transposed();
         let mut c1 = Matrix::<f64>::zeros(n, n);
-        syrk::syrk_mat(nt, Uplo::Lower, Transpose::No, 1.0, &a, 0.0, &mut c1);
+        syrk::syrk(nt, Uplo::Lower, Transpose::No, 1.0, a.as_ref(), 0.0, c1.as_mut());
         let mut c2 = Matrix::<f64>::zeros(n, n);
-        syrk::syrk_mat(nt, Uplo::Lower, Transpose::Yes, 1.0, &at, 0.0, &mut c2);
+        syrk::syrk(nt, Uplo::Lower, Transpose::Yes, 1.0, at.as_ref(), 0.0, c2.as_mut());
         prop_assert!(c1.max_abs_diff(&c2) < 1e-12);
     }
 
@@ -73,9 +73,9 @@ proptest! {
     fn syr2k_reduces_to_twice_syrk(n in 1usize..36, k in 1usize..36, nt in 1usize..4) {
         let a = det_mat(n, k, 6);
         let mut c1 = Matrix::<f64>::zeros(n, n);
-        syr2k::syr2k_mat(nt, Uplo::Upper, Transpose::No, 1.0, &a, &a, 0.0, &mut c1);
+        syr2k::syr2k(nt, Uplo::Upper, Transpose::No, 1.0, a.as_ref(), a.as_ref(), 0.0, c1.as_mut());
         let mut c2 = Matrix::<f64>::zeros(n, n);
-        syrk::syrk_mat(nt, Uplo::Upper, Transpose::No, 2.0, &a, 0.0, &mut c2);
+        syrk::syrk(nt, Uplo::Upper, Transpose::No, 2.0, a.as_ref(), 0.0, c2.as_mut());
         prop_assert!(c1.max_abs_diff(&c2) < 1e-12);
     }
 
@@ -85,7 +85,7 @@ proptest! {
         let id = Matrix::<f64>::identity(m);
         let b = det_mat(m, n, 7);
         let mut c = Matrix::<f64>::zeros(m, n);
-        symm::symm_mat(nt, Side::Left, Uplo::Upper, alpha, &id, &b, 0.0, &mut c);
+        symm::symm(nt, Side::Left, Uplo::Upper, alpha, id.as_ref(), b.as_ref(), 0.0, c.as_mut());
         let expect = Matrix::from_fn(m, n, |i, j| alpha * b.get(i, j));
         prop_assert!(c.max_abs_diff(&expect) < 1e-13);
     }
@@ -111,8 +111,8 @@ proptest! {
         });
         let x0 = det_mat(m, n, 8);
         let mut b = x0.clone();
-        trmm::trmm_mat(nt, side, uplo, tr, diag, 1.0, &a, &mut b);
-        trsm::trsm_mat(nt, side, uplo, tr, diag, 1.0, &a, &mut b);
+        trmm::trmm(nt, side, uplo, tr, diag, 1.0, a.as_ref(), b.as_mut());
+        trsm::trsm(nt, side, uplo, tr, diag, 1.0, a.as_ref(), b.as_mut());
         let scale = x0.frob_norm().max(1.0);
         prop_assert!(b.max_abs_diff(&x0) / scale < 1e-10);
     }

@@ -228,15 +228,15 @@ fn check_routines<T: Float>(tol: f64, label: &str) {
         let b = det_mat::<T>(m, n, 2);
         let c0 = det_mat::<T>(m, m, 3);
         let mut c = c0.clone();
-        gemm::gemm_mat(
+        gemm::gemm(
             nt,
             Transpose::No,
             Transpose::Yes,
             T::from_f64(1.3),
-            &a,
-            &b,
+            a.as_ref(),
+            b.as_ref(),
             T::from_f64(0.7),
-            &mut c,
+            c.as_mut(),
         );
         let mut expect = c0.clone();
         reference::gemm(
@@ -255,15 +255,15 @@ fn check_routines<T: Float>(tol: f64, label: &str) {
         let sb = det_mat::<T>(m, n, 5);
         let sc0 = det_mat::<T>(m, n, 6);
         let mut sc = sc0.clone();
-        symm::symm_mat(
+        symm::symm(
             nt,
             Side::Left,
             Uplo::Upper,
             T::from_f64(1.1),
-            &sa,
-            &sb,
+            sa.as_ref(),
+            sb.as_ref(),
             T::from_f64(-0.4),
-            &mut sc,
+            sc.as_mut(),
         );
         let mut sexpect = sc0.clone();
         reference::symm(
@@ -281,14 +281,14 @@ fn check_routines<T: Float>(tol: f64, label: &str) {
         let ka = det_mat::<T>(m, n, 7);
         let kc0 = det_mat::<T>(m, m, 8);
         let mut kc = kc0.clone();
-        syrk::syrk_mat(
+        syrk::syrk(
             nt,
             Uplo::Lower,
             Transpose::No,
             T::from_f64(0.9),
-            &ka,
+            ka.as_ref(),
             T::from_f64(0.2),
-            &mut kc,
+            kc.as_mut(),
         );
         let mut kexpect = kc0.clone();
         reference::syrk(
@@ -306,15 +306,15 @@ fn check_routines<T: Float>(tol: f64, label: &str) {
         let rb = det_mat::<T>(m, n, 10);
         let rc0 = det_mat::<T>(m, m, 11);
         let mut rc = rc0.clone();
-        syr2k::syr2k_mat(
+        syr2k::syr2k(
             nt,
             Uplo::Upper,
             Transpose::No,
             T::from_f64(1.2),
-            &ra,
-            &rb,
+            ra.as_ref(),
+            rb.as_ref(),
             T::from_f64(0.5),
-            &mut rc,
+            rc.as_mut(),
         );
         let mut rexpect = rc0.clone();
         reference::syr2k(
@@ -335,15 +335,15 @@ fn check_routines<T: Float>(tol: f64, label: &str) {
         }
         let mut tb = det_mat::<T>(m, n, 13);
         let mut texpect = tb.clone();
-        trmm::trmm_mat(
+        trmm::trmm(
             nt,
             Side::Left,
             Uplo::Upper,
             Transpose::No,
             Diag::NonUnit,
             T::from_f64(1.4),
-            &ta,
-            &mut tb,
+            ta.as_ref(),
+            tb.as_mut(),
         );
         reference::trmm(
             Side::Left,
@@ -359,15 +359,15 @@ fn check_routines<T: Float>(tol: f64, label: &str) {
         // TRSM (well-conditioned diagonal set above)
         let mut ub = det_mat::<T>(m, n, 14);
         let mut uexpect = ub.clone();
-        trsm::trsm_mat(
+        trsm::trsm(
             nt,
             Side::Left,
             Uplo::Upper,
             Transpose::No,
             Diag::NonUnit,
             T::from_f64(0.8),
-            &ta,
-            &mut ub,
+            ta.as_ref(),
+            ub.as_mut(),
         );
         reference::trsm(
             Side::Left,

@@ -2,7 +2,7 @@
 //! epoch swap.
 //!
 //! The paper installs its models once per platform; this module closes the
-//! loop the ROADMAP calls "online adaptation". The [`Telemetry`] ring
+//! loop the ROADMAP calls "online adaptation". The telemetry ring
 //! already pairs every served call with the prediction it was admitted
 //! under; [`Adapter::run_once`] turns those pairs back into training data:
 //!

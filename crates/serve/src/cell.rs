@@ -2,7 +2,7 @@
 //!
 //! A cell is one scheduler thread plus a private [`ThreadPool`] capped at
 //! its slice of the hardware threads, a private [`Telemetry`] ring, and a
-//! per-cell [`LaneQueues`]. The router places every admitted job on
+//! per-cell `LaneQueues`. The router places every admitted job on
 //! exactly one cell; the cell's scheduler drains its lanes highest QoS
 //! class first and executes batches on its own pool (the scheduler thread
 //! holds a [`ThreadPool::enter`] override for its lifetime, so the

@@ -118,9 +118,7 @@ pub use completion::{CompletionCallback, CompletionQueue, Ticket};
 pub use job::{AnyOp, ClientId, Completed, JobStats, RejectReason, Rejected, ServeError};
 pub use retry::{backoff_delay, RetryPolicy};
 pub use router::{QosClass, TenantConfig, TenantId};
-pub use service::{
-    AggregateStats, Client, ServeConfig, Service, ServiceStats, ShardStats, SubmitOptions,
-};
+pub use service::{Client, ServeConfig, Service, ServiceStats, ShardStats, SubmitOptions};
 pub use supervisor::{BreakerConfig, BreakerSnapshot, BreakerState, SupervisorConfig};
 pub use telemetry::{
     drift_by_routine, mean_observed_over_predicted, RoutineDrift, Telemetry, TelemetryRecord,

@@ -1,7 +1,7 @@
 //! Per-cell job queues: QoS priority lanes, per-tenant FIFOs drained
 //! round-robin, same-shape batch extraction, and shed-candidate selection.
 //!
-//! Each scheduler cell owns one [`LaneQueues`]. Within a cell, jobs sit in
+//! Each scheduler cell owns one `LaneQueues`. Within a cell, jobs sit in
 //! one FIFO per tenant, grouped into [`QosClass::COUNT`] lanes drained
 //! strictly highest class first; inside a lane tenants take round-robin
 //! turns so no tenant starves a peer of equal class. A turn takes the
@@ -11,7 +11,7 @@
 //! when a sibling cell steals the batch.
 //!
 //! A taken batch marks its tenant entry *in flight* until the executor
-//! reports back ([`LaneQueues::finish_batch`]); while in flight no other
+//! reports back (`LaneQueues::finish_batch`); while in flight no other
 //! cell (or the owner) can take that tenant's next batch, which is the
 //! whole ordering argument under work stealing: one batch per tenant in
 //! the air at a time, batches leave in FIFO order.

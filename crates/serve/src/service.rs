@@ -252,7 +252,6 @@ pub struct ShardStats {
 /// A point-in-time operator snapshot of a [`Service`] from
 /// [`Service::stats`]: the per-shard breakdown — the view that shows
 /// skew, steal traffic, and shedding — plus the merged drift signals.
-/// [`ServiceStats::aggregate`] collapses it to the pre-shard shape.
 #[derive(Debug, Clone)]
 pub struct ServiceStats {
     /// One entry per scheduler cell.
@@ -265,39 +264,6 @@ pub struct ServiceStats {
     pub drift_by_routine: Vec<RoutineDrift>,
     /// The backend circuit breaker's position and trip count.
     pub breaker: BreakerSnapshot,
-}
-
-/// The whole-service totals of a [`ServiceStats`] snapshot — the shape
-/// [`Service::stats`] returned before sharding.
-#[derive(Debug, Clone)]
-pub struct AggregateStats {
-    /// Jobs admitted but not yet taken for execution, across all cells.
-    pub pending_jobs: usize,
-    /// Predicted seconds of the admitted-but-untaken backlog.
-    pub backlog_secs: f64,
-    /// Telemetry records currently retained across all cells.
-    pub telemetry_records: usize,
-    /// Jobs served over the service lifetime (including evicted records).
-    pub total_served: u64,
-    /// Aggregate observed/predicted drift signal, when any record
-    /// qualifies.
-    pub mean_observed_over_predicted: Option<f64>,
-    /// Per-routine drift breakdown.
-    pub drift_by_routine: Vec<RoutineDrift>,
-}
-
-impl ServiceStats {
-    /// Collapse the per-shard breakdown into whole-service totals.
-    pub fn aggregate(&self) -> AggregateStats {
-        AggregateStats {
-            pending_jobs: self.shards.iter().map(|s| s.pending_jobs).sum(),
-            backlog_secs: self.shards.iter().map(|s| s.backlog_secs).sum(),
-            telemetry_records: self.shards.iter().map(|s| s.telemetry_records).sum(),
-            total_served: self.shards.iter().map(|s| s.served).sum(),
-            mean_observed_over_predicted: self.mean_observed_over_predicted,
-            drift_by_routine: self.drift_by_routine.clone(),
-        }
-    }
 }
 
 /// A sharded, batched, admission-controlled executor over a shared

@@ -151,11 +151,14 @@ fn main() {
 
     // --- 4. telemetry ------------------------------------------------------
     let stats = service.stats();
-    let agg = stats.aggregate();
     println!(
         "\ntelemetry: {} records retained of {} served across {} scheduler cells",
-        agg.telemetry_records,
-        agg.total_served,
+        stats
+            .shards
+            .iter()
+            .map(|s| s.telemetry_records)
+            .sum::<usize>(),
+        stats.shards.iter().map(|s| s.served).sum::<u64>(),
         stats.shards.len()
     );
     for s in &stats.shards {
@@ -164,7 +167,7 @@ fn main() {
             s.shard, s.served, s.stolen_batches, s.donated_batches, s.shed_jobs
         );
     }
-    if let Some(ratio) = agg.mean_observed_over_predicted {
+    if let Some(ratio) = stats.mean_observed_over_predicted {
         println!("mean observed/predicted wall-clock ratio: {ratio:.3e} (refit signal)");
     }
     for r in service.telemetry_snapshot().iter().rev().take(3) {

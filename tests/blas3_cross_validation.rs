@@ -4,7 +4,7 @@
 //! i.e. the shapes the paper's workloads produce, not hand-picked ones.
 
 use adsala_repro::blas3::op::{OpKind, Routine};
-use adsala_repro::blas3::{reference, Diag, Matrix, Side, Transpose, Uplo};
+use adsala_repro::blas3::{reference, Diag, Matrix, Side, Transpose, Uplo, VecMut, VecRef};
 use adsala_repro::sampling::DomainSampler;
 
 fn cap(v: usize) -> usize {
@@ -59,15 +59,15 @@ fn sampled_shapes_match_reference() {
                     let b = mat(k, n, 2);
                     let mut c = mat(m, n, 3);
                     let mut e = c.clone();
-                    adsala_repro::blas3::gemm::gemm_mat(
+                    adsala_repro::blas3::gemm::gemm(
                         nt,
                         Transpose::No,
                         Transpose::No,
                         1.1,
-                        &a,
-                        &b,
+                        a.as_ref(),
+                        b.as_ref(),
                         0.5,
-                        &mut c,
+                        c.as_mut(),
                     );
                     reference::gemm(Transpose::No, Transpose::No, 1.1, &a, &b, 0.5, &mut e);
                     assert!(
@@ -81,15 +81,15 @@ fn sampled_shapes_match_reference() {
                     let b = mat(m, n, 5);
                     let mut c = mat(m, n, 6);
                     let mut e = c.clone();
-                    adsala_repro::blas3::symm::symm_mat(
+                    adsala_repro::blas3::symm::symm(
                         nt,
                         Side::Left,
                         Uplo::Lower,
                         0.9,
-                        &a,
-                        &b,
+                        a.as_ref(),
+                        b.as_ref(),
                         -0.4,
-                        &mut c,
+                        c.as_mut(),
                     );
                     reference::symm(Side::Left, Uplo::Lower, 0.9, &a, &b, -0.4, &mut e);
                     assert!(
@@ -102,14 +102,14 @@ fn sampled_shapes_match_reference() {
                     let a = mat(n, k, 7);
                     let mut c = mat(n, n, 8);
                     let mut e = c.clone();
-                    adsala_repro::blas3::syrk::syrk_mat(
+                    adsala_repro::blas3::syrk::syrk(
                         nt,
                         Uplo::Upper,
                         Transpose::No,
                         1.3,
-                        &a,
+                        a.as_ref(),
                         0.2,
-                        &mut c,
+                        c.as_mut(),
                     );
                     reference::syrk(Uplo::Upper, Transpose::No, 1.3, &a, 0.2, &mut e);
                     assert!(
@@ -123,15 +123,15 @@ fn sampled_shapes_match_reference() {
                     let b = mat(n, k, 10);
                     let mut c = mat(n, n, 11);
                     let mut e = c.clone();
-                    adsala_repro::blas3::syr2k::syr2k_mat(
+                    adsala_repro::blas3::syr2k::syr2k(
                         nt,
                         Uplo::Lower,
                         Transpose::Yes,
                         0.7,
-                        &a.transposed(),
-                        &b.transposed(),
+                        a.transposed().as_ref(),
+                        b.transposed().as_ref(),
                         0.1,
-                        &mut c,
+                        c.as_mut(),
                     );
                     reference::syr2k(
                         Uplo::Lower,
@@ -152,15 +152,15 @@ fn sampled_shapes_match_reference() {
                     let a = tri(m, 12);
                     let mut b = mat(m, n, 13);
                     let mut e = b.clone();
-                    adsala_repro::blas3::trmm::trmm_mat(
+                    adsala_repro::blas3::trmm::trmm(
                         nt,
                         Side::Left,
                         Uplo::Lower,
                         Transpose::No,
                         Diag::NonUnit,
                         1.0,
-                        &a,
-                        &mut b,
+                        a.as_ref(),
+                        b.as_mut(),
                     );
                     reference::trmm(
                         Side::Left,
@@ -181,15 +181,15 @@ fn sampled_shapes_match_reference() {
                     let a = tri(m, 14);
                     let mut b = mat(m, n, 15);
                     let mut e = b.clone();
-                    adsala_repro::blas3::trsm::trsm_mat(
+                    adsala_repro::blas3::trsm::trsm(
                         nt,
                         Side::Right,
                         Uplo::Upper,
                         Transpose::No,
                         Diag::NonUnit,
                         2.0,
-                        &tri(n, 16),
-                        &mut b,
+                        tri(n, 16).as_ref(),
+                        b.as_mut(),
                     );
                     reference::trsm(
                         Side::Right,
@@ -215,16 +215,11 @@ fn sampled_shapes_match_reference() {
                     adsala_repro::blas3::level2::gemv(
                         nt,
                         Transpose::No,
-                        m,
-                        n,
                         1.1,
-                        a.as_slice(),
-                        m,
-                        &x,
-                        1,
+                        a.as_ref(),
+                        VecRef::new(n, 1, &x),
                         0.5,
-                        &mut y,
-                        1,
+                        VecMut::new(m, 1, &mut y),
                     );
                     reference::gemv(Transpose::No, 1.1, &a, &x, 0.5, &mut e);
                     assert!(vec_rel_diff(&y, &e) < 1e-12, "gemv trial {trial}");
@@ -237,15 +232,10 @@ fn sampled_shapes_match_reference() {
                     let y = vecd(n, 22);
                     adsala_repro::blas3::level2::ger(
                         nt,
-                        m,
-                        n,
                         0.8,
-                        &x,
-                        1,
-                        &y,
-                        1,
-                        a.as_mut_slice(),
-                        m,
+                        VecRef::new(m, 1, &x),
+                        VecRef::new(n, 1, &y),
+                        a.as_mut(),
                     );
                     reference::ger(0.8, &x, &y, &mut e);
                     assert!(
@@ -262,15 +252,11 @@ fn sampled_shapes_match_reference() {
                     adsala_repro::blas3::level2::symv(
                         nt,
                         Uplo::Lower,
-                        n,
                         0.9,
-                        a.as_slice(),
-                        n,
-                        &x,
-                        1,
+                        a.as_ref(),
+                        VecRef::new(n, 1, &x),
                         -0.4,
-                        &mut y,
-                        1,
+                        VecMut::new(n, 1, &mut y),
                     );
                     reference::symv(Uplo::Lower, 0.9, &a, &x, -0.4, &mut e);
                     assert!(vec_rel_diff(&y, &e) < 1e-12, "symv trial {trial}");
@@ -284,11 +270,8 @@ fn sampled_shapes_match_reference() {
                         Uplo::Upper,
                         Transpose::No,
                         Diag::NonUnit,
-                        n,
-                        a.as_slice(),
-                        n,
-                        &mut x,
-                        1,
+                        a.as_ref(),
+                        VecMut::new(n, 1, &mut x),
                     );
                     reference::trmv(Uplo::Upper, Transpose::No, Diag::NonUnit, &a, &mut e);
                     assert!(vec_rel_diff(&x, &e) < 1e-12, "trmv trial {trial}");
@@ -302,11 +285,8 @@ fn sampled_shapes_match_reference() {
                         Uplo::Lower,
                         Transpose::No,
                         Diag::NonUnit,
-                        n,
-                        a.as_slice(),
-                        n,
-                        &mut x,
-                        1,
+                        a.as_ref(),
+                        VecMut::new(n, 1, &mut x),
                     );
                     reference::trsv(Uplo::Lower, Transpose::No, Diag::NonUnit, &a, &mut e);
                     assert!(vec_rel_diff(&x, &e) < 1e-10, "trsv trial {trial}");
@@ -324,28 +304,37 @@ fn gemm_associativity_with_identity_chain() {
     let b = mat(m, m, 22);
     let id = Matrix::<f64>::identity(m);
     let mut ab = Matrix::<f64>::zeros(m, m);
-    adsala_repro::blas3::gemm::gemm_mat(3, Transpose::No, Transpose::No, 1.0, &a, &b, 0.0, &mut ab);
+    adsala_repro::blas3::gemm::gemm(
+        3,
+        Transpose::No,
+        Transpose::No,
+        1.0,
+        a.as_ref(),
+        b.as_ref(),
+        0.0,
+        ab.as_mut(),
+    );
     let mut ai = Matrix::<f64>::zeros(m, m);
-    adsala_repro::blas3::gemm::gemm_mat(
+    adsala_repro::blas3::gemm::gemm(
         2,
         Transpose::No,
         Transpose::No,
         1.0,
-        &a,
-        &id,
+        a.as_ref(),
+        id.as_ref(),
         0.0,
-        &mut ai,
+        ai.as_mut(),
     );
     let mut aib = Matrix::<f64>::zeros(m, m);
-    adsala_repro::blas3::gemm::gemm_mat(
+    adsala_repro::blas3::gemm::gemm(
         4,
         Transpose::No,
         Transpose::No,
         1.0,
-        &ai,
-        &b,
+        ai.as_ref(),
+        b.as_ref(),
         0.0,
-        &mut aib,
+        aib.as_mut(),
     );
     assert!(ab.max_abs_diff(&aib) < 1e-10);
 }
@@ -358,18 +347,27 @@ fn results_identical_across_thread_counts() {
     let a = mat(m, m, 31);
     let b = mat(m, m, 32);
     let mut c1 = Matrix::<f64>::zeros(m, m);
-    adsala_repro::blas3::gemm::gemm_mat(1, Transpose::No, Transpose::No, 1.0, &a, &b, 0.0, &mut c1);
+    adsala_repro::blas3::gemm::gemm(
+        1,
+        Transpose::No,
+        Transpose::No,
+        1.0,
+        a.as_ref(),
+        b.as_ref(),
+        0.0,
+        c1.as_mut(),
+    );
     for nt in [2usize, 3, 7] {
         let mut c = Matrix::<f64>::zeros(m, m);
-        adsala_repro::blas3::gemm::gemm_mat(
+        adsala_repro::blas3::gemm::gemm(
             nt,
             Transpose::No,
             Transpose::No,
             1.0,
-            &a,
-            &b,
+            a.as_ref(),
+            b.as_ref(),
             0.0,
-            &mut c,
+            c.as_mut(),
         );
         assert_eq!(c, c1, "nt={nt} changed the result bits");
     }

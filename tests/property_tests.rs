@@ -31,10 +31,10 @@ proptest! {
         let k = a.cols();
         let b = Matrix::<f64>::from_fn(k, m, |i, j| ((i * 3 + j * 5) % 11) as f64 - 5.0);
         let mut c1 = Matrix::<f64>::zeros(m, m);
-        adsala_repro::blas3::gemm::gemm_mat(nt, Transpose::No, Transpose::No, alpha, &a, &b, 0.0, &mut c1);
-        adsala_repro::blas3::gemm::gemm_mat(nt, Transpose::No, Transpose::No, beta, &a, &b, 1.0, &mut c1);
+        adsala_repro::blas3::gemm::gemm(nt, Transpose::No, Transpose::No, alpha, a.as_ref(), b.as_ref(), 0.0, c1.as_mut());
+        adsala_repro::blas3::gemm::gemm(nt, Transpose::No, Transpose::No, beta, a.as_ref(), b.as_ref(), 1.0, c1.as_mut());
         let mut c2 = Matrix::<f64>::zeros(m, m);
-        adsala_repro::blas3::gemm::gemm_mat(nt, Transpose::No, Transpose::No, alpha + beta, &a, &b, 0.0, &mut c2);
+        adsala_repro::blas3::gemm::gemm(nt, Transpose::No, Transpose::No, alpha + beta, a.as_ref(), b.as_ref(), 0.0, c2.as_mut());
         let scale = c2.frob_norm().max(1.0);
         prop_assert!(c1.max_abs_diff(&c2) / scale < 1e-12);
     }
@@ -46,10 +46,10 @@ proptest! {
         let b = Matrix::<f64>::from_fn(r, c, |i, j| ((i + 7 * j) % 13) as f64 - 6.0);
         // C = A' * B (c x c)
         let mut c1 = Matrix::<f64>::zeros(c, c);
-        adsala_repro::blas3::gemm::gemm_mat(nt, Transpose::Yes, Transpose::No, 1.0, &a, &b, 0.0, &mut c1);
+        adsala_repro::blas3::gemm::gemm(nt, Transpose::Yes, Transpose::No, 1.0, a.as_ref(), b.as_ref(), 0.0, c1.as_mut());
         let at = a.transposed();
         let mut c2 = Matrix::<f64>::zeros(c, c);
-        adsala_repro::blas3::gemm::gemm_mat(nt, Transpose::No, Transpose::No, 1.0, &at, &b, 0.0, &mut c2);
+        adsala_repro::blas3::gemm::gemm(nt, Transpose::No, Transpose::No, 1.0, at.as_ref(), b.as_ref(), 0.0, c2.as_mut());
         prop_assert!(c1.max_abs_diff(&c2) < 1e-10);
     }
 
@@ -74,8 +74,8 @@ proptest! {
         });
         let x0 = Matrix::<f64>::from_fn(m, n, |i, j| ((i * 5 + j * 3) % 17) as f64 - 8.0);
         let mut b = x0.clone();
-        adsala_repro::blas3::trmm::trmm_mat(nt, side, uplo, tr, diag, 2.0, &a, &mut b);
-        adsala_repro::blas3::trsm::trsm_mat(nt, side, uplo, tr, diag, 0.5, &a, &mut b);
+        adsala_repro::blas3::trmm::trmm(nt, side, uplo, tr, diag, 2.0, a.as_ref(), b.as_mut());
+        adsala_repro::blas3::trsm::trsm(nt, side, uplo, tr, diag, 0.5, a.as_ref(), b.as_mut());
         let scale = x0.frob_norm().max(1.0);
         prop_assert!(b.max_abs_diff(&x0) / scale < 1e-9);
     }
@@ -90,10 +90,10 @@ proptest! {
             if j < k1 { a.get(i, j) } else { b.get(i, j - k1) }
         });
         let mut c1 = Matrix::<f64>::zeros(n, n);
-        adsala_repro::blas3::syrk::syrk_mat(nt, Uplo::Lower, Transpose::No, 1.0, &joined, 0.0, &mut c1);
+        adsala_repro::blas3::syrk::syrk(nt, Uplo::Lower, Transpose::No, 1.0, joined.as_ref(), 0.0, c1.as_mut());
         let mut c2 = Matrix::<f64>::zeros(n, n);
-        adsala_repro::blas3::syrk::syrk_mat(nt, Uplo::Lower, Transpose::No, 1.0, &a, 0.0, &mut c2);
-        adsala_repro::blas3::syrk::syrk_mat(nt, Uplo::Lower, Transpose::No, 1.0, &b, 1.0, &mut c2);
+        adsala_repro::blas3::syrk::syrk(nt, Uplo::Lower, Transpose::No, 1.0, a.as_ref(), 0.0, c2.as_mut());
+        adsala_repro::blas3::syrk::syrk(nt, Uplo::Lower, Transpose::No, 1.0, b.as_ref(), 1.0, c2.as_mut());
         prop_assert!(c1.max_abs_diff(&c2) < 1e-10);
     }
 
@@ -104,7 +104,7 @@ proptest! {
         a.symmetrize_from(Uplo::Upper);
         let b = Matrix::<f64>::from_fn(m, n, |i, j| ((i + 3 * j) % 8) as f64 - 4.0);
         let mut c1 = Matrix::<f64>::zeros(m, n);
-        adsala_repro::blas3::symm::symm_mat(nt, Side::Left, Uplo::Upper, 1.5, &a, &b, 0.0, &mut c1);
+        adsala_repro::blas3::symm::symm(nt, Side::Left, Uplo::Upper, 1.5, a.as_ref(), b.as_ref(), 0.0, c1.as_mut());
         let mut c2 = Matrix::<f64>::zeros(m, n);
         reference::gemm(Transpose::No, Transpose::No, 1.5, &a, &b, 0.0, &mut c2);
         prop_assert!(c1.max_abs_diff(&c2) < 1e-10);
