@@ -129,8 +129,22 @@ fn bench_routines(c: &mut Criterion) {
     // Level 2 has its own bandwidth-oriented bench (`level2_bandwidth`).
     for op in OpKind::ALL.into_iter().filter(|op| !op.is_level2()) {
         let mut group = c.benchmark_group(format!("blas3/{}", op.name()));
-        for &nt in &threads {
-            group.bench_with_input(BenchmarkId::from_parameter(nt), &nt, |bench, &nt| {
+        // The one-sided routines run a different operand order (SYMM) or a
+        // transposed sweep (TRMM/TRSM) per side, and the benchmark of
+        // record times Left only — so both sides get a row here.
+        let sides: &[Side] = match op {
+            OpKind::Symm | OpKind::Trmm | OpKind::Trsm => &[Side::Left, Side::Right],
+            _ => &[Side::Left],
+        };
+        for (&side, &nt) in sides
+            .iter()
+            .flat_map(|s| threads.iter().map(move |t| (s, t)))
+        {
+            let id = match sides.len() {
+                1 => BenchmarkId::from_parameter(nt),
+                _ => BenchmarkId::new(format!("{side:?}"), nt),
+            };
+            group.bench_with_input(id, &nt, |bench, &nt| {
                 bench.iter(|| match op {
                     OpKind::Gemm => {
                         let mut cm = Matrix::<f64>::zeros(n, n);
@@ -150,7 +164,7 @@ fn bench_routines(c: &mut Criterion) {
                         let mut cm = Matrix::<f64>::zeros(n, n);
                         adsala_blas3::symm::symm(
                             nt,
-                            Side::Left,
+                            side,
                             Uplo::Upper,
                             1.0,
                             a.as_ref(),
@@ -191,7 +205,7 @@ fn bench_routines(c: &mut Criterion) {
                         let mut bm = b.clone();
                         adsala_blas3::trmm::trmm(
                             nt,
-                            Side::Left,
+                            side,
                             Uplo::Upper,
                             Transpose::No,
                             Diag::NonUnit,
@@ -205,7 +219,7 @@ fn bench_routines(c: &mut Criterion) {
                         let mut bm = b.clone();
                         adsala_blas3::trsm::trsm(
                             nt,
-                            Side::Left,
+                            side,
                             Uplo::Upper,
                             Transpose::No,
                             Diag::NonUnit,

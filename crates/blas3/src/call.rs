@@ -222,9 +222,18 @@ pub fn op_shape(trans: Transpose, rows: usize, cols: usize) -> (usize, usize) {
 /// Order of the square operand (SYMM's symmetric, TRMM/TRSM's triangular A)
 /// that multiplies an `m x n` operand from `side`.
 pub fn side_order(side: Side, m: usize, n: usize) -> usize {
+    by_side(side, m, n).0
+}
+
+/// A `(rows, columns)` pair of the `m x n` operand re-read as `(t, f)` —
+/// `t` along the extent the square operand multiplies, `f` along the free
+/// one — and, the swap being its own inverse, a `(t, f)` pair put back in
+/// `(rows, columns)` order. The one place the TRMM/TRSM sweeps, written in
+/// `(t, f)`, learn which side they are on.
+pub(crate) fn by_side<X>(side: Side, x: X, y: X) -> (X, X) {
     match side {
-        Side::Left => m,
-        Side::Right => n,
+        Side::Left => (x, y),
+        Side::Right => (y, x),
     }
 }
 

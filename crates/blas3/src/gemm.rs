@@ -41,17 +41,33 @@ pub fn gemm<T: Float>(
     beta: T,
     c: MatMut<'_, T>,
 ) {
-    let Dims([m, k, n]) = entry(gemm_shape(transa, transb, a, b, c.as_ref()));
-    if m == 0 || n == 0 {
-        return;
-    }
-
+    let Dims([_, k, _]) = entry(gemm_shape(transa, transb, a, b, c.as_ref()));
     // Both transpose cases are affine layouts — always the strided packing
     // fast path.
     let a_src = PackSrc::matrix(a, transa);
     let b_src = PackSrc::matrix(b, transb);
+    scaled_product(nt, k, alpha, &a_src, &b_src, beta, c);
+}
 
-    let ldc = c.ld();
+/// `C = alpha * A * B + beta * C` for two already-operated `m x k` / `k x n`
+/// packing sources, as one team region: GEMM's whole body, and SYMM's once
+/// its symmetric operand is a mirroring gather.
+///
+/// The caller has checked that the sources cover `m x k` and `k x n` for
+/// the `m x n` view C.
+pub(crate) fn scaled_product<T: Float>(
+    nt: usize,
+    k: usize,
+    alpha: T,
+    a: &PackSrc<'_, T>,
+    b: &PackSrc<'_, T>,
+    beta: T,
+    c: MatMut<'_, T>,
+) {
+    let (m, n, ldc) = (c.rows(), c.cols(), c.ld());
+    if m == 0 || n == 0 {
+        return;
+    }
     let cptr = SendPtr(c.into_slice().as_mut_ptr());
     let skip_product = alpha == T::ZERO || k == 0;
     // Resolve the micro-kernel once; the whole team shares it.
@@ -74,22 +90,11 @@ pub fn gemm<T: Float>(
             return;
         }
         // SAFETY: C is exclusively borrowed for this call and the team is
-        // the only accessor; shared bufs outlive the region; operands cover
-        // the m x k / k x n extents (view invariants plus the entry check).
+        // the only accessor; shared bufs outlive the region; the sources
+        // cover the m x k / k x n extents (caller's check; a gather closure
+        // accepts any in-range index).
         unsafe {
-            gemm_cooperative(
-                &disp,
-                &team,
-                m,
-                n,
-                k,
-                alpha,
-                &a_src,
-                &b_src,
-                cptr.get(),
-                ldc,
-                &shared,
-            );
+            gemm_cooperative(&disp, &team, m, n, k, alpha, a, b, cptr.get(), ldc, &shared);
         }
     });
 }
@@ -225,26 +230,5 @@ mod tests {
         let mut expect = Matrix::<f32>::zeros(20, 15);
         reference::gemm(No, No, 1.0, &a, &b, 0.0, &mut expect);
         assert!(c.max_abs_diff(&expect) < 1e-3);
-    }
-
-    #[test]
-    fn steady_state_packing_allocations_are_zero() {
-        let (m, n, k) = (150, 120, 96);
-        let a = test_mat(m, k, 1);
-        let b = test_mat(k, n, 2);
-        let mut c = Matrix::<f64>::zeros(m, n);
-        // Warm every participating thread's arena.
-        for _ in 0..2 {
-            gemm(4, No, No, 1.0, a.as_ref(), b.as_ref(), 0.0, c.as_mut());
-        }
-        let before = crate::arena::allocation_count();
-        for _ in 0..10 {
-            gemm(4, No, No, 1.0, a.as_ref(), b.as_ref(), 0.0, c.as_mut());
-        }
-        assert_eq!(
-            crate::arena::allocation_count(),
-            before,
-            "steady-state parallel GEMM must perform zero packing allocations"
-        );
     }
 }

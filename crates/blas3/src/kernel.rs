@@ -17,21 +17,19 @@
 //! and the routine drivers built on them — reads the geometry from the
 //! dispatch instead of from `Float` constants.
 //!
-//! Two execution engines share the same packing and micro-kernel layers:
+//! One execution engine sits on the packing and micro-kernel layers:
+//! [`gemm_cooperative`], the BLIS-style five-loop blocked algorithm run by
+//! a team. Every member of a [`TeamCtx`] walks the same `jc/pc/ic` block
+//! schedule, jointly packs **one shared** B panel and **one shared** A
+//! block per iteration (split by panel, published by a barrier), then
+//! splits the flattened register-tile loop over the packed block. Shared
+//! operands are packed once per block — not once per worker — and the tile
+//! split (`(nc/nr)*(mc/mr)` units) stays load-balanced at thread counts
+//! where splitting C into per-worker chunks would leave workers idle.
 //!
-//! * [`gemm_serial_with`] — the five-loop blocked algorithm on one thread,
-//!   with packing buffers drawn from the reuse [`arena`]
-//!   (steady-state calls allocate nothing).
-//! * [`gemm_cooperative`] — the BLIS-style cooperative parallel version:
-//!   every member of a [`TeamCtx`] walks the same
-//!   `jc/pc/ic` block schedule, jointly packs **one shared** B panel and
-//!   **one shared** A block per iteration (split by panel, published by a
-//!   barrier), then splits the flattened register-tile loop over the
-//!   packed block.
-//!   Shared operands are packed once per block — not once per worker — and
-//!   the tile split (`(nc/nr)*(mc/mr)` units) stays load-balanced at
-//!   thread counts where splitting C into per-worker chunks would leave
-//!   workers idle.
+//! [`gemm_serial_with`] is that engine on a team of one (its barriers
+//! return at once), with packing buffers drawn from the reuse [`arena`]
+//! (steady-state calls allocate nothing).
 
 pub mod level2;
 pub mod simd;
@@ -346,13 +344,13 @@ pub unsafe fn gemm_serial<T: Float>(
     gemm_serial_with(&T::kernel(), m, n, k, alpha, a, b, c, ldc)
 }
 
-/// [`gemm_serial`] with an explicit kernel dispatch.
+/// [`gemm_serial`] with an explicit kernel dispatch: [`gemm_cooperative`]
+/// on a team of one, so the `jc/pc/ic` block schedule exists once.
 ///
-/// Drivers that issue many serial products (the routine modules, and the
+/// Drivers that issue serial products (the rank-k diagonal tiles, and the
 /// parity/bench harnesses that pin a specific kernel) resolve the dispatch
-/// once and pass it here; packing and blocking follow the dispatch's
-/// geometry, and packing buffers come from the thread-local
-/// [`arena`] (zero allocations once warm).
+/// once and pass it here; the two packing buffers come from the calling
+/// thread's [`arena`] (zero allocations once warm).
 ///
 /// # Safety
 /// As for [`gemm_serial`]; additionally `disp` must be runnable on this CPU
@@ -370,72 +368,16 @@ pub unsafe fn gemm_serial_with<T: Float>(
     c: *mut T,
     ldc: usize,
 ) {
-    if m == 0 || n == 0 || k == 0 {
-        return;
-    }
-    debug_assert!(
-        n <= 1 || ldc >= m,
-        "an m x n block with n > 1 requires ldc {ldc} >= m {m}"
-    );
-    let mr = disp.mr;
-    let nr = disp.nr;
-    let kc_max = disp.kc.min(k);
-    let mut abuf = arena::take::<T>(packed_a_len(mr, disp.mc.min(m), kc_max));
-    let mut bbuf = arena::take::<T>(packed_b_len(nr, kc_max, disp.nc.min(n)));
-    let mut jc = 0;
-    while jc < n {
-        let ncb = disp.nc.min(n - jc);
-        let mut pc = 0;
-        while pc < k {
-            let kcb = disp.kc.min(k - pc);
-            let b_panels = ncb.div_ceil(nr);
-            pack_b_panels(
-                nr,
-                kcb,
-                ncb,
-                b,
-                pc,
-                jc,
-                0,
-                b_panels,
-                &mut bbuf[..b_panels * nr * kcb],
-            );
-            let mut ic = 0;
-            while ic < m {
-                let mcb = disp.mc.min(m - ic);
-                let a_panels = mcb.div_ceil(mr);
-                pack_a_panels(
-                    mr,
-                    mcb,
-                    kcb,
-                    a,
-                    ic,
-                    pc,
-                    0,
-                    a_panels,
-                    &mut abuf[..a_panels * mr * kcb],
-                );
-                // SAFETY: the mc x nc anchor lies inside the caller's
-                // exclusive m x n block; panels are fully packed above.
-                macro_kernel(
-                    disp,
-                    kcb,
-                    alpha,
-                    &abuf[..a_panels * mr * kcb],
-                    &bbuf[..b_panels * nr * kcb],
-                    mcb,
-                    ncb,
-                    0,
-                    a_panels * b_panels,
-                    c.add(ic + jc * ldc),
-                    ldc,
-                );
-                ic += mcb;
-            }
-            pc += kcb;
-        }
-        jc += ncb;
-    }
+    let (alen, blen) = shared_pack_lens(disp, m, n, k);
+    let mut abuf = arena::take::<T>(alen);
+    let mut bbuf = arena::take::<T>(blen);
+    let shared = SharedPack::new(&mut abuf, &mut bbuf);
+    TeamCtx::solo(|team| {
+        // SAFETY: the caller's contract is gemm_cooperative's, with this
+        // thread as the whole team; the buffers above are sized by
+        // shared_pack_lens and outlive the call.
+        unsafe { gemm_cooperative(disp, &team, m, n, k, alpha, a, b, c, ldc, &shared) }
+    });
 }
 
 /// Shared packed-panel storage for one cooperative product: raw views over
@@ -773,36 +715,6 @@ mod tests {
                 "cooperative nt={nt} diverged from serial"
             );
         }
-    }
-
-    #[test]
-    fn serial_steady_state_allocates_nothing() {
-        let (m, n, k) = (100, 90, 80);
-        let a = Matrix::<f64>::filled(m, k, 1.0);
-        let b = Matrix::<f64>::filled(k, n, 2.0);
-        let mut c = Matrix::<f64>::zeros(m, n);
-        let run = |c: &mut Matrix<f64>| unsafe {
-            gemm_serial(
-                m,
-                n,
-                k,
-                1.0,
-                &PackSrc::strided(a.as_slice(), 0, 1, m, m, k),
-                &PackSrc::strided(b.as_slice(), 0, 1, k, k, n),
-                c.as_mut_slice().as_mut_ptr(),
-                m,
-            );
-        };
-        run(&mut c); // warm the arena
-        let before = arena::allocation_count();
-        for _ in 0..5 {
-            run(&mut c);
-        }
-        assert_eq!(
-            arena::allocation_count(),
-            before,
-            "steady-state serial GEMM must not allocate packing buffers"
-        );
     }
 
     #[test]

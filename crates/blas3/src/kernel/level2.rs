@@ -26,7 +26,6 @@
 
 use super::simd::{self, KernelChoice};
 use crate::Float;
-use std::sync::OnceLock;
 
 /// The selected Level 2 vector kernels for one scalar type.
 ///
@@ -94,111 +93,55 @@ const SCALAR2_F64: Level2Dispatch<f64> = Level2Dispatch {
     dot: dot_scalar::<f64>,
 };
 
-/// Runtime-selected Level 2 kernels for `f32` (same override order as the
-/// Level 3 [`select_f32`](super::simd::select_f32)).
-pub fn select2_f32() -> Level2Dispatch<f32> {
-    match simd::effective_choice() {
-        KernelChoice::Scalar => SCALAR2_F32,
+/// The `f32` vector kernels of one instruction set; as for the tile
+/// kernels, an ISA this build leaves out maps to scalar and the two callers
+/// below never name one the CPU lacks.
+fn dispatch2_f32(isa: KernelChoice) -> Level2Dispatch<f32> {
+    match isa {
         #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-        KernelChoice::Avx2 if simd::avx2_available() => x86::AVX2_F32,
+        KernelChoice::Avx2 => x86::AVX2_F32,
         #[cfg(all(feature = "avx512", target_arch = "x86_64"))]
-        KernelChoice::Avx512 if simd::avx512_available() => x86::AVX512_F32,
+        KernelChoice::Avx512 => x86::AVX512_F32,
         #[cfg(all(feature = "simd", target_arch = "aarch64"))]
-        KernelChoice::Neon if simd::neon_available() => neon::NEON_F32,
-        _ => {
-            static AUTO: OnceLock<Level2Dispatch<f32>> = OnceLock::new();
-            *AUTO.get_or_init(auto2_f32)
-        }
+        KernelChoice::Neon => neon::NEON_F32,
+        _ => SCALAR2_F32,
     }
+}
+
+/// [`dispatch2_f32`] for `f64`.
+fn dispatch2_f64(isa: KernelChoice) -> Level2Dispatch<f64> {
+    match isa {
+        #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+        KernelChoice::Avx2 => x86::AVX2_F64,
+        #[cfg(all(feature = "avx512", target_arch = "x86_64"))]
+        KernelChoice::Avx512 => x86::AVX512_F64,
+        #[cfg(all(feature = "simd", target_arch = "aarch64"))]
+        KernelChoice::Neon => neon::NEON_F64,
+        _ => SCALAR2_F64,
+    }
+}
+
+/// Runtime-selected Level 2 kernels for `f32`: the same resolved ISA as
+/// the Level 3 [`select_f32`](super::simd::select_f32).
+pub fn select2_f32() -> Level2Dispatch<f32> {
+    dispatch2_f32(simd::resolved_isa())
 }
 
 /// Runtime-selected Level 2 kernels for `f64`.
 pub fn select2_f64() -> Level2Dispatch<f64> {
-    match simd::effective_choice() {
-        KernelChoice::Scalar => SCALAR2_F64,
-        #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-        KernelChoice::Avx2 if simd::avx2_available() => x86::AVX2_F64,
-        #[cfg(all(feature = "avx512", target_arch = "x86_64"))]
-        KernelChoice::Avx512 if simd::avx512_available() => x86::AVX512_F64,
-        #[cfg(all(feature = "simd", target_arch = "aarch64"))]
-        KernelChoice::Neon if simd::neon_available() => neon::NEON_F64,
-        _ => {
-            static AUTO: OnceLock<Level2Dispatch<f64>> = OnceLock::new();
-            *AUTO.get_or_init(auto2_f64)
-        }
-    }
-}
-
-fn auto2_f32() -> Level2Dispatch<f32> {
-    #[cfg(all(feature = "avx512", target_arch = "x86_64"))]
-    if simd::avx512_available() {
-        return x86::AVX512_F32;
-    }
-    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-    if simd::avx2_available() {
-        return x86::AVX2_F32;
-    }
-    #[cfg(all(feature = "simd", target_arch = "aarch64"))]
-    if simd::neon_available() {
-        return neon::NEON_F32;
-    }
-    SCALAR2_F32
-}
-
-fn auto2_f64() -> Level2Dispatch<f64> {
-    #[cfg(all(feature = "avx512", target_arch = "x86_64"))]
-    if simd::avx512_available() {
-        return x86::AVX512_F64;
-    }
-    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-    if simd::avx2_available() {
-        return x86::AVX2_F64;
-    }
-    #[cfg(all(feature = "simd", target_arch = "aarch64"))]
-    if simd::neon_available() {
-        return neon::NEON_F64;
-    }
-    SCALAR2_F64
+    dispatch2_f64(simd::resolved_isa())
 }
 
 /// Every `f32` Level 2 dispatch this build + CPU can run, scalar first
 /// (mirrors [`available_f32`](super::available_f32) for the parity suite
 /// and the bandwidth bench).
 pub fn available2_f32() -> Vec<Level2Dispatch<f32>> {
-    #[allow(unused_mut)]
-    let mut out = vec![SCALAR2_F32];
-    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-    if simd::avx2_available() {
-        out.push(x86::AVX2_F32);
-    }
-    #[cfg(all(feature = "avx512", target_arch = "x86_64"))]
-    if simd::avx512_available() {
-        out.push(x86::AVX512_F32);
-    }
-    #[cfg(all(feature = "simd", target_arch = "aarch64"))]
-    if simd::neon_available() {
-        out.push(neon::NEON_F32);
-    }
-    out
+    simd::available_isas().map(dispatch2_f32).collect()
 }
 
 /// Every `f64` Level 2 dispatch this build + CPU can run, scalar first.
 pub fn available2_f64() -> Vec<Level2Dispatch<f64>> {
-    #[allow(unused_mut)]
-    let mut out = vec![SCALAR2_F64];
-    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-    if simd::avx2_available() {
-        out.push(x86::AVX2_F64);
-    }
-    #[cfg(all(feature = "avx512", target_arch = "x86_64"))]
-    if simd::avx512_available() {
-        out.push(x86::AVX512_F64);
-    }
-    #[cfg(all(feature = "simd", target_arch = "aarch64"))]
-    if simd::neon_available() {
-        out.push(neon::NEON_F64);
-    }
-    out
+    simd::available_isas().map(dispatch2_f64).collect()
 }
 
 #[cfg(all(any(feature = "simd", feature = "avx512"), target_arch = "x86_64"))]

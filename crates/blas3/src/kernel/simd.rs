@@ -91,27 +91,30 @@ pub fn set_kernel_choice(choice: KernelChoice) -> bool {
     true
 }
 
-pub(super) fn choice_available(choice: KernelChoice) -> bool {
+/// Whether this build carries `choice`'s kernels and this CPU runs them.
+fn choice_available(choice: KernelChoice) -> bool {
     match choice {
         KernelChoice::Auto | KernelChoice::Scalar => true,
-        KernelChoice::Avx2 => avx2_available(),
-        KernelChoice::Avx512 => avx512_available(),
-        KernelChoice::Neon => neon_available(),
+        #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+        KernelChoice::Avx2 => {
+            std::arch::is_x86_feature_detected!("avx2")
+                && std::arch::is_x86_feature_detected!("fma")
+        }
+        #[cfg(all(feature = "avx512", target_arch = "x86_64"))]
+        KernelChoice::Avx512 => std::arch::is_x86_feature_detected!("avx512f"),
+        #[cfg(all(feature = "simd", target_arch = "aarch64"))]
+        KernelChoice::Neon => std::arch::is_aarch64_feature_detected!("neon"),
+        _ => false,
     }
 }
 
-fn env_choice() -> KernelChoice {
-    static ENV: OnceLock<KernelChoice> = OnceLock::new();
-    *ENV.get_or_init(|| {
-        std::env::var("ADSALA_KERNEL")
-            .ok()
-            .and_then(|v| KernelChoice::from_name(&v))
-            .filter(|&c| choice_available(c))
-            .unwrap_or(KernelChoice::Auto)
-    })
-}
-
-pub(super) fn effective_choice() -> KernelChoice {
+/// The instruction set every dispatch lookup of both kernel families
+/// resolves to: the [`set_kernel_choice`] override, else the
+/// `ADSALA_KERNEL` environment variable, else the widest one available —
+/// the whole priority chain, written once. Never names an ISA
+/// [`choice_available`] rejects (the override is checked before it is
+/// stored), which is what makes handing out its SIMD kernels sound.
+pub(super) fn resolved_isa() -> KernelChoice {
     // Miri interprets no vendor intrinsics, so under the interpreter the
     // scalar kernel is the only runnable one — whatever the override, the
     // environment, or CPU detection would otherwise pick.
@@ -119,36 +122,36 @@ pub(super) fn effective_choice() -> KernelChoice {
         return KernelChoice::Scalar;
     }
     match KernelChoice::from_u8(OVERRIDE.load(Ordering::Relaxed)) {
-        KernelChoice::Auto => env_choice(),
+        KernelChoice::Auto => {
+            static DETECTED: OnceLock<KernelChoice> = OnceLock::new();
+            *DETECTED.get_or_init(|| {
+                let env = std::env::var("ADSALA_KERNEL")
+                    .ok()
+                    .and_then(|v| KernelChoice::from_name(&v));
+                let widest_first = [
+                    KernelChoice::Avx512,
+                    KernelChoice::Avx2,
+                    KernelChoice::Neon,
+                    KernelChoice::Scalar,
+                ];
+                env.into_iter()
+                    .chain(widest_first)
+                    .find(|&c| c != KernelChoice::Auto && choice_available(c))
+                    .unwrap_or(KernelChoice::Scalar)
+            })
+        }
         forced => forced,
     }
 }
 
-#[cfg(all(feature = "simd", target_arch = "x86_64"))]
-pub(super) fn avx2_available() -> bool {
-    std::arch::is_x86_feature_detected!("avx2") && std::arch::is_x86_feature_detected!("fma")
-}
-#[cfg(not(all(feature = "simd", target_arch = "x86_64")))]
-pub(super) fn avx2_available() -> bool {
-    false
-}
-
-#[cfg(all(feature = "avx512", target_arch = "x86_64"))]
-pub(super) fn avx512_available() -> bool {
-    std::arch::is_x86_feature_detected!("avx512f")
-}
-#[cfg(not(all(feature = "avx512", target_arch = "x86_64")))]
-pub(super) fn avx512_available() -> bool {
-    false
-}
-
-#[cfg(all(feature = "simd", target_arch = "aarch64"))]
-pub(super) fn neon_available() -> bool {
-    std::arch::is_aarch64_feature_detected!("neon")
-}
-#[cfg(not(all(feature = "simd", target_arch = "aarch64")))]
-pub(super) fn neon_available() -> bool {
-    false
+/// Every instruction set this build + CPU can run, in declaration order
+/// (scalar first): the list behind each family's `available*` (the parity
+/// suites and the kernel benches pit each SIMD path against the scalar
+/// reference inside one binary).
+pub(super) fn available_isas() -> impl Iterator<Item = KernelChoice> {
+    (KernelChoice::Scalar as u8..=KernelChoice::Neon as u8)
+        .map(KernelChoice::from_u8)
+        .filter(|&c| choice_available(c))
 }
 
 /// The scalar fallback dispatches (the seed's geometry, unchanged).
@@ -173,111 +176,53 @@ const SCALAR_F64: KernelDispatch<f64> = KernelDispatch::new(
     scalar_microkernel::<f64, 8, 4>,
 );
 
-/// Runtime-selected kernel for `f32` (cached auto-detection; see module
-/// docs for the override order).
-pub fn select_f32() -> KernelDispatch<f32> {
-    match effective_choice() {
-        KernelChoice::Scalar => SCALAR_F32,
+/// The `f32` tile kernel of one instruction set. An ISA this build leaves
+/// out maps to scalar; [`resolved_isa`] and [`available_isas`] never name
+/// one, nor one the CPU lacks.
+fn dispatch_f32(isa: KernelChoice) -> KernelDispatch<f32> {
+    match isa {
         #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-        KernelChoice::Avx2 if avx2_available() => x86::AVX2_F32,
+        KernelChoice::Avx2 => x86::AVX2_F32,
         #[cfg(all(feature = "avx512", target_arch = "x86_64"))]
-        KernelChoice::Avx512 if avx512_available() => x86::AVX512_F32,
+        KernelChoice::Avx512 => x86::AVX512_F32,
         #[cfg(all(feature = "simd", target_arch = "aarch64"))]
-        KernelChoice::Neon if neon_available() => neon::NEON_F32,
-        _ => {
-            static AUTO: OnceLock<KernelDispatch<f32>> = OnceLock::new();
-            *AUTO.get_or_init(auto_f32)
-        }
+        KernelChoice::Neon => neon::NEON_F32,
+        _ => SCALAR_F32,
     }
+}
+
+/// [`dispatch_f32`] for `f64`.
+fn dispatch_f64(isa: KernelChoice) -> KernelDispatch<f64> {
+    match isa {
+        #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+        KernelChoice::Avx2 => x86::AVX2_F64,
+        #[cfg(all(feature = "avx512", target_arch = "x86_64"))]
+        KernelChoice::Avx512 => x86::AVX512_F64,
+        #[cfg(all(feature = "simd", target_arch = "aarch64"))]
+        KernelChoice::Neon => neon::NEON_F64,
+        _ => SCALAR_F64,
+    }
+}
+
+/// Runtime-selected kernel for `f32` (see the module docs for the override
+/// order).
+pub fn select_f32() -> KernelDispatch<f32> {
+    dispatch_f32(resolved_isa())
 }
 
 /// Runtime-selected kernel for `f64`.
 pub fn select_f64() -> KernelDispatch<f64> {
-    match effective_choice() {
-        KernelChoice::Scalar => SCALAR_F64,
-        #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-        KernelChoice::Avx2 if avx2_available() => x86::AVX2_F64,
-        #[cfg(all(feature = "avx512", target_arch = "x86_64"))]
-        KernelChoice::Avx512 if avx512_available() => x86::AVX512_F64,
-        #[cfg(all(feature = "simd", target_arch = "aarch64"))]
-        KernelChoice::Neon if neon_available() => neon::NEON_F64,
-        _ => {
-            static AUTO: OnceLock<KernelDispatch<f64>> = OnceLock::new();
-            *AUTO.get_or_init(auto_f64)
-        }
-    }
+    dispatch_f64(resolved_isa())
 }
 
-fn auto_f32() -> KernelDispatch<f32> {
-    #[cfg(all(feature = "avx512", target_arch = "x86_64"))]
-    if avx512_available() {
-        return x86::AVX512_F32;
-    }
-    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-    if avx2_available() {
-        return x86::AVX2_F32;
-    }
-    #[cfg(all(feature = "simd", target_arch = "aarch64"))]
-    if neon_available() {
-        return neon::NEON_F32;
-    }
-    SCALAR_F32
-}
-
-fn auto_f64() -> KernelDispatch<f64> {
-    #[cfg(all(feature = "avx512", target_arch = "x86_64"))]
-    if avx512_available() {
-        return x86::AVX512_F64;
-    }
-    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-    if avx2_available() {
-        return x86::AVX2_F64;
-    }
-    #[cfg(all(feature = "simd", target_arch = "aarch64"))]
-    if neon_available() {
-        return neon::NEON_F64;
-    }
-    SCALAR_F64
-}
-
-/// Every `f32` kernel this build + CPU can run, scalar first. The parity
-/// suite and the kernel benches iterate this to pit each SIMD path against
-/// the scalar reference inside one binary.
+/// Every `f32` kernel this build + CPU can run, scalar first.
 pub fn available_f32() -> Vec<KernelDispatch<f32>> {
-    #[allow(unused_mut)]
-    let mut out = vec![SCALAR_F32];
-    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-    if avx2_available() {
-        out.push(x86::AVX2_F32);
-    }
-    #[cfg(all(feature = "avx512", target_arch = "x86_64"))]
-    if avx512_available() {
-        out.push(x86::AVX512_F32);
-    }
-    #[cfg(all(feature = "simd", target_arch = "aarch64"))]
-    if neon_available() {
-        out.push(neon::NEON_F32);
-    }
-    out
+    available_isas().map(dispatch_f32).collect()
 }
 
 /// Every `f64` kernel this build + CPU can run, scalar first.
 pub fn available_f64() -> Vec<KernelDispatch<f64>> {
-    #[allow(unused_mut)]
-    let mut out = vec![SCALAR_F64];
-    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-    if avx2_available() {
-        out.push(x86::AVX2_F64);
-    }
-    #[cfg(all(feature = "avx512", target_arch = "x86_64"))]
-    if avx512_available() {
-        out.push(x86::AVX512_F64);
-    }
-    #[cfg(all(feature = "simd", target_arch = "aarch64"))]
-    if neon_available() {
-        out.push(neon::NEON_F64);
-    }
-    out
+    available_isas().map(dispatch_f64).collect()
 }
 
 #[cfg(all(any(feature = "simd", feature = "avx512"), target_arch = "x86_64"))]

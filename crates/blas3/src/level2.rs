@@ -88,7 +88,7 @@ fn staged<'a, T: Float>(v: &VecRef<'a, T>, buf: &'a mut Vec<T>) -> &'a [T] {
 /// `y = alpha * op(A) * x + beta * y` where A is `m x n` column-major.
 ///
 /// Uses exactly `nt` threads (row-split for NoTrans, output-split for
-/// Trans); `nt <= 1` runs the serial column walk.
+/// Trans); `nt <= 1` is the same walk over the one whole chunk.
 ///
 /// # Panics
 /// If the vector lengths disagree with `op(A)`, with the text of the typed
@@ -141,15 +141,8 @@ fn gemv_notrans<T: Float>(
     y: &mut [T],
 ) {
     let (m, n) = (a.rows(), a.cols());
-    if nt <= 1 || m < 2 {
-        for (j, &xj) in x.iter().enumerate() {
-            if disp.prefetch && j + 1 < n {
-                prefetch_col(&a, j + 1, 0);
-            }
-            (disp.axpy)(alpha * xj, col(&a, j), y);
-        }
-        return;
-    }
+    // A single row cannot be split; `run` calls a team of one inline.
+    let nt = if m < 2 { 1 } else { nt };
     let yptr = SendPtr(y.as_mut_ptr());
     ThreadPool::run_current(nt, |tid| {
         let (is, ie) = ThreadPool::chunk(m, nt, tid);
@@ -179,15 +172,8 @@ fn gemv_trans<T: Float>(
     y: &mut [T],
 ) {
     let n = a.cols();
-    if nt <= 1 || n < 2 {
-        for (j, yj) in y.iter_mut().enumerate().take(n) {
-            if disp.prefetch && j + 1 < n {
-                prefetch_col(&a, j + 1, 0);
-            }
-            *yj = alpha.mul_add((disp.dot)(col(&a, j), x), *yj);
-        }
-        return;
-    }
+    // A single output cannot be split; `run` calls a team of one inline.
+    let nt = if n < 2 { 1 } else { nt };
     let yptr = SendPtr(y.as_mut_ptr());
     ThreadPool::run_current(nt, |tid| {
         let (js, je) = ThreadPool::chunk(n, nt, tid);
@@ -226,13 +212,8 @@ pub fn ger<T: Float>(nt: usize, alpha: T, x: VecRef<'_, T>, y: VecRef<'_, T>, a:
     let lda = a.ld();
     let a = a.into_slice();
 
-    if nt <= 1 || n < 2 {
-        for j in 0..n {
-            let c = &mut a[j * lda..j * lda + m];
-            (disp.axpy)(alpha * ys[j], xs, c);
-        }
-        return;
-    }
+    // A single column cannot be split; `run` calls a team of one inline.
+    let nt = if n < 2 { 1 } else { nt };
     let aptr = SendPtr(a.as_mut_ptr());
     ThreadPool::run_current(nt, |tid| {
         let (js, je) = ThreadPool::chunk(n, nt, tid);

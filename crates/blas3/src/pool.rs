@@ -323,13 +323,7 @@ impl ThreadPool {
     {
         let nt = nt.max(1);
         if nt == 1 {
-            let barrier = TeamBarrier::new(1);
-            f(TeamCtx {
-                tid: 0,
-                size: 1,
-                barrier: &barrier,
-            });
-            return;
+            return TeamCtx::solo(f);
         }
         let helpers = (nt - 1).min(self.max_workers);
         self.ensure_workers(helpers);
@@ -532,6 +526,19 @@ pub struct TeamCtx<'a> {
 }
 
 impl TeamCtx<'_> {
+    /// Run `f` as a team of one on the calling thread: no pool, and every
+    /// [`barrier`](TeamCtx::barrier) returns at once. The `nt == 1` arm of
+    /// [`ThreadPool::run_team`], and how the serial GEMM entry runs the
+    /// cooperative engine.
+    pub(crate) fn solo<R>(f: impl FnOnce(TeamCtx<'_>) -> R) -> R {
+        let barrier = TeamBarrier::new(1);
+        f(TeamCtx {
+            tid: 0,
+            size: 1,
+            barrier: &barrier,
+        })
+    }
+
     /// Rendezvous with every other team member (see [`TeamBarrier::wait`]).
     #[inline]
     pub fn barrier(&self) {

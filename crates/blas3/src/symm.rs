@@ -2,9 +2,10 @@
 //! `C = alpha*A*B + beta*C` (Left) or `C = alpha*B*A + beta*C` (Right),
 //! where A is symmetric with only the `uplo` triangle stored.
 //!
-//! Implemented on top of the cooperative GEMM engine by routing the
-//! symmetric operand through a mirroring gather [`PackSrc`]: element
-//! `(i, j)` outside the stored triangle reads the transposed location. The
+//! SYMM is GEMM whose one operand is a mirroring gather [`PackSrc`] —
+//! element `(i, j)` outside the stored triangle reads the transposed
+//! location — so it runs GEMM's own scaled-product region
+//! (`scaled_product`), with the two operands ordered by `side`. The
 //! packing layer materialises the mirror into the shared packed panels —
 //! packed **once per cache block by the whole team**, which matters double
 //! here because the gather path is the expensive one — and the micro-kernel
@@ -15,13 +16,10 @@
 //! [`Blas3Op::Symm`](crate::call::Blas3Op) holds, and is what
 //! [`NativeBackend`](crate::backend::NativeBackend) invokes for one.
 
-use crate::arena;
-use crate::call::{entry, symm_shape};
-use crate::kernel::{gemm_cooperative, scale_block, shared_pack_lens, SharedPack};
+use crate::call::{by_side, entry, symm_shape};
+use crate::gemm::scaled_product;
 use crate::matrix::{MatMut, MatRef};
-use crate::op::Dims;
 use crate::pack::PackSrc;
-use crate::pool::{SendPtr, ThreadPool};
 use crate::{Float, Side, Transpose, Uplo};
 
 /// SYMM on operand views with an explicit thread count.
@@ -42,11 +40,7 @@ pub fn symm<T: Float>(
     beta: T,
     c: MatMut<'_, T>,
 ) {
-    let Dims([m, n, _]) = entry(symm_shape(side, a, b, c.as_ref()));
-    if m == 0 || n == 0 {
-        return;
-    }
-
+    entry(symm_shape(side, a, b, c.as_ref()));
     let sym_at = move |i: usize, j: usize| {
         let stored = match uplo {
             Uplo::Upper => i <= j,
@@ -60,63 +54,9 @@ pub fn symm<T: Float>(
     };
     let sym_src = PackSrc::gather(&sym_at);
     let b_src = PackSrc::matrix(b, Transpose::No);
-
-    let ldc = c.ld();
-    let cptr = SendPtr(c.into_slice().as_mut_ptr());
-    let skip = alpha == T::ZERO;
-    // Resolve the micro-kernel once; the whole team shares it.
-    let disp = T::kernel();
-    let k = a.rows();
-    let (alen, blen) = shared_pack_lens(&disp, m, n, k);
-    let mut abuf = arena::take::<T>(alen);
-    let mut bbuf = arena::take::<T>(blen);
-    let shared = SharedPack::new(&mut abuf, &mut bbuf);
-    ThreadPool::run_team_current(nt, |team| {
-        let (js, je) = team.chunk(n);
-        if js < je {
-            // SAFETY: disjoint column ranges per member.
-            unsafe { scale_block(m, je - js, beta, cptr.get().add(js * ldc), ldc) };
-        }
-        team.barrier();
-        if skip {
-            return;
-        }
-        // SAFETY: C is team-exclusive; shared bufs outlive the region; the
-        // gather closure covers any in-range index, the strided B operand
-        // its checked extent.
-        unsafe {
-            match side {
-                // C += alpha * A_sym * B
-                Side::Left => gemm_cooperative(
-                    &disp,
-                    &team,
-                    m,
-                    n,
-                    k,
-                    alpha,
-                    &sym_src,
-                    &b_src,
-                    cptr.get(),
-                    ldc,
-                    &shared,
-                ),
-                // C += alpha * B * A_sym
-                Side::Right => gemm_cooperative(
-                    &disp,
-                    &team,
-                    m,
-                    n,
-                    k,
-                    alpha,
-                    &b_src,
-                    &sym_src,
-                    cptr.get(),
-                    ldc,
-                    &shared,
-                ),
-            }
-        }
-    });
+    // C += alpha * A_sym * B on the Left, alpha * B * A_sym on the Right.
+    let (lhs, rhs) = by_side(side, &sym_src, &b_src);
+    scaled_product(nt, a.rows(), alpha, lhs, rhs, beta, c);
 }
 
 #[cfg(test)]

@@ -3,10 +3,10 @@
 //! `C = alpha*(A'*B + B'*A) + beta*C` (Trans);
 //! only the `uplo` triangle of C is referenced and updated.
 //!
-//! Shares the block-column strip decomposition with SYRK: each strip's
-//! off-diagonal rectangle runs **two cooperative GEMMs** (`A_i * B_j'` and
-//! `B_i * A_j'`) over team-shared packed panels; diagonal tiles exploit
-//! `(A*B')' = B*A'`, so one scratch product suffices —
+//! SYRK's strip driver (`syrk::rank_k`) run with a second operand: each
+//! strip's off-diagonal rectangle runs **two cooperative GEMMs**
+//! (`A_i * B_j'` and `B_i * A_j'`) over team-shared packed panels; diagonal
+//! tiles exploit `(A*B')' = B*A'`, so one scratch product suffices —
 //! `C_dd += alpha * (S + S')` with `S = A_d * B_d'` — and are distributed
 //! round-robin across the team.
 //!
@@ -15,13 +15,8 @@
 //! [`Blas3Op::Syr2k`](crate::call::Blas3Op) holds, and is what
 //! [`NativeBackend`](crate::backend::NativeBackend) invokes for one.
 
-use crate::arena;
-use crate::call::{entry, syrk_shape};
-use crate::kernel::{gemm_cooperative, gemm_serial_with, shared_pack_lens, SharedPack};
 use crate::matrix::{MatMut, MatRef};
-use crate::op::{Dims, OpKind};
-use crate::pool::{SendPtr, ThreadPool};
-use crate::syrk::{a_cols_src, a_rows_src, scale_triangle_cols, strip_rect, NB};
+use crate::syrk::rank_k;
 use crate::{Float, Transpose, Uplo};
 
 /// SYR2K on operand views with an explicit thread count.
@@ -42,108 +37,7 @@ pub fn syr2k<T: Float>(
     beta: T,
     c: MatMut<'_, T>,
 ) {
-    let shape = syrk_shape(OpKind::Syr2k, trans, a, Some(b), c.as_ref());
-    let Dims([n, k, _]) = entry(shape);
-    if n == 0 {
-        return;
-    }
-
-    let ldc = c.ld();
-    let cptr = SendPtr(c.into_slice().as_mut_ptr());
-    let skip = alpha == T::ZERO || k == 0;
-    // Resolve the micro-kernel once; the whole team shares it.
-    let disp = T::kernel();
-    let (alen, blen) = shared_pack_lens(&disp, n, NB.min(n), k.max(1));
-    let mut pa = arena::take::<T>(alen);
-    let mut pb = arena::take::<T>(blen);
-    let shared = SharedPack::new(&mut pa, &mut pb);
-    let nb = n.div_ceil(NB);
-    ThreadPool::run_team_current(nt, |team| {
-        let (js, je) = team.chunk(n);
-        // SAFETY: disjoint column chunks of the triangle per member.
-        unsafe { scale_triangle_cols(n, uplo, beta, cptr, ldc, js, je) };
-        team.barrier();
-        if skip {
-            return;
-        }
-        // Phase 1: strip rectangles, two cooperative products each.
-        for bj in 0..nb {
-            let (j0, j1) = (bj * NB, ((bj + 1) * NB).min(n));
-            let (r0, rows) = strip_rect(n, uplo, j0, j1);
-            if rows == 0 {
-                continue;
-            }
-            let w = j1 - j0;
-            let cp = SendPtr(cptr.get().wrapping_add(r0 + j0 * ldc));
-            // SAFETY: strip rectangles are disjoint regions of C, exclusive
-            // to the team; shared bufs sized for the largest strip.
-            unsafe {
-                // C_strip += alpha * A_rows * B_cols'
-                gemm_cooperative(
-                    &disp,
-                    &team,
-                    rows,
-                    w,
-                    k,
-                    alpha,
-                    &a_rows_src(a, trans, r0, rows),
-                    &a_cols_src(b, trans, j0, w),
-                    cp.get(),
-                    ldc,
-                    &shared,
-                );
-                // C_strip += alpha * B_rows * A_cols'
-                gemm_cooperative(
-                    &disp,
-                    &team,
-                    rows,
-                    w,
-                    k,
-                    alpha,
-                    &a_rows_src(b, trans, r0, rows),
-                    &a_cols_src(a, trans, j0, w),
-                    cp.get(),
-                    ldc,
-                    &shared,
-                );
-            }
-        }
-        // Phase 2: diagonal tiles — S = alpha * A_d * B_d', then
-        // C += S + S' on the stored triangle. Disjoint from the rectangles.
-        for bj in (team.tid..nb).step_by(team.size) {
-            let (j0, j1) = (bj * NB, ((bj + 1) * NB).min(n));
-            let w = j1 - j0;
-            let mut scratch = arena::take_zeroed::<T>(w * w);
-            // SAFETY: scratch is thread-local.
-            unsafe {
-                gemm_serial_with(
-                    &disp,
-                    w,
-                    w,
-                    k,
-                    alpha,
-                    &a_rows_src(a, trans, j0, w),
-                    &a_cols_src(b, trans, j0, w),
-                    scratch.as_mut_ptr(),
-                    w,
-                );
-            }
-            let s = scratch.as_slice();
-            for j in 0..w {
-                let (r0t, r1t) = match uplo {
-                    Uplo::Lower => (j, w),
-                    Uplo::Upper => (0, j + 1),
-                };
-                for i in r0t..r1t {
-                    // SAFETY: this diagonal tile is owned by this member.
-                    unsafe {
-                        let dst = cptr.get().add((j0 + i) + (j0 + j) * ldc);
-                        *dst += s[i + j * w] + s[j + i * w];
-                    }
-                }
-            }
-        }
-    });
+    rank_k(nt, uplo, trans, alpha, a, Some(b), beta, c);
 }
 
 #[cfg(test)]
@@ -190,6 +84,42 @@ mod tests {
                         );
                         let mut expect = c0.clone();
                         reference::syr2k(uplo, trans, 1.1, &a, &b, 0.4, &mut expect);
+                        let scale = expect.frob_norm().max(1.0);
+                        assert!(
+                            c.max_abs_diff(&expect) / scale < 1e-12,
+                            "n={n} k={k} nt={nt} {uplo:?} {trans:?}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn with_b_equal_to_a_is_syrk_at_twice_alpha() {
+        // A*A' + A*A' = 2*A*A': the one strip driver, with and without B.
+        for &(n, k) in &[(6, 9), (64, 40), (150, 16)] {
+            for &nt in &[1usize, 4] {
+                for uplo in [Upper, Lower] {
+                    for trans in [No, Yes] {
+                        let a = match trans {
+                            No => test_mat(n, k, 1),
+                            Yes => test_mat(k, n, 1),
+                        };
+                        let c0 = test_mat(n, n, 3);
+                        let mut c = c0.clone();
+                        syr2k(
+                            nt,
+                            uplo,
+                            trans,
+                            1.1,
+                            a.as_ref(),
+                            a.as_ref(),
+                            0.4,
+                            c.as_mut(),
+                        );
+                        let mut expect = c0.clone();
+                        crate::syrk::syrk(nt, uplo, trans, 2.2, a.as_ref(), 0.4, expect.as_mut());
                         let scale = expect.frob_norm().max(1.0);
                         assert!(
                             c.max_abs_diff(&expect) / scale < 1e-12,

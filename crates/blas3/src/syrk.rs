@@ -9,7 +9,8 @@
 //! tile per worker. The `NB x NB` diagonal tiles are independent of every
 //! rectangle (disjoint C regions), so they are distributed round-robin
 //! across the team at the end: each is computed serially into arena
-//! scratch and only its triangular half committed.
+//! scratch and only its triangular half committed. SYR2K is the same
+//! driver, `rank_k`, given its second operand.
 //!
 //! Within the backend seam this module is the kernel level: the driver
 //! below takes the operand views a validated
@@ -28,36 +29,7 @@ use crate::pool::{SendPtr, ThreadPool};
 use crate::{Float, Transpose, Uplo};
 
 /// Tile size for the triangular-output decomposition.
-pub(crate) const NB: usize = 128;
-
-/// Scale this member's `js..je` column chunk of the `uplo` triangle of C by
-/// `beta` (the cooperative replacement for the old pool-forking triangle
-/// scale: every team member scales its own chunk, then barriers).
-///
-/// # Safety
-/// `c` must point to `n x n` storage with leading dimension `ldc` whose
-/// columns `js..je` no other thread touches concurrently.
-pub(crate) unsafe fn scale_triangle_cols<T: Float>(
-    n: usize,
-    uplo: Uplo,
-    beta: T,
-    c: SendPtr<T>,
-    ldc: usize,
-    js: usize,
-    je: usize,
-) {
-    if beta == T::ONE {
-        return;
-    }
-    for j in js..je {
-        let (i0, i1) = match uplo {
-            Uplo::Lower => (j, n),
-            Uplo::Upper => (0, j + 1),
-        };
-        // SAFETY: column j of the triangle belongs to this member only.
-        unsafe { scale_block(i1 - i0, 1, beta, c.get().add(i0 + j * ldc), ldc) };
-    }
-}
+const NB: usize = 128;
 
 /// Rows `r0..r0 + rows` of `op(A)`, as the sub-view of A's storage that
 /// holds them (still to be read under `trans`).
@@ -75,7 +47,7 @@ fn op_rows<'a, T: Float>(
 }
 
 /// The operated view of A: `src(i, p) = op(A)[r0 + i, p]`, `rows x k`.
-pub(crate) fn a_rows_src<T: Float>(
+fn a_rows_src<T: Float>(
     a: MatRef<'_, T>,
     trans: Transpose,
     r0: usize,
@@ -86,7 +58,7 @@ pub(crate) fn a_rows_src<T: Float>(
 
 /// The transposed operated view: `src(p, j) = op(A)[c0 + j, p]` — the
 /// "B side" of a rank-k product, `k x cols`.
-pub(crate) fn a_cols_src<T: Float>(
+fn a_cols_src<T: Float>(
     a: MatRef<'_, T>,
     trans: Transpose,
     c0: usize,
@@ -97,16 +69,6 @@ pub(crate) fn a_cols_src<T: Float>(
         Transpose::Yes => Transpose::No,
     };
     PackSrc::matrix(op_rows(a, trans, c0, cols), flipped)
-}
-
-/// The off-diagonal rectangle of strip `bj`: `(row_start, row_count)` for
-/// the rows of C the strip updates below (Lower) or above (Upper) its
-/// diagonal block `j0..j1`.
-pub(crate) fn strip_rect(n: usize, uplo: Uplo, j0: usize, j1: usize) -> (usize, usize) {
-    match uplo {
-        Uplo::Lower => (j1, n - j1),
-        Uplo::Upper => (0, j0),
-    }
 }
 
 /// SYRK on operand views with an explicit thread count.
@@ -126,10 +88,33 @@ pub fn syrk<T: Float>(
     beta: T,
     c: MatMut<'_, T>,
 ) {
-    let Dims([n, k, _]) = entry(syrk_shape(OpKind::Syrk, trans, a, None, c.as_ref()));
+    rank_k(nt, uplo, trans, alpha, a, None, beta, c);
+}
+
+/// The strip driver behind SYRK (`b` absent: `C += alpha * A * A'`) and
+/// SYR2K (`b` present: `C += alpha * (A * B' + B * A')`), with the entry
+/// check of whichever routine it is running.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn rank_k<T: Float>(
+    nt: usize,
+    uplo: Uplo,
+    trans: Transpose,
+    alpha: T,
+    a: MatRef<'_, T>,
+    b: Option<MatRef<'_, T>>,
+    beta: T,
+    c: MatMut<'_, T>,
+) {
+    let op = b.map_or(OpKind::Syrk, |_| OpKind::Syr2k);
+    let Dims([n, k, _]) = entry(syrk_shape(op, trans, a, b, c.as_ref()));
     if n == 0 {
         return;
     }
+    // The `rows x cols'` products a strip rectangle accumulates; a diagonal
+    // tile needs only the first, because `(A * B')' = B * A'`.
+    let other = b.unwrap_or(a);
+    let pairs = [(a, other), (other, a)];
+    let pairs = &pairs[..if b.is_some() { 2 } else { 1 }];
 
     let ldc = c.ld();
     let cptr = SendPtr(c.into_slice().as_mut_ptr());
@@ -144,9 +129,26 @@ pub fn syrk<T: Float>(
     let shared = SharedPack::new(&mut abuf, &mut bbuf);
     let nb = n.div_ceil(NB);
     ThreadPool::run_team_current(nt, |team| {
+        // Rows of column `j` in the stored triangle of an order-`len` block.
+        let stored = |j: usize, len: usize| match uplo {
+            Uplo::Lower => j..len,
+            Uplo::Upper => 0..j + 1,
+        };
+        // Beta scale of the stored triangle, split by columns.
         let (js, je) = team.chunk(n);
-        // SAFETY: disjoint column chunks of the triangle per member.
-        unsafe { scale_triangle_cols(n, uplo, beta, cptr, ldc, js, je) };
+        for j in js..je {
+            let rows = stored(j, n);
+            // SAFETY: column j of the triangle belongs to this member only.
+            unsafe {
+                scale_block(
+                    rows.len(),
+                    1,
+                    beta,
+                    cptr.get().add(rows.start + j * ldc),
+                    ldc,
+                )
+            };
+        }
         team.barrier();
         if skip {
             return;
@@ -154,38 +156,45 @@ pub fn syrk<T: Float>(
         // Phase 1: every strip's off-diagonal rectangle, cooperatively.
         for bj in 0..nb {
             let (j0, j1) = (bj * NB, ((bj + 1) * NB).min(n));
-            let (r0, rows) = strip_rect(n, uplo, j0, j1);
+            // The rows of C the strip updates below (Lower) or above
+            // (Upper) its diagonal block.
+            let (r0, rows) = match uplo {
+                Uplo::Lower => (j1, n - j1),
+                Uplo::Upper => (0, j0),
+            };
             if rows == 0 {
                 continue;
             }
-            let a_src = a_rows_src(a, trans, r0, rows);
-            let b_src = a_cols_src(a, trans, j0, j1 - j0);
-            // SAFETY: strip rectangles are disjoint regions of C, exclusive
-            // to the team; shared bufs sized for the largest strip.
-            unsafe {
-                gemm_cooperative(
-                    &disp,
-                    &team,
-                    rows,
-                    j1 - j0,
-                    k,
-                    alpha,
-                    &a_src,
-                    &b_src,
-                    cptr.get().add(r0 + j0 * ldc),
-                    ldc,
-                    &shared,
-                );
+            for &(x, y) in pairs {
+                // SAFETY: strip rectangles are disjoint regions of C,
+                // exclusive to the team; shared bufs sized for the largest
+                // strip.
+                unsafe {
+                    gemm_cooperative(
+                        &disp,
+                        &team,
+                        rows,
+                        j1 - j0,
+                        k,
+                        alpha,
+                        &a_rows_src(x, trans, r0, rows),
+                        &a_cols_src(y, trans, j0, j1 - j0),
+                        cptr.get().add(r0 + j0 * ldc),
+                        ldc,
+                        &shared,
+                    );
+                }
             }
         }
         // Phase 2: diagonal tiles, distributed round-robin — disjoint from
-        // every rectangle, so no barrier is needed between the phases.
+        // every rectangle, so no barrier is needed between the phases. Each
+        // is `S = alpha * X_d * Y_d'` into scratch, then `C += S` (SYRK) or
+        // `C += S + S'` (SYR2K) on the stored triangle.
+        let (x, y) = pairs[0];
         for bj in (team.tid..nb).step_by(team.size) {
             let (j0, j1) = (bj * NB, ((bj + 1) * NB).min(n));
             let w = j1 - j0;
             let mut scratch = arena::take_zeroed::<T>(w * w);
-            let a_src = a_rows_src(a, trans, j0, w);
-            let b_src = a_cols_src(a, trans, j0, w);
             // SAFETY: scratch is thread-local.
             unsafe {
                 gemm_serial_with(
@@ -194,23 +203,21 @@ pub fn syrk<T: Float>(
                     w,
                     k,
                     alpha,
-                    &a_src,
-                    &b_src,
+                    &a_rows_src(x, trans, j0, w),
+                    &a_cols_src(y, trans, j0, w),
                     scratch.as_mut_ptr(),
                     w,
                 );
             }
             let s = scratch.as_slice();
             for j in 0..w {
-                let (r0t, r1t) = match uplo {
-                    Uplo::Lower => (j, w),
-                    Uplo::Upper => (0, j + 1),
-                };
-                for i in r0t..r1t {
-                    // SAFETY: this diagonal tile is owned by this member.
-                    unsafe {
-                        let dst = cptr.get().add((j0 + i) + (j0 + j) * ldc);
-                        *dst += s[i + j * w];
+                let rows = stored(j, w);
+                // SAFETY: this diagonal tile is owned by this member.
+                unsafe {
+                    let col = cptr.get().add(j0 + (j0 + j) * ldc);
+                    match b {
+                        None => rows.for_each(|i| *col.add(i) += s[i + j * w]),
+                        Some(_) => rows.for_each(|i| *col.add(i) += s[i + j * w] + s[j + i * w]),
                     }
                 }
             }

@@ -2,16 +2,23 @@
 //! `B = alpha*op(A)*B` (Left) or `B = alpha*B*op(A)` (Right),
 //! A triangular with optional implicit unit diagonal.
 //!
+//! Both sides are **one sweep**, written in `(t, f)` coordinates: `t` runs
+//! along the extent A multiplies, `f` along the free one, so element
+//! `(t, f)` is `B[t, f]` on the Left and `B[f, t]` on the Right, and —
+//! `B * op(A)` being `(op(A)' * B')'` — the Right reads `op(A)` with its
+//! indices swapped (`call::by_side` is the whole of that rule).
+//!
 //! The team sweeps the diagonal blocks **in lockstep**: per block, the
-//! small in-place triangular product is split across members (columns for
-//! Left, rows for Right — each member's slice is self-contained), then the
-//! rectangular accumulation against the not-yet-overwritten remainder runs
-//! as one **cooperative GEMM** over the whole of B — the triangular
+//! small in-place triangular product is split across members along `f`
+//! (each member's slice is self-contained), then the rectangular
+//! accumulation against the not-yet-overwritten remainder runs as one
+//! **cooperative GEMM** over the whole free extent — the triangular
 //! operand's packed panels are produced once by the team instead of once
-//! per worker, and B's panels take the strided fast path instead of the old
-//! closure gather. The sweep direction is chosen so every read sees
-//! original data, exactly as in the serial algorithm; barriers separate the
-//! two phases because they partition B differently.
+//! per worker, and B's panels take the strided fast path. The sweep
+//! direction is chosen so every read sees original data, exactly as in the
+//! serial algorithm; a barrier separates the two phases because they
+//! partition B differently, and every member meets the same waits because
+//! every branch below depends on the block only.
 //!
 //! Within the backend seam this module is the kernel level: the driver
 //! below takes the operand views a validated
@@ -19,7 +26,7 @@
 //! [`NativeBackend`](crate::backend::NativeBackend) invokes for one.
 
 use crate::arena;
-use crate::call::{entry, tri_shape};
+use crate::call::{by_side, entry, tri_shape};
 use crate::kernel::{gemm_cooperative, scale_block, shared_pack_lens, SharedPack};
 use crate::matrix::{MatMut, MatRef};
 use crate::op::{Dims, OpKind};
@@ -71,18 +78,6 @@ pub(crate) fn effective_upper(uplo: Uplo, trans: Transpose) -> bool {
     )
 }
 
-/// The diagonal-block sweep order: ascending when the off-diagonal source
-/// lies *after* the block (effective upper on the Left / lower on the
-/// Right), descending otherwise — so rectangular reads always see data the
-/// sweep has not yet overwritten.
-pub(crate) fn sweep_order(nblocks: usize, ascending: bool) -> Vec<usize> {
-    if ascending {
-        (0..nblocks).collect()
-    } else {
-        (0..nblocks).rev().collect()
-    }
-}
-
 /// TRMM on operand views with an explicit thread count.
 ///
 /// `B` is `m x n` and is overwritten with the product. `A` is `m x m`
@@ -107,194 +102,106 @@ pub fn trmm<T: Float>(
     if m == 0 || n == 0 {
         return;
     }
-    if alpha == T::ZERO {
-        // BLAS convention: B := 0.
-        let bp = SendPtr(b.as_mut_ptr());
-        ThreadPool::run_current(nt, |tid| {
-            let (js, je) = ThreadPool::chunk(n, nt, tid);
-            for j in js..je {
-                // SAFETY: disjoint columns per worker.
-                unsafe { scale_block(m, 1, T::ZERO, bp.get().add(j * ldb), ldb) };
-            }
-        });
-        return;
-    }
-
-    let at = move |i: usize, j: usize| tri_at(a, uplo, trans, diag, i, j);
-    let eff_upper = effective_upper(uplo, trans);
+    let (tlen, flen) = by_side(side, m, n);
+    let (st, sf) = by_side(side, 1, ldb);
+    let at = move |t: usize, p: usize| {
+        let (i, j) = by_side(side, t, p);
+        tri_at(a, uplo, trans, diag, i, j)
+    };
+    // Row `t` reads the rows after it or before it; the sweep runs away
+    // from them, so every read sees data it has not yet overwritten.
+    let upper = effective_upper(uplo, trans) == (side == Side::Left);
+    // BLAS convention: `alpha == 0` is `B := 0` with neither operand read —
+    // no blocks to sweep, and the final scale stores the zeros.
+    let swept = if alpha == T::ZERO { 0 } else { tlen };
+    let nblocks = swept.div_ceil(TB);
     let bp = SendPtr(b.as_mut_ptr());
     // Resolve the micro-kernel once; the whole team shares it.
     let disp = T::kernel();
-    let (alen, blen) = match side {
-        Side::Left => shared_pack_lens(&disp, TB.min(m), n, m),
-        Side::Right => shared_pack_lens(&disp, m, TB.min(n), n),
-    };
+    let (rows, cols) = by_side(side, TB.min(tlen), flen);
+    let (alen, blen) = shared_pack_lens(&disp, rows, cols, tlen);
     let mut pa = arena::take::<T>(alen);
     let mut pb = arena::take::<T>(blen);
     let shared = SharedPack::new(&mut pa, &mut pb);
 
-    match side {
-        Side::Left => {
-            let nblocks = m.div_ceil(TB);
-            let order = sweep_order(nblocks, eff_upper);
-            ThreadPool::run_team_current(nt, |team| {
-                // SAFETY: bp spans the m x n matrix B with leading
-                // dimension ldb, and every caller keeps i < m, j < n.
-                let bget = |i: usize, j: usize| unsafe { *bp.get().add(i + j * ldb) };
-                // SAFETY: same extent as bget; the team partition keeps
-                // concurrent writes on disjoint elements, and barriers
-                // order every cross-chunk read after the write it needs.
-                let bset = |i: usize, j: usize, v: T| unsafe { *bp.get().add(i + j * ldb) = v };
-                for &bi in &order {
-                    let i0 = bi * TB;
-                    let i1 = ((bi + 1) * TB).min(m);
-                    // 1. In-place triangular product on the diagonal block:
-                    // column-local, so members take column chunks.
-                    let (js, je) = team.chunk(n);
-                    for j in js..je {
-                        if eff_upper {
-                            for i in i0..i1 {
-                                let mut acc = T::ZERO;
-                                for p in i..i1 {
-                                    acc += at(i, p) * bget(p, j);
-                                }
-                                bset(i, j, acc);
-                            }
-                        } else {
-                            for i in (i0..i1).rev() {
-                                let mut acc = T::ZERO;
-                                for p in i0..=i {
-                                    acc += at(i, p) * bget(p, j);
-                                }
-                                bset(i, j, acc);
-                            }
-                        }
-                    }
-                    // The fold below repartitions the same rows by register tile.
-                    team.barrier();
-                    // 2. Rectangular accumulation against untouched rows,
-                    // as one cooperative product over all of B's columns.
-                    let (src0, krem) = if eff_upper { (i1, m - i1) } else { (0, i0) };
-                    if krem > 0 {
-                        let a_fold = move |i: usize, p: usize| at(i0 + i, src0 + p);
-                        let a_src = PackSrc::gather(&a_fold);
-                        // SAFETY: rows src0..src0+krem are untouched until
-                        // their own block's turn, so they are stable reads
-                        // while rows i0..i1 are written.
-                        let b_src =
-                            unsafe { PackSrc::from_raw(bp.get().add(src0) as *const T, 1, ldb) };
-                        // SAFETY: destination rows i0..i1 are team-exclusive
-                        // (tile split inside); barrier above published phase 1.
-                        unsafe {
-                            gemm_cooperative(
-                                &disp,
-                                &team,
-                                i1 - i0,
-                                n,
-                                krem,
-                                T::ONE,
-                                &a_src,
-                                &b_src,
-                                bp.get().add(i0),
-                                ldb,
-                                &shared,
-                            );
-                        }
-                    } else {
-                        // Keep every member's barrier schedule identical.
-                        team.barrier();
-                    }
+    ThreadPool::run_team_current(nt, |team| {
+        // SAFETY: bp spans the m x n matrix B with leading dimension ldb,
+        // and every caller keeps t < tlen, f < flen.
+        let bget = |t: usize, f: usize| unsafe { *bp.get().add(t * st + f * sf) };
+        // SAFETY: same extent as bget; the team partition keeps concurrent
+        // writes on disjoint elements, and barriers order every
+        // cross-chunk read after the write it needs.
+        let bset = |t: usize, f: usize, v: T| unsafe { *bp.get().add(t * st + f * sf) = v };
+        for blk in 0..nblocks {
+            let t0 = TB * if upper { blk } else { nblocks - 1 - blk };
+            let t1 = (t0 + TB).min(tlen);
+            // 1. In-place triangular product on the diagonal block, `f`
+            // chunks: `t` outermost so one gathered row of op(A) serves the
+            // whole chunk, in the order that overwrites a row only once read.
+            let (fs, fe) = team.chunk(flen);
+            let mut row = [T::ZERO; TB];
+            for step in 0..t1 - t0 {
+                let t = if upper { t0 + step } else { t1 - 1 - step };
+                let ps = if upper { t..t1 } else { t0..t + 1 };
+                for (x, p) in row.iter_mut().zip(ps.clone()) {
+                    *x = at(t, p);
                 }
-                // 3. Final alpha scale, column chunks (the barrier above —
-                // cooperative trailing or explicit — ordered all writes).
-                if alpha != T::ONE {
-                    let (js, je) = team.chunk(n);
-                    if js < je {
-                        // SAFETY: disjoint column chunks per member.
-                        unsafe { scale_block(m, je - js, alpha, bp.get().add(js * ldb), ldb) };
+                for f in fs..fe {
+                    let mut acc = T::ZERO;
+                    for (&x, p) in row.iter().zip(ps.clone()) {
+                        acc += x * bget(p, f);
                     }
+                    bset(t, f, acc);
                 }
-            });
+            }
+            // The fold below repartitions the same block by register tile
+            // (and, after the last block, the alpha scale by column).
+            team.barrier();
+            // 2. Rectangular accumulation against the untouched part, as
+            // one cooperative product over the whole free extent (none for
+            // the last block).
+            let (src0, krem) = if upper { (t1, tlen - t1) } else { (0, t0) };
+            if krem > 0 {
+                let (r0, c0) = by_side(side, t0, src0);
+                let tri = move |i: usize, j: usize| tri_at(a, uplo, trans, diag, r0 + i, c0 + j);
+                let tri_src = PackSrc::gather(&tri);
+                // SAFETY: `t` in src0..src0+krem is untouched until its own
+                // block's turn, so it is a stable read while t0..t1 is
+                // written.
+                let b_src =
+                    unsafe { PackSrc::from_raw(bp.get().add(src0 * st) as *const T, 1, ldb) };
+                let (lhs, rhs) = by_side(side, &tri_src, &b_src);
+                let (rows, cols) = by_side(side, t1 - t0, flen);
+                // SAFETY: the destination `t` in t0..t1 is team-exclusive
+                // (tile split inside); the barrier above published phase 1,
+                // the trailing one fences the source before the next block
+                // overwrites it.
+                unsafe {
+                    gemm_cooperative(
+                        &disp,
+                        &team,
+                        rows,
+                        cols,
+                        krem,
+                        T::ONE,
+                        lhs,
+                        rhs,
+                        bp.get().add(t0 * st),
+                        ldb,
+                        &shared,
+                    );
+                }
+            }
         }
-        Side::Right => {
-            let nblocks = n.div_ceil(TB);
-            let order = sweep_order(nblocks, !eff_upper);
-            ThreadPool::run_team_current(nt, |team| {
-                // SAFETY: bp spans the m x n matrix B with leading
-                // dimension ldb, and every caller keeps i < m, j < n.
-                let bget = |i: usize, j: usize| unsafe { *bp.get().add(i + j * ldb) };
-                // SAFETY: same extent as bget; the team partition keeps
-                // concurrent writes on disjoint elements, and barriers
-                // order every cross-chunk read after the write it needs.
-                let bset = |i: usize, j: usize, v: T| unsafe { *bp.get().add(i + j * ldb) = v };
-                for &bj in &order {
-                    let j0 = bj * TB;
-                    let j1 = ((bj + 1) * TB).min(n);
-                    // 1. In-place triangular product on the diagonal block:
-                    // row-local, so members take row chunks.
-                    let (is, ie) = team.chunk(m);
-                    if eff_upper {
-                        for j in (j0..j1).rev() {
-                            for i in is..ie {
-                                let mut acc = T::ZERO;
-                                for p in j0..=j {
-                                    acc += bget(i, p) * at(p, j);
-                                }
-                                bset(i, j, acc);
-                            }
-                        }
-                    } else {
-                        for j in j0..j1 {
-                            for i in is..ie {
-                                let mut acc = T::ZERO;
-                                for p in j..j1 {
-                                    acc += bget(i, p) * at(p, j);
-                                }
-                                bset(i, j, acc);
-                            }
-                        }
-                    }
-                    team.barrier();
-                    // 2. Rectangular accumulation against untouched columns.
-                    let (src0, krem) = if eff_upper { (0, j0) } else { (j1, n - j1) };
-                    if krem > 0 {
-                        let a_fold = move |p: usize, j: usize| at(src0 + p, j0 + j);
-                        let at_src = PackSrc::gather(&a_fold);
-                        // SAFETY: columns src0.. are untouched until their
-                        // own block's turn; stable reads.
-                        let b_src = unsafe {
-                            PackSrc::from_raw(bp.get().add(src0 * ldb) as *const T, 1, ldb)
-                        };
-                        // SAFETY: destination columns j0..j1 team-exclusive.
-                        unsafe {
-                            gemm_cooperative(
-                                &disp,
-                                &team,
-                                m,
-                                j1 - j0,
-                                krem,
-                                T::ONE,
-                                &b_src,
-                                &at_src,
-                                bp.get().add(j0 * ldb),
-                                ldb,
-                                &shared,
-                            );
-                        }
-                    } else {
-                        team.barrier();
-                    }
-                }
-                if alpha != T::ONE {
-                    let (js, je) = team.chunk(n);
-                    if js < je {
-                        // SAFETY: disjoint column chunks per member.
-                        unsafe { scale_block(m, je - js, alpha, bp.get().add(js * ldb), ldb) };
-                    }
-                }
-            });
+        // 3. Final alpha scale, column chunks.
+        if alpha != T::ONE {
+            let (js, je) = team.chunk(n);
+            if js < je {
+                // SAFETY: disjoint column chunks per member.
+                unsafe { scale_block(m, je - js, alpha, bp.get().add(js * ldb), ldb) };
+            }
         }
-    }
+    });
 }
 
 #[cfg(test)]
@@ -340,6 +247,52 @@ mod tests {
                                     "m={m} n={n} nt={nt} {side:?} {uplo:?} {trans:?} {diag:?}"
                                 );
                             }
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn right_is_the_transpose_of_left_bitwise() {
+        // B * op(A) = (op(A)' * B')': both sides are the one (t, f) sweep,
+        // so the Right result is the Left one of the transposed problem,
+        // bit for bit, for every flag.
+        for &(m, n) in &[(5, 7), (70, 30), (9, 130)] {
+            for &nt in &[1usize, 3] {
+                for uplo in [Upper, Lower] {
+                    for (trans, flipped) in [(No, Yes), (Yes, No)] {
+                        for diag in [NonUnit, Unit] {
+                            let a = test_mat(n, n, 17);
+                            let b0 = test_mat(m, n, 23);
+                            let mut right = b0.clone();
+                            trmm(
+                                nt,
+                                Right,
+                                uplo,
+                                trans,
+                                diag,
+                                1.4,
+                                a.as_ref(),
+                                right.as_mut(),
+                            );
+                            let mut left = b0.transposed();
+                            trmm(
+                                nt,
+                                Left,
+                                uplo,
+                                flipped,
+                                diag,
+                                1.4,
+                                a.as_ref(),
+                                left.as_mut(),
+                            );
+                            assert_eq!(
+                                right.as_slice(),
+                                left.transposed().as_slice(),
+                                "m={m} n={n} nt={nt} {uplo:?} {trans:?} {diag:?}"
+                            );
                         }
                     }
                 }

@@ -2,15 +2,21 @@
 //! `op(A) * X = alpha * B` (Left) or `X * op(A) = alpha * B` (Right);
 //! the solution X overwrites B. A is assumed non-singular.
 //!
-//! The diagonal blocks are **dependent** — block `i` can only be solved
-//! after every earlier block's contribution is folded in — so their serial
-//! ordering is kept, and the team sweeps them in lockstep: per block, the
-//! fold of the already-solved part is one **cooperative GEMM** over all of
-//! B (the triangular operand's panels are packed once by the team, the
-//! solved part of B takes the strided fast path), then the small
-//! substitution on the diagonal block is split across members (columns for
-//! Left, rows for Right — each member's slice is self-contained). A barrier
-//! after each substitution publishes the solved values the next fold reads.
+//! Both sides are **one sweep**, written in the `(t, f)` coordinates of
+//! [`trmm`](crate::trmm): `X * op(A) = B` being `op(A)' * X' = B'`, the
+//! Right swaps B's strides and reads `op(A)` with its indices swapped.
+//!
+//! The diagonal blocks are **dependent** — block `t0..t1` can only be
+//! solved after every earlier block's contribution is folded in — so their
+//! serial ordering is kept, and the team sweeps them in lockstep: per
+//! block, the fold of the already-solved part is one **cooperative GEMM**
+//! over the whole free extent (the triangular operand's panels are packed
+//! once by the team, the solved part of B takes the strided fast path),
+//! then the small substitution on the diagonal block is split across
+//! members along `f` (each member's slice is self-contained). A barrier
+//! after each substitution publishes the solved values the next fold
+//! reads; every member meets the same waits because every branch below
+//! depends on the block only.
 //!
 //! Within the backend seam this module is the kernel level: the driver
 //! below takes the operand views a validated
@@ -18,13 +24,13 @@
 //! [`NativeBackend`](crate::backend::NativeBackend) invokes for one.
 
 use crate::arena;
-use crate::call::{entry, tri_shape};
+use crate::call::{by_side, entry, tri_shape};
 use crate::kernel::{gemm_cooperative, scale_block, shared_pack_lens, SharedPack};
 use crate::matrix::{MatMut, MatRef};
 use crate::op::{Dims, OpKind};
 use crate::pack::PackSrc;
 use crate::pool::{SendPtr, ThreadPool};
-use crate::trmm::{effective_upper, sweep_order, tri_at};
+use crate::trmm::{effective_upper, tri_at};
 use crate::{Diag, Float, Side, Transpose, Uplo};
 
 /// Diagonal-block size for the substitution sweep.
@@ -55,191 +61,103 @@ pub fn trsm<T: Float>(
         return;
     }
 
-    let at = move |i: usize, j: usize| tri_at(a, uplo, trans, diag, i, j);
-    let eff_upper = effective_upper(uplo, trans);
+    let (tlen, flen) = by_side(side, m, n);
+    let (st, sf) = by_side(side, 1, ldb);
+    let at = move |t: usize, p: usize| {
+        let (i, j) = by_side(side, t, p);
+        tri_at(a, uplo, trans, diag, i, j)
+    };
+    // Row `t` depends on the rows after it or before it; the sweep starts
+    // at the row that depends on none.
+    let upper = effective_upper(uplo, trans) == (side == Side::Left);
+    let nblocks = tlen.div_ceil(TB);
     let bp = SendPtr(b.as_mut_ptr());
     // Resolve the micro-kernel once; the whole team shares it.
     let disp = T::kernel();
-    let (alen, blen) = match side {
-        Side::Left => shared_pack_lens(&disp, TB.min(m), n, m),
-        Side::Right => shared_pack_lens(&disp, m, TB.min(n), n),
-    };
+    let (rows, cols) = by_side(side, TB.min(tlen), flen);
+    let (alen, blen) = shared_pack_lens(&disp, rows, cols, tlen);
     let mut pa = arena::take::<T>(alen);
     let mut pb = arena::take::<T>(blen);
     let shared = SharedPack::new(&mut pa, &mut pb);
 
-    match side {
-        Side::Left => {
-            let nblocks = m.div_ceil(TB);
-            // Forward (effective lower) or backward (effective upper).
-            let order = sweep_order(nblocks, !eff_upper);
-            ThreadPool::run_team_current(nt, |team| {
-                // SAFETY: bp spans the m x n matrix B with leading
-                // dimension ldb, and every caller keeps i < m, j < n.
-                let bget = |i: usize, j: usize| unsafe { *bp.get().add(i + j * ldb) };
-                // SAFETY: same extent as bget; the team partition keeps
-                // concurrent writes on disjoint elements, and barriers
-                // order every cross-chunk read after the write it needs.
-                let bset = |i: usize, j: usize, v: T| unsafe { *bp.get().add(i + j * ldb) = v };
-                // Alpha scale first, column chunks; the barrier publishes
-                // it before any fold reads across the column partition.
-                let (js, je) = team.chunk(n);
-                if js < je {
-                    // SAFETY: disjoint column chunks per member.
-                    unsafe { scale_block(m, je - js, alpha, bp.get().add(js * ldb), ldb) };
-                }
-                team.barrier();
-                for &bi in &order {
-                    let i0 = bi * TB;
-                    let i1 = ((bi + 1) * TB).min(m);
-                    // 1. Fold in already-solved rows as one cooperative
-                    // product over all of B's columns.
-                    let (src0, krem) = if eff_upper { (i1, m - i1) } else { (0, i0) };
-                    if krem > 0 {
-                        let a_fold = move |i: usize, p: usize| at(i0 + i, src0 + p);
-                        let a_src = PackSrc::gather(&a_fold);
-                        // SAFETY: rows src0..src0+krem hold final solved
-                        // values (published by the barrier below in an
-                        // earlier iteration) and are not written again.
-                        let b_src =
-                            unsafe { PackSrc::from_raw(bp.get().add(src0) as *const T, 1, ldb) };
-                        // SAFETY: destination rows i0..i1 team-exclusive.
-                        unsafe {
-                            gemm_cooperative(
-                                &disp,
-                                &team,
-                                i1 - i0,
-                                n,
-                                krem,
-                                -T::ONE,
-                                &a_src,
-                                &b_src,
-                                bp.get().add(i0),
-                                ldb,
-                                &shared,
-                            );
-                        }
-                    } else {
-                        // Keep every member's barrier schedule identical.
-                        team.barrier();
-                    }
-                    // 2. Solve the diagonal block, column chunks.
-                    let (js, je) = team.chunk(n);
-                    for j in js..je {
-                        if eff_upper {
-                            for i in (i0..i1).rev() {
-                                let mut v = bget(i, j);
-                                for p in i + 1..i1 {
-                                    v -= at(i, p) * bget(p, j);
-                                }
-                                if diag == Diag::NonUnit {
-                                    v = v / at(i, i);
-                                }
-                                bset(i, j, v);
-                            }
-                        } else {
-                            for i in i0..i1 {
-                                let mut v = bget(i, j);
-                                for p in i0..i {
-                                    v -= at(i, p) * bget(p, j);
-                                }
-                                if diag == Diag::NonUnit {
-                                    v = v / at(i, i);
-                                }
-                                bset(i, j, v);
-                            }
-                        }
-                    }
-                    // Publish the solved rows for the next block's fold.
-                    team.barrier();
-                }
-            });
+    ThreadPool::run_team_current(nt, |team| {
+        // SAFETY: bp spans the m x n matrix B with leading dimension ldb,
+        // and every caller keeps t < tlen, f < flen.
+        let bget = |t: usize, f: usize| unsafe { *bp.get().add(t * st + f * sf) };
+        // SAFETY: same extent as bget; the team partition keeps concurrent
+        // writes on disjoint elements, and barriers order every
+        // cross-chunk read after the write it needs.
+        let bset = |t: usize, f: usize, v: T| unsafe { *bp.get().add(t * st + f * sf) = v };
+        // Alpha scale first, column chunks; the barrier publishes it
+        // before any fold reads across the partition.
+        let (js, je) = team.chunk(n);
+        if js < je {
+            // SAFETY: disjoint column chunks per member.
+            unsafe { scale_block(m, je - js, alpha, bp.get().add(js * ldb), ldb) };
         }
-        Side::Right => {
-            let nblocks = n.div_ceil(TB);
-            // Solution column j depends on at(p, j): effective upper means
-            // p < j (solve left-to-right), lower means p > j.
-            let order = sweep_order(nblocks, eff_upper);
-            ThreadPool::run_team_current(nt, |team| {
-                // SAFETY: bp spans the m x n matrix B with leading
-                // dimension ldb, and every caller keeps i < m, j < n.
-                let bget = |i: usize, j: usize| unsafe { *bp.get().add(i + j * ldb) };
-                // SAFETY: same extent as bget; the team partition keeps
-                // concurrent writes on disjoint elements, and barriers
-                // order every cross-chunk read after the write it needs.
-                let bset = |i: usize, j: usize, v: T| unsafe { *bp.get().add(i + j * ldb) = v };
-                let (js, je) = team.chunk(n);
-                if js < je {
-                    // SAFETY: disjoint column chunks per member.
-                    unsafe { scale_block(m, je - js, alpha, bp.get().add(js * ldb), ldb) };
+        team.barrier();
+        for blk in 0..nblocks {
+            let t0 = TB * if upper { nblocks - 1 - blk } else { blk };
+            let t1 = (t0 + TB).min(tlen);
+            // 1. Fold in the already-solved part as one cooperative
+            // product over the whole free extent (none for the first block).
+            let (src0, krem) = if upper { (t1, tlen - t1) } else { (0, t0) };
+            if krem > 0 {
+                let (r0, c0) = by_side(side, t0, src0);
+                let tri = move |i: usize, j: usize| tri_at(a, uplo, trans, diag, r0 + i, c0 + j);
+                let tri_src = PackSrc::gather(&tri);
+                // SAFETY: `t` in src0..src0+krem holds final solved values
+                // (published by the barrier below in an earlier iteration)
+                // and is not written again.
+                let b_src =
+                    unsafe { PackSrc::from_raw(bp.get().add(src0 * st) as *const T, 1, ldb) };
+                let (lhs, rhs) = by_side(side, &tri_src, &b_src);
+                let (rows, cols) = by_side(side, t1 - t0, flen);
+                // SAFETY: the destination `t` in t0..t1 is team-exclusive
+                // (tile split inside); its trailing barrier orders the
+                // substitution below after every tile.
+                unsafe {
+                    gemm_cooperative(
+                        &disp,
+                        &team,
+                        rows,
+                        cols,
+                        krem,
+                        -T::ONE,
+                        lhs,
+                        rhs,
+                        bp.get().add(t0 * st),
+                        ldb,
+                        &shared,
+                    );
                 }
-                team.barrier();
-                for &bj in &order {
-                    let j0 = bj * TB;
-                    let j1 = ((bj + 1) * TB).min(n);
-                    // 1. Fold in already-solved columns.
-                    let (src0, krem) = if eff_upper { (0, j0) } else { (j1, n - j1) };
-                    if krem > 0 {
-                        let a_fold = move |p: usize, j: usize| at(src0 + p, j0 + j);
-                        let at_src = PackSrc::gather(&a_fold);
-                        // SAFETY: columns src0.. hold final solved values.
-                        let b_src = unsafe {
-                            PackSrc::from_raw(bp.get().add(src0 * ldb) as *const T, 1, ldb)
-                        };
-                        // SAFETY: destination columns j0..j1 team-exclusive.
-                        unsafe {
-                            gemm_cooperative(
-                                &disp,
-                                &team,
-                                m,
-                                j1 - j0,
-                                krem,
-                                -T::ONE,
-                                &b_src,
-                                &at_src,
-                                bp.get().add(j0 * ldb),
-                                ldb,
-                                &shared,
-                            );
-                        }
-                    } else {
-                        team.barrier();
-                    }
-                    // 2. Solve the diagonal block, row chunks.
-                    let (is, ie) = team.chunk(m);
-                    if eff_upper {
-                        for j in j0..j1 {
-                            for i in is..ie {
-                                let mut v = bget(i, j);
-                                for p in j0..j {
-                                    v -= bget(i, p) * at(p, j);
-                                }
-                                if diag == Diag::NonUnit {
-                                    v = v / at(j, j);
-                                }
-                                bset(i, j, v);
-                            }
-                        }
-                    } else {
-                        for j in (j0..j1).rev() {
-                            for i in is..ie {
-                                let mut v = bget(i, j);
-                                for p in j + 1..j1 {
-                                    v -= bget(i, p) * at(p, j);
-                                }
-                                if diag == Diag::NonUnit {
-                                    v = v / at(j, j);
-                                }
-                                bset(i, j, v);
-                            }
-                        }
-                    }
-                    // Publish the solved columns for the next block's fold.
-                    team.barrier();
+            }
+            // 2. Solve the diagonal block, `f` chunks: `t` outermost so
+            // one gathered row of op(A) serves the whole chunk.
+            let (fs, fe) = team.chunk(flen);
+            let mut row = [T::ZERO; TB];
+            for step in 0..t1 - t0 {
+                let t = if upper { t1 - 1 - step } else { t0 + step };
+                let ps = if upper { t + 1..t1 } else { t0..t };
+                for (x, p) in row.iter_mut().zip(ps.clone()) {
+                    *x = at(t, p);
                 }
-            });
+                let pivot = at(t, t);
+                for f in fs..fe {
+                    let mut v = bget(t, f);
+                    for (&x, p) in row.iter().zip(ps.clone()) {
+                        v -= x * bget(p, f);
+                    }
+                    if diag == Diag::NonUnit {
+                        v = v / pivot;
+                    }
+                    bset(t, f, v);
+                }
+            }
+            // Publish the solved block for the next fold.
+            team.barrier();
         }
-    }
+    });
 }
 
 #[cfg(test)]
@@ -301,6 +219,52 @@ mod tests {
                                     "m={m} n={n} nt={nt} {side:?} {uplo:?} {trans:?} {diag:?}"
                                 );
                             }
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn right_is_the_transpose_of_left_bitwise() {
+        // X * op(A) = B is op(A)' * X' = B': both sides are the one (t, f)
+        // sweep, so the Right solution is the Left one of the transposed
+        // problem, bit for bit, for every flag.
+        for &(m, n) in &[(5, 7), (70, 30), (9, 130)] {
+            for &nt in &[1usize, 3] {
+                for uplo in [Upper, Lower] {
+                    for (trans, flipped) in [(No, Yes), (Yes, No)] {
+                        for diag in [NonUnit, Unit] {
+                            let a = tri_test_mat(n, 17);
+                            let b0 = test_mat(m, n, 23);
+                            let mut right = b0.clone();
+                            trsm(
+                                nt,
+                                Right,
+                                uplo,
+                                trans,
+                                diag,
+                                1.5,
+                                a.as_ref(),
+                                right.as_mut(),
+                            );
+                            let mut left = b0.transposed();
+                            trsm(
+                                nt,
+                                Left,
+                                uplo,
+                                flipped,
+                                diag,
+                                1.5,
+                                a.as_ref(),
+                                left.as_mut(),
+                            );
+                            assert_eq!(
+                                right.as_slice(),
+                                left.transposed().as_slice(),
+                                "m={m} n={n} nt={nt} {uplo:?} {trans:?} {diag:?}"
+                            );
                         }
                     }
                 }

@@ -10,8 +10,9 @@
 //!   the same micro-kernel and block order regardless of team size, so
 //!   results must be *bitwise* identical across nt. (The old per-chunk
 //!   strategy could not make this promise: chunk boundaries moved with nt.)
-//! * **zero steady-state allocations** — after a warm-up call, replaying
-//!   the same shapes performs no packing allocations (the arena hook).
+//! * **zero steady-state allocations** lives in `arena_steady_state.rs`:
+//!   the arena's counters are process-wide, so that check needs a test
+//!   binary of its own.
 //!
 //! The `ADSALA_TEST_NT` environment variable appends one extra thread
 //! count to every sweep (CI uses it to force an oddball team size).
@@ -20,7 +21,7 @@
 #![cfg(not(miri))]
 
 use adsala_blas3::pool::ThreadPool;
-use adsala_blas3::{arena, gemm, reference, symm, syr2k, syrk, trmm, trsm};
+use adsala_blas3::{gemm, reference, symm, syr2k, syrk, trmm, trsm};
 use adsala_blas3::{Diag, Float, Matrix, Side, Transpose, Uplo};
 use proptest::prelude::*;
 
@@ -290,96 +291,4 @@ fn edge_shapes_leave_empty_chunks() {
     ] {
         check_all_routines::<f64>(m, n, k, 0xED6E * (m + n + k) as u64, 1e-11);
     }
-}
-
-/// Steady-state serving traffic performs **zero** packing allocations:
-/// once every participating thread's arena is warm, replaying the same
-/// shapes hits the free lists only. This is the issue's acceptance hook.
-#[test]
-fn steady_state_packing_allocations_are_zero() {
-    let (m, n, k) = (180, 170, 96);
-    let nt = 4;
-    let a = det_mat::<f64>(m, k, 1);
-    let b = det_mat::<f64>(k, n, 2);
-    let bs = det_mat::<f64>(m, n, 4); // m x n operand for symm/trmm/trsm
-    let tri = tri_mat::<f64>(m, 3);
-    let mut c = Matrix::<f64>::zeros(m, n);
-    let mut run_all = || {
-        gemm::gemm(
-            nt,
-            Transpose::No,
-            Transpose::No,
-            1.0,
-            a.as_ref(),
-            b.as_ref(),
-            0.0,
-            c.as_mut(),
-        );
-        symm::symm(
-            nt,
-            Side::Left,
-            Uplo::Upper,
-            1.0,
-            tri.as_ref(),
-            bs.as_ref(),
-            0.0,
-            c.as_mut(),
-        );
-        let mut sq = Matrix::<f64>::zeros(m, m);
-        syrk::syrk(
-            nt,
-            Uplo::Lower,
-            Transpose::No,
-            1.0,
-            a.as_ref(),
-            0.0,
-            sq.as_mut(),
-        );
-        syr2k::syr2k(
-            nt,
-            Uplo::Lower,
-            Transpose::No,
-            1.0,
-            a.as_ref(),
-            a.as_ref(),
-            0.0,
-            sq.as_mut(),
-        );
-        let mut bx = bs.clone();
-        trmm::trmm(
-            nt,
-            Side::Left,
-            Uplo::Lower,
-            Transpose::No,
-            Diag::NonUnit,
-            1.0,
-            tri.as_ref(),
-            bx.as_mut(),
-        );
-        trsm::trsm(
-            nt,
-            Side::Left,
-            Uplo::Lower,
-            Transpose::No,
-            Diag::NonUnit,
-            1.0,
-            tri.as_ref(),
-            bx.as_mut(),
-        );
-    };
-    // Warm-up: twice, so every worker thread the pool may rotate through
-    // has touched its arena classes.
-    run_all();
-    run_all();
-    arena::reset_stats();
-    for _ in 0..5 {
-        run_all();
-    }
-    assert_eq!(
-        arena::allocation_count(),
-        0,
-        "steady-state calls must serve every packing buffer from the arena \
-         (hits: {})",
-        arena::hit_count()
-    );
 }
