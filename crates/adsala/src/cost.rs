@@ -23,7 +23,7 @@
 //! `adsala-serve`'s `adapt` module for the drift → refit → swap driver built
 //! on top.
 
-use crate::install::{predict_best_cost, predict_secs_at, InstalledRoutine};
+use crate::install::{candidates, predict_secs_at, sweep, InstalledRoutine};
 use adsala_blas3::op::{Dims, Routine};
 use std::fmt;
 use std::sync::Arc;
@@ -83,12 +83,12 @@ impl CostModel for InstalledRoutine {
     }
 
     fn predict_cost(&self, dims: Dims) -> (usize, f64) {
-        predict_best_cost(
+        sweep(
             &self.model,
             &self.pipeline,
             self.routine,
             dims,
-            &self.candidates(),
+            candidates(self.max_threads, self.nt_stride),
         )
     }
 

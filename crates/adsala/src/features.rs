@@ -84,8 +84,29 @@ pub fn feature_names(op: OpKind) -> Vec<&'static str> {
     }
 }
 
+/// The widest Table III feature set (GEMM's).
+pub const MAX_FEATURES: usize = 17;
+
 /// Compute the Table III feature vector for one call instance.
 pub fn features_for(routine: Routine, dims: Dims, nt: usize) -> Vec<f64> {
+    let mut row = [0.0; MAX_FEATURES];
+    let width = features_into(routine, dims, nt, &mut row);
+    row[..width].to_vec()
+}
+
+/// Write the Table III feature vector for one call instance to the front of
+/// `row` and return its width — [`features_for`] without the allocation,
+/// for the prediction sweep.
+pub fn features_into(
+    routine: Routine,
+    dims: Dims,
+    nt: usize,
+    row: &mut [f64; MAX_FEATURES],
+) -> usize {
+    fn put<const N: usize>(row: &mut [f64; MAX_FEATURES], values: [f64; N]) -> usize {
+        row[..N].copy_from_slice(&values);
+        N
+    }
     let ntf = nt as f64;
     let fp = routine.op.footprint_words(dims);
     if routine.op.is_level2() {
@@ -94,62 +115,74 @@ pub fn features_for(routine: Routine, dims: Dims, nt: usize) -> Vec<f64> {
         return match routine.op.n_dims() {
             2 => {
                 let (m, n) = (dims.a() as f64, dims.b() as f64);
-                vec![
-                    m,
-                    n,
-                    ntf,
-                    m * n,
-                    fp,
-                    flops,
-                    ai,
-                    m / ntf,
-                    n / ntf,
-                    m * n / ntf,
-                    fp / ntf,
-                ]
+                put(
+                    row,
+                    [
+                        m,
+                        n,
+                        ntf,
+                        m * n,
+                        fp,
+                        flops,
+                        ai,
+                        m / ntf,
+                        n / ntf,
+                        m * n / ntf,
+                        fp / ntf,
+                    ],
+                )
             }
             _ => {
                 let n = dims.a() as f64;
-                vec![n, ntf, n * n, fp, flops, ai, n / ntf, n * n / ntf, fp / ntf]
+                put(
+                    row,
+                    [n, ntf, n * n, fp, flops, ai, n / ntf, n * n / ntf, fp / ntf],
+                )
             }
         };
     }
     match routine.op.n_dims() {
         3 => {
             let (m, k, n) = (dims.a() as f64, dims.b() as f64, dims.c() as f64);
-            vec![
-                m,
-                k,
-                n,
-                ntf,
-                m * k,
-                m * n,
-                k * n,
-                m * k * n,
-                fp,
-                m / ntf,
-                k / ntf,
-                n / ntf,
-                m * k / ntf,
-                m * n / ntf,
-                k * n / ntf,
-                m * k * n / ntf,
-                fp / ntf,
-            ]
+            put(
+                row,
+                [
+                    m,
+                    k,
+                    n,
+                    ntf,
+                    m * k,
+                    m * n,
+                    k * n,
+                    m * k * n,
+                    fp,
+                    m / ntf,
+                    k / ntf,
+                    n / ntf,
+                    m * k / ntf,
+                    m * n / ntf,
+                    k * n / ntf,
+                    m * k * n / ntf,
+                    fp / ntf,
+                ],
+            )
         }
         _ => {
             let (a, b) = (dims.a() as f64, dims.b() as f64);
-            vec![
-                a,
-                b,
-                ntf,
-                a * b,
-                fp,
-                a / ntf,
-                b / ntf,
-                a * b / ntf,
-                fp / ntf,
-            ]
+            put(
+                row,
+                [
+                    a,
+                    b,
+                    ntf,
+                    a * b,
+                    fp,
+                    a / ntf,
+                    b / ntf,
+                    a * b / ntf,
+                    fp / ntf,
+                ],
+            )
         }
     }
 }

@@ -7,8 +7,23 @@
 //! model evaluation latency are traded off in one number, which is why a
 //! slightly-less-accurate linear model can beat a kNN whose per-call sweep
 //! costs milliseconds.
+//!
+//! # The prediction sweep
+//!
+//! `t_eval` is paid on every predictor-cache miss, so [`predict_best_cost`]
+//! and [`predict_secs_at`] are one pass without a heap allocation. Raw
+//! Table III features go to a stack row ([`features_into`]); only the
+//! columns the correlation filter kept are power-transformed and
+//! standardised, by the same operations in the same order as
+//! [`PipelineConfig::transform_row`], so the bits are the same; a column
+//! that does not involve `nt` is transformed once per call and copied to
+//! every other candidate. The candidates are iterated, not collected, and
+//! their rows are laid side by side, sixteen to a block, so that the model
+//! prices a block in one [`Regressor::predict_rows`] — for the
+//! gradient-boosted kind one lock-step walk of its node arena (see
+//! `adsala_ml::tree::gbt`). The first minimum wins, then one `exp`.
 
-use crate::features::features_for;
+use crate::features::{features_into, MAX_FEATURES};
 use crate::gather::{gather, gather_offset, Gathered};
 use crate::pipeline::{fit_pipeline, PipelineConfig};
 use crate::timer::BlasTimer;
@@ -104,17 +119,17 @@ pub struct InstalledRoutine {
 impl InstalledRoutine {
     /// Candidate thread counts swept at prediction time.
     pub fn candidates(&self) -> Vec<usize> {
-        candidates(self.max_threads, self.nt_stride)
+        candidates(self.max_threads, self.nt_stride).collect()
     }
 }
 
-fn candidates(max_threads: usize, stride: usize) -> Vec<usize> {
+/// `1, 1 + stride, ...` up to `max_threads`, which is always the last one.
+pub(crate) fn candidates(max_threads: usize, stride: usize) -> impl Iterator<Item = usize> {
     let stride = stride.max(1);
-    let mut v: Vec<usize> = (1..=max_threads).step_by(stride).collect();
-    if *v.last().unwrap() != max_threads {
-        v.push(max_threads);
-    }
-    v
+    let max_on_stride = max_threads.checked_sub(1).is_none_or(|d| d % stride == 0);
+    (1..=max_threads)
+        .step_by(stride)
+        .chain((!max_on_stride).then_some(max_threads))
 }
 
 /// Predict the best thread count for `dims` with a fitted model+pipeline.
@@ -142,21 +157,12 @@ pub fn predict_best_cost(
     dims: Dims,
     cands: &[usize],
 ) -> (usize, f64) {
-    let mut best = (cands[0], f64::INFINITY);
-    for &nt in cands {
-        let raw = features_for(routine, dims, nt);
-        let row = pipeline.transform_row(&raw);
-        let pred = model.predict_row(&row);
-        if pred < best.1 {
-            best = (nt, pred);
-        }
-    }
-    (best.0, best.1.exp())
+    sweep(model, pipeline, routine, dims, cands.iter().copied())
 }
 
 /// Model-predicted seconds for one call at an explicit thread count — the
-/// point query behind [`crate::cost::CostModel::predict_secs`]. Same
-/// feature path as the argmin sweep, without the sweep.
+/// point query behind [`crate::cost::CostModel::predict_secs`]: the argmin
+/// sweep over that one candidate.
 pub fn predict_secs_at(
     model: &Model,
     pipeline: &PipelineConfig,
@@ -164,9 +170,96 @@ pub fn predict_secs_at(
     dims: Dims,
     nt: usize,
 ) -> f64 {
-    let raw = features_for(routine, dims, nt);
-    let row = pipeline.transform_row(&raw);
-    model.predict_row(&row).exp()
+    sweep(model, pipeline, routine, dims, std::iter::once(nt)).1
+}
+
+/// Candidates whose rows are built and priced together.
+const BLOCK: usize = 16;
+
+/// The model-space rows of one call's candidates:
+/// `pipeline.transform_row(&features_for(routine, dims, nt))` bit for bit.
+struct CandidateRows<'a> {
+    pipeline: &'a PipelineConfig,
+    routine: Routine,
+    dims: Dims,
+    /// Raw features of the call's first candidate.
+    first_raw: [f64; MAX_FEATURES],
+    /// Their kept columns, transformed.
+    first_row: [f64; MAX_FEATURES],
+}
+
+impl<'a> CandidateRows<'a> {
+    fn new(pipeline: &'a PipelineConfig, routine: Routine, dims: Dims, first: usize) -> Self {
+        let mut first_raw = [0.0; MAX_FEATURES];
+        let raw_width = features_into(routine, dims, first, &mut first_raw);
+        let mut first_row = [0.0; MAX_FEATURES];
+        let width = pipeline.correlation.kept.len();
+        pipeline.transform_into(&first_raw[..raw_width], &mut first_row[..width]);
+        CandidateRows {
+            pipeline,
+            routine,
+            dims,
+            first_raw,
+            first_row,
+        }
+    }
+
+    /// Write candidate `nt`'s row, one slot per kept feature. A column
+    /// whose raw value has the bits it has for the first candidate takes
+    /// that candidate's transformed value: the transform is a function of
+    /// the column's value alone.
+    fn write(&self, nt: usize, row: &mut [f64]) {
+        let mut raw = [0.0; MAX_FEATURES];
+        features_into(self.routine, self.dims, nt, &mut raw);
+        for ((out, &j), &first) in row
+            .iter_mut()
+            .zip(&self.pipeline.correlation.kept)
+            .zip(&self.first_row)
+        {
+            *out = if raw[j].to_bits() == self.first_raw[j].to_bits() {
+                first
+            } else {
+                self.pipeline.transform_column(j, raw[j])
+            };
+        }
+    }
+}
+
+/// The prediction sweep (see the module docs): up to [`BLOCK`] candidates'
+/// rows at a time, one [`Regressor::predict_rows`] each, first minimum wins.
+pub(crate) fn sweep(
+    model: &Model,
+    pipeline: &PipelineConfig,
+    routine: Routine,
+    dims: Dims,
+    cands: impl Iterator<Item = usize>,
+) -> (usize, f64) {
+    let mut cands = cands.peekable();
+    let first = *cands.peek().expect("at least one candidate thread count");
+    let rows_of = CandidateRows::new(pipeline, routine, dims, first);
+    let width = pipeline.correlation.kept.len();
+    let mut best = (first, f64::INFINITY);
+    let mut rows = [0.0; BLOCK * MAX_FEATURES];
+    let mut nts = [0; BLOCK];
+    let mut preds = [0.0; BLOCK];
+    loop {
+        let mut n = 0;
+        for nt in cands.by_ref().take(BLOCK) {
+            rows_of.write(nt, &mut rows[n * width..][..width]);
+            nts[n] = nt;
+            n += 1;
+        }
+        if n == 0 {
+            break;
+        }
+        model.predict_rows(&rows[..n * width], &mut preds[..n]);
+        for (&nt, &pred) in nts[..n].iter().zip(&preds[..n]) {
+            if pred < best.1 {
+                best = (nt, pred);
+            }
+        }
+    }
+    (best.0, best.1.exp())
 }
 
 /// Evaluate one trained model over an eval corpus; returns
@@ -242,7 +335,7 @@ pub fn install_routine(
     let tr = train_all.select_rows(&tr_idx);
     let te = train_all.select_rows(&te_idx);
 
-    let cands = candidates(timer.max_threads(), opts.nt_stride);
+    let cands: Vec<usize> = candidates(timer.max_threads(), opts.nt_stride).collect();
 
     // 4. Tune, train, and evaluate every candidate kind.
     let mut reports = Vec::with_capacity(opts.kinds.len());
@@ -307,9 +400,11 @@ pub fn install_routine(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::features::features_for;
     use crate::timer::SimTimer;
     use adsala_blas3::op::{OpKind, Precision};
     use adsala_machine::MachineSpec;
+    use adsala_ml::tree::gbt::GbtParams;
 
     fn quick_opts() -> InstallOptions {
         InstallOptions {
@@ -425,11 +520,82 @@ mod tests {
         }
     }
 
+    /// The sweep this crate shipped with before the row block: one
+    /// allocated row and one `predict_row` per candidate.
+    fn sweep_row_by_row(
+        model: &Model,
+        pipeline: &PipelineConfig,
+        routine: Routine,
+        dims: Dims,
+        cands: &[usize],
+    ) -> (usize, f64) {
+        let mut best = (cands[0], f64::INFINITY);
+        for &nt in cands {
+            let row = pipeline.transform_row(&features_for(routine, dims, nt));
+            let pred = model.predict_row(&row);
+            if pred < best.1 {
+                best = (nt, pred);
+            }
+        }
+        (best.0, best.1.exp())
+    }
+
+    #[test]
+    fn sweep_equals_the_row_by_row_sweep_bit_for_bit() {
+        let timer = SimTimer::new(MachineSpec::gadi());
+        // One routine per feature family: 17, 9, 11 and 9 raw columns.
+        for (op, raw_width) in [
+            (OpKind::Gemm, 17),
+            (OpKind::Symm, 9),
+            (OpKind::Gemv, 11),
+            (OpKind::Symv, 9),
+        ] {
+            let r = Routine::new(op, Precision::Double);
+            let fitted = fit_pipeline(&gather(&timer, r, 150, 0xB17).dataset);
+            let pipeline = &fitted.config;
+            assert_eq!(pipeline.yeo_johnson.lambdas.len(), raw_width);
+            let params = HyperParams::Gbt(GbtParams {
+                n_rounds: 25,
+                ..Default::default()
+            });
+            let model = ModelKind::Xgboost.fit(&fitted.train.x, &fitted.train.y, &params);
+            let width = pipeline.correlation.kept.len();
+            for max_threads in [1, 2, 7, 48, 128] {
+                for nt_stride in [1, 8] {
+                    let cands: Vec<usize> = candidates(max_threads, nt_stride).collect();
+                    for i in 0..6usize {
+                        let dims = Dims::d3(9 + 331 * i, 2000 - 333 * i, 8 + 97 * i * i);
+                        let rows_of = CandidateRows::new(pipeline, r, dims, cands[0]);
+                        let mut row = vec![0.0; width];
+                        for &nt in &cands {
+                            rows_of.write(nt, &mut row);
+                            let want = pipeline.transform_row(&features_for(r, dims, nt));
+                            let bits =
+                                |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                            assert_eq!(bits(&row), bits(&want), "{r} {dims} nt {nt}");
+                        }
+                        let (nt, secs) = predict_best_cost(&model, pipeline, r, dims, &cands);
+                        let (want_nt, want_secs) =
+                            sweep_row_by_row(&model, pipeline, r, dims, &cands);
+                        assert_eq!((nt, secs.to_bits()), (want_nt, want_secs.to_bits()));
+                        // The sweep is the argmin of the point query.
+                        let at = |nt| predict_secs_at(&model, pipeline, r, dims, nt);
+                        assert_eq!(at(nt).to_bits(), secs.to_bits());
+                        assert!(cands.iter().all(|&c| at(c) >= secs), "{r} {dims}");
+                    }
+                }
+            }
+        }
+    }
+
     #[test]
     fn candidate_strides_always_include_max() {
-        assert_eq!(candidates(8, 1), vec![1, 2, 3, 4, 5, 6, 7, 8]);
-        assert_eq!(candidates(8, 3), vec![1, 4, 7, 8]);
-        assert_eq!(candidates(96, 96).last(), Some(&96));
+        let list = |max, stride| candidates(max, stride).collect::<Vec<_>>();
+        assert_eq!(list(8, 1), vec![1, 2, 3, 4, 5, 6, 7, 8]);
+        assert_eq!(list(8, 3), vec![1, 4, 7, 8]);
+        assert_eq!(list(7, 3), vec![1, 4, 7]);
+        assert_eq!(list(96, 96), vec![1, 96]);
+        assert_eq!(list(1, 8), vec![1]);
     }
 
     #[test]

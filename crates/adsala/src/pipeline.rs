@@ -10,6 +10,7 @@
 //! preprocessing)" of Fig. 1a: it is persisted at installation time and
 //! replayed on every runtime feature vector.
 
+use adsala_ml::preprocess::yeo_johnson::transform_value;
 use adsala_ml::preprocess::{CorrelationFilter, LocalOutlierFactor, Standardizer, YeoJohnson};
 use adsala_ml::Dataset;
 use serde::{Deserialize, Serialize};
@@ -30,10 +31,28 @@ pub struct PipelineConfig {
 impl PipelineConfig {
     /// Transform one raw feature row into model space.
     pub fn transform_row(&self, raw: &[f64]) -> Vec<f64> {
-        let mut row = raw.to_vec();
-        self.yeo_johnson.transform_row(&mut row);
-        self.standardizer.transform_row(&mut row);
-        self.correlation.transform_row(&row)
+        let mut row = vec![0.0; self.correlation.kept.len()];
+        self.transform_into(raw, &mut row);
+        row
+    }
+
+    /// [`transform_row`](Self::transform_row) into a caller's buffer, one
+    /// slot per kept feature.
+    pub(crate) fn transform_into(&self, raw: &[f64], row: &mut [f64]) {
+        assert_eq!(raw.len(), self.yeo_johnson.lambdas.len());
+        assert_eq!(raw.len(), self.standardizer.means.len());
+        for (out, &j) in row.iter_mut().zip(&self.correlation.kept) {
+            *out = self.transform_column(j, raw[j]);
+        }
+    }
+
+    /// Model-space value of raw feature `j`. Columns do not mix, so only
+    /// the kept ones are ever transformed; per column this is the power
+    /// transform, subtraction and division the fitted blocks apply to a
+    /// whole row, in their order.
+    pub(crate) fn transform_column(&self, j: usize, x: f64) -> f64 {
+        let power = transform_value(x, self.yeo_johnson.lambdas[j]);
+        (power - self.standardizer.means[j]) / self.standardizer.stds[j]
     }
 }
 

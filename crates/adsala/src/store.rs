@@ -5,7 +5,13 @@
 //! Layout: `<dir>/<platform>/<routine>.config.json` (preprocessing config +
 //! metadata + reports) and `<dir>/<platform>/<routine>.model.json` (the
 //! trained model). JSON keeps the artefacts human-inspectable.
+//!
+//! Artefacts are outside input: [`load`] answers a truncated, damaged or
+//! older-layout file with an [`io::ErrorKind::InvalidData`] error naming
+//! it, so that what it hands the runtime can be indexed without a panic.
+//! There is no reader for older layouts — re-install.
 
+use crate::features::feature_names;
 use crate::install::{InstalledRoutine, ModelReport};
 use crate::pipeline::PipelineConfig;
 use adsala_blas3::op::Routine;
@@ -61,11 +67,46 @@ pub fn save(dir: &Path, installed: &InstalledRoutine) -> io::Result<()> {
     Ok(())
 }
 
+fn invalid(path: &Path, why: impl std::fmt::Display) -> io::Error {
+    let why = format!("{}: {why}", path.display());
+    io::Error::new(io::ErrorKind::InvalidData, why)
+}
+
+fn read_json<T: Deserialize>(path: &Path) -> io::Result<T> {
+    serde_json::from_str(&fs::read_to_string(path)?).map_err(|e| invalid(path, e))
+}
+
 /// Load an installed routine from `dir`.
 pub fn load(dir: &Path, platform: &str, routine: Routine) -> io::Result<InstalledRoutine> {
     let (config_path, model_path) = paths(dir, platform, routine);
-    let cfg: ConfigFile = serde_json::from_str(&fs::read_to_string(&config_path)?)?;
-    let model: Model = serde_json::from_str(&fs::read_to_string(&model_path)?)?;
+    let cfg: ConfigFile = read_json(&config_path)?;
+    let model: Model = read_json(&model_path)?;
+    // The prediction sweep indexes raw features by `kept` and the
+    // per-feature tables by raw feature, and hands the model rows as wide
+    // as `kept`.
+    let pipeline = &cfg.pipeline;
+    let raw = feature_names(cfg.routine.op).len();
+    if pipeline.yeo_johnson.lambdas.len() != raw
+        || pipeline.standardizer.means.len() != raw
+        || pipeline.standardizer.stds.len() != raw
+        || pipeline.correlation.kept.len() > raw
+        || pipeline.correlation.kept.iter().any(|&j| j >= raw)
+    {
+        return Err(invalid(
+            &config_path,
+            format!("pipeline does not fit {raw} raw features"),
+        ));
+    }
+    let width = pipeline.correlation.kept.len();
+    if let Model::Gbt(gbt) = &model {
+        if gbt.n_features() != width {
+            let why = format!(
+                "model reads rows {} wide, the pipeline emits {width}",
+                gbt.n_features()
+            );
+            return Err(invalid(&model_path, why));
+        }
+    }
     Ok(InstalledRoutine {
         routine: cfg.routine,
         platform: cfg.platform,

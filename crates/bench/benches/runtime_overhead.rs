@@ -40,6 +40,19 @@ fn bench_cache_paths(c: &mut Criterion) {
         group.bench_function("uncached_sweep", |b| {
             b.iter(|| p.predict_uncached(std::hint::black_box(d)))
         });
+        // The same model sweeping fewer candidates than gadi's 96: what a
+        // miss costs per candidate, from this sandbox's 2 to a paper host's
+        // 48.
+        if kind == ModelKind::Xgboost {
+            for max_threads in [2, 8, 48] {
+                let mut inst = p.epoch().installed().expect("installed above").clone();
+                inst.max_threads = max_threads;
+                let p = ThreadPredictor::new(inst);
+                group.bench_function(format!("uncached_sweep/{max_threads}"), |b| {
+                    b.iter(|| p.predict_uncached(std::hint::black_box(d)))
+                });
+            }
+        }
         // Warm the cache once, then measure the hit path.
         p.predict(d);
         group.bench_function("cached_hit", |b| {

@@ -19,6 +19,24 @@ pub trait Regressor {
     fn predict(&self, x: &[Vec<f64>]) -> Vec<f64> {
         x.iter().map(|r| self.predict_row(r)).collect()
     }
+
+    /// Predict `out.len()` equally wide rows stored back to back in `rows`,
+    /// without allocating: the thread-count sweep's view of a model, one
+    /// row per candidate. Row by row unless the model has a batched walk.
+    fn predict_rows(&self, rows: &[f64], out: &mut [f64]) {
+        predict_row_by_row(self, rows, out);
+    }
+}
+
+fn predict_row_by_row<R: Regressor + ?Sized>(model: &R, rows: &[f64], out: &mut [f64]) {
+    if out.is_empty() {
+        return;
+    }
+    let width = rows.len() / out.len();
+    assert_eq!(rows.len(), width * out.len(), "rows must share one width");
+    for (i, o) in out.iter_mut().enumerate() {
+        *o = model.predict_row(&rows[i * width..(i + 1) * width]);
+    }
 }
 
 /// The eight candidate model families of Table II.
@@ -118,6 +136,13 @@ impl Regressor for Model {
             Model::Ada(m) => m.predict_row(x),
             Model::Gbt(m) => m.predict_row(x),
             Model::Knn(m) => m.predict_row(x),
+        }
+    }
+
+    fn predict_rows(&self, rows: &[f64], out: &mut [f64]) {
+        match self {
+            Model::Gbt(m) => m.predict_rows(rows, out),
+            _ => predict_row_by_row(self, rows, out),
         }
     }
 }
@@ -401,6 +426,21 @@ mod tests {
             assert_eq!(m.kind(), kind);
             let p = m.predict_row(&x[0]);
             assert!(p.is_finite(), "{kind:?} produced {p}");
+        }
+    }
+
+    #[test]
+    fn predict_rows_equals_predict_row_for_every_kind() {
+        let (x, y) = toy();
+        let flat: Vec<f64> = x[..9].iter().flatten().copied().collect();
+        for kind in ModelKind::ALL {
+            let m = kind.fit(&x[..60], &y[..60], &kind.default_params());
+            let mut out = [0.0; 9];
+            m.predict_rows(&flat, &mut out);
+            for (row, got) in x.iter().zip(out) {
+                assert_eq!(got.to_bits(), m.predict_row(row).to_bits(), "{kind:?}");
+            }
+            m.predict_rows(&[], &mut []);
         }
     }
 
