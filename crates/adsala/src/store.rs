@@ -21,11 +21,8 @@ use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
 
-/// The `.config.json` payload (everything except the model).
-///
-/// `version` and `trained_samples` are `Option` so configs written before
-/// epoch metadata existed still load (missing keys read as `None`); they
-/// default to the initial-install values.
+/// The `.config.json` payload (everything except the model). Every key is
+/// required.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 struct ConfigFile {
     routine: Routine,
@@ -35,8 +32,8 @@ struct ConfigFile {
     pipeline: PipelineConfig,
     selected: ModelKind,
     reports: Vec<ModelReport>,
-    version: Option<u64>,
-    trained_samples: Option<usize>,
+    version: u64,
+    trained_samples: usize,
 }
 
 fn paths(dir: &Path, platform: &str, routine: Routine) -> (PathBuf, PathBuf) {
@@ -59,8 +56,8 @@ pub fn save(dir: &Path, installed: &InstalledRoutine) -> io::Result<()> {
         pipeline: installed.pipeline.clone(),
         selected: installed.selected,
         reports: installed.reports.clone(),
-        version: Some(installed.version),
-        trained_samples: Some(installed.trained_samples),
+        version: installed.version,
+        trained_samples: installed.trained_samples,
     };
     fs::write(&config_path, serde_json::to_string_pretty(&cfg)?)?;
     fs::write(&model_path, serde_json::to_string(&installed.model)?)?;
@@ -116,10 +113,8 @@ pub fn load(dir: &Path, platform: &str, routine: Routine) -> io::Result<Installe
         model,
         selected: cfg.selected,
         reports: cfg.reports,
-        // Pre-epoch artefacts carry no metadata: treat them as an initial
-        // install whose corpus size is unknown.
-        version: cfg.version.unwrap_or(1),
-        trained_samples: cfg.trained_samples.unwrap_or(0),
+        version: cfg.version,
+        trained_samples: cfg.trained_samples,
     })
 }
 
@@ -234,31 +229,6 @@ mod tests {
         let back = load(&dir, "gadi", r).unwrap();
         assert_eq!(back.version, 7);
         assert_eq!(back.trained_samples, 321);
-        let _ = fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn pre_epoch_configs_load_with_initial_install_defaults() {
-        let dir = tmpdir("legacy");
-        let r = Routine::new(OpKind::Symm, Precision::Double);
-        let inst = quick_install(r);
-        save(&dir, &inst).unwrap();
-        // Rewrite the config as a pre-epoch artefact: strip the metadata
-        // keys a file written before they existed would not have.
-        let cfg_path = dir.join("gadi/dsymm.config.json");
-        let text = fs::read_to_string(&cfg_path).unwrap();
-        let mut v: serde_json::Value = serde_json::from_str(&text).unwrap();
-        let serde_json::Value::Object(ref mut pairs) = v else {
-            panic!("config must be a JSON object");
-        };
-        let before = pairs.len();
-        pairs.retain(|(k, _)| k != "version" && k != "trained_samples");
-        assert_eq!(pairs.len(), before - 2, "test must actually strip the keys");
-        fs::write(&cfg_path, v.to_json_pretty()).unwrap();
-        let back = load(&dir, "gadi", r).unwrap();
-        assert_eq!(back.version, 1, "legacy artefacts are the initial install");
-        assert_eq!(back.trained_samples, 0, "legacy corpus size is unknown");
-        assert_eq!(back.selected, inst.selected);
         let _ = fs::remove_dir_all(&dir);
     }
 }

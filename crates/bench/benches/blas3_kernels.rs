@@ -74,10 +74,7 @@ fn bench_kernel_dispatch(c: &mut Criterion) {
     group.finish();
 }
 
-/// The cooperative GEMM driver across thread counts. The comparison this
-/// group used to make against the pre-cooperative per-thread-chunk engine
-/// is recorded in `BENCH_parallel.json`; that engine is gone, so the file
-/// is a historical record this bench no longer writes.
+/// The cooperative GEMM driver across thread counts.
 fn bench_parallel_scaling(c: &mut Criterion) {
     for &n in &[384usize, 1024] {
         let gflops = 2.0 * (n as f64).powi(3) / 1e9;

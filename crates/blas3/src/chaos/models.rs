@@ -573,7 +573,7 @@ impl SlotModel {
         }
     }
 
-    /// `Ticket::poll` / `try_wait`: one non-blocking check of the phase;
+    /// `Ticket::poll`: one non-blocking check of the phase;
     /// claims and delivers if the slot is READY.
     pub fn poll(&self, env: &Env<'_>, tid: usize) -> bool {
         // ORDER: Acquire — modelled advisory fast path; pairs with the

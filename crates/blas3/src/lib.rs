@@ -86,7 +86,7 @@ pub use backend::{Blas3Backend, NativeBackend, ReferenceBackend};
 pub use call::{Blas3Error, Blas3Op};
 pub use call2::Blas2Op;
 pub use fault::{FaultBackend, FaultKind, FaultRule, FaultStats, FaultTarget};
-pub use matrix::{MatMut, MatRef, Matrix, MatrixRef};
+pub use matrix::{MatMut, MatRef, Matrix};
 pub use op::{Diag, OpKind, Precision, Side, Transpose, Uplo};
 pub use owned::OwnedOp;
 pub use owned2::{Blas2Output, OwnedOp2};

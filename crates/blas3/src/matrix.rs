@@ -212,10 +212,6 @@ pub struct MatRef<'a, T> {
     data: &'a [T],
 }
 
-/// Backwards-compatible name for [`MatRef`] from before the typed-view
-/// redesign.
-pub type MatrixRef<'a, T> = MatRef<'a, T>;
-
 impl<'a, T: Float> MatRef<'a, T> {
     /// View over raw column-major storage, returning a typed error unless
     /// `ld >= rows` and the slice covers `ld * (cols - 1) + rows` elements
@@ -516,7 +512,7 @@ mod tests {
     fn matrix_ref_strided() {
         let m = Matrix::<f64>::from_fn(4, 4, |i, j| (i + 4 * j) as f64);
         // 2x2 view at offset (1,1): ld = 4
-        let v = MatrixRef::new(2, 2, 4, &m.as_slice()[1 + 4..]);
+        let v = MatRef::new(2, 2, 4, &m.as_slice()[1 + 4..]);
         assert_eq!(v.get(0, 0), m.get(1, 1));
         assert_eq!(v.get(1, 1), m.get(2, 2));
     }
@@ -525,14 +521,14 @@ mod tests {
     #[should_panic(expected = "leading dimension")]
     fn bad_ld_panics() {
         let d = [0.0f64; 4];
-        let _ = MatrixRef::new(3, 1, 2, &d);
+        let _ = MatRef::new(3, 1, 2, &d);
     }
 
     #[test]
     #[should_panic(expected = "slice too short")]
     fn short_slice_panics() {
         let d = [0.0f64; 4];
-        let _ = MatrixRef::new(2, 3, 2, &d);
+        let _ = MatRef::new(2, 3, 2, &d);
     }
 
     #[test]

@@ -6,19 +6,21 @@
 //! the same so that per-call spawn cost reflects wake-up/synchronisation, not
 //! OS thread creation.
 //!
-//! [`ThreadPool::run`] executes a closure on `nt` logical workers (ids
-//! `0..nt`); the caller participates as worker 0. Workers beyond the current
-//! pool size are created on demand and kept for the process lifetime.
+//! There is one fork/join, [`ThreadPool::run_team`]: the caller and up to
+//! `nt - 1` helpers form a *team* that can rendezvous repeatedly on a
+//! reusable [`TeamBarrier`] during one parallel region. This is what the
+//! BLIS-style cooperative macro-kernel in [`kernel`](crate::kernel) is
+//! built on — workers jointly pack one shared operand panel, cross the
+//! barrier, then split the consuming loop, instead of each worker owning a
+//! private top-level chunk. Helpers beyond the current pool size are
+//! created on demand and kept until [`ThreadPool::shutdown`].
 //! Oversubscription (more workers than hardware threads) is allowed — the
 //! paper's platforms run with hyper-threading, and "too many threads" is
 //! precisely the regime ADSALA learns to avoid.
 //!
-//! [`ThreadPool::run_team`] is the cooperative variant: the workers form a
-//! *team* that can rendezvous repeatedly on a reusable [`TeamBarrier`]
-//! during one parallel region. This is what the BLIS-style cooperative
-//! macro-kernel in [`kernel`](crate::kernel) is built on — workers jointly
-//! pack one shared operand panel, cross the barrier, then split the
-//! consuming loop, instead of each worker owning a private top-level chunk.
+//! [`ThreadPool::run`] is the barrier-free view of the same region: a
+//! closure over `nt` logical worker ids `0..nt`, each called exactly once,
+//! dealt round-robin over the members present.
 //!
 //! Built on `std::sync` only (mpsc channels + `Mutex`/`Condvar`); the
 //! offline build environment has no access to crossbeam or parking_lot.
@@ -34,7 +36,7 @@ fn lock_unpoisoned<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
 }
 
-/// Completion state shared between `run` and the participating workers.
+/// Completion state shared between `run_team` and the participating workers.
 struct JobState {
     remaining: AtomicUsize,
     panicked: AtomicBool,
@@ -75,26 +77,22 @@ impl JobState {
 
 /// Type-erased pointer to the caller's `Fn(usize)` closure.
 ///
-/// The pointer is only dereferenced while [`ThreadPool::run`] is blocked
-/// waiting for [`JobState`], so the borrow it erases is always live.
+/// The pointer is only dereferenced while [`ThreadPool::run_team`] is
+/// blocked waiting for [`JobState`], so the borrow it erases is always live.
 struct JobRef {
     func: *const (dyn Fn(usize) + Sync),
     state: Arc<JobState>,
     tid: usize,
 }
 
-// SAFETY: the closure behind `func` is `Sync`, and `run` keeps the referent
-// alive until every worker has signalled completion through `state`.
+// SAFETY: the closure behind `func` is `Sync`, and `run_team` keeps the
+// referent alive until every worker has signalled completion through `state`.
 unsafe impl Send for JobRef {}
-
-enum Message {
-    Run(JobRef),
-}
 
 /// One helper worker: its submission channel and its join handle (kept so
 /// that [`ThreadPool::shutdown`] can wait for a clean exit).
 struct Worker {
-    tx: Sender<Message>,
+    tx: Sender<JobRef>,
     handle: std::thread::JoinHandle<()>,
 }
 
@@ -191,13 +189,13 @@ impl ThreadPool {
     fn ensure_workers(&self, need: usize) {
         let mut ws = lock_unpoisoned(&self.workers);
         while ws.len() < need.min(self.max_workers) {
-            let (tx, rx) = std::sync::mpsc::channel::<Message>();
+            let (tx, rx) = std::sync::mpsc::channel::<JobRef>();
             let idx = ws.len();
             let spawned = std::thread::Builder::new()
                 .name(format!("blas3-worker-{idx}"))
                 .spawn(move || {
                     // Exits when every Sender is dropped (shutdown).
-                    while let Ok(Message::Run(job)) = rx.recv() {
+                    while let Ok(job) = rx.recv() {
                         // SAFETY: see `JobRef` — the referent outlives the job.
                         let f = unsafe { &*job.func };
                         let result = catch_unwind(AssertUnwindSafe(|| f(job.tid)));
@@ -213,10 +211,9 @@ impl ThreadPool {
             match spawned {
                 Ok(handle) => ws.push(Worker { tx, handle }),
                 // Degrade, don't panic: thread creation can fail under
-                // resource exhaustion, and both dispatch paths already
-                // tolerate a smaller pool (`run` replays leftover tids on
-                // the caller, `run_team` shrinks the team), so a partial
-                // pool only costs parallelism.
+                // resource exhaustion, and `run_team` sizes the team by
+                // the helpers present, so a partial pool only costs
+                // parallelism.
                 Err(_) => break,
             }
         }
@@ -244,79 +241,43 @@ impl ThreadPool {
         }
     }
 
-    /// Run `f(tid)` on `nt` logical workers with ids `0..nt` and wait for all
-    /// of them. `nt == 0` is treated as 1. Panics (after all workers finish)
-    /// if any worker's closure panicked.
+    /// Call `f(tid)` exactly once for every logical worker id in `0..nt`,
+    /// in parallel on a team of up to `nt` members, and wait for all of
+    /// them. `nt == 0` is treated as 1. Panics (after all members finish)
+    /// if any call panicked.
+    ///
+    /// Member `m` of a team of `size` runs `m, m + size, …` below `nt`: a
+    /// full team runs one id each, and a short-handed one (the worker cap,
+    /// a refused spawn, a racing [`ThreadPool::shutdown`]) spreads the
+    /// leftover ids over the members present. So `f` must never block on
+    /// another id — cooperating workers use [`ThreadPool::run_team`].
     pub fn run<F>(&self, nt: usize, f: F)
     where
         F: Fn(usize) + Sync,
     {
         let nt = nt.max(1);
-        if nt == 1 {
-            f(0);
-            return;
-        }
-        let helpers = (nt - 1).min(self.max_workers);
-        self.ensure_workers(helpers);
-        // Erase the stack borrow; `state.wait()` below keeps it alive.
-        let func: *const (dyn Fn(usize) + Sync) = &f;
-        // SAFETY: only the lifetime is transmuted away; `run` does not return
-        // until `state.wait()` has observed every worker's completion, so no
-        // worker can touch `f` after it goes out of scope.
-        let func: *const (dyn Fn(usize) + Sync) = unsafe { std::mem::transmute(func) };
-        // A concurrent `shutdown()` may have drained the workers between
-        // `ensure_workers` and this lock, so size the completion state by
-        // the workers actually available and run any undispatched tids on
-        // the calling thread — never wait for jobs that were never sent.
-        let (state, dispatched) = {
-            let ws = lock_unpoisoned(&self.workers);
-            let dispatched = ws.len().min(helpers);
-            let state = Arc::new(JobState::new(dispatched));
-            for (i, w) in ws.iter().take(dispatched).enumerate() {
-                let job = JobRef {
-                    func,
-                    state: Arc::clone(&state),
-                    tid: i + 1,
-                };
-                w.tx.send(Message::Run(job)).expect("worker channel closed");
-            }
-            (state, dispatched)
-        };
-        let local = catch_unwind(AssertUnwindSafe(|| {
-            f(0);
-            for tid in dispatched + 1..nt {
+        self.run_team(nt, |team| {
+            for tid in (team.tid..nt).step_by(team.size) {
                 f(tid);
             }
-        }));
-        if dispatched > 0 {
-            state.wait();
-        }
-        // ORDER: Acquire — pairs with the workers' Release store; wait()
-        // already returned, so a set flag is ordered before this load.
-        if local.is_err() || state.panicked.load(Ordering::Acquire) {
-            panic!("blas3 parallel job panicked");
-        }
+        });
     }
 
-    /// Run `f` on a *team* of cooperating workers that may rendezvous on the
-    /// team's reusable barrier ([`TeamCtx::barrier`]).
+    /// Run `f` on a *team* of cooperating members — the caller plus up to
+    /// `nt - 1` helpers — that may rendezvous on the team's reusable
+    /// barrier ([`TeamCtx::barrier`]), and wait for all of them.
     ///
-    /// Differences from [`ThreadPool::run`]:
-    ///
-    /// * the closure receives a [`TeamCtx`] carrying the worker id **and the
-    ///   actual team size** — every member of the team runs concurrently, so
-    ///   barrier waits always complete. (A `run` worker must never block on
-    ///   other tids: leftover tids are replayed sequentially when a racing
-    ///   [`ThreadPool::shutdown`] drains helpers. `run_team` instead shrinks
-    ///   the team to the workers actually available.)
-    /// * a panicking member poisons the barrier, releasing every current and
+    /// * The closure receives a [`TeamCtx`] carrying the member id **and the
+    ///   actual team size**: the team is sized by the helpers present
+    ///   (fewer than `nt - 1` under the worker cap, a refused spawn or a
+    ///   racing [`ThreadPool::shutdown`]), and every member of it runs
+    ///   concurrently, so barrier waits always complete.
+    /// * A panicking member poisons the barrier, releasing every current and
     ///   future waiter immediately so the region drains instead of hanging;
-    ///   the call then panics once all members have returned, exactly like
-    ///   `run`.
+    ///   the call then panics once all members have returned.
     ///
-    /// Callers split work by `team.size` (normally `nt`, smaller only under
-    /// a racing shutdown), and must route *every* member through the same
-    /// sequence of barrier waits.
+    /// Callers split work by `team.size` and must route *every* member
+    /// through the same sequence of barrier waits.
     pub fn run_team<F>(&self, nt: usize, f: F)
     where
         F: Fn(TeamCtx<'_>) + Sync,
@@ -328,8 +289,9 @@ impl ThreadPool {
         let helpers = (nt - 1).min(self.max_workers);
         self.ensure_workers(helpers);
         // Size the team by the helpers actually present (a concurrent
-        // shutdown may have drained some): the barrier must count exactly
-        // the members that run concurrently.
+        // shutdown may have drained some since `ensure_workers`): the
+        // barrier and the completion state must count exactly the members
+        // that run — never wait for a job that was never sent.
         let ws = lock_unpoisoned(&self.workers);
         let dispatched = ws.len().min(helpers);
         let size = dispatched + 1;
@@ -362,7 +324,7 @@ impl ThreadPool {
                 state: Arc::clone(&state),
                 tid: i + 1,
             };
-            w.tx.send(Message::Run(job)).expect("worker channel closed");
+            w.tx.send(job).expect("worker channel closed");
         }
         drop(ws);
         let local = catch_unwind(AssertUnwindSafe(|| wrap(0)));
@@ -520,7 +482,7 @@ pub struct TeamCtx<'a> {
     /// This member's id, `0..size`.
     pub tid: usize,
     /// Number of members running concurrently (normally the `nt` passed to
-    /// [`ThreadPool::run_team`]; smaller only under a racing shutdown).
+    /// [`ThreadPool::run_team`]; smaller when the pool is short-handed).
     pub size: usize,
     barrier: &'a TeamBarrier,
 }
@@ -550,31 +512,6 @@ impl TeamCtx<'_> {
     #[inline]
     pub fn chunk(&self, len: usize) -> (usize, usize) {
         ThreadPool::chunk(len, self.size, self.tid)
-    }
-}
-
-/// A dynamic task queue: workers repeatedly claim the next task index.
-///
-/// Used by the triangular-output routines (SYRK/SYR2K) whose per-task cost
-/// varies, so static chunking would imbalance.
-pub struct TaskQueue {
-    next: AtomicUsize,
-    total: usize,
-}
-
-impl TaskQueue {
-    /// Queue over `total` task indices `0..total`.
-    pub fn new(total: usize) -> TaskQueue {
-        TaskQueue {
-            next: AtomicUsize::new(0),
-            total,
-        }
-    }
-
-    /// Claim the next task, or `None` when exhausted.
-    pub fn claim(&self) -> Option<usize> {
-        let i = self.next.fetch_add(1, Ordering::Relaxed);
-        (i < self.total).then_some(i)
     }
 }
 
@@ -682,18 +619,27 @@ mod tests {
 
     #[test]
     #[cfg_attr(miri, ignore = "spawns OS threads; outside the Miri subset")]
-    fn task_queue_hands_out_each_task_once() {
-        let q = TaskQueue::new(100);
-        let pool = ThreadPool::with_max_workers(8);
-        let seen: Vec<AtomicUsize> = (0..100).map(|_| AtomicUsize::new(0)).collect();
-        pool.run(4, |_| {
-            while let Some(i) = q.claim() {
-                seen[i].fetch_add(1, Ordering::Relaxed);
-            }
+    fn a_capped_pool_deals_every_tid_once_over_a_team_of_the_helpers_present() {
+        // Two helpers at most: seven ids land on a team of three.
+        let pool = ThreadPool::with_max_workers(2);
+        let hits: Vec<AtomicUsize> = (0..7).map(|_| AtomicUsize::new(0)).collect();
+        pool.run(7, |tid| {
+            hits[tid].fetch_add(1, Ordering::Relaxed);
         });
-        for s in &seen {
-            assert_eq!(s.load(Ordering::Relaxed), 1);
+        for (tid, h) in hits.iter().enumerate() {
+            assert_eq!(h.load(Ordering::Relaxed), 1, "tid {tid}");
         }
+        assert_eq!(pool.spawned_workers(), 2);
+
+        let members: Vec<AtomicUsize> = (0..7).map(|_| AtomicUsize::new(0)).collect();
+        pool.run_team(7, |team| {
+            assert_eq!(team.size, 3);
+            members[team.tid].fetch_add(1, Ordering::Relaxed);
+            // All three members are live at once, or this never returns.
+            team.barrier();
+        });
+        let ran: Vec<usize> = members.iter().map(|m| m.load(Ordering::Relaxed)).collect();
+        assert_eq!(ran, [1, 1, 1, 0, 0, 0, 0]);
     }
 
     #[test]

@@ -16,12 +16,11 @@
 //! until the executor reports back — at most one batch per tenant is in
 //! the air, and batches leave each tenant FIFO in order.
 
-use crate::job::{AnyOp, Completed, JobStats, ServeError};
-use crate::queue::{Batch, Job, LaneQueues, Take};
+use crate::job::{AnyOp, Completed, ServeError};
+use crate::queue::{Batch, Job, LaneQueues};
 use crate::router::secs_to_nanos;
 use crate::service::Shared;
 use crate::telemetry::{Telemetry, TelemetryRecord};
-use adsala_blas3::pool::TaskQueue;
 use adsala_blas3::{Blas3Backend, ThreadPool};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
@@ -95,13 +94,13 @@ pub(crate) struct Cell {
 }
 
 impl Cell {
-    pub fn new(index: usize, workers: usize, telemetry_capacity: usize, paused: bool) -> Cell {
+    pub fn new(index: usize, workers: usize, telemetry_capacity: usize) -> Cell {
         Cell {
             index,
             pool: Arc::new(ThreadPool::with_max_workers(workers)),
             state: Mutex::new(CellState {
                 queues: LaneQueues::default(),
-                paused,
+                paused: false,
                 shutdown: false,
             }),
             cv: Condvar::new(),
@@ -146,7 +145,7 @@ impl Cell {
     /// Settle a job that will never run (shutdown drain or shed),
     /// counting a panicking completion callback against this cell.
     pub fn settle_unserved(&self, job: Job, error: ServeError) {
-        job.tenant.settle(job.predicted_secs);
+        job.tenant.settle(job.cost.secs);
         if job.slot.complete(Err(error)) {
             self.callback_panics.fetch_add(1, Ordering::Relaxed);
         }
@@ -229,75 +228,39 @@ fn acquire_work<B: Blas3Backend>(shared: &Arc<Shared<B>>, cell: &Cell, generatio
             cell.sync_gauges(&st.queues);
             return Work::Exit(jobs);
         }
-        // A shutdown flushes held batches immediately: the floor trades
-        // latency for amortisation, and at shutdown there is no more
-        // amortisation to wait for.
-        let floor = if st.shutdown {
-            0.0
-        } else {
-            shared.cfg.batch_floor_secs
-        };
-        let mut hold: Option<Duration> = None;
         if !st.paused {
-            match st
-                .queues
-                .take_batch(shared.cfg.max_batch, floor, shared.cfg.batch_hold)
-            {
-                Take::Batch(batch) => {
-                    cell.sync_gauges(&st.queues);
-                    return Work::Serve {
-                        owner: cell.index,
-                        batch,
-                    };
-                }
-                Take::Hold(d) => hold = Some(d),
-                Take::Empty => {}
+            if let Some(batch) = st.queues.take_batch(shared.cfg.max_batch) {
+                cell.sync_gauges(&st.queues);
+                return Work::Serve {
+                    owner: cell.index,
+                    batch,
+                };
             }
         }
-        // Nothing takeable here (empty, paused, coalescing under the batch
-        // floor, or every tenant with work is in flight). While healthy
-        // and allowed, look for skew.
-        if steal_enabled && !st.paused && !st.shutdown {
-            if steal_next {
-                steal_next = false;
-                drop(st);
-                if let Some((owner, batch)) = try_steal(shared, cell.index) {
-                    return Work::Serve { owner, batch };
-                }
-                st = cell.lock();
-                // Loop to re-check own queues before sleeping: a push may
-                // have landed (and its notify fired) while unlocked.
-                continue;
+        // Nothing takeable here (empty, paused, or every tenant with work
+        // is in flight). While healthy and allowed, look for skew.
+        let stealing = steal_enabled && !st.paused && !st.shutdown;
+        if stealing && steal_next {
+            steal_next = false;
+            drop(st);
+            if let Some((owner, batch)) = try_steal(shared, cell.index) {
+                return Work::Serve { owner, batch };
             }
-            steal_next = true;
-            let wait = match hold {
-                Some(d) => d.min(STEAL_POLL),
-                None => STEAL_POLL,
-            };
-            let (guard, _) = cell
-                .cv
-                .wait_timeout(st, wait)
-                .unwrap_or_else(|poisoned| poisoned.into_inner());
-            st = guard;
-        } else if let Some(d) = hold {
-            // No stealing: sleep just until the earliest held batch's
-            // hold expires (a push still wakes the cell sooner; the
-            // heartbeat cap keeps the cell visibly alive meanwhile).
-            let (guard, _) = cell
-                .cv
-                .wait_timeout(st, d.min(IDLE_TICK))
-                .unwrap_or_else(|poisoned| poisoned.into_inner());
-            st = guard;
-        } else {
-            // Bounded park (not an indefinite wait): the wake-up exists
-            // purely to bump the heartbeat above, so a paused or
-            // fully-held cell stays distinguishable from a wedged one.
-            let (guard, _) = cell
-                .cv
-                .wait_timeout(st, IDLE_TICK)
-                .unwrap_or_else(|poisoned| poisoned.into_inner());
-            st = guard;
+            st = cell.lock();
+            // Loop to re-check own queues before sleeping: a push may
+            // have landed (and its notify fired) while unlocked.
+            continue;
         }
+        steal_next = true;
+        // The cell's one park, always bounded (see the two constants): a
+        // push, finish-batch, pause/resume or shutdown notifies the
+        // condvar sooner, and every wake-up bumps the heartbeat above.
+        let park = if stealing { STEAL_POLL } else { IDLE_TICK };
+        let (guard, _) = cell
+            .cv
+            .wait_timeout(st, park)
+            .unwrap_or_else(|poisoned| poisoned.into_inner());
+        st = guard;
     }
 }
 
@@ -321,14 +284,7 @@ fn try_steal<B: Blas3Backend>(shared: &Arc<Shared<B>>, thief: usize) -> Option<(
         if st.paused || st.shutdown {
             continue;
         }
-        // Thieves honour the batch floor too: stealing a coalescing tiny
-        // batch early would defeat the amortisation the owner is waiting
-        // for (an idle thief is not scarce capacity).
-        if let Take::Batch(batch) = st.queues.take_batch(
-            shared.cfg.max_batch,
-            shared.cfg.batch_floor_secs,
-            shared.cfg.batch_hold,
-        ) {
+        if let Some(batch) = st.queues.take_batch(shared.cfg.max_batch) {
             victim.sync_gauges(&st.queues);
             drop(st);
             victim.donated_batches.fetch_add(1, Ordering::Relaxed);
@@ -349,11 +305,11 @@ fn try_steal<B: Blas3Backend>(shared: &Arc<Shared<B>>, thief: usize) -> Option<(
 /// A singleton batch executes with its admission-predicted thread count —
 /// the paper's per-call regime. A multi-job batch (same routine, same
 /// shape) instead spends **one pool wake-up for the whole batch**:
-/// `min(nt, batch_len)` workers claim jobs from a task queue and run each
-/// op serially. Total width stays within what the model judged worthwhile
-/// for the shape, but the per-op fork/join synchronisation — the dominant
-/// dispatch cost on small fixed-shape streams — is paid once instead of
-/// per job.
+/// `min(nt, batch_len)` workers pull jobs, in FIFO start order, from one
+/// shared iterator and run each op serially. Total width stays within
+/// what the model judged worthwhile for the shape, but the per-op
+/// fork/join synchronisation — the dominant dispatch cost on small
+/// fixed-shape streams — is paid once instead of per job.
 fn serve_batch<B: Blas3Backend>(
     shared: &Arc<Shared<B>>,
     cell: &Arc<Cell>,
@@ -364,25 +320,22 @@ fn serve_batch<B: Blas3Backend>(
     let batch_size = jobs.len();
     if batch_size == 1 {
         for job in jobs {
-            let nt = job.nt;
+            let nt = job.cost.nt;
             serve_one(shared, cell, job, 1, nt);
         }
     } else {
         debug_assert!(jobs.windows(2).all(|w| w[0].key == w[1].key));
-        let width = jobs[0].nt.min(batch_size).max(1);
-        let tasks = TaskQueue::new(batch_size);
-        let slots: Vec<Mutex<Option<Job>>> =
-            jobs.into_iter().map(|j| Mutex::new(Some(j))).collect();
-        cell.pool.run(width, |_| {
-            while let Some(i) = tasks.claim() {
-                let job = slots[i]
-                    .lock()
-                    .unwrap_or_else(|poisoned| poisoned.into_inner())
-                    .take();
-                if let Some(job) = job {
-                    serve_one(shared, cell, job, batch_size, 1);
-                }
-            }
+        let width = jobs[0].cost.nt.min(batch_size).max(1);
+        let jobs = Mutex::new(jobs.into_iter());
+        cell.pool.run(width, |_| loop {
+            // The guard is a temporary of this statement: the lock is
+            // released before the job runs.
+            let next = jobs
+                .lock()
+                .unwrap_or_else(|poisoned| poisoned.into_inner())
+                .next();
+            let Some(job) = next else { break };
+            serve_one(shared, cell, job, batch_size, 1);
         });
     }
     let owner_cell = &shared.cells[owner];
@@ -408,11 +361,7 @@ fn serve_one<B: Blas3Backend>(
         tenant,
         key: (routine, dims),
         mut op,
-        nt: admitted_nt,
-        predicted_secs,
-        model_backed,
-        epoch,
-        enqueued_at: _,
+        cost,
         deadline,
         slot,
     } = job;
@@ -422,7 +371,7 @@ fn serve_one<B: Blas3Backend>(
     // nobody can use.
     if deadline.is_some_and(|d| Instant::now() >= d) {
         cell.expired_jobs.fetch_add(1, Ordering::Relaxed);
-        tenant.settle(predicted_secs);
+        tenant.settle(cost.secs);
         if slot.complete(Err(ServeError::DeadlineExceeded)) {
             cell.callback_panics.fetch_add(1, Ordering::Relaxed);
         }
@@ -472,7 +421,7 @@ fn serve_one<B: Blas3Backend>(
         // Budget-priced retry: the attempt occupies the tenant's backlog
         // budget again, so a tenant hammering a failing path throttles
         // itself at admission instead of billing the service.
-        tenant.charge(1, predicted_secs);
+        tenant.charge(1, cost.secs);
         cell.retries.fetch_add(1, Ordering::Relaxed);
         if !delay.is_zero() {
             std::thread::sleep(delay);
@@ -480,49 +429,36 @@ fn serve_one<B: Blas3Backend>(
         start = Instant::now();
         result = execute(&mut op);
         observed_secs = start.elapsed().as_secs_f64();
-        tenant.settle(predicted_secs);
+        tenant.settle(cost.secs);
         attempt += 1;
     }
+    // The job's one record: the ticket carries it whatever the verdict;
+    // the ring — what the model refits from — only takes executions that
+    // succeeded.
+    let stats = TelemetryRecord {
+        seq: shared.next_seq(),
+        client,
+        tenant: tenant.id,
+        shard: cell.index,
+        routine,
+        dims,
+        nt: exec_nt,
+        admitted_nt: cost.nt,
+        predicted_secs: cost.secs,
+        model_backed: cost.model_backed,
+        epoch: cost.epoch,
+        observed_secs,
+        batch_size,
+    };
     if result.is_ok() {
         shared.breaker.record_success();
+        cell.telemetry.record(stats);
     }
-    if result.is_ok() {
-        cell.telemetry.record(TelemetryRecord {
-            seq: shared.next_seq(),
-            client,
-            tenant: tenant.id,
-            shard: cell.index,
-            routine,
-            dims,
-            nt: exec_nt,
-            admitted_nt,
-            predicted_secs,
-            model_backed,
-            epoch,
-            observed_secs,
-            batch_size,
-        });
-    }
-    tenant.settle(predicted_secs);
+    tenant.settle(cost.secs);
     // The client may have dropped its ticket; that only means nobody is
     // listening for this result. A panicking callback is caught inside
     // `complete` and only counted here.
-    let panicked = slot.complete(Ok(Completed {
-        op,
-        stats: JobStats {
-            tenant: tenant.id,
-            shard: cell.index,
-            nt: exec_nt,
-            admitted_nt,
-            predicted_secs,
-            model_backed,
-            epoch,
-            observed_secs,
-            batch_size,
-        },
-        result,
-    }));
-    if panicked {
+    if slot.complete(Ok(Completed { op, stats, result })) {
         cell.callback_panics.fetch_add(1, Ordering::Relaxed);
     }
 }

@@ -1,15 +1,14 @@
-//! The non-blocking completion frontend: one settlement slot per admitted
-//! job, consumed through a [`Ticket`] as a blocking wait, a poll, a
-//! callback, or a [`CompletionQueue`] an event loop can drain.
+//! The completion frontend: one settlement slot per admitted job,
+//! consumed through a [`Ticket`] as a blocking wait, a poll, a callback,
+//! or a [`CompletionQueue`] an event loop can drain.
 //!
-//! The old frontend was an mpsc channel per job, which forced a
-//! thread-per-waiter pattern: the only way to learn a job finished was to
-//! park a thread in [`Ticket::wait`]. The slot keeps `wait` (now a
-//! condvar park) but adds [`Ticket::poll`] for cooperative loops,
-//! [`Ticket::on_complete`] to run a closure on the scheduler cell that
-//! finished the job, and [`Ticket::forward_to`] to fan many jobs into one
-//! [`CompletionQueue`] that a single consumer (or async executor shim)
-//! drains.
+//! Exactly one delivery happens per slot. [`Ticket::wait`] and
+//! [`Ticket::wait_timeout`] park the calling thread on the slot's condvar
+//! (one claim loop, with or without a deadline); [`Ticket::poll`] suits
+//! cooperative loops; [`Ticket::on_complete`] runs a closure on the
+//! scheduler cell that finished the job; and [`Ticket::forward_to`] fans
+//! many jobs into one [`CompletionQueue`] that a single consumer (or async
+//! executor shim) drains, with no thread parked per job.
 //!
 //! Callbacks run on cell scheduler threads with **no locks held**, and a
 //! panicking callback is caught and counted
@@ -155,26 +154,12 @@ impl Ticket {
     /// `Err(ServeError::ServiceStopped)` means the service shut down (or
     /// shed the job — see [`ServeError::Shed`]) before running it.
     pub fn wait(self) -> Result<Completed, ServeError> {
-        let mut st = self.slot.state.lock().unwrap_or_else(|p| p.into_inner());
-        loop {
-            match std::mem::replace(&mut *st, SlotState::Claimed) {
-                SlotState::Ready(outcome) => {
-                    // ORDER: Release — the claim is visible to lock-free
-                    // phase readers along with everything before it.
-                    self.slot.phase.store(protocol::CLAIMED, Ordering::Release);
-                    return outcome;
-                }
-                SlotState::Claimed => return Err(ServeError::ServiceStopped),
-                prev => {
-                    *st = prev;
-                    st = self.slot.cv.wait(st).unwrap_or_else(|p| p.into_inner());
-                }
-            }
-        }
+        self.claim(None)
     }
 
     /// [`Ticket::wait`] with a patience bound: block until the job
-    /// settles or `timeout` elapses, whichever comes first.
+    /// settles or `timeout` elapses, whichever comes first (a `timeout`
+    /// past the end of the clock is no bound at all).
     ///
     /// On timeout the ticket is consumed and the outcome settles as
     /// `Err(ServeError::DeadlineExceeded)` — the job itself may still run
@@ -183,7 +168,12 @@ impl Ticket {
     /// still settles as the underlying outcome delivers it (typically
     /// [`ServeError::ServiceStopped`]), not as a timeout.
     pub fn wait_timeout(self, timeout: Duration) -> Result<Completed, ServeError> {
-        let deadline = Instant::now() + timeout;
+        self.claim(Instant::now().checked_add(timeout))
+    }
+
+    /// The blocking claim behind [`Ticket::wait`] (`deadline` `None`) and
+    /// [`Ticket::wait_timeout`]: the one place a thread parks on a slot.
+    fn claim(self, deadline: Option<Instant>) -> Result<Completed, ServeError> {
         let mut st = self.slot.state.lock().unwrap_or_else(|p| p.into_inner());
         loop {
             match std::mem::replace(&mut *st, SlotState::Claimed) {
@@ -194,8 +184,11 @@ impl Ticket {
                     return outcome;
                 }
                 SlotState::Claimed => return Err(ServeError::ServiceStopped),
-                prev => {
-                    *st = prev;
+                prev => *st = prev,
+            }
+            st = match deadline {
+                None => self.slot.cv.wait(st).unwrap_or_else(|p| p.into_inner()),
+                Some(deadline) => {
                     let now = Instant::now();
                     if now >= deadline {
                         return Err(ServeError::DeadlineExceeded);
@@ -205,9 +198,9 @@ impl Ticket {
                         .cv
                         .wait_timeout(st, deadline - now)
                         .unwrap_or_else(|p| p.into_inner());
-                    st = guard;
+                    guard
                 }
-            }
+            };
         }
     }
 
@@ -243,12 +236,6 @@ impl Ticket {
                 Ok(None)
             }
         }
-    }
-
-    /// Compatibility alias for [`Ticket::poll`] (the pre-shard frontend
-    /// called this `try_wait`).
-    pub fn try_wait(&self) -> Result<Option<Completed>, ServeError> {
-        self.poll()
     }
 
     /// Arm `f` to run when the job settles, consuming the ticket. If the
@@ -396,8 +383,9 @@ impl CompletionQueue {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::job::{AnyOp, JobStats};
+    use crate::job::{AnyOp, ClientId};
     use crate::router::TenantId;
+    use crate::telemetry::TelemetryRecord;
     use adsala_blas3::{Matrix, OwnedOp, Transpose};
     use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -413,10 +401,13 @@ mod tests {
         }
         .into();
         Completed {
-            op,
-            stats: JobStats {
+            stats: TelemetryRecord {
+                seq: 0,
+                client: ClientId(0),
                 tenant: TenantId(0),
                 shard: 0,
+                routine: op.routine(),
+                dims: op.dims(),
                 nt: 1,
                 admitted_nt: 1,
                 predicted_secs: 1e-6,
@@ -425,6 +416,7 @@ mod tests {
                 observed_secs: 1e-6,
                 batch_size: 1,
             },
+            op,
             result: Ok(()),
         }
     }
@@ -484,6 +476,49 @@ mod tests {
         let outcome = ticket.wait_timeout(Duration::from_secs(30));
         assert!(matches!(outcome, Err(ServeError::ServiceStopped)));
         settler.join().unwrap();
+    }
+
+    #[test]
+    #[cfg_attr(miri, ignore = "spawns OS threads; outside the Miri subset")]
+    fn wait_and_wait_timeout_are_one_claim_loop() {
+        type Outcome = Result<Completed, ServeError>;
+        type Settle = fn() -> Outcome;
+        let kind = |o: Outcome| o.map(|done| done.result.is_ok());
+        let unbounded: fn(Ticket) -> Outcome = Ticket::wait;
+        let bounded: fn(Ticket) -> Outcome = |t| t.wait_timeout(Duration::from_secs(30));
+        // The second is what a cell's shutdown drain delivers when the
+        // service is dropped under a waiter.
+        let settles: [Settle; 2] = [|| Ok(done()), || Err(ServeError::ServiceStopped)];
+        for settle in settles {
+            for wait in [unbounded, bounded] {
+                // Settled before the wait: no park at all.
+                let slot = CompletionSlot::new();
+                slot.complete(settle());
+                assert_eq!(kind(wait(Ticket::new(slot))), kind(settle()));
+                // Settled from another thread: it starts once the waiter
+                // is about to park, and the outcome must not depend on
+                // which of the two gets to the slot first.
+                let slot = CompletionSlot::new();
+                let ticket = Ticket::new(Arc::clone(&slot));
+                let (go, started) = std::sync::mpsc::channel();
+                let settler = std::thread::spawn(move || {
+                    started.recv().unwrap();
+                    slot.complete(settle());
+                });
+                go.send(()).unwrap();
+                assert_eq!(kind(wait(ticket)), kind(settle()));
+                settler.join().unwrap();
+            }
+        }
+        // Only a deadline tells the two apart: it expires with the job
+        // still finishing, which then settles to nobody.
+        let slot = CompletionSlot::new();
+        let late = Ticket::new(Arc::clone(&slot)).wait_timeout(Duration::from_millis(5));
+        assert_eq!(late.unwrap_err(), ServeError::DeadlineExceeded);
+        assert!(!slot.complete(Ok(done())));
+        // A bound past the end of the clock is no bound.
+        let ticket = Ticket::new(Arc::clone(&slot));
+        assert!(ticket.wait_timeout(Duration::MAX).is_ok());
     }
 
     #[test]

@@ -1,8 +1,9 @@
-//! Job descriptions, per-job accounting, and typed errors/rejections.
-//! (Completion handling — tickets, callbacks, queues — lives in
-//! [`crate::completion`].)
+//! Job descriptions and typed errors/rejections. (Completion handling —
+//! tickets, callbacks, queues — lives in [`crate::completion`]; the per-job
+//! record a completion carries is [`TelemetryRecord`].)
 
 use crate::router::TenantId;
+use crate::telemetry::TelemetryRecord;
 use adsala_blas3::op::{Dims, Routine};
 use adsala_blas3::{Blas3Error, OwnedOp, OwnedOp2};
 use std::fmt;
@@ -157,35 +158,6 @@ impl AnyOp {
     }
 }
 
-/// Per-job accounting attached to a completed job.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct JobStats {
-    /// Tenant the job was submitted under.
-    pub tenant: TenantId,
-    /// Scheduler cell that executed the job (differs from the cell it was
-    /// queued on when the batch was stolen).
-    pub shard: usize,
-    /// Thread count the job executed with. Inside a multi-job batch this
-    /// is 1 (batch members run serially across one pool wake-up) and may
-    /// differ from [`JobStats::admitted_nt`].
-    pub nt: usize,
-    /// Thread count the cost model chose at admission — the count
-    /// `predicted_secs` was priced at.
-    pub admitted_nt: usize,
-    /// Predicted seconds the job was admitted under.
-    pub predicted_secs: f64,
-    /// Whether the prediction came from an installed model (`true`) or the
-    /// flops-based fallback cost model (`false`).
-    pub model_backed: bool,
-    /// Epoch version of the model that priced the job (0 on the fallback
-    /// path) — which generation of the predictor served this call.
-    pub epoch: u64,
-    /// Observed wall-clock seconds of the execution.
-    pub observed_secs: f64,
-    /// Number of jobs served in the same scheduler wake-up.
-    pub batch_size: usize,
-}
-
 /// A finished job: the operands (with the result written into the output
 /// operand on success) and the accounting.
 #[derive(Debug)]
@@ -193,8 +165,11 @@ pub struct Completed {
     /// The job's operands; the output operand holds the result when
     /// `result` is `Ok`.
     pub op: AnyOp,
-    /// Execution accounting.
-    pub stats: JobStats,
+    /// Execution accounting: the job's one record. For a job whose
+    /// `result` is `Ok` this same value is what the executing cell's
+    /// telemetry ring holds (`Service::telemetry_snapshot`); a failed job
+    /// delivers it here only.
+    pub stats: TelemetryRecord,
     /// The backend's verdict. Admission validates every description, so
     /// with the built-in backends this is always `Ok`; a custom
     /// [`adsala_blas3::Blas3Backend`] may still fail post-validation (e.g.

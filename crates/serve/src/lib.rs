@@ -26,13 +26,18 @@
 //!   take round-robin turns so a tenant streaming thousands of jobs
 //!   cannot starve one submitting a handful.
 //! * **Batching** ([`Client::submit_batch`]): same-routine, same-shape
-//!   jobs share one prediction sweep and are served back-to-back in one
-//!   scheduler wake-up.
+//!   jobs share one prediction sweep, and whatever same-shape prefix of a
+//!   tenant's FIFO is queued when its turn comes (up to
+//!   [`ServeConfig::max_batch`]) is served in one scheduler wake-up —
+//!   nothing is held back to wait for peers.
 //!
-//! Observed wall-clock per job is recorded next to its prediction into a
-//! per-cell [`Telemetry`] ring; `Service::telemetry_snapshot` merges the
-//! rings into one service-wide order, and the [`adapt`] module closes the
-//! loop: [`Adapter`] watches the per-routine drift signal across *all*
+//! A job has one record, [`TelemetryRecord`]: the priced decision it was
+//! admitted under (carried whole on the queued job), where and how wide it
+//! ran, and the observed wall-clock. The executing cell builds it once;
+//! the submitter receives it as [`Completed::stats`] and a successful
+//! execution appends the same value to the cell's [`Telemetry`] ring.
+//! `Service::telemetry_snapshot` merges the rings into one service-wide
+//! order, and the [`adapt`] module closes the loop: [`Adapter`] watches the per-routine drift signal across *all*
 //! cells, refits from the merged telemetry window when a routine leaves
 //! the healthy band, and hot-swaps the new model epoch into the live
 //! runtime — guarded so a refit that scores worse than the live epoch on
@@ -40,11 +45,11 @@
 //!
 //! ## Shape of the API
 //!
-//! Submission returns a [`Ticket`]. Blocking [`Ticket::wait`] is the
-//! simplest frontend, but not the only one — [`Ticket::poll`] suits
-//! cooperative loops, and [`Ticket::on_complete`] /
-//! [`Ticket::forward_to`] deliver completions without parking a thread
-//! per waiter:
+//! Submission returns a [`Ticket`]. Blocking [`Ticket::wait`] (bounded:
+//! [`Ticket::wait_timeout`]) is the simplest frontend, but not the only
+//! one — [`Ticket::poll`] suits cooperative loops, and
+//! [`Ticket::on_complete`] / [`Ticket::forward_to`] deliver completions
+//! without parking a thread per waiter:
 //!
 //! ```
 //! use adsala::Adsala;
@@ -115,7 +120,7 @@ pub mod telemetry;
 
 pub use adapt::{AdaptAction, AdaptConfig, AdaptConfigError, AdaptReport, Adapter};
 pub use completion::{CompletionCallback, CompletionQueue, Ticket};
-pub use job::{AnyOp, ClientId, Completed, JobStats, RejectReason, Rejected, ServeError};
+pub use job::{AnyOp, ClientId, Completed, RejectReason, Rejected, ServeError};
 pub use retry::{backoff_delay, RetryPolicy};
 pub use router::{QosClass, TenantConfig, TenantId};
 pub use service::{Client, ServeConfig, Service, ServiceStats, ShardStats, SubmitOptions};

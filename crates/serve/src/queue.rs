@@ -19,10 +19,11 @@
 use crate::completion::CompletionSlot;
 use crate::job::{AnyOp, ClientId};
 use crate::router::{QosClass, TenantId, TenantState};
+use crate::service::GroupCost;
 use adsala_blas3::op::{Dims, Routine};
 use std::collections::VecDeque;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// One accepted, not-yet-served job.
 pub(crate) struct Job {
@@ -34,17 +35,10 @@ pub(crate) struct Job {
     pub key: (Routine, Dims),
     /// The call description (operands included).
     pub op: AnyOp,
-    /// Thread count chosen at admission.
-    pub nt: usize,
-    /// Predicted seconds the job was admitted under.
-    pub predicted_secs: f64,
-    /// Whether the prediction came from an installed model.
-    pub model_backed: bool,
-    /// Epoch version of the model that priced the job (0 for fallback).
-    pub epoch: u64,
-    /// When the job entered its cell's queues — the clock the batch-floor
-    /// hold ([`LaneQueues::take_batch`]) runs against.
-    pub enqueued_at: Instant,
+    /// The priced decision the job was admitted under, as admission
+    /// computed it: `cost.secs` is what every queue gauge and budget
+    /// counts, `cost.nt` the width a singleton batch executes at.
+    pub cost: GroupCost,
     /// Absolute completion deadline, when the submission carried one
     /// ([`crate::SubmitOptions`]). Swept lazily by
     /// [`LaneQueues::expire_due`] and re-checked by the executor so a
@@ -65,19 +59,6 @@ pub(crate) struct Batch {
     /// The jobs, in tenant submission order, all sharing one
     /// `(routine, dims)` key.
     pub jobs: Vec<Job>,
-}
-
-/// Outcome of [`LaneQueues::take_batch`].
-pub(crate) enum Take {
-    /// A batch to execute now.
-    Batch(Batch),
-    /// Every takeable group is a tiny same-shape prefix still coalescing
-    /// under the batch floor; the earliest one becomes takeable (its hold
-    /// expires) after this duration. The scheduler should wait at most
-    /// this long before re-trying.
-    Hold(Duration),
-    /// Nothing takeable (empty, or every tenant with work is in flight).
-    Empty,
 }
 
 /// A cheapest-to-refuse shed candidate reported by
@@ -143,7 +124,7 @@ impl LaneQueues {
     /// Enqueue one job at the tail of its tenant's FIFO.
     pub fn push(&mut self, job: Job) {
         self.queued += 1;
-        self.backlog_secs += job.predicted_secs;
+        self.backlog_secs += job.cost.secs;
         let lane = &mut self.lanes[job.tenant.qos.lane()];
         let tenant = job.tenant.id;
         match lane.entries.iter_mut().find(|e| e.tenant == tenant) {
@@ -164,53 +145,17 @@ impl LaneQueues {
     /// lane, round-robin over tenants that are not in flight. The chosen
     /// tenant yields the contiguous prefix of its FIFO sharing the head
     /// job's `(routine, dims)` key, up to `max_batch`, and is marked in
-    /// flight until [`LaneQueues::finish_batch`].
-    ///
-    /// When `floor_secs > 0`, a prefix whose summed predicted seconds is
-    /// below the floor and which has not yet filled `max_batch` is **held**
-    /// back — the coalescing window for tiny memory-bound (Level 2) jobs,
-    /// whose per-wake-up dispatch cost can exceed their compute. The hold
-    /// is bounded: once the prefix's head job has waited `hold`, it is
-    /// served no matter how small the batch, so the floor trades at most
-    /// `hold` of latency for dispatch amortisation. A held tenant does not
-    /// block its lane — the scan moves on to the next tenant.
-    pub fn take_batch(&mut self, max_batch: usize, floor_secs: f64, hold: Duration) -> Take {
+    /// flight until [`LaneQueues::finish_batch`]. `None` when nothing is
+    /// takeable (empty, or every tenant with work is in flight).
+    pub fn take_batch(&mut self, max_batch: usize) -> Option<Batch> {
         let max_batch = max_batch.max(1);
-        let now = Instant::now();
-        let mut earliest: Option<Duration> = None;
         for (lane_idx, lane) in self.lanes.iter_mut().enumerate() {
             let n = lane.entries.len();
             for step in 0..n {
                 let idx = (lane.cursor + step) % n;
                 let e = &mut lane.entries[idx];
-                if e.in_flight || e.q.is_empty() {
+                if e.in_flight {
                     continue;
-                }
-                if floor_secs > 0.0 {
-                    // Peek the same-key prefix before committing to it.
-                    // The emptiness check above makes front() infallible
-                    // here, but a held tenant is skipped, never unwrapped.
-                    let Some(front) = e.q.front() else { continue };
-                    let key = front.key;
-                    let head_enqueued = front.enqueued_at;
-                    let mut len = 0usize;
-                    let mut secs = 0.0f64;
-                    for j in e.q.iter().take(max_batch) {
-                        if j.key != key {
-                            break;
-                        }
-                        len += 1;
-                        secs += j.predicted_secs;
-                    }
-                    let head_waited = now.saturating_duration_since(head_enqueued);
-                    if len < max_batch && secs < floor_secs && head_waited < hold {
-                        let remaining = hold - head_waited;
-                        earliest = Some(match earliest {
-                            Some(d) => d.min(remaining),
-                            None => remaining,
-                        });
-                        continue;
-                    }
                 }
                 let Some(head) = e.q.pop_front() else {
                     continue;
@@ -227,23 +172,15 @@ impl LaneQueues {
                 e.in_flight = true;
                 let tenant = e.tenant;
                 lane.cursor = (idx + 1) % n;
-                self.queued -= jobs.len();
-                self.backlog_secs -= jobs.iter().map(|j| j.predicted_secs).sum::<f64>();
-                if self.queued == 0 {
-                    // Keep accumulated float error from drifting the budget.
-                    self.backlog_secs = 0.0;
-                }
-                return Take::Batch(Batch {
+                self.remove_from_gauges(&jobs);
+                return Some(Batch {
                     tenant,
                     qos: QosClass::of_lane(lane_idx),
                     jobs,
                 });
             }
         }
-        match earliest {
-            Some(d) => Take::Hold(d),
-            None => Take::Empty,
-        }
+        None
     }
 
     /// Clear the in-flight mark left by [`LaneQueues::take_batch`]. Called
@@ -273,7 +210,7 @@ impl LaneQueues {
             let cheapest = self.lanes[lane_idx]
                 .entries
                 .iter()
-                .filter_map(|e| e.q.back().map(|j| j.predicted_secs))
+                .filter_map(|e| e.q.back().map(|j| j.cost.secs))
                 .min_by(f64::total_cmp);
             if let Some(predicted_secs) = cheapest {
                 return Some(ShedCandidate {
@@ -297,7 +234,7 @@ impl LaneQueues {
                 .entries
                 .iter()
                 .flat_map(|e| e.q.iter())
-                .map(|j| j.predicted_secs)
+                .map(|j| j.cost.secs)
                 .sum::<f64>();
         }
         total
@@ -309,18 +246,14 @@ impl LaneQueues {
         let lane = &mut self.lanes[candidate.qos.lane()];
         // The filter guarantees a back job; a tenant whose queue emptied
         // anyway simply sorts first on 0.0 and yields None from pop_back.
-        let tail_secs = |e: &TenantEntry| e.q.back().map(|j| j.predicted_secs).unwrap_or(0.0);
+        let tail_secs = |e: &TenantEntry| e.q.back().map(|j| j.cost.secs).unwrap_or(0.0);
         let entry = lane
             .entries
             .iter_mut()
             .filter(|e| !e.q.is_empty())
             .min_by(|a, b| tail_secs(a).total_cmp(&tail_secs(b)))?;
         let job = entry.q.pop_back()?;
-        self.queued -= 1;
-        self.backlog_secs -= job.predicted_secs;
-        if self.queued == 0 {
-            self.backlog_secs = 0.0;
-        }
+        self.remove_from_gauges(std::slice::from_ref(&job));
         Some(job)
     }
 
@@ -383,11 +316,12 @@ impl LaneQueues {
     }
 
     /// Subtract a set of removed jobs from the `queued`/`backlog_secs`
-    /// gauges (shared tail of the targeted drains above).
+    /// gauges (shared tail of every removal above).
     fn remove_from_gauges(&mut self, removed: &[Job]) {
         self.queued -= removed.len();
-        self.backlog_secs -= removed.iter().map(|j| j.predicted_secs).sum::<f64>();
+        self.backlog_secs -= removed.iter().map(|j| j.cost.secs).sum::<f64>();
         if self.queued == 0 {
+            // Keep accumulated float error from drifting the budget.
             self.backlog_secs = 0.0;
         }
     }
@@ -413,6 +347,7 @@ mod tests {
     use super::*;
     use crate::router::TenantConfig;
     use adsala_blas3::{Matrix, OwnedOp, Transpose};
+    use std::time::Duration;
 
     fn tenant(id: u64, qos: QosClass) -> Arc<TenantState> {
         Arc::new(TenantState::new(
@@ -439,24 +374,15 @@ mod tests {
             client: ClientId(tenant.id.0),
             tenant: Arc::clone(tenant),
             key: op.group_key(),
-            nt: 1,
-            predicted_secs: secs,
-            model_backed: false,
-            epoch: 0,
-            enqueued_at: Instant::now(),
+            cost: GroupCost {
+                nt: 1,
+                secs,
+                model_backed: false,
+                epoch: 0,
+            },
             deadline: None,
             op,
             slot: CompletionSlot::new(),
-        }
-    }
-
-    /// Floor-free take, matching the pre-floor semantics the structural
-    /// tests exercise.
-    fn take(qs: &mut LaneQueues, max_batch: usize) -> Option<Batch> {
-        match qs.take_batch(max_batch, 0.0, Duration::ZERO) {
-            Take::Batch(b) => Some(b),
-            Take::Hold(_) => panic!("floor disabled, nothing may be held"),
-            Take::Empty => None,
         }
     }
 
@@ -471,7 +397,7 @@ mod tests {
             qs.push(job_for(&b, 4, 1.0));
         }
         let mut order = Vec::new();
-        while let Some(batch) = take(&mut qs, 1) {
+        while let Some(batch) = qs.take_batch(1) {
             order.push(batch.tenant.0);
             qs.finish_batch(batch.tenant, batch.qos);
         }
@@ -485,11 +411,11 @@ mod tests {
         let ui = tenant(1, QosClass::Interactive);
         qs.push(job_for(&bulk, 4, 1.0));
         qs.push(job_for(&ui, 4, 1.0));
-        let first = take(&mut qs, 4).unwrap();
+        let first = qs.take_batch(4).unwrap();
         assert_eq!(first.tenant, TenantId(1));
         assert_eq!(first.qos, QosClass::Interactive);
         qs.finish_batch(first.tenant, first.qos);
-        let second = take(&mut qs, 4).unwrap();
+        let second = qs.take_batch(4).unwrap();
         assert_eq!(second.tenant, TenantId(0));
     }
 
@@ -501,14 +427,14 @@ mod tests {
         qs.push(job_for(&t, 4, 1.0));
         qs.push(job_for(&t, 8, 1.0)); // shape change stops the batch
         qs.push(job_for(&t, 4, 1.0));
-        let b = take(&mut qs, 16).unwrap();
+        let b = qs.take_batch(16).unwrap();
         assert_eq!(b.jobs.len(), 2, "prefix stops at the shape change");
         qs.finish_batch(b.tenant, b.qos);
-        let b = take(&mut qs, 16).unwrap();
+        let b = qs.take_batch(16).unwrap();
         assert_eq!(b.jobs.len(), 1);
         assert_eq!(b.jobs[0].key.1, Dims::d3(8, 8, 8));
         qs.finish_batch(b.tenant, b.qos);
-        let b = take(&mut qs, 16).unwrap();
+        let b = qs.take_batch(16).unwrap();
         assert_eq!(b.jobs.len(), 1);
         assert_eq!(b.jobs[0].key.1, Dims::d3(4, 4, 4));
     }
@@ -520,13 +446,13 @@ mod tests {
         for _ in 0..4 {
             qs.push(job_for(&t, 4, 1.0));
         }
-        let b = take(&mut qs, 2).unwrap();
+        let b = qs.take_batch(2).unwrap();
         assert_eq!(b.jobs.len(), 2);
         assert!(!qs.is_empty());
-        assert!(take(&mut qs, 2).is_none(), "tenant is in flight");
+        assert!(qs.take_batch(2).is_none(), "tenant is in flight");
         assert!(qs.tenant_busy(TenantId(0), QosClass::Standard));
         qs.finish_batch(b.tenant, b.qos);
-        assert_eq!(take(&mut qs, 2).unwrap().jobs.len(), 2);
+        assert_eq!(qs.take_batch(2).unwrap().jobs.len(), 2);
     }
 
     #[test]
@@ -538,60 +464,13 @@ mod tests {
         }
         assert_eq!(qs.queued(), 5);
         assert!((qs.backlog_secs() - 5.0).abs() < 1e-12);
-        let b = take(&mut qs, 2).unwrap();
+        let b = qs.take_batch(2).unwrap();
         assert_eq!(b.jobs.len(), 2);
         assert_eq!(qs.queued(), 3);
         assert!((qs.backlog_secs() - 3.0).abs() < 1e-12);
         qs.drain_all();
         assert!(qs.is_empty());
         assert_eq!(qs.backlog_secs(), 0.0);
-    }
-
-    #[test]
-    fn batch_floor_holds_tiny_batches_until_full_heavy_or_expired() {
-        let mut qs = LaneQueues::default();
-        let t = tenant(0, QosClass::Standard);
-        let floor = 1.0;
-        let hold = Duration::from_secs(60);
-
-        // Under the floor, under max_batch, freshly queued: held, with a
-        // wake-up hint no longer than the hold, and nothing consumed.
-        qs.push(job_for(&t, 4, 1e-6));
-        qs.push(job_for(&t, 4, 1e-6));
-        match qs.take_batch(8, floor, hold) {
-            Take::Hold(d) => assert!(d <= hold),
-            _ => panic!("tiny fresh batch must be held"),
-        }
-        assert_eq!(qs.queued(), 2, "holding must not consume jobs");
-
-        // A held tenant does not block a takeable peer in the same lane.
-        let heavy = tenant(1, QosClass::Standard);
-        qs.push(job_for(&heavy, 8, 5.0));
-        match qs.take_batch(8, floor, hold) {
-            Take::Batch(b) => {
-                assert_eq!(b.tenant, TenantId(1));
-                qs.finish_batch(b.tenant, b.qos);
-            }
-            _ => panic!("above-floor peer must be served around the held tenant"),
-        }
-
-        // A full batch takes regardless of predicted seconds.
-        match qs.take_batch(2, floor, hold) {
-            Take::Batch(b) => {
-                assert_eq!(b.jobs.len(), 2);
-                qs.finish_batch(b.tenant, b.qos);
-            }
-            _ => panic!("full batch must not be held"),
-        }
-
-        // An expired hold is served no matter how small the batch.
-        let mut stale = job_for(&t, 4, 1e-6);
-        stale.enqueued_at = Instant::now() - Duration::from_millis(50);
-        qs.push(stale);
-        match qs.take_batch(8, floor, Duration::from_millis(1)) {
-            Take::Batch(b) => assert_eq!(b.jobs.len(), 1),
-            _ => panic!("expired hold must be served"),
-        }
     }
 
     #[test]
@@ -614,7 +493,7 @@ mod tests {
         assert_eq!(qs.queued(), 3);
         // Survivors keep submission order around the hole.
         let dims: Vec<Dims> = std::iter::from_fn(|| {
-            take(&mut qs, 1).map(|b| {
+            qs.take_batch(1).map(|b| {
                 let d = b.jobs[0].key.1;
                 qs.finish_batch(b.tenant, b.qos);
                 d
@@ -638,7 +517,7 @@ mod tests {
             qs.push(job_for(&b, m, 1.0));
         }
         // Tenant a has a batch in the air: its queued jobs must stay.
-        let airborne = take(&mut qs, 1).unwrap();
+        let airborne = qs.take_batch(1).unwrap();
         assert_eq!(airborne.tenant, TenantId(0));
         let moved = qs.drain_rehome();
         assert_eq!(moved.len(), 2, "only the idle tenant's jobs move");
@@ -648,7 +527,7 @@ mod tests {
         assert_eq!(moved[1].key.1, Dims::d3(8, 8, 8));
         assert_eq!(qs.queued(), 2);
         qs.finish_batch(airborne.tenant, airborne.qos);
-        assert_eq!(take(&mut qs, 8).unwrap().jobs.len(), 2);
+        assert_eq!(qs.take_batch(8).unwrap().jobs.len(), 2);
     }
 
     #[test]
@@ -663,7 +542,7 @@ mod tests {
         assert_eq!(shed.len(), 2);
         assert_eq!(qs.queued(), 1);
         assert!((qs.backlog_secs() - 2.0).abs() < 1e-12);
-        assert_eq!(take(&mut qs, 1).unwrap().tenant, TenantId(1));
+        assert_eq!(qs.take_batch(1).unwrap().tenant, TenantId(1));
     }
 
     #[test]
@@ -681,7 +560,7 @@ mod tests {
         assert_eq!(peek.qos, QosClass::Batch);
         assert!((peek.predicted_secs - 0.5).abs() < 1e-12);
         let shed = qs.shed_one(QosClass::Interactive).unwrap();
-        assert!((shed.predicted_secs - 0.5).abs() < 1e-12);
+        assert!((shed.cost.secs - 0.5).abs() < 1e-12);
         // A standard submission may only shed the batch lane.
         let peek = qs.peek_shed(QosClass::Standard).unwrap();
         assert_eq!(peek.qos, QosClass::Batch);

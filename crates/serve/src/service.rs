@@ -50,27 +50,9 @@ pub struct ServeConfig {
     pub telemetry_capacity: usize,
     /// Maximum jobs served per scheduler wake-up (one same-shape batch).
     pub max_batch: usize,
-    /// Minimum predicted seconds a same-shape batch should accumulate
-    /// before a scheduler wake-up is spent on it. `0.0` (the default)
-    /// disables the floor. With tiny memory-bound Level 2 jobs the per-
-    /// wake-up dispatch cost can exceed the work itself; the floor lets
-    /// same-shape submissions coalesce into one batch, bounded by
-    /// [`ServeConfig::batch_hold`].
-    pub batch_floor_secs: f64,
-    /// Longest a job may be held waiting for its batch to reach
-    /// [`ServeConfig::batch_floor_secs`]. Once the head of a held group
-    /// has waited this long it is served regardless of batch size, so the
-    /// floor costs at most this much latency.
-    pub batch_hold: std::time::Duration,
     /// Cost model for routines without an installed predictor: predicted
     /// seconds = `flops / (fallback_gflops * 1e9)`.
     pub fallback_gflops: f64,
-    /// Start with every cell paused (jobs queue but are not served until
-    /// [`Service::resume`]); used by tests and staged start-up.
-    pub start_paused: bool,
-    /// Tenant knobs for clients created through [`Service::client`]
-    /// (tenants made with [`Service::tenant`] carry their own).
-    pub default_tenant: TenantConfig,
     /// Retry policy for transient backend failures (see [`RetryPolicy`]).
     pub retry: RetryPolicy,
     /// Cell watchdog knobs: heartbeat sweep interval and the wedge window
@@ -90,11 +72,7 @@ impl Default for ServeConfig {
             backlog_budget_secs: 60.0,
             telemetry_capacity: 1024,
             max_batch: 32,
-            batch_floor_secs: 0.0,
-            batch_hold: std::time::Duration::from_millis(2),
             fallback_gflops: 1.0,
-            start_paused: false,
-            default_tenant: TenantConfig::default(),
             retry: RetryPolicy::default(),
             supervisor: SupervisorConfig::default(),
             breaker: BreakerConfig::default(),
@@ -146,14 +124,21 @@ fn plausible_window(flops: f64, bytes: f64) -> (f64, f64) {
     (lo, hi)
 }
 
-/// Priced admission estimate shared by every op of one `(routine, dims)`
-/// group in a submission.
+/// The priced decision shared by every op of one `(routine, dims)` group
+/// in a submission. Computed once in [`Client::submit_batch_with`] and
+/// carried whole on the job (`queue::Job::cost`) until the executing cell
+/// writes it into the job's [`TelemetryRecord`].
 #[derive(Debug, Clone, Copy)]
-struct GroupCost {
-    nt: usize,
-    secs: f64,
-    model_backed: bool,
-    epoch: u64,
+pub(crate) struct GroupCost {
+    /// Thread count the cost model chose.
+    pub nt: usize,
+    /// Predicted seconds at `nt` (clamped plausible when model-backed,
+    /// else the flops fallback).
+    pub secs: f64,
+    /// Whether an installed model priced the group.
+    pub model_backed: bool,
+    /// Epoch version of that model (0 on the fallback path).
+    pub epoch: u64,
 }
 
 /// The tenant registry, guarded by the admission lock. The same lock
@@ -314,14 +299,7 @@ impl<B: Blas3Backend + 'static> Service<B> {
         let shards = resolve_shards(&cfg);
         let workers_per_cell = ThreadPool::hardware_threads().div_ceil(shards).max(1);
         let cells: Vec<Arc<Cell>> = (0..shards)
-            .map(|i| {
-                Arc::new(Cell::new(
-                    i,
-                    workers_per_cell,
-                    cfg.telemetry_capacity,
-                    cfg.start_paused,
-                ))
-            })
+            .map(|i| Arc::new(Cell::new(i, workers_per_cell, cfg.telemetry_capacity)))
             .collect();
         let breaker = Breaker::new(cfg.breaker);
         let shared = Arc::new(Shared {
@@ -414,11 +392,11 @@ impl<B: Blas3Backend + 'static> Service<B> {
         }
     }
 
-    /// A new client handle under a **fresh tenant** with the service's
-    /// [`ServeConfig::default_tenant`] knobs — each call gets its own FIFO
-    /// and fairness slot, preserving the pre-shard per-client semantics.
+    /// A new client handle under a **fresh tenant** with
+    /// [`TenantConfig::default`] knobs — each call gets its own FIFO and
+    /// fairness slot, preserving the pre-shard per-client semantics.
     pub fn client(&self) -> Client<B> {
-        let tenant = self.tenant(self.shared.cfg.default_tenant);
+        let tenant = self.tenant(TenantConfig::default());
         self.client_for(tenant)
     }
 
@@ -428,7 +406,9 @@ impl<B: Blas3Backend + 'static> Service<B> {
         self.shared.cells.len()
     }
 
-    /// Pause serving on every cell (submissions still admit and queue).
+    /// Pause serving on every cell (submissions still admit and queue
+    /// until [`Service::resume`]). Called before the first submission it
+    /// is a staged start-up: nothing is served until `resume`.
     pub fn pause(&self) {
         for cell in &self.shared.cells {
             cell.lock().paused = true;
@@ -436,8 +416,7 @@ impl<B: Blas3Backend + 'static> Service<B> {
         }
     }
 
-    /// Resume serving after [`ServeConfig::start_paused`] or
-    /// [`Service::pause`].
+    /// Resume serving after [`Service::pause`].
     pub fn resume(&self) {
         for cell in &self.shared.cells {
             cell.lock().paused = false;
@@ -826,10 +805,9 @@ impl<B: Blas3Backend + 'static> Client<B> {
         // already cannot make its deadline is refused with the operands
         // handed back — strictly better than queueing work guaranteed to
         // be swept out dead.
-        let enqueued_at = std::time::Instant::now();
         if let Some(deadline) = opts.deadline {
             let deadline_secs = deadline
-                .saturating_duration_since(enqueued_at)
+                .saturating_duration_since(std::time::Instant::now())
                 .as_secs_f64();
             let predicted_secs = shared.cells[target].backlog_secs() + requested_secs;
             if predicted_secs > deadline_secs {
@@ -848,7 +826,7 @@ impl<B: Blas3Backend + 'static> Client<B> {
         let mut tickets = Vec::with_capacity(n_ops);
         let cell = &shared.cells[target];
         let mut st = cell.lock();
-        for (op, (key, est)) in ops.into_iter().zip(costs) {
+        for (op, (key, cost)) in ops.into_iter().zip(costs) {
             let slot = CompletionSlot::new();
             tickets.push(Ticket::new(Arc::clone(&slot)));
             st.queues.push(Job {
@@ -856,11 +834,7 @@ impl<B: Blas3Backend + 'static> Client<B> {
                 tenant: Arc::clone(&self.tenant),
                 key,
                 op,
-                nt: est.nt,
-                predicted_secs: est.secs,
-                model_backed: est.model_backed,
-                epoch: est.epoch,
-                enqueued_at,
+                cost,
                 deadline: opts.deadline,
                 slot,
             });

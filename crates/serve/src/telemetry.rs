@@ -1,19 +1,24 @@
-//! Observed-vs-predicted wall-clock telemetry.
+//! The per-job record, and the observed-vs-predicted telemetry built from it.
 //!
 //! The paper installs models once per platform; closing the loop (ROADMAP
 //! "online adaptation") needs production call timings paired with the
-//! predictions they were admitted under. [`Telemetry`] is that capture
-//! point: a bounded ring buffer the scheduler appends one
-//! [`TelemetryRecord`] to per served job. A refit loop can
-//! [`Telemetry::snapshot`] it periodically and feed the `(features,
-//! observed seconds)` pairs back through the installation pipeline.
+//! predictions they were admitted under. [`TelemetryRecord`] is that pair
+//! and the service's **one** description of a finished job: the executing
+//! cell builds it once, hands it to the submitter as
+//! [`Completed::stats`](crate::Completed::stats), and — when the backend
+//! succeeded — appends the same value to its [`Telemetry`] ring. A refit
+//! loop can [`Telemetry::snapshot`] the ring periodically and feed the
+//! `(features, observed seconds)` pairs back through the installation
+//! pipeline. Whatever else is learned about a job on its way through the
+//! service (stage stamps, the decision's inputs) belongs here as a field,
+//! so both readers see it.
 //!
 //! Under sharding each cell owns a private ring (no cross-cell lock on
 //! the serve path); records carry a service-wide [`TelemetryRecord::seq`]
 //! stamp so `Service::telemetry_snapshot` can merge the rings back into
-//! one recording order, and the aggregation views are exposed as free
-//! functions ([`mean_observed_over_predicted`], [`drift_by_routine`])
-//! that work on any record slice — per-cell or merged.
+//! one recording order, and the aggregation views are free functions
+//! ([`mean_observed_over_predicted`], [`drift_by_routine`]) that work on
+//! any record slice — per-cell or merged.
 
 use crate::job::ClientId;
 use crate::router::TenantId;
@@ -21,11 +26,12 @@ use adsala_blas3::op::{Dims, Routine};
 use std::collections::VecDeque;
 use std::sync::Mutex;
 
-/// One served job's record: what was predicted, what was observed.
+/// One executed job: what was predicted, what was observed, where it ran.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TelemetryRecord {
-    /// Service-wide recording stamp: merge-sorting per-cell rings by this
-    /// recovers one global order.
+    /// Service-wide stamp taken when the job finished executing:
+    /// merge-sorting per-cell rings by this recovers one global order.
+    /// (Failed jobs take a stamp too, so ring stamps may have gaps.)
     pub seq: u64,
     /// Submitting client.
     pub client: ClientId,
@@ -38,19 +44,24 @@ pub struct TelemetryRecord {
     pub routine: Routine,
     /// Dimensions of the call.
     pub dims: Dims,
-    /// Thread count the call executed with (1 inside a multi-job batch).
+    /// Thread count the call executed with. Inside a multi-job batch this
+    /// is 1 (batch members run serially across one pool wake-up) and may
+    /// differ from [`TelemetryRecord::admitted_nt`].
     pub nt: usize,
-    /// Thread count the prediction was priced at.
+    /// Thread count the cost model chose at admission — the count
+    /// `predicted_secs` was priced at.
     pub admitted_nt: usize,
-    /// Predicted seconds at admission.
+    /// Predicted seconds the job was admitted under.
     pub predicted_secs: f64,
-    /// Whether the prediction came from an installed model.
+    /// Whether the prediction came from an installed model (`true`) or the
+    /// flops-based fallback cost model (`false`).
     pub model_backed: bool,
     /// Epoch version of the model that priced the job (0 on the fallback
     /// path). Lets a refit loop separate records made under the current
     /// epoch from the pre-swap history that triggered the swap.
     pub epoch: u64,
-    /// Observed wall-clock seconds.
+    /// Observed wall-clock seconds of the execution (the last attempt,
+    /// when the job was retried).
     pub observed_secs: f64,
     /// Jobs served in the same scheduler wake-up.
     pub batch_size: usize,
@@ -85,7 +96,7 @@ impl TelemetryRecord {
     }
 }
 
-/// Per-routine drift summary from [`Telemetry::drift_by_routine`].
+/// Per-routine drift summary from [`drift_by_routine`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct RoutineDrift {
     /// The routine.
@@ -156,22 +167,6 @@ impl Telemetry {
     /// Configured capacity.
     pub fn capacity(&self) -> usize {
         self.capacity
-    }
-
-    /// Mean of `observed / predicted` over retained records that
-    /// [qualify](TelemetryRecord::qualifies_for_drift) — the aggregate
-    /// drift signal for an online-refit loop. `None` when no record
-    /// qualifies. Delegates to [`mean_observed_over_predicted`]; use the
-    /// free function directly for a merged multi-cell snapshot.
-    pub fn mean_observed_over_predicted(&self) -> Option<f64> {
-        mean_observed_over_predicted(&self.snapshot())
-    }
-
-    /// Per-routine drift breakdown over the qualifying retained records,
-    /// sorted by routine. Delegates to [`drift_by_routine`]; use the free
-    /// function directly for a merged multi-cell snapshot.
-    pub fn drift_by_routine(&self) -> Vec<RoutineDrift> {
-        drift_by_routine(&self.snapshot())
     }
 
     fn lock(&self) -> std::sync::MutexGuard<'_, Inner> {
@@ -265,7 +260,7 @@ mod tests {
     #[test]
     fn drift_signal_averages_model_backed_records_only() {
         let t = Telemetry::new(8);
-        assert_eq!(t.mean_observed_over_predicted(), None);
+        assert_eq!(mean_observed_over_predicted(&t.snapshot()), None);
         t.record(rec(0)); // observed/predicted = 2.0
         let mut fallback = rec(1);
         fallback.model_backed = false;
@@ -278,7 +273,7 @@ mod tests {
         batched.admitted_nt = 8;
         batched.observed_secs = 50.0;
         t.record(batched);
-        assert_eq!(t.mean_observed_over_predicted(), Some(2.0));
+        assert_eq!(mean_observed_over_predicted(&t.snapshot()), Some(2.0));
     }
 
     #[test]
@@ -302,9 +297,9 @@ mod tests {
         fallback.observed_secs = 1000.0;
         t.record(fallback);
 
-        let agg = t.mean_observed_over_predicted().unwrap();
+        let agg = mean_observed_over_predicted(&t.snapshot()).unwrap();
         assert!((agg - 1.8).abs() < 1e-12, "aggregate {agg}");
-        let per = t.drift_by_routine();
+        let per = drift_by_routine(&t.snapshot());
         assert_eq!(per.len(), 2);
         assert_eq!(per[0].routine.name(), "dgemm");
         assert!((per[0].mean_observed_over_predicted - 1.0).abs() < 1e-12);
@@ -339,8 +334,8 @@ mod tests {
             bad.observed_secs = observed;
             t.record(bad);
         }
-        assert_eq!(t.mean_observed_over_predicted(), Some(2.0));
-        let per = t.drift_by_routine();
+        assert_eq!(mean_observed_over_predicted(&t.snapshot()), Some(2.0));
+        let per = drift_by_routine(&t.snapshot());
         assert_eq!(per.len(), 1);
         assert_eq!(per[0].samples, 4);
         assert!((per[0].mean_observed_over_predicted - 2.0).abs() < 1e-12);

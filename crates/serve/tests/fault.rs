@@ -129,7 +129,9 @@ fn transient_faults_are_retried_to_success_with_exactly_once_settlement() {
 #[test]
 fn a_fatal_fault_settles_typed_without_burning_retries() {
     // The 2nd call fails fatally: the job's ticket carries the typed
-    // error, nothing is retried, and the cell keeps serving.
+    // error, nothing is retried, and the cell keeps serving. Every ticket
+    // delivers the job's record; the telemetry ring holds exactly the
+    // records of the executions that succeeded.
     let rules = vec![FaultRule::new(FaultKind::Fatal).window(1, 1)];
     let service = Service::with_config(
         faulted_runtime(7, rules),
@@ -145,8 +147,12 @@ fn a_fatal_fault_settles_typed_without_burning_retries() {
     let tickets: Vec<_> = (0..4)
         .map(|i| client.submit(gemm(24, i)).expect("within budget"))
         .collect();
+    let mut records = Vec::new();
     for (i, ticket) in tickets.into_iter().enumerate() {
         let done = ticket.wait().expect("settled, not dropped");
+        assert_eq!(done.stats.client, client.id());
+        assert_eq!(done.stats.dims, Dims::d3(24, 24, 24));
+        records.push(done.stats);
         if i == 1 {
             assert!(
                 matches!(
@@ -163,6 +169,13 @@ fn a_fatal_fault_settles_typed_without_burning_retries() {
             assert!(done.result.is_ok(), "job {i} unaffected");
         }
     }
+    let failed = records.remove(1);
+    let snap = service.telemetry_snapshot();
+    assert_eq!(snap, records, "the ring holds what the tickets delivered");
+    assert!(
+        snap.iter().all(|r| r.seq != failed.seq),
+        "a failed execution is nothing to refit from"
+    );
     let stats = service.stats();
     assert_eq!(
         stats.shards.iter().map(|s| s.retries).sum::<u64>(),
@@ -177,12 +190,12 @@ fn deadlines_reject_at_admission_sweep_in_queue_and_bound_waits() {
         faulted_runtime(3, Vec::new()),
         ServeConfig {
             shards: 1,
-            start_paused: true,
             fallback_gflops: 1.0,
             ..Default::default()
         },
     )
     .expect("spawn scheduler cells");
+    service.pause();
     let client = service.client();
 
     // Already-expired deadline: the admission feasibility check refuses
@@ -246,7 +259,6 @@ fn a_wedged_cell_is_restarted_and_rehomed_tenants_keep_fifo_order() {
             shards: 2,
             max_batch: 1,
             steal: false,
-            start_paused: true,
             fallback_gflops: 1.0,
             backlog_budget_secs: 1e9,
             supervisor: SupervisorConfig {
@@ -258,6 +270,7 @@ fn a_wedged_cell_is_restarted_and_rehomed_tenants_keep_fifo_order() {
         },
     )
     .expect("spawn scheduler cells");
+    service.pause();
 
     let pin = service.client_for(service.tenant(TenantConfig::default()));
     let wedged = service.client_for(service.tenant(TenantConfig::default()));
@@ -330,7 +343,6 @@ fn breaker_trips_to_brownout_sheds_batch_and_recovers_half_open() {
         ServeConfig {
             shards: 1,
             max_batch: 1,
-            start_paused: true,
             fallback_gflops: 1.0,
             breaker: BreakerConfig {
                 enabled: true,
@@ -342,6 +354,7 @@ fn breaker_trips_to_brownout_sheds_batch_and_recovers_half_open() {
         },
     )
     .expect("spawn scheduler cells");
+    service.pause();
     let batch = service.client_for(service.tenant(TenantConfig {
         qos: QosClass::Batch,
         ..Default::default()

@@ -269,11 +269,11 @@ fn round_robin_prevents_starvation_between_competing_clients() {
             // defined when a single scheduler drains the lanes.
             shards: 1,
             max_batch: 2,
-            start_paused: true,
             ..Default::default()
         },
     )
     .expect("spawn scheduler cells");
+    service.pause();
     let a = service.client();
     let b = service.client();
     let submit_n = |client: &adsala_serve::Client<NativeBackend>, n: usize| {
@@ -358,11 +358,11 @@ fn admission_rejects_when_the_queue_is_full_and_returns_all_ops() {
         modelless_runtime(),
         ServeConfig {
             queue_capacity: 2,
-            start_paused: true,
             ..Default::default()
         },
     )
     .expect("spawn scheduler cells");
+    service.pause();
     let client = service.client();
     let rejected = client.submit_batch(mixed_ops(5)).unwrap_err();
     assert!(matches!(
@@ -392,14 +392,8 @@ fn admission_rejects_invalid_descriptions_with_a_typed_error() {
 
 #[test]
 fn tickets_surface_shutdown_to_both_pollers_and_waiters() {
-    let service = Service::with_config(
-        modelless_runtime(),
-        ServeConfig {
-            start_paused: true,
-            ..Default::default()
-        },
-    )
-    .expect("spawn scheduler cells");
+    let service = Service::new(modelless_runtime()).expect("spawn scheduler cells");
+    service.pause();
     let client = service.client();
     let mk = || OwnedOp::Gemm {
         transa: Transpose::No,
@@ -413,10 +407,10 @@ fn tickets_surface_shutdown_to_both_pollers_and_waiters() {
     let poller = client.submit(mk()).unwrap();
     let waiter = client.submit(mk()).unwrap();
     // Paused service: still pending, not an error.
-    assert!(matches!(poller.try_wait(), Ok(None)));
+    assert!(matches!(poller.poll(), Ok(None)));
     // Paused shutdown drops queued jobs; both ticket styles must see it.
     drop(service);
-    assert!(matches!(poller.try_wait(), Err(ServeError::ServiceStopped)));
+    assert!(matches!(poller.poll(), Err(ServeError::ServiceStopped)));
     assert_eq!(waiter.wait().unwrap_err(), ServeError::ServiceStopped);
     // A client outliving its service gets a typed rejection on submit.
     assert!(matches!(
@@ -519,10 +513,11 @@ fn batch_submission_amortises_prediction_across_shape_groups() {
 #[test]
 fn level2_jobs_are_priced_batched_and_served_with_telemetry() {
     // The end-to-end path for the memory-bound family: a dgemv stream is
-    // admitted under a model-backed price, coalesced into one same-shape
-    // batch behind the predicted-seconds batch floor, executed through
-    // the Level 2 runtime entry point, and recorded in telemetry under
-    // the Level 2 routine kind.
+    // admitted under a model-backed price, taken as one same-shape batch
+    // (`submit_batch` pushes the six jobs under one hold of the cell
+    // lock, so the prefix is whole when the scheduler looks), executed
+    // through the Level 2 runtime entry point, and recorded in telemetry
+    // under the Level 2 routine kind.
     let timer = SimTimer::new(MachineSpec::gadi());
     let routine = Routine::parse("dgemv").unwrap();
     let installed = install_routine(
@@ -540,11 +535,6 @@ fn level2_jobs_are_priced_batched_and_served_with_telemetry() {
         Adsala::new(vec![installed], 2),
         ServeConfig {
             shards: 1,
-            // Far above a 32x24 gemv's predicted seconds: tiny jobs wait
-            // (bounded by the hold) for same-shape peers instead of
-            // burning a scheduler wake-up each.
-            batch_floor_secs: 1.0,
-            batch_hold: std::time::Duration::from_millis(20),
             ..Default::default()
         },
     )
@@ -564,8 +554,10 @@ fn level2_jobs_are_priced_batched_and_served_with_telemetry() {
     let ops: Vec<AnyOp> = (0..6).map(gemv).collect();
     let expected: Vec<AnyOp> = ops.iter().map(oracle).collect();
     let tickets = client.submit_batch(ops).expect("within budget");
+    let mut delivered = Vec::new();
     for (ticket, want) in tickets.into_iter().zip(&expected) {
         let done = ticket.wait().unwrap();
+        delivered.push(done.stats);
         assert!(done.result.is_ok());
         assert!(
             done.stats.model_backed,
@@ -579,6 +571,9 @@ fn level2_jobs_are_priced_batched_and_served_with_telemetry() {
     let snap = service.telemetry_snapshot();
     assert_eq!(snap.len(), 6);
     for r in &snap {
+        // Batch members finish in any order: the ring holds, in recording
+        // order, exactly the records the tickets delivered.
+        assert!(delivered.contains(r), "{r:?} was delivered to no ticket");
         assert_eq!(r.routine, routine);
         assert_eq!(r.dims.a(), 32);
         assert_eq!(r.dims.b(), 24);
@@ -587,38 +582,4 @@ fn level2_jobs_are_priced_batched_and_served_with_telemetry() {
         assert!(r.observed_secs >= 0.0);
         assert_eq!(r.batch_size, 6);
     }
-}
-
-#[test]
-fn batch_floor_hold_is_bounded_for_a_lone_tiny_job() {
-    // An unreachable floor must cost at most `batch_hold` of latency: a
-    // lone tiny Level 2 job is still served once its hold expires.
-    let service = Service::with_config(
-        modelless_runtime(),
-        ServeConfig {
-            shards: 1,
-            batch_floor_secs: 1e9,
-            batch_hold: std::time::Duration::from_millis(10),
-            ..Default::default()
-        },
-    )
-    .expect("spawn scheduler cells");
-    let client = service.client();
-    let op = OwnedOp2::Gemv {
-        trans: Transpose::No,
-        alpha: 1.0,
-        a: mat(8, 8, 1),
-        x: vec_f64(8, 2),
-        beta: 0.0,
-        y: vec_f64(8, 3),
-    };
-    let want = oracle(&AnyOp::from(op.clone()));
-    let start = std::time::Instant::now();
-    let done = client.submit(op).unwrap().wait().unwrap();
-    assert!(done.result.is_ok());
-    assert!(
-        start.elapsed() < std::time::Duration::from_secs(5),
-        "hold must be bounded"
-    );
-    assert!(max_diff(&done.op, &want) < 1e-12);
 }

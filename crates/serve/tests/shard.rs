@@ -192,11 +192,11 @@ fn disabling_steal_pins_every_job_to_its_home_cell() {
         ServeConfig {
             shards: 2,
             steal: false,
-            start_paused: true,
             ..Default::default()
         },
     )
     .expect("spawn scheduler cells");
+    service.pause();
     let client = service.client();
     let tickets: Vec<_> = (0..6)
         .map(|i| client.submit(gemm(24, i)).unwrap())
@@ -217,13 +217,13 @@ fn qos_shedding_evicts_the_cheapest_lower_class_job_for_interactive_work() {
         modelless_runtime(),
         ServeConfig {
             shards: 1,
-            start_paused: true,
             backlog_budget_secs: 9e-4,
             fallback_gflops: 1.0,
             ..Default::default()
         },
     )
     .expect("spawn scheduler cells");
+    service.pause();
     let batch_a = service.client_for(service.tenant(TenantConfig {
         qos: QosClass::Batch,
         ..Default::default()
@@ -279,12 +279,12 @@ fn tenant_backlog_budgets_are_enforced_independently() {
         modelless_runtime(),
         ServeConfig {
             shards: 1,
-            start_paused: true,
             fallback_gflops: 1.0,
             ..Default::default()
         },
     )
     .expect("spawn scheduler cells");
+    service.pause();
     let capped = service.client_for(service.tenant(TenantConfig {
         backlog_budget_secs: 6e-4,
         ..Default::default()
@@ -325,11 +325,11 @@ fn callbacks_and_queues_observe_shutdown_with_a_typed_error() {
         modelless_runtime(),
         ServeConfig {
             shards: 2,
-            start_paused: true,
             ..Default::default()
         },
     )
     .expect("spawn scheduler cells");
+    service.pause();
     let client = service.client();
 
     let (tx, rx) = std::sync::mpsc::channel();

@@ -272,6 +272,16 @@ fn damaged_boosted_model_files_are_typed_errors() {
     assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
     assert!(err.to_string().contains("dgemm.config.json"), "{err}");
 
+    // A config from before epoch metadata: every key is required.
+    let at = config.find("\"version\":").expect("key is in the file");
+    let line = at + config[at..].find('\n').expect("pretty-printed config") + 1;
+    let stripped = format!("{}{}", &config[..at], &config[line..]);
+    std::fs::write(&config_path, stripped).unwrap();
+    let err = store::load(&dir, "spike", routine).expect_err("no version key");
+    assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+    assert!(err.to_string().contains("dgemm.config.json"), "{err}");
+    assert!(err.to_string().contains("missing field `version`"), "{err}");
+
     // A sound model for rows of another width than the pipeline emits.
     store::save(&dir, &boosted_install(1)).unwrap();
     let err = store::load(&dir, "spike", routine).expect_err("width mismatch");
