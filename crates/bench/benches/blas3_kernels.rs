@@ -5,8 +5,8 @@
 //! relevant quantity for the sync-cost model.
 //!
 //! The `kernel_dispatch` groups race every micro-kernel this machine can
-//! run (scalar fallback, AVX2, AVX-512 when built with `--features
-//! adsala-blas3/avx512`) on a single-threaded serial GEMM — the number the
+//! run (scalar fallback, AVX2, AVX-512 where the CPU has it) on a
+//! single-threaded serial GEMM — the number the
 //! paper's `kernel_efficiency` feature summarises, and the headline
 //! speedup recorded in the README.
 

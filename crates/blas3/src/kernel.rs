@@ -6,9 +6,9 @@
 //! micro-kernel runs — and therefore what `MR`/`NR` the packing and blocking
 //! use — is decided at runtime by the [`KernelDispatch`] seam: the
 //! [`simd`] module probes the CPU once (`is_x86_feature_detected!`-style)
-//! and hands back either an explicit SIMD kernel (AVX2, feature-gated
-//! AVX-512, NEON) or the portable [`scalar_microkernel`] fallback, so one
-//! binary runs correctly on any CPU.
+//! and hands back either an explicit SIMD kernel (AVX2, AVX-512, NEON) or
+//! the portable [`scalar_microkernel`] fallback, so one binary runs
+//! correctly on any CPU.
 //!
 //! The tile geometry (`mr`, `nr`), the cache-blocking parameters (`mc`,
 //! `kc`, `nc`), and whether the macro-kernel issues software prefetches are
@@ -30,14 +30,30 @@
 //! [`gemm_serial_with`] is that engine on a team of one (its barriers
 //! return at once), with packing buffers drawn from the reuse [`arena`]
 //! (steady-state calls allocate nothing).
+//!
+//! Every flop of every Level-3 routine goes through
+//! [`KernelDispatch::run`] on packed, zero-padded panels — there is no
+//! scalar inner loop beside it. Two pieces beyond the whole-block product
+//! make that so for the triangular routines:
+//!
+//! * a **triangle-restricted product**, [`gemm_cooperative_in`]: the same
+//!   engine with a tile filter in [`macro_kernel`], which is all of SYRK
+//!   and SYR2K;
+//! * the **diagonal-block sweep** of TRMM and TRSM, [`tri_block_sweep`]:
+//!   the block packed with its unstored half written as zeros, its rows of
+//!   B copied into packed panels, a product or a substitution run tile by
+//!   tile — and for the substitution the one routine-specific kernel, the
+//!   portable [`tile_solve`], which each dispatch instantiates at its own
+//!   geometry ([`KernelDispatch::solve_tile`]).
 
 pub mod level2;
 pub mod simd;
 
 use crate::arena;
+use crate::call::by_side;
 use crate::pack::{pack_a_panels, pack_b_panels, packed_a_len, packed_b_len, PackSrc};
 use crate::pool::{SendPtr, TeamCtx};
-use crate::Float;
+use crate::{Float, Side, Uplo};
 
 pub use simd::{available_f32, available_f64, set_kernel_choice, KernelChoice};
 
@@ -57,6 +73,16 @@ pub use simd::{available_f32, available_f64, set_kernel_choice, KernelChoice};
 /// the kernel was obtained through the [`simd`] runtime dispatch).
 pub type MicroKernelFn<T> =
     unsafe fn(kc: usize, alpha: T, a: &[T], b: &[T], c: *mut T, ldc: usize, mr: usize, nr: usize);
+
+/// Entry-point type of the tile solve that goes with a micro-kernel: an
+/// instantiation of [`tile_solve`] at the kernel's `(nr, mr)`, compiled for
+/// the kernel's instruction set.
+///
+/// # Safety
+/// The CPU must support that instruction set (guaranteed when obtained
+/// through the [`simd`] runtime dispatch); the arguments are
+/// [`tile_solve`]'s, which is safe.
+pub type TileSolveFn<T> = unsafe fn(upper: bool, rows: usize, tdiag: &[T], x: &mut [T]);
 
 /// The selected micro-kernel for one scalar type: an entry point plus the
 /// tile geometry and cache blocking every downstream layer must use with it.
@@ -85,6 +111,7 @@ pub struct KernelDispatch<T: Float> {
     /// the hardware prefetcher to fall behind; the scalar kernel does not).
     pub prefetch: bool,
     kernel: MicroKernelFn<T>,
+    solve: TileSolveFn<T>,
 }
 
 impl<T: Float> KernelDispatch<T> {
@@ -104,10 +131,15 @@ impl<T: Float> KernelDispatch<T> {
         nc: usize,
         prefetch: bool,
         kernel: MicroKernelFn<T>,
+        solve: TileSolveFn<T>,
     ) -> KernelDispatch<T> {
         assert!(
             mr > 0 && mc > 0 && mc.is_multiple_of(mr),
             "cache block mc must be a multiple of the register block mr"
+        );
+        assert!(
+            mr * nr <= MAX_TILE,
+            "register tile overflows the stack tile of the triangular paths"
         );
         KernelDispatch {
             name,
@@ -118,7 +150,28 @@ impl<T: Float> KernelDispatch<T> {
             nc,
             prefetch,
             kernel,
+            solve,
         }
+    }
+
+    /// Order of the diagonal blocks TRMM and TRSM cut their triangular
+    /// operand into ([`tri_block_sweep`]): one cache block of rows, so the
+    /// fold against a block is a single `ic` block of the cooperative
+    /// engine, and the largest the packed-block buffer ever gets.
+    pub fn tri_block(&self) -> usize {
+        self.mc
+    }
+
+    /// Run the tile solve ([`tile_solve`] at this kernel's geometry) on the
+    /// `rows x mr` tile `x`.
+    ///
+    /// # Safety
+    /// The kernel's instruction set must be supported (always true for
+    /// dispatches returned by [`Float::kernel`] / [`simd`] selection).
+    #[inline]
+    pub unsafe fn solve_tile(&self, upper: bool, rows: usize, tdiag: &[T], x: &mut [T]) {
+        debug_assert!(rows <= self.nr && x.len() >= rows * self.mr);
+        (self.solve)(upper, rows, tdiag, x)
     }
 
     /// Run the micro-kernel: `C[0..mr, 0..nr] += alpha * Apanel * Bpanel`.
@@ -159,6 +212,11 @@ impl<T: Float> KernelDispatch<T> {
 
 /// Upper bound on `MR * NR` for the scalar kernel's stack accumulator.
 const MAX_ACC: usize = 64;
+
+/// Upper bound on `mr * nr` over every dispatch ([`KernelDispatch::new`]
+/// checks it): the size of the stack tile the triangular paths stage one
+/// register tile in.
+const MAX_TILE: usize = 256;
 
 /// Portable micro-kernel: `C[0..mr, 0..nr] += alpha * Apanel * Bpanel`.
 ///
@@ -270,11 +328,21 @@ const PREFETCH_LINES: usize = 4;
 /// keeps narrow outputs parallel: a tall-skinny product with a single B
 /// micro-panel still spreads its many A panels across the team.
 ///
+/// `tri` restricts the update to one triangle of the output — the rank-k
+/// routines': `(uplo, shift)` keeps element `(i, j)` of the block when
+/// `i - j + shift` is `>= 0` (Lower) or `<= 0` (Upper), `shift` being the
+/// block's row origin minus its column origin. It is a **tile filter**: a
+/// register tile wholly outside the triangle is not run, one wholly inside
+/// goes straight to C, and one the diagonal crosses is computed into a
+/// stack tile of which only the stored half is committed — no element
+/// outside the triangle is read or written.
+///
 /// # Safety
 /// `abuf`/`bbuf` must be fully packed blocks of `disp`'s geometry
 /// (`mc x kc` and `kc x nc`); `c` must point to an `mc x nc` block with
-/// leading dimension `ldc >= mc` whose tiles `tile_lo..tile_hi` this
-/// caller owns exclusively; `disp` must be runnable on this CPU.
+/// leading dimension `ldc >= mc` whose tiles `tile_lo..tile_hi` (their
+/// kept triangle, under `tri`) this caller owns exclusively; `disp` must
+/// be runnable on this CPU.
 #[allow(clippy::too_many_arguments)]
 pub unsafe fn macro_kernel<T: Float>(
     disp: &KernelDispatch<T>,
@@ -286,6 +354,7 @@ pub unsafe fn macro_kernel<T: Float>(
     nc: usize,
     tile_lo: usize,
     tile_hi: usize,
+    tri: Option<(Uplo, isize)>,
     c: *mut T,
     ldc: usize,
 ) {
@@ -315,6 +384,39 @@ pub unsafe fn macro_kernel<T: Float>(
         // mc x nc block and the micro-kernel writes only the
         // mr_eff x nr_eff live sub-tile at that anchor with stride ldc.
         let cptr = c.add(i0 + j0 * ldc);
+        if let Some((uplo, shift)) = tri {
+            // `i - j + shift` at the tile's anchor, then its range over
+            // the live sub-tile.
+            let d0 = i0 as isize - j0 as isize + shift;
+            let (d_min, d_max) = (d0 - (nr_eff as isize - 1), d0 + (mr_eff as isize - 1));
+            let (outside, inside) = match uplo {
+                Uplo::Lower => (d_max < 0, d_min >= 0),
+                Uplo::Upper => (d_min > 0, d_max <= 0),
+            };
+            if outside {
+                continue;
+            }
+            if !inside {
+                let mut tile = [T::ZERO; MAX_TILE];
+                // SAFETY: a private mr x nr tile (MAX_TILE bounds every
+                // dispatch's register block).
+                disp.run(kc, alpha, ap, bp, tile.as_mut_ptr(), mr, mr_eff, nr_eff);
+                for j in 0..nr_eff {
+                    // Column j keeps the rows with `i + d0 - j` on the
+                    // stored side of zero.
+                    let edge = (j as isize - d0).clamp(0, mr_eff as isize) as usize;
+                    let kept = match uplo {
+                        Uplo::Lower => edge..mr_eff,
+                        Uplo::Upper => 0..mr_eff.min(edge + usize::from(j as isize >= d0)),
+                    };
+                    for i in kept {
+                        // SAFETY: a kept element of the caller's tile.
+                        *cptr.add(i + j * ldc) += tile[i + j * mr];
+                    }
+                }
+                continue;
+            }
+        }
         disp.run(kc, alpha, ap, bp, cptr, ldc, mr_eff, nr_eff);
     }
 }
@@ -467,6 +569,36 @@ pub unsafe fn gemm_cooperative<T: Float>(
     ldc: usize,
     shared: &SharedPack<T>,
 ) {
+    gemm_cooperative_in(None, disp, team, m, n, k, alpha, a, b, c, ldc, shared)
+}
+
+/// [`gemm_cooperative`] restricted to one triangle of the output: with
+/// `tri = Some(uplo)` only the elements `(i, j)` of C in that triangle
+/// (`i >= j` Lower, `i <= j` Upper) are updated — or read — which is a
+/// rank-k update when `B = A'`. The schedule, the packing and the barriers
+/// are the whole-block product's; each `ic` block runs only the B
+/// micro-panels its rows reach, dealt round-robin, and [`macro_kernel`]'s
+/// tile filter handles the block the diagonal crosses. `None` is
+/// [`gemm_cooperative`].
+///
+/// # Safety
+/// As for [`gemm_cooperative`], the team owning the named triangle of `c`
+/// rather than the whole block.
+#[allow(clippy::too_many_arguments)]
+pub unsafe fn gemm_cooperative_in<T: Float>(
+    tri: Option<Uplo>,
+    disp: &KernelDispatch<T>,
+    team: &TeamCtx<'_>,
+    m: usize,
+    n: usize,
+    k: usize,
+    alpha: T,
+    a: &PackSrc<'_, T>,
+    b: &PackSrc<'_, T>,
+    c: *mut T,
+    ldc: usize,
+    shared: &SharedPack<T>,
+) {
     if m == 0 || n == 0 || k == 0 {
         return;
     }
@@ -524,26 +656,52 @@ pub unsafe fn gemm_cooperative<T: Float>(
                 team.barrier();
                 // SAFETY: immutable until the post-consumption barrier.
                 let abuf = std::slice::from_raw_parts(shared.abuf.get(), a_panels * mr * kcb);
-                // Split the flattened (jp, ip) tile space: disjoint mr x nr
-                // C tiles per member, and still balanced when the output is
-                // narrow (b_panels == 1 but many A panels) or short.
-                let (t_lo, t_hi) = team.chunk(a_panels * b_panels);
-                if t_lo < t_hi {
-                    // SAFETY: members write disjoint tile ranges of the
-                    // team-exclusive C block; panels fully packed.
-                    macro_kernel(
-                        disp,
-                        kcb,
-                        alpha,
-                        abuf,
-                        bbuf,
-                        mcb,
-                        ncb,
-                        t_lo,
-                        t_hi,
-                        c.add(ic + jc * ldc),
-                        ldc,
-                    );
+                let cblk = c.add(ic + jc * ldc);
+                match tri {
+                    None => {
+                        // Split the flattened (jp, ip) tile space: disjoint
+                        // mr x nr C tiles per member, and still balanced
+                        // when the output is narrow (b_panels == 1 but many
+                        // A panels) or short.
+                        let (t_lo, t_hi) = team.chunk(a_panels * b_panels);
+                        if t_lo < t_hi {
+                            // SAFETY: members write disjoint tile ranges of
+                            // the team-exclusive C block; panels fully
+                            // packed.
+                            macro_kernel(
+                                disp, kcb, alpha, abuf, bbuf, mcb, ncb, t_lo, t_hi, None, cblk, ldc,
+                            );
+                        }
+                    }
+                    Some(uplo) => {
+                        // The B micro-panels this block's rows reach: those
+                        // not wholly past the diagonal. They are dealt
+                        // round-robin, because a contiguous split of a
+                        // triangle gives one member the long columns.
+                        let (jp_lo, jp_hi) = match uplo {
+                            Uplo::Lower => (0, (ic + mcb).saturating_sub(jc).div_ceil(nr)),
+                            Uplo::Upper => (ic.saturating_sub(jc) / nr, b_panels),
+                        };
+                        let shift = ic as isize - jc as isize;
+                        for jp in (jp_lo + team.tid..jp_hi.min(b_panels)).step_by(team.size) {
+                            // SAFETY: as above, one B micro-panel's tiles
+                            // at a time; the filter keeps to the triangle.
+                            macro_kernel(
+                                disp,
+                                kcb,
+                                alpha,
+                                abuf,
+                                bbuf,
+                                mcb,
+                                ncb,
+                                jp * a_panels,
+                                (jp + 1) * a_panels,
+                                Some((uplo, shift)),
+                                cblk,
+                                ldc,
+                            );
+                        }
+                    }
                 }
                 // Everyone must finish consuming the A block (and, on the
                 // last ic, the B panel) before the next pack overwrites it.
@@ -553,6 +711,260 @@ pub unsafe fn gemm_cooperative<T: Float>(
             pc += kcb;
         }
         jc += ncb;
+    }
+}
+
+/// What [`tri_block_sweep`] does to a diagonal block's rows of B.
+#[derive(Clone, Copy)]
+pub enum TriOp<T> {
+    /// `B_blk := alpha * T_blk * B_blk` — TRMM, `alpha` inside.
+    Product(T),
+    /// `B_blk := T_blk^-1 * B_blk` by substitution — TRSM.
+    Solve,
+}
+
+impl<T: Float> TriOp<T> {
+    /// Register-block extents along `t` and along `f` for a block of
+    /// `side`: which operand of the micro-kernel the triangle stands on.
+    /// A product keeps the fold's assignment (`call::by_side`); a solve puts
+    /// the triangle on the B side whichever the side, so that a register
+    /// tile is `nr` rows of the block by `mr` lanes of the free extent —
+    /// the layout of the packed free panel itself. The tile then never
+    /// leaves that panel, the triangle left on it is `nr x nr` (not
+    /// `mr x mr`: 6 against 8, 16 or 32), and its substitution runs over
+    /// `mr` contiguous lanes.
+    pub fn tile(self, disp: &KernelDispatch<T>, side: Side) -> (usize, usize) {
+        match self {
+            TriOp::Product(_) => by_side(side, disp.mr, disp.nr),
+            TriOp::Solve => (disp.nr, disp.mr),
+        }
+    }
+}
+
+/// One **diagonal block** of a triangular routine through the packed
+/// micro-kernel, in the `(t, f)` coordinates of [`trmm`](crate::trmm): the
+/// block is `len x len`, its rows of B are `len x flen`, and element
+/// `(t, f)` of them is `b[t*st + f*sf]` with `(st, sf)` = `(1, ldb)` on
+/// the Left, `(ldb, 1)` on the Right.
+///
+/// `tri` is the block packed by
+/// [`pack_tri_panels`](crate::pack::pack_tri_panels) in `pt`-row panels
+/// (`(pt, pf)` = [`TriOp::tile`]) — the unstored half zeros, the diagonal
+/// inverted for [`TriOp::Solve`] — and `upper` says row `t` of it reaches
+/// depths `p >= t`. The block's rows of B are copied, one `pf`-lane
+/// micro-panel of the free extent at a time, into the shared buffer of the
+/// other operand, which makes the update out of place; then, per register
+/// tile:
+///
+/// * **product**: one micro-kernel call over the depth range where the
+///   triangular panel is not identically zero, into the zeroed tile of B;
+/// * **solve**: panel steps in dependency order, the tile staying in the
+///   packed free panel — the fold from the rows of the block already
+///   solved is the ordinary micro-kernel (`alpha = -1`) reading the
+///   panel's solved rows and accumulating into the step's, and the
+///   `nr x nr` triangle left over is [`KernelDispatch::solve_tile`], in
+///   place; the solved panel is copied back to B once.
+///
+/// **Meets no barrier.** The free micro-panels are dealt to fixed slots of
+/// the shared buffer, each member packs and alone consumes the panels in
+/// its own slots, and a tile's arithmetic does not depend on who runs it —
+/// so the result is bitwise the same at every team size. Every member must
+/// call with identical arguments.
+///
+/// # Safety
+/// `b` must point to the block's rows of B (extent and strides as above),
+/// which nothing outside the team touches during the call and which the
+/// team has finished writing before it (a barrier); `tri` must be a fully
+/// packed `len`-order block in `pt`-row panels, published to every member;
+/// `shared` must describe live buffers of at least
+/// [`shared_pack_lens`]`(rows, cols, len)` elements, `(rows, cols)` the
+/// block's rows of B as a matrix, that no member uses for anything else
+/// until a barrier after the call; `disp` must be runnable on this CPU.
+#[allow(clippy::too_many_arguments)]
+pub unsafe fn tri_block_sweep<T: Float>(
+    disp: &KernelDispatch<T>,
+    team: &TeamCtx<'_>,
+    side: Side,
+    upper: bool,
+    op: TriOp<T>,
+    len: usize,
+    flen: usize,
+    tri: &[T],
+    b: *mut T,
+    ldb: usize,
+    shared: &SharedPack<T>,
+) {
+    let (pt, pf) = op.tile(disp, side);
+    let (st, sf) = by_side(side, 1, ldb);
+    // The free panels take the place of the micro-kernel's A operand
+    // unless the triangle does.
+    let f_on_a = matches!(op, TriOp::Solve) || side == Side::Right;
+    let (fbuf, fbuf_len) = match f_on_a {
+        true => (shared.abuf, shared.alen),
+        false => (shared.bbuf, shared.blen),
+    };
+    let (t_panels, f_panels) = (len.div_ceil(pt), flen.div_ceil(pf));
+    debug_assert!(tri.len() >= t_panels * pt * len);
+    let slots = (fbuf_len / (pf * len)).min(f_panels);
+    assert!(slots > 0, "shared pack buffer shorter than one free panel");
+    let (slot_lo, slot_hi) = team.chunk(slots);
+    // SAFETY: the block's rows of B, stable for the whole call except
+    // where this member itself writes (after it has packed them). Read as
+    // a B-side operand `(p, j) = (t, f)`: the two sides' panel layouts
+    // coincide.
+    let src = PackSrc::from_raw(b as *const T, st, sf);
+    for base in (0..f_panels).step_by(slots) {
+        for slot in slot_lo..slot_hi.min(f_panels - base) {
+            let panel = base + slot;
+            let f0 = panel * pf;
+            let cols = pf.min(flen - f0);
+            // SAFETY: slot ranges are disjoint across members and inside
+            // the buffer (`slots * pf * len <= fbuf_len`).
+            let fp = std::slice::from_raw_parts_mut(fbuf.get().add(slot * pf * len), pf * len);
+            pack_b_panels(pf, len, flen, &src, 0, 0, panel, panel + 1, fp);
+            let out = b.add(f0 * sf);
+            match op {
+                TriOp::Product(alpha) => {
+                    let (r, c) = by_side(side, len, cols);
+                    // SAFETY: this member's own micro-panel of the block.
+                    scale_block(r, c, T::ZERO, out, ldb);
+                    for s in 0..t_panels {
+                        let r0 = s * pt;
+                        let rows = pt.min(len - r0);
+                        // Depths at which this panel of the triangle is
+                        // not identically zero.
+                        let (d_lo, d_hi) = if upper { (r0, len) } else { (0, r0 + rows) };
+                        let tp = &tri[(s * len + d_lo) * pt..(s * len + d_hi) * pt];
+                        let fpp = &fp[d_lo * pf..d_hi * pf];
+                        let ((ap, mr_eff), (bp, nr_eff)) = match f_on_a {
+                            true => ((fpp, cols), (tp, rows)),
+                            false => ((tp, rows), (fpp, cols)),
+                        };
+                        // SAFETY: the tile lies in this member's micro-panel
+                        // of the block; both slices hold d_hi - d_lo tiles.
+                        disp.run(
+                            d_hi - d_lo,
+                            alpha,
+                            ap,
+                            bp,
+                            out.add(r0 * st),
+                            ldb,
+                            mr_eff,
+                            nr_eff,
+                        );
+                    }
+                }
+                TriOp::Solve => {
+                    for step in 0..t_panels {
+                        // Start at the rows that depend on no other.
+                        let s = if upper { t_panels - 1 - step } else { step };
+                        let r0 = s * pt;
+                        let rows = pt.min(len - r0);
+                        // The rows of the panel solved so far, and the rest
+                        // with this step's rows in it.
+                        let split = if upper { r0 + rows } else { r0 };
+                        let (head, tail) = fp.split_at_mut(split * pf);
+                        let (solved, d_lo, x) = match upper {
+                            true => (&*tail, split, &mut head[r0 * pf..]),
+                            false => (&*head, 0, &mut tail[..rows * pf]),
+                        };
+                        let depth = solved.len() / pf;
+                        if depth > 0 {
+                            let tp = &tri[(s * len + d_lo) * pt..(s * len + d_lo + depth) * pt];
+                            // SAFETY: `x` is the step's rows of the packed
+                            // panel as a `cols x rows` tile of leading
+                            // dimension `pf`, disjoint from `solved`.
+                            disp.run(depth, -T::ONE, solved, tp, x.as_mut_ptr(), pf, cols, rows);
+                        }
+                        // SAFETY: `disp` is runnable on this CPU.
+                        disp.solve_tile(upper, rows, &tri[(s * len + r0) * pt..], x);
+                    }
+                    // Unpack, B's unit stride innermost: (count, stride in
+                    // the panel, stride in B) along `f` and along `t`.
+                    let ((n_out, p_out, b_out), (n_in, p_in, b_in)) =
+                        by_side(side, (cols, 1, sf), (len, pf, st));
+                    for o in 0..n_out {
+                        for i in 0..n_in {
+                            // SAFETY: every (t, f) of this member's panel.
+                            *out.add(o * b_out + i * b_in) = fp[o * p_out + i * p_in];
+                        }
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// Solve the triangle left on one register tile by substitution, in place:
+/// `X := T_dd^-1 * X` for the `rows x MR` tile `x` (row `i` is
+/// `x[i*MR..][..MR]`, `rows <= NR`). Portable, and written once: each
+/// dispatch names the instantiation at its own `(NR, MR)` — like
+/// [`scalar_microkernel`] — and the SIMD dispatches compile theirs under
+/// their instruction set's `target_feature`, which with compile-time
+/// extents keeps the whole tile in vector registers.
+///
+/// `tdiag` starts at the diagonal triangle as packed in `NR`-row panels:
+/// column `j` of it is `tdiag[j*NR..][..rows]`, contiguous, its diagonal
+/// entry already the **reciprocal** (so the solve multiplies; no block is
+/// inverted, and the error bound is substitution's). Column-oriented: once
+/// row `j` is final it is subtracted from every row that depends on it,
+/// `MR` independent lanes at a time.
+#[inline(always)]
+pub fn tile_solve<T: Float, const NR: usize, const MR: usize>(
+    upper: bool,
+    rows: usize,
+    tdiag: &[T],
+    x: &mut [T],
+) {
+    // The direction as a compile-time constant: with it every index below
+    // is one, and the unrolled tile stays in registers.
+    if upper {
+        tile_solve_toward::<T, NR, MR, true>(rows, tdiag, x)
+    } else {
+        tile_solve_toward::<T, NR, MR, false>(rows, tdiag, x)
+    }
+}
+
+/// [`tile_solve`] in one direction.
+#[inline(always)]
+fn tile_solve_toward<T: Float, const NR: usize, const MR: usize, const UPPER: bool>(
+    rows: usize,
+    tdiag: &[T],
+    x: &mut [T],
+) {
+    assert!(rows <= NR);
+    let x = &mut x[..rows * MR];
+    let tdiag = &tdiag[..rows * NR];
+    let mut tile = [[T::ZERO; MR]; NR];
+    for i in 0..NR {
+        if i < rows {
+            tile[i].copy_from_slice(&x[i * MR..(i + 1) * MR]);
+        }
+    }
+    for step in 0..NR {
+        let j = if UPPER { NR - 1 - step } else { step };
+        if j >= rows {
+            continue;
+        }
+        let mut xj = tile[j];
+        for v in xj.iter_mut() {
+            *v *= tdiag[j * NR + j];
+        }
+        tile[j] = xj;
+        // Every row that depends on row j, with its entry of column j.
+        for i in 0..NR {
+            if (if UPPER { i < j } else { i > j }) && i < rows {
+                let a = tdiag[j * NR + i];
+                for (v, &solved) in tile[i].iter_mut().zip(xj.iter()) {
+                    *v -= a * solved;
+                }
+            }
+        }
+    }
+    for i in 0..NR {
+        if i < rows {
+            x[i * MR..(i + 1) * MR].copy_from_slice(&tile[i]);
+        }
     }
 }
 
@@ -754,6 +1166,121 @@ mod tests {
             for j in 0..2 {
                 let expect: f32 = (0..kc).map(|p| ((i + p) * (j * 2 + p)) as f32).sum();
                 assert_eq!(c[i + j * 3], expect);
+            }
+        }
+    }
+
+    #[test]
+    fn tile_solve_matches_substitution_in_both_directions_and_on_short_tiles() {
+        // A 4 x 4 triangle in 4-row packed columns (unstored half zero,
+        // reciprocal diagonal), against a textbook solve per lane.
+        const NR: usize = 4;
+        const MR: usize = 8;
+        for upper in [false, true] {
+            for rows in 1..=NR {
+                let t = |i: usize, j: usize| -> f64 {
+                    match (i == j, if upper { j > i } else { j < i }) {
+                        (true, _) => 2.0 + i as f64,
+                        (_, true) => 0.25 * (1 + i + 2 * j) as f64 - 1.0,
+                        _ => 0.0,
+                    }
+                };
+                let mut tdiag = vec![0.0f64; NR * rows];
+                for j in 0..rows {
+                    for i in 0..rows {
+                        tdiag[j * NR + i] = if i == j { 1.0 / t(i, i) } else { t(i, j) };
+                    }
+                }
+                let b: Vec<f64> = (0..rows * MR).map(|x| (x % 7) as f64 - 3.0).collect();
+                let mut x = b.clone();
+                tile_solve::<f64, NR, MR>(upper, rows, &tdiag, &mut x);
+                for c in 0..MR {
+                    for i in 0..rows {
+                        let lhs: f64 = (0..rows).map(|j| t(i, j) * x[j * MR + c]).sum();
+                        assert!(
+                            (lhs - b[i * MR + c]).abs() < 1e-12,
+                            "upper={upper} rows={rows} ({i},{c})"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn macro_kernel_triangle_filter_keeps_to_the_triangle() {
+        // C poisoned outside the kept triangle: the filter must neither
+        // read nor write it, whichever side of the block the diagonal
+        // enters on.
+        let disp = f64::kernel();
+        let (m, n, k) = (3 * disp.mr + 1, 3 * disp.nr + 2, 5);
+        let a = Matrix::<f64>::from_fn(m, k, |i, p| ((i + 2 * p) % 5) as f64 - 2.0);
+        let b = Matrix::<f64>::from_fn(k, n, |p, j| ((3 * p + j) % 7) as f64 - 3.0);
+        let expect = naive(m, n, k, &a, &b);
+        let mut abuf = vec![0.0; packed_a_len(disp.mr, m, k)];
+        let mut bbuf = vec![0.0; packed_b_len(disp.nr, k, n)];
+        let asrc = PackSrc::strided(a.as_slice(), 0, 1, m, m, k);
+        let bsrc = PackSrc::strided(b.as_slice(), 0, 1, k, k, n);
+        pack_a_panels(
+            disp.mr,
+            m,
+            k,
+            &asrc,
+            0,
+            0,
+            0,
+            m.div_ceil(disp.mr),
+            &mut abuf,
+        );
+        pack_b_panels(
+            disp.nr,
+            k,
+            n,
+            &bsrc,
+            0,
+            0,
+            0,
+            n.div_ceil(disp.nr),
+            &mut bbuf,
+        );
+        let tiles = m.div_ceil(disp.mr) * n.div_ceil(disp.nr);
+        for uplo in [Uplo::Lower, Uplo::Upper] {
+            for shift in [-7isize, 0, 5] {
+                let kept = |i: usize, j: usize| {
+                    let d = i as isize - j as isize + shift;
+                    if uplo == Uplo::Lower {
+                        d >= 0
+                    } else {
+                        d <= 0
+                    }
+                };
+                let mut c =
+                    Matrix::<f64>::from_fn(m, n, |i, j| if kept(i, j) { 1.0 } else { f64::NAN });
+                unsafe {
+                    macro_kernel(
+                        &disp,
+                        k,
+                        2.0,
+                        &abuf,
+                        &bbuf,
+                        m,
+                        n,
+                        0,
+                        tiles,
+                        Some((uplo, shift)),
+                        c.as_mut_slice().as_mut_ptr(),
+                        m,
+                    );
+                }
+                for j in 0..n {
+                    for i in 0..m {
+                        if kept(i, j) {
+                            assert_eq!(c.get(i, j), 1.0 + 2.0 * expect.get(i, j), "({i},{j})");
+                        } else {
+                            assert!(c.get(i, j).is_nan(), "({i},{j}) outside the triangle");
+                        }
+                    }
+                }
             }
         }
     }

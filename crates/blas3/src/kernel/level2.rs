@@ -100,7 +100,7 @@ fn dispatch2_f32(isa: KernelChoice) -> Level2Dispatch<f32> {
     match isa {
         #[cfg(all(feature = "simd", target_arch = "x86_64"))]
         KernelChoice::Avx2 => x86::AVX2_F32,
-        #[cfg(all(feature = "avx512", target_arch = "x86_64"))]
+        #[cfg(all(feature = "simd", target_arch = "x86_64"))]
         KernelChoice::Avx512 => x86::AVX512_F32,
         #[cfg(all(feature = "simd", target_arch = "aarch64"))]
         KernelChoice::Neon => neon::NEON_F32,
@@ -113,7 +113,7 @@ fn dispatch2_f64(isa: KernelChoice) -> Level2Dispatch<f64> {
     match isa {
         #[cfg(all(feature = "simd", target_arch = "x86_64"))]
         KernelChoice::Avx2 => x86::AVX2_F64,
-        #[cfg(all(feature = "avx512", target_arch = "x86_64"))]
+        #[cfg(all(feature = "simd", target_arch = "x86_64"))]
         KernelChoice::Avx512 => x86::AVX512_F64,
         #[cfg(all(feature = "simd", target_arch = "aarch64"))]
         KernelChoice::Neon => neon::NEON_F64,
@@ -144,7 +144,7 @@ pub fn available2_f64() -> Vec<Level2Dispatch<f64>> {
     simd::available_isas().map(dispatch2_f64).collect()
 }
 
-#[cfg(all(any(feature = "simd", feature = "avx512"), target_arch = "x86_64"))]
+#[cfg(all(feature = "simd", target_arch = "x86_64"))]
 mod x86 {
     //! AVX2 and AVX-512 axpy/dot. Unlike the tile kernels these run over
     //! raw (unpacked, unpadded) slices, so every variant carries a scalar
@@ -153,28 +153,24 @@ mod x86 {
     use super::Level2Dispatch;
     use core::arch::x86_64::*;
 
-    #[cfg(feature = "simd")]
     pub const AVX2_F32: Level2Dispatch<f32> = Level2Dispatch {
         name: "avx2-f32x8",
         prefetch: true,
         axpy: axpy_f32_avx2,
         dot: dot_f32_avx2,
     };
-    #[cfg(feature = "simd")]
     pub const AVX2_F64: Level2Dispatch<f64> = Level2Dispatch {
         name: "avx2-f64x4",
         prefetch: true,
         axpy: axpy_f64_avx2,
         dot: dot_f64_avx2,
     };
-    #[cfg(feature = "avx512")]
     pub const AVX512_F32: Level2Dispatch<f32> = Level2Dispatch {
         name: "avx512-f32x16",
         prefetch: true,
         axpy: axpy_f32_avx512,
         dot: dot_f32_avx512,
     };
-    #[cfg(feature = "avx512")]
     pub const AVX512_F64: Level2Dispatch<f64> = Level2Dispatch {
         name: "avx512-f64x8",
         prefetch: true,
@@ -182,7 +178,6 @@ mod x86 {
         dot: dot_f64_avx512,
     };
 
-    #[cfg(feature = "simd")]
     fn axpy_f32_avx2(alpha: f32, x: &[f32], y: &mut [f32]) {
         // SAFETY: the dispatch hands this kernel out only after
         // `is_x86_feature_detected!("avx2"/"fma")` both report present.
@@ -191,7 +186,6 @@ mod x86 {
 
     /// # Safety
     /// CPU must support AVX2 and FMA.
-    #[cfg(feature = "simd")]
     #[target_feature(enable = "avx2,fma")]
     unsafe fn axpy_f32_avx2_impl(alpha: f32, x: &[f32], y: &mut [f32]) {
         let n = x.len().min(y.len());
@@ -222,7 +216,6 @@ mod x86 {
         }
     }
 
-    #[cfg(feature = "simd")]
     fn dot_f32_avx2(x: &[f32], y: &[f32]) -> f32 {
         // SAFETY: detection-gated as for axpy.
         unsafe { dot_f32_avx2_impl(x, y) }
@@ -230,7 +223,6 @@ mod x86 {
 
     /// # Safety
     /// CPU must support AVX2 and FMA.
-    #[cfg(feature = "simd")]
     #[target_feature(enable = "avx2,fma")]
     unsafe fn dot_f32_avx2_impl(x: &[f32], y: &[f32]) -> f32 {
         let n = x.len().min(y.len());
@@ -267,7 +259,6 @@ mod x86 {
         total
     }
 
-    #[cfg(feature = "simd")]
     fn axpy_f64_avx2(alpha: f64, x: &[f64], y: &mut [f64]) {
         // SAFETY: detection-gated as for the f32 variant.
         unsafe { axpy_f64_avx2_impl(alpha, x, y) }
@@ -275,7 +266,6 @@ mod x86 {
 
     /// # Safety
     /// CPU must support AVX2 and FMA.
-    #[cfg(feature = "simd")]
     #[target_feature(enable = "avx2,fma")]
     unsafe fn axpy_f64_avx2_impl(alpha: f64, x: &[f64], y: &mut [f64]) {
         let n = x.len().min(y.len());
@@ -306,7 +296,6 @@ mod x86 {
         }
     }
 
-    #[cfg(feature = "simd")]
     fn dot_f64_avx2(x: &[f64], y: &[f64]) -> f64 {
         // SAFETY: detection-gated as for axpy.
         unsafe { dot_f64_avx2_impl(x, y) }
@@ -314,7 +303,6 @@ mod x86 {
 
     /// # Safety
     /// CPU must support AVX2 and FMA.
-    #[cfg(feature = "simd")]
     #[target_feature(enable = "avx2,fma")]
     unsafe fn dot_f64_avx2_impl(x: &[f64], y: &[f64]) -> f64 {
         let n = x.len().min(y.len());
@@ -350,7 +338,6 @@ mod x86 {
         total
     }
 
-    #[cfg(feature = "avx512")]
     fn axpy_f32_avx512(alpha: f32, x: &[f32], y: &mut [f32]) {
         // SAFETY: handed out only after `is_x86_feature_detected!("avx512f")`.
         unsafe { axpy_f32_avx512_impl(alpha, x, y) }
@@ -358,7 +345,6 @@ mod x86 {
 
     /// # Safety
     /// CPU must support AVX-512F.
-    #[cfg(feature = "avx512")]
     #[target_feature(enable = "avx512f")]
     unsafe fn axpy_f32_avx512_impl(alpha: f32, x: &[f32], y: &mut [f32]) {
         let n = x.len().min(y.len());
@@ -380,7 +366,6 @@ mod x86 {
         }
     }
 
-    #[cfg(feature = "avx512")]
     fn dot_f32_avx512(x: &[f32], y: &[f32]) -> f32 {
         // SAFETY: detection-gated as for axpy.
         unsafe { dot_f32_avx512_impl(x, y) }
@@ -388,7 +373,6 @@ mod x86 {
 
     /// # Safety
     /// CPU must support AVX-512F.
-    #[cfg(feature = "avx512")]
     #[target_feature(enable = "avx512f")]
     unsafe fn dot_f32_avx512_impl(x: &[f32], y: &[f32]) -> f32 {
         let n = x.len().min(y.len());
@@ -421,7 +405,6 @@ mod x86 {
         _mm512_reduce_add_ps(_mm512_add_ps(acc0, acc1))
     }
 
-    #[cfg(feature = "avx512")]
     fn axpy_f64_avx512(alpha: f64, x: &[f64], y: &mut [f64]) {
         // SAFETY: detection-gated as for the f32 variant.
         unsafe { axpy_f64_avx512_impl(alpha, x, y) }
@@ -429,7 +412,6 @@ mod x86 {
 
     /// # Safety
     /// CPU must support AVX-512F.
-    #[cfg(feature = "avx512")]
     #[target_feature(enable = "avx512f")]
     unsafe fn axpy_f64_avx512_impl(alpha: f64, x: &[f64], y: &mut [f64]) {
         let n = x.len().min(y.len());
@@ -451,7 +433,6 @@ mod x86 {
         }
     }
 
-    #[cfg(feature = "avx512")]
     fn dot_f64_avx512(x: &[f64], y: &[f64]) -> f64 {
         // SAFETY: detection-gated as for axpy.
         unsafe { dot_f64_avx512_impl(x, y) }
@@ -459,7 +440,6 @@ mod x86 {
 
     /// # Safety
     /// CPU must support AVX-512F.
-    #[cfg(feature = "avx512")]
     #[target_feature(enable = "avx512f")]
     unsafe fn dot_f64_avx512_impl(x: &[f64], y: &[f64]) -> f64 {
         let n = x.len().min(y.len());

@@ -10,14 +10,17 @@
 //! |-----------------|----------|----------|------|
 //! | scalar          | 8 x 8    | 8 x 4    | always built |
 //! | AVX2 + FMA      | 16 x 6   | 8 x 6    | `simd` feature (default), x86-64, runtime-detected |
-//! | AVX-512F        | 32 x 6   | 16 x 6   | `avx512` feature, x86-64, runtime-detected |
+//! | AVX-512F        | 32 x 6   | 16 x 6   | `simd` feature, x86-64, runtime-detected, selected on request |
 //! | NEON            | 8 x 12   | 4 x 12   | `simd` feature, aarch64 |
 //!
-//! Selection happens once per process (cached): the widest compiled-in
-//! kernel whose CPU features [`std::arch::is_x86_feature_detected!`] (or
-//! the aarch64 equivalent) reports present wins, so a binary built with
-//! every gate still runs correctly on a plain SSE2 machine by falling back
-//! to the scalar kernel. Two escape hatches exist for operations and tests:
+//! One build carries every kernel of its architecture; which one runs is a
+//! run-time matter only. Selection happens once per process (cached): the
+//! first kernel in the auto-detection order (`resolved_isa`) whose CPU
+//! features [`std::arch::is_x86_feature_detected!`] (or the aarch64
+//! equivalent) reports present wins, so the binary still runs correctly on
+//! a plain SSE2 machine by falling back to the scalar kernel. Auto-detection
+//! prefers AVX2 to AVX-512 (the order's comment says why); the 512-bit kernels
+//! run when asked for. Two escape hatches exist for operations and tests:
 //! the `ADSALA_KERNEL` environment variable (`scalar` / `avx2` / `avx512`
 //! / `neon`, read once) and [`set_kernel_choice`], both of which fall back
 //! to auto-detection when they name a kernel this CPU or build cannot run.
@@ -28,7 +31,7 @@
 //! register accumulators to a stack buffer and stores the live `mr x nr`
 //! sub-tile scalar-wise.
 
-use super::{scalar_microkernel, KernelDispatch};
+use super::{scalar_microkernel, tile_solve, KernelDispatch};
 use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::OnceLock;
 
@@ -36,13 +39,13 @@ use std::sync::OnceLock;
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[repr(u8)]
 pub enum KernelChoice {
-    /// Auto-detect: widest compiled-in kernel the CPU supports.
+    /// Auto-detect: the first kernel of the detection order the CPU supports.
     Auto = 0,
     /// Portable scalar fallback.
     Scalar = 1,
     /// AVX2 + FMA (x86-64).
     Avx2 = 2,
-    /// AVX-512F (x86-64, `avx512` cargo feature).
+    /// AVX-512F (x86-64; never auto-selected ahead of AVX2).
     Avx512 = 3,
     /// NEON (aarch64).
     Neon = 4,
@@ -100,7 +103,7 @@ fn choice_available(choice: KernelChoice) -> bool {
             std::arch::is_x86_feature_detected!("avx2")
                 && std::arch::is_x86_feature_detected!("fma")
         }
-        #[cfg(all(feature = "avx512", target_arch = "x86_64"))]
+        #[cfg(all(feature = "simd", target_arch = "x86_64"))]
         KernelChoice::Avx512 => std::arch::is_x86_feature_detected!("avx512f"),
         #[cfg(all(feature = "simd", target_arch = "aarch64"))]
         KernelChoice::Neon => std::arch::is_aarch64_feature_detected!("neon"),
@@ -110,8 +113,8 @@ fn choice_available(choice: KernelChoice) -> bool {
 
 /// The instruction set every dispatch lookup of both kernel families
 /// resolves to: the [`set_kernel_choice`] override, else the
-/// `ADSALA_KERNEL` environment variable, else the widest one available —
-/// the whole priority chain, written once. Never names an ISA
+/// `ADSALA_KERNEL` environment variable, else the first available one of the
+/// detection order — the whole priority chain, written once. Never names an ISA
 /// [`choice_available`] rejects (the override is checked before it is
 /// stored), which is what makes handing out its SIMD kernels sound.
 pub(super) fn resolved_isa() -> KernelChoice {
@@ -128,14 +131,18 @@ pub(super) fn resolved_isa() -> KernelChoice {
                 let env = std::env::var("ADSALA_KERNEL")
                     .ok()
                     .and_then(|v| KernelChoice::from_name(&v));
-                let widest_first = [
-                    KernelChoice::Avx512,
+                // AVX2 ahead of AVX-512: the 16- and 32-row tiles lose on
+                // dims under ~100 (`l3_small`), and the benchmark's
+                // `compare` keys on the kernel names. Swapping the first
+                // two entries is the whole default flip.
+                let detection_order = [
                     KernelChoice::Avx2,
+                    KernelChoice::Avx512,
                     KernelChoice::Neon,
                     KernelChoice::Scalar,
                 ];
                 env.into_iter()
-                    .chain(widest_first)
+                    .chain(detection_order)
                     .find(|&c| c != KernelChoice::Auto && choice_available(c))
                     .unwrap_or(KernelChoice::Scalar)
             })
@@ -164,6 +171,7 @@ const SCALAR_F32: KernelDispatch<f32> = KernelDispatch::new(
     2048,
     false,
     scalar_microkernel::<f32, 8, 8>,
+    tile_solve::<f32, 8, 8>,
 );
 const SCALAR_F64: KernelDispatch<f64> = KernelDispatch::new(
     "scalar",
@@ -174,7 +182,24 @@ const SCALAR_F64: KernelDispatch<f64> = KernelDispatch::new(
     2048,
     false,
     scalar_microkernel::<f64, 8, 4>,
+    tile_solve::<f64, 4, 8>,
 );
+
+/// Name an instantiation of the portable [`tile_solve`] compiled under an
+/// instruction set's `target_feature`: `$nr x $mr` is the tile kernel's
+/// register block, so the unrolled solve sits in that ISA's vector
+/// registers.
+#[cfg(all(feature = "simd", any(target_arch = "x86_64", target_arch = "aarch64")))]
+macro_rules! tile_solve_for {
+    ($name:ident, $feature:literal, $t:ty, $nr:literal, $mr:literal) => {
+        /// # Safety
+        /// The CPU must support the named target feature.
+        #[target_feature(enable = $feature)]
+        unsafe fn $name(upper: bool, rows: usize, tdiag: &[$t], x: &mut [$t]) {
+            super::tile_solve::<$t, $nr, $mr>(upper, rows, tdiag, x)
+        }
+    };
+}
 
 /// The `f32` tile kernel of one instruction set. An ISA this build leaves
 /// out maps to scalar; [`resolved_isa`] and [`available_isas`] never name
@@ -183,7 +208,7 @@ fn dispatch_f32(isa: KernelChoice) -> KernelDispatch<f32> {
     match isa {
         #[cfg(all(feature = "simd", target_arch = "x86_64"))]
         KernelChoice::Avx2 => x86::AVX2_F32,
-        #[cfg(all(feature = "avx512", target_arch = "x86_64"))]
+        #[cfg(all(feature = "simd", target_arch = "x86_64"))]
         KernelChoice::Avx512 => x86::AVX512_F32,
         #[cfg(all(feature = "simd", target_arch = "aarch64"))]
         KernelChoice::Neon => neon::NEON_F32,
@@ -196,7 +221,7 @@ fn dispatch_f64(isa: KernelChoice) -> KernelDispatch<f64> {
     match isa {
         #[cfg(all(feature = "simd", target_arch = "x86_64"))]
         KernelChoice::Avx2 => x86::AVX2_F64,
-        #[cfg(all(feature = "avx512", target_arch = "x86_64"))]
+        #[cfg(all(feature = "simd", target_arch = "x86_64"))]
         KernelChoice::Avx512 => x86::AVX512_F64,
         #[cfg(all(feature = "simd", target_arch = "aarch64"))]
         KernelChoice::Neon => neon::NEON_F64,
@@ -225,7 +250,7 @@ pub fn available_f64() -> Vec<KernelDispatch<f64>> {
     available_isas().map(dispatch_f64).collect()
 }
 
-#[cfg(all(any(feature = "simd", feature = "avx512"), target_arch = "x86_64"))]
+#[cfg(all(feature = "simd", target_arch = "x86_64"))]
 mod x86 {
     //! AVX2 and AVX-512 tile products.
     //!
@@ -238,7 +263,6 @@ mod x86 {
     use core::arch::x86_64::*;
 
     /// Lane mask selecting the low `lanes` of a 16-lane f32 vector.
-    #[cfg(feature = "avx512")]
     #[inline(always)]
     fn mask16(lanes: usize) -> __mmask16 {
         debug_assert!(lanes <= 16);
@@ -246,25 +270,61 @@ mod x86 {
     }
 
     /// Lane mask selecting the low `lanes` of an 8-lane f64 vector.
-    #[cfg(feature = "avx512")]
     #[inline(always)]
     fn mask8(lanes: usize) -> __mmask8 {
         debug_assert!(lanes <= 8);
         (((1u16 << lanes) - 1) & 0xFF) as __mmask8
     }
 
-    #[cfg(feature = "simd")]
-    pub const AVX2_F32: KernelDispatch<f32> =
-        KernelDispatch::new("avx2-f32x8", 16, 6, 256, 256, 2046, true, f32_avx2);
-    #[cfg(feature = "simd")]
-    pub const AVX2_F64: KernelDispatch<f64> =
-        KernelDispatch::new("avx2-f64x4", 8, 6, 128, 256, 2046, true, f64_avx2);
-    #[cfg(feature = "avx512")]
-    pub const AVX512_F32: KernelDispatch<f32> =
-        KernelDispatch::new("avx512-f32x16", 32, 6, 256, 256, 2046, true, f32_avx512);
-    #[cfg(feature = "avx512")]
-    pub const AVX512_F64: KernelDispatch<f64> =
-        KernelDispatch::new("avx512-f64x8", 16, 6, 128, 256, 2046, true, f64_avx512);
+    pub const AVX2_F32: KernelDispatch<f32> = KernelDispatch::new(
+        "avx2-f32x8",
+        16,
+        6,
+        256,
+        256,
+        2046,
+        true,
+        f32_avx2,
+        solve_f32_avx2,
+    );
+    pub const AVX2_F64: KernelDispatch<f64> = KernelDispatch::new(
+        "avx2-f64x4",
+        8,
+        6,
+        128,
+        256,
+        2046,
+        true,
+        f64_avx2,
+        solve_f64_avx2,
+    );
+    pub const AVX512_F32: KernelDispatch<f32> = KernelDispatch::new(
+        "avx512-f32x16",
+        32,
+        6,
+        256,
+        256,
+        2046,
+        true,
+        f32_avx512,
+        solve_f32_avx512,
+    );
+    pub const AVX512_F64: KernelDispatch<f64> = KernelDispatch::new(
+        "avx512-f64x8",
+        16,
+        6,
+        128,
+        256,
+        2046,
+        true,
+        f64_avx512,
+        solve_f64_avx512,
+    );
+
+    tile_solve_for!(solve_f32_avx2, "avx2,fma", f32, 6, 16);
+    tile_solve_for!(solve_f64_avx2, "avx2,fma", f64, 6, 8);
+    tile_solve_for!(solve_f32_avx512, "avx512f", f32, 6, 32);
+    tile_solve_for!(solve_f64_avx512, "avx512f", f64, 6, 16);
 
     /// AVX2+FMA f32 16x6 tile: 12 ymm accumulators (two per column), one
     /// broadcast register, two A registers — 15 of the 16 ymm names.
@@ -275,7 +335,6 @@ mod x86 {
     /// hands this kernel out after `is_x86_feature_detected!` confirms
     /// both).
     #[target_feature(enable = "avx2,fma")]
-    #[cfg(feature = "simd")]
     unsafe fn f32_avx2(
         kc: usize,
         alpha: f32,
@@ -348,7 +407,6 @@ mod x86 {
     /// Kernel contract of [`MicroKernelFn`](super::super::MicroKernelFn);
     /// CPU must support AVX2 and FMA.
     #[target_feature(enable = "avx2,fma")]
-    #[cfg(feature = "simd")]
     unsafe fn f64_avx2(
         kc: usize,
         alpha: f64,
@@ -415,7 +473,6 @@ mod x86 {
     /// Kernel contract of [`MicroKernelFn`](super::super::MicroKernelFn);
     /// CPU must support AVX-512F.
     #[target_feature(enable = "avx512f")]
-    #[cfg(feature = "avx512")]
     unsafe fn f32_avx512(
         kc: usize,
         alpha: f32,
@@ -488,7 +545,6 @@ mod x86 {
     /// Kernel contract of [`MicroKernelFn`](super::super::MicroKernelFn);
     /// CPU must support AVX-512F.
     #[target_feature(enable = "avx512f")]
-    #[cfg(feature = "avx512")]
     unsafe fn f64_avx512(
         kc: usize,
         alpha: f64,
@@ -566,10 +622,31 @@ mod neon {
     // column over half again as many FMAs, which matters on aarch64 parts
     // whose L1 bandwidth lags their FMA throughput. `nc` drops to 2040
     // (= 12 * 170) so cache blocks tile evenly by `nr`.
-    pub const NEON_F32: KernelDispatch<f32> =
-        KernelDispatch::new("neon-f32x4", 8, 12, 256, 256, 2040, true, f32_neon);
-    pub const NEON_F64: KernelDispatch<f64> =
-        KernelDispatch::new("neon-f64x2", 4, 12, 128, 256, 2040, true, f64_neon);
+    pub const NEON_F32: KernelDispatch<f32> = KernelDispatch::new(
+        "neon-f32x4",
+        8,
+        12,
+        256,
+        256,
+        2040,
+        true,
+        f32_neon,
+        solve_f32_neon,
+    );
+    pub const NEON_F64: KernelDispatch<f64> = KernelDispatch::new(
+        "neon-f64x2",
+        4,
+        12,
+        128,
+        256,
+        2040,
+        true,
+        f64_neon,
+        solve_f64_neon,
+    );
+
+    tile_solve_for!(solve_f32_neon, "neon", f32, 12, 8);
+    tile_solve_for!(solve_f64_neon, "neon", f64, 12, 4);
 
     /// NEON f32 8x12 tile: 24 q-register accumulators (two per column) of
     /// the 32 available.

@@ -18,12 +18,24 @@
 //! (`element(i, j) = *(ptr + i*rs + j*cs)`) that covers plain and
 //! transposed column-major views — and lowers to contiguous `memcpy`-style
 //! copies when one stride is 1 — or a **gather closure** for operands with
-//! no affine layout (symmetric mirroring, triangular masking). The strided
-//! path is what makes packing disappear from profiles: the seed's
-//! closure-per-element gather cost as much as a third of a mid-size GEMM
-//! once the micro-kernels went SIMD.
+//! no affine layout (SYMM's symmetric mirroring). The strided path is what
+//! makes packing disappear from profiles: the seed's closure-per-element
+//! gather cost as much as a third of a mid-size GEMM once the micro-kernels
+//! went SIMD.
 //!
-//! Both packers write **every** lane of the destination, padding included,
+//! A triangular operand needs neither: every rectangle TRMM/TRSM fold in
+//! lies wholly inside the stored triangle and is a plain strided view, and
+//! the one block that straddles the diagonal goes through
+//! [`pack_tri_panels`], which **writes** zeros for the half BLAS says is
+//! not referenced (and the diagonal as stored, as `1`, or as its
+//! reciprocal) instead of reading it and masking — so a NaN parked in the
+//! unstored triangle can never reach a micro-kernel.
+//!
+//! The A-side and B-side layouts are the same layout — panel-major, then
+//! depth-major, `mr` (or `nr`) contiguous values per depth step — which is
+//! what lets the triangular block be packed once for either side.
+//!
+//! Every packer writes **every** lane of the destination, padding included,
 //! because buffers come from the reuse [`arena`](crate::arena) and carry
 //! stale contents.
 //!
@@ -34,7 +46,7 @@
 
 use crate::call::op_shape;
 use crate::matrix::MatRef;
-use crate::{Float, Transpose};
+use crate::{Diag, Float, Transpose};
 use std::marker::PhantomData;
 
 /// A strided, read-only 2-D operand view: `at(i, j) = base[i*rs + j*cs]`.
@@ -358,6 +370,83 @@ pub fn pack_b_panels<T: Float>(
     }
 }
 
+/// Pack panels `panel_lo..panel_hi` of a triangular **diagonal block** as
+/// `pw`-row panels in the layout of [`pack_a_panels`] / [`pack_b_panels`]
+/// (the two coincide), depth running over the block's whole order.
+///
+/// `blk` is the square diagonal block of the stored operand and the packed
+/// element `(r, p)` — row `r` of its panel set, depth `p` — is
+/// `blk[r, p]`, or `blk[p, r]` under `Transpose::Yes`. With `upper` the
+/// packed operand is upper triangular (`p >= r` kept), otherwise lower.
+/// The other half is **written as zeros and never read**; the diagonal is
+/// `1` under [`Diag::Unit`] (not read either), else the stored value or,
+/// with `invert_diag`, its reciprocal — what the tile solve of
+/// [`tri_block_sweep`](crate::kernel::tri_block_sweep) multiplies by.
+/// `buf` starts at panel `panel_lo`'s offset and every lane is written.
+#[allow(clippy::too_many_arguments)]
+pub fn pack_tri_panels<T: Float>(
+    pw: usize,
+    blk: MatRef<'_, T>,
+    trans: Transpose,
+    upper: bool,
+    diag: Diag,
+    invert_diag: bool,
+    panel_lo: usize,
+    panel_hi: usize,
+    buf: &mut [T],
+) {
+    let len = blk.rows();
+    debug_assert_eq!(len, blk.cols(), "a diagonal block is square");
+    debug_assert!(panel_hi <= len.div_ceil(pw));
+    assert!(buf.len() >= (panel_hi - panel_lo) * pw * len);
+    let (rs, cs) = op_shape(trans, 1, blk.ld());
+    let data = blk.data();
+    // Rows `lo..hi` of depth column `p` into the head of `dst`.
+    let copy = |dst: &mut [T], lo: usize, hi: usize, p: usize| {
+        if rs == 1 {
+            dst[..hi - lo].copy_from_slice(&data[lo + p * cs..hi + p * cs]);
+        } else {
+            for (r, d) in (lo..hi).zip(dst) {
+                *d = data[r * rs + p * cs];
+            }
+        }
+    };
+    for panel in panel_lo..panel_hi {
+        let r0 = panel * pw;
+        let r1 = (r0 + pw).min(len);
+        let dst = &mut buf[(panel - panel_lo) * pw * len..][..pw * len];
+        // Depths at which the panel lies wholly in the unstored half, and
+        // those at which it lies wholly in the stored one.
+        let (unstored, stored) = if upper {
+            (0..r0, r1..len)
+        } else {
+            (r1..len, 0..r0)
+        };
+        dst[unstored.start * pw..unstored.end * pw].fill(T::ZERO);
+        for p in stored {
+            let lane = &mut dst[p * pw..(p + 1) * pw];
+            copy(lane, r0, r1, p);
+            lane[r1 - r0..].fill(T::ZERO);
+        }
+        // The panel's own triangle: column `p` keeps the rows on the
+        // stored side of its diagonal entry.
+        for p in r0..r1 {
+            let lane = &mut dst[p * pw..(p + 1) * pw];
+            lane.fill(T::ZERO);
+            if upper {
+                copy(lane, r0, p, p);
+            } else {
+                copy(&mut lane[p + 1 - r0..], p + 1, r1, p);
+            }
+            lane[p - r0] = match diag {
+                Diag::Unit => T::ONE,
+                Diag::NonUnit if invert_diag => T::ONE / data[p * (rs + cs)],
+                Diag::NonUnit => data[p * (rs + cs)],
+            };
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -504,6 +593,76 @@ mod tests {
                 let r = i % mr;
                 let v = buf[panel * mr * kc + p * mr + r];
                 assert_eq!(v, (i * 31 + p) as f64);
+            }
+        }
+    }
+
+    #[test]
+    fn pack_tri_writes_the_unstored_half_and_a_unit_diagonal_without_reading_them() {
+        // The block sits at (2, 2) of a larger matrix; everything BLAS says
+        // is not referenced is NaN, so a read-then-mask packer fails.
+        let (len, ld, pw) = (7, 11, 3);
+        for stored_upper in [false, true] {
+            for trans in [Transpose::No, Transpose::Yes] {
+                for (diag, invert) in [
+                    (Diag::NonUnit, false),
+                    (Diag::NonUnit, true),
+                    (Diag::Unit, false),
+                ] {
+                    let in_triangle = |i: usize, j: usize| match stored_upper {
+                        true => j > i,
+                        false => j < i,
+                    };
+                    let stored =
+                        |i: usize, j: usize| in_triangle(i, j) || (i == j && diag == Diag::NonUnit);
+                    let mut data = vec![f64::NAN; ld * ld];
+                    for j in 0..len {
+                        for i in 0..len {
+                            if stored(i, j) {
+                                data[2 + i + (2 + j) * ld] = (1 + i + 10 * j) as f64;
+                            }
+                        }
+                    }
+                    let blk = MatRef::new(ld, ld, ld, &data)
+                        .submatrix(2, 2, len, len)
+                        .unwrap();
+                    // Transposing the stored triangle flips which half the
+                    // packed operand keeps.
+                    let upper = stored_upper != (trans == Transpose::Yes);
+                    let mut buf = vec![f64::NAN; packed_a_len(pw, len, len)];
+                    pack_tri_panels(
+                        pw,
+                        blk,
+                        trans,
+                        upper,
+                        diag,
+                        invert,
+                        0,
+                        len.div_ceil(pw),
+                        &mut buf,
+                    );
+                    for r in 0..len.div_ceil(pw) * pw {
+                        for p in 0..len {
+                            let got = buf[(r / pw) * pw * len + p * pw + r % pw];
+                            let (i, j) = op_shape(trans, r, p);
+                            let want = if r >= len || !(stored(i, j) || r == p) {
+                                0.0
+                            } else if r != p {
+                                blk.get(i, j)
+                            } else if diag == Diag::Unit {
+                                1.0
+                            } else if invert {
+                                1.0 / blk.get(i, j)
+                            } else {
+                                blk.get(i, j)
+                            };
+                            assert_eq!(
+                                got, want,
+                                "({r},{p}) upper={stored_upper} {trans:?} {diag:?} invert={invert}"
+                            );
+                        }
+                    }
+                }
             }
         }
     }

@@ -3,12 +3,10 @@
 //! `C = alpha*(A'*B + B'*A) + beta*C` (Trans);
 //! only the `uplo` triangle of C is referenced and updated.
 //!
-//! SYRK's strip driver (`syrk::rank_k`) run with a second operand: each
-//! strip's off-diagonal rectangle runs **two cooperative GEMMs**
-//! (`A_i * B_j'` and `B_i * A_j'`) over team-shared packed panels; diagonal
-//! tiles exploit `(A*B')' = B*A'`, so one scratch product suffices —
-//! `C_dd += alpha * (S + S')` with `S = A_d * B_d'` — and are distributed
-//! round-robin across the team.
+//! SYRK's driver (`syrk::rank_k`) run with a second operand: **two
+//! cooperative GEMMs into the stored triangle** (`A * B'` and `B * A'`)
+//! over team-shared packed panels, each skipping the register tiles
+//! outside the triangle.
 //!
 //! Within the backend seam this module is the kernel level: the driver
 //! below takes the operand views a validated

@@ -2,15 +2,17 @@
 //! `C = alpha*A'*A + beta*C` (Trans); only the `uplo` triangle of C is
 //! referenced and updated.
 //!
-//! The triangle is decomposed into `NB`-wide block-column strips. Each
-//! strip's off-diagonal rectangle is one **cooperative GEMM** — the whole
-//! team shares packed panels of A and splits the micro-panel loop — so the
-//! strided A operand is packed once per cache block instead of once per
-//! tile per worker. The `NB x NB` diagonal tiles are independent of every
-//! rectangle (disjoint C regions), so they are distributed round-robin
-//! across the team at the end: each is computed serially into arena
-//! scratch and only its triangular half committed. SYR2K is the same
-//! driver, `rank_k`, given its second operand.
+//! It is **one cooperative GEMM** of `op(A)` by `op(A)'` whose output is a
+//! triangle ([`gemm_cooperative_in`]): the team packs `op(A)` once per
+//! cache block on either side, exactly as for a GEMM of the same extents,
+//! each `ic` block of rows runs only the column panels up to (from) the
+//! diagonal, and in the one block the diagonal crosses the macro-kernel's
+//! tile filter skips the register tiles wholly outside the triangle and
+//! commits only the stored half of the ones that straddle it. Half a
+//! GEMM's flops for a GEMM's packing, nothing computed and thrown away
+//! beyond those straddling tiles, and the opposite triangle never touched.
+//! SYR2K is the same driver, `rank_k`, given its second operand: two such
+//! products.
 //!
 //! Within the backend seam this module is the kernel level: the driver
 //! below takes the operand views a validated
@@ -18,58 +20,13 @@
 //! [`NativeBackend`](crate::backend::NativeBackend) invokes for one.
 
 use crate::arena;
-use crate::call::{entry, op_shape, syrk_shape};
-use crate::kernel::{
-    gemm_cooperative, gemm_serial_with, scale_block, shared_pack_lens, SharedPack,
-};
+use crate::call::{entry, syrk_shape};
+use crate::kernel::{gemm_cooperative_in, scale_block, shared_pack_lens, SharedPack};
 use crate::matrix::{MatMut, MatRef};
 use crate::op::{Dims, OpKind};
 use crate::pack::PackSrc;
 use crate::pool::{SendPtr, ThreadPool};
 use crate::{Float, Transpose, Uplo};
-
-/// Tile size for the triangular-output decomposition.
-const NB: usize = 128;
-
-/// Rows `r0..r0 + rows` of `op(A)`, as the sub-view of A's storage that
-/// holds them (still to be read under `trans`).
-fn op_rows<'a, T: Float>(
-    a: MatRef<'a, T>,
-    trans: Transpose,
-    r0: usize,
-    rows: usize,
-) -> MatRef<'a, T> {
-    let (i, j) = op_shape(trans, r0, 0);
-    let (_, k) = op_shape(trans, a.rows(), a.cols());
-    let (r, c) = op_shape(trans, rows, k);
-    a.submatrix(i, j, r, c)
-        .expect("strips lie inside the checked operand")
-}
-
-/// The operated view of A: `src(i, p) = op(A)[r0 + i, p]`, `rows x k`.
-fn a_rows_src<T: Float>(
-    a: MatRef<'_, T>,
-    trans: Transpose,
-    r0: usize,
-    rows: usize,
-) -> PackSrc<'_, T> {
-    PackSrc::matrix(op_rows(a, trans, r0, rows), trans)
-}
-
-/// The transposed operated view: `src(p, j) = op(A)[c0 + j, p]` — the
-/// "B side" of a rank-k product, `k x cols`.
-fn a_cols_src<T: Float>(
-    a: MatRef<'_, T>,
-    trans: Transpose,
-    c0: usize,
-    cols: usize,
-) -> PackSrc<'_, T> {
-    let flipped = match trans {
-        Transpose::No => Transpose::Yes,
-        Transpose::Yes => Transpose::No,
-    };
-    PackSrc::matrix(op_rows(a, trans, c0, cols), flipped)
-}
 
 /// SYRK on operand views with an explicit thread count.
 ///
@@ -91,9 +48,9 @@ pub fn syrk<T: Float>(
     rank_k(nt, uplo, trans, alpha, a, None, beta, c);
 }
 
-/// The strip driver behind SYRK (`b` absent: `C += alpha * A * A'`) and
-/// SYR2K (`b` present: `C += alpha * (A * B' + B * A')`), with the entry
-/// check of whichever routine it is running.
+/// The driver behind SYRK (`b` absent: `C += alpha * A * A'`) and SYR2K
+/// (`b` present: `C += alpha * (A * B' + B * A')`), with the entry check
+/// of whichever routine it is running.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn rank_k<T: Float>(
     nt: usize,
@@ -110,34 +67,32 @@ pub(crate) fn rank_k<T: Float>(
     if n == 0 {
         return;
     }
-    // The `rows x cols'` products a strip rectangle accumulates; a diagonal
-    // tile needs only the first, because `(A * B')' = B * A'`.
+    // The `op(X) * op(Y)'` products the triangle accumulates.
     let other = b.unwrap_or(a);
     let pairs = [(a, other), (other, a)];
     let pairs = &pairs[..if b.is_some() { 2 } else { 1 }];
+    let flipped = match trans {
+        Transpose::No => Transpose::Yes,
+        Transpose::Yes => Transpose::No,
+    };
 
     let ldc = c.ld();
     let cptr = SendPtr(c.into_slice().as_mut_ptr());
     let skip = alpha == T::ZERO || k == 0;
     // Resolve the micro-kernel once; the whole team shares it.
     let disp = T::kernel();
-    // Shared panels sized for the largest strip rectangle (rows <= n,
-    // strip width <= NB).
-    let (alen, blen) = shared_pack_lens(&disp, n, NB.min(n), k.max(1));
+    let (alen, blen) = shared_pack_lens(&disp, n, n, k.max(1));
     let mut abuf = arena::take::<T>(alen);
     let mut bbuf = arena::take::<T>(blen);
     let shared = SharedPack::new(&mut abuf, &mut bbuf);
-    let nb = n.div_ceil(NB);
     ThreadPool::run_team_current(nt, |team| {
-        // Rows of column `j` in the stored triangle of an order-`len` block.
-        let stored = |j: usize, len: usize| match uplo {
-            Uplo::Lower => j..len,
-            Uplo::Upper => 0..j + 1,
-        };
         // Beta scale of the stored triangle, split by columns.
         let (js, je) = team.chunk(n);
         for j in js..je {
-            let rows = stored(j, n);
+            let rows = match uplo {
+                Uplo::Lower => j..n,
+                Uplo::Upper => 0..j + 1,
+            };
             // SAFETY: column j of the triangle belongs to this member only.
             unsafe {
                 scale_block(
@@ -153,73 +108,25 @@ pub(crate) fn rank_k<T: Float>(
         if skip {
             return;
         }
-        // Phase 1: every strip's off-diagonal rectangle, cooperatively.
-        for bj in 0..nb {
-            let (j0, j1) = (bj * NB, ((bj + 1) * NB).min(n));
-            // The rows of C the strip updates below (Lower) or above
-            // (Upper) its diagonal block.
-            let (r0, rows) = match uplo {
-                Uplo::Lower => (j1, n - j1),
-                Uplo::Upper => (0, j0),
-            };
-            if rows == 0 {
-                continue;
-            }
-            for &(x, y) in pairs {
-                // SAFETY: strip rectangles are disjoint regions of C,
-                // exclusive to the team; shared bufs sized for the largest
-                // strip.
-                unsafe {
-                    gemm_cooperative(
-                        &disp,
-                        &team,
-                        rows,
-                        j1 - j0,
-                        k,
-                        alpha,
-                        &a_rows_src(x, trans, r0, rows),
-                        &a_cols_src(y, trans, j0, j1 - j0),
-                        cptr.get().add(r0 + j0 * ldc),
-                        ldc,
-                        &shared,
-                    );
-                }
-            }
-        }
-        // Phase 2: diagonal tiles, distributed round-robin — disjoint from
-        // every rectangle, so no barrier is needed between the phases. Each
-        // is `S = alpha * X_d * Y_d'` into scratch, then `C += S` (SYRK) or
-        // `C += S + S'` (SYR2K) on the stored triangle.
-        let (x, y) = pairs[0];
-        for bj in (team.tid..nb).step_by(team.size) {
-            let (j0, j1) = (bj * NB, ((bj + 1) * NB).min(n));
-            let w = j1 - j0;
-            let mut scratch = arena::take_zeroed::<T>(w * w);
-            // SAFETY: scratch is thread-local.
+        for &(x, y) in pairs {
+            // SAFETY: the stored triangle of C is exclusive to the team,
+            // and the product touches nothing else of it; shared bufs are
+            // sized for the whole `n x n x k` product.
             unsafe {
-                gemm_serial_with(
+                gemm_cooperative_in(
+                    Some(uplo),
                     &disp,
-                    w,
-                    w,
+                    &team,
+                    n,
+                    n,
                     k,
                     alpha,
-                    &a_rows_src(x, trans, j0, w),
-                    &a_cols_src(y, trans, j0, w),
-                    scratch.as_mut_ptr(),
-                    w,
+                    &PackSrc::matrix(x, trans),
+                    &PackSrc::matrix(y, flipped),
+                    cptr.get(),
+                    ldc,
+                    &shared,
                 );
-            }
-            let s = scratch.as_slice();
-            for j in 0..w {
-                let rows = stored(j, w);
-                // SAFETY: this diagonal tile is owned by this member.
-                unsafe {
-                    let col = cptr.get().add(j0 + (j0 + j) * ldc);
-                    match b {
-                        None => rows.for_each(|i| *col.add(i) += s[i + j * w]),
-                        Some(_) => rows.for_each(|i| *col.add(i) += s[i + j * w] + s[j + i * w]),
-                    }
-                }
             }
         }
     });

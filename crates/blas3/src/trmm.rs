@@ -8,17 +8,28 @@
 //! `B * op(A)` being `(op(A)' * B')'` — the Right reads `op(A)` with its
 //! indices swapped (`call::by_side` is the whole of that rule).
 //!
-//! The team sweeps the diagonal blocks **in lockstep**: per block, the
-//! small in-place triangular product is split across members along `f`
-//! (each member's slice is self-contained), then the rectangular
-//! accumulation against the not-yet-overwritten remainder runs as one
-//! **cooperative GEMM** over the whole free extent — the triangular
-//! operand's packed panels are produced once by the team instead of once
-//! per worker, and B's panels take the strided fast path. The sweep
-//! direction is chosen so every read sees original data, exactly as in the
-//! serial algorithm; a barrier separates the two phases because they
-//! partition B differently, and every member meets the same waits because
-//! every branch below depends on the block only.
+//! The team sweeps the diagonal blocks of A
+//! ([`KernelDispatch::tri_block`] rows each) **in lockstep**, and every
+//! flop of a block goes through the packed micro-kernel:
+//!
+//! 1. the **diagonal block** is packed once by the team
+//!    ([`pack_tri_panels`]: the unstored half written as zeros, never
+//!    read) and multiplied by the block's own rows of B, which each member
+//!    copies into packed panels one micro-panel of `f` at a time — so the
+//!    update is out of place, no order of overwriting matters, and B is
+//!    read in contiguous runs whatever its leading dimension
+//!    ([`tri_block_sweep`]; register tiles in the zero half are not run);
+//! 2. the **fold** of the not-yet-overwritten remainder is one
+//!    **cooperative GEMM** over the whole free extent. Its triangular
+//!    operand is a rectangle wholly inside the stored triangle — the blocks
+//!    are cut on the diagonal — so it packs as a plain strided view.
+//!
+//! `alpha` rides inside both products. The sweep direction is chosen so
+//! every fold reads rows no block has overwritten yet; a barrier separates
+//! the two phases because they partition B differently, the next block's
+//! packed panels are published by the fold's own barriers, and every
+//! member meets the same waits because every branch inside the region
+//! depends on the block (or on `alpha`) only.
 //!
 //! Within the backend seam this module is the kernel level: the driver
 //! below takes the operand views a validated
@@ -26,56 +37,119 @@
 //! [`NativeBackend`](crate::backend::NativeBackend) invokes for one.
 
 use crate::arena;
-use crate::call::{by_side, entry, tri_shape};
-use crate::kernel::{gemm_cooperative, scale_block, shared_pack_lens, SharedPack};
+use crate::call::{by_side, entry, op_shape, tri_shape};
+use crate::kernel::{
+    gemm_cooperative, scale_block, shared_pack_lens, tri_block_sweep, KernelDispatch, SharedPack,
+    TriOp,
+};
 use crate::matrix::{MatMut, MatRef};
 use crate::op::{Dims, OpKind};
-use crate::pack::PackSrc;
-use crate::pool::{SendPtr, ThreadPool};
+use crate::pack::{pack_tri_panels, packed_a_len, PackSrc};
+use crate::pool::{SendPtr, TeamCtx, ThreadPool};
 use crate::{Diag, Float, Side, Transpose, Uplo};
 
-/// Diagonal-block size for the in-place sweep.
-const TB: usize = 64;
-
-/// Accessor for element `(i, j)` of the triangular `op(A)`.
-#[inline]
-pub(crate) fn tri_at<T: Float>(
-    a: MatRef<'_, T>,
-    uplo: Uplo,
+/// The triangular operand of one TRMM/TRSM call as the `(t, f)` sweep
+/// reads it: element `(t, p)` is `op(A)[t, p]` on the Left and
+/// `op(A)[p, t]` on the Right, and the sweep advances in diagonal blocks of
+/// [`KernelDispatch::tri_block`] rows whose panels are `pt` high.
+#[derive(Clone, Copy)]
+pub(crate) struct TriOperand<'a, T: Float> {
+    a: MatRef<'a, T>,
+    side: Side,
     trans: Transpose,
     diag: Diag,
-    i: usize,
-    j: usize,
-) -> T {
-    // Map to storage coordinates.
-    let (si, sj) = match trans {
-        Transpose::No => (i, j),
-        Transpose::Yes => (j, i),
-    };
-    if si == sj {
-        return match diag {
-            Diag::Unit => T::ONE,
-            Diag::NonUnit => a.get(si, sj),
-        };
-    }
-    let stored = match uplo {
-        Uplo::Upper => si < sj,
-        Uplo::Lower => si > sj,
-    };
-    if stored {
-        a.get(si, sj)
-    } else {
-        T::ZERO
-    }
+    /// Row `t` reaches the depths `p >= t` (else `p <= t`).
+    pub upper: bool,
+    /// Order of a diagonal block (the last may be shorter).
+    pub tb: usize,
+    /// Height of the micro-panels the triangle packs into ([`TriOp::tile`]).
+    pt: usize,
+    /// Whether the packed diagonal holds reciprocals (a solve's does).
+    invert_diag: bool,
 }
 
-/// Whether `op(A)` is effectively upper triangular.
-#[inline]
-pub(crate) fn effective_upper(uplo: Uplo, trans: Transpose) -> bool {
-    matches!(
-        (uplo, trans),
-        (Uplo::Upper, Transpose::No) | (Uplo::Lower, Transpose::Yes)
-    )
+impl<'a, T: Float> TriOperand<'a, T> {
+    pub fn new(
+        disp: &KernelDispatch<T>,
+        op: TriOp<T>,
+        side: Side,
+        uplo: Uplo,
+        trans: Transpose,
+        diag: Diag,
+        a: MatRef<'a, T>,
+    ) -> Self {
+        let op_upper = matches!(
+            (uplo, trans),
+            (Uplo::Upper, Transpose::No) | (Uplo::Lower, Transpose::Yes)
+        );
+        TriOperand {
+            a,
+            side,
+            trans,
+            diag,
+            upper: op_upper == (side == Side::Left),
+            tb: disp.tri_block(),
+            pt: op.tile(disp, side).0,
+            invert_diag: matches!(op, TriOp::Solve),
+        }
+    }
+
+    /// Elements a packed diagonal block of order `len` takes.
+    pub fn packed_len(&self, len: usize) -> usize {
+        packed_a_len(self.pt, len, len)
+    }
+
+    /// The rectangle `t0..t0 + len` by `p0..p0 + k` of the sweep as the
+    /// operand of a fold. It never straddles the diagonal — the blocks are
+    /// cut on it — so it is a plain **strided** view of A's storage, on
+    /// the side of the product the triangular operand stands.
+    pub fn fold_operand(&self, t0: usize, len: usize, p0: usize, k: usize) -> PackSrc<'a, T> {
+        let (r0, c0) = by_side(self.side, t0, p0);
+        let (rows, cols) = by_side(self.side, len, k);
+        let (i, j) = op_shape(self.trans, r0, c0);
+        let (r, c) = op_shape(self.trans, rows, cols);
+        let rect = self.a.submatrix(i, j, r, c);
+        PackSrc::matrix(
+            rect.expect("blocks lie inside the checked operand"),
+            self.trans,
+        )
+    }
+
+    /// Pack the diagonal block `t0..t0 + len` into `buf`, each member its
+    /// share of the micro-panels. The team must meet a barrier before
+    /// anyone reads the block.
+    ///
+    /// # Safety
+    /// `buf` must be valid for [`TriOperand::packed_len`]`(len)` elements
+    /// that no member reads or writes otherwise until that barrier.
+    pub unsafe fn pack_block(&self, team: &TeamCtx<'_>, t0: usize, len: usize, buf: SendPtr<T>) {
+        let (lo, hi) = team.chunk(len.div_ceil(self.pt));
+        if lo == hi {
+            return;
+        }
+        let blk = self.a.submatrix(t0, t0, len, len);
+        // Element (t, p) reads storage (p, t) on exactly one of the Right
+        // side and a transposed A.
+        let flipped = match (self.side == Side::Right) != (self.trans == Transpose::Yes) {
+            true => Transpose::Yes,
+            false => Transpose::No,
+        };
+        let step = self.pt * len;
+        // SAFETY: panel ranges are disjoint across members and inside the
+        // caller's buffer.
+        let mine = std::slice::from_raw_parts_mut(buf.get().add(lo * step), (hi - lo) * step);
+        pack_tri_panels(
+            self.pt,
+            blk.expect("blocks lie inside the checked operand"),
+            flipped,
+            self.upper,
+            self.diag,
+            self.invert_diag,
+            lo,
+            hi,
+            mine,
+        );
+    }
 }
 
 /// TRMM on operand views with an explicit thread count.
@@ -103,102 +177,105 @@ pub fn trmm<T: Float>(
         return;
     }
     let (tlen, flen) = by_side(side, m, n);
-    let (st, sf) = by_side(side, 1, ldb);
-    let at = move |t: usize, p: usize| {
-        let (i, j) = by_side(side, t, p);
-        tri_at(a, uplo, trans, diag, i, j)
-    };
-    // Row `t` reads the rows after it or before it; the sweep runs away
-    // from them, so every read sees data it has not yet overwritten.
-    let upper = effective_upper(uplo, trans) == (side == Side::Left);
-    // BLAS convention: `alpha == 0` is `B := 0` with neither operand read —
-    // no blocks to sweep, and the final scale stores the zeros.
-    let swept = if alpha == T::ZERO { 0 } else { tlen };
-    let nblocks = swept.div_ceil(TB);
+    let (st, _) = by_side(side, 1, ldb);
     let bp = SendPtr(b.as_mut_ptr());
     // Resolve the micro-kernel once; the whole team shares it.
     let disp = T::kernel();
-    let (rows, cols) = by_side(side, TB.min(tlen), flen);
+    let tri = TriOperand::new(&disp, TriOp::Product(alpha), side, uplo, trans, diag, a);
+    let tb = tri.tb;
+    // Row `t` reads the rows after it or before it; the sweep runs away
+    // from them, so every fold sees rows no block has overwritten yet.
+    let nblocks = tlen.div_ceil(tb);
+    let block = |blk: usize| {
+        let t0 = tb * if tri.upper { blk } else { nblocks - 1 - blk };
+        (t0, (t0 + tb).min(tlen))
+    };
+    let (rows, cols) = by_side(side, tb.min(tlen), flen);
     let (alen, blen) = shared_pack_lens(&disp, rows, cols, tlen);
     let mut pa = arena::take::<T>(alen);
     let mut pb = arena::take::<T>(blen);
     let shared = SharedPack::new(&mut pa, &mut pb);
+    // The packed diagonal block, one at a time.
+    let mut pd = arena::take::<T>(tri.packed_len(tb.min(tlen)));
+    let dbuf = SendPtr(pd.as_mut_ptr());
 
     ThreadPool::run_team_current(nt, |team| {
-        // SAFETY: bp spans the m x n matrix B with leading dimension ldb,
-        // and every caller keeps t < tlen, f < flen.
-        let bget = |t: usize, f: usize| unsafe { *bp.get().add(t * st + f * sf) };
-        // SAFETY: same extent as bget; the team partition keeps concurrent
-        // writes on disjoint elements, and barriers order every
-        // cross-chunk read after the write it needs.
-        let bset = |t: usize, f: usize, v: T| unsafe { *bp.get().add(t * st + f * sf) = v };
-        for blk in 0..nblocks {
-            let t0 = TB * if upper { blk } else { nblocks - 1 - blk };
-            let t1 = (t0 + TB).min(tlen);
-            // 1. In-place triangular product on the diagonal block, `f`
-            // chunks: `t` outermost so one gathered row of op(A) serves the
-            // whole chunk, in the order that overwrites a row only once read.
-            let (fs, fe) = team.chunk(flen);
-            let mut row = [T::ZERO; TB];
-            for step in 0..t1 - t0 {
-                let t = if upper { t0 + step } else { t1 - 1 - step };
-                let ps = if upper { t..t1 } else { t0..t + 1 };
-                for (x, p) in row.iter_mut().zip(ps.clone()) {
-                    *x = at(t, p);
-                }
-                for f in fs..fe {
-                    let mut acc = T::ZERO;
-                    for (&x, p) in row.iter().zip(ps.clone()) {
-                        acc += x * bget(p, f);
-                    }
-                    bset(t, f, acc);
-                }
-            }
-            // The fold below repartitions the same block by register tile
-            // (and, after the last block, the alpha scale by column).
-            team.barrier();
-            // 2. Rectangular accumulation against the untouched part, as
-            // one cooperative product over the whole free extent (none for
-            // the last block).
-            let (src0, krem) = if upper { (t1, tlen - t1) } else { (0, t0) };
-            if krem > 0 {
-                let (r0, c0) = by_side(side, t0, src0);
-                let tri = move |i: usize, j: usize| tri_at(a, uplo, trans, diag, r0 + i, c0 + j);
-                let tri_src = PackSrc::gather(&tri);
-                // SAFETY: `t` in src0..src0+krem is untouched until its own
-                // block's turn, so it is a stable read while t0..t1 is
-                // written.
-                let b_src =
-                    unsafe { PackSrc::from_raw(bp.get().add(src0 * st) as *const T, 1, ldb) };
-                let (lhs, rhs) = by_side(side, &tri_src, &b_src);
-                let (rows, cols) = by_side(side, t1 - t0, flen);
-                // SAFETY: the destination `t` in t0..t1 is team-exclusive
-                // (tile split inside); the barrier above published phase 1,
-                // the trailing one fences the source before the next block
-                // overwrites it.
-                unsafe {
-                    gemm_cooperative(
-                        &disp,
-                        &team,
-                        rows,
-                        cols,
-                        krem,
-                        T::ONE,
-                        lhs,
-                        rhs,
-                        bp.get().add(t0 * st),
-                        ldb,
-                        &shared,
-                    );
-                }
-            }
-        }
-        // 3. Final alpha scale, column chunks.
-        if alpha != T::ONE {
+        // BLAS convention: `alpha == 0` is `B := 0` with neither operand
+        // read.
+        if alpha == T::ZERO {
             let (js, je) = team.chunk(n);
             if js < je {
                 // SAFETY: disjoint column chunks per member.
                 unsafe { scale_block(m, je - js, alpha, bp.get().add(js * ldb), ldb) };
+            }
+            return;
+        }
+        let (t0, t1) = block(0);
+        // SAFETY: nobody reads the block buffer before the barrier.
+        unsafe { tri.pack_block(&team, t0, t1 - t0, dbuf) };
+        team.barrier();
+        for blk in 0..nblocks {
+            let (t0, t1) = block(blk);
+            // 1. The diagonal block times its own rows of B, out of place
+            // through packed panels, `alpha` inside.
+            // SAFETY: the packed block was published by the barrier above
+            // or by the previous fold's; rows t0..t1 still hold original
+            // data, and each member writes its own micro-panels of them.
+            unsafe {
+                let packed = std::slice::from_raw_parts(dbuf.get(), tri.packed_len(t1 - t0));
+                tri_block_sweep(
+                    &disp,
+                    &team,
+                    side,
+                    tri.upper,
+                    TriOp::Product(alpha),
+                    t1 - t0,
+                    flen,
+                    packed,
+                    bp.get().add(t0 * st),
+                    ldb,
+                    &shared,
+                );
+            }
+            let (src0, krem) = if tri.upper { (t1, tlen - t1) } else { (0, t0) };
+            if krem == 0 {
+                // The last block: nothing left to fold in.
+                break;
+            }
+            // The fold repartitions the same rows by register tile and
+            // reuses the shared buffers; the next block's panels ride on
+            // its barriers.
+            team.barrier();
+            let (n0, n1) = block(blk + 1);
+            // SAFETY: every member is past its sweep of this block.
+            unsafe { tri.pack_block(&team, n0, n1 - n0, dbuf) };
+            // 2. Rectangular accumulation against the untouched part, as
+            // one cooperative product over the whole free extent.
+            let tri_src = tri.fold_operand(t0, t1 - t0, src0, krem);
+            // SAFETY: `t` in src0..src0+krem is untouched until its own
+            // block's turn, so it is a stable read while t0..t1 is
+            // written.
+            let b_src = unsafe { PackSrc::from_raw(bp.get().add(src0 * st) as *const T, 1, ldb) };
+            let (lhs, rhs) = by_side(side, &tri_src, &b_src);
+            let (rows, cols) = by_side(side, t1 - t0, flen);
+            // SAFETY: the destination `t` in t0..t1 is team-exclusive
+            // (tile split inside); the barrier above ended the sweep, the
+            // trailing one fences the source before the next block
+            // overwrites it.
+            unsafe {
+                gemm_cooperative(
+                    &disp,
+                    &team,
+                    rows,
+                    cols,
+                    krem,
+                    alpha,
+                    lhs,
+                    rhs,
+                    bp.get().add(t0 * st),
+                    ldb,
+                    &shared,
+                );
             }
         }
     });

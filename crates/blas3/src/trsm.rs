@@ -10,13 +10,19 @@
 //! solved after every earlier block's contribution is folded in — so their
 //! serial ordering is kept, and the team sweeps them in lockstep: per
 //! block, the fold of the already-solved part is one **cooperative GEMM**
-//! over the whole free extent (the triangular operand's panels are packed
-//! once by the team, the solved part of B takes the strided fast path),
-//! then the small substitution on the diagonal block is split across
-//! members along `f` (each member's slice is self-contained). A barrier
-//! after each substitution publishes the solved values the next fold
-//! reads; every member meets the same waits because every branch below
-//! depends on the block only.
+//! over the whole free extent (its triangular operand a rectangle wholly
+//! inside the stored triangle, packed as a plain strided view), then the
+//! diagonal block is solved by **substitution on packed panels**
+//! ([`tri_block_sweep`], the BLIS scheme): the block is packed once by the
+//! team with the reciprocals of its diagonal, each member copies its
+//! micro-panels of the block's rows of B into packed panels, and sweeps
+//! them in `nr`-row steps — the fold from the rows solved earlier in the
+//! block is the ordinary micro-kernel, and only the `nr x nr` triangle
+//! left on a register tile is solved by the dispatch's portable tile
+//! solve. No block is inverted, so the error bound is substitution's. A
+//! barrier after each block publishes the solved values the next fold
+//! reads; every member meets the same waits because every branch inside
+//! the region depends on the block (or on `alpha`) only.
 //!
 //! Within the backend seam this module is the kernel level: the driver
 //! below takes the operand views a validated
@@ -25,16 +31,15 @@
 
 use crate::arena;
 use crate::call::{by_side, entry, tri_shape};
-use crate::kernel::{gemm_cooperative, scale_block, shared_pack_lens, SharedPack};
+use crate::kernel::{
+    gemm_cooperative, scale_block, shared_pack_lens, tri_block_sweep, SharedPack, TriOp,
+};
 use crate::matrix::{MatMut, MatRef};
 use crate::op::{Dims, OpKind};
 use crate::pack::PackSrc;
 use crate::pool::{SendPtr, ThreadPool};
-use crate::trmm::{effective_upper, tri_at};
+use crate::trmm::TriOperand;
 use crate::{Diag, Float, Side, Transpose, Uplo};
-
-/// Diagonal-block size for the substitution sweep.
-const TB: usize = 64;
 
 /// TRSM on operand views with an explicit thread count.
 ///
@@ -62,50 +67,54 @@ pub fn trsm<T: Float>(
     }
 
     let (tlen, flen) = by_side(side, m, n);
-    let (st, sf) = by_side(side, 1, ldb);
-    let at = move |t: usize, p: usize| {
-        let (i, j) = by_side(side, t, p);
-        tri_at(a, uplo, trans, diag, i, j)
-    };
-    // Row `t` depends on the rows after it or before it; the sweep starts
-    // at the row that depends on none.
-    let upper = effective_upper(uplo, trans) == (side == Side::Left);
-    let nblocks = tlen.div_ceil(TB);
+    let (st, _) = by_side(side, 1, ldb);
     let bp = SendPtr(b.as_mut_ptr());
     // Resolve the micro-kernel once; the whole team shares it.
     let disp = T::kernel();
-    let (rows, cols) = by_side(side, TB.min(tlen), flen);
+    let tri = TriOperand::new(&disp, TriOp::Solve, side, uplo, trans, diag, a);
+    let tb = tri.tb;
+    // Row `t` depends on the rows after it or before it; the sweep starts
+    // at the block that depends on none.
+    let nblocks = tlen.div_ceil(tb);
+    let block = |blk: usize| {
+        let t0 = tb * if tri.upper { nblocks - 1 - blk } else { blk };
+        (t0, (t0 + tb).min(tlen))
+    };
+    let (rows, cols) = by_side(side, tb.min(tlen), flen);
     let (alen, blen) = shared_pack_lens(&disp, rows, cols, tlen);
     let mut pa = arena::take::<T>(alen);
     let mut pb = arena::take::<T>(blen);
     let shared = SharedPack::new(&mut pa, &mut pb);
+    // The packed diagonal block (reciprocals on its diagonal), one at a
+    // time.
+    let mut pd = arena::take::<T>(tri.packed_len(tb.min(tlen)));
+    let dbuf = SendPtr(pd.as_mut_ptr());
 
     ThreadPool::run_team_current(nt, |team| {
-        // SAFETY: bp spans the m x n matrix B with leading dimension ldb,
-        // and every caller keeps t < tlen, f < flen.
-        let bget = |t: usize, f: usize| unsafe { *bp.get().add(t * st + f * sf) };
-        // SAFETY: same extent as bget; the team partition keeps concurrent
-        // writes on disjoint elements, and barriers order every
-        // cross-chunk read after the write it needs.
-        let bset = |t: usize, f: usize, v: T| unsafe { *bp.get().add(t * st + f * sf) = v };
-        // Alpha scale first, column chunks; the barrier publishes it
-        // before any fold reads across the partition.
+        // Alpha scale first, column chunks. BLAS convention: `alpha == 0`
+        // is `B := 0` with A not referenced — the scale stores the zeros
+        // and that is the whole call.
         let (js, je) = team.chunk(n);
         if js < je {
             // SAFETY: disjoint column chunks per member.
             unsafe { scale_block(m, je - js, alpha, bp.get().add(js * ldb), ldb) };
         }
+        if alpha == T::ZERO {
+            return;
+        }
+        let (t0, t1) = block(0);
+        // SAFETY: nobody reads the block buffer before the barrier.
+        unsafe { tri.pack_block(&team, t0, t1 - t0, dbuf) };
+        // Publishes the scale before any fold reads across the partition,
+        // and the first packed block.
         team.barrier();
         for blk in 0..nblocks {
-            let t0 = TB * if upper { nblocks - 1 - blk } else { blk };
-            let t1 = (t0 + TB).min(tlen);
+            let (t0, t1) = block(blk);
             // 1. Fold in the already-solved part as one cooperative
             // product over the whole free extent (none for the first block).
-            let (src0, krem) = if upper { (t1, tlen - t1) } else { (0, t0) };
+            let (src0, krem) = if tri.upper { (t1, tlen - t1) } else { (0, t0) };
             if krem > 0 {
-                let (r0, c0) = by_side(side, t0, src0);
-                let tri = move |i: usize, j: usize| tri_at(a, uplo, trans, diag, r0 + i, c0 + j);
-                let tri_src = PackSrc::gather(&tri);
+                let tri_src = tri.fold_operand(t0, t1 - t0, src0, krem);
                 // SAFETY: `t` in src0..src0+krem holds final solved values
                 // (published by the barrier below in an earlier iteration)
                 // and is not written again.
@@ -132,30 +141,36 @@ pub fn trsm<T: Float>(
                     );
                 }
             }
-            // 2. Solve the diagonal block, `f` chunks: `t` outermost so
-            // one gathered row of op(A) serves the whole chunk.
-            let (fs, fe) = team.chunk(flen);
-            let mut row = [T::ZERO; TB];
-            for step in 0..t1 - t0 {
-                let t = if upper { t1 - 1 - step } else { t0 + step };
-                let ps = if upper { t + 1..t1 } else { t0..t };
-                for (x, p) in row.iter_mut().zip(ps.clone()) {
-                    *x = at(t, p);
-                }
-                let pivot = at(t, t);
-                for f in fs..fe {
-                    let mut v = bget(t, f);
-                    for (&x, p) in row.iter().zip(ps.clone()) {
-                        v -= x * bget(p, f);
-                    }
-                    if diag == Diag::NonUnit {
-                        v = v / pivot;
-                    }
-                    bset(t, f, v);
-                }
+            // 2. Solve the diagonal block by substitution on packed
+            // panels, each member its own micro-panels of the free extent.
+            // SAFETY: the packed block was published by the first barrier
+            // or by the fold's; the fold's trailing barrier (the first
+            // one, for block 0) completed rows t0..t1.
+            unsafe {
+                let packed = std::slice::from_raw_parts(dbuf.get(), tri.packed_len(t1 - t0));
+                tri_block_sweep(
+                    &disp,
+                    &team,
+                    side,
+                    tri.upper,
+                    TriOp::Solve,
+                    t1 - t0,
+                    flen,
+                    packed,
+                    bp.get().add(t0 * st),
+                    ldb,
+                    &shared,
+                );
             }
-            // Publish the solved block for the next fold.
+            if blk + 1 == nblocks {
+                break;
+            }
+            // Publish the solved block for the next fold, whose barriers
+            // in turn publish the next packed block.
             team.barrier();
+            let (n0, n1) = block(blk + 1);
+            // SAFETY: every member is past its sweep of this block.
+            unsafe { tri.pack_block(&team, n0, n1 - n0, dbuf) };
         }
     });
 }
@@ -325,6 +340,34 @@ mod tests {
         trmm(4, Left, Lower, No, NonUnit, 1.0, a.as_ref(), ax.as_mut());
         let expect = Matrix::from_fn(m, n, |i, j| 3.0 * b0.get(i, j));
         assert!(ax.max_abs_diff(&expect) / expect.frob_norm() < 1e-12);
+    }
+
+    #[test]
+    fn alpha_zero_zeroes_b_without_reading_a() {
+        // BLAS: `alpha == 0` is `B := 0` and A is not referenced — a NaN
+        // anywhere in A must not reach B, nor must a NaN already in B stay.
+        for &(m, n) in &[(5, 4), (70, 9), (9, 140)] {
+            for &nt in &[1usize, 3] {
+                for side in [Left, Right] {
+                    for uplo in [Upper, Lower] {
+                        for trans in [No, Yes] {
+                            for diag in [NonUnit, Unit] {
+                                let na = if side == Left { m } else { n };
+                                let a = Matrix::<f64>::filled(na, na, f64::NAN);
+                                let mut b = test_mat(m, n, 6);
+                                b.set(m - 1, 0, f64::NAN);
+                                trsm(nt, side, uplo, trans, diag, 0.0, a.as_ref(), b.as_mut());
+                                assert_eq!(
+                                    b,
+                                    Matrix::zeros(m, n),
+                                    "m={m} n={n} nt={nt} {side:?} {uplo:?} {trans:?} {diag:?}"
+                                );
+                            }
+                        }
+                    }
+                }
+            }
+        }
     }
 
     #[test]

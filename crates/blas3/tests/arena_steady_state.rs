@@ -5,7 +5,8 @@
 //! `arena::allocation_count()` is process-wide, so anything else allocating
 //! from the arena while a check reads it is a false failure. This binary is
 //! therefore one `#[test]` — its own process, no sibling tests — running
-//! the serial, the parallel-GEMM and the all-routines checks in sequence.
+//! the serial, the parallel-GEMM, the all-routines and the
+//! triangular-at-two-shapes checks in sequence.
 
 // Outside the Miri subset: exercises the OS thread pool and spin barriers.
 #![cfg(not(miri))]
@@ -177,9 +178,60 @@ fn all_routines_steady_state_packing_allocations_are_zero() {
     );
 }
 
+/// The triangular routines take a third arena buffer (the packed diagonal
+/// block) and size all three by shape: a service alternating between two
+/// shapes — one a single diagonal block, one several, on either side —
+/// must still find every buffer on the free lists.
+fn triangular_routines_replayed_at_two_shapes_allocate_nothing() {
+    let nt = 3;
+    let shapes = [(40usize, 33usize, Side::Left), (70, 300, Side::Right)];
+    let operands: Vec<_> = shapes
+        .iter()
+        .map(|&(m, n, side)| {
+            let order = if side == Side::Left { m } else { n };
+            (side, tri_mat(order, 5), det_mat(m, n, 6), det_mat(n, 24, 7))
+        })
+        .collect();
+    let replay = || {
+        for (side, tri, b, a) in &operands {
+            let side = *side;
+            let mut bx = b.clone();
+            let (uplo, trans, diag) = (Uplo::Upper, Transpose::Yes, Diag::NonUnit);
+            trmm::trmm(nt, side, uplo, trans, diag, 1.0, tri.as_ref(), bx.as_mut());
+            trsm::trsm(nt, side, uplo, trans, diag, 1.0, tri.as_ref(), bx.as_mut());
+            let mut sq = Matrix::<f64>::zeros(a.rows(), a.rows());
+            syrk::syrk(nt, Uplo::Upper, No, 1.0, a.as_ref(), 0.0, sq.as_mut());
+            syr2k::syr2k(
+                nt,
+                Uplo::Upper,
+                No,
+                1.0,
+                a.as_ref(),
+                a.as_ref(),
+                0.0,
+                sq.as_mut(),
+            );
+        }
+    };
+    replay();
+    replay();
+    arena::reset_stats();
+    for _ in 0..5 {
+        replay();
+    }
+    assert_eq!(
+        arena::allocation_count(),
+        0,
+        "alternating shapes must keep serving the triangular routines' \
+         buffers from the arena (hits: {})",
+        arena::hit_count()
+    );
+}
+
 #[test]
 fn steady_state_packing_allocations_are_zero() {
     serial_steady_state_allocates_nothing();
     parallel_gemm_steady_state_packing_allocations_are_zero();
     all_routines_steady_state_packing_allocations_are_zero();
+    triangular_routines_replayed_at_two_shapes_allocate_nothing();
 }
