@@ -2,7 +2,7 @@
 //! every *inequivalent* schedule of a scenario, in the style of
 //! Flanagan–Godefroid.
 //!
-//! The engine drives [`run_scripted`](super::run_scripted) in a loop.
+//! The engine drives [`run_scripted`] in a loop.
 //! Each run follows a forced prefix (the exploration stack), then a
 //! deterministic default rule. Afterwards the recorded trace is swept
 //! once with vector clocks ([`VClock`]): for every step `j` the latest
@@ -291,7 +291,7 @@ fn add_backtracks(stack: &mut [Node], trace: &[StepRecord], threads: usize) {
 #[cfg(test)]
 mod tests {
     use super::super::sched::Hooks;
-    use super::super::vclock::{Clocks, DataCell, Env, ModelAtomic, ModelMutex};
+    use super::super::vclock::{DataCell, ModelAtomic, ModelMutex};
     use super::*;
     use std::sync::atomic::Ordering;
     use std::sync::Arc;
@@ -303,28 +303,22 @@ mod tests {
     /// slots, so the naive interleaving count is C(5,2) = 10.
     fn two_thread_scenario(shared: bool) -> impl Fn() -> Vec<ThreadBody> {
         move || {
-            let clocks = Arc::new(Clocks::new(2));
             let x = Arc::new(ModelAtomic::new("x", 0));
             let y = Arc::new(ModelAtomic::new("y", 0));
             let mk = |first: bool| {
-                let clocks = Arc::clone(&clocks);
                 let x = Arc::clone(&x);
                 let y = Arc::clone(&y);
                 Box::new(move |hooks: &Hooks, tid: usize| {
-                    let env = Env {
-                        hooks,
-                        clocks: &clocks,
-                    };
                     if first {
-                        x.store(&env, tid, 1, Ordering::Relaxed);
+                        x.store(hooks, tid, 1, Ordering::Relaxed);
                     } else if shared {
                         // Same object: all three stores conflict.
-                        x.store(&env, tid, 2, Ordering::Relaxed);
-                        x.store(&env, tid, 3, Ordering::Relaxed);
+                        x.store(hooks, tid, 2, Ordering::Relaxed);
+                        x.store(hooks, tid, 3, Ordering::Relaxed);
                     } else {
                         // Disjoint object: nothing conflicts.
-                        y.store(&env, tid, 2, Ordering::Relaxed);
-                        y.store(&env, tid, 3, Ordering::Relaxed);
+                        y.store(hooks, tid, 2, Ordering::Relaxed);
+                        y.store(hooks, tid, 3, Ordering::Relaxed);
                     }
                 }) as ThreadBody
             };
@@ -376,23 +370,17 @@ mod tests {
     #[test]
     fn mutex_handoff_is_explored_without_deadlock_or_spin() {
         let scenario = || {
-            let clocks = Arc::new(Clocks::new(2));
             let mutex = Arc::new(ModelMutex::new("m"));
             let cell = Arc::new(DataCell::new("guarded"));
             (0..2)
                 .map(|_| {
-                    let clocks = Arc::clone(&clocks);
                     let mutex = Arc::clone(&mutex);
                     let cell = Arc::clone(&cell);
                     Box::new(move |hooks: &Hooks, tid: usize| {
-                        let env = Env {
-                            hooks,
-                            clocks: &clocks,
-                        };
-                        mutex.acquire(&env, tid);
-                        let v = cell.read(&env, tid);
-                        cell.write(&env, tid, v + 1);
-                        mutex.release(&env, tid);
+                        mutex.acquire(hooks, tid);
+                        let v = cell.read(hooks, tid);
+                        cell.write(hooks, tid, v + 1);
+                        mutex.release(hooks, tid);
                     }) as ThreadBody
                 })
                 .collect::<Vec<_>>()

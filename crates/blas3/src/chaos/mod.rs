@@ -1,22 +1,32 @@
 //! Deterministic interleaving checker ("loom-lite") for the pool/serve
 //! concurrency cores. Feature-gated behind `chaos`; test-only tooling.
 //!
+//! What it checks is, first, **the shipped code**: `pool::TeamBarrier`,
+//! the pool's job hand-off and the serve crate's completion slot are
+//! written against [`crate::sync`], whose primitives are this checker's
+//! wrappers under `feature = "chaos"`. A scenario is a few thread bodies
+//! calling the real type; each `sync` operation they perform declares
+//! itself here, yields, and is clocked.
+//!
 //! The pieces:
 //!
 //! * [`sched`] — a cooperative scheduler: model threads run one at a time
 //!   and hand over control only at explicit [`sched::Hooks::yield_point`]s,
 //!   with the next runner picked by a seeded PRNG. One seed → one exact
-//!   interleaving, replayable forever.
+//!   interleaving, replayable forever. Its thread-local ([`current`]:
+//!   "this OS thread is model thread `tid` of that run") is how a `sync`
+//!   primitive deep inside `TeamBarrier::wait` finds the scheduler.
 //! * [`vclock`] — a vector-clock memory model: [`vclock::ModelAtomic`]
 //!   tracks the happens-before edges that `Release`/`Acquire` create (and
 //!   that `Relaxed` deliberately does not), and [`vclock::DataCell`]
 //!   flags any read of plain data that is not ordered after its write.
-//! * [`models`] — small replicas of the real concurrent cores: the
-//!   sense-reversing [`models::BarrierModel`] (with its poison-on-panic
-//!   drain and a configurable flip ordering so the known-broken variant
-//!   stays detectable), the pack-buffer arena discipline, the serve
-//!   queue's take/steal/hold path, and the serve completion frontend's
-//!   armed→settled CAS protocol.
+//!   Fault injection lives here too: a [`Weakening`] makes the model
+//!   *record* an operation of the shipped code as `Relaxed` for one
+//!   scenario ([`weakened`]) — "a `Relaxed` flip is caught" is then a
+//!   statement about `pool.rs`, not about an editable copy of it.
+//! * [`models`] — the three stand-ins that remain (arena, serve queue,
+//!   supervisor restart), each a discipline over plain state rather than
+//!   an ordering; its header says why they may stay models.
 //! * [`dpor`] — dynamic partial-order reduction: systematic exploration
 //!   of *every* inequivalent schedule for small thread counts, with
 //!   backtrack points computed from the vector clocks and sleep sets
@@ -34,9 +44,10 @@ pub mod sched;
 pub mod vclock;
 
 pub use sched::{
-    run_interleaved, run_scripted, Access, AccessKind, Gate, Hooks, RunReport, ScriptEntry,
-    StepRecord, ThreadBody,
+    current, run_interleaved, run_scripted, Access, AccessKind, Gate, Hooks, RunReport,
+    ScriptEntry, StepRecord, ThreadBody,
 };
+pub use vclock::{weakened, DataCell, Weakening};
 
 /// SplitMix64: tiny, seedable, and good enough to scatter schedules.
 /// (Not `rand`: the checker must be dependency-free and byte-for-byte
@@ -121,6 +132,28 @@ pub fn explore(
         schedules_seen: seen.len() as u64,
         max_steps,
     })
+}
+
+/// The gate a scenario over shipped code goes through: the fixed 64-seed
+/// block (no violation, abort or panicking body), then DPOR — clean,
+/// complete, and more than one schedule explored (one proves nothing).
+pub fn prove(name: &str, scenario: impl Fn() -> Vec<ThreadBody>) -> dpor::DporReport {
+    let seeded = |seed| {
+        let report = run_interleaved(seed, 200_000, scenario());
+        assert_eq!(report.panics, 0, "{name}, seed {seed}: {report:?}");
+        report
+    };
+    explore(0..64, seeded).unwrap_or_else(|f| panic!("{name}: seed {}: {:?}", f.seed, f.report));
+    let report = dpor::explore_exhaustive(&dpor::DporConfig::default(), &scenario);
+    let (runs, pruned) = (report.schedules, report.sleep_blocked);
+    println!(
+        "{name}: {runs} interleavings, {pruned} pruned, longest {} steps",
+        report.max_steps
+    );
+    assert!(report.failure.is_none(), "{name}: {report:?}");
+    assert!(report.complete, "{name}: coverage not proven: {report:?}");
+    assert!(runs > 1, "{name}: one schedule: {report:?}");
+    report
 }
 
 #[cfg(test)]

@@ -15,9 +15,13 @@
 //! * **[`Gate`]s** — futex-like parking with no happens-before edge.
 //!   Spin waits branch unboundedly under systematic exploration; a gate
 //!   removes the waiter from the enabled set instead, keeping the
-//!   schedule space finite and making deadlocks detectable.
+//!   schedule space finite and making deadlocks detectable. A spin wait
+//!   in shipped code ([`crate::sync::spin_until`]) needs no gate of its
+//!   own: [`Hooks::wait_until`] parks it on the objects its condition read.
 
+use super::vclock::VClock;
 use super::Prng;
+use std::cell::RefCell;
 use std::collections::BTreeSet;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -60,7 +64,14 @@ impl Access {
     }
 }
 
-static NEXT_GATE_ID: AtomicU64 = AtomicU64::new(0);
+static NEXT_ID: AtomicU64 = AtomicU64::new(0);
+
+/// Mint a process-unique id, for gates and modelled objects alike: a
+/// modelled atomic doubles as a parking spot ([`Hooks::wait_until`]).
+pub(super) fn next_id() -> u64 {
+    // ORDER: Relaxed — only mints unique ids; nothing is published.
+    NEXT_ID.fetch_add(1, Ordering::Relaxed)
+}
 
 /// A futex-like parking spot. [`Hooks::gate_wait`] removes the caller
 /// from the enabled set until someone calls [`Hooks::gate_open`]; the
@@ -75,11 +86,7 @@ pub struct Gate {
 impl Gate {
     /// A fresh gate, distinct from every other gate in the process.
     pub fn new() -> Gate {
-        Gate {
-            // ORDER: Relaxed — the counter only mints unique ids; no
-            // data is published through it.
-            id: NEXT_GATE_ID.fetch_add(1, Ordering::Relaxed),
-        }
+        Gate { id: next_id() }
     }
 }
 
@@ -152,9 +159,14 @@ struct State {
     /// Declared next operation per thread (`None` until the thread
     /// reaches its first declared yield).
     pending: Vec<Option<Access>>,
-    /// Gate id a thread is parked on; gate-blocked threads are not
-    /// runnable and not enabled.
-    blocked: Vec<Option<u64>>,
+    /// Wake keys a thread is parked on — one gate id, or the object ids a
+    /// [`Hooks::wait_until`] condition read; empty when not parked.
+    /// Blocked threads are not runnable and not enabled.
+    blocked: Vec<Vec<u64>>,
+    /// Per thread, while it evaluates a [`Hooks::wait_until`] condition:
+    /// the objects the condition has read so far, and whether one of them
+    /// has been written since.
+    watch: Vec<Option<(Vec<u64>, bool)>>,
     /// Threads that have not finished yet.
     alive: usize,
     steps: u64,
@@ -170,14 +182,28 @@ struct State {
 struct Inner {
     state: Mutex<State>,
     cv: Condvar,
+    /// The run's vector clocks, one per model thread.
+    clocks: Mutex<Vec<VClock>>,
 }
 
 /// Handle the model code calls back into: yield points, gates, violation
-/// reporting, and the per-thread id.
+/// reporting, and the run's vector clocks.
+#[derive(Clone)]
 pub struct Hooks {
     inner: Arc<Inner>,
-    /// Number of model threads in the run.
-    pub threads: usize,
+}
+
+thread_local! {
+    /// Set around each body by [`run_interleaved`] / [`run_scripted`]: how
+    /// [`crate::sync`]'s primitives find the scheduler (the loom pattern).
+    static CURRENT: RefCell<Option<(Hooks, usize)>> = const { RefCell::new(None) };
+}
+
+/// The calling thread's scheduler handle and model-thread id while it runs
+/// a body of a scheduler run; `None` anywhere else (a scenario *builder*
+/// included: it runs before the threads exist).
+pub fn current() -> Option<(Hooks, usize)> {
+    CURRENT.with(|c| c.borrow().clone())
 }
 
 /// One model thread's body: receives the shared hooks and its thread id.
@@ -228,7 +254,9 @@ impl Hooks {
 
     fn yield_with(&self, tid: usize, access: Option<Access>) {
         let mut st = lock_unpoisoned(&self.inner.state);
-        debug_assert_eq!(st.current, Some(tid), "yield from a non-running thread");
+        // (Off the token after an abort: the thread outlived it through a
+        // `catch_unwind`, or is unwinding through a guard's drop.)
+        debug_assert!(st.abort.is_some() || st.current == Some(tid));
         st.pending[tid] = access;
         st.runnable.push(tid);
         st.current = None;
@@ -241,10 +269,14 @@ impl Hooks {
     /// threads run one at a time and hand over only at yields, there is
     /// no lost-wakeup window between a model read and this park.
     pub fn gate_wait(&self, tid: usize, gate: &Gate) {
-        let mut st = lock_unpoisoned(&self.inner.state);
-        debug_assert_eq!(st.current, Some(tid), "gate_wait from a non-running thread");
+        let st = lock_unpoisoned(&self.inner.state);
+        self.park_on(st, tid, vec![gate.id]);
+    }
+
+    fn park_on(&self, mut st: MutexGuard<'_, State>, tid: usize, keys: Vec<u64>) {
+        debug_assert!(st.abort.is_some() || st.current == Some(tid));
         st.pending[tid] = None;
-        st.blocked[tid] = Some(gate.id);
+        st.blocked[tid] = keys;
         st.current = None;
         Inner::dispatch(&mut st);
         self.inner.cv.notify_all();
@@ -255,12 +287,51 @@ impl Hooks {
     /// The caller keeps the token — opening a gate is not a scheduling
     /// point, and (like a futex wake) conveys no happens-before edge.
     pub fn gate_open(&self, tid: usize, gate: &Gate) {
+        self.open(tid, gate.id);
+    }
+
+    /// Open wake key `key`: a gate's id, or — after a modelled store or
+    /// RMW — the id of the object written, which wakes every thread whose
+    /// [`wait_until`](Hooks::wait_until) condition read it.
+    pub(super) fn open(&self, tid: usize, key: u64) {
         let mut st = lock_unpoisoned(&self.inner.state);
-        debug_assert_eq!(st.current, Some(tid), "gate_open from a non-running thread");
+        debug_assert!(st.abort.is_some() || st.current == Some(tid));
         for t in 0..st.blocked.len() {
-            if st.blocked[t] == Some(gate.id) {
-                st.blocked[t] = None;
+            if st.blocked[t].contains(&key) {
+                st.blocked[t].clear();
                 st.runnable.push(t);
+            }
+            if let Some((reads, stale)) = &mut st.watch[t] {
+                *stale |= reads.contains(&key);
+            }
+        }
+    }
+
+    /// A modelled load or RMW is reading `obj`: remember it if the thread
+    /// is evaluating a [`wait_until`](Hooks::wait_until) condition.
+    pub(super) fn note_read(&self, tid: usize, obj: u64) {
+        if let Some((reads, _)) = &mut lock_unpoisoned(&self.inner.state).watch[tid] {
+            reads.push(obj);
+        }
+    }
+
+    /// The modelled spin wait: evaluate `done` (its modelled loads are
+    /// ordinary declared steps) and, while it is `false`, park until some
+    /// thread writes one of the objects it read. A write that slipped in
+    /// at a yield *inside* the evaluation, after the load that would have
+    /// seen it, marks the watch stale: `done` runs again instead of
+    /// parking, so no wake-up is lost. Does not nest.
+    pub fn wait_until(&self, tid: usize, mut done: impl FnMut() -> bool) {
+        loop {
+            lock_unpoisoned(&self.inner.state).watch[tid] = Some((Vec::new(), false));
+            let finished = done();
+            let mut st = lock_unpoisoned(&self.inner.state);
+            let (reads, stale) = st.watch[tid].take().unwrap_or_default();
+            if finished {
+                return;
+            }
+            if !stale {
+                self.park_on(st, tid, reads);
             }
         }
     }
@@ -269,14 +340,28 @@ impl Hooks {
     /// continues so one schedule can surface several independent findings.
     pub fn violation(&self, message: String) {
         let mut st = lock_unpoisoned(&self.inner.state);
-        st.violations.push(message);
+        // Threads unwinding off the token after an abort find nothing real.
+        if st.abort.is_none() {
+            st.violations.push(message);
+        }
+    }
+
+    /// The run's vector clocks, indexed by model-thread id.
+    pub fn clocks(&self) -> MutexGuard<'_, Vec<VClock>> {
+        let clocks = self.inner.clocks.lock();
+        clocks.unwrap_or_else(|poisoned| poisoned.into_inner())
     }
 
     fn park_until_running(&self, mut st: MutexGuard<'_, State>, tid: usize) {
         loop {
             if st.abort.is_some() {
-                // Unwind through the model; the wrapper records the abort.
                 drop(st);
+                if std::thread::panicking() {
+                    // Unwinding already (a guard's drop reached a yield):
+                    // a second panic would abort the process.
+                    return;
+                }
+                // Unwind through the model; the wrapper records the abort.
                 std::panic::panic_any(ChaosAbort);
             }
             if st.current == Some(tid) {
@@ -451,7 +536,8 @@ fn run_with(
             runnable: (0..threads).collect(),
             current: None,
             pending: vec![None; threads],
-            blocked: vec![None; threads],
+            blocked: vec![Vec::new(); threads],
+            watch: vec![None; threads],
             alive: threads,
             steps: 0,
             budget,
@@ -460,6 +546,7 @@ fn run_with(
             violations: Vec::new(),
         }),
         cv: Condvar::new(),
+        clocks: Mutex::new(vec![VClock::new(threads); threads]),
     });
     // Seat the first runner before any thread starts.
     {
@@ -470,10 +557,8 @@ fn run_with(
     std::thread::scope(|scope| {
         let mut handles = Vec::with_capacity(threads);
         for (tid, body) in bodies.into_iter().enumerate() {
-            let hooks = Hooks {
-                inner: Arc::clone(&inner),
-                threads,
-            };
+            let inner = Arc::clone(&inner);
+            let hooks = Hooks { inner };
             handles.push(scope.spawn(move || {
                 // Wait to be seated, run, then retire the token.
                 {
@@ -490,12 +575,15 @@ fn run_with(
                         return false;
                     }
                 }
+                CURRENT.with(|c| *c.borrow_mut() = Some((hooks.clone(), tid)));
                 let result = catch_unwind(AssertUnwindSafe(|| body(&hooks, tid)));
+                let mut st = lock_unpoisoned(&hooks.inner.state);
+                // A panic after the abort is teardown, whatever its payload
+                // (code under test may `catch_unwind` the abort itself).
                 let panicked = match result {
                     Ok(()) => false,
-                    Err(payload) => !payload.is::<ChaosAbort>(),
+                    Err(payload) => !payload.is::<ChaosAbort>() && st.abort.is_none(),
                 };
-                let mut st = lock_unpoisoned(&hooks.inner.state);
                 st.alive -= 1;
                 st.pending[tid] = None;
                 if st.current == Some(tid) {

@@ -1,7 +1,7 @@
 //! Vector-clock memory model: just enough of the C11 ordering semantics
 //! to tell a `Release`/`Acquire` publication edge from a `Relaxed` hole.
 //!
-//! Every model thread carries a vector clock ([`Clocks`]). A `Release`
+//! Every model thread carries a vector clock ([`Hooks::clocks`]). A `Release`
 //! store (or RMW) deposits the writer's clock on the atomic; an `Acquire`
 //! load joins that deposit into the reader's clock; a `Relaxed` store
 //! clears the deposit (it starts a new, unsynchronised value), while a
@@ -17,19 +17,10 @@
 //! scheduler ([`Hooks::yield_access`]) before executing it, so the DPOR
 //! engine can tell dependent transitions apart from independent ones.
 
-use super::sched::{Access, AccessKind, Gate, Hooks};
-use std::sync::atomic::{AtomicU64, Ordering};
+use super::sched::{next_id, Access, AccessKind, Gate, Hooks, ThreadBody};
+use std::cell::Cell;
+use std::sync::atomic::Ordering;
 use std::sync::Mutex;
-
-static NEXT_OBJ_ID: AtomicU64 = AtomicU64::new(0);
-
-/// Mint a fresh model-object id (shared by atomics, cells, and mutexes
-/// so cross-kind ids never collide).
-fn next_obj_id() -> u64 {
-    // ORDER: Relaxed — the counter only mints unique ids; no data is
-    // published through it.
-    NEXT_OBJ_ID.fetch_add(1, Ordering::Relaxed)
-}
 
 /// A vector clock: component `t` counts thread `t`'s modelled operations.
 #[derive(Clone, Debug, Default, PartialEq)]
@@ -75,36 +66,12 @@ impl VClock {
     }
 }
 
-/// The per-thread clocks of one modelled run.
-pub struct Clocks {
-    mine: Mutex<Vec<VClock>>,
-}
-
-impl Clocks {
-    /// Fresh zero clocks for `threads` model threads.
-    pub fn new(threads: usize) -> Clocks {
-        Clocks {
-            mine: Mutex::new(vec![VClock::new(threads); threads]),
-        }
-    }
-
-    /// Snapshot of thread `tid`'s current clock.
-    pub fn of(&self, tid: usize) -> VClock {
-        self.lock()[tid].clone()
-    }
-
-    fn lock(&self) -> std::sync::MutexGuard<'_, Vec<VClock>> {
-        self.mine
-            .lock()
-            .unwrap_or_else(|poisoned| poisoned.into_inner())
-    }
-}
-
 /// A modelled atomic `u64` that tracks the release deposit alongside the
 /// value. All operations run under the scheduler token (the caller is the
 /// only running thread), so a plain mutex — never contended — holds state.
+/// ([`crate::sync`]'s atomics carry one beside the `std` atomic they wrap;
+/// there only the deposit and the declared access matter.)
 pub struct ModelAtomic {
-    _name: &'static str,
     id: u64,
     state: Mutex<AtomicState>,
 }
@@ -116,12 +83,28 @@ struct AtomicState {
     deposit: Option<VClock>,
 }
 
+impl AtomicState {
+    /// The acquire side of `order`: join the release deposit, if any.
+    fn acquire(&self, order: Ordering, clock: &mut VClock) {
+        if let (true, Some(deposit)) = (acquires(order), &self.deposit) {
+            clock.join(deposit);
+        }
+    }
+
+    /// The release side of an RMW, which continues the release sequence:
+    /// the deposit accumulates, and a `Relaxed` RMW leaves it intact.
+    fn release_rmw(&mut self, order: Ordering, clock: &VClock) {
+        if releases(order) {
+            self.deposit.get_or_insert_with(VClock::default).join(clock);
+        }
+    }
+}
+
 impl ModelAtomic {
     /// A modelled atomic named for diagnostics, starting at `value`.
-    pub fn new(name: &'static str, value: u64) -> ModelAtomic {
+    pub fn new(_name: &'static str, value: u64) -> ModelAtomic {
         ModelAtomic {
-            _name: name,
-            id: next_obj_id(),
+            id: next_id(),
             state: Mutex::new(AtomicState {
                 value,
                 deposit: None,
@@ -129,76 +112,70 @@ impl ModelAtomic {
         }
     }
 
-    /// Atomic load; an acquiring `order` joins the release deposit.
-    pub fn load(&self, env: &Env<'_>, tid: usize, order: Ordering) -> u64 {
-        env.hooks.yield_access(
-            tid,
-            Access {
-                obj: self.id,
-                kind: AccessKind::Read,
-            },
-        );
-        let mut clocks = env.clocks.lock();
-        clocks[tid].tick(tid);
-        let st = self.lock();
-        if acquires(order) {
-            if let Some(deposit) = &st.deposit {
-                clocks[tid].join(deposit);
-            }
+    /// One modelled operation: declare it, yield, tick the caller's
+    /// clock, then run `op` on the state and that clock.
+    fn step<R>(
+        &self,
+        hooks: &Hooks,
+        tid: usize,
+        kind: AccessKind,
+        op: impl FnOnce(&mut AtomicState, &mut VClock) -> R,
+    ) -> R {
+        hooks.yield_access(tid, Access { obj: self.id, kind });
+        if kind != AccessKind::Write {
+            hooks.note_read(tid, self.id);
         }
-        st.value
+        let mut clocks = hooks.clocks();
+        clocks[tid].tick(tid);
+        let mut st = self
+            .state
+            .lock()
+            .unwrap_or_else(|poisoned| poisoned.into_inner());
+        op(&mut st, &mut clocks[tid])
+    }
+
+    /// Atomic load; an acquiring `order` joins the release deposit.
+    pub fn load(&self, hooks: &Hooks, tid: usize, order: Ordering) -> u64 {
+        self.step(hooks, tid, AccessKind::Read, |st, clock| {
+            st.acquire(order, clock);
+            st.value
+        })
     }
 
     /// Atomic store; a releasing `order` deposits the writer's clock,
-    /// while `Relaxed` clears any existing deposit.
-    pub fn store(&self, env: &Env<'_>, tid: usize, value: u64, order: Ordering) {
-        env.hooks.yield_access(
-            tid,
-            Access {
-                obj: self.id,
-                kind: AccessKind::Write,
-            },
-        );
-        let mut clocks = env.clocks.lock();
-        clocks[tid].tick(tid);
-        let mut st = self.lock();
-        st.value = value;
-        st.deposit = if releases(order) {
-            Some(clocks[tid].clone())
-        } else {
-            // A Relaxed store starts a new unsynchronised value: whoever
-            // reads it acquires nothing.
-            None
-        };
+    /// while `Relaxed` clears any existing deposit (it starts a new
+    /// unsynchronised value: whoever reads it acquires nothing).
+    pub fn store(&self, hooks: &Hooks, tid: usize, value: u64, order: Ordering) {
+        self.step(hooks, tid, AccessKind::Write, |st, clock| {
+            st.value = value;
+            st.deposit = releases(order).then(|| clock.clone());
+        });
+        hooks.open(tid, self.id);
     }
 
-    /// `fetch_add` with C11 RMW semantics: the deposit accumulates —
-    /// a releasing RMW joins its clock in, and even a `Relaxed` RMW
-    /// leaves the existing release chain intact.
-    pub fn fetch_add(&self, env: &Env<'_>, tid: usize, delta: u64, order: Ordering) -> u64 {
-        env.hooks.yield_access(
-            tid,
-            Access {
-                obj: self.id,
-                kind: AccessKind::Rmw,
-            },
-        );
-        let mut clocks = env.clocks.lock();
-        clocks[tid].tick(tid);
-        let mut st = self.lock();
-        let prev = st.value;
-        st.value = st.value.wrapping_add(delta);
-        if acquires(order) {
-            if let Some(deposit) = &st.deposit {
-                clocks[tid].join(deposit);
-            }
-        }
-        if releases(order) {
-            let mut deposit = st.deposit.take().unwrap_or_default();
-            deposit.join(&clocks[tid]);
-            st.deposit = Some(deposit);
-        }
+    /// A read-modify-write that always succeeds (`fetch_add`, `fetch_sub`,
+    /// `swap`, …) with C11 semantics; returns the previous value.
+    pub fn rmw(
+        &self,
+        hooks: &Hooks,
+        tid: usize,
+        order: Ordering,
+        f: impl FnOnce(u64) -> u64,
+    ) -> u64 {
+        let prev = self.step(hooks, tid, AccessKind::Rmw, |st, clock| {
+            let prev = st.value;
+            st.value = f(prev);
+            st.acquire(order, clock);
+            st.release_rmw(order, clock);
+            prev
+        });
+        hooks.open(tid, self.id);
         prev
+    }
+
+    /// `fetch_add` as an [`rmw`](ModelAtomic::rmw).
+    pub fn fetch_add(&self, hooks: &Hooks, tid: usize, delta: u64, order: Ordering) -> u64 {
+        self.rmw(hooks, tid, order, |v| v.wrapping_add(delta))
     }
 
     /// Compare-exchange with C11 semantics: on success (an RMW) the
@@ -208,52 +185,27 @@ impl ModelAtomic {
     /// an RMW either way — conservative for DPOR dependence, and sound.
     pub fn compare_exchange(
         &self,
-        env: &Env<'_>,
+        hooks: &Hooks,
         tid: usize,
         current: u64,
         new: u64,
         success: Ordering,
         failure: Ordering,
     ) -> Result<u64, u64> {
-        env.hooks.yield_access(
-            tid,
-            Access {
-                obj: self.id,
-                kind: AccessKind::Rmw,
-            },
-        );
-        let mut clocks = env.clocks.lock();
-        clocks[tid].tick(tid);
-        let mut st = self.lock();
-        if st.value != current {
-            if acquires(failure) {
-                if let Some(deposit) = &st.deposit {
-                    clocks[tid].join(deposit);
-                }
+        let result = self.step(hooks, tid, AccessKind::Rmw, |st, clock| {
+            if st.value != current {
+                st.acquire(failure, clock);
+                return Err(st.value);
             }
-            return Err(st.value);
+            st.value = new;
+            st.acquire(success, clock);
+            st.release_rmw(success, clock);
+            Ok(current)
+        });
+        if result.is_ok() {
+            hooks.open(tid, self.id);
         }
-        let prev = st.value;
-        st.value = new;
-        if acquires(success) {
-            if let Some(deposit) = &st.deposit {
-                clocks[tid].join(deposit);
-            }
-        }
-        if releases(success) {
-            // An RMW continues the release sequence: accumulate rather
-            // than replace, exactly as fetch_add does.
-            let mut deposit = st.deposit.take().unwrap_or_default();
-            deposit.join(&clocks[tid]);
-            st.deposit = Some(deposit);
-        }
-        Ok(prev)
-    }
-
-    fn lock(&self) -> std::sync::MutexGuard<'_, AtomicState> {
-        self.state
-            .lock()
-            .unwrap_or_else(|poisoned| poisoned.into_inner())
+        result
     }
 }
 
@@ -276,7 +228,7 @@ impl DataCell {
     pub fn new(name: &'static str) -> DataCell {
         DataCell {
             name,
-            id: next_obj_id(),
+            id: next_id(),
             state: Mutex::new(CellState {
                 value: 0,
                 write_clock: VClock::default(),
@@ -285,55 +237,42 @@ impl DataCell {
         }
     }
 
-    /// Plain write: a violation unless ordered after every prior write.
-    pub fn write(&self, env: &Env<'_>, tid: usize, value: u64) {
-        env.hooks.yield_access(
-            tid,
-            Access {
-                obj: self.id,
-                kind: AccessKind::Write,
-            },
-        );
-        let mut clocks = env.clocks.lock();
+    /// One checked access (`Some(v)` writes `v`): declare it, yield, tick,
+    /// and report a race unless it is ordered after the last write.
+    fn access(&self, hooks: &Hooks, tid: usize, write: Option<u64>) -> u64 {
+        let (kind, race) = match write {
+            Some(_) => (AccessKind::Write, "data race"),
+            None => (AccessKind::Read, "unsynchronised read"),
+        };
+        hooks.yield_access(tid, Access { obj: self.id, kind });
+        let mut clocks = hooks.clocks();
         clocks[tid].tick(tid);
-        let mut st = self.lock();
+        let mut st = self
+            .state
+            .lock()
+            .unwrap_or_else(|poisoned| poisoned.into_inner());
         if !clocks[tid].dominates(&st.write_clock) {
-            env.hooks.violation(format!(
-                "data race: thread {tid} wrote `{}` concurrently with thread {:?}'s write",
+            hooks.violation(format!(
+                "{race}: thread {tid} accessed `{}` not ordered after thread {:?}'s write \
+                 (missing Release/Acquire edge)",
                 self.name, st.writer
             ));
         }
-        st.value = value;
-        st.write_clock = clocks[tid].clone();
-        st.writer = Some(tid);
-    }
-
-    /// Plain read: a violation unless ordered after the last write.
-    pub fn read(&self, env: &Env<'_>, tid: usize) -> u64 {
-        env.hooks.yield_access(
-            tid,
-            Access {
-                obj: self.id,
-                kind: AccessKind::Read,
-            },
-        );
-        let mut clocks = env.clocks.lock();
-        clocks[tid].tick(tid);
-        let st = self.lock();
-        if !clocks[tid].dominates(&st.write_clock) {
-            env.hooks.violation(format!(
-                "unsynchronised read: thread {tid} read `{}` not ordered after \
-                 thread {:?}'s write (missing Release/Acquire edge)",
-                self.name, st.writer
-            ));
+        if let Some(value) = write {
+            (st.value, st.writer) = (value, Some(tid));
+            st.write_clock = clocks[tid].clone();
         }
         st.value
     }
 
-    fn lock(&self) -> std::sync::MutexGuard<'_, CellState> {
-        self.state
-            .lock()
-            .unwrap_or_else(|poisoned| poisoned.into_inner())
+    /// Plain write: a violation unless ordered after every prior write.
+    pub fn write(&self, hooks: &Hooks, tid: usize, value: u64) {
+        self.access(hooks, tid, Some(value));
+    }
+
+    /// Plain read: a violation unless ordered after the last write.
+    pub fn read(&self, hooks: &Hooks, tid: usize) -> u64 {
+        self.access(hooks, tid, None)
     }
 }
 
@@ -360,46 +299,37 @@ impl ModelMutex {
     /// Block until the mutex is acquired. Parks on the gate while held;
     /// each release opens the gate, so the retry count is bounded by the
     /// number of release events (no spinning under DPOR).
-    pub fn acquire(&self, env: &Env<'_>, tid: usize) {
+    pub fn acquire(&self, hooks: &Hooks, tid: usize) {
         loop {
             // ORDER: Acquire on success — the modelled lock-acquisition
             // edge; a relaxed failure load learns nothing and retries.
             let won = self
                 .state
-                .compare_exchange(env, tid, 0, 1, Ordering::Acquire, Ordering::Relaxed)
+                .compare_exchange(hooks, tid, 0, 1, Ordering::Acquire, Ordering::Relaxed)
                 .is_ok();
             if won {
                 return;
             }
-            env.hooks.gate_wait(tid, &self.gate);
+            hooks.gate_wait(tid, &self.gate);
         }
     }
 
     /// Release the mutex and wake parked acquirers. Releasing a mutex
     /// that is not held is reported as a violation.
-    pub fn release(&self, env: &Env<'_>, tid: usize) {
+    pub fn release(&self, hooks: &Hooks, tid: usize) {
         // ORDER: Release — publishes the critical section to the next
         // acquirer; a relaxed failure load is only the misuse check.
         let freed = self
             .state
-            .compare_exchange(env, tid, 1, 0, Ordering::Release, Ordering::Relaxed)
+            .compare_exchange(hooks, tid, 1, 0, Ordering::Release, Ordering::Relaxed)
             .is_ok();
         if !freed {
-            env.hooks.violation(format!(
+            hooks.violation(format!(
                 "thread {tid} released a model mutex that is not held"
             ));
         }
-        env.hooks.gate_open(tid, &self.gate);
+        hooks.gate_open(tid, &self.gate);
     }
-}
-
-/// Everything a modelled operation needs: the scheduler hooks plus the
-/// run's thread clocks.
-pub struct Env<'a> {
-    /// The run's scheduler handle (yield points, violation reporting).
-    pub hooks: &'a Hooks,
-    /// The run's per-thread vector clocks.
-    pub clocks: &'a Clocks,
 }
 
 fn acquires(order: Ordering) -> bool {
@@ -418,6 +348,50 @@ fn releases(order: Ordering) -> bool {
     )
 }
 
+/// A fault the harness injects into code it does not edit: on the threads
+/// of a [`weakened`] scenario, every [`crate::sync`] atomic operation of
+/// this `kind`, written with this `order`, at a call site in a file whose
+/// path ends with `file`, is *recorded* by the model as `Relaxed`. The
+/// real operation is untouched — only the happens-before edge the checker
+/// credits it with goes away, which is what a weakened ordering means.
+#[derive(Clone, Copy, Debug)]
+pub struct Weakening {
+    /// Path suffix of the call site's file (`"pool.rs"`).
+    pub file: &'static str,
+    /// Operation class to match.
+    pub kind: AccessKind,
+    /// Ordering, as written in the source, to match.
+    pub order: Ordering,
+}
+
+thread_local! {
+    /// The weakening in force on this model thread, if any.
+    static WEAKEN: Cell<Option<Weakening>> = const { Cell::new(None) };
+}
+
+/// `bodies` with `weakening` in force on their threads. It rides with the
+/// bodies, so a seeded run, a scripted replay and DPOR all see the fault.
+pub fn weakened(weakening: Weakening, bodies: Vec<ThreadBody>) -> Vec<ThreadBody> {
+    let arm = |body: ThreadBody| -> ThreadBody {
+        Box::new(move |hooks: &Hooks, tid: usize| {
+            WEAKEN.set(Some(weakening));
+            body(hooks, tid)
+        })
+    };
+    bodies.into_iter().map(arm).collect()
+}
+
+/// What the model records for a facade operation written with `order` at
+/// `site`: `order`, or `Relaxed` under a matching [`Weakening`].
+pub fn recorded(site: &std::panic::Location<'_>, kind: AccessKind, order: Ordering) -> Ordering {
+    let hit = |w: Weakening| w.kind == kind && w.order == order && site.file().ends_with(w.file);
+    match WEAKEN.get().is_some_and(hit) {
+        // ORDER: Relaxed — the injected fault, recorded not executed.
+        true => Ordering::Relaxed,
+        false => order,
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::super::sched::{run_interleaved, ThreadBody};
@@ -429,25 +403,19 @@ mod tests {
     /// clean on every seed; with a Relaxed store it must trip on schedules
     /// where the reader actually observes the flag.
     fn message_pass(seed: u64, store_order: Ordering) -> super::super::RunReport {
-        let clocks = Arc::new(Clocks::new(2));
         let flag = Arc::new(ModelAtomic::new("flag", 0));
         let data = Arc::new(DataCell::new("payload"));
         let mk = |writer: bool| {
-            let clocks = Arc::clone(&clocks);
             let flag = Arc::clone(&flag);
             let data = Arc::clone(&data);
             Box::new(move |hooks: &Hooks, tid: usize| {
-                let env = Env {
-                    hooks,
-                    clocks: &clocks,
-                };
                 if writer {
-                    data.write(&env, tid, 41);
-                    data.write(&env, tid, 42);
-                    flag.store(&env, tid, 1, store_order);
+                    data.write(hooks, tid, 41);
+                    data.write(hooks, tid, 42);
+                    flag.store(hooks, tid, 1, store_order);
                 } else {
-                    while flag.load(&env, tid, Ordering::Acquire) == 0 {}
-                    assert_eq!(data.read(&env, tid), 42);
+                    while flag.load(hooks, tid, Ordering::Acquire) == 0 {}
+                    assert_eq!(data.read(hooks, tid), 42);
                 }
             }) as ThreadBody
         };

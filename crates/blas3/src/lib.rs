@@ -38,6 +38,9 @@
 //!   of spawning/synchronising threads is part of what the paper's model
 //!   learns, so the pool is deliberately explicit rather than hidden behind
 //!   rayon.
+//! * [`sync`] — the `Mutex`/`Condvar`/atomics the pool and the serve
+//!   crate's completion slot are written against: `std`'s, or — test-only
+//!   `chaos` feature — wrappers the interleaving checker can schedule.
 //! * [`kernel`] / [`pack`] / [`arena`] — blocked micro-kernels, panel
 //!   packing, and the packing-buffer reuse arena. The
 //!   [`kernel::KernelDispatch`] seam picks an explicit SIMD micro-kernel
@@ -72,6 +75,7 @@ pub mod owned2;
 pub mod pack;
 pub mod pool;
 pub mod reference;
+pub mod sync;
 pub mod vector;
 
 pub mod gemm;

@@ -24,11 +24,19 @@
 //!
 //! Built on `std::sync` only (mpsc channels + `Mutex`/`Condvar`); the
 //! offline build environment has no access to crossbeam or parking_lot.
+//!
+//! The shared state of [`TeamBarrier`] and of the job hand-off
+//! (`JobState`) is written against [`crate::sync`], which *is* `std::sync`
+//! in every build but the test-only `chaos` one — there the interleaving
+//! checker schedules this code itself (`tests/chaos_{regression,dpor}.rs`,
+//! the `scenarios` module below), not a model of it. New shared state here
+//! goes through `sync` too (`xtask analyze` flags a raw `std::sync`
+//! primitive as `raw-sync-import`); `Arc`, `OnceLock`, `mpsc` stay `std`'s.
 
+use crate::sync::{self, AtomicBool, AtomicUsize, Condvar, Mutex, MutexGuard, Ordering};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::mpsc::Sender;
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock};
+use std::sync::{Arc, OnceLock};
 
 /// Lock a mutex, proceeding through poisoning: pool bookkeeping state stays
 /// consistent even when a worker closure panicked while holding no locks.
@@ -86,7 +94,10 @@ struct JobRef {
 }
 
 // SAFETY: the closure behind `func` is `Sync`, and `run_team` keeps the
-// referent alive until every worker has signalled completion through `state`.
+// referent alive until every worker has signalled completion through
+// `state`: `JobState::wait` returning orders the caller after everything
+// each worker did before its `finish_one` (`scenarios::job_hand_off_*`
+// run that claim on every schedule, and break it by weakening `fetch_sub`).
 unsafe impl Send for JobRef {}
 
 /// One helper worker: its submission channel and its join handle (kept so
@@ -440,21 +451,18 @@ impl TeamBarrier {
             self.generation.fetch_add(1, Ordering::Release);
             return;
         }
-        let mut spins = 0u32;
-        // ORDER: Acquire — pairs with the Release flip; seeing the new
-        // generation also makes the round's writes visible.
-        while self.generation.load(Ordering::Acquire) == gen {
+        sync::spin_until(|| {
+            // ORDER: Acquire — pairs with the Release flip; seeing the new
+            // generation also makes the round's writes visible.
+            if self.generation.load(Ordering::Acquire) != gen {
+                return true;
+            }
             // ORDER: Acquire — pairs with poison()'s Release store.
             if self.poisoned.load(Ordering::Acquire) {
                 panic!("team barrier poisoned by another member's panic");
             }
-            spins += 1;
-            if spins < 64 {
-                std::hint::spin_loop();
-            } else {
-                std::thread::yield_now();
-            }
-        }
+            false
+        });
     }
 
     /// Mark the barrier unusable: every current and future [`wait`]
@@ -854,5 +862,62 @@ mod tests {
             count.fetch_add(1, Ordering::Relaxed);
         });
         assert_eq!(count.load(Ordering::Relaxed), 3);
+    }
+}
+
+/// The job hand-off under the interleaving checker (`--features chaos`):
+/// `JobState` itself, scheduled through [`crate::sync`], with the job's
+/// outputs stood in for by `DataCell`s that flag any read not ordered after
+/// its write — the `SAFETY` argument of `JobRef`, and of the lifetime erase
+/// in [`ThreadPool::run_team`], as an executable statement.
+#[cfg(all(test, feature = "chaos"))]
+mod scenarios {
+    use super::*;
+    use crate::chaos::{self, weakened, AccessKind, DataCell, Hooks, ThreadBody, Weakening};
+
+    /// Two workers each write their output and `finish_one()`; the third
+    /// thread is the caller: it `wait()`s, then reads both outputs.
+    fn job_hand_off_bodies() -> Vec<ThreadBody> {
+        let state = Arc::new(JobState::new(2));
+        let outputs = Arc::new([DataCell::new("output 0"), DataCell::new("output 1")]);
+        let worker = |w: usize| -> ThreadBody {
+            let (state, outputs) = (Arc::clone(&state), Arc::clone(&outputs));
+            Box::new(move |hooks: &Hooks, tid: usize| {
+                outputs[w].write(hooks, tid, 7);
+                state.finish_one();
+            })
+        };
+        let (first, second) = (worker(0), worker(1));
+        let caller = Box::new(move |hooks: &Hooks, tid: usize| {
+            state.wait();
+            assert_eq!(outputs.each_ref().map(|o| o.read(hooks, tid)), [7, 7]);
+        });
+        vec![first, second, caller]
+    }
+
+    #[test]
+    fn job_hand_off_orders_the_caller_after_every_worker() {
+        chaos::prove("job hand-off", job_hand_off_bodies);
+    }
+
+    #[test]
+    fn job_hand_off_with_a_relaxed_decrement_is_caught() {
+        // `finish_one`'s decrement recorded as `Relaxed`: the worker that
+        // is not last no longer publishes its output to the one that is.
+        let relaxed_finish = Weakening {
+            file: "pool.rs",
+            kind: AccessKind::Rmw,
+            order: Ordering::AcqRel,
+        };
+        let broken = || weakened(relaxed_finish, job_hand_off_bodies());
+        let unsynchronised = |r: &chaos::RunReport| {
+            let output = |v: &String| v.contains("unsynchronised read") && v.contains("output");
+            assert!(r.violations.iter().any(output), "{r:?}");
+        };
+        let in_seed_block = |seed| chaos::run_interleaved(seed, 200_000, broken());
+        let failure = chaos::explore(0..64, in_seed_block).expect_err("seed block missed it");
+        unsynchronised(&failure.report);
+        let dpor = chaos::dpor::explore_exhaustive(&Default::default(), broken);
+        unsynchronised(&dpor.failure.expect("DPOR missed it"));
     }
 }

@@ -1,48 +1,68 @@
-//! Exhaustive-schedule gate: DPOR exploration over the chaos models at
-//! small thread counts. Unlike the seed block in `chaos_regression.rs`,
-//! nothing here depends on a seed landing on the right schedule — a
-//! clean `complete` report is a proof over the scenario's schedule
-//! space, and a bug is found on every invocation or not at all.
+//! Exhaustive-schedule gate: DPOR exploration at small thread counts —
+//! of the shipped `TeamBarrier` (scheduled through `adsala_blas3::sync`)
+//! and of the three discipline models that remain in `chaos::models`.
+//! Unlike the seed block in `chaos_regression.rs`, nothing here depends
+//! on a seed landing on the right schedule — a clean `complete` report is
+//! a proof over the scenario's schedule space, and a bug is found on
+//! every invocation or not at all.
 #![cfg(feature = "chaos")]
+
+mod chaos_common;
 
 use adsala_blas3::chaos::dpor::{explore_exhaustive, DporConfig};
 use adsala_blas3::chaos::models::{
-    arena_discipline_bodies, barrier_publication_bodies, completion_arm_race_bodies,
-    completion_fanin_bodies, completion_poll_bodies, completion_shutdown_bodies,
-    queue_drain_bodies, restart_rehome_bodies,
+    arena_discipline_bodies, queue_drain_bodies, restart_rehome_bodies,
 };
-use std::sync::atomic::Ordering;
+use adsala_blas3::chaos::{prove, weakened, RunReport, ThreadBody};
+use chaos_common::{barrier_poison_bodies, barrier_publication_bodies, RELAXED_FLIP};
+
+/// The gate for an injected bug: DPOR must find it without seed luck — on
+/// every invocation, on the same schedule. Returns that failing run.
+fn find(name: &str, scenario: impl Fn() -> Vec<ThreadBody>) -> RunReport {
+    let run = || {
+        explore_exhaustive(&DporConfig::default(), &scenario)
+            .failure
+            .unwrap_or_else(|| panic!("{name}: DPOR missed it"))
+    };
+    let (first, second) = (run(), run());
+    assert_eq!(first.schedule, second.schedule, "{name}: order drifted");
+    assert_eq!(first.violations, second.violations, "{name}");
+    first
+}
 
 #[test]
 fn correct_barrier_is_proved_clean_exhaustively() {
-    let report = explore_exhaustive(&DporConfig::default(), || {
-        barrier_publication_bodies(2, 1, Ordering::Release)
-    });
-    assert!(report.failure.is_none(), "{report:?}");
-    assert!(report.complete, "coverage not proven: {report:?}");
-    assert!(report.schedules > 1, "{report:?}");
+    for members in 2..=3 {
+        let report = prove(&format!("barrier x{members}"), || {
+            barrier_publication_bodies(members, 1)
+        });
+        assert!(report.sleep_blocked > 0, "nothing pruned: {report:?}");
+    }
 }
 
 #[test]
 fn broken_barrier_is_found_without_seed_luck() {
-    // The acceptance bar: the relaxed-flip bug must be found
-    // deterministically — twice in a row, on the same schedule.
-    let run = || {
-        explore_exhaustive(&DporConfig::default(), || {
-            barrier_publication_bodies(2, 1, Ordering::Relaxed)
-        })
-    };
-    let first = run().failure.expect("DPOR missed the relaxed flip");
+    let found = find("relaxed flip", || {
+        weakened(RELAXED_FLIP, barrier_publication_bodies(2, 1))
+    });
     assert!(
-        first
+        found
             .violations
             .iter()
             .any(|v| v.contains("unsynchronised read")),
-        "wrong violation kind: {first:?}"
+        "wrong violation kind: {found:?}"
     );
-    let second = run().failure.expect("second invocation missed the bug");
-    assert_eq!(first.schedule, second.schedule, "exploration order drifted");
-    assert_eq!(first.violations, second.violations);
+}
+
+#[test]
+fn poisoned_barrier_drains_every_member_on_every_schedule() {
+    // The scenario swallows the unwinds it expects and reports a member
+    // that fails to unwind, so "proved" here means "everyone drained".
+    for members in 2..=3 {
+        prove(&format!("poison drain x{members}"), || {
+            barrier_poison_bodies(members)
+        });
+    }
 }
 
 #[test]
@@ -60,30 +80,6 @@ fn queue_hold_is_proved_clean_exhaustively() {
 }
 
 #[test]
-fn completion_protocol_is_proved_clean_exhaustively() {
-    for (name, scenario) in [
-        ("poll", completion_poll_bodies as fn(Ordering) -> _),
-        ("arm-race", completion_arm_race_bodies),
-    ] {
-        let report = explore_exhaustive(&DporConfig::default(), || scenario(Ordering::Release));
-        assert!(report.failure.is_none(), "{name}: {report:?}");
-        assert!(report.complete, "{name}: coverage not proven: {report:?}");
-        assert!(report.schedules > 1, "{name}: {report:?}");
-    }
-}
-
-#[test]
-fn completion_fanin_and_shutdown_are_proved_clean_exhaustively() {
-    let report = explore_exhaustive(&DporConfig::default(), || completion_fanin_bodies(2));
-    assert!(report.failure.is_none(), "fan-in: {report:?}");
-    assert!(report.complete, "fan-in coverage not proven: {report:?}");
-
-    let report = explore_exhaustive(&DporConfig::default(), completion_shutdown_bodies);
-    assert!(report.failure.is_none(), "shutdown: {report:?}");
-    assert!(report.complete, "shutdown coverage not proven: {report:?}");
-}
-
-#[test]
 fn restart_handshake_is_proved_clean_exhaustively() {
     // The supervisor's drain-and-restart: incumbent scheduler wedged
     // mid-batch, lease bump, drain-and-rehome, sibling steal — every
@@ -98,40 +94,13 @@ fn restart_handshake_is_proved_clean_exhaustively() {
 fn in_flight_rehome_is_found_without_seed_luck() {
     // The drain bug the production skip-in-flight rule exists to prevent:
     // re-homing a tenant whose batch is still airborne lets the sibling
-    // serve the tail out of order. DPOR must land on that schedule
-    // deterministically — twice in a row, on the same schedule.
-    let run = || explore_exhaustive(&DporConfig::default(), || restart_rehome_bodies(true));
-    let first = run().failure.expect("DPOR missed the in-flight rehome");
+    // serve the tail out of order.
+    let found = find("in-flight rehome", || restart_rehome_bodies(true));
     assert!(
-        first
+        found
             .violations
             .iter()
             .any(|v| v.contains("rehome broke FIFO order")),
-        "wrong violation kind: {first:?}"
+        "wrong violation kind: {found:?}"
     );
-    let second = run().failure.expect("second invocation missed the bug");
-    assert_eq!(first.schedule, second.schedule, "exploration order drifted");
-    assert_eq!(first.violations, second.violations);
-}
-
-#[test]
-fn weakened_completion_settle_is_found_without_seed_luck() {
-    // The regression the seed block may miss: Relaxed on the settle
-    // publication. DPOR must land on the claiming schedule every time.
-    let run = || {
-        explore_exhaustive(&DporConfig::default(), || {
-            completion_poll_bodies(Ordering::Relaxed)
-        })
-    };
-    let first = run().failure.expect("DPOR missed the weakened settle");
-    assert!(
-        first
-            .violations
-            .iter()
-            .any(|v| v.contains("unsynchronised read")),
-        "wrong violation kind: {first:?}"
-    );
-    let second = run().failure.expect("second invocation missed the bug");
-    assert_eq!(first.schedule, second.schedule, "exploration order drifted");
-    assert_eq!(first.violations, second.violations);
 }

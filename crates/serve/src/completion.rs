@@ -14,40 +14,30 @@
 //! panicking callback is caught and counted
 //! ([`crate::ShardStats::callback_panics`]) rather than allowed to wedge
 //! the cell.
+//!
+//! The slot is a `Mutex<SlotState>` + `Condvar` + one advisory atomic
+//! word, all three taken from [`adsala_blas3::sync`] — `std::sync` in
+//! every build but the test-only `chaos` one, where the interleaving
+//! checker schedules *this file* (the `scenarios` module at the bottom).
+//! Shared state added here goes through `sync` too; `xtask analyze`
+//! flags a raw `std::sync` primitive as `raw-sync-import`.
 
 use crate::job::{Completed, ServeError};
+use adsala_blas3::sync::{AtomicU64, Condvar, Mutex, Ordering};
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// The closure form accepted by [`Ticket::on_complete`].
 pub type CompletionCallback = Box<dyn FnOnce(Result<Completed, ServeError>) + Send + 'static>;
 
-/// Phase constants of the abstract armed→settled slot protocol.
-///
-/// These number the `SlotState` lifecycle (`SETTLING` is the transient
-/// exclusivity phase a lock-free settler holds while publishing; the
-/// mutex-backed slot here passes through it implicitly, under its lock).
-/// They exist for two consumers: the lock-free advisory `phase` word on
-/// `CompletionSlot` that lets [`Ticket::poll`] short-circuit without
-/// taking the lock, and the chaos model of this protocol
-/// (`adsala_blas3::chaos::models`, the `SlotModel`), which mirrors the
-/// same constants — a serve-side test asserts the two sets stay equal,
-/// so a protocol change on either side breaks loudly.
-pub mod protocol {
-    /// No outcome and no callback yet.
-    pub const PENDING: u64 = 0;
-    /// A callback is armed, waiting for the outcome.
-    pub const ARMED: u64 = 1;
-    /// A settler holds exclusivity and is publishing the outcome.
-    pub const SETTLING: u64 = 2;
-    /// The outcome is published and unclaimed.
-    pub const READY: u64 = 3;
-    /// The outcome has been delivered; terminal.
-    pub const CLAIMED: u64 = 4;
-}
+/// Values of the slot's advisory `phase` word: the [`SlotState`] variant
+/// last stored, for [`Ticket::poll`]'s lock-free "still in flight".
+const PENDING: u64 = 0;
+const ARMED: u64 = 1;
+const READY: u64 = 2;
+const CLAIMED: u64 = 3;
 
 /// Lifecycle of one job's settlement slot.
 // The slot always lives behind an `Arc<CompletionSlot>`, so the large
@@ -69,11 +59,17 @@ enum SlotState {
 pub(crate) struct CompletionSlot {
     state: Mutex<SlotState>,
     cv: Condvar,
-    /// Advisory mirror of `state`'s [`protocol`] phase, written under the
+    /// Advisory mirror of `state`'s variant, written under the
     /// lock, read lock-free by [`Ticket::poll`]'s fast path. Advisory
     /// means a stale read is always safe: the fast path only
     /// short-circuits the "still in flight" answer, every claiming step
-    /// re-checks under the lock.
+    /// re-checks under the lock — so the *mutex* carries every
+    /// happens-before edge of the hand-over and the word carries none
+    /// (`scenarios::the_phase_word_carries_no_ordering_the_scenarios_need`
+    /// proves each scenario clean with its stores recorded as `Relaxed`).
+    /// They stay `Release`/`Acquire`: free on the hosts this runs on, and
+    /// a future reader acting on the word *without* re-locking would be
+    /// ordered after the state change it reports.
     phase: AtomicU64,
 }
 
@@ -82,7 +78,7 @@ impl CompletionSlot {
         Arc::new(CompletionSlot {
             state: Mutex::new(SlotState::Pending),
             cv: Condvar::new(),
-            phase: AtomicU64::new(protocol::PENDING),
+            phase: AtomicU64::new(PENDING),
         })
     }
 
@@ -94,17 +90,16 @@ impl CompletionSlot {
             let mut st = self.state.lock().unwrap_or_else(|p| p.into_inner());
             match std::mem::replace(&mut *st, SlotState::Claimed) {
                 SlotState::Armed(cb) => {
-                    // ORDER: Release — the settle publication: a lock-free
-                    // phase reader must also observe everything that led
-                    // here. The chaos `SlotModel` regression proves the
-                    // checker catches this weakened to Relaxed.
-                    self.phase.store(protocol::CLAIMED, Ordering::Release);
+                    // ORDER: Release — not load-bearing (see `phase`):
+                    // the callback leaves through this critical section.
+                    self.phase.store(CLAIMED, Ordering::Release);
                     Some((cb, outcome))
                 }
                 SlotState::Pending => {
                     *st = SlotState::Ready(outcome);
-                    // ORDER: Release — the settle publication (see above).
-                    self.phase.store(protocol::READY, Ordering::Release);
+                    // ORDER: Release — not load-bearing (see `phase`): a
+                    // poll that reads READY still takes the ordering lock.
+                    self.phase.store(READY, Ordering::Release);
                     None
                 }
                 // Double-complete cannot happen (each job settles once);
@@ -178,9 +173,9 @@ impl Ticket {
         loop {
             match std::mem::replace(&mut *st, SlotState::Claimed) {
                 SlotState::Ready(outcome) => {
-                    // ORDER: Release — the claim is visible to lock-free
-                    // phase readers along with everything before it.
-                    self.slot.phase.store(protocol::CLAIMED, Ordering::Release);
+                    // ORDER: Release — not load-bearing (see `phase`);
+                    // tells a later poll the ticket is spent.
+                    self.slot.phase.store(CLAIMED, Ordering::Release);
                     return outcome;
                 }
                 SlotState::Claimed => return Err(ServeError::ServiceStopped),
@@ -213,18 +208,18 @@ impl Ticket {
         // is in flight a poll loop never touches the slot mutex (and so
         // never contends with the cell thread settling the job). A stale
         // PENDING/ARMED read just answers "in flight" one extra time.
-        // ORDER: Acquire — pairs with the Release settle publication, so
-        // a non-short-circuited poll observes the settled state below.
+        // ORDER: Acquire — pairs with `phase`'s Release stores; like them
+        // not load-bearing: all it decides lock-free is `Ok(None)`.
         let phase = self.slot.phase.load(Ordering::Acquire);
-        if phase == protocol::PENDING || phase == protocol::ARMED {
+        if phase == PENDING || phase == ARMED {
             return Ok(None);
         }
         let mut st = self.slot.state.lock().unwrap_or_else(|p| p.into_inner());
         match std::mem::replace(&mut *st, SlotState::Claimed) {
             SlotState::Ready(outcome) => {
-                // ORDER: Release — the claim is visible to lock-free
-                // phase readers along with everything before it.
-                self.slot.phase.store(protocol::CLAIMED, Ordering::Release);
+                // ORDER: Release — not load-bearing (see `phase`); tells
+                // a later poll the ticket is spent.
+                self.slot.phase.store(CLAIMED, Ordering::Release);
                 match outcome {
                     Ok(done) => Ok(Some(done)),
                     Err(e) => Err(e),
@@ -254,15 +249,15 @@ impl Ticket {
             match std::mem::replace(&mut *st, SlotState::Claimed) {
                 SlotState::Pending => {
                     *st = SlotState::Armed(Box::new(f));
-                    // ORDER: Release — publishes the arming to lock-free
-                    // phase readers (poll keeps short-circuiting).
-                    self.slot.phase.store(protocol::ARMED, Ordering::Release);
+                    // ORDER: Release — not load-bearing (see `phase`):
+                    // ARMED reads as "in flight", exactly like PENDING.
+                    self.slot.phase.store(ARMED, Ordering::Release);
                     None
                 }
                 SlotState::Ready(outcome) => {
-                    // ORDER: Release — the inline claim (the "run now"
-                    // path) is a delivery like any other.
-                    self.slot.phase.store(protocol::CLAIMED, Ordering::Release);
+                    // ORDER: Release — not load-bearing (see `phase`);
+                    // the inline claim is a delivery like any other.
+                    self.slot.phase.store(CLAIMED, Ordering::Release);
                     Some((outcome, f))
                 }
                 // Outcome already delivered elsewhere (e.g. a successful
@@ -389,7 +384,7 @@ mod tests {
     use adsala_blas3::{Matrix, OwnedOp, Transpose};
     use std::sync::atomic::{AtomicUsize, Ordering};
 
-    fn done() -> Completed {
+    pub(super) fn done() -> Completed {
         let op: AnyOp = OwnedOp::Gemm {
             transa: Transpose::No,
             transb: Transpose::No,
@@ -586,5 +581,223 @@ mod tests {
         let slot = CompletionSlot::new();
         drop(Ticket::new(Arc::clone(&slot)));
         assert!(!slot.complete(Ok(done())));
+    }
+}
+
+/// The shipped slot, [`Ticket`] and [`CompletionQueue`] under the
+/// interleaving checker (`--features chaos`), each scenario under the
+/// fixed 64-seed block *and* exhaustively (DPOR) at 2–3 threads. The job's
+/// result is a [`DataCell`] the settler writes before settling: whoever is
+/// handed the outcome reads it, and the checker flags the read if the
+/// hand-over did not order it.
+#[cfg(all(test, feature = "chaos"))]
+mod scenarios {
+    use super::tests::done;
+    use super::*;
+    use adsala_blas3::chaos::{self, current, weakened, AccessKind, DataCell, Hooks, ThreadBody};
+    use adsala_blas3::sync::spin_until;
+    use std::sync::atomic::AtomicUsize;
+
+    type Scenario = fn() -> Vec<ThreadBody>;
+
+    /// One job as a scenario sees it: its slot, the stand-in result, and two
+    /// test-side tallies (plain atomics, touched one model thread at a time):
+    /// deliveries, and bodies finished — the last body out checks the former.
+    struct Job {
+        slot: Arc<CompletionSlot>,
+        result: DataCell,
+        delivered: AtomicUsize,
+        finished: AtomicUsize,
+    }
+
+    impl Job {
+        fn new() -> Arc<Job> {
+            Arc::new(Job {
+                slot: CompletionSlot::new(),
+                result: DataCell::new("job result"),
+                delivered: AtomicUsize::new(0),
+                finished: AtomicUsize::new(0),
+            })
+        }
+
+        fn ticket(&self) -> Ticket {
+            Ticket::new(Arc::clone(&self.slot))
+        }
+
+        /// The cell thread's side: produce the result, settle the slot.
+        fn settle(&self) {
+            let (hooks, tid) = current().expect("settled on a model thread");
+            self.result.write(&hooks, tid, 7);
+            self.slot.complete(Ok(done()));
+        }
+
+        /// The outcome reached a consumer on the calling model thread.
+        fn deliver(&self, outcome: &Result<Completed, ServeError>) {
+            let (hooks, tid) = current().expect("delivered on a model thread");
+            if outcome.is_ok() {
+                assert_eq!(self.result.read(&hooks, tid), 7);
+            }
+            self.delivered.fetch_add(1, Ordering::SeqCst);
+        }
+
+        /// Last call of each of `bodies` bodies: the last one out checks
+        /// that the outcome was delivered exactly once.
+        fn finish(&self, bodies: usize) {
+            if self.finished.fetch_add(1, Ordering::SeqCst) + 1 == bodies {
+                assert_eq!(self.delivered.load(Ordering::SeqCst), 1);
+            }
+        }
+    }
+
+    /// A body over `job` (its helpers find the hooks through [`current`]).
+    fn body(job: &Arc<Job>, f: impl FnOnce(&Job) + Send + 'static) -> ThreadBody {
+        let job = Arc::clone(job);
+        Box::new(move |_: &Hooks, _: usize| f(&job))
+    }
+
+    /// The settling body of a scenario of `bodies` bodies that `finish`.
+    fn settler(job: &Arc<Job>, bodies: usize) -> ThreadBody {
+        body(job, move |job| {
+            job.settle();
+            job.finish(bodies);
+        })
+    }
+
+    /// One `poll`: "in flight", or the outcome with its result ordered.
+    fn poll_vs_settle() -> Vec<ThreadBody> {
+        let job = Job::new();
+        let ticket = job.ticket();
+        let poll = move |job: &Job| match ticket.poll() {
+            Ok(Some(done)) => job.deliver(&Ok(done)),
+            Ok(None) => {}
+            Err(e) => panic!("a lone poll sees in-flight or settled, not {e:?}"),
+        };
+        vec![body(&job, Job::settle), body(&job, poll)]
+    }
+
+    /// `on_complete`: whichever side gets to the slot first, the callback
+    /// runs exactly once (inline on the loser).
+    fn arm_vs_settle() -> Vec<ThreadBody> {
+        let job = Job::new();
+        let (ticket, armed) = (job.ticket(), Arc::clone(&job));
+        let arm = move |job: &Job| {
+            ticket.on_complete(move |outcome| armed.deliver(&outcome));
+            job.finish(2);
+        };
+        vec![settler(&job, 2), body(&job, arm)]
+    }
+
+    /// `wait`: the outcome arrives whether the settle lands before or after
+    /// the park; a lost wake-up would show as a deadlock.
+    fn claim_vs_settle() -> Vec<ThreadBody> {
+        let job = Job::new();
+        let ticket = job.ticket();
+        let wait = move |job: &Job| {
+            let outcome = ticket.wait();
+            assert!(outcome.is_ok(), "{outcome:?}");
+            job.deliver(&outcome);
+        };
+        vec![body(&job, Job::settle), body(&job, wait)]
+    }
+
+    /// Two poll loops on one slot: exactly one is handed the outcome, the
+    /// other finds the ticket spent.
+    fn two_polls_vs_settle() -> Vec<ThreadBody> {
+        let job = Job::new();
+        let poll_loop = |ticket: Ticket| {
+            move |job: &Job| {
+                let mut seen = Ok(None);
+                spin_until(|| {
+                    seen = ticket.poll();
+                    !matches!(seen, Ok(None))
+                });
+                match seen {
+                    Ok(Some(done)) => job.deliver(&Ok(done)),
+                    Err(ServeError::ServiceStopped) => {}
+                    other => panic!("poll loop ended on {other:?}"),
+                }
+                job.finish(3);
+            }
+        };
+        let polls = [poll_loop(job.ticket()), poll_loop(job.ticket())].map(|p| body(&job, p));
+        std::iter::once(settler(&job, 3)).chain(polls).collect()
+    }
+
+    /// Two producers forwarded into one [`CompletionQueue`]: the consumer
+    /// drains two distinct tokens, each with its result ordered.
+    fn fan_in() -> Vec<ThreadBody> {
+        let (queue, jobs) = (CompletionQueue::new(), [Job::new(), Job::new()]);
+        for (token, job) in jobs.iter().enumerate() {
+            job.ticket().forward_to(&queue, token as u64);
+        }
+        let mut bodies: Vec<ThreadBody> = jobs.iter().map(|job| body(job, Job::settle)).collect();
+        bodies.push(Box::new(move |_: &Hooks, _: usize| {
+            let mut tokens = Vec::new();
+            for _ in 0..jobs.len() {
+                let (token, outcome) = queue
+                    .recv_timeout(Duration::from_secs(3600))
+                    .expect("a forwarded job always arrives");
+                assert!(outcome.is_ok(), "{outcome:?}");
+                jobs[token as usize].deliver(&outcome);
+                tokens.push(token);
+            }
+            tokens.sort_unstable();
+            assert_eq!(tokens, [0, 1], "each token exactly once");
+        }));
+        bodies
+    }
+
+    /// Shutdown settles *every* slot as stopped while a completer is still
+    /// settling job 0 (first there wins) and a waiter is parked on job 1:
+    /// job 0's armed callback runs exactly once, the waiter is released.
+    fn shutdown_drain() -> Vec<ThreadBody> {
+        let (job, parked) = (Job::new(), Job::new());
+        let armed = Arc::clone(&job);
+        job.ticket()
+            .on_complete(move |outcome| armed.deliver(&outcome));
+        let (ticket, other) = (parked.ticket(), Arc::clone(&parked.slot));
+        let wait = move |job: &Job| {
+            assert_eq!(ticket.wait().unwrap_err(), ServeError::ServiceStopped);
+            job.finish(3);
+        };
+        let shutdown = move |job: &Job| {
+            job.slot.complete(Err(ServeError::ServiceStopped));
+            other.complete(Err(ServeError::ServiceStopped));
+            job.finish(3);
+        };
+        vec![settler(&job, 3), body(&job, wait), body(&job, shutdown)]
+    }
+
+    const SCENARIOS: [(&str, Scenario); 6] = [
+        ("poll vs settle", poll_vs_settle),
+        ("arm vs settle", arm_vs_settle),
+        ("claim vs settle", claim_vs_settle),
+        ("two polls vs settle", two_polls_vs_settle),
+        ("fan-in", fan_in),
+        ("shutdown drain", shutdown_drain),
+    ];
+
+    #[test]
+    fn every_scenario_holds_under_the_seed_block_and_dpor() {
+        for (name, scenario) in SCENARIOS {
+            chaos::prove(name, scenario);
+        }
+    }
+
+    /// The verdict on the advisory `phase` word: with each of its `Release`
+    /// stores *recorded as `Relaxed`*, every scenario is still proved clean
+    /// — the slot mutex carries each edge. (A lock-free settle would need
+    /// the `Release`; this slot never claims anything without the lock.)
+    #[test]
+    fn the_phase_word_carries_no_ordering_the_scenarios_need() {
+        let relaxed_phase = chaos::Weakening {
+            file: "completion.rs",
+            kind: AccessKind::Write,
+            order: Ordering::Release,
+        };
+        for (name, scenario) in SCENARIOS {
+            let relaxed = format!("{name}, relaxed phase");
+            chaos::prove(&relaxed, || weakened(relaxed_phase, scenario()));
+        }
     }
 }

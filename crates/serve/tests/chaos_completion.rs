@@ -1,63 +1,107 @@
-//! Ties the chaos model of the completion frontend to the production
-//! code it mirrors. Two halves:
+//! A `--features chaos` build of this crate, with no scheduler run in
+//! sight: the completion slot's `Mutex`, `Condvar` and atomic are the
+//! interleaving checker's wrappers here, and on every thread that is not
+//! one of the checker's model threads — a client, a scheduler cell —
+//! they must behave exactly like the `std` primitives they hold. So: a
+//! live service, real threads, every way of consuming a ticket.
 //!
-//! 1. The [`protocol`](adsala_serve::completion::protocol) constants and
-//!    the model's (`adsala_blas3::chaos::models::protocol`) must stay
-//!    equal — the model is only evidence about *this* crate while the
-//!    two describe the same state machine.
-//! 2. The completion scenarios must hold under both verification modes:
-//!    the 64-seed random block and exhaustive DPOR exploration.
+//! (The scenarios that *do* run under the scheduler need the private
+//! slot, so they live beside it: `cargo test -p adsala-serve --features
+//! chaos --lib completion`.)
+#![cfg(all(feature = "chaos", not(miri)))]
 
-use adsala_blas3::chaos::dpor::{explore_exhaustive, DporConfig};
-use adsala_blas3::chaos::models::{
-    completion_arm_race_bodies, completion_fanin_bodies, completion_poll_bodies,
-    completion_shutdown_bodies, protocol as model,
-};
-use adsala_blas3::chaos::{explore, run_interleaved, ThreadBody};
-use adsala_serve::completion::protocol;
-use std::sync::atomic::Ordering;
+use adsala::runtime::Adsala;
+use adsala_blas3::{Matrix, NativeBackend, OwnedOp, Transpose};
+use adsala_serve::{AnyOp, CompletionQueue, ServeConfig, ServeError, Service};
+use std::sync::mpsc;
+use std::time::Duration;
 
-#[test]
-fn model_and_production_protocol_constants_match() {
-    assert_eq!(protocol::PENDING, model::PENDING);
-    assert_eq!(protocol::ARMED, model::ARMED);
-    assert_eq!(protocol::SETTLING, model::SETTLING);
-    assert_eq!(protocol::READY, model::READY);
-    assert_eq!(protocol::CLAIMED, model::CLAIMED);
+fn gemm(n: usize) -> AnyOp {
+    AnyOp::from(OwnedOp::Gemm {
+        transa: Transpose::No,
+        transb: Transpose::No,
+        alpha: 1.0,
+        a: Matrix::<f64>::from_fn(n, n, |i, j| (i + 2 * j) as f64),
+        b: Matrix::<f64>::from_fn(n, n, |i, j| if i == j { 1.0 } else { 0.0 }),
+        beta: 0.0,
+        c: Matrix::<f64>::zeros(n, n),
+    })
+}
+
+fn service(shards: usize) -> Service<NativeBackend> {
+    let config = ServeConfig {
+        shards,
+        ..Default::default()
+    };
+    Service::with_config(Adsala::new(Vec::new(), 2), config).expect("spawn scheduler cells")
 }
 
 #[test]
-fn ticket_protocol_models_hold_under_seeds_and_dpor() {
-    let scenarios = [
-        completion_poll_bodies as fn(Ordering) -> Vec<ThreadBody>,
-        completion_arm_race_bodies,
-    ];
-    for scenario in scenarios {
-        let sweep = explore(0..64, |seed| {
-            run_interleaved(seed, 200_000, scenario(Ordering::Release))
+fn the_facade_is_not_running_under_a_scheduler_here() {
+    assert!(adsala_blas3::chaos::current().is_none());
+}
+
+#[test]
+fn every_way_of_consuming_a_ticket_works_on_real_threads() {
+    let service = service(2);
+    let client = service.client();
+
+    // Blocking wait, bounded wait.
+    assert!(client.submit(gemm(24)).unwrap().wait().is_ok());
+    let bounded = client.submit(gemm(24)).unwrap();
+    assert!(bounded.wait_timeout(Duration::from_secs(30)).is_ok());
+
+    // Poll loop: in flight, then exactly one delivery, then spent.
+    let polled = client.submit(gemm(32)).unwrap();
+    let done = loop {
+        match polled.poll() {
+            Ok(Some(done)) => break done,
+            Ok(None) => std::thread::yield_now(),
+            Err(e) => panic!("poll failed: {e:?}"),
+        }
+    };
+    assert!(done.result.is_ok());
+    assert_eq!(polled.poll().unwrap_err(), ServeError::ServiceStopped);
+
+    // Callback, run by the cell thread that finished the job.
+    let (tx, rx) = mpsc::channel();
+    client
+        .submit(gemm(16))
+        .unwrap()
+        .on_complete(move |outcome| {
+            tx.send(outcome.is_ok()).unwrap();
+        });
+    assert!(rx.recv_timeout(Duration::from_secs(30)).unwrap());
+
+    // Fan-in of many jobs into one queue.
+    let queue = CompletionQueue::new();
+    for token in 0..16 {
+        client
+            .submit(gemm(8 + token as usize))
+            .unwrap()
+            .forward_to(&queue, token);
+    }
+    let mut tokens: Vec<u64> = (0..16)
+        .map(|_| {
+            let (token, outcome) = queue.recv_timeout(Duration::from_secs(30)).unwrap();
+            assert!(outcome.unwrap().result.is_ok());
+            token
         })
-        .expect("seed sweep flagged the correct protocol");
-        assert_eq!(sweep.seeds_run, 64);
-
-        let dpor = explore_exhaustive(&DporConfig::default(), || scenario(Ordering::Release));
-        assert!(dpor.failure.is_none(), "{dpor:?}");
-        assert!(dpor.complete, "coverage not proven: {dpor:?}");
-    }
+        .collect();
+    tokens.sort_unstable();
+    assert_eq!(tokens, (0..16).collect::<Vec<_>>());
 }
 
 #[test]
-fn fanin_and_shutdown_models_hold_under_seeds_and_dpor() {
-    let scenarios = [
-        (|| completion_fanin_bodies(2)) as fn() -> Vec<ThreadBody>,
-        completion_shutdown_bodies,
-    ];
-    for scenario in scenarios {
-        let sweep =
-            explore(0..64, |seed| run_interleaved(seed, 200_000, scenario())).expect("seed sweep");
-        assert_eq!(sweep.seeds_run, 64);
-
-        let dpor = explore_exhaustive(&DporConfig::default(), scenario);
-        assert!(dpor.failure.is_none(), "{dpor:?}");
-        assert!(dpor.complete, "coverage not proven: {dpor:?}");
-    }
+fn shutdown_releases_a_parked_waiter_on_real_threads() {
+    let service = service(1);
+    service.pause();
+    let ticket = service.client().submit(gemm(16)).unwrap();
+    let waiter = std::thread::spawn(move || ticket.wait());
+    std::thread::sleep(Duration::from_millis(20));
+    drop(service);
+    assert_eq!(
+        waiter.join().unwrap().unwrap_err(),
+        ServeError::ServiceStopped
+    );
 }

@@ -7,13 +7,16 @@
 #![cfg(not(miri))]
 
 use adsala::runtime::Adsala;
+use adsala_blas3::fault::{FaultBackend, FaultKind, FaultRule, FaultTarget};
+use adsala_blas3::op::{Dims, OpKind, Precision, Routine};
 use adsala_blas3::{Blas3Backend, Matrix, NativeBackend, OwnedOp, ReferenceBackend, Transpose};
 use adsala_serve::{
-    AnyOp, CompletionQueue, QosClass, RejectReason, ServeConfig, ServeError, Service, TenantConfig,
+    AnyOp, CompletionQueue, QosClass, RejectReason, ServeConfig, ServeError, Service,
+    SubmitOptions, TenantConfig,
 };
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 fn modelless_runtime() -> Adsala<NativeBackend> {
     Adsala::new(Vec::new(), 2)
@@ -62,9 +65,15 @@ fn max_diff(a: &AnyOp, b: &AnyOp) -> f64 {
 /// exactly that deterministically: heavy tenant A homes to cell 0 (all
 /// backlogs zero), one large pin job each parks on cells 1 and 2, and
 /// heavy tenant B then also homes to cell 0 (now the least-backlogged).
-/// Once the pins drain, cells 1 and 2 go idle and steal from cell 0.
+/// The pins exist only to steer that placement and never run: they carry
+/// a deadline that passes while the service is still paused, so at
+/// resume cells 1 and 2 sweep them out and are idle at once, whatever a
+/// 256-cube gemm costs in this build (137 ms in a debug one — more than
+/// cell 0's whole backlog). They then steal from cell 0 — *provided
+/// cell 0 is still backlogged*, which the caller's backend makes true by
+/// construction (see the test).
 /// Returns the number of batches stolen during the round.
-fn skewed_round(service: &Service<NativeBackend>, heavy_jobs: usize) -> u64 {
+fn skewed_round<B: Blas3Backend + 'static>(service: &Service<B>, heavy_jobs: usize) -> u64 {
     let stolen_before: u64 = service
         .stats()
         .shards
@@ -93,18 +102,29 @@ fn skewed_round(service: &Service<NativeBackend>, heavy_jobs: usize) -> u64 {
         let t = heavy_a.submit(op.clone()).expect("within budget");
         t.forward_to(&completions, i as u64);
     }
+    // Predicted at 33 ms each (1 Gflop/s fallback): feasible at admission,
+    // expired by the time the service resumes.
+    let pins_expire = Instant::now() + Duration::from_millis(300);
+    let expiring = SubmitOptions {
+        deadline: Some(pins_expire),
+    };
     let pins = vec![
-        pin_1.submit(gemm(256, 40)).expect("within budget"),
-        pin_2.submit(gemm(256, 41)).expect("within budget"),
+        pin_1
+            .submit_with(gemm(256, 40), expiring)
+            .expect("feasible"),
+        pin_2
+            .submit_with(gemm(256, 41), expiring)
+            .expect("feasible"),
     ];
     for (i, op) in streams[1].1.iter().enumerate() {
         let t = heavy_b.submit(op.clone()).expect("within budget");
         t.forward_to(&completions, 1000 + i as u64);
     }
+    std::thread::sleep(pins_expire.saturating_duration_since(Instant::now()));
     service.resume();
 
     for t in pins {
-        t.wait().unwrap().result.unwrap();
+        assert_eq!(t.wait().unwrap_err(), ServeError::DeadlineExceeded);
     }
     // Both heavy tenants' completions arrive in per-tenant submission
     // order even when idle cells steal batches mid-stream, and every
@@ -151,8 +171,28 @@ fn skewed_round(service: &Service<NativeBackend>, heavy_jobs: usize) -> u64 {
 
 #[test]
 fn cross_shard_steal_preserves_oracle_results_and_tenant_fifo_order() {
+    // The skew has to *hold* for a steal to be possible: cells 1 and 2 must
+    // be idle while cell 0 still has both heavy tenants queued. Left to the
+    // kernels that is a race (in a release build sixteen 96-cube gemms take
+    // about a millisecond, barely longer than a thief's poll tick), so a
+    // fault schedule decides it: every 96-cube gemm — the pins are another
+    // shape, and never run anyway (see `skewed_round`) — is held for 5 ms
+    // before it runs. Cell 0 then has at least 80 ms of backlog in front of
+    // two cells that are idle from the moment the service resumes, and one
+    // round suffices. Faults fire before the inner backend, so the operands
+    // and the oracle comparison are untouched.
+    let slow_heavy =
+        FaultRule::new(FaultKind::Latency(Duration::from_millis(5))).targeting(FaultTarget::shape(
+            Routine::new(OpKind::Gemm, Precision::Double),
+            Dims::d3(96, 96, 96),
+        ));
+    let runtime = Adsala::builder()
+        .backend(FaultBackend::new(NativeBackend, 1, vec![slow_heavy]))
+        .fallback_nt(2)
+        .build()
+        .expect("build runtime");
     let service = Service::with_config(
-        modelless_runtime(),
+        runtime,
         ServeConfig {
             shards: 3,
             // Singleton batches: completion order per tenant is then the
@@ -166,19 +206,11 @@ fn cross_shard_steal_preserves_oracle_results_and_tenant_fifo_order() {
     .expect("spawn scheduler cells");
     assert_eq!(service.shards(), 3);
 
-    // Stealing is a race between the heavy cell draining and the idle
-    // cells' poll tick; retry rounds until a steal is observed. Order and
-    // oracle equivalence are asserted on every round regardless.
-    let mut stolen = 0;
-    for _ in 0..20 {
-        stolen += skewed_round(&service, 8);
-        if stolen > 0 {
-            break;
-        }
-    }
+    // Order and oracle equivalence are asserted inside the round.
+    let stolen = skewed_round(&service, 8);
     assert!(
         stolen > 0,
-        "idle cells never stole from the backlogged cell across 20 skewed rounds"
+        "idle cells never stole from a cell holding ~80 ms of backlog"
     );
     let stats = service.stats();
     let donated: u64 = stats.shards.iter().map(|s| s.donated_batches).sum();

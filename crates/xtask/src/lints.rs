@@ -1,4 +1,4 @@
-//! The three workspace lints and their shared adjacency machinery.
+//! The four per-file workspace lints and their shared adjacency machinery.
 //!
 //! 1. **missing-safety** — every `unsafe` keyword in non-test code must
 //!    carry a `SAFETY:` comment on the same line or in the contiguous
@@ -13,6 +13,11 @@
 //!    scheduler/worker thread paths (`crates/serve/src`,
 //!    `crates/blas3/src/pool.rs`) outside tests, unless allow-listed in
 //!    `panic_allow.toml` with a stated infallibility reason.
+//! 4. **raw-sync-import** — a file importing from the `sync` facade
+//!    (`crate::sync` / `adsala_blas3::sync`) has its shared state under the
+//!    interleaving checker; a `std::sync` `atomic`, `Mutex`, `MutexGuard`
+//!    or `Condvar` path beside it, outside tests, is state the checker
+//!    cannot see. No ledger, no allow-list.
 //!
 //! Manifest hygiene is part of the contract: an entry that no longer
 //! matches any site is itself a finding (**stale-entry**), so the ledgers
@@ -45,6 +50,11 @@ const LABELED_ORDERINGS: &[&str] = &[
     "Ordering::SeqCst",
 ];
 
+/// The `std::sync` names the `sync` facade covers (`atomic` is the module),
+/// and the paths that mark a file as written against it.
+const FACADE_NAMES: &[&str] = &["atomic", "Mutex", "MutexGuard", "Condvar"];
+const FACADE_PATHS: &[&str] = &["crate::sync", "adsala_blas3::sync"];
+
 /// Which lint produced a finding.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Lint {
@@ -52,6 +62,8 @@ pub enum Lint {
     UnlabeledOrdering,
     UndeclaredRelaxed,
     BannedPanic,
+    /// A raw `std::sync` primitive in a file written against the facade.
+    RawSyncImport,
     StaleEntry,
     /// A "holding A, acquires B" edge absent from `lock_order.toml`
     /// (see [`crate::lockorder`]).
@@ -68,6 +80,7 @@ impl Lint {
             Lint::UnlabeledOrdering => "unlabeled-ordering",
             Lint::UndeclaredRelaxed => "undeclared-relaxed",
             Lint::BannedPanic => "banned-panic",
+            Lint::RawSyncImport => "raw-sync-import",
             Lint::StaleEntry => "stale-entry",
             Lint::UndeclaredLockEdge => "undeclared-lock-edge",
             Lint::LockCycle => "lock-cycle",
@@ -128,6 +141,10 @@ pub fn analyze_source(
     let banned = BANNED_PANIC_PATHS
         .iter()
         .any(|p| rel_path == *p || rel_path.starts_with(&format!("{p}/")));
+    let on_facade = lines
+        .iter()
+        .zip(&test_mask)
+        .any(|(line, &test)| !test && FACADE_PATHS.iter().any(|p| contains_word(&line.code, p)));
 
     for (idx, line) in lines.iter().enumerate() {
         if test_mask[idx] {
@@ -135,6 +152,20 @@ pub fn analyze_source(
         }
         let lineno = idx + 1;
         let code = line.code.as_str();
+
+        if on_facade {
+            if let Some(name) = raw_sync_name(&lines, idx) {
+                findings.push(Finding {
+                    file: rel_path.to_string(),
+                    line: lineno,
+                    lint: Lint::RawSyncImport,
+                    message: format!(
+                        "`std::sync` `{name}` in a file written against the `sync` facade; \
+                         take it from `sync` so the interleaving checker sees it"
+                    ),
+                });
+            }
+        }
 
         if contains_word(code, "unsafe") {
             stats.unsafe_sites += 1;
@@ -308,6 +339,39 @@ fn has_marker(lines: &[Line], idx: usize, markers: &[&str]) -> bool {
     false
 }
 
+/// The facade-covered name a `std::sync::` path starting on line `idx`
+/// reaches, if any: the first segment of a plain path, or any name inside
+/// a use-group — whose closing brace rustfmt may have put on a later line.
+fn raw_sync_name(lines: &[Line], idx: usize) -> Option<&'static str> {
+    lines[idx]
+        .code
+        .split("std::sync::")
+        .skip(1)
+        .find_map(|tail| {
+            let scope: String = if tail.trim_start().starts_with('{') {
+                let rest = lines[idx + 1..].iter().map(|l| l.code.as_str());
+                let mut depth = 0usize;
+                std::iter::once(tail.trim_start())
+                    .chain(rest)
+                    .flat_map(|l| l.chars().chain(Some(' ')))
+                    .take_while(|&c| {
+                        depth += usize::from(c == '{');
+                        depth -= usize::from(c == '}');
+                        depth > 0
+                    })
+                    .collect()
+            } else {
+                tail.chars()
+                    .take_while(|&c| is_ident_byte(c as u8))
+                    .collect()
+            };
+            FACADE_NAMES
+                .iter()
+                .copied()
+                .find(|n| contains_word(&scope, n))
+        })
+}
+
 /// Word-boundary containment: `unsafe` matches, `unsafe_op` does not.
 fn contains_word(code: &str, word: &str) -> bool {
     let bytes = code.as_bytes();
@@ -468,6 +532,26 @@ mod tests {
         let src = "#[cfg(test)]\nfn helper() {}\n\nlet x = unsafe { f() };\n";
         let f = run("crates/a/src/l.rs", src);
         assert_eq!(f.len(), 1, "the unsafe after the gated fn is still live");
+    }
+
+    #[test]
+    fn raw_std_sync_is_flagged_only_beside_the_facade_and_outside_tests() {
+        let facade = "use crate::sync::{AtomicUsize, Mutex};\n";
+        for raw in [
+            "use std::sync::atomic::AtomicBool;\n",
+            "use std::sync::{Arc, Condvar};\n",
+            "use std::sync::{\n    mpsc::Sender,\n    MutexGuard,\n};\n",
+            "static N: std::sync::Mutex<u32> = std::sync::Mutex::new(0);\n",
+        ] {
+            let f = run("crates/a/src/l.rs", &format!("{facade}{raw}"));
+            assert_eq!(f.len(), 1, "{raw}");
+            assert_eq!((f[0].lint, f[0].line), (Lint::RawSyncImport, 2));
+            assert!(run("crates/a/src/l.rs", raw).is_empty(), "{raw}");
+        }
+        let fine = "use adsala_blas3::sync::Mutex;\nuse std::sync::mpsc::Sender;\n\
+                    use std::sync::{Arc, OnceLock};\n#[cfg(test)]\nmod tests {\n    \
+                    use std::sync::atomic::AtomicU64;\n}\n";
+        assert!(run("crates/a/src/l.rs", fine).is_empty());
     }
 
     #[test]

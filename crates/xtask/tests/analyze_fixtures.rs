@@ -52,6 +52,11 @@ fn each_fixture_trips_exactly_its_lint() {
     );
     assert_single_finding("banned-panic", Lint::BannedPanic, "crates/serve/src/lib.rs");
     assert_single_finding(
+        "raw-sync-import",
+        Lint::RawSyncImport,
+        "crates/demo/src/lib.rs",
+    );
+    assert_single_finding(
         "stale-entry",
         Lint::StaleEntry,
         "crates/xtask/orderings.toml",
@@ -250,4 +255,25 @@ fn the_workspace_itself_is_clean() {
         report.locks.sites > 0,
         "the real tree takes locks via self.field; resolution must see them"
     );
+}
+
+/// The pool and the completion slot import `Mutex` from the `sync` facade,
+/// not from `std::sync`; lock identity is the field's declared type name,
+/// so the lock-order pass must keep seeing them.
+#[test]
+fn locks_imported_through_the_sync_facade_are_still_lock_identities() {
+    let source = |rel: &str| {
+        let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+        let text = std::fs::read_to_string(root.join(rel)).expect("workspace source");
+        (rel.to_string(), text)
+    };
+    let sources = [
+        source("crates/blas3/src/pool.rs"),
+        source("crates/serve/src/completion.rs"),
+    ];
+    let mut findings = Vec::new();
+    let stats = xtask::lockorder::analyze_workspace(&sources, &[], &mut [], &mut findings);
+    // JobState.lock, ThreadPool.workers; CompletionSlot.state,
+    // QueueInner.entries.
+    assert_eq!(stats.locks, 4, "{findings:?}");
 }
