@@ -22,8 +22,22 @@
 //! See [`crate::predictor::ThreadPredictor`] for the swap mechanics and
 //! `adsala-serve`'s `adapt` module for the drift → refit → swap driver built
 //! on top.
+//!
+//! # `t_eval` where the answer is obvious
+//!
+//! The trait has two questions, and [`InstalledRoutine`] answers them at
+//! different prices. [`CostModel::predict_nt`] under the install corpus's
+//! serial threshold
+//! ([`PipelineConfig::serial_footprint`](crate::pipeline::PipelineConfig))
+//! is one comparison on the call's footprint — no feature, transform or
+//! tree — and [`CostModel::predict_cost`] there prices the one row at
+//! `nt = 1` instead of one per candidate. Above the threshold, and for
+//! every install without one, both are the sweep of [`crate::install`],
+//! bit for bit. The threshold stops under the first training shape one
+//! thread needed more than [`crate::pipeline::SERIAL_VOTE_MAX_SECS`] for:
+//! the shortcut is for calls the sweep is a visible share of.
 
-use crate::install::{candidates, predict_secs_at, sweep, InstalledRoutine};
+use crate::install::{predict_secs_at, InstalledRoutine};
 use adsala_blas3::op::{Dims, Routine};
 use std::fmt;
 use std::sync::Arc;
@@ -82,14 +96,23 @@ impl CostModel for InstalledRoutine {
         self.trained_samples
     }
 
+    /// Under the serial threshold one row is priced instead of one per
+    /// candidate: the bits the sweep returns when its argmin is 1.
     fn predict_cost(&self, dims: Dims) -> (usize, f64) {
-        sweep(
-            &self.model,
-            &self.pipeline,
-            self.routine,
-            dims,
-            candidates(self.max_threads, self.nt_stride),
-        )
+        if self.answers_serial(dims) {
+            (1, self.predict_secs(dims, 1))
+        } else {
+            self.sweep(dims)
+        }
+    }
+
+    /// Under the serial threshold no feature, transform or tree is touched.
+    fn predict_nt(&self, dims: Dims) -> usize {
+        if self.answers_serial(dims) {
+            1
+        } else {
+            self.sweep(dims).0
+        }
     }
 
     fn predict_secs(&self, dims: Dims, nt: usize) -> f64 {
@@ -184,6 +207,7 @@ impl std::error::Error for SwapError {}
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::install::tests::all_candidates_install;
     use crate::install::{install_routine, predict_best_nt, InstallOptions};
     use crate::timer::SimTimer;
     use adsala_blas3::op::{OpKind, Precision};
@@ -239,6 +263,61 @@ mod tests {
         for &c in &inst.candidates() {
             assert!(inst.predict_secs(d, c) >= secs * (1.0 - 1e-12));
         }
+    }
+
+    #[test]
+    fn under_the_threshold_is_the_measured_best_and_above_it_is_the_sweep() {
+        const MAX_NT: usize = 4;
+        let mut thresholds = 0;
+        // One routine per feature family; dgemm's smallest sampled shape is
+        // not serial-best, so it has no threshold and always sweeps.
+        for op in [OpKind::Gemm, OpKind::Symm, OpKind::Gemv, OpKind::Symv] {
+            let (inst, corpus) = all_candidates_install(op, MAX_NT);
+            let threshold = inst.pipeline.serial_footprint;
+            thresholds += usize::from(threshold.is_some());
+            assert_eq!(threshold.is_none(), op == OpKind::Gemm, "{op:?}");
+            let bits = |(nt, secs): (usize, f64)| (nt, secs.to_bits());
+            let mut under = 0;
+            // Every training shape votes: it was timed at 1..=MAX_NT.
+            for (shape, labels) in corpus
+                .samples
+                .chunks(MAX_NT)
+                .zip(corpus.dataset.y.chunks(MAX_NT))
+            {
+                let dims = shape[0].dims;
+                let sweep = inst.sweep(dims);
+                if threshold.is_some_and(|t| op.footprint_words(dims) <= t) {
+                    under += 1;
+                    assert!(inst.answers_serial(dims));
+                    assert!(labels.iter().all(|&l| labels[0] <= l), "{op:?} {dims}");
+                    assert_eq!(inst.predict_nt(dims), 1);
+                    let at_one = inst.predict_secs(dims, 1);
+                    assert_eq!(bits(inst.predict_cost(dims)), bits((1, at_one)));
+                    // What the sweep returns whenever its own argmin is 1.
+                    assert!(sweep.0 != 1 || sweep.1.to_bits() == at_one.to_bits());
+                } else {
+                    assert!(!inst.answers_serial(dims));
+                    assert_eq!(inst.predict_nt(dims), sweep.0, "{op:?} {dims}");
+                    assert_eq!(bits(inst.predict_cost(dims)), bits(sweep));
+                }
+            }
+            assert_eq!(under > 0, threshold.is_some());
+            // Shapes the corpus never saw, one word above the threshold up:
+            // the sweep, bit for bit.
+            for i in 0..40usize {
+                let dims = match op.n_dims() {
+                    3 => Dims::d3(8 + 13 * i, 200 - 3 * i, 8 + i * i),
+                    2 => Dims::d2(8 + 29 * i, 8 + 7 * i * i),
+                    _ => Dims::d1(8 + 31 * i),
+                };
+                if !inst.answers_serial(dims) {
+                    let sweep = inst.sweep(dims);
+                    assert_eq!(inst.predict_nt(dims), sweep.0);
+                    assert_eq!(bits(inst.predict_cost(dims)), bits(sweep));
+                }
+            }
+        }
+        assert_eq!(thresholds, 3);
     }
 
     #[test]

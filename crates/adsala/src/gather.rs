@@ -46,7 +46,12 @@ pub fn gather_offset(
 ) -> Gathered {
     let mut sampler = DomainSampler::new(routine, timer.max_threads(), seed);
     sampler.skip(skip);
-    let samples = sampler.take(n);
+    timed(timer, routine, sampler.take(n))
+}
+
+/// Time every sample (repetition index = row index) and build the dataset.
+fn timed(timer: &dyn BlasTimer, routine: Routine, samples: Vec<Sample>) -> Gathered {
+    let n = samples.len();
     let mut x = Vec::with_capacity(n);
     let mut y = Vec::with_capacity(n);
     let mut seconds = Vec::with_capacity(n);
@@ -66,6 +71,25 @@ pub fn gather_offset(
         seconds,
         dataset: Dataset::new(x, y, names),
     }
+}
+
+/// Draw `shapes` shapes from `sampler` and time each at every thread count
+/// in `cands` (the sampler's own `nt` draw is unused) — the all-candidates
+/// corpus a host with few candidates can afford, and the only kind
+/// [`fit_pipeline`](crate::pipeline::fit_pipeline) derives a serial
+/// threshold from. Rows are shape-major, in `cands` order.
+pub fn gather_all_candidates(
+    timer: &dyn BlasTimer,
+    sampler: &mut DomainSampler,
+    shapes: usize,
+    cands: &[usize],
+) -> Gathered {
+    let samples = sampler
+        .take(shapes)
+        .iter()
+        .flat_map(|s| cands.iter().map(|&nt| Sample { dims: s.dims, nt }))
+        .collect();
+    timed(timer, sampler.routine(), samples)
 }
 
 #[cfg(test)]

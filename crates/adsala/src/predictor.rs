@@ -7,6 +7,13 @@
 //! while calls are in flight. The last-call cache is tagged with the epoch
 //! version that filled it, so a swap invalidates it implicitly — a cached
 //! entry from epoch N can never be served under epoch N+1.
+//!
+//! The two views pay for what they ask. [`ThreadPredictor::predict`] — all
+//! that [`Adsala::execute`](crate::runtime::Adsala::execute) needs — is
+//! [`CostModel::predict_nt`] on a miss and caches the thread count with its
+//! seconds unset; [`ThreadPredictor::predict_cost`] — what a scheduler's
+//! admission needs — serves only an entry whose seconds are set, and
+//! otherwise prices the call as a miss and completes the entry.
 
 use crate::cost::{CostModel, ModelEpoch};
 use crate::install::InstalledRoutine;
@@ -20,7 +27,9 @@ struct CacheEntry {
     version: u64,
     dims: Dims,
     nt: usize,
-    secs: f64,
+    /// Unset when [`ThreadPredictor::predict`] filled the entry: it asks
+    /// the model for a thread count only.
+    secs: Option<f64>,
 }
 
 /// Runtime predictor slot for one routine: an epoch-versioned
@@ -120,8 +129,26 @@ impl ThreadPredictor {
     }
 
     /// Predict the best thread count, consulting the last-call cache first.
+    ///
+    /// A miss asks the model for the thread count alone
+    /// ([`CostModel::predict_nt`]) — under an install's serial threshold
+    /// that is one comparison — and caches it with its seconds unset.
     pub fn predict(&self, dims: Dims) -> usize {
-        self.predict_cost(dims).0
+        let epoch = self.epoch();
+        let version = epoch.version();
+        if let Some(e) = self.cached(version, dims) {
+            self.hits.fetch_add(1, Ordering::Relaxed);
+            return e.nt;
+        }
+        self.misses.fetch_add(1, Ordering::Relaxed);
+        let nt = epoch.model().predict_nt(dims);
+        *self.lock_last() = Some(CacheEntry {
+            version,
+            dims,
+            nt,
+            secs: None,
+        });
+        nt
     }
 
     /// Predict the best thread count *and* the model's runtime estimate at
@@ -138,17 +165,18 @@ impl ThreadPredictor {
     /// [`ThreadPredictor::predict_cost`] plus the epoch version that made
     /// the prediction — what telemetry records so post-swap drift can be
     /// separated from the history that triggered the swap.
+    ///
+    /// An entry that [`ThreadPredictor::predict`] cached has no seconds:
+    /// it is priced as a miss and completed.
     pub fn predict_cost_versioned(&self, dims: Dims) -> (usize, f64, u64) {
         let epoch = self.epoch();
         let version = epoch.version();
+        if let Some((nt, secs)) = self
+            .cached(version, dims)
+            .and_then(|e| Some((e.nt, e.secs?)))
         {
-            let last = self.lock_last();
-            if let Some(e) = *last {
-                if e.version == version && e.dims == dims {
-                    self.hits.fetch_add(1, Ordering::Relaxed);
-                    return (e.nt, e.secs, version);
-                }
-            }
+            self.hits.fetch_add(1, Ordering::Relaxed);
+            return (nt, secs, version);
         }
         self.misses.fetch_add(1, Ordering::Relaxed);
         let (nt, secs) = epoch.model().predict_cost(dims);
@@ -156,9 +184,14 @@ impl ThreadPredictor {
             version,
             dims,
             nt,
-            secs,
+            secs: Some(secs),
         });
         (nt, secs, version)
+    }
+
+    /// The last call's entry, when it is for `dims` under epoch `version`.
+    fn cached(&self, version: u64, dims: Dims) -> Option<CacheEntry> {
+        (*self.lock_last()).filter(|e| e.version == version && e.dims == dims)
     }
 
     /// Bypass the cache (used by benchmarks isolating the sweep cost).
@@ -201,6 +234,7 @@ impl ThreadPredictor {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::install::tests::all_candidates_install;
     use crate::install::{install_routine, InstallOptions};
     use crate::timer::SimTimer;
     use adsala_blas3::op::{OpKind, Precision};
@@ -264,6 +298,44 @@ mod tests {
         assert_eq!(p.predict(d), nt);
         let (hits, misses) = p.cache_stats();
         assert_eq!((hits, misses), (1, 1));
+    }
+
+    #[test]
+    fn predict_leaves_the_seconds_for_predict_cost_to_fill_in() {
+        let (inst, corpus) = all_candidates_install(OpKind::Symv, 4);
+        let p = ThreadPredictor::new(inst.clone());
+        let under = corpus.samples[0].dims;
+        let above = Dims::d1(3000);
+        assert!(inst.answers_serial(under) && !inst.answers_serial(above));
+        let mut misses = 0;
+        for d in [under, above] {
+            // `predict` first: the entry it caches has no seconds, so the
+            // cost view prices the call itself and completes the entry.
+            let nt = p.predict(d);
+            let (cost_nt, secs) = p.predict_cost(d);
+            assert_eq!(cost_nt, nt);
+            assert!(secs.is_finite() && secs > 0.0);
+            misses += 2;
+            assert_eq!(p.cache_stats(), (misses - 2, misses));
+            // Completed: both views now hit.
+            assert_eq!(p.predict_cost(d), (nt, secs));
+            assert_eq!(p.predict(d), nt);
+            assert_eq!(p.cache_stats().1, misses);
+        }
+        // `predict_cost` first is one miss, then one hit.
+        let q = ThreadPredictor::new(inst);
+        for (i, d) in [under, above].into_iter().enumerate() {
+            let (nt, _) = q.predict_cost(d);
+            assert_eq!(q.predict(d), nt);
+            assert_eq!(q.cache_stats(), (i as u64 + 1, i as u64 + 1));
+        }
+        // A swap invalidates an entry on either side of the threshold.
+        q.predict(under);
+        let replacement = q.epoch().installed().unwrap().clone();
+        q.swap(Arc::new(replacement));
+        let before = q.cache_stats();
+        q.predict(under);
+        assert_eq!(q.cache_stats(), (before.0, before.1 + 1));
     }
 
     #[test]

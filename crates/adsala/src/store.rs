@@ -76,7 +76,17 @@ fn read_json<T: Deserialize>(path: &Path) -> io::Result<T> {
 /// Load an installed routine from `dir`.
 pub fn load(dir: &Path, platform: &str, routine: Routine) -> io::Result<InstalledRoutine> {
     let (config_path, model_path) = paths(dir, platform, routine);
-    let cfg: ConfigFile = read_json(&config_path)?;
+    let tree: serde_json::Value = read_json(&config_path)?;
+    // `None` is written as `null`; the derive would read an absent key as
+    // `None` too, and an older layout must not load as "no threshold".
+    if tree
+        .get("pipeline")
+        .is_some_and(|p| p.get("serial_footprint").is_none())
+    {
+        let why = "missing field `serial_footprint` in PipelineConfig";
+        return Err(invalid(&config_path, why));
+    }
+    let cfg: ConfigFile = serde_json::from_value(&tree).map_err(|e| invalid(&config_path, e))?;
     let model: Model = read_json(&model_path)?;
     // The prediction sweep indexes raw features by `kept` and the
     // per-feature tables by raw feature, and hands the model rows as wide
@@ -93,6 +103,14 @@ pub fn load(dir: &Path, platform: &str, routine: Routine) -> io::Result<Installe
             &config_path,
             format!("pipeline does not fit {raw} raw features"),
         ));
+    }
+    // A threshold answers `nt = 1` for every call under it: a damaged one
+    // must not be able to do that for every call there is.
+    if let Some(words) = pipeline.serial_footprint {
+        if !(words.is_finite() && words >= 0.0) {
+            let why = format!("serial_footprint {words} is not a footprint");
+            return Err(invalid(&config_path, why));
+        }
     }
     let width = pipeline.correlation.kept.len();
     if let Model::Gbt(gbt) = &model {
@@ -139,11 +157,13 @@ pub fn installed_routines(dir: &Path, platform: &str) -> Vec<Routine> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cost::CostModel;
     use crate::install::{install_routine, InstallOptions};
     use crate::timer::SimTimer;
     use adsala_blas3::op::{Dims, OpKind, Precision};
     use adsala_machine::MachineSpec;
     use adsala_ml::model::ModelKind;
+    use serde::value::{Number, Value};
 
     fn tmpdir(tag: &str) -> PathBuf {
         let d =
@@ -229,6 +249,139 @@ mod tests {
         let back = load(&dir, "gadi", r).unwrap();
         assert_eq!(back.version, 7);
         assert_eq!(back.trained_samples, 321);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// Save `inst` and return the text of its `.config.json` and its path.
+    fn saved_config(dir: &Path, inst: &InstalledRoutine) -> (String, PathBuf) {
+        save(dir, inst).unwrap();
+        let path = paths(dir, &inst.platform, inst.routine).0;
+        (fs::read_to_string(&path).unwrap(), path)
+    }
+
+    #[test]
+    fn serial_threshold_roundtrips_and_a_damaged_one_is_rejected() {
+        let dir = tmpdir("threshold");
+        let r = Routine::new(OpKind::Trmm, Precision::Double);
+        let mut inst = quick_install(r);
+        assert_eq!(inst.pipeline.serial_footprint, None, "paper-style corpus");
+        save(&dir, &inst).unwrap();
+        assert_eq!(load(&dir, "gadi", r).unwrap().pipeline, inst.pipeline);
+        inst.pipeline.serial_footprint = Some(5000.0);
+        let (text, path) = saved_config(&dir, &inst);
+        assert_eq!(load(&dir, "gadi", r).unwrap().pipeline, inst.pipeline);
+
+        let key = "\"serial_footprint\": 5000.0";
+        assert!(text.contains(key));
+        let rejects = |damaged: String, what: &str| {
+            fs::write(&path, damaged).unwrap();
+            let err = load(&dir, "gadi", r).expect_err(what);
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{what}");
+            let msg = err.to_string();
+            assert!(msg.contains("dtrmm.config.json"), "{what}: {msg}");
+            assert!(msg.contains("serial_footprint"), "{what}: {msg}");
+        };
+        for bad in ["-1", "-0.5", "1e999", "-1e999"] {
+            rejects(text.replace("5000.0", bad), bad);
+        }
+        // An older layout: the key is not there at all.
+        let older = text.replace(&format!(",\n    {key}"), "");
+        assert_ne!(older, text);
+        rejects(older, "key absent");
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// Stands for `1e999` (which reads as infinity) until the tree is text:
+    /// the writer prints a non-finite float as `null`.
+    const HUGE: &str = "@1e999@";
+
+    /// Every tree one single-token mutation away from `v`: an object key
+    /// deleted, or a number swapped for `null`, `-1`, `1e999` or a string.
+    fn mutants(v: &Value) -> Vec<Value> {
+        let mut out = Vec::new();
+        match v {
+            Value::Number(_) => out.extend([
+                Value::Null,
+                Value::Number(Number::I(-1)),
+                Value::String(HUGE.into()),
+                Value::String("seven".into()),
+            ]),
+            Value::Array(items) => {
+                for (i, item) in items.iter().enumerate() {
+                    out.extend(mutants(item).into_iter().map(|m| {
+                        let mut items = items.clone();
+                        items[i] = m;
+                        Value::Array(items)
+                    }));
+                }
+            }
+            Value::Object(fields) => {
+                for i in 0..fields.len() {
+                    let mut fields = fields.clone();
+                    fields.remove(i);
+                    out.push(Value::Object(fields));
+                }
+                for (i, (_, field)) in fields.iter().enumerate() {
+                    out.extend(mutants(field).into_iter().map(|m| {
+                        let mut fields = fields.clone();
+                        fields[i].1 = m;
+                        Value::Object(fields)
+                    }));
+                }
+            }
+            _ => {}
+        }
+        out
+    }
+
+    #[test]
+    fn a_mutated_config_file_is_a_typed_error_or_a_usable_artefact() {
+        let dir = tmpdir("mutants");
+        let r = Routine::new(OpKind::Gemm, Precision::Double);
+        let mut inst = quick_install(r);
+        inst.pipeline.serial_footprint = Some(5000.0);
+        let (text, path) = saved_config(&dir, &inst);
+        let tree: Value = serde_json::from_str(&text).unwrap();
+
+        let mut damaged: Vec<String> = mutants(&tree)
+            .iter()
+            .map(|m| m.to_json_pretty().replace(&format!("\"{HUGE}\""), "1e999"))
+            .collect();
+        let mutated = damaged.len();
+        assert!(mutated >= 300, "only {mutated} mutants");
+        // Truncations, evenly spaced (never the whole text).
+        damaged.extend((0..200).map(|i| text[..i * text.len() / 200].to_string()));
+
+        let (mut loaded, mut rejected) = (0, 0);
+        for (i, text) in damaged.iter().enumerate() {
+            fs::write(&path, text).unwrap();
+            match load(&dir, "gadi", r) {
+                Ok(back) => {
+                    assert!(i < mutated, "a truncated file loaded");
+                    loaded += 1;
+                    for dims in [
+                        Dims::d3(8, 8, 8),
+                        Dims::d3(300, 40, 1000),
+                        Dims::d3(4000, 4000, 4000),
+                    ] {
+                        let (nt, _) = CostModel::predict_cost(&back, dims);
+                        assert!((1..=back.max_threads).contains(&nt));
+                        assert_eq!(back.predict_nt(dims), nt);
+                    }
+                }
+                Err(e) => {
+                    assert_eq!(e.kind(), io::ErrorKind::InvalidData, "mutant {i}: {e}");
+                    assert!(e.to_string().contains("dgemm.config.json"), "{e}");
+                    rejected += 1;
+                }
+            }
+        }
+        // Both outcomes occur: a mean swapped for -1 still loads, a deleted
+        // key does not.
+        assert!(
+            loaded > 50 && rejected > 150,
+            "{loaded} loaded, {rejected} rejected"
+        );
         let _ = fs::remove_dir_all(&dir);
     }
 }

@@ -10,15 +10,14 @@
 // Outside the Miri subset: replaces the global allocator.
 #![cfg(not(miri))]
 
-use adsala::features::{feature_names, features_for};
+use adsala::gather::gather_all_candidates;
 use adsala::pipeline::fit_pipeline;
-use adsala::timer::{BlasTimer, SimTimer};
+use adsala::timer::SimTimer;
 use adsala::{InstalledRoutine, ThreadPredictor};
 use adsala_blas3::op::{Dims, OpKind, Precision, Routine};
 use adsala_machine::MachineSpec;
 use adsala_ml::model::{HyperParams, ModelKind};
 use adsala_ml::tree::gbt::GbtParams;
-use adsala_ml::Dataset;
 use adsala_sampling::DomainSampler;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -58,20 +57,17 @@ fn allocations() -> u64 {
     ALLOCATIONS.with(Cell::get)
 }
 
-/// A gradient-boosted dgemm installation sweeping `max_threads` candidates.
-fn boosted_install(max_threads: usize) -> InstalledRoutine {
-    let routine = Routine::new(OpKind::Gemm, Precision::Double);
+/// A gradient-boosted installation sweeping `max_threads` candidates,
+/// from an all-candidates corpus of small shapes: the kind that derives a
+/// serial threshold.
+fn boosted_install(op: OpKind, max_threads: usize) -> InstalledRoutine {
+    let routine = Routine::new(op, Precision::Double);
     let timer = SimTimer::new(MachineSpec::gadi());
-    let (mut x, mut y) = (Vec::new(), Vec::new());
-    for s in DomainSampler::new(routine, max_threads, 0xA110C).take(160) {
-        x.push(features_for(routine, s.dims, s.nt));
-        y.push(timer.time(routine, s.dims, s.nt, 0).ln());
-    }
-    let names = feature_names(routine.op)
-        .into_iter()
-        .map(String::from)
-        .collect();
-    let fitted = fit_pipeline(&Dataset::new(x, y, names));
+    let mut sampler = DomainSampler::with_cap(routine, max_threads, 3e5, 0xA110C);
+    let mut cands = vec![1, 2, max_threads];
+    cands.dedup();
+    let corpus = gather_all_candidates(&timer, &mut sampler, 60, &cands);
+    let fitted = fit_pipeline(&corpus.dataset);
     let params = HyperParams::Gbt(GbtParams {
         n_rounds: 40,
         ..Default::default()
@@ -95,8 +91,9 @@ fn the_miss_path_allocates_nothing() {
     let before = allocations();
     drop(std::hint::black_box(vec![0u8; 64]));
     assert_eq!(allocations() - before, 1, "the counter sees this thread");
+    // The widest rows (17 raw features), swept over 2 and 48 candidates.
     for max_threads in [2, 48] {
-        let predictor = ThreadPredictor::new(boosted_install(max_threads));
+        let predictor = ThreadPredictor::new(boosted_install(OpKind::Gemm, max_threads));
         let dims = |i: usize| Dims::d3(8 + 7 * i, 3000 - 2 * i, 64 + i % 300);
         predictor.predict_uncached(dims(0)); // warm-up
         let before = allocations();
@@ -111,4 +108,39 @@ fn the_miss_path_allocates_nothing() {
         );
         assert!((1000..=1000 * max_threads).contains(&picked));
     }
+}
+
+#[test]
+fn neither_side_of_the_serial_threshold_allocates() {
+    let installed = boosted_install(OpKind::Symv, 48);
+    let threshold = installed.pipeline.serial_footprint;
+    assert!(
+        threshold.is_some(),
+        "small dsymv runs fastest on one thread"
+    );
+    let under = |i: usize| Dims::d1(8 + i % 30);
+    let above = |i: usize| Dims::d1(400 + i);
+    for i in 0..1000 {
+        assert!(installed.answers_serial(under(i)), "{threshold:?}");
+        assert!(!installed.answers_serial(above(i)), "{threshold:?}");
+    }
+    let predictor = ThreadPredictor::new(installed);
+    for (side, dims) in [
+        ("under", &under as &dyn Fn(usize) -> Dims),
+        ("above", &above),
+    ] {
+        predictor.predict_cost(dims(0)); // warm-up
+        let before = allocations();
+        let mut serial = 0;
+        for i in 1..=1000 {
+            // A miss of each view: the cached one-call entry is for `i - 1`
+            // (`predict`) and then has no seconds (`predict_cost`).
+            let nt = predictor.predict(dims(i));
+            assert_eq!(predictor.predict_cost(dims(i)).0, nt);
+            serial += usize::from(nt == 1);
+        }
+        assert_eq!(allocations() - before, 0, "2000 misses {side} allocated");
+        assert!(side == "above" || serial == 1000);
+    }
+    assert_eq!(predictor.cache_stats(), (0, 4002));
 }

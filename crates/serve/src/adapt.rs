@@ -478,7 +478,12 @@ pub fn refit_from_records(
             train_y.push(live.predict_secs(r.dims, nt).max(1e-12).ln() + shift);
         }
     }
-    let fitted = fit_pipeline(&Dataset::new(train_x, train_y, names));
+    let mut fitted = fit_pipeline(&Dataset::new(train_x, train_y, names));
+    // No shape in telemetry was timed at more than one `nt`: the rows at
+    // the other counts above are the live model's predictions, and a
+    // threshold derived from them would pass those off as measurements.
+    // The sweep decides every call until the next install.
+    fitted.config.serial_footprint = None;
 
     // Guardrail baseline: the live epoch scored on the held-out rows.
     let hold_y: Vec<f64> = hold_idx.iter().map(|&i| y[i]).collect();
