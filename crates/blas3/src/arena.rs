@@ -17,7 +17,9 @@
 //! any `Float` (f32/f64) is align- and bit-pattern-compatible; contents are
 //! *stale* on reuse, which is fine for the packing layer (it overwrites
 //! every lane, padding included) — callers that need zeroed scratch use
-//! [`take_zeroed`].
+//! [`take_zeroed`]. Lending a buffer twice or releasing it twice cannot be
+//! expressed: its `Vec` is moved out of the free list into the `PackBuf`,
+//! and `Drop` runs once.
 
 use crate::Float;
 use std::cell::RefCell;
@@ -227,6 +229,23 @@ mod tests {
         drop(a);
         let b = take::<f64>(50); // same word count => same class
         assert_eq!(b.len(), 50);
+    }
+
+    #[test]
+    #[cfg_attr(miri, ignore = "spawns OS threads; outside the Miri subset")]
+    fn a_buffer_dropped_on_another_thread_is_reused_there() {
+        // Storage pointers, not `allocation_count`: other tests bump that
+        // process-wide counter concurrently.
+        let len = 4_321usize;
+        let buf = take::<f64>(len);
+        let storage = buf.as_ptr() as usize;
+        let reused = std::thread::spawn(move || {
+            drop(buf);
+            take::<f64>(len).as_ptr() as usize
+        })
+        .join()
+        .unwrap();
+        assert_eq!(reused, storage, "the dropping thread's next take");
     }
 
     #[test]

@@ -1,12 +1,13 @@
 //! Deterministic interleaving checker ("loom-lite") for the pool/serve
 //! concurrency cores. Feature-gated behind `chaos`; test-only tooling.
 //!
-//! What it checks is, first, **the shipped code**: `pool::TeamBarrier`,
-//! the pool's job hand-off and the serve crate's completion slot are
-//! written against [`crate::sync`], whose primitives are this checker's
-//! wrappers under `feature = "chaos"`. A scenario is a few thread bodies
-//! calling the real type; each `sync` operation they perform declares
-//! itself here, yields, and is clocked.
+//! What it checks is **the shipped code** and nothing else:
+//! `pool::TeamBarrier`, the pool's job hand-off and the serve crate's
+//! completion slot are written against [`crate::sync`], whose primitives
+//! are this checker's wrappers under `feature = "chaos"`. A scenario is a
+//! few thread bodies calling the real type; each `sync` operation they
+//! perform declares itself here, yields, and is clocked. Plain state under
+//! one lock is driven by seeded whole calls instead (see CONTRIBUTING).
 //!
 //! The pieces:
 //!
@@ -24,9 +25,6 @@
 //!   *record* an operation of the shipped code as `Relaxed` for one
 //!   scenario ([`weakened`]) — "a `Relaxed` flip is caught" is then a
 //!   statement about `pool.rs`, not about an editable copy of it.
-//! * [`models`] — the three stand-ins that remain (arena, serve queue,
-//!   supervisor restart), each a discipline over plain state rather than
-//!   an ordering; its header says why they may stay models.
 //! * [`dpor`] — dynamic partial-order reduction: systematic exploration
 //!   of *every* inequivalent schedule for small thread counts, with
 //!   backtrack points computed from the vector clocks and sleep sets
@@ -39,7 +37,6 @@
 //! deterministic before it is reported.
 
 pub mod dpor;
-pub mod models;
 pub mod sched;
 pub mod vclock;
 

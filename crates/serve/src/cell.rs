@@ -142,7 +142,7 @@ impl Cell {
         self.backlog_nanos.load(Ordering::Acquire) as f64 / 1e9
     }
 
-    /// Settle a job that will never run (shutdown drain or shed),
+    /// Settle a job that will never run (shutdown drain, shed or expired),
     /// counting a panicking completion callback against this cell.
     pub fn settle_unserved(&self, job: Job, error: ServeError) {
         job.tenant.settle(job.cost.secs);
@@ -356,6 +356,15 @@ fn serve_one<B: Blas3Backend>(
     batch_size: usize,
     exec_nt: usize,
 ) {
+    // Last line of deadline defence: the lazy sweep runs per scheduler
+    // wake-up, so a job can expire between the sweep and its turn inside
+    // a batch. Settle it typed instead of burning pool time on an answer
+    // nobody can use.
+    if job.deadline.is_some_and(|d| Instant::now() >= d) {
+        cell.expired_jobs.fetch_add(1, Ordering::Relaxed);
+        cell.settle_unserved(job, ServeError::DeadlineExceeded);
+        return;
+    }
     let Job {
         client,
         tenant,
@@ -365,18 +374,6 @@ fn serve_one<B: Blas3Backend>(
         deadline,
         slot,
     } = job;
-    // Last line of deadline defence: the lazy sweep runs per scheduler
-    // wake-up, so a job can expire between the sweep and its turn inside
-    // a batch. Settle it typed instead of burning pool time on an answer
-    // nobody can use.
-    if deadline.is_some_and(|d| Instant::now() >= d) {
-        cell.expired_jobs.fetch_add(1, Ordering::Relaxed);
-        tenant.settle(cost.secs);
-        if slot.complete(Err(ServeError::DeadlineExceeded)) {
-            cell.callback_panics.fetch_add(1, Ordering::Relaxed);
-        }
-        return;
-    }
     // Admission validated the description, so the built-in backends cannot
     // fail execution — but a custom backend may (resource exhaustion,
     // device errors, injected faults). A transient failure is retried with
@@ -421,7 +418,7 @@ fn serve_one<B: Blas3Backend>(
         // Budget-priced retry: the attempt occupies the tenant's backlog
         // budget again, so a tenant hammering a failing path throttles
         // itself at admission instead of billing the service.
-        tenant.charge(1, cost.secs);
+        tenant.charge(cost.secs);
         cell.retries.fetch_add(1, Ordering::Relaxed);
         if !delay.is_zero() {
             std::thread::sleep(delay);

@@ -347,6 +347,7 @@ mod tests {
     use super::*;
     use crate::router::TenantConfig;
     use adsala_blas3::{Matrix, OwnedOp, Transpose};
+    use std::collections::BTreeMap;
     use std::time::Duration;
 
     fn tenant(id: u64, qos: QosClass) -> Arc<TenantState> {
@@ -568,5 +569,206 @@ mod tests {
         // A batch submission has nothing strictly below it.
         assert!(qs.peek_shed(QosClass::Batch).is_none());
         assert_eq!(qs.queued(), 2);
+    }
+
+    /// SplitMix64, for the seeded driver below.
+    struct SplitMix(u64);
+
+    impl SplitMix {
+        fn below(&mut self, n: usize) -> usize {
+            self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            ((z ^ (z >> 31)) % n as u64) as usize
+        }
+    }
+
+    /// Tenant, key, price and cell of a job pushed and not yet seen leaving.
+    struct Queued(usize, (Routine, Dims), f64, usize);
+
+    /// Two cells' real `LaneQueues` and what the driver saw go in and come
+    /// out. Jobs are tagged by push order in `client`; prices are quarter
+    /// seconds, so the gauge sums are exact. A job leaves `queued` once: a
+    /// second exit of the same job fails that removal.
+    struct Driver {
+        cells: [LaneQueues; 2],
+        tenants: Vec<Arc<TenantState>>,
+        queued: BTreeMap<u64, Queued>,
+        /// Tenant → (owner cell, serials) of its taken, unfinished batch.
+        airborne: BTreeMap<usize, (usize, Vec<u64>)>,
+        left: usize,
+        pushed: usize,
+        now: Instant,
+        rng: SplitMix,
+    }
+
+    impl Driver {
+        fn new(seed: u64) -> Driver {
+            let lanes = [0, 1, 1, 2].into_iter().enumerate();
+            Driver {
+                cells: Default::default(),
+                tenants: lanes
+                    .map(|(t, l)| tenant(t as u64, QosClass::of_lane(l)))
+                    .collect(),
+                queued: BTreeMap::new(),
+                airborne: BTreeMap::new(),
+                left: 0,
+                pushed: 0,
+                now: Instant::now(),
+                rng: SplitMix(seed),
+            }
+        }
+
+        fn step(&mut self) {
+            self.now += Duration::from_millis(1);
+            let c = self.rng.below(2);
+            match self.rng.below(10) {
+                0..=3 => self.push(),
+                4 | 5 => self.take(c),
+                6 | 7 => self.finish_one(),
+                8 => self.rehome(c),
+                _ => {
+                    let qos = QosClass::of_lane(self.rng.below(3));
+                    let gone = match self.rng.below(3) {
+                        0 => self.cells[c].shed_one(qos).into_iter().collect(),
+                        1 => self.cells[c].expire_due(self.now),
+                        _ => self.cells[c].drain_lane(qos),
+                    };
+                    for job in gone {
+                        self.left_unserved(c, job);
+                    }
+                }
+            }
+            self.check();
+        }
+
+        fn push(&mut self) {
+            let t = self.rng.below(self.tenants.len());
+            let tenant = Arc::clone(&self.tenants[t]);
+            // The router's sticky rule: where the tenant is busy, else anywhere.
+            let cell = (0..2)
+                .find(|&c| self.cells[c].tenant_busy(tenant.id, tenant.qos))
+                .unwrap_or_else(|| self.rng.below(2));
+            let secs = 0.25 * (1 + self.rng.below(4)) as f64;
+            let mut job = job_for(&tenant, 1 + self.rng.below(2), secs);
+            job.client = ClientId(self.pushed as u64);
+            let due = self.now + Duration::from_millis(1 + self.rng.below(12) as u64);
+            job.deadline = (self.rng.below(4) == 0).then_some(due);
+            let queued = Queued(t, job.key, secs, cell);
+            self.queued.insert(job.client.0, queued);
+            self.pushed += 1;
+            self.cells[cell].push(job);
+        }
+
+        /// A take on cell `c`: its own next batch, or a thief's steal.
+        fn take(&mut self, c: usize) {
+            let max_batch = 1 + self.rng.below(3);
+            let Some(batch) = self.cells[c].take_batch(max_batch) else {
+                return;
+            };
+            let t = batch.tenant.0 as usize;
+            let held = self.airborne.contains_key(&t);
+            assert!(!held, "second batch in flight for tenant {t}");
+            let serials: Vec<u64> = batch.jobs.iter().map(|j| j.client.0).collect();
+            let fifo = self.queued.iter().filter(|(_, q)| q.0 == t);
+            let fifo: Vec<u64> = fifo.map(|(&s, _)| s).collect();
+            // Per-tenant FIFO and batch shape: the head of the tenant's
+            // queued jobs, one key, at most `max_batch`, cut short only by
+            // a key change.
+            let head = fifo.get(..serials.len());
+            assert_eq!(head, Some(&serials[..]), "tenant {t}: not its FIFO's head");
+            let key = batch.jobs[0].key;
+            assert!(serials.len() <= max_batch && batch.jobs.iter().all(|j| j.key == key));
+            let next = fifo.get(serials.len()).map(|s| self.queued[s].1);
+            let cut = serials.len() == max_batch || next != Some(key);
+            assert!(cut, "tenant {t}: batch stopped before a same-key job");
+            for s in &serials {
+                assert_eq!(self.queued.remove(s).map(|q| q.3), Some(c));
+            }
+            self.airborne.insert(t, (c, serials));
+        }
+
+        fn finish_one(&mut self) {
+            let pick = self.rng.below(self.airborne.len().max(1));
+            let Some(&t) = self.airborne.keys().nth(pick) else {
+                return;
+            };
+            let (owner, serials) = self.airborne.remove(&t).unwrap();
+            self.cells[owner].finish_batch(self.tenants[t].id, self.tenants[t].qos);
+            self.left += serials.len();
+        }
+
+        /// The supervisor's restart of cell `c`: drain, push into the other.
+        fn rehome(&mut self, c: usize) {
+            for job in self.cells[c].drain_rehome() {
+                let t = job.tenant.id.0 as usize;
+                let held = self.airborne.contains_key(&t);
+                assert!(!held, "re-homed an airborne tenant {t}");
+                let q = self.queued.get_mut(&job.client.0).unwrap();
+                assert_eq!(q.3, c);
+                q.3 = 1 - c;
+                self.cells[1 - c].push(job);
+            }
+        }
+
+        fn left_unserved(&mut self, c: usize, job: Job) {
+            let cell = self.queued.remove(&job.client.0).map(|q| q.3);
+            assert_eq!(cell, Some(c), "job {} left cell {c}", job.client.0);
+            self.left += 1;
+        }
+
+        /// The invariants, after every whole call.
+        fn check(&self) {
+            for (c, qs) in self.cells.iter().enumerate() {
+                let here = self.queued.values().filter(|q| q.3 == c);
+                let (n, secs) = here.fold((0, 0.0), |(n, s), q| (n + 1, s + q.2));
+                let gauges = (qs.queued(), qs.backlog_secs(), qs.is_empty());
+                assert_eq!(gauges, (n, secs, n == 0), "cell {c}: gauges");
+            }
+            for tenant in &self.tenants {
+                let busy = |c: usize| self.cells[c].tenant_busy(tenant.id, tenant.qos);
+                assert!(!(busy(0) && busy(1)), "{} split across cells", tenant.id);
+            }
+            let airborne: usize = self.airborne.values().map(|(_, s)| s.len()).sum();
+            let seen = self.queued.len() + airborne + self.left;
+            assert_eq!(seen, self.pushed, "a job was lost or duplicated");
+        }
+
+        /// Land every airborne batch, then drain and count what is left.
+        fn drain(&mut self) {
+            while !self.airborne.is_empty() {
+                self.finish_one();
+            }
+            for c in 0..2 {
+                for job in self.cells[c].drain_all() {
+                    self.left_unserved(c, job);
+                }
+            }
+            self.check();
+            assert_eq!(self.left, self.pushed);
+        }
+    }
+
+    /// The queue discipline — hold, no split tenant, batch shape,
+    /// per-tenant FIFO, exactly once, gauges — over seeded sequences of
+    /// whole calls on two real cells' queues: push by the sticky rule,
+    /// take from either cell (the steal), finish, drain-and-rehome (the
+    /// supervisor's restart), shed, expire, drain a lane. No threads or
+    /// sleeps, so it runs in the Miri step too.
+    #[test]
+    fn seeded_call_sequences_keep_the_queue_discipline() {
+        let (sequences, calls) = if cfg!(miri) { (16, 40) } else { (2_000, 80) };
+        for seed in 0..sequences {
+            let run = std::panic::catch_unwind(|| {
+                let mut driver = Driver::new(seed);
+                (0..calls).for_each(|_| driver.step());
+                driver.drain();
+            });
+            if let Err(panic) = run {
+                eprintln!("queue driver: seed {seed} failed");
+                std::panic::resume_unwind(panic);
+            }
+        }
     }
 }

@@ -212,9 +212,9 @@ mod tests {
             secs in 1e-6f64..10.0,
         ) {
             let t = TenantState::new(TenantId(0), TenantConfig::default());
-            t.charge(1, secs); // admission
+            t.charge(secs); // admission
             for _ in 0..retries {
-                t.charge(1, secs); // retry occupies the budget again...
+                t.charge(secs); // retry occupies the budget again...
                 prop_assert!(t.queued_secs() >= 2.0 * secs - 1e-6);
                 t.settle(secs); // ...and releases it when the attempt ends
             }

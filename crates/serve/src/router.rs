@@ -112,8 +112,6 @@ pub(crate) struct TenantState {
     home: AtomicUsize,
     /// Predicted nanoseconds admitted and not yet completed or shed.
     queued_nanos: AtomicU64,
-    /// Jobs admitted and not yet completed or shed.
-    queued_jobs: AtomicUsize,
 }
 
 /// Saturating conversion shared by the tenant and cell backlog gauges:
@@ -135,7 +133,6 @@ impl TenantState {
             budget_secs: cfg.backlog_budget_secs,
             home: AtomicUsize::new(NO_HOME),
             queued_nanos: AtomicU64::new(0),
-            queued_jobs: AtomicUsize::new(0),
         }
     }
 
@@ -163,21 +160,18 @@ impl TenantState {
         self.queued_nanos.load(Ordering::Acquire) as f64 / 1e9
     }
 
-    /// Account `n` jobs totalling `secs` predicted seconds as admitted.
-    pub fn charge(&self, n: usize, secs: f64) {
+    /// Account `secs` predicted seconds (one submission, or one retry
+    /// attempt) as admitted.
+    pub fn charge(&self, secs: f64) {
         // ORDER: AcqRel — admission (under the lock) and completions (on
-        // cell threads) race on these gauges; AcqRel chains the updates so
-        // a budget check never sees a charge without its predecessors.
-        self.queued_jobs.fetch_add(n, Ordering::AcqRel);
-        // ORDER: AcqRel — same chain as queued_jobs above.
+        // cell threads) race on this gauge; AcqRel chains the updates so a
+        // budget check never sees a charge without its predecessors.
         self.queued_nanos
             .fetch_add(secs_to_nanos(secs), Ordering::AcqRel);
     }
 
     /// Settle one job (completed or shed) of `secs` predicted seconds.
     pub fn settle(&self, secs: f64) {
-        // ORDER: AcqRel — same update chain as charge.
-        self.queued_jobs.fetch_sub(1, Ordering::AcqRel);
         let nanos = secs_to_nanos(secs);
         // Saturating: rounding can leave the gauge a few nanos short.
         // ORDER: Acquire — seed the CAS loop with a value no older than
@@ -217,7 +211,7 @@ mod tests {
         assert_eq!(t.home(), None);
         t.set_home(2);
         assert_eq!(t.home(), Some(2));
-        t.charge(2, 1.5);
+        t.charge(1.5);
         assert!((t.queued_secs() - 1.5).abs() < 1e-9);
         t.settle(1.0);
         t.settle(1.0); // over-settle: gauge saturates at zero

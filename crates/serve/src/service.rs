@@ -821,9 +821,12 @@ impl<B: Blas3Backend + 'static> Client<B> {
             }
         }
         self.tenant.set_home(target);
+        // Charge before the jobs are visible: a cell may serve and settle
+        // them the moment the push's lock drops, and a settle that lands
+        // first saturates at zero and is lost.
+        self.tenant.charge(requested_secs);
 
-        let n_ops = ops.len();
-        let mut tickets = Vec::with_capacity(n_ops);
+        let mut tickets = Vec::with_capacity(ops.len());
         let cell = &shared.cells[target];
         let mut st = cell.lock();
         for (op, (key, cost)) in ops.into_iter().zip(costs) {
@@ -841,7 +844,6 @@ impl<B: Blas3Backend + 'static> Client<B> {
         }
         cell.sync_gauges(&st.queues);
         drop(st);
-        self.tenant.charge(n_ops, requested_secs);
         Ok((tickets, target))
     }
 }

@@ -2,7 +2,8 @@
 //! `FaultBackend`. Transient faults are retried to success with
 //! exactly-once settlement, fatal faults settle typed without retry, a
 //! wedged cell is detected, drained, and restarted with per-tenant FIFO
-//! preserved across the re-home, the circuit breaker trips to brownout
+//! preserved across the re-home (the only end-to-end check of the real
+//! supervisor's drain-and-rehome), the circuit breaker trips to brownout
 //! (Batch shed, Interactive served) and recovers through half-open, and
 //! deadlines reject, sweep, and time out on every path.
 
