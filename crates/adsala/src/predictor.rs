@@ -18,8 +18,8 @@
 use crate::cost::{CostModel, ModelEpoch};
 use crate::install::InstalledRoutine;
 use adsala_blas3::op::{Dims, Routine};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, RwLock};
+use adsala_blas3::sync::{AtomicU64, Mutex, MutexGuard, Ordering};
+use std::sync::Arc;
 
 /// One cached prediction, tagged with the epoch that produced it.
 #[derive(Debug, Clone, Copy)]
@@ -32,6 +32,15 @@ struct CacheEntry {
     secs: Option<f64>,
 }
 
+/// What the predictor's one lock guards: the published epoch and the last
+/// call's entry. The entry keeps its version tag because a miss predicts
+/// outside the lock and may store after a swap.
+#[derive(Debug)]
+struct Slot {
+    epoch: Arc<ModelEpoch>,
+    last: Option<CacheEntry>,
+}
+
 /// Runtime predictor slot for one routine: an epoch-versioned
 /// [`CostModel`] plus the most recent `(dims, nt, seconds)` prediction.
 ///
@@ -42,8 +51,7 @@ struct CacheEntry {
 #[derive(Debug)]
 pub struct ThreadPredictor {
     routine: Routine,
-    epoch: RwLock<Arc<ModelEpoch>>,
-    last: Mutex<Option<CacheEntry>>,
+    slot: Mutex<Slot>,
     hits: AtomicU64,
     misses: AtomicU64,
     swaps: AtomicU64,
@@ -61,8 +69,10 @@ impl ThreadPredictor {
         let version = model.version();
         ThreadPredictor {
             routine,
-            epoch: RwLock::new(Arc::new(ModelEpoch::new(version, model))),
-            last: Mutex::new(None),
+            slot: Mutex::new(Slot {
+                epoch: Arc::new(ModelEpoch::new(version, model)),
+                last: None,
+            }),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             swaps: AtomicU64::new(0),
@@ -77,10 +87,7 @@ impl ThreadPredictor {
     /// The currently published epoch. Callers get their own `Arc`, so the
     /// returned epoch stays valid (and readable) across later swaps.
     pub fn epoch(&self) -> Arc<ModelEpoch> {
-        self.epoch
-            .read()
-            .unwrap_or_else(|poisoned| poisoned.into_inner())
-            .clone()
+        Arc::clone(&self.lock().epoch)
     }
 
     /// Publish a new model, bumping the epoch version by one. Callers that
@@ -113,17 +120,13 @@ impl ThreadPredictor {
             self.routine,
             "swapped model prices a different routine than the slot serves"
         );
-        let mut slot = self
-            .epoch
-            .write()
-            .unwrap_or_else(|poisoned| poisoned.into_inner());
-        if let Some(expected) = expected {
-            if slot.version() != expected {
-                return Err(slot.version());
-            }
+        let mut slot = self.lock();
+        let current = slot.epoch.version();
+        if expected.is_some_and(|expected| expected != current) {
+            return Err(current);
         }
-        let version = slot.version() + 1;
-        *slot = Arc::new(ModelEpoch::new(version, model));
+        let version = current + 1;
+        slot.epoch = Arc::new(ModelEpoch::new(version, model));
         self.swaps.fetch_add(1, Ordering::Relaxed);
         Ok(version)
     }
@@ -134,16 +137,17 @@ impl ThreadPredictor {
     /// ([`CostModel::predict_nt`]) — under an install's serial threshold
     /// that is one comparison — and caches it with its seconds unset.
     pub fn predict(&self, dims: Dims) -> usize {
-        let epoch = self.epoch();
-        let version = epoch.version();
-        if let Some(e) = self.cached(version, dims) {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            return e.nt;
-        }
+        let epoch = match self.lookup(dims, |e| Some(e.nt)) {
+            Ok(nt) => {
+                self.hits.fetch_add(1, Ordering::Relaxed);
+                return nt;
+            }
+            Err(epoch) => epoch,
+        };
         self.misses.fetch_add(1, Ordering::Relaxed);
         let nt = epoch.model().predict_nt(dims);
-        *self.lock_last() = Some(CacheEntry {
-            version,
+        self.lock().last = Some(CacheEntry {
+            version: epoch.version(),
             dims,
             nt,
             secs: None,
@@ -169,18 +173,17 @@ impl ThreadPredictor {
     /// An entry that [`ThreadPredictor::predict`] cached has no seconds:
     /// it is priced as a miss and completed.
     pub fn predict_cost_versioned(&self, dims: Dims) -> (usize, f64, u64) {
-        let epoch = self.epoch();
-        let version = epoch.version();
-        if let Some((nt, secs)) = self
-            .cached(version, dims)
-            .and_then(|e| Some((e.nt, e.secs?)))
-        {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            return (nt, secs, version);
-        }
+        let epoch = match self.lookup(dims, |e| Some((e.nt, e.secs?, e.version))) {
+            Ok(hit) => {
+                self.hits.fetch_add(1, Ordering::Relaxed);
+                return hit;
+            }
+            Err(epoch) => epoch,
+        };
         self.misses.fetch_add(1, Ordering::Relaxed);
+        let version = epoch.version();
         let (nt, secs) = epoch.model().predict_cost(dims);
-        *self.lock_last() = Some(CacheEntry {
+        self.lock().last = Some(CacheEntry {
             version,
             dims,
             nt,
@@ -189,9 +192,19 @@ impl ThreadPredictor {
         (nt, secs, version)
     }
 
-    /// The last call's entry, when it is for `dims` under epoch `version`.
-    fn cached(&self, version: u64, dims: Dims) -> Option<CacheEntry> {
-        (*self.lock_last()).filter(|e| e.version == version && e.dims == dims)
+    /// `hit` of the last call's entry when it is for `dims` under the
+    /// current epoch and `hit` accepts it; otherwise the current epoch, to
+    /// predict with outside the lock. A hit clones nothing.
+    fn lookup<R>(
+        &self,
+        dims: Dims,
+        hit: impl FnOnce(CacheEntry) -> Option<R>,
+    ) -> Result<R, Arc<ModelEpoch>> {
+        let slot = self.lock();
+        slot.last
+            .filter(|e| e.version == slot.epoch.version() && e.dims == dims)
+            .and_then(hit)
+            .ok_or_else(|| Arc::clone(&slot.epoch))
     }
 
     /// Bypass the cache (used by benchmarks isolating the sweep cost).
@@ -212,19 +225,19 @@ impl ThreadPredictor {
         self.swaps.load(Ordering::Relaxed)
     }
 
-    /// Lock the last-call cache, recovering from poisoning. A thread that
-    /// panicked while holding this lock cannot have torn the entry (the
-    /// critical sections only read or assign whole entries), but whatever
-    /// it cached is suspect — drop it and serve the lookup as a miss
+    /// Lock the slot, recovering from poisoning. A thread that panicked
+    /// while holding this lock cannot have torn it (the critical sections
+    /// only read or assign whole values), but whatever entry it cached is
+    /// suspect — drop it, keep the epoch, and serve the lookup as a miss
     /// rather than propagating the panic into every later caller (the
     /// serve scheduler among them).
-    fn lock_last(&self) -> MutexGuard<'_, Option<CacheEntry>> {
-        match self.last.lock() {
+    fn lock(&self) -> MutexGuard<'_, Slot> {
+        match self.slot.lock() {
             Ok(guard) => guard,
             Err(poisoned) => {
-                self.last.clear_poison();
+                self.slot.clear_poison();
                 let mut guard = poisoned.into_inner();
-                *guard = None;
+                guard.last = None;
                 guard
             }
         }
@@ -404,17 +417,17 @@ mod tests {
         // Poison the cache mutex: panic on a thread that holds it.
         let poisoner = Arc::clone(&p);
         let joined = std::thread::spawn(move || {
-            let _guard = poisoner.last.lock().unwrap();
+            let _guard = poisoner.slot.lock().unwrap();
             panic!("poison the predictor cache");
         })
         .join();
         assert!(joined.is_err());
-        assert!(p.last.is_poisoned());
+        assert!(p.slot.is_poisoned());
 
         // Prediction must not propagate the panic; the suspect entry is
         // dropped, so this is a miss, and caching then works again.
         assert_eq!(p.predict(d), before);
-        assert!(!p.last.is_poisoned(), "poison must be cleared");
+        assert!(!p.slot.is_poisoned(), "poison must be cleared");
         p.predict(d);
         let (hits, misses) = p.cache_stats();
         assert_eq!(misses, 2, "post-poison lookup must be a miss");

@@ -1,8 +1,9 @@
-//! The synchronisation facade under the shipped concurrent cores: the
-//! pool's [`TeamBarrier`](crate::pool::TeamBarrier) and job hand-off, and
-//! the serve layer's completion slot, take their `Mutex`, `Condvar` and
-//! atomics from here instead of from `std::sync`, so the interleaving
-//! checker (`crate::chaos`) can run *them* — not a copy.
+//! The synchronisation facade: every first-party `Mutex`, `Condvar` and
+//! the atomics beside them — the pool's [`TeamBarrier`](crate::pool::TeamBarrier)
+//! and job hand-off, the serve layer's completion slot, cells, admission,
+//! breaker and telemetry, the predictor's cache — come from here instead
+//! of from `std::sync`, so the interleaving checker (`crate::chaos`) can
+//! run *them*, not a copy, and every lock acquisition is order-checked.
 //!
 //! There are two builds of this module and one set of names.
 //!
@@ -33,6 +34,16 @@
 //! the scheduler is [`Condvar::wait`]: no schedule explores a timeout.
 //! Poisoning is `std`'s in both builds — the `LockResult`s come from the
 //! real mutex.
+//!
+//! **Lock order** (chaos build, every thread, model or not). A lock's
+//! *class* is where its `Mutex::new` was written, so all cells' state
+//! locks are one class. Each thread keeps the classes it holds (a
+//! `Condvar` wait holds nothing while parked), and the process keeps
+//! every "holding A, acquires B" edge it has seen (`lock_edges`).
+//! Before the real acquisition, `lock` panics — naming its call site and
+//! the creation sites involved — when the thread already holds a lock of
+//! the same class (two such locks have no fixed order), or when the new
+//! edge would close a cycle. An acyclic order needs no declaration.
 
 #[cfg(not(feature = "chaos"))]
 pub use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -43,6 +54,8 @@ pub use std::sync::{Condvar, Mutex, MutexGuard, WaitTimeoutResult};
 pub use modelled::{
     AtomicBool, AtomicU64, AtomicUsize, Condvar, Mutex, MutexGuard, Ordering, WaitTimeoutResult,
 };
+#[cfg(feature = "chaos")]
+pub use order::lock_edges;
 
 /// Busy-wait until `done()` is `true`: spin for the first 63 misses, then
 /// yield the CPU between evaluations (an oversubscribed host must not burn
@@ -64,10 +77,113 @@ pub fn spin_until(mut done: impl FnMut() -> bool) {
     }
 }
 
+/// The run-time lock-order check (see the module docs).
+#[cfg(feature = "chaos")]
+mod order {
+    use std::cell::RefCell;
+    use std::collections::BTreeSet;
+    use std::panic::Location;
+    use std::sync::PoisonError;
+
+    /// A lock class: the source location of its `Mutex::new`.
+    pub(super) type Class = &'static Location<'static>;
+
+    thread_local! {
+        /// The classes this thread holds, oldest first.
+        static HELD: RefCell<Vec<Class>> = const { RefCell::new(Vec::new()) };
+    }
+
+    /// Every "holding A, acquires B" edge taken in this process so far.
+    static EDGES: std::sync::Mutex<BTreeSet<(Class, Class)>> =
+        std::sync::Mutex::new(BTreeSet::new());
+
+    /// Every "holding A, acquires B" edge observed in this process so far,
+    /// as the creation sites of A and B.
+    pub fn lock_edges() -> Vec<(&'static Location<'static>, &'static Location<'static>)> {
+        let edges = EDGES.lock().unwrap_or_else(PoisonError::into_inner);
+        edges.iter().copied().collect()
+    }
+
+    /// Run before `site` takes a lock of `class`: record the edges from
+    /// every class this thread holds, or panic if the order breaks.
+    pub(super) fn check(class: Class, site: &Location<'_>) {
+        let verdict = HELD.try_with(|held| conflict(&held.borrow(), class));
+        if let Ok(Some(why)) = verdict {
+            panic!("lock order: {site} acquires the lock created at {class}, {why}");
+        }
+    }
+
+    fn conflict(held: &[Class], class: Class) -> Option<String> {
+        if held.is_empty() {
+            return None;
+        }
+        if held.contains(&class) {
+            return Some(
+                "but this thread already holds a lock of that class: \
+                 two locks of one class are nested in no fixed order"
+                    .to_string(),
+            );
+        }
+        let mut edges = EDGES.lock().unwrap_or_else(PoisonError::into_inner);
+        for &holding in held {
+            if edges.contains(&(holding, class)) {
+                continue;
+            }
+            if let Some(chain) = chain(&edges, class, holding) {
+                let chain: Vec<String> = chain.iter().map(ToString::to_string).collect();
+                return Some(format!(
+                    "holding the lock created at {holding}, but the reverse order \
+                     {} was taken before: a cycle",
+                    chain.join(" -> ")
+                ));
+            }
+            edges.insert((holding, class));
+        }
+        None
+    }
+
+    /// A chain of recorded edges from `from` to `to`, if one exists.
+    fn chain(edges: &BTreeSet<(Class, Class)>, from: Class, to: Class) -> Option<Vec<Class>> {
+        let mut stack = vec![vec![from]];
+        let mut seen = BTreeSet::new();
+        while let Some(path) = stack.pop() {
+            let last = path[path.len() - 1];
+            if last == to {
+                return Some(path);
+            }
+            if seen.insert(last) {
+                for &(_, next) in edges.iter().filter(|(a, _)| *a == last) {
+                    let mut longer = path.clone();
+                    longer.push(next);
+                    stack.push(longer);
+                }
+            }
+        }
+        None
+    }
+
+    /// This thread now holds a lock of `class`.
+    pub(super) fn hold(class: Class) {
+        let _ = HELD.try_with(|held| held.borrow_mut().push(class));
+    }
+
+    /// This thread no longer holds its lock of `class`.
+    pub(super) fn release(class: Class) {
+        let _ = HELD.try_with(|held| {
+            let mut held = held.borrow_mut();
+            if let Some(i) = held.iter().rposition(|&c| c == class) {
+                held.remove(i);
+            }
+        });
+    }
+}
+
 #[cfg(feature = "chaos")]
 mod modelled {
+    use super::order;
     use crate::chaos::sched::{self, AccessKind, Gate};
     use crate::chaos::vclock::{recorded, ModelAtomic, ModelMutex};
+    use std::fmt;
     use std::ops::{Deref, DerefMut};
     use std::panic::Location;
     pub use std::sync::atomic::Ordering;
@@ -125,12 +241,18 @@ mod modelled {
                     }
                 )*
             }
+
+            impl fmt::Debug for $name {
+                fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+                    fmt::Debug::fmt(&self.real, f)
+                }
+            }
         };
     }
 
     atomic!(AtomicBool, bool);
     atomic!(AtomicUsize, usize, fetch_add => wrapping_add, fetch_sub => wrapping_sub);
-    atomic!(AtomicU64, u64);
+    atomic!(AtomicU64, u64, fetch_add => wrapping_add);
 
     /// `f` over what a `LockResult` holds, poisoned or not.
     fn map<A, B>(result: LockResult<A>, f: impl FnOnce(A) -> B) -> LockResult<B> {
@@ -146,6 +268,8 @@ mod modelled {
     pub struct Mutex<T> {
         real: std::sync::Mutex<T>,
         model: ModelMutex,
+        /// The lock's class for the order check: where it was created.
+        class: order::Class,
     }
 
     /// Guard of a [`Mutex`]; dropping it on a model thread is the modelled
@@ -158,26 +282,48 @@ mod modelled {
     }
 
     impl<T> Mutex<T> {
-        /// A new, unlocked mutex around `value`.
+        /// A new, unlocked mutex around `value`, of the class of the
+        /// caller's source location.
+        #[track_caller]
         pub fn new(value: T) -> Mutex<T> {
             Mutex {
                 real: std::sync::Mutex::new(value),
                 model: ModelMutex::new("sync.mutex"),
+                class: Location::caller(),
             }
         }
 
-        /// `lock`: the modelled acquisition on a model thread, then the
-        /// real one (whose poison verdict is returned as is).
+        /// `lock`: the order check, the modelled acquisition on a model
+        /// thread, then the real one (whose poison verdict is returned as is).
+        #[track_caller]
         pub fn lock(&self) -> LockResult<MutexGuard<'_, T>> {
+            order::check(self.class, Location::caller());
             if let Some((hooks, tid)) = sched::current() {
                 self.model.acquire(&hooks, tid);
             }
             map(self.real.lock(), |real| self.guard(real))
         }
 
+        /// `is_poisoned`.
+        pub fn is_poisoned(&self) -> bool {
+            self.real.is_poisoned()
+        }
+
+        /// `clear_poison`.
+        pub fn clear_poison(&self) {
+            self.real.clear_poison();
+        }
+
         fn guard<'a>(&'a self, real: std::sync::MutexGuard<'a, T>) -> MutexGuard<'a, T> {
+            order::hold(self.class);
             let real = Some(real);
             MutexGuard { lock: self, real }
+        }
+    }
+
+    impl<T: fmt::Debug> fmt::Debug for Mutex<T> {
+        fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+            fmt::Debug::fmt(&self.real, f)
         }
     }
 
@@ -185,8 +331,12 @@ mod modelled {
         fn drop(&mut self) {
             // Real unlock first: the modelled release is a yield point, and
             // the next model thread in must find the real lock free.
-            if let (Some(_), Some((hooks, tid))) = (self.real.take(), sched::current()) {
-                self.lock.model.release(&hooks, tid);
+            if let Some(real) = self.real.take() {
+                drop(real);
+                order::release(self.lock.class);
+                if let Some((hooks, tid)) = sched::current() {
+                    self.lock.model.release(&hooks, tid);
+                }
             }
         }
     }
@@ -239,6 +389,8 @@ mod modelled {
                 return lock.lock();
             }
             let real = guard.real.take().expect("guard holds the lock");
+            // Parked, this thread holds nothing.
+            order::release(lock.class);
             map(self.real.wait(real), |real| lock.guard(real))
         }
 
@@ -253,6 +405,7 @@ mod modelled {
             }
             let lock = guard.lock;
             let real = guard.real.take().expect("guard holds the lock");
+            order::release(lock.class);
             map(self.real.wait_timeout(real, timeout), |(real, result)| {
                 (lock.guard(real), WaitTimeoutResult(result.timed_out()))
             })
@@ -275,6 +428,107 @@ mod modelled {
             if let Some((hooks, tid)) = sched::current() {
                 hooks.gate_open(tid, &self.gate);
             }
+        }
+    }
+}
+
+#[cfg(all(test, feature = "chaos"))]
+mod tests {
+    use super::{lock_edges, Condvar, Mutex};
+    use std::panic::Location;
+    use std::sync::Arc;
+
+    /// The panic message of a thread body that must panic.
+    fn panic_of(body: impl FnOnce() + Send + 'static) -> String {
+        let payload = std::thread::spawn(body).join().expect_err("must panic");
+        *payload
+            .downcast::<String>()
+            .expect("a formatted panic message")
+    }
+
+    fn site(line: u32) -> String {
+        format!("{}:{line}:", file!())
+    }
+
+    #[test]
+    fn reversing_an_observed_order_panics_naming_both_creation_sites() {
+        let (a, a_line) = (Arc::new(Mutex::new(())), line!());
+        let (b, b_line) = (Arc::new(Mutex::new(())), line!());
+        let (a2, b2) = (Arc::clone(&a), Arc::clone(&b));
+        std::thread::spawn(move || {
+            let _a = a2.lock().unwrap();
+            let _b = b2.lock().unwrap();
+        })
+        .join()
+        .unwrap();
+        let message = panic_of(move || {
+            let _b = b.lock().unwrap();
+            let _a = a.lock().unwrap();
+        });
+        assert!(message.contains("a cycle"), "{message}");
+        assert!(message.contains(&site(a_line)), "{message}");
+        assert!(message.contains(&site(b_line)), "{message}");
+    }
+
+    #[test]
+    fn nesting_two_locks_of_one_class_panics() {
+        // One creation site, so one class — like every cell's state lock.
+        fn cell() -> Mutex<u32> {
+            Mutex::new(0)
+        }
+        let cells = Arc::new([cell(), cell()]);
+        let message = panic_of(move || {
+            let _first = cells[0].lock().unwrap();
+            let _second = cells[1].lock().unwrap();
+        });
+        assert!(
+            message.contains("already holds a lock of that class"),
+            "{message}"
+        );
+    }
+
+    #[test]
+    fn a_thread_parked_in_a_condvar_wait_holds_nothing() {
+        for timed in [false, true] {
+            let parked = Arc::new((Mutex::new(false), Condvar::new()));
+            let (c, c_line) = (Arc::new(Mutex::new(())), line!());
+            let (d, d_line) = (Arc::new(Mutex::new(())), line!());
+            let (about_to_park, parking) = std::sync::mpsc::channel();
+            let waiter = {
+                let parked = Arc::clone(&parked);
+                std::thread::spawn(move || {
+                    let (flag, cv) = &*parked;
+                    let mut set = flag.lock().unwrap();
+                    about_to_park.send(()).unwrap();
+                    while !*set {
+                        set = if timed {
+                            let timeout = std::time::Duration::from_millis(5);
+                            cv.wait_timeout(set, timeout).unwrap().0
+                        } else {
+                            cv.wait(set).unwrap()
+                        };
+                    }
+                    drop(set);
+                    // Nothing is held now: this nesting is c -> d alone.
+                    let _c = c.lock().unwrap();
+                    let _d = d.lock().unwrap();
+                })
+            };
+            // The flag lock is free only once the waiter has parked on it.
+            parking.recv().unwrap();
+            *parked.0.lock().unwrap() = true;
+            parked.1.notify_all();
+            waiter.join().unwrap();
+            // The one edge into c or d is c -> d: none leaves the flag lock
+            // the waiter parked on.
+            let into_c_or_d: Vec<_> = lock_edges()
+                .into_iter()
+                .filter(|(_, to)| to.file() == file!() && [c_line, d_line].contains(&to.line()))
+                .collect();
+            let c_to_d =
+                |(from, to): &(&Location, &Location)| (from.line(), to.line()) == (c_line, d_line);
+            assert!(into_c_or_d.iter().any(c_to_d), "{into_c_or_d:?}");
+            assert!(into_c_or_d.iter().all(c_to_d), "{into_c_or_d:?}");
         }
     }
 }

@@ -21,9 +21,9 @@ use crate::queue::{Batch, Job, LaneQueues};
 use crate::router::secs_to_nanos;
 use crate::service::Shared;
 use crate::telemetry::{Telemetry, TelemetryRecord};
+use adsala_blas3::sync::{AtomicU64, AtomicUsize, Condvar, Mutex, MutexGuard, Ordering};
 use adsala_blas3::{Blas3Backend, ThreadPool};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// How long an idle cell sleeps between steal attempts. Pushes to the

@@ -23,9 +23,9 @@ use crate::supervisor::{
 use crate::telemetry::{self, RoutineDrift, TelemetryRecord};
 use adsala::runtime::Adsala;
 use adsala_blas3::op::{Dims, Routine};
+use adsala_blas3::sync::{AtomicBool, AtomicU64, Mutex, MutexGuard, Ordering};
 use adsala_blas3::{Blas3Backend, ThreadPool};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::Arc;
 
 /// Service-level knobs.
 #[derive(Debug, Clone)]
@@ -257,7 +257,7 @@ pub struct ServiceStats {
 /// Dropping the service shuts it down: each cell drains its already
 /// admitted jobs (unless paused), then exits and is joined.
 pub struct Service<B: Blas3Backend + 'static> {
-    shared: Arc<Shared<B>>,
+    pub(crate) shared: Arc<Shared<B>>,
     schedulers: Vec<std::thread::JoinHandle<()>>,
     /// The watchdog thread, when [`SupervisorConfig::enabled`]. Joined
     /// first on drop — it owns the handles of any replacement schedulers

@@ -37,9 +37,9 @@ use crate::cell::scheduler_loop;
 use crate::queue::Job;
 use crate::router::{QosClass, TenantId};
 use crate::service::Shared;
+use adsala_blas3::sync::{Mutex, MutexGuard, Ordering};
 use adsala_blas3::Blas3Backend;
-use std::sync::atomic::Ordering;
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Knobs of the per-cell watchdog thread
@@ -151,7 +151,7 @@ impl Breaker {
         }
     }
 
-    fn lock(&self) -> std::sync::MutexGuard<'_, BreakerInner> {
+    fn lock(&self) -> MutexGuard<'_, BreakerInner> {
         self.inner.lock().unwrap_or_else(|p| p.into_inner())
     }
 
@@ -319,7 +319,7 @@ fn restart_cell<B: Blas3Backend + 'static>(
     // The admission lock serialises the re-home against concurrent
     // placement: no submitter can route toward the draining cell or
     // observe a half-moved tenant.
-    let _registry = shared.registry();
+    let registry = shared.registry();
     // ORDER: AcqRel — the generation edge. The Release half publishes the
     // restart to the old scheduler's Acquire load (a merely-stuck thread
     // retires instead of double-serving); the Acquire half orders this
@@ -331,7 +331,13 @@ fn restart_cell<B: Blas3Backend + 'static>(
         cell.sync_gauges(&st.queues);
         orphans
     };
-    rehome(shared, index, orphans);
+    let stopped = rehome(shared, index, orphans);
+    // Settled with no lock held: a callback may resubmit, which would
+    // otherwise deadlock on the admission lock.
+    drop(registry);
+    for (target, job) in stopped {
+        shared.cells[target].settle_unserved(job, crate::job::ServeError::ServiceStopped);
+    }
     cell.restarts.fetch_add(1, Ordering::Relaxed);
     let spawn_shared = Arc::clone(shared);
     std::thread::Builder::new()
@@ -342,11 +348,15 @@ fn restart_cell<B: Blas3Backend + 'static>(
 
 /// Push a wedged cell's drained jobs onto surviving cells, one target per
 /// tenant so per-tenant FIFO order survives the move. Caller holds the
-/// admission lock; cell locks are taken one at a time.
-fn rehome<B: Blas3Backend>(shared: &Arc<Shared<B>>, wedged: usize, orphans: Vec<Job>) {
-    if orphans.is_empty() {
-        return;
-    }
+/// admission lock; cell locks are taken one at a time. Returns the jobs
+/// whose target is shutting down, with that target, for the caller to
+/// settle once the admission lock is released.
+fn rehome<B: Blas3Backend>(
+    shared: &Arc<Shared<B>>,
+    wedged: usize,
+    orphans: Vec<Job>,
+) -> Vec<(usize, Job)> {
+    let mut stopped = Vec::new();
     let pick_target = || -> usize {
         shared
             .cells
@@ -376,8 +386,7 @@ fn rehome<B: Blas3Backend>(shared: &Arc<Shared<B>>, wedged: usize, orphans: Vec<
         if st.shutdown {
             // The target's scheduler is draining out; queueing behind it
             // would orphan the job a second time.
-            drop(st);
-            target_cell.settle_unserved(job, crate::job::ServeError::ServiceStopped);
+            stopped.push((target, job));
             continue;
         }
         st.queues.push(job);
@@ -390,6 +399,7 @@ fn rehome<B: Blas3Backend>(shared: &Arc<Shared<B>>, wedged: usize, orphans: Vec<
     for target in notify {
         shared.cells[target].cv.notify_all();
     }
+    stopped
 }
 
 #[cfg(test)]
@@ -458,5 +468,66 @@ mod tests {
         }
         assert!(!b.deny(QosClass::Batch));
         assert_eq!(b.snapshot().state, BreakerState::Closed);
+    }
+
+    #[test]
+    #[cfg_attr(miri, ignore = "spawns OS threads; outside the Miri subset")]
+    fn a_job_rehomed_onto_a_stopping_cell_settles_with_no_lock_held() {
+        use crate::{AnyOp, ServeConfig, ServeError, Service};
+        use adsala::runtime::Adsala;
+        use adsala_blas3::{Matrix, NativeBackend, OwnedOp, Transpose};
+
+        let gemm = || {
+            AnyOp::from(OwnedOp::Gemm {
+                transa: Transpose::No,
+                transb: Transpose::No,
+                alpha: 1.0,
+                a: Matrix::<f64>::zeros(8, 8),
+                b: Matrix::<f64>::zeros(8, 8),
+                beta: 0.0,
+                c: Matrix::<f64>::zeros(8, 8),
+            })
+        };
+        let config = ServeConfig {
+            shards: 2,
+            steal: false,
+            supervisor: SupervisorConfig {
+                enabled: false,
+                ..Default::default()
+            },
+            ..Default::default()
+        };
+        let service: Service<NativeBackend> =
+            Service::with_config(Adsala::new(Vec::new(), 1), config).expect("spawn cells");
+        service.pause();
+        let client = service.client();
+        let again = client.clone();
+        let (tx, rx) = std::sync::mpsc::channel();
+        client
+            .submit(gemm())
+            .expect("admitted")
+            .on_complete(move |outcome| {
+                let resubmitted = again.submit(gemm()).is_ok();
+                let _ = tx.send((outcome.err(), resubmitted));
+            });
+        let shared = Arc::clone(&service.shared);
+        let wedged = (0..2)
+            .find(|&i| shared.cells[i].pending.load(Ordering::Acquire) == 1)
+            .expect("the job is queued on one cell");
+        // The only re-home target is shutting down, so the job is settled
+        // by the restart, and its callback submits again.
+        shared.cells[1 - wedged].lock().shutdown = true;
+        let restart = std::thread::spawn(move || restart_cell(&shared, wedged));
+        let Ok(settled) = rx.recv_timeout(Duration::from_secs(10)) else {
+            // Dropping the service would join the stuck restart forever.
+            std::mem::forget(service);
+            panic!("the restart deadlocked: the callback resubmitted under the admission lock");
+        };
+        assert_eq!(settled, (Some(ServeError::ServiceStopped), true));
+        let replacement = restart.join().expect("the restart returns");
+        drop(service);
+        if let Some(scheduler) = replacement {
+            scheduler.join().expect("the replacement scheduler exits");
+        }
     }
 }

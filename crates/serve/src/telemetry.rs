@@ -23,8 +23,8 @@
 use crate::job::ClientId;
 use crate::router::TenantId;
 use adsala_blas3::op::{Dims, Routine};
+use adsala_blas3::sync::{Mutex, MutexGuard};
 use std::collections::VecDeque;
-use std::sync::Mutex;
 
 /// One executed job: what was predicted, what was observed, where it ran.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -169,7 +169,7 @@ impl Telemetry {
         self.capacity
     }
 
-    fn lock(&self) -> std::sync::MutexGuard<'_, Inner> {
+    fn lock(&self) -> MutexGuard<'_, Inner> {
         self.inner
             .lock()
             .unwrap_or_else(|poisoned| poisoned.into_inner())

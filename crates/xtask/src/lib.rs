@@ -2,22 +2,22 @@
 //!
 //! `cargo run -p xtask -- analyze` scans every first-party source tree
 //! (`crates/*/src` plus the workspace-root `src/`) and enforces the
-//! repo's `unsafe`/atomics/panic discipline — see [`lints`] for the rules
-//! and `CONTRIBUTING.md` for the comment grammar. Vendored stand-ins
-//! (`vendor/`) are out of scope: they mirror external crates.
+//! repo's `unsafe`/atomics/panic/`sync` discipline — see [`lints`] for the
+//! rules and `CONTRIBUTING.md` for the comment grammar. Vendored stand-ins
+//! (`vendor/`) are out of scope: they mirror external crates. Lock order
+//! is not a static rule: every lock comes from `adsala_blas3::sync`, whose
+//! `chaos` build checks the order where each lock is taken.
 //!
 //! The analyzer is a library plus a thin binary so its own test suite
 //! (and the fixture tests under `tests/`) can drive it in-process.
 
 pub mod lex;
 pub mod lints;
-pub mod lockorder;
 pub mod manifest;
 
 pub use lints::{Finding, Lint};
 
 use lints::FileStats;
-use lockorder::{LockStats, OrderEntry};
 use std::path::{Path, PathBuf};
 
 /// Aggregate result of one analyzer run.
@@ -28,8 +28,6 @@ pub struct Report {
     pub files: usize,
     /// Audit coverage counters summed over the scan.
     pub stats: FileStats,
-    /// Lock-order graph counters (whole-workspace pass).
-    pub locks: LockStats,
 }
 
 impl Report {
@@ -47,7 +45,6 @@ impl Report {
 pub fn analyze(root: &Path) -> Result<Report, String> {
     let relaxed = load_manifest(root, "crates/xtask/orderings.toml", "relaxed")?;
     let allow = load_manifest(root, "crates/xtask/panic_allow.toml", "allow")?;
-    let order = load_order_ledger(root)?;
 
     let mut files = collect_sources(root)?;
     files.sort();
@@ -56,8 +53,6 @@ pub fn analyze(root: &Path) -> Result<Report, String> {
     let mut stats = FileStats::default();
     let mut relaxed_used = vec![false; relaxed.entries.len()];
     let mut allow_used = vec![false; allow.entries.len()];
-    let mut order_used = vec![false; order.len()];
-    let mut sources: Vec<(String, String)> = Vec::with_capacity(files.len());
 
     for path in &files {
         let rel = rel_path(root, path);
@@ -78,12 +73,7 @@ pub fn analyze(root: &Path) -> Result<Report, String> {
         stats.labeled_ordering_sites += file_stats.labeled_ordering_sites;
         stats.relaxed_sites += file_stats.relaxed_sites;
         stats.panic_sites_allowed += file_stats.panic_sites_allowed;
-        sources.push((rel, source));
     }
-
-    // Whole-workspace lock-order pass (the graph spans crates, so it
-    // cannot run per file).
-    let locks = lockorder::analyze_workspace(&sources, &order, &mut order_used, &mut findings);
 
     for (ledger, used, name) in [
         (&relaxed, &relaxed_used, "orderings.toml"),
@@ -103,50 +93,13 @@ pub fn analyze(root: &Path) -> Result<Report, String> {
             }
         }
     }
-    for (entry, used) in order.iter().zip(&order_used) {
-        if !used {
-            findings.push(Finding {
-                file: "crates/xtask/lock_order.toml".to_string(),
-                line: entry.defined_at,
-                lint: Lint::StaleEntry,
-                message: format!(
-                    "order entry `{}` -> `{}` matches no extracted edge; remove or fix it",
-                    entry.holding, entry.acquires
-                ),
-            });
-        }
-    }
 
     findings.sort_by(|a, b| (a.file.as_str(), a.line).cmp(&(b.file.as_str(), b.line)));
     Ok(Report {
         findings,
         files: files.len(),
         stats,
-        locks,
     })
-}
-
-/// The reviewed lock-hierarchy ledger (`[[order]]` tables); missing
-/// file means an empty ledger.
-fn load_order_ledger(root: &Path) -> Result<Vec<OrderEntry>, String> {
-    let rel = "crates/xtask/lock_order.toml";
-    let path = root.join(rel);
-    if !path.exists() {
-        return Ok(Vec::new());
-    }
-    let source =
-        std::fs::read_to_string(&path).map_err(|e| format!("failed to read {rel}: {e}"))?;
-    let tables = manifest::parse_tables(&source, "order", &["holding", "acquires", "reason"])
-        .map_err(|e| format!("{rel}: {e}"))?;
-    Ok(tables
-        .into_iter()
-        .map(|t| OrderEntry {
-            holding: t.get("holding").to_string(),
-            acquires: t.get("acquires").to_string(),
-            reason: t.get("reason").to_string(),
-            defined_at: t.defined_at,
-        })
-        .collect())
 }
 
 fn load_manifest(root: &Path, rel: &str, section: &str) -> Result<manifest::Manifest, String> {

@@ -13,11 +13,14 @@
 //!    scheduler/worker thread paths (`crates/serve/src`,
 //!    `crates/blas3/src/pool.rs`) outside tests, unless allow-listed in
 //!    `panic_allow.toml` with a stated infallibility reason.
-//! 4. **raw-sync-import** — a file importing from the `sync` facade
-//!    (`crate::sync` / `adsala_blas3::sync`) has its shared state under the
-//!    interleaving checker; a `std::sync` `atomic`, `Mutex`, `MutexGuard`
-//!    or `Condvar` path beside it, outside tests, is state the checker
-//!    cannot see. No ledger, no allow-list.
+//! 4. **raw-sync-import** — every lock comes from the `sync` facade
+//!    (`crate::sync` / `adsala_blas3::sync`), whose `chaos` build checks
+//!    lock order where each lock is taken: a `std::sync` `Mutex`,
+//!    `MutexGuard`, `Condvar` or `RwLock` path outside tests, in any file
+//!    but the facade's own implementation ([`SYNC_IMPL_PATHS`]), is a lock
+//!    that check cannot see. A file importing the facade has its shared
+//!    state under the interleaving checker too, so a `std::sync::atomic`
+//!    path beside it is also a finding. No ledger, no allow-list.
 //!
 //! Manifest hygiene is part of the contract: an entry that no longer
 //! matches any site is itself a finding (**stale-entry**), so the ledgers
@@ -31,6 +34,10 @@ use std::fmt;
 /// here runs on scheduler/worker threads, where an unwound panic either
 /// poisons shared state or takes a whole cell down with it.
 pub const BANNED_PANIC_PATHS: &[&str] = &["crates/serve/src", "crates/blas3/src/pool.rs"];
+
+/// Paths (repo-relative prefixes) that implement the `sync` facade on top
+/// of `std::sync`: the only first-party code that may name a raw lock.
+pub const SYNC_IMPL_PATHS: &[&str] = &["crates/blas3/src/sync.rs", "crates/blas3/src/chaos"];
 
 /// Tokens the banned-panic lint looks for in code (literals blanked).
 const PANIC_TOKENS: &[&str] = &[
@@ -50,9 +57,11 @@ const LABELED_ORDERINGS: &[&str] = &[
     "Ordering::SeqCst",
 ];
 
-/// The `std::sync` names the `sync` facade covers (`atomic` is the module),
-/// and the paths that mark a file as written against it.
-const FACADE_NAMES: &[&str] = &["atomic", "Mutex", "MutexGuard", "Condvar"];
+/// The `std::sync` lock names, a finding wherever they appear; the same
+/// plus the `atomic` module, a finding in a file written against the
+/// facade; and the paths that mark a file as written against it.
+const LOCK_NAMES: &[&str] = &["Mutex", "MutexGuard", "Condvar", "RwLock"];
+const FACADE_NAMES: &[&str] = &["atomic", "Mutex", "MutexGuard", "Condvar", "RwLock"];
 const FACADE_PATHS: &[&str] = &["crate::sync", "adsala_blas3::sync"];
 
 /// Which lint produced a finding.
@@ -62,15 +71,10 @@ pub enum Lint {
     UnlabeledOrdering,
     UndeclaredRelaxed,
     BannedPanic,
-    /// A raw `std::sync` primitive in a file written against the facade.
+    /// A raw `std::sync` lock anywhere, or a raw atomic in a file
+    /// written against the facade.
     RawSyncImport,
     StaleEntry,
-    /// A "holding A, acquires B" edge absent from `lock_order.toml`
-    /// (see [`crate::lockorder`]).
-    UndeclaredLockEdge,
-    /// A cycle in the lock-acquisition graph — a finding even when
-    /// every edge in it is declared.
-    LockCycle,
 }
 
 impl Lint {
@@ -82,8 +86,6 @@ impl Lint {
             Lint::BannedPanic => "banned-panic",
             Lint::RawSyncImport => "raw-sync-import",
             Lint::StaleEntry => "stale-entry",
-            Lint::UndeclaredLockEdge => "undeclared-lock-edge",
-            Lint::LockCycle => "lock-cycle",
         }
     }
 }
@@ -138,13 +140,18 @@ pub fn analyze_source(
 ) {
     let lines = lex::split_lines(source);
     let test_mask = test_region_mask(&lines);
-    let banned = BANNED_PANIC_PATHS
-        .iter()
-        .any(|p| rel_path == *p || rel_path.starts_with(&format!("{p}/")));
+    let banned = under(rel_path, BANNED_PANIC_PATHS);
     let on_facade = lines
         .iter()
         .zip(&test_mask)
         .any(|(line, &test)| !test && FACADE_PATHS.iter().any(|p| contains_word(&line.code, p)));
+    let raw_names = if under(rel_path, SYNC_IMPL_PATHS) {
+        &[][..]
+    } else if on_facade {
+        FACADE_NAMES
+    } else {
+        LOCK_NAMES
+    };
 
     for (idx, line) in lines.iter().enumerate() {
         if test_mask[idx] {
@@ -153,18 +160,16 @@ pub fn analyze_source(
         let lineno = idx + 1;
         let code = line.code.as_str();
 
-        if on_facade {
-            if let Some(name) = raw_sync_name(&lines, idx) {
-                findings.push(Finding {
-                    file: rel_path.to_string(),
-                    line: lineno,
-                    lint: Lint::RawSyncImport,
-                    message: format!(
-                        "`std::sync` `{name}` in a file written against the `sync` facade; \
-                         take it from `sync` so the interleaving checker sees it"
-                    ),
-                });
-            }
+        if let Some(name) = raw_sync_name(&lines, idx, raw_names) {
+            findings.push(Finding {
+                file: rel_path.to_string(),
+                line: lineno,
+                lint: Lint::RawSyncImport,
+                message: format!(
+                    "`std::sync` `{name}` outside the `sync` facade; take it from `sync` \
+                     so the lock-order check and the interleaving checker see it"
+                ),
+            });
         }
 
         if contains_word(code, "unsafe") {
@@ -339,10 +344,17 @@ fn has_marker(lines: &[Line], idx: usize, markers: &[&str]) -> bool {
     false
 }
 
-/// The facade-covered name a `std::sync::` path starting on line `idx`
+/// Whether `rel_path` is one of `paths` or lies under one.
+fn under(rel_path: &str, paths: &[&str]) -> bool {
+    paths
+        .iter()
+        .any(|p| rel_path == *p || rel_path.starts_with(&format!("{p}/")))
+}
+
+/// The name of `names` a `std::sync::` path starting on line `idx`
 /// reaches, if any: the first segment of a plain path, or any name inside
 /// a use-group — whose closing brace rustfmt may have put on a later line.
-fn raw_sync_name(lines: &[Line], idx: usize) -> Option<&'static str> {
+fn raw_sync_name(lines: &[Line], idx: usize, names: &[&'static str]) -> Option<&'static str> {
     lines[idx]
         .code
         .split("std::sync::")
@@ -365,10 +377,7 @@ fn raw_sync_name(lines: &[Line], idx: usize) -> Option<&'static str> {
                     .take_while(|&c| is_ident_byte(c as u8))
                     .collect()
             };
-            FACADE_NAMES
-                .iter()
-                .copied()
-                .find(|n| contains_word(&scope, n))
+            names.iter().copied().find(|n| contains_word(&scope, n))
         })
 }
 
@@ -535,19 +544,31 @@ mod tests {
     }
 
     #[test]
-    fn raw_std_sync_is_flagged_only_beside_the_facade_and_outside_tests() {
+    fn raw_std_sync_locks_are_flagged_in_every_file_but_the_facade_itself() {
         let facade = "use crate::sync::{AtomicUsize, Mutex};\n";
         for raw in [
-            "use std::sync::atomic::AtomicBool;\n",
             "use std::sync::{Arc, Condvar};\n",
             "use std::sync::{\n    mpsc::Sender,\n    MutexGuard,\n};\n",
             "static N: std::sync::Mutex<u32> = std::sync::Mutex::new(0);\n",
+            "use std::sync::RwLock;\n",
         ] {
-            let f = run("crates/a/src/l.rs", &format!("{facade}{raw}"));
-            assert_eq!(f.len(), 1, "{raw}");
-            assert_eq!((f[0].lint, f[0].line), (Lint::RawSyncImport, 2));
-            assert!(run("crates/a/src/l.rs", raw).is_empty(), "{raw}");
+            for (src, line) in [(format!("{facade}{raw}"), 2), (raw.to_string(), 1)] {
+                let f = run("crates/a/src/l.rs", &src);
+                assert_eq!(f.len(), 1, "{src}");
+                assert_eq!((f[0].lint, f[0].line), (Lint::RawSyncImport, line));
+            }
+            for exempt in [
+                "crates/blas3/src/sync.rs",
+                "crates/blas3/src/chaos/sched.rs",
+            ] {
+                assert!(run(exempt, raw).is_empty(), "{exempt}: {raw}");
+            }
         }
+        // A raw atomic is a finding only beside the facade.
+        let atomic = "use std::sync::atomic::AtomicBool;\n";
+        let f = run("crates/a/src/l.rs", &format!("{facade}{atomic}"));
+        assert_eq!((f.len(), f[0].lint, f[0].line), (1, Lint::RawSyncImport, 2));
+        assert!(run("crates/a/src/l.rs", atomic).is_empty());
         let fine = "use adsala_blas3::sync::Mutex;\nuse std::sync::mpsc::Sender;\n\
                     use std::sync::{Arc, OnceLock};\n#[cfg(test)]\nmod tests {\n    \
                     use std::sync::atomic::AtomicU64;\n}\n";

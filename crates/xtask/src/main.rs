@@ -56,19 +56,14 @@ fn main() -> ExitCode {
                 }
             }
             let s = &report.stats;
-            let l = &report.locks;
             eprintln!(
                 "xtask analyze: {} files; {} unsafe sites, {} labeled orderings, \
-                 {} Relaxed sites, {} allow-listed panic sites; {} locks, \
-                 {} guard sites, {} lock edges; {} finding(s)",
+                 {} Relaxed sites, {} allow-listed panic sites; {} finding(s)",
                 report.files,
                 s.unsafe_sites,
                 s.labeled_ordering_sites,
                 s.relaxed_sites,
                 s.panic_sites_allowed,
-                l.locks,
-                l.sites,
-                l.edges,
                 report.findings.len()
             );
             if report.is_clean() {

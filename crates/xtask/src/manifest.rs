@@ -61,14 +61,14 @@ impl fmt::Display for ManifestError {
 /// the header's line number. Every key in the schema is guaranteed
 /// present and non-empty after parsing.
 #[derive(Debug)]
-pub struct Table {
-    pub defined_at: usize,
+struct Table {
+    defined_at: usize,
     values: Vec<(String, String)>,
 }
 
 impl Table {
     /// The value for `key` (validated present for schema keys).
-    pub fn get(&self, key: &str) -> &str {
+    fn get(&self, key: &str) -> &str {
         self.values
             .iter()
             .find(|(k, _)| k == key)
@@ -80,11 +80,7 @@ impl Table {
 /// Parse an array-of-tables manifest against a fixed key schema.
 /// Unknown keys are errors (a typo must not silently disable an entry);
 /// so is a table missing any schema key.
-pub fn parse_tables(
-    source: &str,
-    section: &str,
-    keys: &[&str],
-) -> Result<Vec<Table>, ManifestError> {
+fn parse_tables(source: &str, section: &str, keys: &[&str]) -> Result<Vec<Table>, ManifestError> {
     let header = format!("[[{section}]]");
     let mut tables: Vec<Table> = Vec::new();
     let mut open = false;

@@ -1,6 +1,7 @@
 //! Fixture suite: one miniature workspace per lint, each engineered to
-//! trip exactly that lint once — so a regression in any rule shows up as
-//! a count or kind mismatch here, not as silence on the real tree. The
+//! trip exactly that lint once per file — so a regression in any rule
+//! shows up as a count or kind mismatch here, not as silence on the real
+//! tree. The
 //! binary is also driven end to end for its exit-code contract
 //! (0 clean / 1 findings / 2 usage or I/O error).
 
@@ -14,98 +15,50 @@ fn fixture(name: &str) -> PathBuf {
         .join(name)
 }
 
-/// In-process run asserting exactly one finding of the expected kind.
-fn assert_single_finding(name: &str, lint: Lint, in_file: &str) {
+/// In-process run asserting exactly one finding of the expected kind in
+/// each of `in_files`, and none elsewhere.
+fn assert_findings(name: &str, lint: Lint, in_files: &[&str]) {
     let report = xtask::analyze(&fixture(name)).expect("fixture must analyze");
+    let files: Vec<&str> = report.findings.iter().map(|f| f.file.as_str()).collect();
     assert_eq!(
-        report.findings.len(),
-        1,
-        "fixture {name} must trip exactly one lint: {:#?}",
+        files,
+        in_files,
+        "fixture {name} must trip its lint once per file: {:#?}",
         report
             .findings
             .iter()
             .map(ToString::to_string)
             .collect::<Vec<_>>()
     );
-    let finding = &report.findings[0];
-    assert_eq!(finding.lint, lint, "fixture {name}: {finding}");
-    assert_eq!(finding.file, in_file, "fixture {name}: {finding}");
-    assert!(finding.line > 0, "fixture {name} must carry a line number");
+    for finding in &report.findings {
+        assert_eq!(finding.lint, lint, "fixture {name}: {finding}");
+        assert!(finding.line > 0, "fixture {name} must carry a line number");
+    }
 }
 
 #[test]
 fn each_fixture_trips_exactly_its_lint() {
-    assert_single_finding(
-        "missing-safety",
-        Lint::MissingSafety,
-        "crates/demo/src/lib.rs",
+    let demo = &["crates/demo/src/lib.rs"];
+    assert_findings("missing-safety", Lint::MissingSafety, demo);
+    assert_findings("unlabeled-ordering", Lint::UnlabeledOrdering, demo);
+    assert_findings("undeclared-relaxed", Lint::UndeclaredRelaxed, demo);
+    assert_findings(
+        "banned-panic",
+        Lint::BannedPanic,
+        &["crates/serve/src/lib.rs"],
     );
-    assert_single_finding(
-        "unlabeled-ordering",
-        Lint::UnlabeledOrdering,
-        "crates/demo/src/lib.rs",
-    );
-    assert_single_finding(
-        "undeclared-relaxed",
-        Lint::UndeclaredRelaxed,
-        "crates/demo/src/lib.rs",
-    );
-    assert_single_finding("banned-panic", Lint::BannedPanic, "crates/serve/src/lib.rs");
-    assert_single_finding(
+    // One file beside the facade (a raw atomic), one that never imports
+    // it (a raw lock).
+    assert_findings(
         "raw-sync-import",
         Lint::RawSyncImport,
-        "crates/demo/src/lib.rs",
+        &["crates/demo/src/lib.rs", "crates/plain/src/lib.rs"],
     );
-    assert_single_finding(
+    assert_findings(
         "stale-entry",
         Lint::StaleEntry,
-        "crates/xtask/orderings.toml",
+        &["crates/xtask/orderings.toml"],
     );
-    assert_single_finding(
-        "lock-undeclared",
-        Lint::UndeclaredLockEdge,
-        "crates/pipeline/src/lib.rs",
-    );
-}
-
-/// Both directions of the alpha/beta cycle are declared in the fixture's
-/// ledger, so the only finding left is the cycle itself — the ledger
-/// cannot bless one away.
-#[test]
-fn declared_lock_cycle_is_still_a_finding() {
-    let report = xtask::analyze(&fixture("lock-cycle")).expect("fixture must analyze");
-    assert_eq!(
-        report.findings.len(),
-        1,
-        "{:#?}",
-        report
-            .findings
-            .iter()
-            .map(ToString::to_string)
-            .collect::<Vec<_>>()
-    );
-    assert_eq!(report.findings[0].lint, Lint::LockCycle);
-    assert_eq!(report.locks.locks, 2);
-    assert_eq!(report.locks.edges, 2);
-}
-
-/// The same nested acquisition as `lock-undeclared`, with the hierarchy
-/// declared: analysis-clean, and the edge still shows in the stats.
-#[test]
-fn ledgered_lock_hierarchy_is_clean() {
-    let report = xtask::analyze(&fixture("lock-ledgered")).expect("fixture must analyze");
-    assert!(
-        report.is_clean(),
-        "{:#?}",
-        report
-            .findings
-            .iter()
-            .map(ToString::to_string)
-            .collect::<Vec<_>>()
-    );
-    assert_eq!(report.locks.locks, 2);
-    assert_eq!(report.locks.sites, 2);
-    assert_eq!(report.locks.edges, 1);
 }
 
 #[test]
@@ -165,7 +118,7 @@ fn run_binary_json(root: &Path) -> std::process::Output {
 
 #[test]
 fn json_mode_emits_one_object_per_finding_with_the_same_exit_code() {
-    let out = run_binary_json(&fixture("lock-cycle"));
+    let out = run_binary_json(&fixture("missing-safety"));
     assert_eq!(out.status.code(), Some(1), "{out:?}");
     let stdout = String::from_utf8_lossy(&out.stdout);
     let lines: Vec<&str> = stdout.lines().collect();
@@ -175,7 +128,7 @@ fn json_mode_emits_one_object_per_finding_with_the_same_exit_code() {
     for key in ["\"file\":", "\"line\":", "\"lint\":", "\"message\":"] {
         assert!(line.contains(key), "missing {key} in: {line}");
     }
-    assert!(line.contains("\"lint\":\"lock-cycle\""), "got: {line}");
+    assert!(line.contains("\"lint\":\"missing-safety\""), "got: {line}");
 }
 
 #[test]
@@ -247,33 +200,4 @@ fn the_workspace_itself_is_clean() {
             .collect::<Vec<_>>()
             .join("\n")
     );
-    assert!(
-        report.locks.locks > 0,
-        "the real tree declares Mutex/RwLock fields; extraction must see them"
-    );
-    assert!(
-        report.locks.sites > 0,
-        "the real tree takes locks via self.field; resolution must see them"
-    );
-}
-
-/// The pool and the completion slot import `Mutex` from the `sync` facade,
-/// not from `std::sync`; lock identity is the field's declared type name,
-/// so the lock-order pass must keep seeing them.
-#[test]
-fn locks_imported_through_the_sync_facade_are_still_lock_identities() {
-    let source = |rel: &str| {
-        let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
-        let text = std::fs::read_to_string(root.join(rel)).expect("workspace source");
-        (rel.to_string(), text)
-    };
-    let sources = [
-        source("crates/blas3/src/pool.rs"),
-        source("crates/serve/src/completion.rs"),
-    ];
-    let mut findings = Vec::new();
-    let stats = xtask::lockorder::analyze_workspace(&sources, &[], &mut [], &mut findings);
-    // JobState.lock, ThreadPool.workers; CompletionSlot.state,
-    // QueueInner.entries.
-    assert_eq!(stats.locks, 4, "{findings:?}");
 }
