@@ -5,12 +5,15 @@
 //! thread count. [`Blas3Backend`] is that seam in this reproduction — the
 //! runtime is generic over it, so the native blocked kernels, the naive
 //! reference oracles, or an FFI binding to a vendor BLAS can all serve the
-//! same call stream. Two implementations ship today:
+//! same call stream. Three implementations ship today:
 //!
 //! * [`NativeBackend`] — this crate's blocked, pool-parallel kernels;
 //! * [`ReferenceBackend`] — the `reference` module's naive oracles,
 //!   useful for differential testing and as a worked example of adding a
-//!   backend.
+//!   backend;
+//! * [`FaultBackend`](crate::fault::FaultBackend) — a wrapper over any
+//!   backend that injects a seeded schedule of faults, for testing the
+//!   layers above.
 //!
 //! The trait is object-safe (`dyn Blas3Backend` works) via the monomorphic
 //! `execute_f32`/`execute_f64` entry points; the generic

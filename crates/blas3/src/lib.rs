@@ -44,8 +44,9 @@
 //! * [`kernel`] / [`pack`] / [`arena`] — blocked micro-kernels, panel
 //!   packing, and the packing-buffer reuse arena. The
 //!   [`kernel::KernelDispatch`] seam picks an explicit SIMD micro-kernel
-//!   (AVX2; AVX-512 and NEON behind feature gates) at runtime via CPU
-//!   detection, falling back to the portable scalar kernel, and carries the
+//!   (AVX2 or AVX-512F on x86-64, NEON on aarch64, all built in by the
+//!   default `simd` feature) at runtime via CPU detection, falling back to
+//!   the portable scalar kernel, and carries the
 //!   tile geometry the packing and blocking layers must use with it.
 //!   Parallel execution is a BLIS-style **cooperative macro-kernel**
 //!   ([`kernel::gemm_cooperative`]): the team jointly packs one shared

@@ -19,16 +19,40 @@ fn tr<T: Float>(m: &Matrix<T>, trans: Transpose, i: usize, j: usize) -> T {
     }
 }
 
-/// Read element `(i, j)` of a symmetric matrix stored in one triangle.
-fn sym<T: Float>(a: &Matrix<T>, uplo: Uplo, i: usize, j: usize) -> T {
-    let stored = match uplo {
+/// Whether `(i, j)` lies in the `uplo` triangle (diagonal included).
+fn stored(uplo: Uplo, i: usize, j: usize) -> bool {
+    match uplo {
         Uplo::Upper => i <= j,
         Uplo::Lower => i >= j,
-    };
-    if stored {
+    }
+}
+
+/// Read element `(i, j)` of a symmetric matrix stored in one triangle.
+fn sym<T: Float>(a: &Matrix<T>, uplo: Uplo, i: usize, j: usize) -> T {
+    if stored(uplo, i, j) {
         a.get(i, j)
     } else {
         a.get(j, i)
+    }
+}
+
+/// `beta * old`, with `old` not read at `beta = 0` (BLAS: C is then not
+/// referenced, so a NaN already there does not survive).
+fn scaled<T: Float>(beta: T, old: T) -> T {
+    if beta == T::ZERO {
+        T::ZERO
+    } else {
+        beta * old
+    }
+}
+
+/// `C = beta * C` over the entries `keep` selects: the whole of an update
+/// at `alpha = 0`, where BLAS references neither A nor B.
+fn scale_only<T: Float>(beta: T, c: &mut Matrix<T>, keep: impl Fn(usize, usize) -> bool) {
+    for j in 0..c.cols() {
+        for i in (0..c.rows()).filter(|&i| keep(i, j)) {
+            c.set(i, j, scaled(beta, c.get(i, j)));
+        }
     }
 }
 
@@ -41,11 +65,7 @@ fn tri<T: Float>(a: &Matrix<T>, uplo: Uplo, diag: Diag, i: usize, j: usize) -> T
             Diag::NonUnit => a.get(i, j),
         };
     }
-    let inside = match uplo {
-        Uplo::Upper => i < j,
-        Uplo::Lower => i > j,
-    };
-    if inside {
+    if stored(uplo, i, j) {
         a.get(i, j)
     } else {
         T::ZERO
@@ -83,18 +103,16 @@ pub fn gemm<T: Float>(
         Transpose::No => a.cols(),
         Transpose::Yes => a.rows(),
     };
+    if alpha == T::ZERO {
+        return scale_only(beta, c, |_, _| true);
+    }
     for j in 0..n {
         for i in 0..m {
             let mut acc = T::ZERO;
             for p in 0..k {
                 acc += tr(a, transa, i, p) * tr(b, transb, p, j);
             }
-            let old = if beta == T::ZERO {
-                T::ZERO
-            } else {
-                beta * c.get(i, j)
-            };
-            c.set(i, j, alpha * acc + old);
+            c.set(i, j, alpha * acc + scaled(beta, c.get(i, j)));
         }
     }
 }
@@ -112,6 +130,9 @@ pub fn symm<T: Float>(
 ) {
     let m = c.rows();
     let n = c.cols();
+    if alpha == T::ZERO {
+        return scale_only(beta, c, |_, _| true);
+    }
     for j in 0..n {
         for i in 0..m {
             let mut acc = T::ZERO;
@@ -127,12 +148,7 @@ pub fn symm<T: Float>(
                     }
                 }
             }
-            let old = if beta == T::ZERO {
-                T::ZERO
-            } else {
-                beta * c.get(i, j)
-            };
-            c.set(i, j, alpha * acc + old);
+            c.set(i, j, alpha * acc + scaled(beta, c.get(i, j)));
         }
     }
 }
@@ -152,15 +168,11 @@ pub fn syrk<T: Float>(
         Transpose::No => a.cols(),
         Transpose::Yes => a.rows(),
     };
+    if alpha == T::ZERO {
+        return scale_only(beta, c, |i, j| stored(uplo, i, j));
+    }
     for j in 0..n {
-        for i in 0..n {
-            let in_triangle = match uplo {
-                Uplo::Upper => i <= j,
-                Uplo::Lower => i >= j,
-            };
-            if !in_triangle {
-                continue;
-            }
+        for i in (0..n).filter(|&i| stored(uplo, i, j)) {
             let mut acc = T::ZERO;
             for p in 0..k {
                 let av = match trans {
@@ -173,12 +185,7 @@ pub fn syrk<T: Float>(
                 };
                 acc += av * bv;
             }
-            let old = if beta == T::ZERO {
-                T::ZERO
-            } else {
-                beta * c.get(i, j)
-            };
-            c.set(i, j, alpha * acc + old);
+            c.set(i, j, alpha * acc + scaled(beta, c.get(i, j)));
         }
     }
 }
@@ -199,15 +206,11 @@ pub fn syr2k<T: Float>(
         Transpose::No => a.cols(),
         Transpose::Yes => a.rows(),
     };
+    if alpha == T::ZERO {
+        return scale_only(beta, c, |i, j| stored(uplo, i, j));
+    }
     for j in 0..n {
-        for i in 0..n {
-            let in_triangle = match uplo {
-                Uplo::Upper => i <= j,
-                Uplo::Lower => i >= j,
-            };
-            if !in_triangle {
-                continue;
-            }
+        for i in (0..n).filter(|&i| stored(uplo, i, j)) {
             let mut acc = T::ZERO;
             for p in 0..k {
                 let (aip, bjp, bip, ajp) = match trans {
@@ -216,12 +219,38 @@ pub fn syr2k<T: Float>(
                 };
                 acc += aip * bjp + bip * ajp;
             }
-            let old = if beta == T::ZERO {
-                T::ZERO
-            } else {
-                beta * c.get(i, j)
-            };
-            c.set(i, j, alpha * acc + old);
+            c.set(i, j, alpha * acc + scaled(beta, c.get(i, j)));
+        }
+    }
+}
+
+/// Run `f` over each column of B (Left) or each row (Right), writing the
+/// line back. `f` gets the transpose to apply: a Right-side `X * op(A)` is,
+/// row by row, the Level-2 `op(A)' * x`.
+fn each_line<T: Float>(
+    side: Side,
+    trans: Transpose,
+    b: &mut Matrix<T>,
+    f: impl Fn(Transpose, &mut [T]),
+) {
+    let (lines, len, trans) = match (side, trans) {
+        (Side::Left, t) => (b.cols(), b.rows(), t),
+        (Side::Right, Transpose::No) => (b.rows(), b.cols(), Transpose::Yes),
+        (Side::Right, Transpose::Yes) => (b.rows(), b.cols(), Transpose::No),
+    };
+    let at = |line: usize, t: usize| match side {
+        Side::Left => (t, line),
+        Side::Right => (line, t),
+    };
+    for line in 0..lines {
+        let mut x: Vec<T> = (0..len)
+            .map(|t| at(line, t))
+            .map(|(i, j)| b.get(i, j))
+            .collect();
+        f(trans, &mut x);
+        for (t, &v) in x.iter().enumerate() {
+            let (i, j) = at(line, t);
+            b.set(i, j, v);
         }
     }
 }
@@ -236,25 +265,14 @@ pub fn trmm<T: Float>(
     a: &Matrix<T>,
     b: &mut Matrix<T>,
 ) {
-    let m = b.rows();
-    let n = b.cols();
-    let out = match side {
-        Side::Left => Matrix::from_fn(m, n, |i, j| {
-            let mut acc = T::ZERO;
-            for p in 0..m {
-                acc += tri_op(a, uplo, trans, diag, i, p) * b.get(p, j);
-            }
-            alpha * acc
-        }),
-        Side::Right => Matrix::from_fn(m, n, |i, j| {
-            let mut acc = T::ZERO;
-            for p in 0..n {
-                acc += b.get(i, p) * tri_op(a, uplo, trans, diag, p, j);
-            }
-            alpha * acc
-        }),
-    };
-    *b = out;
+    if alpha == T::ZERO {
+        *b = Matrix::zeros(b.rows(), b.cols());
+        return;
+    }
+    each_line(side, trans, b, |trans, x| {
+        trmv(uplo, trans, diag, a, x);
+        x.iter_mut().for_each(|v| *v = alpha * *v);
+    });
 }
 
 /// Solve `op(A) * X = alpha * B` (Left) or `X * op(A) = alpha * B` (Right);
@@ -268,82 +286,14 @@ pub fn trsm<T: Float>(
     a: &Matrix<T>,
     b: &mut Matrix<T>,
 ) {
-    let m = b.rows();
-    let n = b.cols();
-    // Scale B by alpha first, then substitute.
-    for j in 0..n {
-        for i in 0..m {
-            let v = b.get(i, j);
-            b.set(i, j, alpha * v);
-        }
+    if alpha == T::ZERO {
+        *b = Matrix::zeros(b.rows(), b.cols());
+        return;
     }
-    // Effective triangle of op(A).
-    let eff_upper = matches!(
-        (uplo, trans),
-        (Uplo::Upper, Transpose::No) | (Uplo::Lower, Transpose::Yes)
-    );
-    let at = |i: usize, j: usize| tri_op(a, uplo, trans, diag, i, j);
-    match side {
-        Side::Left => {
-            // Solve op(A) x = b column by column.
-            for j in 0..n {
-                if eff_upper {
-                    // Back substitution.
-                    for ii in (0..m).rev() {
-                        let mut v = b.get(ii, j);
-                        for p in ii + 1..m {
-                            v -= at(ii, p) * b.get(p, j);
-                        }
-                        if diag == Diag::NonUnit {
-                            v = v / at(ii, ii);
-                        }
-                        b.set(ii, j, v);
-                    }
-                } else {
-                    // Forward substitution.
-                    for ii in 0..m {
-                        let mut v = b.get(ii, j);
-                        for p in 0..ii {
-                            v -= at(ii, p) * b.get(p, j);
-                        }
-                        if diag == Diag::NonUnit {
-                            v = v / at(ii, ii);
-                        }
-                        b.set(ii, j, v);
-                    }
-                }
-            }
-        }
-        Side::Right => {
-            // Solve x op(A) = b row by row: column ordering depends on the
-            // effective triangle (x_j uses previously solved columns).
-            for i in 0..m {
-                if eff_upper {
-                    for jj in 0..n {
-                        let mut v = b.get(i, jj);
-                        for p in 0..jj {
-                            v -= b.get(i, p) * at(p, jj);
-                        }
-                        if diag == Diag::NonUnit {
-                            v = v / at(jj, jj);
-                        }
-                        b.set(i, jj, v);
-                    }
-                } else {
-                    for jj in (0..n).rev() {
-                        let mut v = b.get(i, jj);
-                        for p in jj + 1..n {
-                            v -= b.get(i, p) * at(p, jj);
-                        }
-                        if diag == Diag::NonUnit {
-                            v = v / at(jj, jj);
-                        }
-                        b.set(i, jj, v);
-                    }
-                }
-            }
-        }
-    }
+    each_line(side, trans, b, |trans, x| {
+        x.iter_mut().for_each(|v| *v = alpha * *v);
+        trsv(uplo, trans, diag, a, x);
+    });
 }
 
 /// `y = alpha * op(A) * x + beta * y` (Level 2).
@@ -354,13 +304,15 @@ pub fn gemv<T: Float>(trans: Transpose, alpha: T, a: &Matrix<T>, x: &[T], beta: 
     };
     assert_eq!(x.len(), cols, "gemv x length");
     assert_eq!(y.len(), rows, "gemv y length");
+    if alpha == T::ZERO {
+        return y.iter_mut().for_each(|yi| *yi = scaled(beta, *yi));
+    }
     for (i, yi) in y.iter_mut().enumerate() {
         let mut acc = T::ZERO;
         for (p, &xp) in x.iter().enumerate() {
             acc += tr(a, trans, i, p) * xp;
         }
-        let old = if beta == T::ZERO { T::ZERO } else { beta * *yi };
-        *yi = alpha * acc + old;
+        *yi = alpha * acc + scaled(beta, *yi);
     }
 }
 
@@ -368,6 +320,9 @@ pub fn gemv<T: Float>(trans: Transpose, alpha: T, a: &Matrix<T>, x: &[T], beta: 
 pub fn ger<T: Float>(alpha: T, x: &[T], y: &[T], a: &mut Matrix<T>) {
     assert_eq!(x.len(), a.rows(), "ger x length");
     assert_eq!(y.len(), a.cols(), "ger y length");
+    if alpha == T::ZERO {
+        return;
+    }
     for (j, &yj) in y.iter().enumerate() {
         for (i, &xi) in x.iter().enumerate() {
             let v = a.get(i, j) + alpha * xi * yj;
@@ -381,13 +336,15 @@ pub fn symv<T: Float>(uplo: Uplo, alpha: T, a: &Matrix<T>, x: &[T], beta: T, y: 
     let n = a.rows();
     assert_eq!(x.len(), n, "symv x length");
     assert_eq!(y.len(), n, "symv y length");
+    if alpha == T::ZERO {
+        return y.iter_mut().for_each(|yi| *yi = scaled(beta, *yi));
+    }
     for (i, yi) in y.iter_mut().enumerate() {
         let mut acc = T::ZERO;
         for (p, &xp) in x.iter().enumerate() {
             acc += sym(a, uplo, i, p) * xp;
         }
-        let old = if beta == T::ZERO { T::ZERO } else { beta * *yi };
-        *yi = alpha * acc + old;
+        *yi = alpha * acc + scaled(beta, *yi);
     }
 }
 

@@ -225,23 +225,4 @@ mod tests {
             assert!(c.get(i, i) >= -1e-12);
         }
     }
-
-    #[test]
-    fn alpha_zero_scales_triangle_only() {
-        let n = 6;
-        let a = test_mat(n, 4, 1);
-        let c0 = test_mat(n, n, 2);
-        let mut c = c0.clone();
-        syrk(2, Lower, No, 0.0, a.as_ref(), 3.0, c.as_mut());
-        for j in 0..n {
-            for i in 0..n {
-                let expect = if i >= j {
-                    3.0 * c0.get(i, j)
-                } else {
-                    c0.get(i, j)
-                };
-                assert!((c.get(i, j) - expect).abs() < 1e-12);
-            }
-        }
-    }
 }

@@ -7,9 +7,10 @@
 #![cfg(not(miri))]
 
 use adsala_blas3::call::{Blas3Error, Blas3Op};
+use adsala_blas3::call2::Blas2Op;
 use adsala_blas3::{
     Blas3Backend, Diag, MatMut, MatRef, Matrix, NativeBackend, ReferenceBackend, Side, Transpose,
-    Uplo,
+    Uplo, VecMut, VecRef,
 };
 
 fn mat(r: usize, c: usize, seed: u64) -> Matrix<f64> {
@@ -49,152 +50,11 @@ fn view_construction_errors_carry_shape_context() {
     ));
 }
 
-// ------------------------------------------------- backend agreement (dyn)
-
-/// Execute one op description on a `dyn`-object backend.
-fn execute_dyn(backend: &dyn Blas3Backend, nt: usize, op: Blas3Op<'_, f64>) {
-    backend
-        .execute_f64(nt, op)
-        .unwrap_or_else(|e| panic!("{} backend rejected a valid op: {e}", backend.name()));
-}
-
-#[test]
-fn native_and_reference_agree_through_trait_objects() {
-    let backends: [&dyn Blas3Backend; 2] = [&NativeBackend, &ReferenceBackend];
-    let (m, n, k) = (23, 17, 31);
-
-    // One representative call per variant; each backend fills its own C
-    // starting from identical contents.
-    for nt in [1usize, 3] {
-        let mut results: Vec<Vec<Matrix<f64>>> = Vec::new();
-        for backend in backends {
-            let mut per_op = Vec::new();
-
-            let a = mat(m, k, 1);
-            let b = mat(k, n, 2);
-            let mut c = mat(m, n, 3);
-            execute_dyn(
-                backend,
-                nt,
-                Blas3Op::Gemm {
-                    transa: Transpose::No,
-                    transb: Transpose::No,
-                    alpha: 1.3,
-                    a: a.as_ref(),
-                    b: b.as_ref(),
-                    beta: 0.4,
-                    c: c.as_mut(),
-                },
-            );
-            per_op.push(c);
-
-            let a = mat(m, m, 4);
-            let b = mat(m, n, 5);
-            let mut c = mat(m, n, 6);
-            execute_dyn(
-                backend,
-                nt,
-                Blas3Op::Symm {
-                    side: Side::Left,
-                    uplo: Uplo::Upper,
-                    alpha: 0.9,
-                    a: a.as_ref(),
-                    b: b.as_ref(),
-                    beta: -0.2,
-                    c: c.as_mut(),
-                },
-            );
-            per_op.push(c);
-
-            let a = mat(n, k, 7);
-            let mut c = mat(n, n, 8);
-            execute_dyn(
-                backend,
-                nt,
-                Blas3Op::Syrk {
-                    uplo: Uplo::Lower,
-                    trans: Transpose::No,
-                    alpha: 1.1,
-                    a: a.as_ref(),
-                    beta: 0.6,
-                    c: c.as_mut(),
-                },
-            );
-            per_op.push(c);
-
-            let a = mat(n, k, 9);
-            let b = mat(n, k, 10);
-            let mut c = mat(n, n, 11);
-            execute_dyn(
-                backend,
-                nt,
-                Blas3Op::Syr2k {
-                    uplo: Uplo::Upper,
-                    trans: Transpose::No,
-                    alpha: 0.7,
-                    a: a.as_ref(),
-                    b: b.as_ref(),
-                    beta: 0.1,
-                    c: c.as_mut(),
-                },
-            );
-            per_op.push(c);
-
-            let a = tri(m, 12);
-            let mut b = mat(m, n, 13);
-            execute_dyn(
-                backend,
-                nt,
-                Blas3Op::Trmm {
-                    side: Side::Left,
-                    uplo: Uplo::Lower,
-                    trans: Transpose::No,
-                    diag: Diag::NonUnit,
-                    alpha: 1.0,
-                    a: a.as_ref(),
-                    b: b.as_mut(),
-                },
-            );
-            per_op.push(b);
-
-            let a = tri(n, 14);
-            let mut b = mat(m, n, 15);
-            execute_dyn(
-                backend,
-                nt,
-                Blas3Op::Trsm {
-                    side: Side::Right,
-                    uplo: Uplo::Upper,
-                    trans: Transpose::No,
-                    diag: Diag::NonUnit,
-                    alpha: 2.0,
-                    a: a.as_ref(),
-                    b: b.as_mut(),
-                },
-            );
-            per_op.push(b);
-
-            results.push(per_op);
-        }
-
-        let names = ["gemm", "symm", "syrk", "syr2k", "trmm", "trsm"];
-        for (i, name) in names.iter().enumerate() {
-            let scale = results[1][i].frob_norm().max(1.0);
-            let diff = results[0][i].max_abs_diff(&results[1][i]) / scale;
-            assert!(
-                diff < 1e-12,
-                "{name} nt={nt}: native vs reference diff {diff}"
-            );
-        }
-    }
-}
-
 #[test]
 fn backends_validate_before_executing() {
     // Both backends must reject the same malformed op with a typed error
     // (not a panic) through the trait-object path.
-    let backends: [&dyn Blas3Backend; 2] = [&NativeBackend, &ReferenceBackend];
-    for backend in backends {
+    for backend in NATIVE_AND_REFERENCE {
         let a = mat(4, 5, 1);
         let b = mat(9, 3, 2); // inner 5 vs 9
         let mut c = Matrix::<f64>::zeros(4, 3);
@@ -300,6 +160,308 @@ fn subviews_flow_through_backends() {
     for i in 0..4 {
         for j in 0..5 {
             assert!((out.get(3 + i, 2 + j) - expect.get(i, j)).abs() < 1e-12);
+        }
+    }
+}
+
+// ------------------------------------------ backend agreement, table-driven
+
+const NATIVE_AND_REFERENCE: [&dyn Blas3Backend; 2] = [&NativeBackend, &ReferenceBackend];
+const LEVEL3: [&str; 6] = ["gemm", "symm", "syrk", "syr2k", "trmm", "trsm"];
+
+/// A finite operand; square ones get a strong diagonal so TRSM is stable.
+fn operand(r: usize, c: usize, seed: u64) -> Matrix<f64> {
+    if r == c {
+        tri(r, seed)
+    } else {
+        mat(r, c, seed)
+    }
+}
+
+fn nan(r: usize, c: usize, _seed: u64) -> Matrix<f64> {
+    Matrix::filled(r, c, f64::NAN)
+}
+
+/// Run one Level-3 `routine` with output `m x n` (`n x n` for SYRK/SYR2K),
+/// inner dimension `k`, read-only operands built by `input`, and a finite
+/// C; TRMM/TRSM's in-place B is built by `input` too. SYMM and TRMM apply
+/// A from the left, TRSM from the right. Returns the call's result and the
+/// output operand.
+fn level3(
+    backend: &dyn Blas3Backend,
+    nt: usize,
+    routine: &str,
+    uplo: Uplo,
+    (m, n, k): (usize, usize, usize),
+    (alpha, beta): (f64, f64),
+    input: fn(usize, usize, u64) -> Matrix<f64>,
+) -> (Result<(), Blas3Error>, Matrix<f64>) {
+    let (a, b) = match routine {
+        "gemm" => (input(m, k, 1), input(k, n, 2)),
+        "symm" | "trmm" => (input(m, m, 1), input(m, n, 2)),
+        "syrk" | "syr2k" => (input(n, k, 1), input(n, k, 2)),
+        "trsm" => (input(n, n, 1), input(m, n, 2)),
+        other => unreachable!("{other}"),
+    };
+    let (a, b) = (a.as_ref(), b.as_ref());
+    let mut c = match routine {
+        "syrk" | "syr2k" => mat(n, n, 3),
+        "trmm" | "trsm" => b.to_matrix(),
+        _ => mat(m, n, 3),
+    };
+    let (no, diag) = (Transpose::No, Diag::NonUnit);
+    let op = match routine {
+        "gemm" => Blas3Op::Gemm {
+            transa: no,
+            transb: no,
+            alpha,
+            a,
+            b,
+            beta,
+            c: c.as_mut(),
+        },
+        "symm" => Blas3Op::Symm {
+            side: Side::Left,
+            uplo,
+            alpha,
+            a,
+            b,
+            beta,
+            c: c.as_mut(),
+        },
+        "syrk" => Blas3Op::Syrk {
+            uplo,
+            trans: no,
+            alpha,
+            a,
+            beta,
+            c: c.as_mut(),
+        },
+        "syr2k" => Blas3Op::Syr2k {
+            uplo,
+            trans: no,
+            alpha,
+            a,
+            b,
+            beta,
+            c: c.as_mut(),
+        },
+        "trmm" => Blas3Op::Trmm {
+            side: Side::Left,
+            uplo,
+            trans: no,
+            diag,
+            alpha,
+            a,
+            b: c.as_mut(),
+        },
+        _ => Blas3Op::Trsm {
+            side: Side::Right,
+            uplo,
+            trans: no,
+            diag,
+            alpha,
+            a,
+            b: c.as_mut(),
+        },
+    };
+    (backend.execute_f64(nt, op), c)
+}
+
+/// Run one Level-2 `routine` (`gemv`, `symv` or `ger`) on a finite A and
+/// y with `x` (and GER's `y`) built by `input`; returns the output operand.
+fn level2(
+    backend: &dyn Blas3Backend,
+    nt: usize,
+    routine: &str,
+    (alpha, beta): (f64, f64),
+    input: fn(usize, usize, u64) -> Matrix<f64>,
+) -> Matrix<f64> {
+    let (m, n) = (7, 5);
+    let rows = if routine == "symv" { n } else { m };
+    let mut a = mat(rows, n, 1);
+    let x = input(n, 1, 2);
+    let mut y = mat(rows, 1, 3);
+    let x = VecRef::new(n, 1, x.as_slice());
+    let op = match routine {
+        "gemv" => Blas2Op::Gemv {
+            trans: Transpose::No,
+            alpha,
+            a: a.as_ref(),
+            x,
+            beta,
+            y: VecMut::new(m, 1, y.as_mut_slice()),
+        },
+        "symv" => Blas2Op::Symv {
+            uplo: Uplo::Upper,
+            alpha,
+            a: a.as_ref(),
+            x,
+            beta,
+            y: VecMut::new(n, 1, y.as_mut_slice()),
+        },
+        _ => {
+            let col = input(m, 1, 4);
+            let op = Blas2Op::Ger {
+                alpha,
+                x: VecRef::new(m, 1, col.as_slice()),
+                y: x,
+                a: a.as_mut(),
+            };
+            backend.execute2_f64(nt, op).unwrap();
+            return a;
+        }
+    };
+    backend.execute2_f64(nt, op).unwrap();
+    y
+}
+
+/// Each routine once per triangle through the trait-object path: the
+/// blocked kernels against the naive oracles.
+#[test]
+fn native_and_reference_agree_through_trait_objects() {
+    for nt in [1, 3] {
+        for (routine, uplo) in LEVEL3
+            .into_iter()
+            .flat_map(|r| [(r, Uplo::Upper), (r, Uplo::Lower)])
+        {
+            let [native, reference] = NATIVE_AND_REFERENCE.map(|backend| {
+                let (res, out) = level3(
+                    backend,
+                    nt,
+                    routine,
+                    uplo,
+                    (23, 17, 31),
+                    (1.3, 0.4),
+                    operand,
+                );
+                res.unwrap_or_else(|e| panic!("{} rejected {routine}: {e}", backend.name()));
+                out
+            });
+            let diff = native.max_abs_diff(&reference) / reference.frob_norm().max(1.0);
+            assert!(
+                diff < 1e-12,
+                "{routine} {uplo:?} nt={nt}: native vs reference diff {diff}"
+            );
+        }
+    }
+}
+
+/// BLAS references none of A, B or x at `alpha = 0`: a NaN there must not
+/// reach the output, on the optimised backend or on the oracle.
+#[test]
+fn alpha_zero_reads_no_operand() {
+    let (alpha, beta) = (0.0, 0.5);
+    for nt in [1, 2] {
+        for routine in LEVEL3.into_iter().chain(["gemv", "symv", "ger"]) {
+            let [native, reference] = NATIVE_AND_REFERENCE.map(|backend| {
+                if LEVEL3.contains(&routine) {
+                    level3(
+                        backend,
+                        nt,
+                        routine,
+                        Uplo::Lower,
+                        (9, 6, 4),
+                        (alpha, beta),
+                        nan,
+                    )
+                    .1
+                } else {
+                    level2(backend, nt, routine, (alpha, beta), nan)
+                }
+            });
+            for (name, out) in [("native", &native), ("reference", &reference)] {
+                assert!(
+                    out.as_slice().iter().all(|v| v.is_finite()),
+                    "{routine} nt={nt}: {name} output holds a NaN read through alpha = 0"
+                );
+            }
+            assert_eq!(native.as_slice(), reference.as_slice(), "{routine} nt={nt}");
+        }
+    }
+}
+
+/// Each of m, n, k at zero in turn: no panic, the same typed verdict from
+/// both backends, the same output, and `k = 0` leaving exactly `beta * C`
+/// on the entries the routine owns.
+#[test]
+fn zero_sized_dims_agree_across_backends() {
+    let beta = 0.5;
+    for zero in 0..3 {
+        let mut dims = [6, 5, 4];
+        dims[zero] = 0;
+        let dims = (dims[0], dims[1], dims[2]);
+        for routine in LEVEL3 {
+            let [(native_res, native), (reference_res, reference)] =
+                NATIVE_AND_REFERENCE.map(|backend| {
+                    level3(backend, 2, routine, Uplo::Lower, dims, (1.3, beta), operand)
+                });
+            let case = format!("{routine} (m, n, k) = {dims:?}");
+            assert_eq!(native_res, reference_res, "{case}: typed verdicts differ");
+            assert!(
+                native.max_abs_diff(&reference) < 1e-12,
+                "{case}: outputs differ"
+            );
+            if dims.2 == 0 && ["gemm", "syrk", "syr2k"].contains(&routine) {
+                let c0 = mat(native.rows(), native.cols(), 3);
+                let owned = |i: usize, j: usize| routine == "gemm" || i >= j;
+                for j in 0..native.cols() {
+                    for i in 0..native.rows() {
+                        let want = if owned(i, j) {
+                            beta * c0.get(i, j)
+                        } else {
+                            c0.get(i, j)
+                        };
+                        assert_eq!(
+                            native.get(i, j),
+                            want,
+                            "{case}: C({i}, {j}) is not beta * C"
+                        );
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// One NaN at `A(ROW, p)` with `alpha = 1`, `beta = 0` reaches every entry
+/// of row `ROW` of C and no other row — under whichever micro-kernel the
+/// process runs (CI repeats the suite per `ADSALA_KERNEL`). SYMM's NaN sits
+/// on the diagonal (`p = ROW`): off it, the mirrored `A(p, ROW)` would
+/// poison row `p` as well.
+#[test]
+fn one_nan_in_a_poisons_exactly_its_row_of_c() {
+    const ROW: usize = 5;
+    fn poisoned(r: usize, c: usize, seed: u64) -> Matrix<f64> {
+        let mut x = mat(r, c, seed);
+        if seed == 1 {
+            x.set(ROW, if r == c { ROW } else { 7 }, f64::NAN);
+        }
+        x
+    }
+    for nt in [1, 2] {
+        for routine in ["gemm", "symm"] {
+            let dims = (13, 9, 11);
+            let (res, c) = level3(
+                &NativeBackend,
+                nt,
+                routine,
+                Uplo::Upper,
+                dims,
+                (1.0, 0.0),
+                poisoned,
+            );
+            res.unwrap();
+            for j in 0..c.cols() {
+                for i in 0..c.rows() {
+                    assert_eq!(
+                        c.get(i, j).is_nan(),
+                        i == ROW,
+                        "{routine} nt={nt}: C({i}, {j}) = {}",
+                        c.get(i, j)
+                    );
+                }
+            }
         }
     }
 }

@@ -1,43 +1,34 @@
 //! The completion frontend: one settlement slot per admitted job,
-//! consumed through a [`Ticket`] as a blocking wait, a poll, a callback,
-//! or a [`CompletionQueue`] an event loop can drain.
+//! consumed through a [`Ticket`] as a blocking wait or a callback.
 //!
 //! Exactly one delivery happens per slot. [`Ticket::wait`] and
 //! [`Ticket::wait_timeout`] park the calling thread on the slot's condvar
-//! (one claim loop, with or without a deadline); [`Ticket::poll`] suits
-//! cooperative loops; [`Ticket::on_complete`] runs a closure on the
-//! scheduler cell that finished the job; and [`Ticket::forward_to`] fans
-//! many jobs into one [`CompletionQueue`] that a single consumer (or async
-//! executor shim) drains, with no thread parked per job.
+//! (one claim loop, with or without a deadline); [`Ticket::on_complete`]
+//! runs a closure on the scheduler cell that finished the job. Fan-in and
+//! non-blocking checks are `on_complete` feeding a `std::sync::mpsc`
+//! channel: `recv` drains many jobs from one place, `try_recv` asks
+//! without blocking.
 //!
 //! Callbacks run on cell scheduler threads with **no locks held**, and a
 //! panicking callback is caught and counted
 //! ([`crate::ShardStats::callback_panics`]) rather than allowed to wedge
 //! the cell.
 //!
-//! The slot is a `Mutex<SlotState>` + `Condvar` + one advisory atomic
-//! word, all three taken from [`adsala_blas3::sync`] — `std::sync` in
-//! every build but the test-only `chaos` one, where the interleaving
-//! checker schedules *this file* (the `scenarios` module at the bottom).
-//! Shared state added here goes through `sync` too; `xtask analyze`
-//! flags a raw `std::sync` primitive as `raw-sync-import`.
+//! The slot is a `Mutex<SlotState>` + `Condvar`, both taken from
+//! [`adsala_blas3::sync`] — `std::sync` in every build but the test-only
+//! `chaos` one, where the interleaving checker schedules *this file* (the
+//! `scenarios` module at the bottom). Shared state added here goes
+//! through `sync` too; `xtask analyze` flags a raw `std::sync` primitive
+//! as `raw-sync-import`.
 
 use crate::job::{Completed, ServeError};
-use adsala_blas3::sync::{AtomicU64, Condvar, Mutex, Ordering};
-use std::collections::VecDeque;
+use adsala_blas3::sync::{Condvar, Mutex};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// The closure form accepted by [`Ticket::on_complete`].
 pub type CompletionCallback = Box<dyn FnOnce(Result<Completed, ServeError>) + Send + 'static>;
-
-/// Values of the slot's advisory `phase` word: the [`SlotState`] variant
-/// last stored, for [`Ticket::poll`]'s lock-free "still in flight".
-const PENDING: u64 = 0;
-const ARMED: u64 = 1;
-const READY: u64 = 2;
-const CLAIMED: u64 = 3;
 
 /// Lifecycle of one job's settlement slot.
 // The slot always lives behind an `Arc<CompletionSlot>`, so the large
@@ -49,9 +40,13 @@ enum SlotState {
     Pending,
     /// Job still in flight; run this when it settles.
     Armed(CompletionCallback),
-    /// Job settled; outcome waiting for `wait`/`poll` to take it.
+    /// Job settled; outcome waiting for a `wait` or `on_complete` to take it.
     Ready(Result<Completed, ServeError>),
     /// Outcome already delivered (taken by a waiter or fed to a callback).
+    ///
+    /// Every consumer takes its [`Ticket`] by value and the service makes
+    /// one ticket per slot, so neither `claim` nor `on_complete` can find
+    /// a slot `Armed` or `Claimed`: only `complete` sees those states.
     Claimed,
 }
 
@@ -59,18 +54,6 @@ enum SlotState {
 pub(crate) struct CompletionSlot {
     state: Mutex<SlotState>,
     cv: Condvar,
-    /// Advisory mirror of `state`'s variant, written under the
-    /// lock, read lock-free by [`Ticket::poll`]'s fast path. Advisory
-    /// means a stale read is always safe: the fast path only
-    /// short-circuits the "still in flight" answer, every claiming step
-    /// re-checks under the lock — so the *mutex* carries every
-    /// happens-before edge of the hand-over and the word carries none
-    /// (`scenarios::the_phase_word_carries_no_ordering_the_scenarios_need`
-    /// proves each scenario clean with its stores recorded as `Relaxed`).
-    /// They stay `Release`/`Acquire`: free on the hosts this runs on, and
-    /// a future reader acting on the word *without* re-locking would be
-    /// ordered after the state change it reports.
-    phase: AtomicU64,
 }
 
 impl CompletionSlot {
@@ -78,7 +61,6 @@ impl CompletionSlot {
         Arc::new(CompletionSlot {
             state: Mutex::new(SlotState::Pending),
             cv: Condvar::new(),
-            phase: AtomicU64::new(PENDING),
         })
     }
 
@@ -89,17 +71,9 @@ impl CompletionSlot {
         let callback = {
             let mut st = self.state.lock().unwrap_or_else(|p| p.into_inner());
             match std::mem::replace(&mut *st, SlotState::Claimed) {
-                SlotState::Armed(cb) => {
-                    // ORDER: Release — not load-bearing (see `phase`):
-                    // the callback leaves through this critical section.
-                    self.phase.store(CLAIMED, Ordering::Release);
-                    Some((cb, outcome))
-                }
+                SlotState::Armed(cb) => Some((cb, outcome)),
                 SlotState::Pending => {
                     *st = SlotState::Ready(outcome);
-                    // ORDER: Release — not load-bearing (see `phase`): a
-                    // poll that reads READY still takes the ordering lock.
-                    self.phase.store(READY, Ordering::Release);
                     None
                 }
                 // Double-complete cannot happen (each job settles once);
@@ -110,25 +84,18 @@ impl CompletionSlot {
                 }
             }
         };
-        match callback {
-            Some((cb, outcome)) => {
-                self.cv.notify_all();
-                catch_unwind(AssertUnwindSafe(move || cb(outcome))).is_err()
-            }
-            None => {
-                self.cv.notify_all();
-                false
-            }
-        }
+        self.cv.notify_all();
+        callback.is_some_and(|(cb, outcome)| {
+            catch_unwind(AssertUnwindSafe(move || cb(outcome))).is_err()
+        })
     }
 }
 
 /// Handle to one submitted job's outcome.
 ///
-/// Exactly one delivery happens per ticket: through [`Ticket::wait`],
-/// a successful [`Ticket::poll`], an [`Ticket::on_complete`] callback, or
-/// a [`CompletionQueue`] entry. Dropping a ticket abandons the outcome
-/// without blocking the service.
+/// Exactly one delivery happens per ticket: through [`Ticket::wait`] /
+/// [`Ticket::wait_timeout`] or an [`Ticket::on_complete`] callback.
+/// Dropping a ticket abandons the outcome without blocking the service.
 pub struct Ticket {
     slot: Arc<CompletionSlot>,
 }
@@ -172,14 +139,11 @@ impl Ticket {
         let mut st = self.slot.state.lock().unwrap_or_else(|p| p.into_inner());
         loop {
             match std::mem::replace(&mut *st, SlotState::Claimed) {
-                SlotState::Ready(outcome) => {
-                    // ORDER: Release — not load-bearing (see `phase`);
-                    // tells a later poll the ticket is spent.
-                    self.slot.phase.store(CLAIMED, Ordering::Release);
-                    return outcome;
+                SlotState::Ready(outcome) => return outcome,
+                pending @ SlotState::Pending => *st = pending,
+                SlotState::Armed(_) | SlotState::Claimed => {
+                    unreachable!("a slot has one ticket, consumed once")
                 }
-                SlotState::Claimed => return Err(ServeError::ServiceStopped),
-                prev => *st = prev,
             }
             st = match deadline {
                 None => self.slot.cv.wait(st).unwrap_or_else(|p| p.into_inner()),
@@ -199,179 +163,35 @@ impl Ticket {
         }
     }
 
-    /// Non-blocking check: `Ok(Some(..))` once when the job has settled,
-    /// `Ok(None)` while it is still in flight, `Err` if the outcome can no
-    /// longer arrive on this ticket (service stopped, job shed, or the
-    /// outcome was already delivered).
-    pub fn poll(&self) -> Result<Option<Completed>, ServeError> {
-        // Lock-free fast path on the advisory phase word: while the job
-        // is in flight a poll loop never touches the slot mutex (and so
-        // never contends with the cell thread settling the job). A stale
-        // PENDING/ARMED read just answers "in flight" one extra time.
-        // ORDER: Acquire — pairs with `phase`'s Release stores; like them
-        // not load-bearing: all it decides lock-free is `Ok(None)`.
-        let phase = self.slot.phase.load(Ordering::Acquire);
-        if phase == PENDING || phase == ARMED {
-            return Ok(None);
-        }
-        let mut st = self.slot.state.lock().unwrap_or_else(|p| p.into_inner());
-        match std::mem::replace(&mut *st, SlotState::Claimed) {
-            SlotState::Ready(outcome) => {
-                // ORDER: Release — not load-bearing (see `phase`); tells
-                // a later poll the ticket is spent.
-                self.slot.phase.store(CLAIMED, Ordering::Release);
-                match outcome {
-                    Ok(done) => Ok(Some(done)),
-                    Err(e) => Err(e),
-                }
-            }
-            SlotState::Claimed => Err(ServeError::ServiceStopped),
-            prev => {
-                *st = prev;
-                Ok(None)
-            }
-        }
-    }
-
     /// Arm `f` to run when the job settles, consuming the ticket. If the
     /// job already settled, `f` runs immediately on the calling thread;
     /// otherwise it runs on the scheduler cell that finishes (or sheds)
     /// the job. `f` must not block: it executes inline on a cell thread.
+    ///
+    /// To fan many jobs into one consumer, send each outcome down a
+    /// `std::sync::mpsc` channel tagged with a token of your choosing.
     pub fn on_complete<F>(self, f: F)
     where
         F: FnOnce(Result<Completed, ServeError>) + Send + 'static,
     {
-        // The match arms are exclusive, so `f` moves into exactly one of
-        // them: either armed in the slot or returned to run after the
+        // `f` is either armed in the slot or returned to run after the
         // lock drops (callbacks never run under the slot lock).
         let run_now = {
             let mut st = self.slot.state.lock().unwrap_or_else(|p| p.into_inner());
             match std::mem::replace(&mut *st, SlotState::Claimed) {
                 SlotState::Pending => {
                     *st = SlotState::Armed(Box::new(f));
-                    // ORDER: Release — not load-bearing (see `phase`):
-                    // ARMED reads as "in flight", exactly like PENDING.
-                    self.slot.phase.store(ARMED, Ordering::Release);
                     None
                 }
-                SlotState::Ready(outcome) => {
-                    // ORDER: Release — not load-bearing (see `phase`);
-                    // the inline claim is a delivery like any other.
-                    self.slot.phase.store(CLAIMED, Ordering::Release);
-                    Some((outcome, f))
-                }
-                // Outcome already delivered elsewhere (e.g. a successful
-                // `poll`): report as stopped, matching `wait` on a spent
-                // ticket.
-                SlotState::Claimed => Some((Err(ServeError::ServiceStopped), f)),
-                // Arming consumes the ticket by value, so a second arming
-                // cannot be reached; if it ever were, keep the armed
-                // callback and treat this one like a spent ticket rather
-                // than panicking on a cell thread.
-                SlotState::Armed(prev) => {
-                    *st = SlotState::Armed(prev);
-                    Some((Err(ServeError::ServiceStopped), f))
+                SlotState::Ready(outcome) => Some((outcome, f)),
+                SlotState::Armed(_) | SlotState::Claimed => {
+                    unreachable!("a slot has one ticket, consumed once")
                 }
             }
         };
         if let Some((outcome, f)) = run_now {
             f(outcome);
         }
-    }
-
-    /// Route this job's outcome into `queue`, tagged with `token` so the
-    /// consumer can tell jobs apart. Sugar over [`Ticket::on_complete`].
-    pub fn forward_to(self, queue: &CompletionQueue, token: u64) {
-        let inner = Arc::clone(&queue.inner);
-        self.on_complete(move |outcome| inner.push(token, outcome));
-    }
-}
-
-struct QueueInner {
-    entries: Mutex<VecDeque<(u64, Result<Completed, ServeError>)>>,
-    cv: Condvar,
-}
-
-impl QueueInner {
-    fn push(&self, token: u64, outcome: Result<Completed, ServeError>) {
-        let mut q = self.entries.lock().unwrap_or_else(|p| p.into_inner());
-        q.push_back((token, outcome));
-        drop(q);
-        self.cv.notify_one();
-    }
-}
-
-/// A multi-producer completion mailbox: forward any number of tickets into
-/// it ([`Ticket::forward_to`]) and drain settled jobs from one place —
-/// the shape an async executor's reactor or an event loop wants, with no
-/// thread parked per job.
-///
-/// Cloning is cheap and shares the mailbox.
-#[derive(Clone)]
-pub struct CompletionQueue {
-    inner: Arc<QueueInner>,
-}
-
-impl Default for CompletionQueue {
-    fn default() -> CompletionQueue {
-        CompletionQueue::new()
-    }
-}
-
-impl CompletionQueue {
-    /// An empty mailbox.
-    pub fn new() -> CompletionQueue {
-        CompletionQueue {
-            inner: Arc::new(QueueInner {
-                entries: Mutex::new(VecDeque::new()),
-                cv: Condvar::new(),
-            }),
-        }
-    }
-
-    /// Pop the oldest settled job, if any, without blocking.
-    pub fn try_recv(&self) -> Option<(u64, Result<Completed, ServeError>)> {
-        self.inner
-            .entries
-            .lock()
-            .unwrap_or_else(|p| p.into_inner())
-            .pop_front()
-    }
-
-    /// Pop the oldest settled job, waiting up to `timeout` for one to
-    /// arrive.
-    pub fn recv_timeout(&self, timeout: Duration) -> Option<(u64, Result<Completed, ServeError>)> {
-        let deadline = Instant::now() + timeout;
-        let mut q = self.inner.entries.lock().unwrap_or_else(|p| p.into_inner());
-        loop {
-            if let Some(entry) = q.pop_front() {
-                return Some(entry);
-            }
-            let now = Instant::now();
-            if now >= deadline {
-                return None;
-            }
-            let (guard, _) = self
-                .inner
-                .cv
-                .wait_timeout(q, deadline - now)
-                .unwrap_or_else(|p| p.into_inner());
-            q = guard;
-        }
-    }
-
-    /// Number of settled jobs waiting to be drained.
-    pub fn len(&self) -> usize {
-        self.inner
-            .entries
-            .lock()
-            .unwrap_or_else(|p| p.into_inner())
-            .len()
-    }
-
-    /// Whether no settled jobs are waiting.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
     }
 }
 
@@ -383,6 +203,7 @@ mod tests {
     use crate::telemetry::TelemetryRecord;
     use adsala_blas3::{Matrix, OwnedOp, Transpose};
     use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::mpsc::{self, TryRecvError};
 
     pub(super) fn done() -> Completed {
         let op: AnyOp = OwnedOp::Gemm {
@@ -417,14 +238,15 @@ mod tests {
     }
 
     #[test]
-    fn poll_sees_pending_then_ready_then_spent() {
+    fn try_recv_sees_pending_then_ready_then_spent() {
         let slot = CompletionSlot::new();
-        let ticket = Ticket::new(Arc::clone(&slot));
-        assert!(matches!(ticket.poll(), Ok(None)));
+        let (tx, rx) = mpsc::channel();
+        Ticket::new(Arc::clone(&slot)).on_complete(move |o| tx.send(o).unwrap());
+        assert_eq!(rx.try_recv().unwrap_err(), TryRecvError::Empty);
         assert!(!slot.complete(Ok(done())));
-        assert!(matches!(ticket.poll(), Ok(Some(_))));
-        // Outcome delivered: the ticket is spent.
-        assert!(matches!(ticket.poll(), Err(ServeError::ServiceStopped)));
+        assert!(rx.try_recv().unwrap().is_ok());
+        // Outcome delivered: the callback (and its sender) is gone.
+        assert_eq!(rx.try_recv().unwrap_err(), TryRecvError::Disconnected);
     }
 
     #[test]
@@ -556,24 +378,22 @@ mod tests {
     }
 
     #[test]
-    fn completion_queue_fans_in_many_tickets() {
-        let q = CompletionQueue::new();
+    fn on_complete_fans_many_tickets_into_one_channel() {
+        let (tx, rx) = mpsc::channel();
         let slots: Vec<_> = (0..4).map(|_| CompletionSlot::new()).collect();
-        for (i, slot) in slots.iter().enumerate() {
-            Ticket::new(Arc::clone(slot)).forward_to(&q, i as u64);
+        for (token, slot) in slots.iter().enumerate() {
+            let tx = tx.clone();
+            Ticket::new(Arc::clone(slot)).on_complete(move |o| tx.send((token, o)).unwrap());
         }
-        assert!(q.try_recv().is_none());
+        drop(tx);
+        assert!(rx.try_recv().is_err());
         for slot in slots.iter().rev() {
             slot.complete(Ok(done()));
         }
-        let mut tokens: Vec<u64> = (0..4)
-            .map(|_| q.recv_timeout(Duration::from_secs(1)).unwrap().0)
-            .collect();
-        // Arrival order is completion order (reverse of forwarding here).
+        // Arrival order is completion order (reverse of arming here), and
+        // the channel closes once every callback has run.
+        let tokens: Vec<usize> = rx.iter().map(|(token, _)| token).collect();
         assert_eq!(tokens, vec![3, 2, 1, 0]);
-        tokens.sort_unstable();
-        assert_eq!(tokens, vec![0, 1, 2, 3]);
-        assert!(q.is_empty());
     }
 
     #[test]
@@ -584,9 +404,9 @@ mod tests {
     }
 }
 
-/// The shipped slot, [`Ticket`] and [`CompletionQueue`] under the
-/// interleaving checker (`--features chaos`), each scenario under the
-/// fixed 64-seed block *and* exhaustively (DPOR) at 2–3 threads. The job's
+/// The shipped slot and [`Ticket`] under the interleaving checker
+/// (`--features chaos`), each scenario under the fixed 64-seed block *and*
+/// exhaustively (DPOR) at 2–3 threads. The job's
 /// result is a [`DataCell`] the settler writes before settling: whoever is
 /// handed the outcome reads it, and the checker flags the read if the
 /// hand-over did not order it.
@@ -594,9 +414,8 @@ mod tests {
 mod scenarios {
     use super::tests::done;
     use super::*;
-    use adsala_blas3::chaos::{self, current, weakened, AccessKind, DataCell, Hooks, ThreadBody};
-    use adsala_blas3::sync::spin_until;
-    use std::sync::atomic::AtomicUsize;
+    use adsala_blas3::chaos::{self, current, DataCell, Hooks, ThreadBody};
+    use std::sync::atomic::{AtomicUsize, Ordering};
 
     type Scenario = fn() -> Vec<ThreadBody>;
 
@@ -663,18 +482,6 @@ mod scenarios {
         })
     }
 
-    /// One `poll`: "in flight", or the outcome with its result ordered.
-    fn poll_vs_settle() -> Vec<ThreadBody> {
-        let job = Job::new();
-        let ticket = job.ticket();
-        let poll = move |job: &Job| match ticket.poll() {
-            Ok(Some(done)) => job.deliver(&Ok(done)),
-            Ok(None) => {}
-            Err(e) => panic!("a lone poll sees in-flight or settled, not {e:?}"),
-        };
-        vec![body(&job, Job::settle), body(&job, poll)]
-    }
-
     /// `on_complete`: whichever side gets to the slot first, the callback
     /// runs exactly once (inline on the loser).
     fn arm_vs_settle() -> Vec<ThreadBody> {
@@ -700,53 +507,6 @@ mod scenarios {
         vec![body(&job, Job::settle), body(&job, wait)]
     }
 
-    /// Two poll loops on one slot: exactly one is handed the outcome, the
-    /// other finds the ticket spent.
-    fn two_polls_vs_settle() -> Vec<ThreadBody> {
-        let job = Job::new();
-        let poll_loop = |ticket: Ticket| {
-            move |job: &Job| {
-                let mut seen = Ok(None);
-                spin_until(|| {
-                    seen = ticket.poll();
-                    !matches!(seen, Ok(None))
-                });
-                match seen {
-                    Ok(Some(done)) => job.deliver(&Ok(done)),
-                    Err(ServeError::ServiceStopped) => {}
-                    other => panic!("poll loop ended on {other:?}"),
-                }
-                job.finish(3);
-            }
-        };
-        let polls = [poll_loop(job.ticket()), poll_loop(job.ticket())].map(|p| body(&job, p));
-        std::iter::once(settler(&job, 3)).chain(polls).collect()
-    }
-
-    /// Two producers forwarded into one [`CompletionQueue`]: the consumer
-    /// drains two distinct tokens, each with its result ordered.
-    fn fan_in() -> Vec<ThreadBody> {
-        let (queue, jobs) = (CompletionQueue::new(), [Job::new(), Job::new()]);
-        for (token, job) in jobs.iter().enumerate() {
-            job.ticket().forward_to(&queue, token as u64);
-        }
-        let mut bodies: Vec<ThreadBody> = jobs.iter().map(|job| body(job, Job::settle)).collect();
-        bodies.push(Box::new(move |_: &Hooks, _: usize| {
-            let mut tokens = Vec::new();
-            for _ in 0..jobs.len() {
-                let (token, outcome) = queue
-                    .recv_timeout(Duration::from_secs(3600))
-                    .expect("a forwarded job always arrives");
-                assert!(outcome.is_ok(), "{outcome:?}");
-                jobs[token as usize].deliver(&outcome);
-                tokens.push(token);
-            }
-            tokens.sort_unstable();
-            assert_eq!(tokens, [0, 1], "each token exactly once");
-        }));
-        bodies
-    }
-
     /// Shutdown settles *every* slot as stopped while a completer is still
     /// settling job 0 (first there wins) and a waiter is parked on job 1:
     /// job 0's armed callback runs exactly once, the waiter is released.
@@ -768,12 +528,9 @@ mod scenarios {
         vec![settler(&job, 3), body(&job, wait), body(&job, shutdown)]
     }
 
-    const SCENARIOS: [(&str, Scenario); 6] = [
-        ("poll vs settle", poll_vs_settle),
+    const SCENARIOS: [(&str, Scenario); 3] = [
         ("arm vs settle", arm_vs_settle),
         ("claim vs settle", claim_vs_settle),
-        ("two polls vs settle", two_polls_vs_settle),
-        ("fan-in", fan_in),
         ("shutdown drain", shutdown_drain),
     ];
 
@@ -781,23 +538,6 @@ mod scenarios {
     fn every_scenario_holds_under_the_seed_block_and_dpor() {
         for (name, scenario) in SCENARIOS {
             chaos::prove(name, scenario);
-        }
-    }
-
-    /// The verdict on the advisory `phase` word: with each of its `Release`
-    /// stores *recorded as `Relaxed`*, every scenario is still proved clean
-    /// — the slot mutex carries each edge. (A lock-free settle would need
-    /// the `Release`; this slot never claims anything without the lock.)
-    #[test]
-    fn the_phase_word_carries_no_ordering_the_scenarios_need() {
-        let relaxed_phase = chaos::Weakening {
-            file: "completion.rs",
-            kind: AccessKind::Write,
-            order: Ordering::Release,
-        };
-        for (name, scenario) in SCENARIOS {
-            let relaxed = format!("{name}, relaxed phase");
-            chaos::prove(&relaxed, || weakened(relaxed_phase, scenario()));
         }
     }
 }

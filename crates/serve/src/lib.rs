@@ -45,16 +45,19 @@
 //!
 //! ## Shape of the API
 //!
-//! Submission returns a [`Ticket`]. Blocking [`Ticket::wait`] (bounded:
-//! [`Ticket::wait_timeout`]) is the simplest frontend, but not the only
-//! one — [`Ticket::poll`] suits cooperative loops, and
-//! [`Ticket::on_complete`] / [`Ticket::forward_to`] deliver completions
-//! without parking a thread per waiter:
+//! Submission returns a [`Ticket`], consumed one of two ways: blocking
+//! [`Ticket::wait`] (bounded: [`Ticket::wait_timeout`]), or
+//! [`Ticket::on_complete`], which runs a closure on the cell that finished
+//! the job. Sending from that closure into a `std::sync::mpsc` channel
+//! fans many jobs into one consumer with no thread parked per job, and the
+//! channel's `try_recv` is the non-blocking check:
 //!
 //! ```
 //! use adsala::Adsala;
 //! use adsala_blas3::{Matrix, OwnedOp, ReferenceBackend, Transpose};
-//! use adsala_serve::{CompletionQueue, Service};
+//! use adsala_serve::Service;
+//! use std::sync::mpsc;
+//! use std::time::{Duration, Instant};
 //!
 //! let gemm = |scale: f64| OwnedOp::Gemm {
 //!     transa: Transpose::No,
@@ -74,25 +77,33 @@
 //! let service = Service::new(runtime).expect("spawn scheduler cells");
 //! let client = service.client();
 //!
-//! // Non-blocking: fan any number of jobs into one completion queue and
-//! // drain them from a single consumer — no thread parked per job.
-//! let completions = CompletionQueue::new();
+//! // Fan-in: every job sends its tagged outcome down one channel.
+//! let (tx, completions) = mpsc::channel();
 //! for token in 0..4u64 {
 //!     let ticket = client.submit(gemm(token as f64)).expect("within budget");
-//!     ticket.forward_to(&completions, token);
+//!     let tx = tx.clone();
+//!     ticket.on_complete(move |outcome| tx.send((token, outcome)).unwrap());
 //! }
+//! // Non-blocking: `try_recv` asks whether another job has settled, so
+//! // the consumer can get on with other work while none has.
+//! let give_up = Instant::now() + Duration::from_secs(5);
 //! let mut done = 0;
 //! while done < 4 {
-//!     let (token, outcome) = completions
-//!         .recv_timeout(std::time::Duration::from_secs(5))
-//!         .expect("service alive");
-//!     let out = outcome.unwrap().op.into_f64().unwrap().into_output();
-//!     assert_eq!(out.get(0, 0), token as f64);
-//!     done += 1;
+//!     match completions.try_recv() {
+//!         Ok((token, outcome)) => {
+//!             let out = outcome.unwrap().op.into_f64().unwrap().into_output();
+//!             assert_eq!(out.get(0, 0), token as f64);
+//!             done += 1;
+//!         }
+//!         Err(mpsc::TryRecvError::Empty) => {
+//!             assert!(Instant::now() < give_up, "service alive");
+//!             std::thread::yield_now();
+//!         }
+//!         Err(e) => panic!("{e}"),
+//!     }
 //! }
 //!
-//! // Blocking `wait()` is still there when a thread has nothing better
-//! // to do, and `poll()` when it does:
+//! // Blocking `wait()` when a thread has nothing better to do.
 //! let ticket = client.submit(gemm(2.0)).expect("within budget");
 //! let done = ticket.wait().unwrap();
 //! assert_eq!(done.op.into_f64().unwrap().into_output().get(0, 0), 2.0);
@@ -119,7 +130,7 @@ pub mod supervisor;
 pub mod telemetry;
 
 pub use adapt::{AdaptAction, AdaptConfig, AdaptConfigError, AdaptReport, Adapter};
-pub use completion::{CompletionCallback, CompletionQueue, Ticket};
+pub use completion::{CompletionCallback, Ticket};
 pub use job::{AnyOp, ClientId, Completed, RejectReason, Rejected, ServeError};
 pub use retry::{backoff_delay, RetryPolicy};
 pub use router::{QosClass, TenantConfig, TenantId};

@@ -1,5 +1,5 @@
 //! A `--features chaos` build of this crate, with no scheduler run in
-//! sight: the completion slot's `Mutex`, `Condvar` and atomic are the
+//! sight: the completion slot's `Mutex` and `Condvar` are the
 //! interleaving checker's wrappers here, and on every thread that is not
 //! one of the checker's model threads — a client, a scheduler cell —
 //! they must behave exactly like the `std` primitives they hold. So: a
@@ -12,8 +12,8 @@
 
 use adsala::runtime::Adsala;
 use adsala_blas3::{Matrix, NativeBackend, OwnedOp, Transpose};
-use adsala_serve::{AnyOp, CompletionQueue, ServeConfig, ServeError, Service};
-use std::sync::mpsc;
+use adsala_serve::{AnyOp, ServeConfig, ServeError, Service};
+use std::sync::mpsc::{self, RecvTimeoutError};
 use std::time::Duration;
 
 fn gemm(n: usize) -> AnyOp {
@@ -51,43 +51,29 @@ fn every_way_of_consuming_a_ticket_works_on_real_threads() {
     let bounded = client.submit(gemm(24)).unwrap();
     assert!(bounded.wait_timeout(Duration::from_secs(30)).is_ok());
 
-    // Poll loop: in flight, then exactly one delivery, then spent.
-    let polled = client.submit(gemm(32)).unwrap();
-    let done = loop {
-        match polled.poll() {
-            Ok(Some(done)) => break done,
-            Ok(None) => std::thread::yield_now(),
-            Err(e) => panic!("poll failed: {e:?}"),
-        }
-    };
-    assert!(done.result.is_ok());
-    assert_eq!(polled.poll().unwrap_err(), ServeError::ServiceStopped);
-
-    // Callback, run by the cell thread that finished the job.
+    // Callbacks, run by the cell threads that finish the jobs, fanned into
+    // one channel and drained with a bound: each job delivers exactly
+    // once, and the channel closes when the last callback has run.
     let (tx, rx) = mpsc::channel();
-    client
-        .submit(gemm(16))
-        .unwrap()
-        .on_complete(move |outcome| {
-            tx.send(outcome.is_ok()).unwrap();
-        });
-    assert!(rx.recv_timeout(Duration::from_secs(30)).unwrap());
-
-    // Fan-in of many jobs into one queue.
-    let queue = CompletionQueue::new();
     for token in 0..16 {
+        let tx = tx.clone();
         client
-            .submit(gemm(8 + token as usize))
+            .submit(gemm(8 + token))
             .unwrap()
-            .forward_to(&queue, token);
+            .on_complete(move |o| tx.send((token, o)).unwrap());
     }
-    let mut tokens: Vec<u64> = (0..16)
-        .map(|_| {
-            let (token, outcome) = queue.recv_timeout(Duration::from_secs(30)).unwrap();
-            assert!(outcome.unwrap().result.is_ok());
-            token
-        })
-        .collect();
+    drop(tx);
+    let mut tokens = Vec::new();
+    loop {
+        match rx.recv_timeout(Duration::from_secs(30)) {
+            Ok((token, outcome)) => {
+                assert!(outcome.unwrap().result.is_ok());
+                tokens.push(token);
+            }
+            Err(RecvTimeoutError::Timeout) => panic!("a job never settled: {tokens:?}"),
+            Err(RecvTimeoutError::Disconnected) => break,
+        }
+    }
     tokens.sort_unstable();
     assert_eq!(tokens, (0..16).collect::<Vec<_>>());
 }

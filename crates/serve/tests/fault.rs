@@ -18,9 +18,10 @@ use adsala_blas3::{
     Transpose,
 };
 use adsala_serve::{
-    AnyOp, BreakerConfig, BreakerState, CompletionQueue, QosClass, RejectReason, ServeConfig,
-    ServeError, Service, SubmitOptions, SupervisorConfig, TenantConfig,
+    AnyOp, BreakerConfig, BreakerState, QosClass, RejectReason, ServeConfig, ServeError, Service,
+    SubmitOptions, SupervisorConfig, TenantConfig, Ticket,
 };
+use std::sync::mpsc;
 use std::time::{Duration, Instant};
 
 fn faulted_runtime(seed: u64, rules: Vec<FaultRule>) -> Adsala<FaultBackend<NativeBackend>> {
@@ -92,10 +93,11 @@ fn transient_faults_are_retried_to_success_with_exactly_once_settlement() {
 
     let jobs: Vec<AnyOp> = (0..16).map(|i| gemm(32, i)).collect();
     let want: Vec<AnyOp> = jobs.iter().map(oracle).collect();
-    let completions = CompletionQueue::new();
+    let (tx, completions) = mpsc::channel();
     for (i, op) in jobs.iter().enumerate() {
+        let tx = tx.clone();
         let ticket = client.submit(op.clone()).expect("within budget");
-        ticket.forward_to(&completions, i as u64);
+        ticket.on_complete(move |o| tx.send((i, o)).unwrap());
     }
 
     // Every job settles exactly once, successfully, with the faulted
@@ -110,10 +112,10 @@ fn transient_faults_are_retried_to_success_with_exactly_once_settlement() {
         let done = outcome.expect("job served");
         done.result.as_ref().expect("transient faults retried away");
         assert!(
-            max_diff(&done.op, &want[token as usize]) < 1e-9,
+            max_diff(&done.op, &want[token]) < 1e-9,
             "retried execution diverged from the reference oracle"
         );
-        seen[token as usize] += 1;
+        seen[token] += 1;
     }
     assert!(
         seen.iter().all(|&n| n == 1),
@@ -276,28 +278,22 @@ fn a_wedged_cell_is_restarted_and_rehomed_tenants_keep_fifo_order() {
     let pin = service.client_for(service.tenant(TenantConfig::default()));
     let wedged = service.client_for(service.tenant(TenantConfig::default()));
     let rehomed = service.client_for(service.tenant(TenantConfig::default()));
-    let completions = CompletionQueue::new();
+    let (tx, completions) = mpsc::channel();
+    let forward = |ticket: Ticket, token: u64| {
+        let tx = tx.clone();
+        ticket.on_complete(move |o| tx.send((token, o)).unwrap());
+    };
 
     // Deterministic placement while paused (cost-routed, all observable):
     // the pin's 128^3 job claims cell 0's backlog, so the wedge tenant
     // (96^3, then a small follow-up) and the re-homed tenant's stream all
     // home to cell 1.
-    pin.submit(gemm(128, 40))
-        .expect("within budget")
-        .forward_to(&completions, 200);
-    wedged
-        .submit(gemm(96, 0))
-        .expect("within budget")
-        .forward_to(&completions, 0);
-    wedged
-        .submit(gemm(32, 1))
-        .expect("within budget")
-        .forward_to(&completions, 1);
+    forward(pin.submit(gemm(128, 40)).expect("within budget"), 200);
+    forward(wedged.submit(gemm(96, 0)).expect("within budget"), 0);
+    forward(wedged.submit(gemm(32, 1)).expect("within budget"), 1);
     for i in 0..3u64 {
-        rehomed
-            .submit(gemm(24, 10 + i as usize))
-            .expect("within budget")
-            .forward_to(&completions, 100 + i);
+        let ticket = rehomed.submit(gemm(24, 10 + i as usize));
+        forward(ticket.expect("within budget"), 100 + i);
     }
     service.resume();
 

@@ -16,6 +16,7 @@ use adsala_blas3::{
 use adsala_machine::MachineSpec;
 use adsala_ml::model::ModelKind;
 use adsala_serve::{AnyOp, RejectReason, ServeConfig, ServeError, Service};
+use std::sync::mpsc::{self, TryRecvError};
 
 fn modelless_runtime() -> Adsala<NativeBackend> {
     Adsala::new(Vec::new(), 2)
@@ -391,7 +392,7 @@ fn admission_rejects_invalid_descriptions_with_a_typed_error() {
 }
 
 #[test]
-fn tickets_surface_shutdown_to_both_pollers_and_waiters() {
+fn tickets_surface_shutdown_to_both_callbacks_and_waiters() {
     let service = Service::new(modelless_runtime()).expect("spawn scheduler cells");
     service.pause();
     let client = service.client();
@@ -404,13 +405,18 @@ fn tickets_surface_shutdown_to_both_pollers_and_waiters() {
         beta: 0.0,
         c: Matrix::zeros(8, 8),
     };
-    let poller = client.submit(mk()).unwrap();
+    let (tx, settled) = mpsc::channel();
+    let armed = client.submit(mk()).unwrap();
+    armed.on_complete(move |o| tx.send(o).unwrap());
     let waiter = client.submit(mk()).unwrap();
     // Paused service: still pending, not an error.
-    assert!(matches!(poller.poll(), Ok(None)));
+    assert_eq!(settled.try_recv().unwrap_err(), TryRecvError::Empty);
     // Paused shutdown drops queued jobs; both ticket styles must see it.
     drop(service);
-    assert!(matches!(poller.poll(), Err(ServeError::ServiceStopped)));
+    assert_eq!(
+        settled.try_recv().unwrap().unwrap_err(),
+        ServeError::ServiceStopped
+    );
     assert_eq!(waiter.wait().unwrap_err(), ServeError::ServiceStopped);
     // A client outliving its service gets a typed rejection on submit.
     assert!(matches!(

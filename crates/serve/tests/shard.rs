@@ -11,11 +11,11 @@ use adsala_blas3::fault::{FaultBackend, FaultKind, FaultRule, FaultTarget};
 use adsala_blas3::op::{Dims, OpKind, Precision, Routine};
 use adsala_blas3::{Blas3Backend, Matrix, NativeBackend, OwnedOp, ReferenceBackend, Transpose};
 use adsala_serve::{
-    AnyOp, CompletionQueue, QosClass, RejectReason, ServeConfig, ServeError, Service,
-    SubmitOptions, TenantConfig,
+    AnyOp, QosClass, RejectReason, ServeConfig, ServeError, Service, SubmitOptions, TenantConfig,
+    Ticket,
 };
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{mpsc, Arc};
 use std::time::{Duration, Instant};
 
 fn modelless_runtime() -> Adsala<NativeBackend> {
@@ -95,12 +95,15 @@ fn skewed_round<B: Blas3Backend + 'static>(service: &Service<B>, heavy_jobs: usi
         .iter()
         .map(|(_, ops)| ops.iter().map(oracle).collect())
         .collect();
-    let completions = CompletionQueue::new();
+    let (tx, completions) = mpsc::channel();
+    let forward = |ticket: Ticket, token: usize| {
+        let tx = tx.clone();
+        ticket.on_complete(move |o| tx.send((token, o)).unwrap());
+    };
     // Tenant A fills cell 0, the pins claim cells 1 and 2 (one 256^3 job
     // outweighs A's whole 96^3 stream), then tenant B joins cell 0.
     for (i, op) in streams[0].1.iter().enumerate() {
-        let t = heavy_a.submit(op.clone()).expect("within budget");
-        t.forward_to(&completions, i as u64);
+        forward(heavy_a.submit(op.clone()).expect("within budget"), i);
     }
     // Predicted at 33 ms each (1 Gflop/s fallback): feasible at admission,
     // expired by the time the service resumes.
@@ -117,8 +120,7 @@ fn skewed_round<B: Blas3Backend + 'static>(service: &Service<B>, heavy_jobs: usi
             .expect("feasible"),
     ];
     for (i, op) in streams[1].1.iter().enumerate() {
-        let t = heavy_b.submit(op.clone()).expect("within budget");
-        t.forward_to(&completions, 1000 + i as u64);
+        forward(heavy_b.submit(op.clone()).expect("within budget"), 1000 + i);
     }
     std::thread::sleep(pins_expire.saturating_duration_since(Instant::now()));
     service.resume();
@@ -135,7 +137,7 @@ fn skewed_round<B: Blas3Backend + 'static>(service: &Service<B>, heavy_jobs: usi
         let (token, outcome) = completions
             .recv_timeout(Duration::from_secs(30))
             .expect("service alive");
-        let (tenant, idx) = ((token / 1000) as usize, (token % 1000) as usize);
+        let (tenant, idx) = (token / 1000, token % 1000);
         let done = outcome.expect("job served");
         assert!(done.result.is_ok());
         shards_seen.insert(done.stats.shard);
@@ -349,43 +351,6 @@ fn tenant_backlog_budgets_are_enforced_independently() {
         .submit(gemm(64, 3))
         .expect("budget freed after serve");
     retry.wait().unwrap();
-}
-
-#[test]
-fn callbacks_and_queues_observe_shutdown_with_a_typed_error() {
-    let service = Service::with_config(
-        modelless_runtime(),
-        ServeConfig {
-            shards: 2,
-            ..Default::default()
-        },
-    )
-    .expect("spawn scheduler cells");
-    service.pause();
-    let client = service.client();
-
-    let (tx, rx) = std::sync::mpsc::channel();
-    client
-        .submit(gemm(16, 0))
-        .unwrap()
-        .on_complete(move |outcome| {
-            tx.send(outcome.map(|_| ())).unwrap();
-        });
-    let completions = CompletionQueue::new();
-    client
-        .submit(gemm(16, 1))
-        .unwrap()
-        .forward_to(&completions, 7);
-
-    // Paused shutdown drains both queued jobs; both frontends must see it.
-    drop(service);
-    assert_eq!(
-        rx.recv_timeout(Duration::from_secs(5)).unwrap(),
-        Err(ServeError::ServiceStopped)
-    );
-    let (token, outcome) = completions.try_recv().expect("settled during shutdown");
-    assert_eq!(token, 7);
-    assert_eq!(outcome.unwrap_err(), ServeError::ServiceStopped);
 }
 
 #[test]

@@ -14,9 +14,10 @@ use adsala::runtime::Adsala;
 use adsala_blas3::fault::{FaultBackend, FaultKind, FaultRule};
 use adsala_blas3::{Matrix, OwnedOp, ReferenceBackend, Transpose};
 use adsala_serve::{
-    AnyOp, CompletionQueue, QosClass, ServeConfig, ServeError, Service, ShardStats, SubmitOptions,
-    SupervisorConfig, TenantConfig,
+    AnyOp, QosClass, ServeConfig, ServeError, Service, ShardStats, SubmitOptions, SupervisorConfig,
+    TenantConfig,
 };
+use std::sync::mpsc;
 use std::time::{Duration, Instant};
 
 /// Fallback price of an 8-cube gemm. Finite tenant budgets are `n + 0.5`
@@ -90,7 +91,7 @@ fn run_case(seed: u64) -> [u64; 6] {
         .collect();
 
     // One submitting thread: token order is each tenant's submission order.
-    let completions = CompletionQueue::new();
+    let (tx, completions) = mpsc::channel();
     let (mut owner, mut rejected) = (Vec::new(), 0);
     for i in 0..40 {
         if paused && i == 20 {
@@ -102,7 +103,8 @@ fn run_case(seed: u64) -> [u64; 6] {
         let (client, _) = &tenants[t];
         match client.submit_batch_with(ops, SubmitOptions { deadline }) {
             Ok(tickets) => tickets.into_iter().for_each(|ticket| {
-                ticket.forward_to(&completions, owner.len() as u64);
+                let (tx, token) = (tx.clone(), owner.len());
+                ticket.on_complete(move |o| tx.send((token, o)).unwrap());
                 owner.push(t);
             }),
             Err(_) => rejected += 1,
@@ -117,12 +119,12 @@ fn run_case(seed: u64) -> [u64; 6] {
     for _ in 0..owner.len() {
         let (token, outcome) = completions
             .recv_timeout(Duration::from_secs(30))
-            .unwrap_or_else(|| panic!("case {seed}: an admitted job never settled"));
-        arrivals[token as usize] += 1;
+            .unwrap_or_else(|_| panic!("case {seed}: an admitted job never settled"));
+        arrivals[token] += 1;
         match outcome {
             Ok(done) if done.result.is_ok() => {
                 ok += 1;
-                started[owner[token as usize]].push((token, done.stats.seq));
+                started[owner[token]].push((token, done.stats.seq));
             }
             // Retries ran out: the backend's error is the settlement.
             Ok(_) => {}
@@ -161,7 +163,7 @@ fn run_case(seed: u64) -> [u64; 6] {
     }
     drop((tenants, service));
     let extra = completions.try_recv();
-    assert!(extra.is_none(), "case {seed}: an extra settlement");
+    assert!(extra.is_err(), "case {seed}: an extra settlement");
     let (retries, stolen) = (total(|s| s.retries), total(|s| s.stolen_batches));
     [owner.len() as u64, shed, expired, retries, stolen, rejected]
 }
