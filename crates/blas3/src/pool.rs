@@ -22,20 +22,27 @@
 //! closure over `nt` logical worker ids `0..nt`, each called exactly once,
 //! dealt round-robin over the members present.
 //!
-//! Built on `std::sync` only (mpsc channels + `Mutex`/`Condvar`); the
-//! offline build environment has no access to crossbeam or parking_lot.
+//! Each helper owns a one-job `Slot` (a `Mutex` + `Condvar` and a
+//! lock-free "posted" mirror), and a call's completion is one `JobState`
+//! (an atomic countdown plus a `Mutex` + `Condvar` for a parked caller).
+//! A forked call pays for a sleeping wake-up only when a side has been idle:
+//! a worker that just finished a job, and a caller that just ran its own
+//! share, first spin for up to [`sync::SPIN_BUDGET`]
+//! ([`sync::spin_briefly`]) and park only if nothing arrived, and a post or
+//! a last finisher signals the condvar only when the other side is
+//! actually parked (a flag read under the lock), so back-to-back calls
+//! make no futex call at all.
 //!
-//! The shared state of [`TeamBarrier`] and of the job hand-off
-//! (`JobState`) is written against [`crate::sync`], which *is* `std::sync`
-//! in every build but the test-only `chaos` one — there the interleaving
-//! checker schedules this code itself (`tests/chaos_{regression,dpor}.rs`,
-//! the `scenarios` module below), not a model of it. New shared state here
-//! goes through `sync` too (`xtask analyze` flags a raw `std::sync`
-//! primitive as `raw-sync-import`); `Arc`, `OnceLock`, `mpsc` stay `std`'s.
+//! All of that shared state, and [`TeamBarrier`]'s, is written against
+//! [`crate::sync`], which *is* `std::sync` in every build but the
+//! test-only `chaos` one — there the interleaving checker schedules this
+//! code itself (`tests/chaos_{regression,dpor}.rs`, the `scenarios`
+//! module below), not a model of it. New shared state here goes through
+//! `sync` too (`xtask analyze` flags a raw `std::sync` primitive as
+//! `raw-sync-import`); `Arc` and `OnceLock` stay `std`'s.
 
 use crate::sync::{self, AtomicBool, AtomicUsize, Condvar, Mutex, MutexGuard, Ordering};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::mpsc::Sender;
 use std::sync::{Arc, OnceLock};
 
 /// Lock a mutex, proceeding through poisoning: pool bookkeeping state stays
@@ -48,7 +55,9 @@ fn lock_unpoisoned<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
 struct JobState {
     remaining: AtomicUsize,
     panicked: AtomicBool,
-    lock: Mutex<bool>,
+    /// Whether the caller has parked on `cv`; the last finisher reads it
+    /// under this lock and signals only a parked caller.
+    parked: Mutex<bool>,
     cv: Condvar,
 }
 
@@ -57,7 +66,7 @@ impl JobState {
         JobState {
             remaining: AtomicUsize::new(workers),
             panicked: AtomicBool::new(false),
-            lock: Mutex::new(false),
+            parked: Mutex::new(false),
             cv: Condvar::new(),
         }
     }
@@ -65,19 +74,29 @@ impl JobState {
     fn finish_one(&self) {
         // ORDER: AcqRel — release this worker's writes to the job's
         // outputs; the final decrementer acquires everyone else's.
-        if self.remaining.fetch_sub(1, Ordering::AcqRel) == 1 {
-            let mut done = lock_unpoisoned(&self.lock);
-            *done = true;
+        if self.remaining.fetch_sub(1, Ordering::AcqRel) == 1 && *lock_unpoisoned(&self.parked) {
             self.cv.notify_one();
         }
     }
 
+    /// Block until every worker has finished: spin briefly (the caller
+    /// has just run its own share, so the workers are usually about to
+    /// finish), then park. Returning orders the caller after everything
+    /// each worker did before its `finish_one`.
     fn wait(&self) {
-        let mut done = lock_unpoisoned(&self.lock);
-        while !*done {
-            done = self
+        // ORDER: Acquire — pairs with finish_one's AcqRel decrements, whose
+        // release sequence ends at zero: seeing it acquires every worker's
+        // writes, on the spinning path as on the parked one.
+        let done = || self.remaining.load(Ordering::Acquire) == 0;
+        if sync::spin_briefly(done) {
+            return;
+        }
+        let mut parked = lock_unpoisoned(&self.parked);
+        while !done() {
+            *parked = true;
+            parked = self
                 .cv
-                .wait(done)
+                .wait(parked)
                 .unwrap_or_else(|poisoned| poisoned.into_inner());
         }
     }
@@ -100,10 +119,125 @@ struct JobRef {
 // run that claim on every schedule, and break it by weakening `fetch_sub`).
 unsafe impl Send for JobRef {}
 
-/// One helper worker: its submission channel and its join handle (kept so
-/// that [`ThreadPool::shutdown`] can wait for a clean exit).
+impl JobRef {
+    /// Run the job on this worker and report to its `JobState`; a panic
+    /// is caught and flagged for the caller to re-raise.
+    fn run(self) {
+        // SAFETY: see `JobRef` — the referent outlives the job.
+        let f = unsafe { &*self.func };
+        if catch_unwind(AssertUnwindSafe(|| f(self.tid))).is_err() {
+            // ORDER: Release — pairs with the caller's Acquire load after
+            // wait(); the flag must be visible once the job counter hits
+            // zero.
+            self.state.panicked.store(true, Ordering::Release);
+        }
+        self.state.finish_one();
+    }
+}
+
+/// A helper's mailbox: at most one job posted and not yet taken, and the
+/// close that tells the helper to exit once it has taken that job.
+struct Slot {
+    state: Mutex<SlotState>,
+    cv: Condvar,
+    /// `state.job.is_some() || state.closed`, stored under the lock, so
+    /// the worker's spin and the poster's choice of helpers can read it
+    /// without taking the lock.
+    posted: AtomicBool,
+}
+
+struct SlotState {
+    job: Option<JobRef>,
+    /// Whether the worker has parked on `cv`; a post or a close reads it
+    /// under the lock and signals only a parked worker.
+    parked: bool,
+    closed: bool,
+}
+
+impl Slot {
+    fn new() -> Slot {
+        Slot {
+            state: Mutex::new(SlotState {
+                job: None,
+                parked: false,
+                closed: false,
+            }),
+            cv: Condvar::new(),
+            posted: AtomicBool::new(false),
+        }
+    }
+
+    /// Whether a posted job is still waiting for the worker. Read by a
+    /// poster holding the pool's worker lock: every post happened-before
+    /// that lock, so `false` means the worker has taken the last one and
+    /// the slot stays empty until this poster fills it.
+    fn occupied(&self) -> bool {
+        // ORDER: Relaxed — a mirror; the job itself moves under the lock.
+        self.posted.load(Ordering::Relaxed)
+    }
+
+    /// Hand `job` to the worker. The caller holds the pool's worker lock
+    /// and has seen the slot unoccupied, so it is empty.
+    fn post(&self, job: JobRef) {
+        let mut st = lock_unpoisoned(&self.state);
+        debug_assert!(st.job.is_none(), "posted to an occupied slot");
+        st.job = Some(job);
+        self.publish(&st);
+    }
+
+    /// Tell the worker to exit once any posted job has run.
+    fn close(&self) {
+        let mut st = lock_unpoisoned(&self.state);
+        st.closed = true;
+        self.publish(&st);
+    }
+
+    /// Mirror a post or close into `posted` and signal a parked worker.
+    fn publish(&self, st: &SlotState) {
+        // ORDER: Relaxed — a mirror; the job itself moves under the lock.
+        self.posted.store(true, Ordering::Relaxed);
+        if st.parked {
+            self.cv.notify_one();
+        }
+    }
+
+    /// The worker's receive: the next job, or `None` once closed. Each
+    /// call follows a job (or the spawn a post is about to follow), so
+    /// the worker spins briefly before it parks.
+    fn recv(&self) -> Option<JobRef> {
+        sync::spin_briefly(|| self.occupied());
+        let mut st = lock_unpoisoned(&self.state);
+        loop {
+            if let Some(job) = st.job.take() {
+                // ORDER: Relaxed — a mirror; the job itself moves under
+                // the lock.
+                self.posted.store(st.closed, Ordering::Relaxed);
+                return Some(job);
+            }
+            if st.closed {
+                return None;
+            }
+            st.parked = true;
+            st = self
+                .cv
+                .wait(st)
+                .unwrap_or_else(|poisoned| poisoned.into_inner());
+            st.parked = false;
+        }
+    }
+}
+
+/// A helper thread's whole life: run what is posted until the slot closes.
+fn work(slot: &Slot) {
+    while let Some(job) = slot.recv() {
+        job.run();
+    }
+}
+
+/// One helper worker: its slot and its join handle (kept so that
+/// [`ThreadPool::shutdown`] can wait for a clean exit).
 struct Worker {
-    tx: Sender<JobRef>,
+    slot: Arc<Slot>,
     handle: std::thread::JoinHandle<()>,
 }
 
@@ -200,27 +334,14 @@ impl ThreadPool {
     fn ensure_workers(&self, need: usize) {
         let mut ws = lock_unpoisoned(&self.workers);
         while ws.len() < need.min(self.max_workers) {
-            let (tx, rx) = std::sync::mpsc::channel::<JobRef>();
+            let slot = Arc::new(Slot::new());
+            let worker_slot = Arc::clone(&slot);
             let idx = ws.len();
             let spawned = std::thread::Builder::new()
                 .name(format!("blas3-worker-{idx}"))
-                .spawn(move || {
-                    // Exits when every Sender is dropped (shutdown).
-                    while let Ok(job) = rx.recv() {
-                        // SAFETY: see `JobRef` — the referent outlives the job.
-                        let f = unsafe { &*job.func };
-                        let result = catch_unwind(AssertUnwindSafe(|| f(job.tid)));
-                        if result.is_err() {
-                            // ORDER: Release — pairs with the caller's
-                            // Acquire load after wait(); the flag must be
-                            // visible once the job counter hits zero.
-                            job.state.panicked.store(true, Ordering::Release);
-                        }
-                        job.state.finish_one();
-                    }
-                });
+                .spawn(move || work(&worker_slot));
             match spawned {
-                Ok(handle) => ws.push(Worker { tx, handle }),
+                Ok(handle) => ws.push(Worker { slot, handle }),
                 // Degrade, don't panic: thread creation can fail under
                 // resource exhaustion, and `run_team` sizes the team by
                 // the helpers present, so a partial pool only costs
@@ -232,10 +353,10 @@ impl ThreadPool {
 
     /// Tear down every helper worker and wait for them to exit.
     ///
-    /// Dropping a worker's channel sender makes its receive loop end, so
-    /// workers finish any in-flight job and return; the join then observes
-    /// the clean exit. The pool stays usable afterwards — the next
-    /// [`ThreadPool::run`] simply re-spawns what it needs — so service
+    /// Closing a worker's slot makes its receive loop end — at once, even
+    /// mid-spin — so workers finish any posted job and return; the join
+    /// then observes the clean exit. The pool stays usable afterwards — the
+    /// next [`ThreadPool::run`] simply re-spawns what it needs — so service
     /// layers and tests can reclaim threads instead of leaking
     /// process-lifetime workers. Called automatically on [`Drop`].
     pub fn shutdown(&self) {
@@ -244,7 +365,7 @@ impl ThreadPool {
             ws.drain(..).collect()
         };
         for w in drained {
-            drop(w.tx);
+            w.slot.close();
             // A worker that panicked unwinds through catch_unwind already;
             // a join error here would mean the thread died outside a job,
             // which the pool treats as already-exited.
@@ -279,9 +400,10 @@ impl ThreadPool {
     /// barrier ([`TeamCtx::barrier`]), and wait for all of them.
     ///
     /// * The closure receives a [`TeamCtx`] carrying the member id **and the
-    ///   actual team size**: the team is sized by the helpers present
-    ///   (fewer than `nt - 1` under the worker cap, a refused spawn or a
-    ///   racing [`ThreadPool::shutdown`]), and every member of it runs
+    ///   actual team size**: the team is sized by the helpers present and
+    ///   free (fewer than `nt - 1` under the worker cap, a refused spawn, a
+    ///   racing [`ThreadPool::shutdown`], or helpers still holding a job
+    ///   another thread's call posted), and every member of it runs
     ///   concurrently, so barrier waits always complete.
     /// * A panicking member poisons the barrier, releasing every current and
     ///   future waiter immediately so the region drains instead of hanging;
@@ -300,11 +422,16 @@ impl ThreadPool {
         let helpers = (nt - 1).min(self.max_workers);
         self.ensure_workers(helpers);
         // Size the team by the helpers actually present (a concurrent
-        // shutdown may have drained some since `ensure_workers`): the
-        // barrier and the completion state must count exactly the members
-        // that run — never wait for a job that was never sent.
+        // shutdown may have drained some since `ensure_workers`) whose
+        // slot is free (another thread's call may have posted to one that
+        // has not taken it yet): the barrier and the completion state must
+        // count exactly the members that run — never wait for a job that
+        // was never sent. Only a holder of this lock posts, and a slot only
+        // goes from occupied to free meanwhile, so the posting pass below
+        // finds at least `dispatched` free slots.
         let ws = lock_unpoisoned(&self.workers);
-        let dispatched = ws.len().min(helpers);
+        let free = || ws.iter().filter(|w| !w.slot.occupied());
+        let dispatched = free().take(helpers).count();
         let size = dispatched + 1;
         let barrier = TeamBarrier::new(size);
         let wrap = |tid: usize| {
@@ -329,13 +456,12 @@ impl ThreadPool {
         // it borrows) after they go out of scope.
         let func: *const (dyn Fn(usize) + Sync) = unsafe { std::mem::transmute(func) };
         let state = Arc::new(JobState::new(dispatched));
-        for (i, w) in ws.iter().take(dispatched).enumerate() {
-            let job = JobRef {
+        for (i, w) in free().take(dispatched).enumerate() {
+            w.slot.post(JobRef {
                 func,
                 state: Arc::clone(&state),
                 tid: i + 1,
-            };
-            w.tx.send(job).expect("worker channel closed");
+            });
         }
         drop(ws);
         let local = catch_unwind(AssertUnwindSafe(|| wrap(0)));
@@ -551,6 +677,7 @@ impl<T> SendPtr<T> {
 mod tests {
     use super::*;
     use std::sync::atomic::AtomicU64;
+    use std::time::{Duration, Instant};
 
     #[test]
     #[cfg_attr(miri, ignore = "spawns OS threads; outside the Miri subset")]
@@ -693,6 +820,24 @@ mod tests {
             runner.join().unwrap();
         });
         assert_eq!(total.load(Ordering::Relaxed), 200 * 4);
+    }
+
+    #[test]
+    #[cfg_attr(miri, ignore = "spawns OS threads; outside the Miri subset")]
+    fn a_shutdown_inside_the_spin_window_returns_at_once() {
+        // Right after a call returns, its helper is spinning for the next
+        // job; the close must end that spin, not wait out its budget.
+        let pool = ThreadPool::with_max_workers(1);
+        let mut took: Vec<Duration> = (0..5)
+            .map(|_| {
+                pool.run(2, |_| {});
+                let start = Instant::now();
+                pool.shutdown();
+                start.elapsed()
+            })
+            .collect();
+        took.sort();
+        assert!(took[2] < Duration::from_millis(5), "{took:?}");
     }
 
     #[test]
@@ -919,5 +1064,138 @@ mod scenarios {
         unsynchronised(&failure.report);
         let dpor = chaos::dpor::explore_exhaustive(&Default::default(), broken);
         unsynchronised(&dpor.failure.expect("DPOR missed it"));
+    }
+
+    /// One helper's slot as the pool drives it, plus test-side tallies
+    /// (plain atomics, touched one model thread at a time).
+    struct Rig {
+        slot: Slot,
+        /// Stands in for the pool's worker lock: `true` while the helper
+        /// is listed, i.e. until a shutdown has drained it. A fork posts
+        /// only to a listed helper, and a shutdown closes only a drained
+        /// one — the order `run_team` and `shutdown` keep under that lock.
+        listed: Mutex<bool>,
+        /// What a job writes and its caller reads after the join.
+        output: DataCell,
+        forks: std::sync::atomic::AtomicUsize,
+        runs: std::sync::atomic::AtomicUsize,
+        exits: std::sync::atomic::AtomicUsize,
+        finished: std::sync::atomic::AtomicUsize,
+    }
+
+    impl Rig {
+        fn new() -> Arc<Rig> {
+            Arc::new(Rig {
+                slot: Slot::new(),
+                listed: Mutex::new(true),
+                output: DataCell::new("job output"),
+                forks: Default::default(),
+                runs: Default::default(),
+                exits: Default::default(),
+                finished: Default::default(),
+            })
+        }
+
+        /// `run_team`'s fork onto this helper, when it is still listed: a
+        /// job that writes the output, posted under the worker lock, then
+        /// the join and the caller's read of the output.
+        fn fork(self: &Arc<Rig>) {
+            let listed = lock_unpoisoned(&self.listed);
+            if !*listed {
+                return;
+            }
+            let rig = Arc::clone(self);
+            let job = move |_: usize| {
+                let (hooks, tid) = chaos::current().expect("a job runs on a model thread");
+                rig.output.write(&hooks, tid, 7);
+                rig.runs.fetch_add(1, std::sync::atomic::Ordering::SeqCst);
+            };
+            let state = Arc::new(JobState::new(1));
+            let (func, tid) = (&job as *const (dyn Fn(usize) + Sync), 1);
+            self.slot.post(JobRef {
+                func,
+                state: Arc::clone(&state),
+                tid,
+            });
+            drop(listed);
+            self.forks.fetch_add(1, std::sync::atomic::Ordering::SeqCst);
+            state.wait();
+            let (hooks, tid) = chaos::current().expect("the caller is a model thread");
+            assert_eq!(self.output.read(&hooks, tid), 7);
+        }
+
+        /// `ThreadPool::shutdown` for this helper: drain it, then close.
+        fn shutdown(&self) {
+            *lock_unpoisoned(&self.listed) = false;
+            self.slot.close();
+        }
+
+        /// The helper thread: the pool's own worker loop.
+        fn worker(self: &Arc<Rig>, bodies: usize) -> ThreadBody {
+            let rig = Arc::clone(self);
+            Box::new(move |_: &Hooks, _: usize| {
+                work(&rig.slot);
+                rig.exits.fetch_add(1, std::sync::atomic::Ordering::SeqCst);
+                rig.finish(bodies);
+            })
+        }
+
+        /// Last call of each of `bodies` bodies: the last one out checks
+        /// that every posted job ran exactly once and the worker exited.
+        fn finish(&self, bodies: usize) {
+            use std::sync::atomic::Ordering::SeqCst;
+            if self.finished.fetch_add(1, SeqCst) + 1 == bodies {
+                assert_eq!(self.runs.load(SeqCst), self.forks.load(SeqCst));
+                assert_eq!(self.exits.load(SeqCst), 1);
+            }
+        }
+    }
+
+    /// A post races the worker's spin-then-park and a shutdown: whichever
+    /// lands first, a posted job runs exactly once before the worker exits,
+    /// and no wake-up is lost (a lost one would show as a deadlock).
+    fn slot_bodies() -> Vec<ThreadBody> {
+        let rig = Rig::new();
+        let (caller, closer) = (Arc::clone(&rig), Arc::clone(&rig));
+        let fork: ThreadBody = Box::new(move |_: &Hooks, _: usize| {
+            caller.fork();
+            caller.finish(3);
+        });
+        let shutdown: ThreadBody = Box::new(move |_: &Hooks, _: usize| {
+            closer.shutdown();
+            closer.finish(3);
+        });
+        vec![rig.worker(3), fork, shutdown]
+    }
+
+    /// Two forks back to back onto one helper: the caller's join spins
+    /// then parks on each, the worker's receive after the first job spins
+    /// then parks against the second post, and each job's output reaches
+    /// the caller. (No shutdown — `slot_bodies` races that — so the worker
+    /// takes exactly two jobs, which keeps DPOR to ~3k schedules.)
+    fn round_trip_bodies() -> Vec<ThreadBody> {
+        let rig = Rig::new();
+        let (caller, helper) = (Arc::clone(&rig), Arc::clone(&rig));
+        let forks: ThreadBody = Box::new(move |_: &Hooks, _: usize| {
+            caller.fork();
+            caller.fork();
+            assert_eq!(caller.runs.load(std::sync::atomic::Ordering::SeqCst), 2);
+        });
+        let worker: ThreadBody = Box::new(move |_: &Hooks, _: usize| {
+            for _ in 0..2 {
+                helper.slot.recv().expect("two jobs are posted").run();
+            }
+        });
+        vec![worker, forks]
+    }
+
+    #[test]
+    fn a_post_racing_the_workers_park_and_a_shutdown_runs_once_and_joins() {
+        chaos::prove("slot: post vs park vs shutdown", slot_bodies);
+    }
+
+    #[test]
+    fn back_to_back_forks_spin_then_park_on_both_sides() {
+        chaos::prove("fork/join round trips", round_trip_bodies);
     }
 }

@@ -21,3 +21,16 @@ fn spin_until_re_evaluates_until_the_condition_holds() {
     });
     assert_eq!(calls, 100);
 }
+
+#[test]
+fn spin_briefly_holds_on_the_condition_and_gives_up_after_its_budget() {
+    let mut calls = 0;
+    assert!(sync::spin_briefly(|| {
+        calls += 1;
+        calls == 50
+    }));
+    assert_eq!(calls, 50);
+    let start = std::time::Instant::now();
+    assert!(!sync::spin_briefly(|| false));
+    assert!(start.elapsed() >= sync::SPIN_BUDGET);
+}

@@ -21,7 +21,7 @@ use crate::queue::{Batch, Job, LaneQueues};
 use crate::router::secs_to_nanos;
 use crate::service::Shared;
 use crate::telemetry::{Telemetry, TelemetryRecord};
-use adsala_blas3::sync::{AtomicU64, AtomicUsize, Condvar, Mutex, MutexGuard, Ordering};
+use adsala_blas3::sync::{self, AtomicU64, AtomicUsize, Condvar, Mutex, MutexGuard, Ordering};
 use adsala_blas3::{Blas3Backend, ThreadPool};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -142,6 +142,31 @@ impl Cell {
         self.backlog_nanos.load(Ordering::Acquire) as f64 / 1e9
     }
 
+    /// The cell's one park, always bounded by `timeout`: a push,
+    /// finish-batch, pause/resume or shutdown notifies the condvar sooner.
+    /// When the scheduler has just served a batch (`after_work`) it spins
+    /// on `pending` for up to [`sync::SPIN_BUDGET`] instead, catching the
+    /// next submission of a busy stream without a sleeping wake-up. Either
+    /// way it returns with the lock re-taken, and the caller re-checks.
+    fn park<'a>(
+        &'a self,
+        st: MutexGuard<'a, CellState>,
+        timeout: Duration,
+        after_work: bool,
+    ) -> MutexGuard<'a, CellState> {
+        if after_work {
+            drop(st);
+            // ORDER: Acquire — pairs with sync_gauges' Release store.
+            sync::spin_briefly(|| self.pending.load(Ordering::Acquire) > 0);
+            return self.lock();
+        }
+        let (guard, _) = self
+            .cv
+            .wait_timeout(st, timeout)
+            .unwrap_or_else(|poisoned| poisoned.into_inner());
+        guard
+    }
+
     /// Settle a job that will never run (shutdown drain, shed or expired),
     /// counting a panicking completion callback against this cell.
     pub fn settle_unserved(&self, job: Job, error: ServeError) {
@@ -176,9 +201,13 @@ pub(crate) fn scheduler_loop<B: Blas3Backend>(
     // Confine the runtime's per-call parallelism (and multi-job batch
     // fan-out) to this cell's worker slice for the thread's lifetime.
     let _pool_scope = ThreadPool::enter(Arc::clone(&cell.pool));
+    let mut after_work = false;
     loop {
-        match acquire_work(&shared, &cell, generation) {
-            Work::Serve { owner, batch } => serve_batch(&shared, &cell, owner, batch),
+        match acquire_work(&shared, &cell, generation, after_work) {
+            Work::Serve { owner, batch } => {
+                serve_batch(&shared, &cell, owner, batch);
+                after_work = true;
+            }
             Work::Exit(jobs) => {
                 for job in jobs {
                     cell.settle_unserved(job, ServeError::ServiceStopped);
@@ -190,7 +219,15 @@ pub(crate) fn scheduler_loop<B: Blas3Backend>(
     }
 }
 
-fn acquire_work<B: Blas3Backend>(shared: &Arc<Shared<B>>, cell: &Cell, generation: u64) -> Work {
+/// Wait for the next thing to do. `after_work`: the scheduler has just
+/// served a batch, so its first park spins (see [`Cell::park`]); an idle
+/// cell never spins.
+fn acquire_work<B: Blas3Backend>(
+    shared: &Arc<Shared<B>>,
+    cell: &Cell,
+    generation: u64,
+    mut after_work: bool,
+) -> Work {
     let steal_enabled = shared.cfg.steal && shared.cells.len() > 1;
     // Alternate "try to steal" with "re-check own queues" so a push that
     // lands while this cell is off stealing is noticed immediately.
@@ -252,15 +289,9 @@ fn acquire_work<B: Blas3Backend>(shared: &Arc<Shared<B>>, cell: &Cell, generatio
             continue;
         }
         steal_next = true;
-        // The cell's one park, always bounded (see the two constants): a
-        // push, finish-batch, pause/resume or shutdown notifies the
-        // condvar sooner, and every wake-up bumps the heartbeat above.
-        let park = if stealing { STEAL_POLL } else { IDLE_TICK };
-        let (guard, _) = cell
-            .cv
-            .wait_timeout(st, park)
-            .unwrap_or_else(|poisoned| poisoned.into_inner());
-        st = guard;
+        // Every wake-up, spun or parked, bumps the heartbeat above.
+        let timeout = if stealing { STEAL_POLL } else { IDLE_TICK };
+        st = cell.park(st, timeout, std::mem::take(&mut after_work));
     }
 }
 
@@ -457,5 +488,58 @@ fn serve_one<B: Blas3Backend>(
     // `complete` and only counted here.
     if slot.complete(Ok(Completed { op, stats, result })) {
         cell.callback_panics.fetch_add(1, Ordering::Relaxed);
+    }
+}
+
+/// The cell's park under the interleaving checker (`--features chaos`):
+/// [`Cell::park`] itself, scheduled through `adsala_blas3::sync`, against a
+/// submission's push. The model's `wait_timeout` never times out, so a
+/// lost wake-up shows as a deadlock, not as a late tick.
+#[cfg(all(test, feature = "chaos"))]
+mod scenarios {
+    use super::*;
+    use crate::queue::tests::{job_for, tenant};
+    use crate::router::QosClass;
+    use adsala_blas3::chaos::{self, DataCell, Hooks, ThreadBody};
+
+    /// A job is pushed while the scheduler, just done with a batch, spins
+    /// on `pending` or has parked: the scheduler takes it, and the operands
+    /// written before the push are ordered before the take.
+    fn push_vs_park_bodies() -> Vec<ThreadBody> {
+        let cell = Arc::new(Cell::new(0, 1, 4));
+        let operands = Arc::new(DataCell::new("job operands"));
+        let job = job_for(&tenant(0, QosClass::Standard), 4, 1e-6);
+        let scheduler: ThreadBody = {
+            let (cell, operands) = (Arc::clone(&cell), Arc::clone(&operands));
+            Box::new(move |hooks: &Hooks, tid: usize| {
+                // `acquire_work`'s take-or-park loop, right after a batch.
+                let mut st = cell.lock();
+                let mut after_work = true;
+                let batch = loop {
+                    if let Some(batch) = st.queues.take_batch(8) {
+                        break batch;
+                    }
+                    st = cell.park(st, IDLE_TICK, std::mem::take(&mut after_work));
+                };
+                drop(st);
+                assert_eq!(batch.jobs.len(), 1);
+                assert_eq!(operands.read(hooks, tid), 7);
+            })
+        };
+        // What admission does to the target cell once the job is priced.
+        let submitter: ThreadBody = Box::new(move |hooks: &Hooks, tid: usize| {
+            operands.write(hooks, tid, 7);
+            let mut st = cell.lock();
+            st.queues.push(job);
+            cell.sync_gauges(&st.queues);
+            drop(st);
+            cell.cv.notify_all();
+        });
+        vec![scheduler, submitter]
+    }
+
+    #[test]
+    fn a_push_reaches_a_spinning_or_parked_scheduler() {
+        chaos::prove("cell: push vs spin-then-park", push_vs_park_bodies);
     }
 }

@@ -342,15 +342,16 @@ impl LaneQueues {
     }
 }
 
+/// The queue tests, and the job builders `cell::scenarios` shares.
 #[cfg(test)]
-mod tests {
+pub mod tests {
     use super::*;
     use crate::router::TenantConfig;
     use adsala_blas3::{Matrix, OwnedOp, Transpose};
     use std::collections::BTreeMap;
     use std::time::Duration;
 
-    fn tenant(id: u64, qos: QosClass) -> Arc<TenantState> {
+    pub(crate) fn tenant(id: u64, qos: QosClass) -> Arc<TenantState> {
         Arc::new(TenantState::new(
             TenantId(id),
             TenantConfig {
@@ -360,7 +361,7 @@ mod tests {
         ))
     }
 
-    fn job_for(tenant: &Arc<TenantState>, m: usize, secs: f64) -> Job {
+    pub(crate) fn job_for(tenant: &Arc<TenantState>, m: usize, secs: f64) -> Job {
         let op: AnyOp = OwnedOp::Gemm {
             transa: Transpose::No,
             transb: Transpose::No,

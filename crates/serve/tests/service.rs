@@ -15,8 +15,9 @@ use adsala_blas3::{
 };
 use adsala_machine::MachineSpec;
 use adsala_ml::model::ModelKind;
-use adsala_serve::{AnyOp, RejectReason, ServeConfig, ServeError, Service};
+use adsala_serve::{AnyOp, RejectReason, ServeConfig, ServeError, Service, SupervisorConfig};
 use std::sync::mpsc::{self, TryRecvError};
+use std::time::{Duration, Instant};
 
 fn modelless_runtime() -> Adsala<NativeBackend> {
     Adsala::new(Vec::new(), 2)
@@ -423,6 +424,42 @@ fn tickets_surface_shutdown_to_both_callbacks_and_waiters() {
         client.submit(mk()).unwrap_err().reason,
         RejectReason::Stopped
     ));
+}
+
+#[test]
+fn a_shutdown_right_after_a_job_returns_at_once() {
+    // Right after a batch the cell's scheduler and its pool's helper spin
+    // for the next job; shutting down then must not wait out that spin.
+    // (No supervisor: its sweep sleeps would dominate the join.)
+    let config = ServeConfig {
+        shards: 1,
+        supervisor: SupervisorConfig {
+            enabled: false,
+            ..Default::default()
+        },
+        ..Default::default()
+    };
+    let mut took: Vec<Duration> = (0..5)
+        .map(|_| {
+            let service = Service::with_config(modelless_runtime(), config.clone())
+                .expect("spawn scheduler cells");
+            let op = OwnedOp::Gemm {
+                transa: Transpose::No,
+                transb: Transpose::No,
+                alpha: 1.0,
+                a: mat(16, 16, 0),
+                b: mat(16, 16, 1),
+                beta: 0.0,
+                c: Matrix::zeros(16, 16),
+            };
+            service.client().submit(op).unwrap().wait().unwrap();
+            let start = Instant::now();
+            service.shutdown();
+            start.elapsed()
+        })
+        .collect();
+    took.sort();
+    assert!(took[2] < Duration::from_millis(5), "{took:?}");
 }
 
 #[test]
