@@ -26,8 +26,8 @@ use crate::store;
 use adsala_blas3::call::{op_shape, side_order};
 use adsala_blas3::op::{Dims, Routine};
 use adsala_blas3::{
-    Blas2Op, Blas3Backend, Blas3Error, Blas3Op, Diag, Float, MatMut, MatRef, NativeBackend, Side,
-    Transpose, Uplo,
+    Blas3Backend, Blas3Error, Blas3Op, Diag, Float, MatMut, MatRef, NativeBackend, Side, Transpose,
+    Uplo,
 };
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
@@ -355,33 +355,26 @@ impl<B: Blas3Backend> Adsala<B> {
         self.backend.execute(nt, op)
     }
 
-    /// [`Adsala::execute`] for Level 2 call descriptions: validate, predict
-    /// the thread count (memory-bound calls plateau at the bandwidth knee —
-    /// a well-trained model picks well below the core count), dispatch.
-    /// Returns the thread count used.
+    /// The same call as [`Adsala::execute`], for either BLAS level.
     ///
     /// # Errors
-    /// [`Blas3Error`] when the call description is dimensionally
-    /// inconsistent, or when the configured backend does not implement the
-    /// Level 2 entry points ([`Blas3Error::UnsupportedRoutine`]).
-    pub fn execute2<T: Float>(&self, op: Blas2Op<'_, T>) -> Result<usize, Blas3Error> {
-        op.validate()?;
-        let nt = self.predict_nt(op.routine(), op.dims());
-        self.backend.execute2(nt, op)?;
-        Ok(nt)
+    /// Same conditions as [`Adsala::execute`].
+    // `benchmark/` (frozen outside `[benchmark]` PRs) calls this name.
+    pub fn execute2<T: Float>(&self, op: Blas3Op<'_, T>) -> Result<usize, Blas3Error> {
+        self.execute(op)
     }
 
-    /// [`Adsala::execute_with_nt`] for Level 2 call descriptions.
+    /// The same call as [`Adsala::execute_with_nt`], for either BLAS level.
     ///
     /// # Errors
-    /// Same conditions as [`Adsala::execute2`].
+    /// Same conditions as [`Adsala::execute_with_nt`].
+    // `benchmark/` (frozen outside `[benchmark]` PRs) calls this name.
     pub fn execute2_with_nt<T: Float>(
         &self,
         nt: usize,
-        op: Blas2Op<'_, T>,
+        op: Blas3Op<'_, T>,
     ) -> Result<(), Blas3Error> {
-        op.validate()?;
-        self.backend.execute2(nt, op)
+        self.execute_with_nt(nt, op)
     }
 
     /// GEMM with ML-selected thread count:
@@ -1013,7 +1006,7 @@ mod tests {
         let x: Vec<f64> = (0..n).map(|i| (i % 4) as f64 - 1.5).collect();
         let mut y = vec![1.0f64; m];
         let nt = lib
-            .execute2(Blas2Op::Gemv {
+            .execute(Blas3Op::Gemv {
                 trans: Transpose::No,
                 alpha: 2.0,
                 a: a.as_ref(),
@@ -1035,9 +1028,9 @@ mod tests {
 
         // The explicit-nt dispatch path and typed validation both work.
         let mut y2 = vec![0.0f64; m];
-        lib.execute2_with_nt(
+        lib.execute_with_nt(
             1,
-            Blas2Op::Gemv {
+            Blas3Op::Gemv {
                 trans: Transpose::No,
                 alpha: 1.0,
                 a: a.as_ref(),
@@ -1048,9 +1041,9 @@ mod tests {
         )
         .unwrap();
         let err = lib
-            .execute2_with_nt(
+            .execute_with_nt(
                 1,
-                Blas2Op::Gemv {
+                Blas3Op::Gemv {
                     trans: Transpose::No,
                     alpha: 1.0,
                     a: a.as_ref(),
@@ -1061,6 +1054,56 @@ mod tests {
             )
             .unwrap_err();
         assert!(matches!(err, Blas3Error::DimMismatch { .. }));
+    }
+
+    #[test]
+    fn a_fault_rule_on_dgemv_fails_only_the_level2_call() {
+        use adsala_blas3::op::{OpKind, Precision};
+        use adsala_blas3::{FaultBackend, FaultKind, FaultRule, FaultTarget, VecMut, VecRef};
+        let dgemv = Routine::new(OpKind::Gemv, Precision::Double);
+        let lib = Adsala::builder()
+            .backend(FaultBackend::new(
+                NativeBackend,
+                0,
+                vec![FaultRule::new(FaultKind::Fatal).targeting(FaultTarget::routine(dgemv))],
+            ))
+            .fallback_nt(2)
+            .build()
+            .unwrap();
+        let a = Matrix::<f64>::identity(8);
+        let (x, mut y) = ([1.0f64; 8], [0.0f64; 8]);
+        let err = lib
+            .execute2(Blas3Op::Gemv {
+                trans: Transpose::No,
+                alpha: 1.0,
+                a: a.as_ref(),
+                x: VecRef::new(8, 1, &x),
+                beta: 0.0,
+                y: VecMut::new(8, 1, &mut y),
+            })
+            .unwrap_err();
+        assert_eq!(
+            err,
+            Blas3Error::BackendFault {
+                backend: "fault",
+                transient: false
+            }
+        );
+        assert_eq!(y, [0.0; 8], "a faulted call writes nothing");
+        let b = Matrix::<f64>::filled(8, 8, 2.0);
+        let mut c = Matrix::<f64>::zeros(8, 8);
+        let gemm = Blas3Op::Gemm {
+            transa: Transpose::No,
+            transb: Transpose::No,
+            alpha: 1.0,
+            a: a.as_ref(),
+            b: b.as_ref(),
+            beta: 0.0,
+            c: c.as_mut(),
+        };
+        assert_eq!(lib.execute(gemm), Ok(2));
+        assert!(c.max_abs_diff(&b) < 1e-15);
+        assert_eq!(lib.backend().stats().injected, 1);
     }
 
     #[test]

@@ -16,8 +16,8 @@
 
 use adsala_blas3::op::{Dims, OpKind, Routine};
 use adsala_blas3::{
-    Blas2Op, Blas3Backend, Blas3Op, Diag, Float, Matrix, NativeBackend, Side, Transpose, Uplo,
-    VecMut, VecRef,
+    Blas3Backend, Blas3Op, Diag, Float, Matrix, NativeBackend, Side, Transpose, Uplo, VecMut,
+    VecRef,
 };
 use adsala_machine::{MachineSpec, PerfModel};
 use std::time::Instant;
@@ -134,113 +134,82 @@ fn run_typed<T: Float, B: Blas3Backend>(backend: &B, op: OpKind, dims: Dims, nt:
             .collect()
     };
     let one = T::ONE;
+    let time = |op: Blas3Op<'_, T>| {
+        let routine = op.routine();
+        let t0 = Instant::now();
+        backend
+            .execute(nt, op)
+            .unwrap_or_else(|e| panic!("timer {} must be well-formed: {e}", routine.name()));
+        t0.elapsed().as_secs_f64()
+    };
     match op {
         OpKind::Gemm => {
             let (m, k, n) = (dims.a(), dims.b(), dims.c());
-            let a = gen(m, k, 1);
-            let b = gen(k, n, 2);
+            let (a, b) = (gen(m, k, 1), gen(k, n, 2));
             let mut c = Matrix::<T>::zeros(m, n);
-            let t0 = Instant::now();
-            backend
-                .execute(
-                    nt,
-                    Blas3Op::Gemm {
-                        transa: Transpose::No,
-                        transb: Transpose::No,
-                        alpha: one,
-                        a: a.as_ref(),
-                        b: b.as_ref(),
-                        beta: T::ZERO,
-                        c: c.as_mut(),
-                    },
-                )
-                .expect("timer gemm must be well-formed");
-            t0.elapsed().as_secs_f64()
+            time(Blas3Op::Gemm {
+                transa: Transpose::No,
+                transb: Transpose::No,
+                alpha: one,
+                a: a.as_ref(),
+                b: b.as_ref(),
+                beta: T::ZERO,
+                c: c.as_mut(),
+            })
         }
         OpKind::Symm => {
             let (m, n) = (dims.a(), dims.b());
-            let a = gen(m, m, 3);
-            let b = gen(m, n, 4);
+            let (a, b) = (gen(m, m, 3), gen(m, n, 4));
             let mut c = Matrix::<T>::zeros(m, n);
-            let t0 = Instant::now();
-            backend
-                .execute(
-                    nt,
-                    Blas3Op::Symm {
-                        side: Side::Left,
-                        uplo: Uplo::Upper,
-                        alpha: one,
-                        a: a.as_ref(),
-                        b: b.as_ref(),
-                        beta: T::ZERO,
-                        c: c.as_mut(),
-                    },
-                )
-                .expect("timer symm must be well-formed");
-            t0.elapsed().as_secs_f64()
+            time(Blas3Op::Symm {
+                side: Side::Left,
+                uplo: Uplo::Upper,
+                alpha: one,
+                a: a.as_ref(),
+                b: b.as_ref(),
+                beta: T::ZERO,
+                c: c.as_mut(),
+            })
         }
         OpKind::Syrk => {
             let (n, k) = (dims.a(), dims.b());
             let a = gen(n, k, 5);
             let mut c = Matrix::<T>::zeros(n, n);
-            let t0 = Instant::now();
-            backend
-                .execute(
-                    nt,
-                    Blas3Op::Syrk {
-                        uplo: Uplo::Lower,
-                        trans: Transpose::No,
-                        alpha: one,
-                        a: a.as_ref(),
-                        beta: T::ZERO,
-                        c: c.as_mut(),
-                    },
-                )
-                .expect("timer syrk must be well-formed");
-            t0.elapsed().as_secs_f64()
+            time(Blas3Op::Syrk {
+                uplo: Uplo::Lower,
+                trans: Transpose::No,
+                alpha: one,
+                a: a.as_ref(),
+                beta: T::ZERO,
+                c: c.as_mut(),
+            })
         }
         OpKind::Syr2k => {
             let (n, k) = (dims.a(), dims.b());
-            let a = gen(n, k, 6);
-            let b = gen(n, k, 7);
+            let (a, b) = (gen(n, k, 6), gen(n, k, 7));
             let mut c = Matrix::<T>::zeros(n, n);
-            let t0 = Instant::now();
-            backend
-                .execute(
-                    nt,
-                    Blas3Op::Syr2k {
-                        uplo: Uplo::Lower,
-                        trans: Transpose::No,
-                        alpha: one,
-                        a: a.as_ref(),
-                        b: b.as_ref(),
-                        beta: T::ZERO,
-                        c: c.as_mut(),
-                    },
-                )
-                .expect("timer syr2k must be well-formed");
-            t0.elapsed().as_secs_f64()
+            time(Blas3Op::Syr2k {
+                uplo: Uplo::Lower,
+                trans: Transpose::No,
+                alpha: one,
+                a: a.as_ref(),
+                b: b.as_ref(),
+                beta: T::ZERO,
+                c: c.as_mut(),
+            })
         }
         OpKind::Trmm => {
             let (m, n) = (dims.a(), dims.b());
-            let a = gen(m, m, 8);
-            let mut b = gen(m, n, 9);
-            let t0 = Instant::now();
-            backend
-                .execute(
-                    nt,
-                    Blas3Op::Trmm {
-                        side: Side::Left,
-                        uplo: Uplo::Upper,
-                        trans: Transpose::No,
-                        diag: Diag::NonUnit,
-                        alpha: one,
-                        a: a.as_ref(),
-                        b: b.as_mut(),
-                    },
-                )
-                .expect("timer trmm must be well-formed");
-            t0.elapsed().as_secs_f64()
+            let (a, mut b) = (gen(m, m, 8), gen(m, n, 9));
+            time(Blas3Op::Trmm {
+                side: Side::Left,
+                uplo: Uplo::Upper,
+                trans: Transpose::No,
+                diag: Diag::NonUnit,
+                alpha: one,
+                a: a.as_ref(),
+                b: b.as_mut(),
+            })
         }
         OpKind::Trsm => {
             let (m, n) = (dims.a(), dims.b());
@@ -249,104 +218,65 @@ fn run_typed<T: Float, B: Blas3Backend>(backend: &B, op: OpKind, dims: Dims, nt:
                 a.set(i, i, T::from_f64(4.0 + (i % 3) as f64));
             }
             let mut b = gen(m, n, 11);
-            let t0 = Instant::now();
-            backend
-                .execute(
-                    nt,
-                    Blas3Op::Trsm {
-                        side: Side::Left,
-                        uplo: Uplo::Upper,
-                        trans: Transpose::No,
-                        diag: Diag::NonUnit,
-                        alpha: one,
-                        a: a.as_ref(),
-                        b: b.as_mut(),
-                    },
-                )
-                .expect("timer trsm must be well-formed");
-            t0.elapsed().as_secs_f64()
+            time(Blas3Op::Trsm {
+                side: Side::Left,
+                uplo: Uplo::Upper,
+                trans: Transpose::No,
+                diag: Diag::NonUnit,
+                alpha: one,
+                a: a.as_ref(),
+                b: b.as_mut(),
+            })
         }
         // Level 2: same deterministic operands one dimension down. TRSV
         // needs the same diagonal dominance as TRSM.
         OpKind::Gemv => {
             let (m, n) = (dims.a(), dims.b());
-            let a = gen(m, n, 12);
-            let x = genv(n, 13);
+            let (a, x) = (gen(m, n, 12), genv(n, 13));
             let mut y = vec![T::ZERO; m];
-            let t0 = Instant::now();
-            backend
-                .execute2(
-                    nt,
-                    Blas2Op::Gemv {
-                        trans: Transpose::No,
-                        alpha: one,
-                        a: a.as_ref(),
-                        x: VecRef::new(n, 1, &x),
-                        beta: T::ZERO,
-                        y: VecMut::new(m, 1, &mut y),
-                    },
-                )
-                .expect("timer gemv must be well-formed");
-            t0.elapsed().as_secs_f64()
+            time(Blas3Op::Gemv {
+                trans: Transpose::No,
+                alpha: one,
+                a: a.as_ref(),
+                x: VecRef::new(n, 1, &x),
+                beta: T::ZERO,
+                y: VecMut::new(m, 1, &mut y),
+            })
         }
         OpKind::Ger => {
             let (m, n) = (dims.a(), dims.b());
-            let x = genv(m, 14);
-            let y = genv(n, 15);
+            let (x, y) = (genv(m, 14), genv(n, 15));
             let mut a = gen(m, n, 16);
-            let t0 = Instant::now();
-            backend
-                .execute2(
-                    nt,
-                    Blas2Op::Ger {
-                        alpha: one,
-                        x: VecRef::new(m, 1, &x),
-                        y: VecRef::new(n, 1, &y),
-                        a: a.as_mut(),
-                    },
-                )
-                .expect("timer ger must be well-formed");
-            t0.elapsed().as_secs_f64()
+            time(Blas3Op::Ger {
+                alpha: one,
+                x: VecRef::new(m, 1, &x),
+                y: VecRef::new(n, 1, &y),
+                a: a.as_mut(),
+            })
         }
         OpKind::Symv => {
             let n = dims.a();
-            let a = gen(n, n, 17);
-            let x = genv(n, 18);
+            let (a, x) = (gen(n, n, 17), genv(n, 18));
             let mut y = vec![T::ZERO; n];
-            let t0 = Instant::now();
-            backend
-                .execute2(
-                    nt,
-                    Blas2Op::Symv {
-                        uplo: Uplo::Upper,
-                        alpha: one,
-                        a: a.as_ref(),
-                        x: VecRef::new(n, 1, &x),
-                        beta: T::ZERO,
-                        y: VecMut::new(n, 1, &mut y),
-                    },
-                )
-                .expect("timer symv must be well-formed");
-            t0.elapsed().as_secs_f64()
+            time(Blas3Op::Symv {
+                uplo: Uplo::Upper,
+                alpha: one,
+                a: a.as_ref(),
+                x: VecRef::new(n, 1, &x),
+                beta: T::ZERO,
+                y: VecMut::new(n, 1, &mut y),
+            })
         }
         OpKind::Trmv => {
             let n = dims.a();
-            let a = gen(n, n, 19);
-            let mut x = genv(n, 20);
-            let t0 = Instant::now();
-            backend
-                .execute2(
-                    nt,
-                    Blas2Op::Trmv {
-                        uplo: Uplo::Upper,
-                        trans: Transpose::No,
-                        diag: Diag::NonUnit,
-                        a: a.as_ref(),
-                        x: VecMut::new(n, 1, &mut x),
-                    },
-                )
-                .expect("timer trmv must be well-formed");
-            t0.elapsed().as_secs_f64()
+            let (a, mut x) = (gen(n, n, 19), genv(n, 20));
+            time(Blas3Op::Trmv {
+                uplo: Uplo::Upper,
+                trans: Transpose::No,
+                diag: Diag::NonUnit,
+                a: a.as_ref(),
+                x: VecMut::new(n, 1, &mut x),
+            })
         }
         OpKind::Trsv => {
             let n = dims.a();
@@ -355,20 +285,13 @@ fn run_typed<T: Float, B: Blas3Backend>(backend: &B, op: OpKind, dims: Dims, nt:
                 a.set(i, i, T::from_f64(4.0 + (i % 3) as f64));
             }
             let mut x = genv(n, 22);
-            let t0 = Instant::now();
-            backend
-                .execute2(
-                    nt,
-                    Blas2Op::Trsv {
-                        uplo: Uplo::Upper,
-                        trans: Transpose::No,
-                        diag: Diag::NonUnit,
-                        a: a.as_ref(),
-                        x: VecMut::new(n, 1, &mut x),
-                    },
-                )
-                .expect("timer trsv must be well-formed");
-            t0.elapsed().as_secs_f64()
+            time(Blas3Op::Trsv {
+                uplo: Uplo::Upper,
+                trans: Transpose::No,
+                diag: Diag::NonUnit,
+                a: a.as_ref(),
+                x: VecMut::new(n, 1, &mut x),
+            })
         }
     }
 }

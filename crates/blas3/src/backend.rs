@@ -5,7 +5,8 @@
 //! thread count. [`Blas3Backend`] is that seam in this reproduction — the
 //! runtime is generic over it, so the native blocked kernels, the naive
 //! reference oracles, or an FFI binding to a vendor BLAS can all serve the
-//! same call stream. Three implementations ship today:
+//! same call stream. Every call of either BLAS level enters through the
+//! same method. Three implementations ship today:
 //!
 //! * [`NativeBackend`] — this crate's blocked, pool-parallel kernels;
 //! * [`ReferenceBackend`] — the `reference` module's naive oracles,
@@ -21,20 +22,12 @@
 //! available on any sized backend type.
 
 use crate::call::{Blas3Error, Blas3Op};
-use crate::call2::Blas2Op;
 use crate::matrix::{MatMut, Matrix};
 use crate::pool::ThreadPool;
 use crate::{reference, Float};
 
-/// An executor of BLAS Level 3 call descriptions with explicit thread count.
-///
-/// Since the Level 2 family landed the name undersells the trait: backends
-/// may also execute [`Blas2Op`] descriptions through
-/// [`Blas3Backend::execute2_f32`]/[`execute2_f64`](Blas3Backend::execute2_f64).
-/// Those entry points have defaults returning
-/// [`Blas3Error::UnsupportedRoutine`], so a pre-existing backend (an FFI
-/// binding, a test double) keeps compiling and simply declines Level 2 work
-/// until it opts in.
+/// An executor of BLAS call descriptions, Level 3 and Level 2, with an
+/// explicit thread count.
 pub trait Blas3Backend: Send + Sync {
     /// Short backend identifier, used in platform labels and reports.
     fn name(&self) -> &str;
@@ -49,28 +42,6 @@ pub trait Blas3Backend: Send + Sync {
     /// Execute a double-precision call with `nt` threads.
     fn execute_f64(&self, nt: usize, op: Blas3Op<'_, f64>) -> Result<(), Blas3Error>;
 
-    /// Execute a single-precision Level 2 call with `nt` threads.
-    ///
-    /// Default: decline with [`Blas3Error::UnsupportedRoutine`].
-    fn execute2_f32(&self, nt: usize, op: Blas2Op<'_, f32>) -> Result<(), Blas3Error> {
-        let _ = nt;
-        Err(Blas3Error::UnsupportedRoutine {
-            backend: "unnamed",
-            op: op.op_kind(),
-        })
-    }
-
-    /// Execute a double-precision Level 2 call with `nt` threads.
-    ///
-    /// Default: decline with [`Blas3Error::UnsupportedRoutine`].
-    fn execute2_f64(&self, nt: usize, op: Blas2Op<'_, f64>) -> Result<(), Blas3Error> {
-        let _ = nt;
-        Err(Blas3Error::UnsupportedRoutine {
-            backend: "unnamed",
-            op: op.op_kind(),
-        })
-    }
-
     /// Execute a call of either precision (generic convenience over the
     /// monomorphic entry points; `where Self: Sized` keeps the trait
     /// object-safe).
@@ -79,14 +50,6 @@ pub trait Blas3Backend: Send + Sync {
         Self: Sized,
     {
         T::dispatch_op(self, nt, op)
-    }
-
-    /// Execute a Level 2 call of either precision.
-    fn execute2<T: Float>(&self, nt: usize, op: Blas2Op<'_, T>) -> Result<(), Blas3Error>
-    where
-        Self: Sized,
-    {
-        T::dispatch_op2(self, nt, op)
     }
 }
 
@@ -103,12 +66,6 @@ impl<B: Blas3Backend + ?Sized> Blas3Backend for &B {
     fn execute_f64(&self, nt: usize, op: Blas3Op<'_, f64>) -> Result<(), Blas3Error> {
         (**self).execute_f64(nt, op)
     }
-    fn execute2_f32(&self, nt: usize, op: Blas2Op<'_, f32>) -> Result<(), Blas3Error> {
-        (**self).execute2_f32(nt, op)
-    }
-    fn execute2_f64(&self, nt: usize, op: Blas2Op<'_, f64>) -> Result<(), Blas3Error> {
-        (**self).execute2_f64(nt, op)
-    }
 }
 
 impl<B: Blas3Backend + ?Sized> Blas3Backend for Box<B> {
@@ -124,12 +81,6 @@ impl<B: Blas3Backend + ?Sized> Blas3Backend for Box<B> {
     fn execute_f64(&self, nt: usize, op: Blas3Op<'_, f64>) -> Result<(), Blas3Error> {
         (**self).execute_f64(nt, op)
     }
-    fn execute2_f32(&self, nt: usize, op: Blas2Op<'_, f32>) -> Result<(), Blas3Error> {
-        (**self).execute2_f32(nt, op)
-    }
-    fn execute2_f64(&self, nt: usize, op: Blas2Op<'_, f64>) -> Result<(), Blas3Error> {
-        (**self).execute2_f64(nt, op)
-    }
 }
 
 /// This crate's blocked, thread-pool-parallel kernels.
@@ -137,107 +88,105 @@ impl<B: Blas3Backend + ?Sized> Blas3Backend for Box<B> {
 pub struct NativeBackend;
 
 impl NativeBackend {
-    /// Validate and execute one call with the blocked kernels.
+    /// Validate and execute one call with the blocked Level 3 kernels or
+    /// the streaming column kernels of [`crate::level2`].
     pub fn run<T: Float>(&self, nt: usize, op: Blas3Op<'_, T>) -> Result<(), Blas3Error> {
-        use Blas3Op::*;
         op.validate()?;
-        match op {
-            Gemm {
-                transa,
-                transb,
-                alpha,
-                a,
-                b,
-                beta,
-                c,
-            } => crate::gemm::gemm(nt, transa, transb, alpha, a, b, beta, c),
-            Symm {
-                side,
-                uplo,
-                alpha,
-                a,
-                b,
-                beta,
-                c,
-            } => crate::symm::symm(nt, side, uplo, alpha, a, b, beta, c),
-            Syrk {
-                uplo,
-                trans,
-                alpha,
-                a,
-                beta,
-                c,
-            } => crate::syrk::syrk(nt, uplo, trans, alpha, a, beta, c),
-            Syr2k {
-                uplo,
-                trans,
-                alpha,
-                a,
-                b,
-                beta,
-                c,
-            } => crate::syr2k::syr2k(nt, uplo, trans, alpha, a, b, beta, c),
-            Trmm {
-                side,
-                uplo,
-                trans,
-                diag,
-                alpha,
-                a,
-                b,
-            } => crate::trmm::trmm(nt, side, uplo, trans, diag, alpha, a, b),
-            Trsm {
-                side,
-                uplo,
-                trans,
-                diag,
-                alpha,
-                a,
-                b,
-            } => crate::trsm::trsm(nt, side, uplo, trans, diag, alpha, a, b),
-        }
+        drive(nt, op);
         Ok(())
     }
+}
 
-    /// Validate and execute one Level 2 call with the streaming column
-    /// kernels of [`crate::level2`].
-    pub fn run2<T: Float>(&self, nt: usize, op: Blas2Op<'_, T>) -> Result<(), Blas3Error> {
-        use crate::level2::{gemv, ger, symv, trmv, trsv};
-        op.validate()?;
-        match op {
-            Blas2Op::Gemv {
-                trans,
-                alpha,
-                a,
-                x,
-                beta,
-                y,
-            } => gemv(nt, trans, alpha, a, x, beta, y),
-            Blas2Op::Ger { alpha, x, y, a } => ger(nt, alpha, x, y, a),
-            Blas2Op::Symv {
-                uplo,
-                alpha,
-                a,
-                x,
-                beta,
-                y,
-            } => symv(nt, uplo, alpha, a, x, beta, y),
-            Blas2Op::Trmv {
-                uplo,
-                trans,
-                diag,
-                a,
-                x,
-            } => trmv(uplo, trans, diag, a, x),
-            Blas2Op::Trsv {
-                uplo,
-                trans,
-                diag,
-                a,
-                x,
-            } => trsv(uplo, trans, diag, a, x),
-        }
-        Ok(())
+/// Execute one call on the public drivers, whose entry checks panic on a
+/// malformed call: [`NativeBackend::run`] calls it after validating.
+pub(crate) fn drive<T: Float>(nt: usize, op: Blas3Op<'_, T>) {
+    use crate::level2::{gemv, ger, symv, trmv, trsv};
+    use Blas3Op::*;
+    match op {
+        Gemm {
+            transa,
+            transb,
+            alpha,
+            a,
+            b,
+            beta,
+            c,
+        } => crate::gemm::gemm(nt, transa, transb, alpha, a, b, beta, c),
+        Symm {
+            side,
+            uplo,
+            alpha,
+            a,
+            b,
+            beta,
+            c,
+        } => crate::symm::symm(nt, side, uplo, alpha, a, b, beta, c),
+        Syrk {
+            uplo,
+            trans,
+            alpha,
+            a,
+            beta,
+            c,
+        } => crate::syrk::syrk(nt, uplo, trans, alpha, a, beta, c),
+        Syr2k {
+            uplo,
+            trans,
+            alpha,
+            a,
+            b,
+            beta,
+            c,
+        } => crate::syr2k::syr2k(nt, uplo, trans, alpha, a, b, beta, c),
+        Trmm {
+            side,
+            uplo,
+            trans,
+            diag,
+            alpha,
+            a,
+            b,
+        } => crate::trmm::trmm(nt, side, uplo, trans, diag, alpha, a, b),
+        Trsm {
+            side,
+            uplo,
+            trans,
+            diag,
+            alpha,
+            a,
+            b,
+        } => crate::trsm::trsm(nt, side, uplo, trans, diag, alpha, a, b),
+        Gemv {
+            trans,
+            alpha,
+            a,
+            x,
+            beta,
+            y,
+        } => gemv(nt, trans, alpha, a, x, beta, y),
+        Ger { alpha, x, y, a } => ger(nt, alpha, x, y, a),
+        Symv {
+            uplo,
+            alpha,
+            a,
+            x,
+            beta,
+            y,
+        } => symv(nt, uplo, alpha, a, x, beta, y),
+        Trmv {
+            uplo,
+            trans,
+            diag,
+            a,
+            x,
+        } => trmv(uplo, trans, diag, a, x),
+        Trsv {
+            uplo,
+            trans,
+            diag,
+            a,
+            x,
+        } => trsv(uplo, trans, diag, a, x),
     }
 }
 
@@ -256,14 +205,6 @@ impl Blas3Backend for NativeBackend {
 
     fn execute_f64(&self, nt: usize, op: Blas3Op<'_, f64>) -> Result<(), Blas3Error> {
         self.run(nt, op)
-    }
-
-    fn execute2_f32(&self, nt: usize, op: Blas2Op<'_, f32>) -> Result<(), Blas3Error> {
-        self.run2(nt, op)
-    }
-
-    fn execute2_f64(&self, nt: usize, op: Blas2Op<'_, f64>) -> Result<(), Blas3Error> {
-        self.run2(nt, op)
     }
 }
 
@@ -287,8 +228,9 @@ fn write_back<T: Float>(out: &mut MatMut<'_, T>, result: &Matrix<T>) {
 impl ReferenceBackend {
     /// Validate and execute one call with the naive oracles.
     ///
-    /// Operands are materialised into owned matrices (the oracles are
-    /// `Matrix`-typed), so this backend is for correctness work, not speed.
+    /// Operands are materialised into owned matrices and vectors (the
+    /// oracles are `Matrix`- and slice-typed), so this backend is for
+    /// correctness work, not speed.
     pub fn run<T: Float>(&self, _nt: usize, op: Blas3Op<'_, T>) -> Result<(), Blas3Error> {
         op.validate()?;
         match op {
@@ -378,15 +320,7 @@ impl ReferenceBackend {
                 reference::trsm(side, uplo, trans, diag, alpha, &am, &mut bm);
                 write_back(&mut b, &bm);
             }
-        }
-        Ok(())
-    }
-
-    /// Validate and execute one Level 2 call with the naive oracles.
-    pub fn run2<T: Float>(&self, _nt: usize, op: Blas2Op<'_, T>) -> Result<(), Blas3Error> {
-        op.validate()?;
-        match op {
-            Blas2Op::Gemv {
+            Blas3Op::Gemv {
                 trans,
                 alpha,
                 a,
@@ -400,14 +334,14 @@ impl ReferenceBackend {
                 reference::gemv(trans, alpha, &am, &xv, beta, &mut yb);
                 y.copy_from_slice(&yb);
             }
-            Blas2Op::Ger { alpha, x, y, mut a } => {
+            Blas3Op::Ger { alpha, x, y, mut a } => {
                 let xv = x.to_vec();
                 let yv = y.to_vec();
                 let mut am = a.as_ref().to_matrix();
                 reference::ger(alpha, &xv, &yv, &mut am);
                 write_back(&mut a, &am);
             }
-            Blas2Op::Symv {
+            Blas3Op::Symv {
                 uplo,
                 alpha,
                 a,
@@ -421,7 +355,7 @@ impl ReferenceBackend {
                 reference::symv(uplo, alpha, &am, &xv, beta, &mut yb);
                 y.copy_from_slice(&yb);
             }
-            Blas2Op::Trmv {
+            Blas3Op::Trmv {
                 uplo,
                 trans,
                 diag,
@@ -433,7 +367,7 @@ impl ReferenceBackend {
                 reference::trmv(uplo, trans, diag, &am, &mut xb);
                 x.copy_from_slice(&xb);
             }
-            Blas2Op::Trsv {
+            Blas3Op::Trsv {
                 uplo,
                 trans,
                 diag,
@@ -447,6 +381,12 @@ impl ReferenceBackend {
             }
         }
         Ok(())
+    }
+
+    /// The same call as [`ReferenceBackend::run`], for either BLAS level.
+    // `benchmark/` (frozen outside `[benchmark]` PRs) calls this name.
+    pub fn run2<T: Float>(&self, nt: usize, op: Blas3Op<'_, T>) -> Result<(), Blas3Error> {
+        self.run(nt, op)
     }
 }
 
@@ -465,13 +405,5 @@ impl Blas3Backend for ReferenceBackend {
 
     fn execute_f64(&self, nt: usize, op: Blas3Op<'_, f64>) -> Result<(), Blas3Error> {
         self.run(nt, op)
-    }
-
-    fn execute2_f32(&self, nt: usize, op: Blas2Op<'_, f32>) -> Result<(), Blas3Error> {
-        self.run2(nt, op)
-    }
-
-    fn execute2_f64(&self, nt: usize, op: Blas2Op<'_, f64>) -> Result<(), Blas3Error> {
-        self.run2(nt, op)
     }
 }

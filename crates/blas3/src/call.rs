@@ -1,10 +1,12 @@
-//! The unified call-description layer: one value per BLAS Level 3 call.
+//! The unified call-description layer: one value per BLAS call.
 //!
-//! A [`Blas3Op`] bundles everything a Level 3 call needs — operand flags,
-//! scalars, and typed matrix views — into a single enum with one variant per
-//! subroutine family. Backends ([`crate::backend::Blas3Backend`]) consume
-//! these descriptions; the ADSALA runtime produces them, predicts a thread
-//! count from [`Blas3Op::dims`], and dispatches.
+//! A [`Blas3Op`] bundles everything a call needs — operand flags, scalars,
+//! typed matrix views and, for the Level 2 families, typed strided vector
+//! views ([`VecRef`]/[`VecMut`]) — into a single enum with one variant per
+//! subroutine family: the six of Level 3 and the five of Level 2. Backends
+//! ([`crate::backend::Blas3Backend`]) consume these descriptions; the
+//! ADSALA runtime produces them, predicts a thread count from
+//! [`Blas3Op::dims`], and dispatches.
 //!
 //! [`Blas3Op::validate`] turns the cross-operand dimension rules of the BLAS
 //! specification into typed [`Blas3Error`]s instead of scattered panics, so
@@ -12,10 +14,11 @@
 
 use crate::matrix::{MatMut, MatRef};
 use crate::op::{Diag, Dims, OpKind, Routine, Side, Transpose, Uplo};
+use crate::vector::{VecMut, VecRef};
 use crate::Float;
 use std::fmt;
 
-/// Typed error for malformed BLAS Level 3 calls and views.
+/// Typed error for malformed BLAS calls and views.
 #[derive(Debug, Clone, PartialEq, Eq)]
 #[non_exhaustive]
 pub enum Blas3Error {
@@ -101,14 +104,6 @@ pub enum Blas3Error {
         /// Actual slice length.
         got: usize,
     },
-    /// The backend does not implement this routine family (e.g. a
-    /// Level-3-only backend handed a Level 2 call).
-    UnsupportedRoutine {
-        /// Backend name.
-        backend: &'static str,
-        /// The unsupported family.
-        op: OpKind,
-    },
     /// The backend failed executing an otherwise well-formed call.
     ///
     /// Raised by fallible backends (notably [`crate::fault::FaultBackend`])
@@ -125,8 +120,8 @@ pub enum Blas3Error {
 
 impl Blas3Error {
     /// `true` when the error is a transient backend fault that a caller may
-    /// retry. Every other variant — validation errors, unsupported routines,
-    /// fatal faults — is deterministic and will fail again identically.
+    /// retry. Every other variant — validation errors, fatal faults — is
+    /// deterministic and will fail again identically.
     pub fn is_transient(&self) -> bool {
         matches!(
             self,
@@ -192,9 +187,6 @@ impl fmt::Display for Blas3Error {
                 f,
                 "{name}: slice too short for {len}-vector inc {inc}: length {got} < required {needed}"
             ),
-            Blas3Error::UnsupportedRoutine { backend, op } => {
-                write!(f, "backend {backend} does not implement {}", op.name())
-            }
             Blas3Error::BackendFault { backend, transient } => {
                 let kind = if *transient { "transient" } else { "fatal" };
                 write!(f, "backend {backend}: {kind} fault")
@@ -210,8 +202,8 @@ impl std::error::Error for Blas3Error {}
 /// operand whose `op(M)` is `rows x cols`.
 ///
 /// The one place the rule is written: [`Blas3Op::validate`],
-/// [`Blas3Op::dims`], their Level 2 counterparts, the drivers' entry checks
-/// and the classic slice shims of the ADSALA runtime all call it.
+/// [`Blas3Op::dims`], the drivers' entry checks and the classic slice shims
+/// of the ADSALA runtime all call it.
 pub fn op_shape(trans: Transpose, rows: usize, cols: usize) -> (usize, usize) {
     match trans {
         Transpose::No => (rows, cols),
@@ -364,11 +356,51 @@ pub(crate) fn tri_shape<T: Float>(
     (Dims::d2(b.rows(), b.cols()), ok)
 }
 
-/// A fully-described BLAS Level 3 call: flags, scalars, and operand views.
+/// GEMV `(m, n)` from A's stored shape: x spans the columns of `op(A)`, y
+/// its rows.
+pub(crate) fn gemv_shape<T: Float>(
+    trans: Transpose,
+    a: MatRef<'_, T>,
+    xlen: usize,
+    ylen: usize,
+) -> Shape {
+    let (rows, cols) = op_shape(trans, a.rows(), a.cols());
+    let ok = agree(OpKind::Gemv, "op(A) columns and x length", cols, xlen)
+        .and_then(|()| agree(OpKind::Gemv, "op(A) rows and y length", rows, ylen));
+    (Dims::d2(a.rows(), a.cols()), ok)
+}
+
+/// GER `(m, n)`: x spans A's rows, y its columns.
+pub(crate) fn ger_shape<T: Float>(xlen: usize, ylen: usize, a: MatRef<'_, T>) -> Shape {
+    let ok = agree(OpKind::Ger, "A rows and x length", a.rows(), xlen)
+        .and_then(|()| agree(OpKind::Ger, "A columns and y length", a.cols(), ylen));
+    (Dims::d2(a.rows(), a.cols()), ok)
+}
+
+/// SYMV / TRMV / TRSV `(n)`: A is square of order `n`, which every vector
+/// of the call (x, and SYMV's y) must span.
+pub(crate) fn square_shape<T: Float>(
+    op: OpKind,
+    a: MatRef<'_, T>,
+    xlen: usize,
+    ylen: Option<usize>,
+) -> Shape {
+    let ok = square(op, "A", a)
+        .and_then(|()| agree(op, "A order and x length", a.rows(), xlen))
+        .and_then(|()| match ylen {
+            None => Ok(()),
+            Some(ylen) => agree(op, "A order and y length", a.rows(), ylen),
+        });
+    (Dims::d1(a.rows()), ok)
+}
+
+/// A fully-described BLAS call: flags, scalars, and operand views.
 ///
-/// One variant per subroutine family (paper Table I). Dimensions are not
-/// stored redundantly — they derive from the views via [`Blas3Op::dims`],
-/// and [`Blas3Op::validate`] checks the cross-operand consistency rules.
+/// One variant per subroutine family: the six Level 3 families of paper
+/// Table I, then the five Level 2 matrix-vector families. Dimensions are
+/// not stored redundantly — they derive from the views via
+/// [`Blas3Op::dims`], and [`Blas3Op::validate`] checks the cross-operand
+/// consistency rules.
 #[derive(Debug)]
 pub enum Blas3Op<'a, T: Float> {
     /// `C = alpha * op(A) * op(B) + beta * C`.
@@ -476,6 +508,75 @@ pub enum Blas3Op<'a, T: Float> {
         /// In-place right-hand sides.
         b: MatMut<'a, T>,
     },
+    /// `y = alpha * op(A) * x + beta * y`.
+    Gemv {
+        /// Transpose flag for A.
+        trans: Transpose,
+        /// Scale on the product.
+        alpha: T,
+        /// Matrix operand (stored orientation; `trans` applies on top).
+        a: MatRef<'a, T>,
+        /// Input vector (length = columns of `op(A)`).
+        x: VecRef<'a, T>,
+        /// Scale on the existing y.
+        beta: T,
+        /// Output vector (length = rows of `op(A)`).
+        y: VecMut<'a, T>,
+    },
+    /// Rank-1 update `A = alpha * x * y' + A`, in place on A.
+    Ger {
+        /// Scale on the outer product.
+        alpha: T,
+        /// Column vector (length = rows of A).
+        x: VecRef<'a, T>,
+        /// Row vector (length = columns of A).
+        y: VecRef<'a, T>,
+        /// In-place matrix operand.
+        a: MatMut<'a, T>,
+    },
+    /// `y = alpha * A * x + beta * y`, A symmetric with only the `uplo`
+    /// triangle stored.
+    Symv {
+        /// Stored triangle of A.
+        uplo: Uplo,
+        /// Scale on the product.
+        alpha: T,
+        /// Symmetric operand.
+        a: MatRef<'a, T>,
+        /// Input vector.
+        x: VecRef<'a, T>,
+        /// Scale on the existing y.
+        beta: T,
+        /// Output vector.
+        y: VecMut<'a, T>,
+    },
+    /// `x = op(A) * x`, A triangular; x is updated in place.
+    Trmv {
+        /// Stored triangle of A.
+        uplo: Uplo,
+        /// Transpose flag for A.
+        trans: Transpose,
+        /// Unit-diagonal flag for A.
+        diag: Diag,
+        /// Triangular operand.
+        a: MatRef<'a, T>,
+        /// In-place vector operand.
+        x: VecMut<'a, T>,
+    },
+    /// Solve `op(A) * x = b` where b arrives in x and the solution
+    /// overwrites it; A triangular.
+    Trsv {
+        /// Stored triangle of A.
+        uplo: Uplo,
+        /// Transpose flag for A.
+        trans: Transpose,
+        /// Unit-diagonal flag for A.
+        diag: Diag,
+        /// Triangular operand.
+        a: MatRef<'a, T>,
+        /// In-place right-hand side / solution vector.
+        x: VecMut<'a, T>,
+    },
 }
 
 impl<'a, T: Float> Blas3Op<'a, T> {
@@ -488,6 +589,11 @@ impl<'a, T: Float> Blas3Op<'a, T> {
             Blas3Op::Syr2k { .. } => OpKind::Syr2k,
             Blas3Op::Trmm { .. } => OpKind::Trmm,
             Blas3Op::Trsm { .. } => OpKind::Trsm,
+            Blas3Op::Gemv { .. } => OpKind::Gemv,
+            Blas3Op::Ger { .. } => OpKind::Ger,
+            Blas3Op::Symv { .. } => OpKind::Symv,
+            Blas3Op::Trmv { .. } => OpKind::Trmv,
+            Blas3Op::Trsv { .. } => OpKind::Trsv,
         }
     }
 
@@ -517,15 +623,23 @@ impl<'a, T: Float> Blas3Op<'a, T> {
             Blas3Op::Trmm { side, a, b, .. } | Blas3Op::Trsm { side, a, b, .. } => {
                 tri_shape(self.op_kind(), *side, *a, b.as_ref())
             }
+            Blas3Op::Gemv { trans, a, x, y, .. } => gemv_shape(*trans, *a, x.len(), y.len()),
+            Blas3Op::Ger { x, y, a, .. } => ger_shape(x.len(), y.len(), a.as_ref()),
+            Blas3Op::Symv { a, x, y, .. } => square_shape(OpKind::Symv, *a, x.len(), Some(y.len())),
+            Blas3Op::Trmv { a, x, .. } | Blas3Op::Trsv { a, x, .. } => {
+                square_shape(self.op_kind(), *a, x.len(), None)
+            }
         }
     }
 
     /// Canonical dimension tuple (paper Table I order), derived from the
     /// operand views: GEMM `(m, k, n)`; SYMM `(m, n)`; SYRK/SYR2K `(n, k)`;
-    /// TRMM/TRSM `(m, n)`.
+    /// TRMM/TRSM `(m, n)`; GEMV/GER `(m, n)` from A's stored shape;
+    /// SYMV/TRMV/TRSV `(n)`.
     ///
     /// Meaningful only up to the consistency [`Blas3Op::validate`] checks;
-    /// on an inconsistent call the extents come from C (and `k` from A).
+    /// on an inconsistent call the extents come from the output operand
+    /// (and `k` from A), or from A for the Level 2 families.
     pub fn dims(&self) -> Dims {
         self.shape().0
     }
@@ -553,7 +667,7 @@ impl<'a, T: Float> Blas3Op<'a, T> {
 }
 
 #[cfg(test)]
-pub(crate) mod tests {
+mod tests {
     use super::*;
     use crate::matrix::Matrix;
 
@@ -667,10 +781,51 @@ pub(crate) mod tests {
         };
         assert_eq!(trsm.flops(), 25.0 * 3.0);
         assert_eq!(trsm.bytes_touched(), (25.0 + 15.0) * 8.0);
+
+        // GEMV m=3, n=5: 2mn flops; (mn + m + n) words. GER the same.
+        let a = Matrix::<f64>::zeros(3, 5);
+        let (x, mut y) = ([0.0f64; 5], [0.0f64; 3]);
+        let gemv = Blas3Op::Gemv {
+            trans: Transpose::No,
+            alpha: 1.0,
+            a: a.as_ref(),
+            x: VecRef::new(5, 1, &x),
+            beta: 0.0,
+            y: VecMut::new(3, 1, &mut y),
+        };
+        assert_eq!(gemv.routine().name(), "dgemv");
+        assert_eq!(gemv.dims(), Dims::d2(3, 5));
+        assert_eq!(gemv.flops(), 30.0);
+        assert_eq!(gemv.bytes_touched(), (15.0 + 8.0) * 8.0);
+        let mut a = Matrix::<f64>::zeros(3, 5);
+        let ger = Blas3Op::Ger {
+            alpha: 1.0,
+            x: VecRef::new(3, 1, &y),
+            y: VecRef::new(5, 1, &x),
+            a: a.as_mut(),
+        };
+        assert_eq!(ger.dims(), Dims::d2(3, 5));
+        assert_eq!(ger.flops(), 30.0);
+        assert!(ger.validate().is_ok());
     }
 
     #[test]
-    fn transposed_gemm_dims() {
+    fn transposed_gemm_and_gemv_dims() {
+        // op(A) = A' is 5x3: x spans its 3 columns, y its 5 rows, and the
+        // dimension tuple follows A's stored shape.
+        let a = Matrix::<f32>::zeros(3, 5);
+        let (x, mut y) = ([0.0f32; 3], [0.0f32; 5]);
+        let op = Blas3Op::Gemv {
+            trans: Transpose::Yes,
+            alpha: 1.0,
+            a: a.as_ref(),
+            x: VecRef::new(3, 1, &x),
+            beta: 0.0,
+            y: VecMut::new(5, 1, &mut y),
+        };
+        assert_eq!(op.dims(), Dims::d2(3, 5));
+        assert!(op.validate().is_ok());
+
         let a = Matrix::<f32>::zeros(5, 3); // op(A) = A' is 3x5
         let b = Matrix::<f32>::zeros(7, 5); // op(B) = B' is 5x7
         let mut c = Matrix::<f32>::zeros(3, 7);
@@ -688,71 +843,126 @@ pub(crate) mod tests {
         assert!(op.validate().is_ok());
     }
 
-    /// One matrix operand as a classic entry point describes it:
-    /// `(name, rows, cols, ld, slice length)`.
-    pub(crate) type Operand = (&'static str, usize, usize, usize, usize);
-
-    /// The name the classic entry points give an operand, e.g. `"gemm A"`.
-    pub(crate) fn operand_name(kind: OpKind, letter: char) -> &'static str {
-        Box::leak(format!("{} {letter}", kind.name()).into_boxed_str())
+    /// One operand as a classic entry point describes it: a matrix
+    /// `(name, rows, cols, ld, slice length)` or a vector
+    /// `(name, len, inc, slice length)`.
+    #[derive(Debug, Clone, Copy)]
+    enum Operand {
+        Matrix(&'static str, usize, usize, usize, usize),
+        Vector(&'static str, usize, usize, usize),
     }
 
-    /// A tightly packed operand.
-    pub(crate) fn packed(name: &'static str, (rows, cols): (usize, usize)) -> Operand {
-        (name, rows, cols, rows.max(1), rows * cols)
+    /// The operand a table entry describes, named as the classic entry
+    /// points name it (e.g. `"gemm A"`, `"gemv x"`): an upper-case letter is
+    /// a tightly packed matrix, a lower-case one a stride-2 vector of length
+    /// `rows` over a slice that just covers it.
+    fn operand(kind: OpKind, letter: char, (rows, cols): (usize, usize)) -> Operand {
+        let name = Box::leak(format!("{} {letter}", kind.name()).into_boxed_str());
+        if letter.is_lowercase() {
+            Operand::Vector(name, rows, 2, 2 * rows - 1)
+        } else {
+            Operand::Matrix(name, rows, cols, rows.max(1), rows * cols)
+        }
     }
 
     /// The two malformed descriptions a view constructor must reject by
-    /// operand name: a short leading dimension and a short slice.
-    pub(crate) fn malformed((name, rows, cols, ld, len): Operand) -> [(Operand, Blas3Error); 2] {
-        let (ld_err, needed, got) = (rows - 1, len, len - 1);
-        [
-            (
-                (name, rows, cols, ld_err, len),
-                Blas3Error::BadLeadingDim {
-                    name,
-                    ld: ld_err,
-                    rows,
-                },
-            ),
-            (
-                (name, rows, cols, ld, got),
-                Blas3Error::ShortSlice {
-                    name,
-                    rows,
-                    cols,
-                    ld,
-                    needed,
-                    got,
-                },
-            ),
-        ]
-    }
-
-    /// The view, through the panicking (`classic`) or fallible constructor.
-    pub(crate) fn view(
-        (name, rows, cols, ld, len): Operand,
-        buf: &[f64],
-        classic: bool,
-    ) -> Result<MatRef<'_, f64>, Blas3Error> {
-        if classic {
-            Ok(MatRef::new_named(name, rows, cols, ld, &buf[..len]))
-        } else {
-            MatRef::try_new_named(name, rows, cols, ld, &buf[..len])
+    /// operand name: a short leading dimension (for a vector, a zero
+    /// increment) and a short slice.
+    fn malformed(operand: Operand) -> [(Operand, Blas3Error); 2] {
+        use Operand::{Matrix as M, Vector as V};
+        match operand {
+            M(name, rows, cols, ld, len) => [
+                (
+                    M(name, rows, cols, rows - 1, len),
+                    Blas3Error::BadLeadingDim {
+                        name,
+                        ld: rows - 1,
+                        rows,
+                    },
+                ),
+                (
+                    M(name, rows, cols, ld, len - 1),
+                    Blas3Error::ShortSlice {
+                        name,
+                        rows,
+                        cols,
+                        ld,
+                        needed: len,
+                        got: len - 1,
+                    },
+                ),
+            ],
+            V(name, len, inc, slice) => [
+                (
+                    V(name, len, 0, slice),
+                    Blas3Error::BadIncrement { name, inc: 0 },
+                ),
+                (
+                    V(name, len, inc, slice - 1),
+                    Blas3Error::ShortVector {
+                        name,
+                        len,
+                        inc,
+                        needed: slice,
+                        got: slice - 1,
+                    },
+                ),
+            ],
         }
     }
 
-    /// [`view`] for an output operand.
-    pub(crate) fn view_mut(
-        (name, rows, cols, ld, len): Operand,
-        buf: &mut [f64],
-        classic: bool,
-    ) -> Result<MatMut<'_, f64>, Blas3Error> {
-        if classic {
-            Ok(MatMut::new_named(name, rows, cols, ld, &mut buf[..len]))
-        } else {
-            MatMut::try_new_named(name, rows, cols, ld, &mut buf[..len])
-        }
+    /// An input operand's view.
+    #[derive(Clone, Copy)]
+    enum In<'a> {
+        Mat(MatRef<'a, f64>),
+        Vector(VecRef<'a, f64>),
+    }
+
+    /// The output operand's view.
+    enum Out<'a> {
+        Mat(MatMut<'a, f64>),
+        Vector(VecMut<'a, f64>),
+    }
+
+    /// An input's view, through the panicking (`classic`) or fallible
+    /// constructor.
+    fn input(operand: Operand, buf: &[f64], classic: bool) -> Result<In<'_>, Blas3Error> {
+        Ok(match (operand, classic) {
+            (Operand::Matrix(name, rows, cols, ld, len), true) => {
+                In::Mat(MatRef::new_named(name, rows, cols, ld, &buf[..len]))
+            }
+            (Operand::Matrix(name, rows, cols, ld, len), false) => {
+                In::Mat(MatRef::try_new_named(name, rows, cols, ld, &buf[..len])?)
+            }
+            (Operand::Vector(name, len, inc, slice), true) => {
+                In::Vector(VecRef::new_named(name, len, inc, &buf[..slice]))
+            }
+            (Operand::Vector(name, len, inc, slice), false) => {
+                In::Vector(VecRef::try_new_named(name, len, inc, &buf[..slice])?)
+            }
+        })
+    }
+
+    /// [`input`] for the output operand.
+    fn output(operand: Operand, buf: &mut [f64], classic: bool) -> Result<Out<'_>, Blas3Error> {
+        Ok(match (operand, classic) {
+            (Operand::Matrix(name, rows, cols, ld, len), true) => {
+                Out::Mat(MatMut::new_named(name, rows, cols, ld, &mut buf[..len]))
+            }
+            (Operand::Matrix(name, rows, cols, ld, len), false) => Out::Mat(MatMut::try_new_named(
+                name,
+                rows,
+                cols,
+                ld,
+                &mut buf[..len],
+            )?),
+            (Operand::Vector(name, len, inc, slice), true) => {
+                Out::Vector(VecMut::new_named(name, len, inc, &mut buf[..slice]))
+            }
+            (Operand::Vector(name, len, inc, slice), false) => {
+                Out::Vector(VecMut::try_new_named(name, len, inc, &mut buf[..slice])?)
+            }
+        })
     }
 
     /// Assert that `call` fails (or, for `None`, succeeds) identically down
@@ -760,7 +970,7 @@ pub(crate) mod tests {
     /// constructors, then `validate()` — and `call(true)` the classic one —
     /// panicking constructors, then the public driver — whose panic text
     /// must be the typed error's.
-    pub(crate) fn assert_same_failure(
+    fn assert_same_failure(
         label: &str,
         expect: Option<&Blas3Error>,
         call: impl Fn(bool) -> Result<(), Blas3Error>,
@@ -773,9 +983,10 @@ pub(crate) mod tests {
         assert_eq!(text, expect.map(|e| e.to_string()), "{label}: classic path");
     }
 
-    /// One Level 3 call: the family, its transpose flags (`transa`/`transb`
-    /// for GEMM, `trans` first otherwise) and side, and the stored operand
-    /// shapes in entry-point order (inputs, then the output).
+    /// One call: the family, its transpose flags (`transa`/`transb` for
+    /// GEMM, `trans` first otherwise) and side, and the stored operand
+    /// shapes in entry-point order (inputs, then the output), a vector's as
+    /// `(len, 1)`.
     type Call = (OpKind, [Transpose; 2], Side, &'static [(usize, usize)]);
 
     /// Describe `call` over `specs` and run it down one of the two paths of
@@ -785,44 +996,42 @@ pub(crate) mod tests {
         specs: &[Operand],
         classic: bool,
     ) -> Result<(), Blas3Error> {
+        use In::{Mat as A, Vector as X};
+        use Out::{Mat as C, Vector as Y};
         let mut bufs = vec![[0.0f64; 64]; specs.len()];
         let (out, ins) = bufs.split_last_mut().unwrap();
         let (out_spec, in_specs) = specs.split_last().unwrap();
         let views = in_specs.iter().zip(ins.iter());
         let ins = views
-            .map(|(&o, buf)| view(o, buf, classic))
+            .map(|(&o, buf)| input(o, buf, classic))
             .collect::<Result<Vec<_>, _>>()?;
-        let c = view_mut(*out_spec, out, classic)?;
+        let out = output(*out_spec, out, classic)?;
         let (uplo, diag, alpha, beta) = (Uplo::Upper, Diag::NonUnit, 1.0, 0.0);
-        let (a, b) = (ins[0], ins[ins.len() - 1]);
+        #[rustfmt::skip]
+        let op = match (kind, &ins[..], out) {
+            (OpKind::Gemm, &[A(a), A(b)], C(c)) => Blas3Op::Gemm { transa: trans, transb, alpha, a, b, beta, c },
+            (OpKind::Symm, &[A(a), A(b)], C(c)) => Blas3Op::Symm { side, uplo, alpha, a, b, beta, c },
+            (OpKind::Syrk, &[A(a)], C(c)) => Blas3Op::Syrk { uplo, trans, alpha, a, beta, c },
+            (OpKind::Syr2k, &[A(a), A(b)], C(c)) => Blas3Op::Syr2k { uplo, trans, alpha, a, b, beta, c },
+            (OpKind::Trmm, &[A(a)], C(b)) => Blas3Op::Trmm { side, uplo, trans, diag, alpha, a, b },
+            (OpKind::Trsm, &[A(a)], C(b)) => Blas3Op::Trsm { side, uplo, trans, diag, alpha, a, b },
+            (OpKind::Gemv, &[A(a), X(x)], Y(y)) => Blas3Op::Gemv { trans, alpha, a, x, beta, y },
+            (OpKind::Ger, &[X(x), X(y)], C(a)) => Blas3Op::Ger { alpha, x, y, a },
+            (OpKind::Symv, &[A(a), X(x)], Y(y)) => Blas3Op::Symv { uplo, alpha, a, x, beta, y },
+            (OpKind::Trmv, &[A(a)], Y(x)) => Blas3Op::Trmv { uplo, trans, diag, a, x },
+            (OpKind::Trsv, &[A(a)], Y(x)) => Blas3Op::Trsv { uplo, trans, diag, a, x },
+            _ => unreachable!("operands do not fit {kind:?}"),
+        };
         if classic {
-            match kind {
-                OpKind::Gemm => crate::gemm::gemm(1, trans, transb, alpha, a, b, beta, c),
-                OpKind::Symm => crate::symm::symm(1, side, uplo, alpha, a, b, beta, c),
-                OpKind::Syrk => crate::syrk::syrk(1, uplo, trans, alpha, a, beta, c),
-                OpKind::Syr2k => crate::syr2k::syr2k(1, uplo, trans, alpha, a, b, beta, c),
-                OpKind::Trmm => crate::trmm::trmm(1, side, uplo, trans, diag, alpha, a, c),
-                OpKind::Trsm => crate::trsm::trsm(1, side, uplo, trans, diag, alpha, a, c),
-                _ => unreachable!("Level 2 families have their own table in call2.rs"),
-            }
+            crate::backend::drive(1, op);
             return Ok(());
         }
-        #[rustfmt::skip]
-        let op = match kind {
-            OpKind::Gemm => Blas3Op::Gemm { transa: trans, transb, alpha, a, b, beta, c },
-            OpKind::Symm => Blas3Op::Symm { side, uplo, alpha, a, b, beta, c },
-            OpKind::Syrk => Blas3Op::Syrk { uplo, trans, alpha, a, beta, c },
-            OpKind::Syr2k => Blas3Op::Syr2k { uplo, trans, alpha, a, b, beta, c },
-            OpKind::Trmm => Blas3Op::Trmm { side, uplo, trans, diag, alpha, a, b: c },
-            OpKind::Trsm => Blas3Op::Trsm { side, uplo, trans, diag, alpha, a, b: c },
-            _ => unreachable!("Level 2 families have their own table in call2.rs"),
-        };
         op.validate()
     }
 
     #[test]
     fn every_malformed_call_fails_the_same_way_typed_and_through_the_driver() {
-        use OpKind::{Gemm, Symm, Syr2k, Syrk, Trmm, Trsm};
+        use OpKind::{Gemm, Gemv, Ger, Symm, Symv, Syr2k, Syrk, Trmm, Trmv, Trsm, Trsv};
         use Side::{Left as L, Right as R};
         use Transpose::{No as N, Yes as T};
         let mismatch = |op, expected, x, y| {
@@ -888,18 +1097,49 @@ pub(crate) mod tests {
             ((Trmm, [T, N], R, &[(6, 6), (4, 5)]), mismatch(Trmm, "A order and the multiplied B extent", 6, 5)),
             ((Trsm, [T, N], R, &[(4, 4), (4, 6)]), mismatch(Trsm, "A order and the multiplied B extent", 4, 6)),
             ((Trsm, [N, N], L, &[(4, 4), (6, 6)]), mismatch(Trsm, "A order and the multiplied B extent", 4, 6)),
+            // GEMV: x spans the columns of op(A), y its rows.
+            ((Gemv, [N, N], L, &[(3, 5), (5, 1), (3, 1)]), None),
+            ((Gemv, [T, N], L, &[(3, 5), (3, 1), (5, 1)]), None),
+            ((Gemv, [N, N], L, &[(3, 5), (4, 1), (3, 1)]), mismatch(Gemv, "op(A) columns and x length", 5, 4)),
+            ((Gemv, [N, N], L, &[(3, 6), (5, 1), (3, 1)]), mismatch(Gemv, "op(A) columns and x length", 6, 5)),
+            ((Gemv, [T, N], L, &[(3, 5), (5, 1), (3, 1)]), mismatch(Gemv, "op(A) columns and x length", 3, 5)),
+            ((Gemv, [N, N], L, &[(3, 5), (5, 1), (4, 1)]), mismatch(Gemv, "op(A) rows and y length", 3, 4)),
+            ((Gemv, [N, N], L, &[(4, 5), (5, 1), (3, 1)]), mismatch(Gemv, "op(A) rows and y length", 4, 3)),
+            // GER: x spans A's rows, y its columns.
+            ((Ger, [N, N], L, &[(3, 1), (5, 1), (3, 5)]), None),
+            ((Ger, [N, N], L, &[(4, 1), (5, 1), (3, 5)]), mismatch(Ger, "A rows and x length", 3, 4)),
+            ((Ger, [N, N], L, &[(3, 1), (5, 1), (4, 5)]), mismatch(Ger, "A rows and x length", 4, 3)),
+            ((Ger, [N, N], L, &[(3, 1), (4, 1), (3, 5)]), mismatch(Ger, "A columns and y length", 5, 4)),
+            ((Ger, [N, N], L, &[(3, 1), (5, 1), (3, 6)]), mismatch(Ger, "A columns and y length", 6, 5)),
+            // SYMV / TRMV / TRSV: A square, every vector of its order.
+            ((Symv, [N, N], L, &[(4, 4), (4, 1), (4, 1)]), None),
+            ((Symv, [N, N], L, &[(4, 3), (4, 1), (4, 1)]), not_square(Symv, "A", 4, 3)),
+            ((Symv, [N, N], L, &[(3, 4), (4, 1), (4, 1)]), not_square(Symv, "A", 3, 4)),
+            ((Symv, [N, N], L, &[(4, 4), (5, 1), (4, 1)]), mismatch(Symv, "A order and x length", 4, 5)),
+            ((Symv, [N, N], L, &[(4, 4), (4, 1), (3, 1)]), mismatch(Symv, "A order and y length", 4, 3)),
+            ((Trmv, [N, N], L, &[(4, 4), (4, 1)]), None),
+            ((Trmv, [T, N], L, &[(4, 3), (4, 1)]), not_square(Trmv, "A", 4, 3)),
+            ((Trmv, [N, N], L, &[(3, 4), (4, 1)]), not_square(Trmv, "A", 3, 4)),
+            ((Trmv, [N, N], L, &[(4, 4), (5, 1)]), mismatch(Trmv, "A order and x length", 4, 5)),
+            ((Trsv, [T, N], L, &[(4, 4), (4, 1)]), None),
+            ((Trsv, [N, N], L, &[(4, 3), (4, 1)]), not_square(Trsv, "A", 4, 3)),
+            ((Trsv, [T, N], L, &[(3, 4), (4, 1)]), not_square(Trsv, "A", 3, 4)),
+            ((Trsv, [N, N], L, &[(4, 4), (3, 1)]), mismatch(Trsv, "A order and x length", 4, 3)),
         ];
         for (call, expect) in table {
             let (kind, .., shapes) = *call;
             let letters = match kind {
                 Syrk => "AC",
                 Trmm | Trsm => "AB",
+                Gemv | Symv => "Axy",
+                Ger => "xyA",
+                Trmv | Trsv => "Ax",
                 _ => "ABC",
             };
             let specs: Vec<Operand> = letters
                 .chars()
                 .zip(shapes)
-                .map(|(l, &shape)| packed(operand_name(kind, l), shape))
+                .map(|(l, &shape)| operand(kind, l, shape))
                 .collect();
             let label = format!("{call:?}");
             assert_same_failure(&label, expect.as_ref(), |classic| {
@@ -913,7 +1153,7 @@ pub(crate) mod tests {
                 for (bad, error) in malformed(specs[i]) {
                     let mut specs = specs.clone();
                     specs[i] = bad;
-                    let label = format!("{label}, malformed {}", bad.0);
+                    let label = format!("{label}, malformed {bad:?}");
                     assert_same_failure(&label, Some(&error), |classic| {
                         run(*call, &specs, classic)
                     });

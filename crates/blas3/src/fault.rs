@@ -29,7 +29,6 @@
 
 use crate::backend::Blas3Backend;
 use crate::call::{Blas3Error, Blas3Op};
-use crate::call2::Blas2Op;
 use crate::op::{Dims, Routine};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
@@ -352,18 +351,6 @@ impl<B: Blas3Backend> Blas3Backend for FaultBackend<B> {
     fn execute_f64(&self, nt: usize, op: Blas3Op<'_, f64>) -> Result<(), Blas3Error> {
         self.apply(op.routine(), op.dims(), move || {
             self.inner.execute_f64(nt, op)
-        })
-    }
-
-    fn execute2_f32(&self, nt: usize, op: Blas2Op<'_, f32>) -> Result<(), Blas3Error> {
-        self.apply(op.routine(), op.dims(), move || {
-            self.inner.execute2_f32(nt, op)
-        })
-    }
-
-    fn execute2_f64(&self, nt: usize, op: Blas2Op<'_, f64>) -> Result<(), Blas3Error> {
-        self.apply(op.routine(), op.dims(), move || {
-            self.inner.execute2_f64(nt, op)
         })
     }
 }

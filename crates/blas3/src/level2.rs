@@ -26,13 +26,12 @@
 //!   blocking into Level 3 calls, which the tiny sizes this family serves
 //!   never amortise. The predictor learns `nt = 1` for them instead.
 //!
-//! All entry points take the operand views a validated
-//! [`Blas2Op`](crate::call2::Blas2Op) holds; strided (`inc != 1`) vectors
+//! All entry points take the operand views a validated Level 2
+//! [`Blas3Op`](crate::call::Blas3Op) holds; strided (`inc != 1`) vectors
 //! are staged through contiguous temporaries so the kernels always stream
 //! unit-stride.
 
-use crate::call::entry;
-use crate::call2::{gemv_shape, ger_shape, square_shape};
+use crate::call::{entry, gemv_shape, ger_shape, square_shape};
 use crate::kernel::level2::Level2Dispatch;
 use crate::kernel::prefetch_read;
 use crate::matrix::{MatMut, MatRef};
@@ -92,7 +91,7 @@ fn staged<'a, T: Float>(v: &VecRef<'a, T>, buf: &'a mut Vec<T>) -> &'a [T] {
 ///
 /// # Panics
 /// If the vector lengths disagree with `op(A)`, with the text of the typed
-/// error [`Blas2Op::validate`](crate::call2::Blas2Op::validate) returns.
+/// error [`Blas3Op::validate`](crate::call::Blas3Op::validate) returns.
 pub fn gemv<T: Float>(
     nt: usize,
     trans: Transpose,

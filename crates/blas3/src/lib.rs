@@ -24,15 +24,18 @@
 //!   [`Diag`]) and the [`OpKind`] descriptor encoding Table I of the paper.
 //! * [`matrix`] — owned column-major matrices and the checked, typed
 //!   [`MatRef`]/[`MatMut`] operand views.
-//! * [`call`] / [`call2`] — the unified call-description layers: one
-//!   [`Blas3Op`] value per Level 3 call and one [`Blas2Op`] per Level 2
-//!   call, with typed [`Blas3Error`] validation. Level 2 operands use the
-//!   strided [`VecRef`]/[`VecMut`] views from [`vector`].
-//! * [`owned`] / [`owned2`] — [`OwnedOp`] and [`OwnedOp2`], the owned
-//!   `'static` mirrors of the call descriptions that queued/deferred
-//!   executors (the `adsala-serve` crate) move jobs around with.
+//! * [`call`] — the unified call-description layer: one [`Blas3Op`] value
+//!   per call of either level, with typed [`Blas3Error`] validation. Level 2
+//!   operands use the strided [`VecRef`]/[`VecMut`] views from [`vector`].
+//!   The `Blas3` prefix (like [`Blas3Error`]'s and [`Blas3Backend`]'s) is
+//!   the crate's name, not a limit to Level 3.
+//! * [`owned`] / [`owned2`] — [`OwnedOp`] (Level 3) and [`OwnedOp2`]
+//!   (Level 2), the owned `'static` forms of the call description that
+//!   queued/deferred executors (the `adsala-serve` crate) move jobs around
+//!   with; both reborrow as a [`Blas3Op`].
 //! * [`backend`] — the pluggable [`Blas3Backend`] execution trait
-//!   ([`NativeBackend`] blocked kernels, [`ReferenceBackend`] oracles).
+//!   ([`NativeBackend`] blocked kernels, [`ReferenceBackend`] oracles), one
+//!   entry point per precision for both levels.
 //! * [`pool`] — a persistent work-stealing-free fork/join thread pool with
 //!   cooperative *teams* ([`pool::TeamCtx`], a reusable barrier); the cost
 //!   of spawning/synchronising threads is part of what the paper's model
@@ -64,7 +67,6 @@
 pub mod arena;
 pub mod backend;
 pub mod call;
-pub mod call2;
 #[cfg(feature = "chaos")]
 pub mod chaos;
 pub mod fault;
@@ -89,12 +91,11 @@ pub mod trsm;
 
 pub use backend::{Blas3Backend, NativeBackend, ReferenceBackend};
 pub use call::{Blas3Error, Blas3Op};
-pub use call2::Blas2Op;
 pub use fault::{FaultBackend, FaultKind, FaultRule, FaultStats, FaultTarget};
 pub use matrix::{MatMut, MatRef, Matrix};
 pub use op::{Diag, OpKind, Precision, Side, Transpose, Uplo};
 pub use owned::OwnedOp;
-pub use owned2::{Blas2Output, OwnedOp2};
+pub use owned2::OwnedOp2;
 pub use pool::ThreadPool;
 pub use vector::{VecMut, VecRef};
 
@@ -158,13 +159,6 @@ pub trait Float:
         op: Blas3Op<'_, Self>,
     ) -> Result<(), Blas3Error>;
 
-    /// [`Float::dispatch_op`] for Level 2 call descriptions.
-    fn dispatch_op2<B: Blas3Backend + ?Sized>(
-        backend: &B,
-        nt: usize,
-        op: Blas2Op<'_, Self>,
-    ) -> Result<(), Blas3Error>;
-
     /// Lossless conversion from `f64` (lossy for `f32`, used for scalars).
     fn from_f64(x: f64) -> Self;
     /// Conversion to `f64` for error measurement.
@@ -197,14 +191,6 @@ impl Float for f32 {
         op: Blas3Op<'_, f32>,
     ) -> Result<(), Blas3Error> {
         backend.execute_f32(nt, op)
-    }
-
-    fn dispatch_op2<B: Blas3Backend + ?Sized>(
-        backend: &B,
-        nt: usize,
-        op: Blas2Op<'_, f32>,
-    ) -> Result<(), Blas3Error> {
-        backend.execute2_f32(nt, op)
     }
 
     #[inline(always)]
@@ -249,14 +235,6 @@ impl Float for f64 {
         op: Blas3Op<'_, f64>,
     ) -> Result<(), Blas3Error> {
         backend.execute_f64(nt, op)
-    }
-
-    fn dispatch_op2<B: Blas3Backend + ?Sized>(
-        backend: &B,
-        nt: usize,
-        op: Blas2Op<'_, f64>,
-    ) -> Result<(), Blas3Error> {
-        backend.execute2_f64(nt, op)
     }
 
     #[inline(always)]

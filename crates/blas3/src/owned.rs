@@ -161,12 +161,6 @@ impl<T: Float> OwnedOp<T> {
         self.op_kind().flops(self.dims())
     }
 
-    /// Bytes of operand memory this call touches (see
-    /// [`Blas3Op::bytes_touched`]).
-    pub fn bytes_touched(&self) -> f64 {
-        self.op_kind().footprint_bytes(self.dims(), T::PRECISION)
-    }
-
     /// Reborrow as a [`Blas3Op`] view for execution through a
     /// [`crate::backend::Blas3Backend`].
     pub fn as_op(&mut self) -> Blas3Op<'_, T> {
@@ -328,11 +322,10 @@ mod tests {
         assert_eq!(op.routine().name(), "dgemm");
         assert_eq!(op.dims(), Dims::d3(12, 12, 12));
         assert!(op.validate().is_ok());
-        let (flops, bytes) = (op.flops(), op.bytes_touched());
+        let flops = op.flops();
         let view = op.as_op();
         assert_eq!(view.dims(), Dims::d3(12, 12, 12));
         assert_eq!(view.flops(), flops);
-        assert_eq!(view.bytes_touched(), bytes);
     }
 
     #[test]

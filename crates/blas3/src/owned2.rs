@@ -1,20 +1,17 @@
 //! Owned, `'static` BLAS Level 2 call descriptions.
 //!
-//! [`crate::call2::Blas2Op`] borrows its operands, which is the right shape
-//! for a synchronous entry point but cannot cross a queue. [`OwnedOp2`] is
-//! the Level 2 counterpart of [`crate::owned::OwnedOp`]: one variant per
+//! [`Blas3Op`] borrows its operands, which is the right shape for a
+//! synchronous entry point but cannot cross a queue. [`OwnedOp2`] is the
+//! Level 2 counterpart of [`crate::owned::OwnedOp`]: one variant per
 //! matrix-vector family, identical flags and scalars, but [`Matrix`]- and
 //! `Vec`-owned operands (owned vectors are always contiguous, `inc = 1`).
-//! [`OwnedOp2::as_op`] reborrows it as a [`Blas2Op`] for execution, and
-//! [`OwnedOp2::into_output`] hands the result back to the submitting client
-//! afterwards.
+//! [`OwnedOp2::as_op`] reborrows it as a [`Blas3Op`] for execution.
 //!
-//! Because the Level 2 output operand is a vector for every family except
-//! GER (whose rank-1 update lands in the matrix), the output accessors
-//! speak [`Blas2Output`] rather than a bare `Vec`.
+//! The Level 2 output operand is a vector for every family except GER
+//! (whose rank-1 update lands in the matrix), so there are two output
+//! accessors, [`OwnedOp2::out_vector`] and [`OwnedOp2::out_matrix`].
 
-use crate::call::Blas3Error;
-use crate::call2::Blas2Op;
+use crate::call::{Blas3Error, Blas3Op};
 use crate::matrix::Matrix;
 use crate::op::{Diag, Dims, OpKind, Routine, Transpose, Uplo};
 use crate::vector::{VecMut, VecRef};
@@ -22,8 +19,9 @@ use crate::Float;
 
 /// A fully-described BLAS Level 2 call with owned operands.
 ///
-/// Field meanings match [`Blas2Op`] variant-for-variant; see its docs for
-/// the semantics of each flag and scalar.
+/// Field meanings match the Level 2 variants of [`Blas3Op`]
+/// variant-for-variant; see their docs for the semantics of each flag and
+/// scalar.
 #[derive(Debug, Clone)]
 pub enum OwnedOp2<T: Float> {
     /// `y = alpha * op(A) * x + beta * y`.
@@ -95,16 +93,6 @@ pub enum OwnedOp2<T: Float> {
     },
 }
 
-/// The result operand of a completed [`OwnedOp2`]: a vector for every
-/// family except GER, whose update lands in the matrix.
-#[derive(Debug, Clone)]
-pub enum Blas2Output<T: Float> {
-    /// The output vector (y for GEMV/SYMV, x for TRMV/TRSV).
-    Vector(Vec<T>),
-    /// The updated matrix (GER).
-    Matrix(Matrix<T>),
-}
-
 impl<T: Float> OwnedOp2<T> {
     /// The subroutine family this call belongs to.
     pub fn op_kind(&self) -> OpKind {
@@ -122,7 +110,7 @@ impl<T: Float> OwnedOp2<T> {
         Routine::new(self.op_kind(), T::PRECISION)
     }
 
-    /// Canonical dimension tuple, identical to [`Blas2Op::dims`].
+    /// Canonical dimension tuple, identical to [`Blas3Op::dims`].
     pub fn dims(&self) -> Dims {
         match self {
             OwnedOp2::Gemv { a, .. } | OwnedOp2::Ger { a, .. } => Dims::d2(a.rows(), a.cols()),
@@ -132,20 +120,9 @@ impl<T: Float> OwnedOp2<T> {
         }
     }
 
-    /// Floating-point operation count of this call.
-    pub fn flops(&self) -> f64 {
-        self.op_kind().flops(self.dims())
-    }
-
-    /// Bytes of operand memory this call touches (see
-    /// [`Blas2Op::bytes_touched`]).
-    pub fn bytes_touched(&self) -> f64 {
-        self.op_kind().footprint_bytes(self.dims(), T::PRECISION)
-    }
-
-    /// Reborrow as a [`Blas2Op`] view for execution through a
+    /// Reborrow as a [`Blas3Op`] view for execution through a
     /// [`crate::backend::Blas3Backend`].
-    pub fn as_op(&mut self) -> Blas2Op<'_, T> {
+    pub fn as_op(&mut self) -> Blas3Op<'_, T> {
         match self {
             OwnedOp2::Gemv {
                 trans,
@@ -154,7 +131,7 @@ impl<T: Float> OwnedOp2<T> {
                 x,
                 beta,
                 y,
-            } => Blas2Op::Gemv {
+            } => Blas3Op::Gemv {
                 trans: *trans,
                 alpha: *alpha,
                 a: a.as_ref(),
@@ -162,7 +139,7 @@ impl<T: Float> OwnedOp2<T> {
                 beta: *beta,
                 y: VecMut::new(y.len(), 1, y),
             },
-            OwnedOp2::Ger { alpha, x, y, a } => Blas2Op::Ger {
+            OwnedOp2::Ger { alpha, x, y, a } => Blas3Op::Ger {
                 alpha: *alpha,
                 x: VecRef::new(x.len(), 1, x),
                 y: VecRef::new(y.len(), 1, y),
@@ -175,7 +152,7 @@ impl<T: Float> OwnedOp2<T> {
                 x,
                 beta,
                 y,
-            } => Blas2Op::Symv {
+            } => Blas3Op::Symv {
                 uplo: *uplo,
                 alpha: *alpha,
                 a: a.as_ref(),
@@ -189,7 +166,7 @@ impl<T: Float> OwnedOp2<T> {
                 diag,
                 a,
                 x,
-            } => Blas2Op::Trmv {
+            } => Blas3Op::Trmv {
                 uplo: *uplo,
                 trans: *trans,
                 diag: *diag,
@@ -202,7 +179,7 @@ impl<T: Float> OwnedOp2<T> {
                 diag,
                 a,
                 x,
-            } => Blas2Op::Trsv {
+            } => Blas3Op::Trsv {
                 uplo: *uplo,
                 trans: *trans,
                 diag: *diag,
@@ -212,7 +189,7 @@ impl<T: Float> OwnedOp2<T> {
         }
     }
 
-    /// Check the cross-operand dimension rules (see [`Blas2Op::validate`]).
+    /// Check the cross-operand dimension rules (see [`Blas3Op::validate`]).
     pub fn validate(&mut self) -> Result<(), Blas3Error> {
         self.as_op().validate()
     }
@@ -232,33 +209,6 @@ impl<T: Float> OwnedOp2<T> {
         match self {
             OwnedOp2::Ger { a, .. } => Some(a),
             _ => None,
-        }
-    }
-
-    /// Consume the call and return its output operand.
-    pub fn into_output(self) -> Blas2Output<T> {
-        match self {
-            OwnedOp2::Gemv { y, .. } | OwnedOp2::Symv { y, .. } => Blas2Output::Vector(y),
-            OwnedOp2::Trmv { x, .. } | OwnedOp2::Trsv { x, .. } => Blas2Output::Vector(x),
-            OwnedOp2::Ger { a, .. } => Blas2Output::Matrix(a),
-        }
-    }
-}
-
-impl<T: Float> Blas2Output<T> {
-    /// The vector payload, if this output is a vector.
-    pub fn vector(self) -> Option<Vec<T>> {
-        match self {
-            Blas2Output::Vector(v) => Some(v),
-            Blas2Output::Matrix(_) => None,
-        }
-    }
-
-    /// The matrix payload, if this output is a matrix.
-    pub fn matrix(self) -> Option<Matrix<T>> {
-        match self {
-            Blas2Output::Matrix(m) => Some(m),
-            Blas2Output::Vector(_) => None,
         }
     }
 }
@@ -286,19 +236,17 @@ mod tests {
         assert_eq!(op.routine().name(), "dgemv");
         assert_eq!(op.dims(), Dims::d2(9, 14));
         assert!(op.validate().is_ok());
-        let (flops, bytes) = (op.flops(), op.bytes_touched());
         let view = op.as_op();
+        assert_eq!(view.routine().name(), "dgemv");
         assert_eq!(view.dims(), Dims::d2(9, 14));
-        assert_eq!(view.flops(), flops);
-        assert_eq!(view.bytes_touched(), bytes);
     }
 
     #[test]
     fn native_and_reference_agree_through_the_owned_layer() {
         let mut native = gemv_op(17, 23);
         let mut refr = native.clone();
-        NativeBackend.execute2(4, native.as_op()).unwrap();
-        ReferenceBackend.execute2(1, refr.as_op()).unwrap();
+        NativeBackend.execute(4, native.as_op()).unwrap();
+        ReferenceBackend.execute(1, refr.as_op()).unwrap();
         let (a, b) = (native.out_vector().unwrap(), refr.out_vector().unwrap());
         for (u, v) in a.iter().zip(b) {
             assert!((u - v).abs() < 1e-12);
@@ -315,10 +263,9 @@ mod tests {
         };
         assert_eq!(op.dims(), Dims::d2(3, 2));
         assert!(op.out_vector().is_none());
-        NativeBackend.execute2(1, op.as_op()).unwrap();
-        assert_eq!(op.out_matrix().unwrap().get(2, 0), 6.0);
-        let out = op.into_output().matrix().unwrap();
-        assert_eq!(out.get(2, 1), -6.0);
+        NativeBackend.execute(1, op.as_op()).unwrap();
+        let out = op.out_matrix().unwrap();
+        assert_eq!((out.get(2, 0), out.get(2, 1)), (6.0, -6.0));
     }
 
     #[test]
@@ -341,18 +288,16 @@ mod tests {
             a: a.clone(),
             x: x0.clone(),
         };
-        NativeBackend.execute2(1, mul.as_op()).unwrap();
-        let b = mul.into_output().vector().unwrap();
+        NativeBackend.execute(1, mul.as_op()).unwrap();
         let mut solve = OwnedOp2::Trsv {
             uplo: Uplo::Upper,
             trans: Transpose::No,
             diag: Diag::NonUnit,
             a,
-            x: b,
+            x: mul.out_vector().unwrap().to_vec(),
         };
-        NativeBackend.execute2(1, solve.as_op()).unwrap();
-        let x = solve.into_output().vector().unwrap();
-        for (u, v) in x.iter().zip(&x0) {
+        NativeBackend.execute(1, solve.as_op()).unwrap();
+        for (u, v) in solve.out_vector().unwrap().iter().zip(&x0) {
             assert!((u - v).abs() < 1e-10, "trsv did not invert trmv");
         }
     }

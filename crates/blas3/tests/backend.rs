@@ -1,13 +1,12 @@
 //! Backend-seam tests: the two shipped backends must agree numerically when
 //! driven through the object-safe trait path, and reject malformed calls
 //! with typed errors. (Which call shapes `validate` rejects, and with what,
-//! is the table-driven test of `call.rs` / `call2.rs`.)
+//! is the table-driven test of `call.rs`.)
 
 // Outside the Miri subset: exercises the OS thread pool.
 #![cfg(not(miri))]
 
 use adsala_blas3::call::{Blas3Error, Blas3Op};
-use adsala_blas3::call2::Blas2Op;
 use adsala_blas3::{
     Blas3Backend, Diag, MatMut, MatRef, Matrix, NativeBackend, ReferenceBackend, Side, Transpose,
     Uplo, VecMut, VecRef,
@@ -105,6 +104,26 @@ fn generic_execute_works_on_boxed_trait_objects() {
     assert!(c.max_abs_diff(&b) < 1e-15);
     assert_eq!(backend.name(), "reference");
     assert_eq!(backend.max_threads(), 1);
+    // A Level 2 call takes the same object-safe entry point.
+    let x = [1.0, 2.0, 3.0, 4.0];
+    let mut y = [0.0f64; 6];
+    backend
+        .execute_f64(
+            1,
+            Blas3Op::Gemv {
+                trans: Transpose::No,
+                alpha: 1.0,
+                a: b.as_ref(),
+                x: VecRef::new(4, 1, &x),
+                beta: 0.0,
+                y: VecMut::new(6, 1, &mut y),
+            },
+        )
+        .unwrap();
+    for (i, v) in y.iter().enumerate() {
+        let want: f64 = (0..4).map(|j| b.get(i, j) * x[j]).sum();
+        assert!((v - want).abs() < 1e-12, "y[{i}] = {v}, want {want}");
+    }
 }
 
 #[test]
@@ -280,11 +299,11 @@ fn level2(
     let (m, n) = (7, 5);
     let rows = if routine == "symv" { n } else { m };
     let mut a = mat(rows, n, 1);
-    let x = input(n, 1, 2);
+    let (x, col) = (input(n, 1, 2), input(m, 1, 4));
     let mut y = mat(rows, 1, 3);
     let x = VecRef::new(n, 1, x.as_slice());
     let op = match routine {
-        "gemv" => Blas2Op::Gemv {
+        "gemv" => Blas3Op::Gemv {
             trans: Transpose::No,
             alpha,
             a: a.as_ref(),
@@ -292,7 +311,7 @@ fn level2(
             beta,
             y: VecMut::new(m, 1, y.as_mut_slice()),
         },
-        "symv" => Blas2Op::Symv {
+        "symv" => Blas3Op::Symv {
             uplo: Uplo::Upper,
             alpha,
             a: a.as_ref(),
@@ -300,20 +319,19 @@ fn level2(
             beta,
             y: VecMut::new(n, 1, y.as_mut_slice()),
         },
-        _ => {
-            let col = input(m, 1, 4);
-            let op = Blas2Op::Ger {
-                alpha,
-                x: VecRef::new(m, 1, col.as_slice()),
-                y: x,
-                a: a.as_mut(),
-            };
-            backend.execute2_f64(nt, op).unwrap();
-            return a;
-        }
+        _ => Blas3Op::Ger {
+            alpha,
+            x: VecRef::new(m, 1, col.as_slice()),
+            y: x,
+            a: a.as_mut(),
+        },
     };
-    backend.execute2_f64(nt, op).unwrap();
-    y
+    backend.execute_f64(nt, op).unwrap();
+    if routine == "ger" {
+        a
+    } else {
+        y
+    }
 }
 
 /// Each routine once per triangle through the trait-object path: the

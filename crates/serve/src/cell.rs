@@ -421,8 +421,8 @@ fn serve_one<B: Blas3Backend>(
     let execute = |op: &mut AnyOp| match op {
         AnyOp::F32(o) => shared.runtime.execute_with_nt(exec_nt, o.as_op()),
         AnyOp::F64(o) => shared.runtime.execute_with_nt(exec_nt, o.as_op()),
-        AnyOp::F32L2(o) => shared.runtime.execute2_with_nt(exec_nt, o.as_op()),
-        AnyOp::F64L2(o) => shared.runtime.execute2_with_nt(exec_nt, o.as_op()),
+        AnyOp::F32L2(o) => shared.runtime.execute_with_nt(exec_nt, o.as_op()),
+        AnyOp::F64L2(o) => shared.runtime.execute_with_nt(exec_nt, o.as_op()),
     };
     let mut start = Instant::now();
     let mut result = execute(&mut op);

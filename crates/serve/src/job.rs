@@ -88,12 +88,7 @@ impl AnyOp {
 
     /// Floating-point operation count of the call.
     pub fn flops(&self) -> f64 {
-        match self {
-            AnyOp::F32(op) => op.flops(),
-            AnyOp::F64(op) => op.flops(),
-            AnyOp::F32L2(op) => op.flops(),
-            AnyOp::F64L2(op) => op.flops(),
-        }
+        self.routine().op.flops(self.dims())
     }
 
     /// Bytes of operand memory the call touches. For Level 2 calls this,
@@ -101,18 +96,8 @@ impl AnyOp {
     /// take the slower of the flop- and byte-implied floors so a
     /// memory-bound call cannot be priced as if compute were the limit.
     pub fn bytes_touched(&self) -> f64 {
-        match self {
-            AnyOp::F32(op) => op
-                .routine()
-                .op
-                .footprint_bytes(op.dims(), op.routine().prec),
-            AnyOp::F64(op) => op
-                .routine()
-                .op
-                .footprint_bytes(op.dims(), op.routine().prec),
-            AnyOp::F32L2(op) => op.bytes_touched(),
-            AnyOp::F64L2(op) => op.bytes_touched(),
-        }
+        let routine = self.routine();
+        routine.op.footprint_bytes(self.dims(), routine.prec)
     }
 
     /// Check the cross-operand dimension rules of the call.
@@ -125,34 +110,10 @@ impl AnyOp {
         }
     }
 
-    /// Unwrap a single-precision Level 3 op, or `None` otherwise.
-    pub fn into_f32(self) -> Option<OwnedOp<f32>> {
-        match self {
-            AnyOp::F32(op) => Some(op),
-            _ => None,
-        }
-    }
-
     /// Unwrap a double-precision Level 3 op, or `None` otherwise.
     pub fn into_f64(self) -> Option<OwnedOp<f64>> {
         match self {
             AnyOp::F64(op) => Some(op),
-            _ => None,
-        }
-    }
-
-    /// Unwrap a single-precision Level 2 op, or `None` otherwise.
-    pub fn into_f32_l2(self) -> Option<OwnedOp2<f32>> {
-        match self {
-            AnyOp::F32L2(op) => Some(op),
-            _ => None,
-        }
-    }
-
-    /// Unwrap a double-precision Level 2 op, or `None` otherwise.
-    pub fn into_f64_l2(self) -> Option<OwnedOp2<f64>> {
-        match self {
-            AnyOp::F64L2(op) => Some(op),
             _ => None,
         }
     }
