@@ -22,9 +22,7 @@
 use adsala::runtime::Adsala;
 use adsala_blas3::fault::{FaultBackend, FaultKind, FaultRule};
 use adsala_blas3::{Blas3Backend, Matrix, NativeBackend, OwnedOp, ThreadPool, Transpose};
-use adsala_serve::{
-    AnyOp, BreakerConfig, RetryPolicy, ServeConfig, Service, SupervisorConfig, TenantConfig,
-};
+use adsala_serve::{AnyOp, ServeConfig, Service, TenantConfig};
 use criterion::{criterion_group, criterion_main, Criterion};
 use rand::{rngs::StdRng, Rng, SeedableRng};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -335,22 +333,11 @@ fn run_faulted(trace: &[Event], gflops: f64, supervised: bool) -> FaultResult {
             queue_capacity: 1_000_000,
             backlog_budget_secs: BUDGET_SECS,
             fallback_gflops: gflops,
-            retry: if supervised {
-                RetryPolicy::default()
-            } else {
-                RetryPolicy::none()
-            },
-            supervisor: SupervisorConfig {
-                enabled: supervised,
-                // Snappy sweeps so the wedge is caught well inside its
-                // 400ms window; a live cell heartbeats every few ms.
-                interval: Duration::from_millis(15),
-                wedge_after: 3,
-            },
-            breaker: BreakerConfig {
-                enabled: supervised,
-                ..Default::default()
-            },
+            // The watchdog's 100 ms detection window (4 sweeps of 25 ms)
+            // catches the wedge well inside its 400 ms stall.
+            retry: supervised,
+            supervisor: supervised,
+            breaker: supervised,
             ..Default::default()
         },
     )

@@ -181,11 +181,6 @@ impl PerfModel {
         PerfModel { spec, perturb }
     }
 
-    /// Model with a custom perturbation layer (ablation benches).
-    pub fn with_perturb(spec: MachineSpec, perturb: Perturb) -> PerfModel {
-        PerfModel { spec, perturb }
-    }
-
     /// The machine this model simulates.
     pub fn spec(&self) -> &MachineSpec {
         &self.spec

@@ -11,20 +11,23 @@
 //! telemetry window, and converge the observed/predicted ratio back to ~1.
 //!
 //! ```text
-//! cargo run --release --example adapt
+//! cargo run --release -p adsala-serve --example adapt
 //! ```
 
-use adsala_repro::adsala::install::{install_routine, InstallOptions};
-use adsala_repro::adsala::runtime::Adsala;
-use adsala_repro::adsala::timer::SimTimer;
-use adsala_repro::blas3::op::Routine;
-use adsala_repro::blas3::{Blas3Backend, Matrix, OwnedOp, Transpose};
-use adsala_repro::machine::MachineSpec;
-use adsala_repro::ml::model::ModelKind;
-use adsala_repro::serve::drift_harness::{
+#[path = "../tests/support/drift_harness.rs"]
+mod drift_harness;
+
+use adsala::install::{install_routine, InstallOptions};
+use adsala::runtime::Adsala;
+use adsala::timer::SimTimer;
+use adsala_blas3::op::Routine;
+use adsala_blas3::{Blas3Backend, Matrix, OwnedOp, Transpose};
+use adsala_machine::MachineSpec;
+use adsala_ml::model::ModelKind;
+use adsala_serve::{AdaptAction, AdaptConfig, Adapter, ServeConfig, Service};
+use drift_harness::{
     calibrated_time_scale, min_traffic_secs, traffic_shape, ScaledTimer, SkewedSpinBackend,
 };
-use adsala_repro::serve::{AdaptAction, AdaptConfig, Adapter, ServeConfig, Service};
 
 /// One round of production traffic: `count` gemms over 16 rotating shapes.
 fn traffic<B: Blas3Backend + 'static>(service: &Service<B>, count: usize) {
@@ -80,7 +83,7 @@ fn main() {
     let routine = Routine::parse("dgemm").unwrap();
     // Calibrate against this machine's scheduling noise so slow/loaded CI
     // hosts stretch the spins instead of drowning the drift signal (see
-    // adsala_serve::drift_harness).
+    // tests/support/drift_harness.rs).
     let scale = calibrated_time_scale(min_traffic_secs(
         &SimTimer::new(MachineSpec::gadi()),
         routine,
@@ -119,7 +122,6 @@ fn main() {
         runtime,
         ServeConfig {
             backlog_budget_secs: 1e9,
-            telemetry_capacity: 4096,
             ..Default::default()
         },
     )

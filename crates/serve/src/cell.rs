@@ -18,8 +18,10 @@
 
 use crate::job::{AnyOp, Completed, ServeError};
 use crate::queue::{Batch, Job, LaneQueues};
+use crate::retry::{backoff_delay, RETRY_ATTEMPTS};
 use crate::router::secs_to_nanos;
 use crate::service::Shared;
+use crate::supervisor::SWEEP_INTERVAL;
 use crate::telemetry::{Telemetry, TelemetryRecord};
 use adsala_blas3::sync::{self, AtomicU64, AtomicUsize, Condvar, Mutex, MutexGuard, Ordering};
 use adsala_blas3::{Blas3Backend, ThreadPool};
@@ -36,10 +38,15 @@ const STEAL_POLL: Duration = Duration::from_micros(500);
 /// on its condvar (paused, or every queued tenant already in flight) is
 /// healthy and must keep beating, or the supervisor would mistake it for
 /// wedged and restart-storm it. Only a thread genuinely stuck inside
-/// batch execution freezes its heartbeat. Kept well under any sane
-/// [`crate::SupervisorConfig::interval`] so a live cell always beats
-/// between two sweeps.
+/// batch execution freezes its heartbeat. Kept well under the
+/// supervisor's [`SWEEP_INTERVAL`] so a live cell always beats between
+/// two sweeps; the assertion below pins that at compile time.
 const IDLE_TICK: Duration = Duration::from_millis(5);
+const _: () = assert!(2 * IDLE_TICK.as_nanos() < SWEEP_INTERVAL.as_nanos());
+
+/// Records each cell's telemetry ring holds before evicting the oldest
+/// (the merged view holds up to `shards * TELEMETRY_CAPACITY`).
+const TELEMETRY_CAPACITY: usize = 1024;
 
 /// Queue state guarded by the cell lock.
 pub(crate) struct CellState {
@@ -78,7 +85,7 @@ pub(crate) struct Cell {
     /// counted, never allowed to wedge the scheduler).
     pub callback_panics: AtomicU64,
     /// Monotonic liveness counter bumped by every scheduler iteration;
-    /// the supervisor's wedge signal (see [`crate::SupervisorConfig`]).
+    /// the supervisor's wedge signal (see [`crate::supervisor`]).
     pub heartbeat: AtomicU64,
     /// Scheduler generation. The supervisor bumps it when restarting the
     /// cell; a scheduler thread that observes a generation newer than its
@@ -94,7 +101,7 @@ pub(crate) struct Cell {
 }
 
 impl Cell {
-    pub fn new(index: usize, workers: usize, telemetry_capacity: usize) -> Cell {
+    pub fn new(index: usize, workers: usize) -> Cell {
         Cell {
             index,
             pool: Arc::new(ThreadPool::with_max_workers(workers)),
@@ -104,7 +111,7 @@ impl Cell {
                 shutdown: false,
             }),
             cv: Condvar::new(),
-            telemetry: Telemetry::new(telemetry_capacity),
+            telemetry: Telemetry::new(TELEMETRY_CAPACITY),
             pending: AtomicUsize::new(0),
             backlog_nanos: AtomicU64::new(0),
             stolen_batches: AtomicU64::new(0),
@@ -414,7 +421,7 @@ fn serve_one<B: Blas3Backend>(
     // backlog budget for the attempt, and every outcome feeds the circuit
     // breaker. Fatal errors travel back through the ticket; panicking in
     // the scheduler would wedge every other tenant's pending jobs.
-    let policy = shared.cfg.retry;
+    let max_attempts = if shared.cfg.retry { RETRY_ATTEMPTS } else { 1 };
     // Stable per-job jitter coordinates: replayable under a fixed fault
     // schedule, distinct across a tenant's concurrent jobs.
     let jitter_seed = client.0 ^ tenant.id.0.rotate_left(32);
@@ -437,10 +444,10 @@ fn serve_one<B: Blas3Backend>(
             // higher classes. No locks are held here.
             crate::supervisor::brownout_shed(shared);
         }
-        if !e.is_transient() || attempt >= policy.max_attempts.max(1) {
+        if !e.is_transient() || attempt >= max_attempts {
             break;
         }
-        let delay = crate::retry::backoff_delay(&policy, attempt, jitter_seed);
+        let delay = backoff_delay(attempt, jitter_seed);
         if deadline.is_some_and(|d| Instant::now() + delay >= d) {
             // The deadline would pass during the backoff; the transient
             // error settles as-is rather than as a late success.
@@ -506,7 +513,7 @@ mod scenarios {
     /// on `pending` or has parked: the scheduler takes it, and the operands
     /// written before the push are ordered before the take.
     fn push_vs_park_bodies() -> Vec<ThreadBody> {
-        let cell = Arc::new(Cell::new(0, 1, 4));
+        let cell = Arc::new(Cell::new(0, 1));
         let operands = Arc::new(DataCell::new("job operands"));
         let job = job_for(&tenant(0, QosClass::Standard), 4, 1e-6);
         let scheduler: ThreadBody = {

@@ -109,14 +109,6 @@ impl AnyOp {
             AnyOp::F64L2(op) => op.validate(),
         }
     }
-
-    /// Unwrap a double-precision Level 3 op, or `None` otherwise.
-    pub fn into_f64(self) -> Option<OwnedOp<f64>> {
-        match self {
-            AnyOp::F64(op) => Some(op),
-            _ => None,
-        }
-    }
 }
 
 /// A finished job: the operands (with the result written into the output

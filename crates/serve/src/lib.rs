@@ -30,6 +30,11 @@
 //!   tenant's FIFO is queued when its turn comes (up to
 //!   [`ServeConfig::max_batch`]) is served in one scheduler wake-up —
 //!   nothing is held back to wait for peers.
+//! * **Fault tolerance**: transient backend failures are retried under
+//!   capped, jittered backoff, a watchdog restarts a wedged cell, and a
+//!   circuit breaker browns out Batch work under sustained failure. Their
+//!   timings are fixed; [`ServeConfig::retry`], [`ServeConfig::supervisor`]
+//!   and [`ServeConfig::breaker`] switch each one off.
 //!
 //! A job has one record, [`TelemetryRecord`]: the priced decision it was
 //! admitted under (carried whole on the queued job), where and how wide it
@@ -55,7 +60,7 @@
 //! ```
 //! use adsala::Adsala;
 //! use adsala_blas3::{Matrix, OwnedOp, ReferenceBackend, Transpose};
-//! use adsala_serve::Service;
+//! use adsala_serve::{AnyOp, Service};
 //! use std::sync::mpsc;
 //! use std::time::{Duration, Instant};
 //!
@@ -77,6 +82,11 @@
 //! let service = Service::new(runtime).expect("spawn scheduler cells");
 //! let client = service.client();
 //!
+//! let c00 = |op: AnyOp| match op {
+//!     AnyOp::F64(op) => op.into_output().get(0, 0),
+//!     other => panic!("sent a dgemm, got back {other:?}"),
+//! };
+//!
 //! // Fan-in: every job sends its tagged outcome down one channel.
 //! let (tx, completions) = mpsc::channel();
 //! for token in 0..4u64 {
@@ -91,8 +101,7 @@
 //! while done < 4 {
 //!     match completions.try_recv() {
 //!         Ok((token, outcome)) => {
-//!             let out = outcome.unwrap().op.into_f64().unwrap().into_output();
-//!             assert_eq!(out.get(0, 0), token as f64);
+//!             assert_eq!(c00(outcome.unwrap().op), token as f64);
 //!             done += 1;
 //!         }
 //!         Err(mpsc::TryRecvError::Empty) => {
@@ -106,7 +115,7 @@
 //! // Blocking `wait()` when a thread has nothing better to do.
 //! let ticket = client.submit(gemm(2.0)).expect("within budget");
 //! let done = ticket.wait().unwrap();
-//! assert_eq!(done.op.into_f64().unwrap().into_output().get(0, 0), 2.0);
+//! assert_eq!(c00(done.op), 2.0);
 //! ```
 //!
 //! Jobs move through the queues as [`OwnedOp`](adsala_blas3::OwnedOp)s
@@ -119,11 +128,9 @@
 pub mod adapt;
 pub mod cell;
 pub mod completion;
-#[doc(hidden)]
-pub mod drift_harness;
 pub mod job;
 pub mod queue;
-pub mod retry;
+mod retry;
 pub mod router;
 pub mod service;
 pub mod supervisor;
@@ -132,10 +139,9 @@ pub mod telemetry;
 pub use adapt::{AdaptAction, AdaptConfig, AdaptConfigError, AdaptReport, Adapter};
 pub use completion::{CompletionCallback, Ticket};
 pub use job::{AnyOp, ClientId, Completed, RejectReason, Rejected, ServeError};
-pub use retry::{backoff_delay, RetryPolicy};
 pub use router::{QosClass, TenantConfig, TenantId};
 pub use service::{Client, ServeConfig, Service, ServiceStats, ShardStats, SubmitOptions};
-pub use supervisor::{BreakerConfig, BreakerSnapshot, BreakerState, SupervisorConfig};
+pub use supervisor::{BreakerSnapshot, BreakerState};
 pub use telemetry::{
     drift_by_routine, mean_observed_over_predicted, RoutineDrift, Telemetry, TelemetryRecord,
     MIN_PREDICTED_SECS,

@@ -10,52 +10,31 @@
 //! a failing path pays for its own retries instead of billing the
 //! service.
 //!
-//! The backoff math lives here as pure functions of
-//! `(policy, attempt, seed)` — no RNG state, no clock — so the jitter
-//! bounds and cap monotonicity are property-testable and a replayed
-//! fault schedule produces a replayed retry schedule.
+//! Retries are on by default and switched off with
+//! [`crate::ServeConfig::retry`]; the schedule itself is fixed:
+//! [`RETRY_ATTEMPTS`] attempts per job, the `n`-th retry waiting
+//! `500 µs * 2^(n-1)` capped at 50 ms, shortened by up to half by a
+//! deterministic jitter factor.
+//!
+//! The backoff math lives here as a pure function of `(attempt, seed)` —
+//! no RNG state, no clock — so the jitter bounds and the cap are
+//! property-testable and a replayed fault schedule produces a replayed
+//! retry schedule.
 
 use std::time::Duration;
 
-/// Knobs of the transient-failure retry loop, set per service through
-/// [`crate::ServeConfig::retry`].
-#[derive(Debug, Clone, Copy)]
-pub struct RetryPolicy {
-    /// Total execution attempts per job, the first included (`1` disables
-    /// retries; `0` is treated as `1`). Only transient failures retry —
-    /// fatal faults and validation errors settle immediately.
-    pub max_attempts: u32,
-    /// Backoff before the first retry; attempt `n` waits
-    /// `base * 2^(n-1)`, capped.
-    pub base: Duration,
-    /// Ceiling on any single backoff delay.
-    pub cap: Duration,
-    /// Jitter fraction in `[0, 1]`: attempt `n`'s delay is scaled by a
-    /// deterministic factor drawn from `[1 - jitter, 1]`, de-synchronising
-    /// retry herds without giving up replayability.
-    pub jitter: f64,
-}
-
-impl Default for RetryPolicy {
-    fn default() -> RetryPolicy {
-        RetryPolicy {
-            max_attempts: 3,
-            base: Duration::from_micros(500),
-            cap: Duration::from_millis(50),
-            jitter: 0.5,
-        }
-    }
-}
-
-impl RetryPolicy {
-    /// A policy that never retries (single attempt).
-    pub fn none() -> RetryPolicy {
-        RetryPolicy {
-            max_attempts: 1,
-            ..RetryPolicy::default()
-        }
-    }
-}
+/// Total execution attempts per job, the first included. Only transient
+/// failures retry — fatal faults and validation errors settle immediately.
+pub(crate) const RETRY_ATTEMPTS: u32 = 3;
+/// Backoff before the first retry; retry `n` waits `RETRY_BASE * 2^(n-1)`,
+/// capped at [`RETRY_CAP`].
+const RETRY_BASE: Duration = Duration::from_micros(500);
+/// Ceiling on any single backoff delay.
+const RETRY_CAP: Duration = Duration::from_millis(50);
+/// Jitter fraction: retry `n`'s delay is scaled by a deterministic factor
+/// drawn from `[1 - RETRY_JITTER, 1]`, de-synchronising retry herds
+/// without giving up replayability.
+const RETRY_JITTER: f64 = 0.5;
 
 /// Deterministic unit draw in `[0, 1)` — the SplitMix64 finalizer over
 /// `(seed, attempt)`, dependency-free and identical across platforms.
@@ -67,28 +46,27 @@ fn unit(seed: u64, attempt: u32) -> f64 {
     (z >> 11) as f64 / (1u64 << 53) as f64
 }
 
+/// The un-jittered delay before retry `attempt` (1-based):
+/// `min(RETRY_BASE * 2^(attempt-1), RETRY_CAP)`.
+fn undithered(attempt: u32) -> Duration {
+    // 2^31 already saturates the cap; clamping the shift keeps the
+    // arithmetic defined for absurd attempt numbers.
+    let exp = attempt.saturating_sub(1).min(31);
+    RETRY_BASE.saturating_mul(1u32 << exp).min(RETRY_CAP)
+}
+
 /// The delay before retry `attempt` (1-based: `1` is the first retry,
-/// after the first failed attempt). Pure in `(policy, attempt, seed)`.
+/// after the first failed attempt). Pure in `(attempt, seed)`.
 ///
 /// Guarantees, property-tested below:
-/// * never exceeds `policy.cap`;
-/// * with `jitter == 0`, exactly `min(base * 2^(attempt-1), cap)`, which
-///   is monotone non-decreasing in `attempt`;
-/// * with jitter, within `[undithered * (1 - jitter), undithered]`.
-pub fn backoff_delay(policy: &RetryPolicy, attempt: u32, seed: u64) -> Duration {
+/// * never exceeds [`RETRY_CAP`];
+/// * within `[undithered * (1 - RETRY_JITTER), undithered]`, where the
+///   un-jittered schedule doubles from [`RETRY_BASE`] until it caps.
+pub(crate) fn backoff_delay(attempt: u32, seed: u64) -> Duration {
     if attempt == 0 {
         return Duration::ZERO;
     }
-    // 2^31 already saturates any sane base/cap pair; clamping the shift
-    // keeps the arithmetic defined for absurd attempt numbers.
-    let exp = (attempt - 1).min(31);
-    let raw = policy.base.saturating_mul(1u32 << exp).min(policy.cap);
-    let jitter = policy.jitter.clamp(0.0, 1.0);
-    if jitter == 0.0 {
-        return raw;
-    }
-    let factor = 1.0 - jitter * unit(seed, attempt);
-    raw.mul_f64(factor)
+    undithered(attempt).mul_f64(1.0 - RETRY_JITTER * unit(seed, attempt))
 }
 
 #[cfg(test)]
@@ -98,108 +76,51 @@ mod tests {
     use proptest::prelude::*;
 
     #[test]
-    fn zero_attempt_and_disabled_policy_are_inert() {
-        let p = RetryPolicy::default();
-        assert_eq!(backoff_delay(&p, 0, 7), Duration::ZERO);
-        assert_eq!(RetryPolicy::none().max_attempts, 1);
+    fn zero_attempt_is_inert() {
+        assert_eq!(backoff_delay(0, 7), Duration::ZERO);
     }
 
     #[test]
-    fn jitter_free_backoff_doubles_then_caps() {
-        let p = RetryPolicy {
-            max_attempts: 8,
-            base: Duration::from_millis(1),
-            cap: Duration::from_millis(5),
-            jitter: 0.0,
-        };
-        let delays: Vec<Duration> = (1..=5).map(|a| backoff_delay(&p, a, 0)).collect();
+    fn undithered_schedule_doubles_then_caps() {
+        let delays: Vec<u64> = (1..=9).map(|a| undithered(a).as_micros() as u64).collect();
+        // 500 µs doubling, capped at 50 ms from the eighth retry on (the
+        // shipped RETRY_ATTEMPTS only ever reaches the first two).
         assert_eq!(
             delays,
-            vec![
-                Duration::from_millis(1),
-                Duration::from_millis(2),
-                Duration::from_millis(4),
-                Duration::from_millis(5), // capped (would be 8)
-                Duration::from_millis(5),
-            ]
+            vec![500, 1_000, 2_000, 4_000, 8_000, 16_000, 32_000, 50_000, 50_000]
         );
+        // Capping flattens the curve but never bends it back down.
+        for attempt in 1..64 {
+            assert!(undithered(attempt + 1) >= undithered(attempt));
+        }
     }
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(256))]
 
-        /// The cap is a hard ceiling for every (attempt, seed, jitter).
+        /// The cap is a hard ceiling for every (attempt, seed).
         #[test]
-        fn delay_never_exceeds_cap(
-            attempt in 1u32..200,
-            seed in any::<u64>(),
-            base_us in 1u64..10_000,
-            cap_us in 1u64..100_000,
-            jitter in 0.0f64..=1.0,
-        ) {
-            let p = RetryPolicy {
-                max_attempts: u32::MAX,
-                base: Duration::from_micros(base_us),
-                cap: Duration::from_micros(cap_us),
-                jitter,
-            };
-            prop_assert!(backoff_delay(&p, attempt, seed) <= p.cap);
-        }
-
-        /// Without jitter the schedule is monotone non-decreasing — the
-        /// "cap monotonicity" contract: capping can flatten the curve but
-        /// never bend it back down.
-        #[test]
-        fn unjittered_schedule_is_monotone(
-            base_us in 1u64..10_000,
-            cap_us in 1u64..100_000,
-        ) {
-            let p = RetryPolicy {
-                max_attempts: u32::MAX,
-                base: Duration::from_micros(base_us),
-                cap: Duration::from_micros(cap_us),
-                jitter: 0.0,
-            };
-            let mut prev = Duration::ZERO;
-            for attempt in 1..64 {
-                let d = backoff_delay(&p, attempt, 0);
-                prop_assert!(d >= prev, "attempt {attempt}: {d:?} < {prev:?}");
-                prev = d;
-            }
+        fn delay_never_exceeds_cap(attempt in 1u32..200, seed in any::<u64>()) {
+            prop_assert!(backoff_delay(attempt, seed) <= RETRY_CAP);
         }
 
         /// Jitter only ever shortens the delay, and by at most the jitter
         /// fraction: delay ∈ [undithered * (1 - jitter), undithered].
         #[test]
-        fn jitter_stays_in_its_band(
-            attempt in 1u32..64,
-            seed in any::<u64>(),
-            jitter in 0.0f64..=1.0,
-        ) {
-            let mut p = RetryPolicy {
-                max_attempts: u32::MAX,
-                base: Duration::from_micros(700),
-                cap: Duration::from_millis(80),
-                jitter,
-            };
-            let jittered = backoff_delay(&p, attempt, seed);
-            p.jitter = 0.0;
-            let undithered = backoff_delay(&p, attempt, 0);
+        fn jitter_stays_in_its_band(attempt in 1u32..64, seed in any::<u64>()) {
+            let jittered = backoff_delay(attempt, seed);
+            let undithered = undithered(attempt);
             prop_assert!(jittered <= undithered);
             // Strict lower bound with a small epsilon for the f64 round
             // trip through mul_f64.
-            let floor = undithered.mul_f64((1.0 - jitter).max(0.0));
+            let floor = undithered.mul_f64(1.0 - RETRY_JITTER);
             prop_assert!(jittered + Duration::from_nanos(2) >= floor);
         }
 
         /// Same coordinates, same delay — the schedule is replayable.
         #[test]
         fn delay_is_deterministic(attempt in 1u32..64, seed in any::<u64>()) {
-            let p = RetryPolicy::default();
-            prop_assert_eq!(
-                backoff_delay(&p, attempt, seed),
-                backoff_delay(&p, attempt, seed)
-            );
+            prop_assert_eq!(backoff_delay(attempt, seed), backoff_delay(attempt, seed));
         }
 
         /// Budget accounting round-trips: each retry charges the tenant's

@@ -15,11 +15,8 @@ use crate::cell::{scheduler_loop, Cell};
 use crate::completion::{CompletionSlot, Ticket};
 use crate::job::{AnyOp, ClientId, RejectReason, Rejected, ServeError};
 use crate::queue::{Job, ShedCandidate};
-use crate::retry::RetryPolicy;
 use crate::router::{TenantConfig, TenantId, TenantState};
-use crate::supervisor::{
-    supervisor_loop, Breaker, BreakerConfig, BreakerSnapshot, SupervisorConfig,
-};
+use crate::supervisor::{supervisor_loop, Breaker, BreakerSnapshot};
 use crate::telemetry::{self, RoutineDrift, TelemetryRecord};
 use adsala::runtime::Adsala;
 use adsala_blas3::op::{Dims, Routine};
@@ -27,7 +24,10 @@ use adsala_blas3::sync::{AtomicBool, AtomicU64, Mutex, MutexGuard, Ordering};
 use adsala_blas3::{Blas3Backend, ThreadPool};
 use std::sync::Arc;
 
-/// Service-level knobs.
+/// Service-level knobs, one value each. The retry schedule, the
+/// watchdog's timing, the breaker's thresholds and the per-cell telemetry
+/// ring's size (1024 records) are fixed; the `retry`, `supervisor` and
+/// `breaker` switches turn each defence off whole.
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
     /// Number of scheduler cells. `0` (the default) resolves to the
@@ -44,23 +44,25 @@ pub struct ServeConfig {
     /// what QoS allows) when the cells' summed predicted backlog plus the
     /// submission's predicted seconds would exceed this.
     pub backlog_budget_secs: f64,
-    /// Capacity of each cell's observed-wall-clock telemetry ring buffer
-    /// (the merged view holds up to `shards * telemetry_capacity`
-    /// records).
-    pub telemetry_capacity: usize,
     /// Maximum jobs served per scheduler wake-up (one same-shape batch).
     pub max_batch: usize,
     /// Cost model for routines without an installed predictor: predicted
     /// seconds = `flops / (fallback_gflops * 1e9)`.
     pub fallback_gflops: f64,
-    /// Retry policy for transient backend failures (see [`RetryPolicy`]).
-    pub retry: RetryPolicy,
-    /// Cell watchdog knobs: heartbeat sweep interval and the wedge window
-    /// after which a stuck cell is drained and restarted.
-    pub supervisor: SupervisorConfig,
-    /// Backend circuit-breaker knobs: when sustained failure trips it,
-    /// Batch work is browned out until half-open probes close it.
-    pub breaker: BreakerConfig,
+    /// Retry transient backend failures: up to three attempts per job
+    /// under capped, jittered exponential backoff (500 µs doubling, 50 ms
+    /// cap). Off, every job gets a single attempt.
+    pub retry: bool,
+    /// Run the cell watchdog: every 25 ms it sweeps the cells'
+    /// heartbeats, and a cell with queued work whose heartbeat sits still
+    /// for 4 sweeps is drained and restarted. Off, cells are never
+    /// restarted.
+    pub supervisor: bool,
+    /// Feed execution outcomes to the backend circuit breaker: 8
+    /// consecutive failures trip it and Batch work is browned out until,
+    /// 250 ms on, 2 successful half-open probes close it. Off, the breaker
+    /// stays [`BreakerState::Closed`](crate::BreakerState::Closed).
+    pub breaker: bool,
 }
 
 impl Default for ServeConfig {
@@ -70,12 +72,11 @@ impl Default for ServeConfig {
             steal: true,
             queue_capacity: 1024,
             backlog_budget_secs: 60.0,
-            telemetry_capacity: 1024,
             max_batch: 32,
             fallback_gflops: 1.0,
-            retry: RetryPolicy::default(),
-            supervisor: SupervisorConfig::default(),
-            breaker: BreakerConfig::default(),
+            retry: true,
+            supervisor: true,
+            breaker: true,
         }
     }
 }
@@ -225,7 +226,7 @@ pub struct ShardStats {
     /// and counted, never propagated into the scheduler).
     pub callback_panics: u64,
     /// Transient-failure retries executed on this cell (see
-    /// [`RetryPolicy`]).
+    /// [`ServeConfig::retry`]).
     pub retries: u64,
     /// Times the supervisor drained and restarted this cell's scheduler.
     pub restarts: u64,
@@ -259,9 +260,9 @@ pub struct ServiceStats {
 pub struct Service<B: Blas3Backend + 'static> {
     pub(crate) shared: Arc<Shared<B>>,
     schedulers: Vec<std::thread::JoinHandle<()>>,
-    /// The watchdog thread, when [`SupervisorConfig::enabled`]. Joined
-    /// first on drop — it owns the handles of any replacement schedulers
-    /// it spawned and joins them before retiring.
+    /// The watchdog thread, when [`ServeConfig::supervisor`]. Unparked and
+    /// joined first on drop — it owns the handles of any replacement
+    /// schedulers it spawned and joins them before retiring.
     supervisor: Option<std::thread::JoinHandle<()>>,
 }
 
@@ -299,7 +300,7 @@ impl<B: Blas3Backend + 'static> Service<B> {
         let shards = resolve_shards(&cfg);
         let workers_per_cell = ThreadPool::hardware_threads().div_ceil(shards).max(1);
         let cells: Vec<Arc<Cell>> = (0..shards)
-            .map(|i| Arc::new(Cell::new(i, workers_per_cell, cfg.telemetry_capacity)))
+            .map(|i| Arc::new(Cell::new(i, workers_per_cell)))
             .collect();
         let breaker = Breaker::new(cfg.breaker);
         let shared = Arc::new(Shared {
@@ -347,7 +348,7 @@ impl<B: Blas3Backend + 'static> Service<B> {
         // The watchdog is best-effort by design: a host that refuses the
         // thread leaves the service running unsupervised (the pre-watchdog
         // behaviour) rather than failing construction.
-        let supervisor = if shared.cfg.supervisor.enabled {
+        let supervisor = if shared.cfg.supervisor {
             let sup_shared = Arc::clone(&shared);
             std::thread::Builder::new()
                 .name("adsala-serve-supervisor".to_string())
@@ -503,8 +504,11 @@ impl<B: Blas3Backend + 'static> Drop for Service<B> {
         }
         // The supervisor first: while it runs it may drain/restart cells,
         // and it owns the replacement schedulers' handles — after this
-        // join no thread but the (possibly stale) originals remains.
+        // join no thread but the (possibly stale) originals remains. It
+        // parks between sweeps; the unpark ends that wait now that the
+        // stop flag is up.
         if let Some(handle) = self.supervisor.take() {
+            handle.thread().unpark();
             let _ = handle.join();
         }
         for handle in self.schedulers.drain(..) {

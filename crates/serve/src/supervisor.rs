@@ -4,9 +4,9 @@
 //! ## The watchdog
 //!
 //! Every scheduler iteration bumps its cell's monotonic heartbeat
-//! counter. A cell with queued work whose heartbeat has not moved across
-//! [`SupervisorConfig::wedge_after`] consecutive supervisor ticks is
-//! declared wedged — the scheduler thread died (a backend panicked
+//! counter. The supervisor sweeps the heartbeats every 25 ms; a cell with
+//! queued work whose heartbeat has not moved across 4 consecutive sweeps
+//! is declared wedged — the scheduler thread died (a backend panicked
 //! through it) or is stuck inside a call that will not return. Idle cells
 //! are never flagged: with nothing queued a parked scheduler is healthy,
 //! and any push wakes it (bumping the heartbeat) before work can wait on
@@ -28,10 +28,14 @@
 //! consecutive backend failure trips it to **brownout**: queued Batch
 //! work is shed, new Batch submissions are refused
 //! ([`crate::RejectReason::Brownout`]), and Interactive/Standard traffic
-//! keeps being served from whatever capacity survives. After
-//! [`BreakerConfig::open_for`] the breaker half-opens and the next
-//! executions act as probes: [`BreakerConfig::close_after`] consecutive
-//! successes close it, any failure re-opens it with a fresh timer.
+//! keeps being served from whatever capacity survives. Eight consecutive
+//! failures trip it; after 250 ms open it half-opens and the next
+//! executions act as probes: two consecutive successes close it, any
+//! failure re-opens it with a fresh timer.
+//!
+//! Both are on by default and switched off with
+//! [`crate::ServeConfig::supervisor`] and [`crate::ServeConfig::breaker`];
+//! their timings and thresholds are fixed.
 
 use crate::cell::scheduler_loop;
 use crate::queue::Job;
@@ -42,57 +46,20 @@ use adsala_blas3::Blas3Backend;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// Knobs of the per-cell watchdog thread
-/// (see [`crate::ServeConfig::supervisor`]).
-#[derive(Debug, Clone, Copy)]
-pub struct SupervisorConfig {
-    /// Run the supervisor thread at all. Disabled, cells are never
-    /// restarted and the service behaves as before this module existed.
-    pub enabled: bool,
-    /// Time between watchdog sweeps over the cells' heartbeats.
-    pub interval: Duration,
-    /// Consecutive sweeps a cell with queued work may leave its heartbeat
-    /// unmoved before it is declared wedged and restarted. The detection
-    /// window is therefore `interval * wedge_after` at minimum.
-    pub wedge_after: u32,
-}
+/// Time between watchdog sweeps over the cells' heartbeats.
+pub(crate) const SWEEP_INTERVAL: Duration = Duration::from_millis(25);
+/// Consecutive sweeps a cell with queued work may leave its heartbeat
+/// unmoved before it is declared wedged and restarted: the detection
+/// window is at least `SWEEP_INTERVAL * WEDGE_AFTER` (100 ms).
+const WEDGE_AFTER: u32 = 4;
 
-impl Default for SupervisorConfig {
-    fn default() -> SupervisorConfig {
-        SupervisorConfig {
-            enabled: true,
-            interval: Duration::from_millis(25),
-            wedge_after: 4,
-        }
-    }
-}
-
-/// Knobs of the backend circuit breaker
-/// (see [`crate::ServeConfig::breaker`]).
-#[derive(Debug, Clone, Copy)]
-pub struct BreakerConfig {
-    /// Feed execution outcomes to the breaker at all. Disabled, the
-    /// breaker stays [`BreakerState::Closed`] forever.
-    pub enabled: bool,
-    /// Consecutive execution failures (retries included) that trip the
-    /// breaker from closed to open.
-    pub trip_after: u32,
-    /// How long the breaker stays open before half-opening to probe.
-    pub open_for: Duration,
-    /// Consecutive successes in the half-open state that close it again.
-    pub close_after: u32,
-}
-
-impl Default for BreakerConfig {
-    fn default() -> BreakerConfig {
-        BreakerConfig {
-            enabled: true,
-            trip_after: 8,
-            open_for: Duration::from_millis(250),
-            close_after: 2,
-        }
-    }
-}
+/// Consecutive execution failures (retries included) that trip the
+/// breaker from closed to open.
+const TRIP_AFTER: u32 = 8;
+/// How long the breaker stays open before half-opening to probe.
+const OPEN_FOR: Duration = Duration::from_millis(250);
+/// Consecutive successes in the half-open state that close it again.
+const CLOSE_AFTER: u32 = 2;
 
 /// The breaker's position (see the module docs for the lifecycle).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -134,14 +101,32 @@ struct BreakerInner {
 /// touched once per execution outcome and per admission, both of which
 /// already pay far larger costs.
 pub(crate) struct Breaker {
-    cfg: BreakerConfig,
+    /// Disabled, the breaker stays [`BreakerState::Closed`] forever.
+    enabled: bool,
+    trip_after: u32,
+    open_for: Duration,
+    close_after: u32,
     inner: Mutex<BreakerInner>,
 }
 
 impl Breaker {
-    pub fn new(cfg: BreakerConfig) -> Breaker {
+    pub fn new(enabled: bool) -> Breaker {
+        Breaker::with_thresholds(enabled, TRIP_AFTER, OPEN_FOR, CLOSE_AFTER)
+    }
+
+    /// The shipped breaker is [`Breaker::new`]; the unit tests drive the
+    /// same state machine through short thresholds.
+    fn with_thresholds(
+        enabled: bool,
+        trip_after: u32,
+        open_for: Duration,
+        close_after: u32,
+    ) -> Breaker {
         Breaker {
-            cfg,
+            enabled,
+            trip_after,
+            open_for,
+            close_after,
             inner: Mutex::new(BreakerInner {
                 state: BreakerState::Closed,
                 streak: 0,
@@ -157,11 +142,11 @@ impl Breaker {
 
     /// Lazily advance `Open` to `HalfOpen` once the open timer expires.
     /// Called with the lock held.
-    fn tick(inner: &mut BreakerInner, cfg: &BreakerConfig) {
+    fn tick(&self, inner: &mut BreakerInner) {
         if inner.state == BreakerState::Open
             && inner
                 .opened_at
-                .is_none_or(|at| at.elapsed() >= cfg.open_for)
+                .is_none_or(|at| at.elapsed() >= self.open_for)
         {
             inner.state = BreakerState::HalfOpen;
             inner.streak = 0;
@@ -172,26 +157,26 @@ impl Breaker {
     /// Only the shed-first class (Batch) is browned out; higher classes
     /// keep flowing so the surviving capacity serves what matters most.
     pub fn deny(&self, qos: QosClass) -> bool {
-        if !self.cfg.enabled || qos != QosClass::Batch {
+        if !self.enabled || qos != QosClass::Batch {
             return false;
         }
         let mut inner = self.lock();
-        Breaker::tick(&mut inner, &self.cfg);
+        self.tick(&mut inner);
         inner.state != BreakerState::Closed
     }
 
     /// Record one failed execution. Returns `true` when this failure
     /// freshly tripped the breaker (the caller sheds the Batch lanes).
     pub fn record_failure(&self) -> bool {
-        if !self.cfg.enabled {
+        if !self.enabled {
             return false;
         }
         let mut inner = self.lock();
-        Breaker::tick(&mut inner, &self.cfg);
+        self.tick(&mut inner);
         match inner.state {
             BreakerState::Closed => {
                 inner.streak += 1;
-                if inner.streak >= self.cfg.trip_after.max(1) {
+                if inner.streak >= self.trip_after {
                     inner.state = BreakerState::Open;
                     inner.opened_at = Some(Instant::now());
                     inner.streak = 0;
@@ -214,16 +199,16 @@ impl Breaker {
 
     /// Record one successful execution.
     pub fn record_success(&self) {
-        if !self.cfg.enabled {
+        if !self.enabled {
             return;
         }
         let mut inner = self.lock();
-        Breaker::tick(&mut inner, &self.cfg);
+        self.tick(&mut inner);
         match inner.state {
             BreakerState::Closed => inner.streak = 0,
             BreakerState::HalfOpen => {
                 inner.streak += 1;
-                if inner.streak >= self.cfg.close_after.max(1) {
+                if inner.streak >= self.close_after {
                     inner.state = BreakerState::Closed;
                     inner.streak = 0;
                     inner.opened_at = None;
@@ -237,7 +222,7 @@ impl Breaker {
 
     pub fn snapshot(&self) -> BreakerSnapshot {
         let mut inner = self.lock();
-        Breaker::tick(&mut inner, &self.cfg);
+        self.tick(&mut inner);
         BreakerSnapshot {
             state: inner.state,
             streak: inner.streak,
@@ -265,19 +250,28 @@ pub(crate) fn brownout_shed<B: Blas3Backend>(shared: &Shared<B>) {
     }
 }
 
-/// The watchdog thread body: sweep heartbeats every
-/// [`SupervisorConfig::interval`], restart wedged cells, and on shutdown
-/// join every replacement scheduler this supervisor spawned. (The
-/// original schedulers are joined by [`crate::Service`]'s drop.)
+/// The watchdog thread body: sweep heartbeats every [`SWEEP_INTERVAL`],
+/// restart wedged cells, and on shutdown join every replacement scheduler
+/// this supervisor spawned. (The original schedulers are joined by
+/// [`crate::Service`]'s drop.) Between sweeps the thread parks, and the
+/// drop unparks it after raising the stop flag, so shutdown never waits
+/// out a sweep interval.
 pub(crate) fn supervisor_loop<B: Blas3Backend + 'static>(shared: Arc<Shared<B>>) {
-    let cfg = shared.cfg.supervisor;
     let n = shared.cells.len();
     // Last observed heartbeat and how many sweeps it has sat still.
     let mut last_beat = vec![0u64; n];
     let mut stale_sweeps = vec![0u32; n];
     let mut replacements: Vec<std::thread::JoinHandle<()>> = Vec::new();
+    let mut next_sweep = Instant::now() + SWEEP_INTERVAL;
     while !shared.is_stopped() {
-        std::thread::sleep(cfg.interval);
+        // A wake before the sweep is due is the drop's unpark (or a
+        // spurious one): loop to re-check the stop flag.
+        let now = Instant::now();
+        if now < next_sweep {
+            std::thread::park_timeout(next_sweep - now);
+            continue;
+        }
+        next_sweep = now + SWEEP_INTERVAL;
         for (index, cell) in shared.cells.iter().enumerate() {
             // ORDER: Relaxed — the heartbeat is a liveness gauge; the
             // sweep needs monotonicity per cell, not cross-thread
@@ -292,7 +286,7 @@ pub(crate) fn supervisor_loop<B: Blas3Backend + 'static>(shared: Arc<Shared<B>>)
                 continue;
             }
             stale_sweeps[index] += 1;
-            if stale_sweeps[index] < cfg.wedge_after.max(1) {
+            if stale_sweeps[index] < WEDGE_AFTER {
                 continue;
             }
             stale_sweeps[index] = 0;
@@ -406,18 +400,9 @@ fn rehome<B: Blas3Backend>(
 mod tests {
     use super::*;
 
-    fn cfg(trip_after: u32, open_for: Duration, close_after: u32) -> BreakerConfig {
-        BreakerConfig {
-            enabled: true,
-            trip_after,
-            open_for,
-            close_after,
-        }
-    }
-
     #[test]
     fn breaker_trips_only_on_consecutive_failures() {
-        let b = Breaker::new(cfg(3, Duration::from_secs(60), 1));
+        let b = Breaker::with_thresholds(true, 3, Duration::from_secs(60), 1);
         assert!(!b.record_failure());
         assert!(!b.record_failure());
         b.record_success(); // streak broken
@@ -434,7 +419,7 @@ mod tests {
 
     #[test]
     fn breaker_half_opens_then_closes_on_probe_successes() {
-        let b = Breaker::new(cfg(1, Duration::ZERO, 2));
+        let b = Breaker::with_thresholds(true, 1, Duration::ZERO, 2);
         assert!(b.record_failure());
         // open_for elapsed (zero): next touch half-opens.
         assert_eq!(b.snapshot().state, BreakerState::HalfOpen);
@@ -448,7 +433,7 @@ mod tests {
 
     #[test]
     fn failed_probe_reopens_without_a_new_trip() {
-        let b = Breaker::new(cfg(1, Duration::ZERO, 2));
+        let b = Breaker::with_thresholds(true, 1, Duration::ZERO, 2);
         assert!(b.record_failure());
         assert_eq!(b.snapshot().state, BreakerState::HalfOpen);
         assert!(!b.record_failure(), "a failed probe is not a fresh trip");
@@ -459,11 +444,8 @@ mod tests {
 
     #[test]
     fn disabled_breaker_is_inert() {
-        let b = Breaker::new(BreakerConfig {
-            enabled: false,
-            ..cfg(1, Duration::ZERO, 1)
-        });
-        for _ in 0..10 {
+        let b = Breaker::new(false);
+        for _ in 0..2 * TRIP_AFTER {
             assert!(!b.record_failure());
         }
         assert!(!b.deny(QosClass::Batch));
@@ -491,10 +473,7 @@ mod tests {
         let config = ServeConfig {
             shards: 2,
             steal: false,
-            supervisor: SupervisorConfig {
-                enabled: false,
-                ..Default::default()
-            },
+            supervisor: false,
             ..Default::default()
         };
         let service: Service<NativeBackend> =

@@ -6,6 +6,9 @@
 // Outside the Miri subset: drives a live Service (OS worker threads).
 #![cfg(not(miri))]
 
+#[path = "support/drift_harness.rs"]
+mod drift_harness;
+
 use adsala::cost::CostModel;
 use adsala::install::{install_routine, InstallOptions};
 use adsala::runtime::Adsala;
@@ -14,10 +17,10 @@ use adsala_blas3::op::{Dims, Routine};
 use adsala_blas3::{Blas3Backend, Matrix, OwnedOp, Transpose};
 use adsala_machine::MachineSpec;
 use adsala_ml::model::ModelKind;
-use adsala_serve::drift_harness::{
+use adsala_serve::{AdaptAction, AdaptConfig, Adapter, ServeConfig, Service, TelemetryRecord};
+use drift_harness::{
     calibrated_time_scale, min_traffic_secs, traffic_shape, ScaledTimer, SkewedSpinBackend,
 };
-use adsala_serve::{AdaptAction, AdaptConfig, Adapter, ServeConfig, Service, TelemetryRecord};
 
 fn gemm_op(m: usize, k: usize, n: usize) -> OwnedOp<f64> {
     OwnedOp::Gemm {
@@ -107,7 +110,6 @@ fn drift_is_detected_refit_and_swapped_without_stopping_the_service() {
         runtime,
         ServeConfig {
             backlog_budget_secs: 1e9,
-            telemetry_capacity: 4096,
             ..Default::default()
         },
     )

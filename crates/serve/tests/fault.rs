@@ -18,8 +18,8 @@ use adsala_blas3::{
     Transpose,
 };
 use adsala_serve::{
-    AnyOp, BreakerConfig, BreakerState, QosClass, RejectReason, ServeConfig, ServeError, Service,
-    SubmitOptions, SupervisorConfig, TenantConfig, Ticket,
+    AnyOp, BreakerState, QosClass, RejectReason, ServeConfig, ServeError, Service, SubmitOptions,
+    TenantConfig, Ticket,
 };
 use std::sync::mpsc;
 use std::time::{Duration, Instant};
@@ -247,9 +247,9 @@ fn deadlines_reject_at_admission_sweep_in_queue_and_bound_waits() {
 #[test]
 fn a_wedged_cell_is_restarted_and_rehomed_tenants_keep_fifo_order() {
     // One scripted Latency hit wedges cell 1's scheduler inside the only
-    // 96x96x96 call for 1.2s — far past the supervisor's window. Steal is
-    // off, so the *only* way queued work escapes the wedged cell is the
-    // supervisor's drain-and-rehome.
+    // 96x96x96 call for 1.2s — far past the supervisor's 100 ms window
+    // (4 sweeps of 25 ms). Steal is off, so the *only* way queued work
+    // escapes the wedged cell is the supervisor's drain-and-rehome.
     let wedge = FaultRule::new(FaultKind::Latency(Duration::from_millis(1200)))
         .targeting(FaultTarget::shape(
             Routine::new(OpKind::Gemm, Precision::Double),
@@ -264,11 +264,6 @@ fn a_wedged_cell_is_restarted_and_rehomed_tenants_keep_fifo_order() {
             steal: false,
             fallback_gflops: 1.0,
             backlog_budget_secs: 1e9,
-            supervisor: SupervisorConfig {
-                enabled: true,
-                interval: Duration::from_millis(25),
-                wedge_after: 2,
-            },
             ..Default::default()
         },
     )
@@ -331,22 +326,16 @@ fn a_wedged_cell_is_restarted_and_rehomed_tenants_keep_fifo_order() {
 
 #[test]
 fn breaker_trips_to_brownout_sheds_batch_and_recovers_half_open() {
-    // The first three calls fail fatally: with trip_after = 3 the third
-    // failure trips the breaker. Everything after succeeds, so later
-    // executions are the half-open probes.
-    let rules = vec![FaultRule::new(FaultKind::Fatal).window(0, 3)];
+    // The first eight calls fail fatally: the breaker trips on the eighth
+    // consecutive failure. Everything after succeeds, so later executions
+    // are the half-open probes.
+    let rules = vec![FaultRule::new(FaultKind::Fatal).window(0, 8)];
     let service = Service::with_config(
         faulted_runtime(13, rules),
         ServeConfig {
             shards: 1,
             max_batch: 1,
             fallback_gflops: 1.0,
-            breaker: BreakerConfig {
-                enabled: true,
-                trip_after: 3,
-                open_for: Duration::from_millis(150),
-                close_after: 2,
-            },
             ..Default::default()
         },
     )
@@ -361,21 +350,21 @@ fn breaker_trips_to_brownout_sheds_batch_and_recovers_half_open() {
         ..Default::default()
     }));
 
-    // Five Batch jobs queue while paused; the first three will fail and
+    // Ten Batch jobs queue while paused; the first eight will fail and
     // trip, which must shed the remaining two *from the queue*.
-    let tickets: Vec<_> = (0..5)
+    let tickets: Vec<_> = (0..10)
         .map(|i| batch.submit(gemm(24, i)).expect("closed breaker admits"))
         .collect();
     service.resume();
     let mut outcomes = tickets.into_iter();
-    for i in 0..3 {
+    for i in 0..8 {
         let done = outcomes.next().unwrap().wait().expect("settled");
         assert!(
             matches!(done.result, Err(Blas3Error::BackendFault { .. })),
             "job {i} was scripted to fail"
         );
     }
-    for _ in 3..5 {
+    for _ in 8..10 {
         assert_eq!(
             outcomes.next().unwrap().wait().unwrap_err(),
             ServeError::Shed,
@@ -385,14 +374,14 @@ fn breaker_trips_to_brownout_sheds_batch_and_recovers_half_open() {
 
     // Brownout: Batch submissions bounce typed, Interactive still lands
     // and is served by the surviving capacity.
-    let bounced = batch.submit(gemm(24, 5)).unwrap_err();
+    let bounced = batch.submit(gemm(24, 10)).unwrap_err();
     assert!(
         matches!(bounced.reason, RejectReason::Brownout),
         "expected Brownout, got {:?}",
         bounced.reason
     );
     let served = vip
-        .submit(gemm(24, 6))
+        .submit(gemm(24, 11))
         .expect("interactive flows through brownout")
         .wait()
         .expect("settled");
@@ -402,12 +391,12 @@ fn breaker_trips_to_brownout_sheds_batch_and_recovers_half_open() {
     assert_eq!(stats.breaker.trips, 1);
     assert_eq!(stats.shards.iter().map(|s| s.shed_jobs).sum::<u64>(), 2);
 
-    // Past the open window the next successes are probes; close_after = 2
-    // of them close the breaker and Batch admission returns.
-    std::thread::sleep(Duration::from_millis(200));
+    // Past the 250 ms open window the next successes are probes; two of
+    // them close the breaker and Batch admission returns.
+    std::thread::sleep(Duration::from_millis(300));
     for i in 0..2 {
         let probe = vip
-            .submit(gemm(24, 7 + i))
+            .submit(gemm(24, 12 + i))
             .expect("probes admitted")
             .wait()
             .expect("settled");
@@ -415,7 +404,7 @@ fn breaker_trips_to_brownout_sheds_batch_and_recovers_half_open() {
     }
     assert_eq!(service.stats().breaker.state, BreakerState::Closed);
     let recovered = batch
-        .submit(gemm(24, 9))
+        .submit(gemm(24, 14))
         .expect("closed breaker admits Batch again")
         .wait()
         .expect("settled");

@@ -14,8 +14,7 @@ use adsala::runtime::Adsala;
 use adsala_blas3::fault::{FaultBackend, FaultKind, FaultRule};
 use adsala_blas3::{Matrix, OwnedOp, ReferenceBackend, Transpose};
 use adsala_serve::{
-    AnyOp, QosClass, ServeConfig, ServeError, Service, ShardStats, SubmitOptions, SupervisorConfig,
-    TenantConfig,
+    AnyOp, QosClass, ServeConfig, ServeError, Service, ShardStats, SubmitOptions, TenantConfig,
 };
 use std::sync::mpsc;
 use std::time::{Duration, Instant};
@@ -64,12 +63,6 @@ fn run_case(seed: u64) -> [u64; 6] {
         steal: below(2) == 0,
         max_batch: 1 + below(4),
         backlog_budget_secs: [48.5 * UNIT, 1.0][below(2)],
-        // Dropping the service joins the supervisor after its current
-        // sweep interval; at the 25 ms default that was most of a case.
-        supervisor: SupervisorConfig {
-            interval: Duration::from_millis(5),
-            ..Default::default()
-        },
         ..Default::default()
     };
     let service = Service::with_config(runtime, cfg).expect("spawn scheduler cells");

@@ -1,9 +1,7 @@
-//! Shared drift-injection harness for the online-adaptation example
-//! (`examples/adapt.rs`) and integration test (`crates/serve/tests/adapt.rs`).
-//!
-//! Hidden from the public API surface: this is test/CI support, kept in the
-//! library only so the example and the test cannot silently diverge in how
-//! they calibrate against machine noise or inject the skew.
+//! Shared drift-injection harness for the online-adaptation integration
+//! test (`tests/adapt.rs`) and example (`examples/adapt.rs`), both of which
+//! include this one file with `#[path]`, so they cannot silently diverge in
+//! how they calibrate against machine noise or inject the skew.
 //!
 //! The harness answers one question robustly: *how do we make a spin-loop
 //! backend show an installed model exactly `skew`x drift on any machine,
