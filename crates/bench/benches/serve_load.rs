@@ -132,7 +132,6 @@ struct LoadResult {
     p99_ms: f64,
     p999_ms: f64,
     makespan_secs: f64,
-    stolen_batches: u64,
     shed_jobs: u64,
 }
 
@@ -253,7 +252,6 @@ fn run_trace(trace: &[Event], shards: usize, gflops: f64) -> LoadResult {
     .expect("spawn scheduler cells");
     let r = replay(trace, &service);
     let stats = service.stats();
-    let stolen_batches = stats.shards.iter().map(|s| s.stolen_batches).sum();
     let shed_jobs = stats.shards.iter().map(|s| s.shed_jobs).sum();
     drop(service);
     LoadResult {
@@ -266,7 +264,6 @@ fn run_trace(trace: &[Event], shards: usize, gflops: f64) -> LoadResult {
         p99_ms: percentile(&r.lats, 0.99) * 1e3,
         p999_ms: percentile(&r.lats, 0.999) * 1e3,
         makespan_secs: r.makespan_secs,
-        stolen_batches,
         shed_jobs,
     }
 }
@@ -279,10 +276,9 @@ const TRANSIENT_RATE: f64 = 0.01;
 /// The one scripted mid-run stall: a single backend call sleeps this
 /// long, wedging whichever scheduler cell was serving it.
 const WEDGE: Duration = Duration::from_millis(400);
-/// Shard count of the faulted runs. Two cells, stealing disabled: the
-/// only way a wedged cell's backlog moves is the supervisor's
-/// drain-and-rehome, so the supervision win is not laundered through
-/// work stealing.
+/// Shard count of the faulted runs. Two cells: a cell serves only its own
+/// queues, so the only way a wedged cell's backlog moves is the
+/// supervisor's drain-and-rehome.
 const FAULT_SHARDS: usize = 2;
 /// Offered load of the faulted runs, relative to the *measured*
 /// fault-free throughput at [`FAULT_SHARDS`]. Deliberately below
@@ -329,7 +325,6 @@ fn run_faulted(trace: &[Event], gflops: f64, supervised: bool) -> FaultResult {
         runtime,
         ServeConfig {
             shards: FAULT_SHARDS,
-            steal: false,
             queue_capacity: 1_000_000,
             backlog_budget_secs: BUDGET_SECS,
             fallback_gflops: gflops,
@@ -385,7 +380,7 @@ fn bench_serve_load(_c: &mut Criterion) {
         let r = run_trace(&trace, shards, gflops);
         println!(
             "serve_load/shards={}: {} served, {} rejected ({:.1}%), {:.0} jobs/s, \
-             p50 {:.2} ms, p99 {:.2} ms, p999 {:.2} ms, {} stolen batches",
+             p50 {:.2} ms, p99 {:.2} ms, p999 {:.2} ms",
             r.shards,
             r.completed,
             r.rejected,
@@ -394,7 +389,6 @@ fn bench_serve_load(_c: &mut Criterion) {
             r.p50_ms,
             r.p99_ms,
             r.p999_ms,
-            r.stolen_batches,
         );
         results.push(r);
     }
@@ -418,7 +412,7 @@ fn bench_serve_load(_c: &mut Criterion) {
                 "    {{\"shards\": {}, \"completed\": {}, \"rejected\": {}, \"errored\": {}, \
                  \"rejection_rate\": {:.4}, \"throughput_jobs_per_sec\": {:.1}, \
                  \"p50_ms\": {:.3}, \"p99_ms\": {:.3}, \"p999_ms\": {:.3}, \
-                 \"makespan_secs\": {:.3}, \"stolen_batches\": {}, \"shed_jobs\": {}}}",
+                 \"makespan_secs\": {:.3}, \"shed_jobs\": {}}}",
                 r.shards,
                 r.completed,
                 r.rejected,
@@ -429,7 +423,6 @@ fn bench_serve_load(_c: &mut Criterion) {
                 r.p99_ms,
                 r.p999_ms,
                 r.makespan_secs,
-                r.stolen_batches,
                 r.shed_jobs,
             )
         })
@@ -543,7 +536,7 @@ fn bench_serve_load(_c: &mut Criterion) {
         "{{\n  \"description\": \"crates/bench/benches/serve_load.rs (faulted replays): the same \
          open-loop Poisson trace ({events} arrivals) against FaultBackend<NativeBackend> — \
          {:.0}% of calls fail transiently and one scripted mid-run call stalls {} ms, wedging \
-         its scheduler cell. {FAULT_SHARDS} shards, stealing off. 'supervised' runs the full \
+         its scheduler cell. {FAULT_SHARDS} shards. 'supervised' runs the full \
          stack (capped-backoff retries, cell watchdog with drain-and-rehome, circuit breaker); \
          'unsupervised' is a single attempt with watchdog and breaker off. Identical trace and \
          fault seed — the delta is what supervision buys.\",\n  \

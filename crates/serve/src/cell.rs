@@ -9,12 +9,11 @@
 //! runtime's per-call parallelism stays confined to the cell's worker
 //! slice).
 //!
-//! When a cell has nothing takeable and stealing is enabled, it takes one
-//! whole same-shape batch from the sibling with the largest
-//! predicted-seconds backlog and executes it on its *own* pool. Ordering
-//! survives because a batch marks its tenant in flight on the owning cell
-//! until the executor reports back — at most one batch per tenant is in
-//! the air, and batches leave each tenant FIFO in order.
+//! A cell serves only its own queues: a batch finishes on the cell that
+//! took it. With nothing queued the scheduler parks on the cell's condvar
+//! until something notifies it; with work queued that it cannot take yet
+//! (paused, or every tenant with work in flight) it parks for at most
+//! `IDLE_TICK`.
 
 use crate::job::{AnyOp, Completed, ServeError};
 use crate::queue::{Batch, Job, LaneQueues};
@@ -28,19 +27,17 @@ use adsala_blas3::{Blas3Backend, ThreadPool};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// How long an idle cell sleeps between steal attempts. Pushes to the
-/// cell's own queues wake it immediately; this only bounds how stale a
-/// *sibling's* backlog can get before an idle cell notices it.
-const STEAL_POLL: Duration = Duration::from_micros(500);
-
-/// Longest a scheduler parks without waking to bump its heartbeat. The
-/// heartbeat means "the scheduler *loop* is responsive" — a cell parked
-/// on its condvar (paused, or every queued tenant already in flight) is
-/// healthy and must keep beating, or the supervisor would mistake it for
-/// wedged and restart-storm it. Only a thread genuinely stuck inside
-/// batch execution freezes its heartbeat. Kept well under the
-/// supervisor's [`SWEEP_INTERVAL`] so a live cell always beats between
-/// two sweeps; the assertion below pins that at compile time.
+/// Longest a scheduler with queued work parks without waking to bump its
+/// heartbeat and sweep expired jobs. The heartbeat means "the scheduler
+/// *loop* is responsive" — a cell parked on its condvar with work queued
+/// (paused, or every queued tenant already in flight) is healthy and must
+/// keep beating, or the supervisor would mistake it for wedged and
+/// restart-storm it. Only a thread genuinely stuck inside batch execution
+/// freezes its heartbeat. An empty cell parks with no timeout: the
+/// supervisor ignores a still heartbeat while nothing is pending. Kept
+/// well under the supervisor's [`SWEEP_INTERVAL`] so a live cell always
+/// beats between two sweeps; the assertion below pins that at compile
+/// time.
 const IDLE_TICK: Duration = Duration::from_millis(5);
 const _: () = assert!(2 * IDLE_TICK.as_nanos() < SWEEP_INTERVAL.as_nanos());
 
@@ -64,7 +61,8 @@ pub(crate) struct Cell {
     /// The cell's private worker pool.
     pub pool: Arc<ThreadPool>,
     pub state: Mutex<CellState>,
-    /// Signalled on push, finish-batch, pause/resume, and shutdown.
+    /// Signalled on push, re-home, finish-batch, pause/resume, and
+    /// shutdown.
     pub cv: Condvar,
     /// Per-cell telemetry ring (merged across cells by
     /// `Service::telemetry_snapshot`).
@@ -72,13 +70,8 @@ pub(crate) struct Cell {
     /// Mirror of `queues.queued()`, readable without the cell lock.
     pub pending: AtomicUsize,
     /// Mirror of `queues.backlog_secs()` in nanoseconds, readable without
-    /// the cell lock — the router's placement signal and the thieves'
-    /// victim-selection signal.
+    /// the cell lock — the router's placement signal.
     pub backlog_nanos: AtomicU64,
-    /// Batches this cell took from siblings.
-    pub stolen_batches: AtomicU64,
-    /// Batches siblings took from this cell.
-    pub donated_batches: AtomicU64,
     /// Jobs shed from this cell's queues under overload.
     pub shed_jobs: AtomicU64,
     /// Completion callbacks that panicked on this cell's threads (caught,
@@ -114,8 +107,6 @@ impl Cell {
             telemetry: Telemetry::new(TELEMETRY_CAPACITY),
             pending: AtomicUsize::new(0),
             backlog_nanos: AtomicU64::new(0),
-            stolen_batches: AtomicU64::new(0),
-            donated_batches: AtomicU64::new(0),
             shed_jobs: AtomicU64::new(0),
             callback_panics: AtomicU64::new(0),
             heartbeat: AtomicU64::new(0),
@@ -149,16 +140,25 @@ impl Cell {
         self.backlog_nanos.load(Ordering::Acquire) as f64 / 1e9
     }
 
-    /// The cell's one park, always bounded by `timeout`: a push,
-    /// finish-batch, pause/resume or shutdown notifies the condvar sooner.
-    /// When the scheduler has just served a batch (`after_work`) it spins
-    /// on `pending` for up to [`sync::SPIN_BUDGET`] instead, catching the
-    /// next submission of a busy stream without a sleeping wake-up. Either
-    /// way it returns with the lock re-taken, and the caller re-checks.
+    /// How long the scheduler may park given the queues it just checked:
+    /// no timeout on an empty cell, [`IDLE_TICK`] while work waits.
+    fn park_timeout(st: &CellState) -> Option<Duration> {
+        (!st.queues.is_empty()).then_some(IDLE_TICK)
+    }
+
+    /// The cell's one park, bounded by `timeout` when there is one. Every
+    /// event that gives the cell work — a push, a re-home, finish-batch,
+    /// pause/resume, shutdown — changes the state under the cell lock and
+    /// then notifies the condvar, and the caller checked that state under
+    /// the same lock, so an untimed park misses none of them. When the
+    /// scheduler has just served a batch (`after_work`) it spins on
+    /// `pending` for up to [`sync::SPIN_BUDGET`] instead, catching the next
+    /// submission of a busy stream without a sleeping wake-up. Either way
+    /// it returns with the lock re-taken, and the caller re-checks.
     fn park<'a>(
         &'a self,
         st: MutexGuard<'a, CellState>,
-        timeout: Duration,
+        timeout: Option<Duration>,
         after_work: bool,
     ) -> MutexGuard<'a, CellState> {
         if after_work {
@@ -167,6 +167,12 @@ impl Cell {
             sync::spin_briefly(|| self.pending.load(Ordering::Acquire) > 0);
             return self.lock();
         }
+        let Some(timeout) = timeout else {
+            return self
+                .cv
+                .wait(st)
+                .unwrap_or_else(|poisoned| poisoned.into_inner());
+        };
         let (guard, _) = self
             .cv
             .wait_timeout(st, timeout)
@@ -185,8 +191,8 @@ impl Cell {
 }
 
 enum Work {
-    /// A batch to execute; `owner` is the cell whose queues it left.
-    Serve { owner: usize, batch: Batch },
+    /// A batch from this cell's queues to execute.
+    Serve(Batch),
     /// Shutdown: settle these drained jobs and exit.
     Exit(Vec<Job>),
     /// The supervisor restarted this cell behind us: retire without
@@ -194,11 +200,11 @@ enum Work {
     Stale,
 }
 
-/// The per-cell scheduler: wait for work, take one batch (own lanes
-/// first, then a sibling's), execute it outside every lock, resolve
-/// tickets, repeat. `generation` is the scheduler's lease on the cell —
-/// when the cell's generation counter moves past it (a supervisor
-/// restart), this thread retires.
+/// The per-cell scheduler: wait for work, take one batch from the cell's
+/// lanes, execute it outside every lock, resolve tickets, repeat.
+/// `generation` is the scheduler's lease on the cell — when the cell's
+/// generation counter moves past it (a supervisor restart), this thread
+/// retires.
 pub(crate) fn scheduler_loop<B: Blas3Backend>(
     shared: Arc<Shared<B>>,
     index: usize,
@@ -211,8 +217,8 @@ pub(crate) fn scheduler_loop<B: Blas3Backend>(
     let mut after_work = false;
     loop {
         match acquire_work(&shared, &cell, generation, after_work) {
-            Work::Serve { owner, batch } => {
-                serve_batch(&shared, &cell, owner, batch);
+            Work::Serve(batch) => {
+                serve_batch(&shared, &cell, batch);
                 after_work = true;
             }
             Work::Exit(jobs) => {
@@ -230,15 +236,11 @@ pub(crate) fn scheduler_loop<B: Blas3Backend>(
 /// served a batch, so its first park spins (see [`Cell::park`]); an idle
 /// cell never spins.
 fn acquire_work<B: Blas3Backend>(
-    shared: &Arc<Shared<B>>,
+    shared: &Shared<B>,
     cell: &Cell,
     generation: u64,
     mut after_work: bool,
 ) -> Work {
-    let steal_enabled = shared.cfg.steal && shared.cells.len() > 1;
-    // Alternate "try to steal" with "re-check own queues" so a push that
-    // lands while this cell is off stealing is noticed immediately.
-    let mut steal_next = true;
     let mut st = cell.lock();
     loop {
         // ORDER: Relaxed — pure liveness gauge for the supervisor's wedge
@@ -266,8 +268,7 @@ fn acquire_work<B: Blas3Backend>(
         if st.shutdown && (st.paused || st.queues.is_empty()) {
             // Graceful: drain admitted work unless paused. A paused
             // shutdown settles the queued jobs to `ServiceStopped`
-            // instead of hanging their tickets. A batch a sibling has in
-            // flight is not here — the sibling finishes it.
+            // instead of hanging their tickets.
             let jobs = st.queues.drain_all();
             cell.sync_gauges(&st.queues);
             return Work::Exit(jobs);
@@ -275,70 +276,19 @@ fn acquire_work<B: Blas3Backend>(
         if !st.paused {
             if let Some(batch) = st.queues.take_batch(shared.cfg.max_batch) {
                 cell.sync_gauges(&st.queues);
-                return Work::Serve {
-                    owner: cell.index,
-                    batch,
-                };
+                return Work::Serve(batch);
             }
         }
-        // Nothing takeable here (empty, paused, or every tenant with work
-        // is in flight). While healthy and allowed, look for skew.
-        let stealing = steal_enabled && !st.paused && !st.shutdown;
-        if stealing && steal_next {
-            steal_next = false;
-            drop(st);
-            if let Some((owner, batch)) = try_steal(shared, cell.index) {
-                return Work::Serve { owner, batch };
-            }
-            st = cell.lock();
-            // Loop to re-check own queues before sleeping: a push may
-            // have landed (and its notify fired) while unlocked.
-            continue;
-        }
-        steal_next = true;
-        // Every wake-up, spun or parked, bumps the heartbeat above.
-        let timeout = if stealing { STEAL_POLL } else { IDLE_TICK };
+        // Nothing takeable (empty, paused, or every tenant with work is
+        // in flight). Every wake-up, spun or parked, bumps the heartbeat
+        // above.
+        let timeout = Cell::park_timeout(&st);
         st = cell.park(st, timeout, std::mem::take(&mut after_work));
     }
 }
 
-/// Take one batch from the sibling with the largest predicted backlog.
-/// Locks one victim at a time and never the thief's own state, so steal
-/// attempts cannot deadlock with pushes or other thieves.
-fn try_steal<B: Blas3Backend>(shared: &Arc<Shared<B>>, thief: usize) -> Option<(usize, Batch)> {
-    let mut victims: Vec<(usize, u64)> = shared
-        .cells
-        .iter()
-        .enumerate()
-        .filter(|(i, _)| *i != thief)
-        // ORDER: Acquire — pairs with sync_gauges' Release store.
-        .map(|(i, c)| (i, c.backlog_nanos.load(Ordering::Acquire)))
-        .filter(|(_, backlog)| *backlog > 0)
-        .collect();
-    victims.sort_by_key(|&(_, backlog)| std::cmp::Reverse(backlog));
-    for (victim_idx, _) in victims {
-        let victim = &shared.cells[victim_idx];
-        let mut st = victim.lock();
-        if st.paused || st.shutdown {
-            continue;
-        }
-        if let Some(batch) = st.queues.take_batch(shared.cfg.max_batch) {
-            victim.sync_gauges(&st.queues);
-            drop(st);
-            victim.donated_batches.fetch_add(1, Ordering::Relaxed);
-            shared.cells[thief]
-                .stolen_batches
-                // ORDER: Relaxed — steal accounting counter read only by
-                // stats(); no payload rides on it.
-                .fetch_add(1, Ordering::Relaxed);
-            return Some((victim_idx, batch));
-        }
-    }
-    None
-}
-
-/// Execute one batch on `cell`'s pool, then clear the in-flight mark on
-/// the owning cell and wake its scheduler.
+/// Execute one batch on `cell`'s pool, then clear its tenant's in-flight
+/// mark and wake the cell.
 ///
 /// A singleton batch executes with its admission-predicted thread count —
 /// the paper's per-call regime. A multi-job batch (same routine, same
@@ -348,12 +298,7 @@ fn try_steal<B: Blas3Backend>(shared: &Arc<Shared<B>>, thief: usize) -> Option<(
 /// what the model judged worthwhile for the shape, but the per-op
 /// fork/join synchronisation — the dominant dispatch cost on small
 /// fixed-shape streams — is paid once instead of per job.
-fn serve_batch<B: Blas3Backend>(
-    shared: &Arc<Shared<B>>,
-    cell: &Arc<Cell>,
-    owner: usize,
-    batch: Batch,
-) {
+fn serve_batch<B: Blas3Backend>(shared: &Shared<B>, cell: &Cell, batch: Batch) {
     let Batch { tenant, qos, jobs } = batch;
     let batch_size = jobs.len();
     if batch_size == 1 {
@@ -376,15 +321,11 @@ fn serve_batch<B: Blas3Backend>(
             serve_one(shared, cell, job, batch_size, 1);
         });
     }
-    let owner_cell = &shared.cells[owner];
-    {
-        let mut st = owner_cell.lock();
-        st.queues.finish_batch(tenant, qos);
-    }
-    // The owner may be parked waiting for this tenant to leave flight
-    // (shutdown drain included), and the router may now re-home the
-    // tenant; wake the owner unconditionally.
-    owner_cell.cv.notify_all();
+    cell.lock().queues.finish_batch(tenant, qos);
+    // If the supervisor replaced this thread while the batch ran, the
+    // replacement may be parked waiting for this tenant to leave flight
+    // (shutdown drain included); wake the cell unconditionally.
+    cell.cv.notify_all();
 }
 
 fn serve_one<B: Blas3Backend>(
@@ -500,8 +441,10 @@ fn serve_one<B: Blas3Backend>(
 
 /// The cell's park under the interleaving checker (`--features chaos`):
 /// [`Cell::park`] itself, scheduled through `adsala_blas3::sync`, against a
-/// submission's push. The model's `wait_timeout` never times out, so a
-/// lost wake-up shows as a deadlock, not as a late tick.
+/// submission's push. The timeout comes from [`Cell::park_timeout`], as in
+/// `acquire_work`: on the empty queue it is none, so the park is the
+/// shipped untimed `Condvar::wait`, and a lost wake-up shows as a
+/// deadlock.
 #[cfg(all(test, feature = "chaos"))]
 mod scenarios {
     use super::*;
@@ -526,7 +469,8 @@ mod scenarios {
                     if let Some(batch) = st.queues.take_batch(8) {
                         break batch;
                     }
-                    st = cell.park(st, IDLE_TICK, std::mem::take(&mut after_work));
+                    let timeout = Cell::park_timeout(&st);
+                    st = cell.park(st, timeout, std::mem::take(&mut after_work));
                 };
                 drop(st);
                 assert_eq!(batch.jobs.len(), 1);

@@ -19,8 +19,8 @@
 //!   lands on its tenant's home cell while the tenant has work in flight
 //!   (keeping batches together and per-tenant order trivial) and is
 //!   otherwise re-homed to the cell with the least predicted-seconds
-//!   backlog. Idle cells steal whole same-shape batches from the most
-//!   backlogged sibling, so skew cannot strand capacity.
+//!   backlog. A cell serves only its own queues, and an empty one sleeps
+//!   until a push, a resume or shutdown wakes it.
 //! * **Fairness and priority**: within a cell, jobs queue in QoS lanes
 //!   ([`QosClass`]) drained highest class first; inside a lane, tenants
 //!   take round-robin turns so a tenant streaming thousands of jobs

@@ -7,14 +7,18 @@
 //! turns so no tenant starves a peer of equal class. A turn takes the
 //! **contiguous same-shape prefix** of one tenant's FIFO (up to
 //! `max_batch`) — never jobs from behind a different shape — so per-tenant
-//! submission order is preserved all the way through execution, including
-//! when a sibling cell steals the batch.
+//! submission order is preserved all the way through execution.
 //!
 //! A taken batch marks its tenant entry *in flight* until the executor
-//! reports back (`LaneQueues::finish_batch`); while in flight no other
-//! cell (or the owner) can take that tenant's next batch, which is the
-//! whole ordering argument under work stealing: one batch per tenant in
-//! the air at a time, batches leave in FIFO order.
+//! reports back (`LaneQueues::finish_batch`); while in flight the cell
+//! takes none of that tenant's later jobs. A cell's own scheduler never
+//! needs the mark — it finishes one batch before it takes the next — but
+//! two readers do. A scheduler the supervisor starts in place of a wedged
+//! one must not take a tenant's next batch while the wedged thread still
+//! holds the one before it, or the two would run out of order. And the
+//! router's sticky rule (`LaneQueues::tenant_busy`) keeps a tenant on its
+//! cell while a batch is in flight, so its later jobs queue behind that
+//! batch instead of starting on another cell beside it.
 
 use crate::completion::CompletionSlot;
 use crate::job::{AnyOp, ClientId};
@@ -48,9 +52,9 @@ pub(crate) struct Job {
     pub slot: Arc<CompletionSlot>,
 }
 
-/// One tenant's same-shape batch, taken from a cell by its owner or a
-/// stealing sibling. The owning cell's tenant entry stays in flight until
-/// [`LaneQueues::finish_batch`] runs for `(tenant, qos)`.
+/// One tenant's same-shape batch, taken from a cell by its scheduler. The
+/// cell's tenant entry stays in flight until [`LaneQueues::finish_batch`]
+/// runs for `(tenant, qos)`.
 pub(crate) struct Batch {
     /// Owning tenant.
     pub tenant: TenantId,
@@ -75,8 +79,8 @@ pub(crate) struct ShedCandidate {
 struct TenantEntry {
     tenant: TenantId,
     q: VecDeque<Job>,
-    /// A batch from this FIFO is being executed (possibly by a stealing
-    /// sibling cell); no further batch may leave until it finishes.
+    /// A batch from this FIFO is being executed; no further batch may
+    /// leave until it finishes.
     in_flight: bool,
 }
 
@@ -662,7 +666,7 @@ pub mod tests {
             self.cells[cell].push(job);
         }
 
-        /// A take on cell `c`: its own next batch, or a thief's steal.
+        /// A take on cell `c`: the next batch its scheduler would run.
         fn take(&mut self, c: usize) {
             let max_batch = 1 + self.rng.below(3);
             let Some(batch) = self.cells[c].take_batch(max_batch) else {
@@ -754,9 +758,9 @@ pub mod tests {
     /// The queue discipline — hold, no split tenant, batch shape,
     /// per-tenant FIFO, exactly once, gauges — over seeded sequences of
     /// whole calls on two real cells' queues: push by the sticky rule,
-    /// take from either cell (the steal), finish, drain-and-rehome (the
-    /// supervisor's restart), shed, expire, drain a lane. No threads or
-    /// sleeps, so it runs in the Miri step too.
+    /// take on either cell, finish, drain-and-rehome (the supervisor's
+    /// restart), shed, expire, drain a lane. No threads or sleeps, so it
+    /// runs in the Miri step too.
     #[test]
     fn seeded_call_sequences_keep_the_queue_discipline() {
         let (sequences, calls) = if cfg!(miri) { (16, 40) } else { (2_000, 80) };

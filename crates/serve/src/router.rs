@@ -149,7 +149,7 @@ impl TenantState {
     /// Re-home the tenant (admission lock held by the caller).
     pub fn set_home(&self, cell: usize) {
         // ORDER: Release — publish the enqueue that made this cell home;
-        // lock-free readers (steal heuristics) pair with Acquire above.
+        // pairs with the Acquire load in `home` above.
         self.home.store(cell, Ordering::Release);
     }
 

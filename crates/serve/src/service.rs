@@ -35,9 +35,6 @@ pub struct ServeConfig {
     /// `min(4, hardware threads)`. Each cell owns a private worker pool
     /// capped at `ceil(hardware_threads / shards)` threads.
     pub shards: usize,
-    /// Allow an idle cell to steal whole same-shape batches from the
-    /// sibling with the largest predicted backlog.
-    pub steal: bool,
     /// Maximum queued (admitted, unserved) jobs across all cells.
     pub queue_capacity: usize,
     /// Global admission budget: a submission is rejected (after shedding
@@ -69,7 +66,6 @@ impl Default for ServeConfig {
     fn default() -> ServeConfig {
         ServeConfig {
             shards: 0,
-            steal: true,
             queue_capacity: 1024,
             backlog_budget_secs: 60.0,
             max_batch: 32,
@@ -216,10 +212,6 @@ pub struct ShardStats {
     /// Jobs this cell served over the service lifetime (including records
     /// since evicted from the ring).
     pub served: u64,
-    /// Batches this cell stole from siblings.
-    pub stolen_batches: u64,
-    /// Batches siblings stole from this cell.
-    pub donated_batches: u64,
     /// Jobs shed from this cell's queues under overload.
     pub shed_jobs: u64,
     /// Completion callbacks that panicked on this cell's threads (caught
@@ -237,7 +229,7 @@ pub struct ShardStats {
 
 /// A point-in-time operator snapshot of a [`Service`] from
 /// [`Service::stats`]: the per-shard breakdown — the view that shows
-/// skew, steal traffic, and shedding — plus the merged drift signals.
+/// skew and shedding — plus the merged drift signals.
 #[derive(Debug, Clone)]
 pub struct ServiceStats {
     /// One entry per scheduler cell.
@@ -455,7 +447,7 @@ impl<B: Blas3Backend + 'static> Service<B> {
     }
 
     /// One consistent operator view: the per-shard breakdown (queue
-    /// depth, backlog, steal and shed counters — the skew view) plus the
+    /// depth, backlog and shed counters — the skew view) plus the
     /// drift signals over the merged telemetry, aggregate *and* per
     /// routine, because the aggregate can hide one drifting routine
     /// behind several healthy ones.
@@ -471,8 +463,6 @@ impl<B: Blas3Backend + 'static> Service<B> {
                 backlog_secs: c.backlog_secs(),
                 telemetry_records: c.telemetry.len(),
                 served: c.telemetry.total_recorded(),
-                stolen_batches: c.stolen_batches.load(Ordering::Relaxed),
-                donated_batches: c.donated_batches.load(Ordering::Relaxed),
                 shed_jobs: c.shed_jobs.load(Ordering::Relaxed),
                 callback_panics: c.callback_panics.load(Ordering::Relaxed),
                 retries: c.retries.load(Ordering::Relaxed),

@@ -19,8 +19,9 @@
 //! cells through the router, and spawns a replacement scheduler. Tenants
 //! with a batch **in flight** on the wedged cell are deliberately *not*
 //! re-homed: their next batch may not overtake the one in the air, so
-//! their queued jobs stay put for the replacement scheduler — the same
-//! one-batch-in-flight argument that makes work stealing order-safe.
+//! their queued jobs stay put for the replacement scheduler, which will
+//! not take the tenant's next batch until the wedged thread finishes the
+//! one it holds.
 //!
 //! ## The breaker
 //!
@@ -472,7 +473,6 @@ mod tests {
         };
         let config = ServeConfig {
             shards: 2,
-            steal: false,
             supervisor: false,
             ..Default::default()
         };

@@ -37,8 +37,8 @@ pub struct TelemetryRecord {
     pub client: ClientId,
     /// Tenant the client submitted as.
     pub tenant: TenantId,
-    /// Scheduler cell that executed the job (the *thief* for a stolen
-    /// batch, not the cell the job was queued on).
+    /// Scheduler cell that executed the job: the cell it was queued on
+    /// when its batch was taken.
     pub shard: usize,
     /// Routine of the call.
     pub routine: Routine,

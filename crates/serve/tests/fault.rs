@@ -248,8 +248,9 @@ fn deadlines_reject_at_admission_sweep_in_queue_and_bound_waits() {
 fn a_wedged_cell_is_restarted_and_rehomed_tenants_keep_fifo_order() {
     // One scripted Latency hit wedges cell 1's scheduler inside the only
     // 96x96x96 call for 1.2s — far past the supervisor's 100 ms window
-    // (4 sweeps of 25 ms). Steal is off, so the *only* way queued work
-    // escapes the wedged cell is the supervisor's drain-and-rehome.
+    // (4 sweeps of 25 ms). A cell serves only its own queues, so the *only*
+    // way queued work escapes the wedged cell is the supervisor's
+    // drain-and-rehome.
     let wedge = FaultRule::new(FaultKind::Latency(Duration::from_millis(1200)))
         .targeting(FaultTarget::shape(
             Routine::new(OpKind::Gemm, Precision::Double),
@@ -261,7 +262,6 @@ fn a_wedged_cell_is_restarted_and_rehomed_tenants_keep_fifo_order() {
         ServeConfig {
             shards: 2,
             max_batch: 1,
-            steal: false,
             fallback_gflops: 1.0,
             backlog_budget_secs: 1e9,
             ..Default::default()

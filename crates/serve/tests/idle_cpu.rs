@@ -1,8 +1,8 @@
 //! An idle service burns no CPU: a cell's scheduler and its pool's workers
-//! spin only right after a batch, so once a burst of jobs is over the
-//! service only wakes on its bounded ticks. Alone in its file — its own
-//! test process — so no other test's threads count in the process's CPU
-//! time.
+//! spin only right after a batch, and an empty cell parks until it is
+//! told, so once a burst of jobs is over only the supervisor's sweeps
+//! wake the service. Alone in its file — its own test process — so no
+//! other test's threads count in the process's CPU time.
 #![cfg(all(target_os = "linux", not(miri)))]
 
 use adsala::runtime::Adsala;
@@ -25,15 +25,17 @@ fn process_cpu_ns() -> u64 {
         .sum()
 }
 
-#[test]
-fn an_idle_service_uses_no_cpu_after_a_burst() {
+/// Serve a burst of 500 jobs one at a time on a `shards`-cell service,
+/// then return the CPU time the process used over a 200 ms idle window.
+/// The service is dropped, and its threads joined, before this returns.
+fn idle_cpu_ns_after_a_burst(shards: usize) -> u64 {
     // No installed model: every job runs at the fallback two threads, so
     // the burst wakes the cell's pool as well as its scheduler.
     let config = ServeConfig {
-        shards: 1,
+        shards,
         ..Default::default()
     };
-    let service = Service::with_config(Adsala::new(Vec::new(), 2), config).expect("spawn cell");
+    let service = Service::with_config(Adsala::new(Vec::new(), 2), config).expect("spawn cells");
     let client = service.client();
     for _ in 0..500 {
         let op = OwnedOp::Gemm {
@@ -53,9 +55,18 @@ fn an_idle_service_uses_no_cpu_after_a_burst() {
     std::thread::yield_now();
     let before = process_cpu_ns();
     std::thread::sleep(Duration::from_millis(200));
-    let used = process_cpu_ns().saturating_sub(before);
-    assert!(
-        used < 2_000_000,
-        "an idle service used {used} ns of CPU in a 200 ms window"
-    );
+    process_cpu_ns().saturating_sub(before)
+}
+
+#[test]
+fn an_idle_service_uses_no_cpu_after_a_burst() {
+    // One cell, then three: a multi-cell service's empty cells must sleep
+    // as soundly as a lone one.
+    for shards in [1, 3] {
+        let used = idle_cpu_ns_after_a_burst(shards);
+        assert!(
+            used < 2_000_000,
+            "an idle {shards}-cell service used {used} ns of CPU in a 200 ms window"
+        );
+    }
 }

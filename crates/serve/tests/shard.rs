@@ -1,14 +1,12 @@
-//! Sharded-service behaviour: cross-cell work stealing against the
-//! reference oracle, per-tenant FIFO order under stealing, QoS shedding,
-//! per-tenant budgets, the non-blocking completion frontend under
-//! shutdown, and callback panics not wedging a scheduler cell.
+//! Sharded-service behaviour: tenants sharing a cell against the
+//! reference oracle, per-tenant FIFO order and home-cell placement, QoS
+//! shedding, per-tenant budgets, the non-blocking completion frontend
+//! under shutdown, and callback panics not wedging a scheduler cell.
 
 // Outside the Miri subset: drives a live Service (OS worker threads).
 #![cfg(not(miri))]
 
 use adsala::runtime::Adsala;
-use adsala_blas3::fault::{FaultBackend, FaultKind, FaultRule, FaultTarget};
-use adsala_blas3::op::{Dims, OpKind, Precision, Routine};
 use adsala_blas3::{Blas3Backend, Matrix, NativeBackend, OwnedOp, ReferenceBackend, Transpose};
 use adsala_serve::{
     AnyOp, QosClass, RejectReason, ServeConfig, ServeError, Service, SubmitOptions, TenantConfig,
@@ -58,28 +56,30 @@ fn max_diff(a: &AnyOp, b: &AnyOp) -> f64 {
     }
 }
 
-/// One skewed round on a paused 3-cell service. Per-tenant FIFO keeps at
-/// most one batch per tenant in the air, so a *lone* tenant's queue is
-/// never stealable while its own cell serves it — skew that thieves can
-/// fix means a cell hosting several backlogged tenants. This arranges
-/// exactly that deterministically: heavy tenant A homes to cell 0 (all
-/// backlogs zero), one large pin job each parks on cells 1 and 2, and
-/// heavy tenant B then also homes to cell 0 (now the least-backlogged).
-/// The pins exist only to steer that placement and never run: they carry
-/// a deadline that passes while the service is still paused, so at
-/// resume cells 1 and 2 sweep them out and are idle at once, whatever a
-/// 256-cube gemm costs in this build (137 ms in a debug one — more than
-/// cell 0's whole backlog). They then steal from cell 0 — *provided
-/// cell 0 is still backlogged*, which the caller's backend makes true by
-/// construction (see the test).
-/// Returns the number of batches stolen during the round.
-fn skewed_round<B: Blas3Backend + 'static>(service: &Service<B>, heavy_jobs: usize) -> u64 {
-    let stolen_before: u64 = service
-        .stats()
-        .shards
-        .iter()
-        .map(|s| s.stolen_batches)
-        .sum();
+#[test]
+fn tenants_sharing_a_cell_run_there_in_oracle_and_fifo_order() {
+    // Skew a 3-cell service deterministically: heavy tenant A homes to
+    // cell 0 (all backlogs zero), one large pin job each parks on cells 1
+    // and 2, and heavy tenant B then also homes to cell 0 (now the
+    // least-backlogged). The pins exist only to steer that placement and
+    // never run: they carry a deadline that passes while the service is
+    // still paused, so at resume cells 1 and 2 sweep them out and sit
+    // idle beside cell 0's backlog.
+    let heavy_jobs = 8;
+    let service = Service::with_config(
+        modelless_runtime(),
+        ServeConfig {
+            shards: 3,
+            // Singleton batches: completion order per tenant is then the
+            // strictest possible FIFO claim.
+            max_batch: 1,
+            backlog_budget_secs: 1e9,
+            queue_capacity: 4096,
+            ..Default::default()
+        },
+    )
+    .expect("spawn scheduler cells");
+    assert_eq!(service.shards(), 3);
 
     let heavy_a = service.client_for(service.tenant(TenantConfig::default()));
     let heavy_b = service.client_for(service.tenant(TenantConfig::default()));
@@ -87,13 +87,13 @@ fn skewed_round<B: Blas3Backend + 'static>(service: &Service<B>, heavy_jobs: usi
     let pin_2 = service.client_for(service.tenant(TenantConfig::default()));
 
     service.pause();
-    let streams: Vec<(u64, Vec<AnyOp>)> = vec![
-        (0, (0..heavy_jobs).map(|i| gemm(96, i)).collect()),
-        (1, (0..heavy_jobs).map(|i| gemm(96, 100 + i)).collect()),
+    let streams: Vec<Vec<AnyOp>> = vec![
+        (0..heavy_jobs).map(|i| gemm(96, i)).collect(),
+        (0..heavy_jobs).map(|i| gemm(96, 100 + i)).collect(),
     ];
     let want: Vec<Vec<AnyOp>> = streams
         .iter()
-        .map(|(_, ops)| ops.iter().map(oracle).collect())
+        .map(|ops| ops.iter().map(oracle).collect())
         .collect();
     let (tx, completions) = mpsc::channel();
     let forward = |ticket: Ticket, token: usize| {
@@ -102,7 +102,7 @@ fn skewed_round<B: Blas3Backend + 'static>(service: &Service<B>, heavy_jobs: usi
     };
     // Tenant A fills cell 0, the pins claim cells 1 and 2 (one 256^3 job
     // outweighs A's whole 96^3 stream), then tenant B joins cell 0.
-    for (i, op) in streams[0].1.iter().enumerate() {
+    for (i, op) in streams[0].iter().enumerate() {
         forward(heavy_a.submit(op.clone()).expect("within budget"), i);
     }
     // Predicted at 33 ms each (1 Gflop/s fallback): feasible at admission,
@@ -119,7 +119,7 @@ fn skewed_round<B: Blas3Backend + 'static>(service: &Service<B>, heavy_jobs: usi
             .submit_with(gemm(256, 41), expiring)
             .expect("feasible"),
     ];
-    for (i, op) in streams[1].1.iter().enumerate() {
+    for (i, op) in streams[1].iter().enumerate() {
         forward(heavy_b.submit(op.clone()).expect("within budget"), 1000 + i);
     }
     std::thread::sleep(pins_expire.saturating_duration_since(Instant::now()));
@@ -129,10 +129,10 @@ fn skewed_round<B: Blas3Backend + 'static>(service: &Service<B>, heavy_jobs: usi
         assert_eq!(t.wait().unwrap_err(), ServeError::DeadlineExceeded);
     }
     // Both heavy tenants' completions arrive in per-tenant submission
-    // order even when idle cells steal batches mid-stream, and every
-    // result matches the serial reference oracle.
+    // order, every result matches the serial reference oracle, and every
+    // job ran on cell 0, the tenants' home, while cells 1 and 2 idled.
     let mut tokens: Vec<Vec<u64>> = vec![Vec::new(), Vec::new()];
-    let mut shards_seen = std::collections::BTreeSet::new();
+    let mut shards: Vec<std::collections::BTreeSet<usize>> = vec![Default::default(); 2];
     for _ in 0..2 * heavy_jobs {
         let (token, outcome) = completions
             .recv_timeout(Duration::from_secs(30))
@@ -140,10 +140,10 @@ fn skewed_round<B: Blas3Backend + 'static>(service: &Service<B>, heavy_jobs: usi
         let (tenant, idx) = (token / 1000, token % 1000);
         let done = outcome.expect("job served");
         assert!(done.result.is_ok());
-        shards_seen.insert(done.stats.shard);
+        shards[tenant].insert(done.stats.shard);
         assert!(
             max_diff(&done.op, &want[tenant][idx]) < 1e-9,
-            "stolen execution diverged from the reference oracle"
+            "execution diverged from the reference oracle"
         );
         tokens[tenant].push(idx as u64);
     }
@@ -153,96 +153,12 @@ fn skewed_round<B: Blas3Backend + 'static>(service: &Service<B>, heavy_jobs: usi
             seen, &sorted,
             "tenant {tenant}: completion order must follow submission order"
         );
-    }
-
-    let stolen_after: u64 = service
-        .stats()
-        .shards
-        .iter()
-        .map(|s| s.stolen_batches)
-        .sum();
-    let stolen = stolen_after - stolen_before;
-    if stolen > 0 {
-        assert!(
-            shards_seen.len() > 1,
-            "a stolen batch must execute on a cell other than the home cell"
+        assert_eq!(
+            shards[tenant],
+            [0].into(),
+            "tenant {tenant}: every job runs on its home cell"
         );
     }
-    stolen
-}
-
-#[test]
-fn cross_shard_steal_preserves_oracle_results_and_tenant_fifo_order() {
-    // The skew has to *hold* for a steal to be possible: cells 1 and 2 must
-    // be idle while cell 0 still has both heavy tenants queued. Left to the
-    // kernels that is a race (in a release build sixteen 96-cube gemms take
-    // about a millisecond, barely longer than a thief's poll tick), so a
-    // fault schedule decides it: every 96-cube gemm — the pins are another
-    // shape, and never run anyway (see `skewed_round`) — is held for 5 ms
-    // before it runs. Cell 0 then has at least 80 ms of backlog in front of
-    // two cells that are idle from the moment the service resumes, and one
-    // round suffices. Faults fire before the inner backend, so the operands
-    // and the oracle comparison are untouched.
-    let slow_heavy =
-        FaultRule::new(FaultKind::Latency(Duration::from_millis(5))).targeting(FaultTarget::shape(
-            Routine::new(OpKind::Gemm, Precision::Double),
-            Dims::d3(96, 96, 96),
-        ));
-    let runtime = Adsala::builder()
-        .backend(FaultBackend::new(NativeBackend, 1, vec![slow_heavy]))
-        .fallback_nt(2)
-        .build()
-        .expect("build runtime");
-    let service = Service::with_config(
-        runtime,
-        ServeConfig {
-            shards: 3,
-            // Singleton batches: completion order per tenant is then the
-            // strictest possible FIFO claim, steal or no steal.
-            max_batch: 1,
-            backlog_budget_secs: 1e9,
-            queue_capacity: 4096,
-            ..Default::default()
-        },
-    )
-    .expect("spawn scheduler cells");
-    assert_eq!(service.shards(), 3);
-
-    // Order and oracle equivalence are asserted inside the round.
-    let stolen = skewed_round(&service, 8);
-    assert!(
-        stolen > 0,
-        "idle cells never stole from a cell holding ~80 ms of backlog"
-    );
-    let stats = service.stats();
-    let donated: u64 = stats.shards.iter().map(|s| s.donated_batches).sum();
-    assert_eq!(stolen, donated, "every steal has a matching donation");
-}
-
-#[test]
-fn disabling_steal_pins_every_job_to_its_home_cell() {
-    let service = Service::with_config(
-        modelless_runtime(),
-        ServeConfig {
-            shards: 2,
-            steal: false,
-            ..Default::default()
-        },
-    )
-    .expect("spawn scheduler cells");
-    service.pause();
-    let client = service.client();
-    let tickets: Vec<_> = (0..6)
-        .map(|i| client.submit(gemm(24, i)).unwrap())
-        .collect();
-    service.resume();
-    let mut shards = std::collections::BTreeSet::new();
-    for t in tickets {
-        shards.insert(t.wait().unwrap().stats.shard);
-    }
-    assert_eq!(shards.len(), 1, "steal disabled: one tenant, one cell");
-    let stats = service.stats();
-    assert!(stats.shards.iter().all(|s| s.stolen_batches == 0));
 }
 
 #[test]

@@ -1,7 +1,7 @@
 //! The serve spec in its smallest form: 48 seeded cases over a live
-//! `Service` (shards, stealing, `max_batch`, transient faults, budgets
-//! across the QoS classes, a paused start, 200 µs deadlines), each checked
-//! for exactly-once settlement, per-tenant FIFO, `served` and budget
+//! `Service` (shards, `max_batch`, transient faults, budgets across the
+//! QoS classes, a paused start, 200 µs deadlines), each checked for
+//! exactly-once settlement, per-tenant FIFO, `served` and budget
 //! conservation. Jobs run one thread wide (`fallback_nt(1)`), so a batch
 //! runs its jobs one after another and a tenant's completion order is its
 //! start order: per-tenant FIFO is about the `stats.seq` stamped at the end
@@ -35,8 +35,8 @@ fn gemm(m: usize) -> AnyOp {
     })
 }
 
-/// One case; returns `[admitted, shed, expired, retries, stolen, rejected]`.
-fn run_case(seed: u64) -> [u64; 6] {
+/// One case; returns `[admitted, shed, expired, retries, rejected]`.
+fn run_case(seed: u64) -> [u64; 5] {
     let mut state = seed; // SplitMix64
     let mut below = |n: usize| {
         state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
@@ -60,7 +60,6 @@ fn run_case(seed: u64) -> [u64; 6] {
         .expect("build runtime");
     let cfg = ServeConfig {
         shards: 1 + below(3),
-        steal: below(2) == 0,
         max_batch: 1 + below(4),
         backlog_budget_secs: [48.5 * UNIT, 1.0][below(2)],
         ..Default::default()
@@ -157,18 +156,18 @@ fn run_case(seed: u64) -> [u64; 6] {
     drop((tenants, service));
     let extra = completions.try_recv();
     assert!(extra.is_err(), "case {seed}: an extra settlement");
-    let (retries, stolen) = (total(|s| s.retries), total(|s| s.stolen_batches));
-    [owner.len() as u64, shed, expired, retries, stolen, rejected]
+    let retries = total(|s| s.retries);
+    [owner.len() as u64, shed, expired, retries, rejected]
 }
 
 #[test]
 fn every_case_settles_once_in_tenant_order_and_gives_its_budget_back() {
-    let mut totals = [0; 6];
+    let mut totals = [0; 5];
     for case in 0..48 {
         for (sum, n) in totals.iter_mut().zip(run_case(case)) {
             *sum += n;
         }
     }
-    println!("spec block (admitted, shed, expired, retries, stolen, rejected): {totals:?}");
+    println!("spec block (admitted, shed, expired, retries, rejected): {totals:?}");
     assert!(totals.iter().all(|&n| n > 0), "a mechanism never fired");
 }

@@ -163,8 +163,8 @@ fn main() {
     );
     for s in &stats.shards {
         println!(
-            "  cell {}: served {} (stole {} / donated {} batches, shed {} jobs)",
-            s.shard, s.served, s.stolen_batches, s.donated_batches, s.shed_jobs
+            "  cell {}: served {} (shed {} jobs)",
+            s.shard, s.served, s.shed_jobs
         );
     }
     if let Some(ratio) = stats.mean_observed_over_predicted {
