@@ -333,9 +333,10 @@ const PREFETCH_LINES: usize = 4;
 /// `i - j + shift` is `>= 0` (Lower) or `<= 0` (Upper), `shift` being the
 /// block's row origin minus its column origin. It is a **tile filter**: a
 /// register tile wholly outside the triangle is not run, one wholly inside
-/// goes straight to C, and one the diagonal crosses is computed into a
-/// stack tile of which only the stored half is committed — no element
-/// outside the triangle is read or written.
+/// goes straight to C, and one the diagonal crosses runs on a stack tile
+/// holding C's stored half, which is then copied back — no element outside
+/// the triangle is read or written, and every kept element takes the same
+/// single rounding as in a tile written in place.
 ///
 /// # Safety
 /// `abuf`/`bbuf` must be fully packed blocks of `disp`'s geometry
@@ -397,21 +398,32 @@ pub unsafe fn macro_kernel<T: Float>(
                 continue;
             }
             if !inside {
+                // Column j keeps the rows with `i + d0 - j` on the stored
+                // side of zero.
+                let kept = |j: usize| {
+                    let edge = (j as isize - d0).clamp(0, mr_eff as isize) as usize;
+                    match uplo {
+                        Uplo::Lower => edge..mr_eff,
+                        Uplo::Upper => 0..mr_eff.min(edge + usize::from(j as isize >= d0)),
+                    }
+                };
+                // The kept elements of C go through the stack tile, so the
+                // kernel's one `fma(alpha, acc, c)` rounds them exactly as
+                // it rounds a tile written in place.
                 let mut tile = [T::ZERO; MAX_TILE];
+                for j in 0..nr_eff {
+                    for i in kept(j) {
+                        // SAFETY: a kept element of the caller's tile.
+                        tile[i + j * mr] = *cptr.add(i + j * ldc);
+                    }
+                }
                 // SAFETY: a private mr x nr tile (MAX_TILE bounds every
                 // dispatch's register block).
                 disp.run(kc, alpha, ap, bp, tile.as_mut_ptr(), mr, mr_eff, nr_eff);
                 for j in 0..nr_eff {
-                    // Column j keeps the rows with `i + d0 - j` on the
-                    // stored side of zero.
-                    let edge = (j as isize - d0).clamp(0, mr_eff as isize) as usize;
-                    let kept = match uplo {
-                        Uplo::Lower => edge..mr_eff,
-                        Uplo::Upper => 0..mr_eff.min(edge + usize::from(j as isize >= d0)),
-                    };
-                    for i in kept {
-                        // SAFETY: a kept element of the caller's tile.
-                        *cptr.add(i + j * ldc) += tile[i + j * mr];
+                    for i in kept(j) {
+                        // SAFETY: as above.
+                        *cptr.add(i + j * ldc) = tile[i + j * mr];
                     }
                 }
                 continue;

@@ -10,7 +10,7 @@
 //! |-----------------|----------|----------|------|
 //! | scalar          | 8 x 8    | 8 x 4    | always built |
 //! | AVX2 + FMA      | 16 x 6   | 8 x 6    | `simd` feature (default), x86-64, runtime-detected |
-//! | AVX-512F        | 32 x 6   | 16 x 6   | `simd` feature, x86-64, runtime-detected, selected on request |
+//! | AVX-512F        | 32 x 6   | 16 x 6   | `simd` feature (default), x86-64, runtime-detected |
 //! | NEON            | 8 x 12   | 4 x 12   | `simd` feature, aarch64 |
 //!
 //! One build carries every kernel of its architecture; which one runs is a
@@ -19,11 +19,12 @@
 //! features [`std::arch::is_x86_feature_detected!`] (or the aarch64
 //! equivalent) reports present wins, so the binary still runs correctly on
 //! a plain SSE2 machine by falling back to the scalar kernel. Auto-detection
-//! prefers AVX2 to AVX-512 (the order's comment says why); the 512-bit kernels
-//! run when asked for. Two escape hatches exist for operations and tests:
-//! the `ADSALA_KERNEL` environment variable (`scalar` / `avx2` / `avx512`
-//! / `neon`, read once) and [`set_kernel_choice`], both of which fall back
-//! to auto-detection when they name a kernel this CPU or build cannot run.
+//! takes the widest vectors the CPU has: AVX-512 ahead of AVX2, so an
+//! AVX2-only host runs the 256-bit kernels. Two escape hatches exist for
+//! operations and tests: the `ADSALA_KERNEL` environment variable
+//! (`scalar` / `avx2` / `avx512` / `neon`, read once) and
+//! [`set_kernel_choice`], both of which fall back to auto-detection when
+//! they name a kernel this CPU or build cannot run.
 //!
 //! All kernels consume the zero-padded panels produced by
 //! [`pack`](crate::pack), so vector loads over the full tile are always in
@@ -45,7 +46,7 @@ pub enum KernelChoice {
     Scalar = 1,
     /// AVX2 + FMA (x86-64).
     Avx2 = 2,
-    /// AVX-512F (x86-64; never auto-selected ahead of AVX2).
+    /// AVX-512F (x86-64; auto-selected ahead of AVX2 where detected).
     Avx512 = 3,
     /// NEON (aarch64).
     Neon = 4,
@@ -131,13 +132,12 @@ pub(super) fn resolved_isa() -> KernelChoice {
                 let env = std::env::var("ADSALA_KERNEL")
                     .ok()
                     .and_then(|v| KernelChoice::from_name(&v));
-                // AVX2 ahead of AVX-512: the 16- and 32-row tiles lose on
-                // dims under ~100 (`l3_small`), and the benchmark's
-                // `compare` keys on the kernel names. Swapping the first
-                // two entries is the whole default flip.
+                // Widest vectors first. The 512-bit tiles outrun the
+                // 256-bit ones at every dim measured from 13 to 512 and tie
+                // at 8, so no shape calls for AVX2 where AVX-512 runs.
                 let detection_order = [
-                    KernelChoice::Avx2,
                     KernelChoice::Avx512,
+                    KernelChoice::Avx2,
                     KernelChoice::Neon,
                     KernelChoice::Scalar,
                 ];
@@ -806,5 +806,23 @@ mod tests {
         assert!(set_kernel_choice(KernelChoice::Auto));
         let auto = super::select_f32().name;
         assert!(available_f32().iter().any(|k| k.name == auto));
+        // With no `ADSALA_KERNEL` in the way, Auto is the widest x86 ISA the
+        // CPU has, for the tile and the Level 2 kernels alike.
+        #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+        if std::env::var_os("ADSALA_KERNEL").is_none() {
+            let expect = if std::arch::is_x86_feature_detected!("avx512f") {
+                Some("avx512-f64x8")
+            } else if std::arch::is_x86_feature_detected!("avx2")
+                && std::arch::is_x86_feature_detected!("fma")
+            {
+                Some("avx2-f64x4")
+            } else {
+                None
+            };
+            if let Some(name) = expect {
+                assert_eq!(super::select_f64().name, name);
+                assert_eq!(super::super::level2::select2_f64().name, name);
+            }
+        }
     }
 }

@@ -198,9 +198,16 @@ fn rel_diff<T: Float>(got: &Matrix<T>, expect: &Matrix<T>) -> f64 {
 }
 
 /// Drive all six routines through each forcible kernel choice and compare
-/// against the naive reference. This is the only test that mutates the
-/// process-wide kernel override, so it owns start-to-finish; the proptest
-/// parity above uses explicit dispatch objects and is unaffected.
+/// against the naive reference, then hold every SIMD kernel to the first
+/// one's result bits. This is the only test that mutates the process-wide
+/// kernel override, so it owns start-to-finish; the proptest parity above
+/// uses explicit dispatch objects and is unaffected.
+///
+/// The bit comparison leaves the scalar kernel out: its 8 x 4 f64 tile
+/// solves TRSM's diagonal blocks four columns at a time where every SIMD
+/// tile takes six, which reorders the solve's updates. The SIMD kernels
+/// share `nr` and `kc`, and each element's sum runs in the same order
+/// whatever their `mr`, so switching among them changes speed, not numbers.
 #[test]
 fn all_routines_agree_with_reference_under_every_kernel_choice() {
     let choices = [
@@ -209,18 +216,64 @@ fn all_routines_agree_with_reference_under_every_kernel_choice() {
         KernelChoice::Avx512,
         KernelChoice::Neon,
     ];
+    let mut first_simd: Option<(KernelChoice, ResultBits)> = None;
     for choice in choices {
         if !set_kernel_choice(choice) {
             continue; // not compiled in / not on this CPU
         }
-        check_routines::<f64>(1e-11, &format!("{choice:?}/f64"));
-        check_routines::<f32>(1e-3, &format!("{choice:?}/f32"));
+        // 37 x 29 sits off every register block.
+        let mut results = routine_bits(choice, 37, 29, true);
+        if choice == KernelChoice::Scalar {
+            continue;
+        }
+        // One past every SIMD dispatch's `kc` (256): k runs into a second
+        // rank-`kc` update. The bit comparison alone checks it.
+        results.extend(routine_bits(choice, 257, 257, false));
+        match &first_simd {
+            None => first_simd = Some((choice, results)),
+            Some((first, expect)) => {
+                assert_eq!(results.len(), expect.len());
+                for ((what, got), (_, want)) in results.iter().zip(expect) {
+                    let differ = got.iter().zip(want).filter(|(g, w)| g != w).count();
+                    assert_eq!(
+                        differ, 0,
+                        "{what}: {choice:?} and {first:?} differ in {differ} elements"
+                    );
+                }
+            }
+        }
     }
     assert!(set_kernel_choice(KernelChoice::Auto));
 }
 
-fn check_routines<T: Float>(tol: f64, label: &str) {
-    let (m, n) = (37, 29); // off register-block boundaries on purpose
+/// Each routine result's label and its elements' bits.
+type ResultBits = Vec<(String, Vec<u64>)>;
+
+/// [`check_routines`] in both precisions; `checked` holds every result to
+/// the reference.
+fn routine_bits(choice: KernelChoice, m: usize, n: usize, checked: bool) -> ResultBits {
+    let mut out = check_routines::<f64>(m, n, checked.then_some(1e-11), &format!("{choice:?}/f64"));
+    out.extend(check_routines::<f32>(
+        m,
+        n,
+        checked.then_some(1e-3),
+        &format!("{choice:?}/f32"),
+    ));
+    out
+}
+
+/// A matrix's elements as bits (`f32` widens to `f64` exactly, so equal
+/// bits here are equal bits in `T`).
+fn bits<T: Float>(m: &Matrix<T>) -> Vec<u64> {
+    m.as_slice().iter().map(|v| v.to_f64().to_bits()).collect()
+}
+
+/// All six routines at `m x n` (C is `m x m` or `m x n`), at nt 1 and 3,
+/// each checked against the reference to within `tol` when there is one;
+/// returns the outputs' bits.
+fn check_routines<T: Float>(m: usize, n: usize, tol: Option<f64>, label: &str) -> ResultBits {
+    let label = format!("{label} {m}x{n}");
+    let mut out = Vec::new();
     for nt in [1usize, 3] {
         // GEMM (both transposes exercised by the kernel-level tests above;
         // one mixed case here).
@@ -238,17 +291,20 @@ fn check_routines<T: Float>(tol: f64, label: &str) {
             T::from_f64(0.7),
             c.as_mut(),
         );
-        let mut expect = c0.clone();
-        reference::gemm(
-            Transpose::No,
-            Transpose::Yes,
-            T::from_f64(1.3),
-            &a,
-            &b,
-            T::from_f64(0.7),
-            &mut expect,
-        );
-        assert!(rel_diff(&c, &expect) < tol, "{label} gemm nt={nt}");
+        if let Some(tol) = tol {
+            let mut expect = c0.clone();
+            reference::gemm(
+                Transpose::No,
+                Transpose::Yes,
+                T::from_f64(1.3),
+                &a,
+                &b,
+                T::from_f64(0.7),
+                &mut expect,
+            );
+            assert!(rel_diff(&c, &expect) < tol, "{label} gemm nt={nt}");
+        }
+        out.push((format!("{label} gemm nt={nt}"), bits(&c)));
 
         // SYMM
         let sa = det_mat::<T>(m, m, 4);
@@ -265,17 +321,20 @@ fn check_routines<T: Float>(tol: f64, label: &str) {
             T::from_f64(-0.4),
             sc.as_mut(),
         );
-        let mut sexpect = sc0.clone();
-        reference::symm(
-            Side::Left,
-            Uplo::Upper,
-            T::from_f64(1.1),
-            &sa,
-            &sb,
-            T::from_f64(-0.4),
-            &mut sexpect,
-        );
-        assert!(rel_diff(&sc, &sexpect) < tol, "{label} symm nt={nt}");
+        if let Some(tol) = tol {
+            let mut sexpect = sc0.clone();
+            reference::symm(
+                Side::Left,
+                Uplo::Upper,
+                T::from_f64(1.1),
+                &sa,
+                &sb,
+                T::from_f64(-0.4),
+                &mut sexpect,
+            );
+            assert!(rel_diff(&sc, &sexpect) < tol, "{label} symm nt={nt}");
+        }
+        out.push((format!("{label} symm nt={nt}"), bits(&sc)));
 
         // SYRK
         let ka = det_mat::<T>(m, n, 7);
@@ -290,16 +349,19 @@ fn check_routines<T: Float>(tol: f64, label: &str) {
             T::from_f64(0.2),
             kc.as_mut(),
         );
-        let mut kexpect = kc0.clone();
-        reference::syrk(
-            Uplo::Lower,
-            Transpose::No,
-            T::from_f64(0.9),
-            &ka,
-            T::from_f64(0.2),
-            &mut kexpect,
-        );
-        assert!(rel_diff(&kc, &kexpect) < tol, "{label} syrk nt={nt}");
+        if let Some(tol) = tol {
+            let mut kexpect = kc0.clone();
+            reference::syrk(
+                Uplo::Lower,
+                Transpose::No,
+                T::from_f64(0.9),
+                &ka,
+                T::from_f64(0.2),
+                &mut kexpect,
+            );
+            assert!(rel_diff(&kc, &kexpect) < tol, "{label} syrk nt={nt}");
+        }
+        out.push((format!("{label} syrk nt={nt}"), bits(&kc)));
 
         // SYR2K
         let ra = det_mat::<T>(m, n, 9);
@@ -316,17 +378,20 @@ fn check_routines<T: Float>(tol: f64, label: &str) {
             T::from_f64(0.5),
             rc.as_mut(),
         );
-        let mut rexpect = rc0.clone();
-        reference::syr2k(
-            Uplo::Upper,
-            Transpose::No,
-            T::from_f64(1.2),
-            &ra,
-            &rb,
-            T::from_f64(0.5),
-            &mut rexpect,
-        );
-        assert!(rel_diff(&rc, &rexpect) < tol, "{label} syr2k nt={nt}");
+        if let Some(tol) = tol {
+            let mut rexpect = rc0.clone();
+            reference::syr2k(
+                Uplo::Upper,
+                Transpose::No,
+                T::from_f64(1.2),
+                &ra,
+                &rb,
+                T::from_f64(0.5),
+                &mut rexpect,
+            );
+            assert!(rel_diff(&rc, &rexpect) < tol, "{label} syr2k nt={nt}");
+        }
+        out.push((format!("{label} syr2k nt={nt}"), bits(&rc)));
 
         // TRMM
         let mut ta = det_mat::<T>(m, m, 12);
@@ -345,16 +410,19 @@ fn check_routines<T: Float>(tol: f64, label: &str) {
             ta.as_ref(),
             tb.as_mut(),
         );
-        reference::trmm(
-            Side::Left,
-            Uplo::Upper,
-            Transpose::No,
-            Diag::NonUnit,
-            T::from_f64(1.4),
-            &ta,
-            &mut texpect,
-        );
-        assert!(rel_diff(&tb, &texpect) < tol, "{label} trmm nt={nt}");
+        if let Some(tol) = tol {
+            reference::trmm(
+                Side::Left,
+                Uplo::Upper,
+                Transpose::No,
+                Diag::NonUnit,
+                T::from_f64(1.4),
+                &ta,
+                &mut texpect,
+            );
+            assert!(rel_diff(&tb, &texpect) < tol, "{label} trmm nt={nt}");
+        }
+        out.push((format!("{label} trmm nt={nt}"), bits(&tb)));
 
         // TRSM (well-conditioned diagonal set above)
         let mut ub = det_mat::<T>(m, n, 14);
@@ -369,17 +437,21 @@ fn check_routines<T: Float>(tol: f64, label: &str) {
             ta.as_ref(),
             ub.as_mut(),
         );
-        reference::trsm(
-            Side::Left,
-            Uplo::Upper,
-            Transpose::No,
-            Diag::NonUnit,
-            T::from_f64(0.8),
-            &ta,
-            &mut uexpect,
-        );
-        assert!(rel_diff(&ub, &uexpect) < tol, "{label} trsm nt={nt}");
+        if let Some(tol) = tol {
+            reference::trsm(
+                Side::Left,
+                Uplo::Upper,
+                Transpose::No,
+                Diag::NonUnit,
+                T::from_f64(0.8),
+                &ta,
+                &mut uexpect,
+            );
+            assert!(rel_diff(&ub, &uexpect) < tol, "{label} trsm nt={nt}");
+        }
+        out.push((format!("{label} trsm nt={nt}"), bits(&ub)));
     }
+    out
 }
 
 /// The geometry the packer and macro-kernel rely on must hold for every
