@@ -79,15 +79,9 @@ pub struct Evaluation {
     pub records: Vec<EvalRecord>,
     /// Table VII row.
     pub stats: SpeedupStats,
-    /// Share of the records the install's serial threshold answered
-    /// ([`InstalledRoutine::answers_serial`]) — Table VII's "including the
-    /// model evaluation time" is two populations, not one average.
-    pub serial_share: f64,
-    /// Mean `t_eval` seconds of those records; 0 when there are none.
-    pub t_eval_serial: f64,
-    /// Mean `t_eval` seconds of the records the sweep (or the last-call
-    /// cache) answered; 0 when there are none.
-    pub t_eval_sweep: f64,
+    /// Mean `t_eval` seconds of the records, the predictor's table hits
+    /// and sweeps together; 0 when there are none.
+    pub t_eval: f64,
 }
 
 /// Evaluate an installed routine on `n` fresh test samples.
@@ -126,21 +120,11 @@ pub fn evaluate(
         });
     }
     let stats = SpeedupStats::from(records.iter().map(|r| r.speedup).collect());
-    // Count and mean `t_eval` of the records on one side of the threshold.
-    let side = |serial: bool| {
-        let on_side = records
-            .iter()
-            .filter(|r| installed.answers_serial(r.dims) == serial);
-        let (count, secs) = on_side.fold((0usize, 0.0), |(c, t), r| (c + 1, t + r.t_eval));
-        (count, secs / count.max(1) as f64)
-    };
-    let ((serial, t_eval_serial), (_, t_eval_sweep)) = (side(true), side(false));
+    let t_eval = records.iter().map(|r| r.t_eval).sum::<f64>() / n.max(1) as f64;
     Evaluation {
         routine: routine.name(),
         platform: installed.platform.clone(),
-        serial_share: serial as f64 / n.max(1) as f64,
-        t_eval_serial,
-        t_eval_sweep,
+        t_eval,
         records,
         stats,
     }
@@ -191,53 +175,8 @@ mod tests {
             assert!(rec.nt_chosen >= 1 && rec.nt_chosen <= 96);
             assert!(rec.t_eval >= 0.0);
         }
-    }
-
-    #[test]
-    fn t_eval_is_reported_on_each_side_of_the_threshold() {
-        let timer = SimTimer::new(MachineSpec::gadi());
-        let r = Routine::new(OpKind::Trsm, Precision::Double);
-        let mut inst = install_routine(
-            &timer,
-            r,
-            &InstallOptions {
-                n_train: 120,
-                n_eval: 8,
-                kinds: vec![ModelKind::LinearRegression],
-                nt_stride: 8,
-                ..Default::default()
-            },
-        );
-        // A paper-style corpus has no threshold: every record sweeps.
-        let ev = evaluate(&timer, &inst, 40, 7);
-        assert_eq!((ev.serial_share, ev.t_eval_serial), (0.0, 0.0));
-        let mean = ev.records.iter().map(|r| r.t_eval).sum::<f64>() / 40.0;
-        assert!((ev.t_eval_sweep - mean).abs() <= 1e-12 * mean);
-
-        // Under the median footprint of the same 40 samples: half the
-        // records, each answered `nt = 1`.
-        let mut words: Vec<f64> = ev
-            .records
-            .iter()
-            .map(|rec| r.op.footprint_words(rec.dims))
-            .collect();
-        words.sort_by(f64::total_cmp);
-        inst.pipeline.serial_footprint = Some(words[19]);
-        let split = evaluate(&timer, &inst, 40, 7);
-        assert!(
-            (0.5..0.6).contains(&split.serial_share),
-            "{}",
-            split.serial_share
-        );
-        for rec in &split.records {
-            assert!(!inst.answers_serial(rec.dims) || rec.nt_chosen == 1);
-        }
-        // The two means account for every record's `t_eval`.
-        assert!(split.t_eval_serial > 0.0 && split.t_eval_sweep > 0.0);
-        let serial = split.serial_share * 40.0;
-        let total: f64 = split.records.iter().map(|rec| rec.t_eval).sum();
-        let split_total = serial * split.t_eval_serial + (40.0 - serial) * split.t_eval_sweep;
-        assert!((split_total - total).abs() <= 1e-9 * total);
+        let mean = ev.records.iter().map(|r| r.t_eval).sum::<f64>() / 30.0;
+        assert!((ev.t_eval - mean).abs() <= 1e-12 * mean);
     }
 
     #[test]

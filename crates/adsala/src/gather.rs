@@ -75,9 +75,8 @@ fn timed(timer: &dyn BlasTimer, routine: Routine, samples: Vec<Sample>) -> Gathe
 
 /// Draw `shapes` shapes from `sampler` and time each at every thread count
 /// in `cands` (the sampler's own `nt` draw is unused) — the all-candidates
-/// corpus a host with few candidates can afford, and the only kind
-/// [`fit_pipeline`](crate::pipeline::fit_pipeline) derives a serial
-/// threshold from. Rows are shape-major, in `cands` order.
+/// corpus a host with few candidates can afford. Rows are shape-major, in
+/// `cands` order.
 pub fn gather_all_candidates(
     timer: &dyn BlasTimer,
     sampler: &mut DomainSampler,

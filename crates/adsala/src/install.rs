@@ -10,11 +10,10 @@
 //!
 //! # The prediction sweep
 //!
-//! `t_eval` is paid on every predictor-cache miss that the install's serial
-//! threshold does not answer ([`InstalledRoutine::answers_serial`]), so
-//! [`predict_best_cost`]
-//! and [`predict_secs_at`] are one pass without a heap allocation. Raw
-//! Table III features go to a stack row ([`features_into`]); only the
+//! `t_eval` is paid on every miss of the predictor's table
+//! ([`crate::predictor`]), so [`predict_best_cost`] and [`predict_secs_at`]
+//! are one pass without a heap allocation. Raw Table III features go to a
+//! stack row ([`features_into`]); only the
 //! columns the correlation filter kept are power-transformed and
 //! standardised, by the same operations in the same order as
 //! [`PipelineConfig::transform_row`], so the bits are the same; a column
@@ -128,16 +127,6 @@ impl InstalledRoutine {
     pub(crate) fn sweep(&self, dims: Dims) -> (usize, f64) {
         let cands = candidates(self.max_threads, self.nt_stride);
         sweep(&self.model, &self.pipeline, self.routine, dims, cands)
-    }
-
-    /// Whether `dims` sits at or under the install corpus's serial
-    /// threshold ([`PipelineConfig::serial_footprint`]), where this
-    /// routine's [`CostModel`](crate::cost::CostModel) answers `nt = 1`
-    /// without running the sweep.
-    pub fn answers_serial(&self, dims: Dims) -> bool {
-        self.pipeline
-            .serial_footprint
-            .is_some_and(|words| self.routine.op.footprint_words(dims) <= words)
     }
 }
 
@@ -416,48 +405,13 @@ pub fn install_routine(
 }
 
 #[cfg(test)]
-pub(crate) mod tests {
+mod tests {
     use super::*;
     use crate::features::features_for;
-    use crate::gather::gather_all_candidates;
     use crate::timer::SimTimer;
     use adsala_blas3::op::{OpKind, Precision};
     use adsala_machine::MachineSpec;
     use adsala_ml::tree::gbt::GbtParams;
-    use adsala_sampling::DomainSampler;
-
-    /// What the benchmark's host install builds, on the simulator: 40 small
-    /// shapes of double-precision `op`, each timed at every `nt` up to
-    /// `max_threads`, through the pipeline into a gradient-boosted model.
-    /// Returns the corpus too; its rows are shape-major.
-    pub(crate) fn all_candidates_install(
-        op: OpKind,
-        max_threads: usize,
-    ) -> (InstalledRoutine, Gathered) {
-        let timer = SimTimer::new(MachineSpec::gadi());
-        let routine = Routine::new(op, Precision::Double);
-        let mut sampler = DomainSampler::with_cap(routine, max_threads, 3e5, 0xA11CA);
-        let cands: Vec<usize> = (1..=max_threads).collect();
-        let corpus = gather_all_candidates(&timer, &mut sampler, 40, &cands);
-        let fitted = fit_pipeline(&corpus.dataset);
-        let params = HyperParams::Gbt(GbtParams {
-            n_rounds: 25,
-            ..Default::default()
-        });
-        let installed = InstalledRoutine {
-            routine,
-            platform: "gadi".into(),
-            max_threads,
-            nt_stride: 1,
-            model: ModelKind::Xgboost.fit(&fitted.train.x, &fitted.train.y, &params),
-            pipeline: fitted.config,
-            selected: ModelKind::Xgboost,
-            reports: Vec::new(),
-            version: 1,
-            trained_samples: fitted.train.len(),
-        };
-        (installed, corpus)
-    }
 
     fn quick_opts() -> InstallOptions {
         InstallOptions {

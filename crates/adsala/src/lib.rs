@@ -16,8 +16,8 @@
 //!
 //! **Runtime** ([`runtime`]): the saved model predicts the runtime of the
 //! imminent call for every admissible thread count and the call executes
-//! with the argmin ([`predictor`]), with a last-call cache to skip repeated
-//! evaluations. The [`runtime::Adsala`] type is generic over the
+//! with the argmin ([`predictor`]), with a table of recent predictions to
+//! skip repeated evaluations. The [`runtime::Adsala`] type is generic over the
 //! `adsala_blas3::Blas3Backend` executing the calls (the paper's runtime is
 //! a wrapper over MKL/BLIS; the backend trait is that seam here): every
 //! call is described as an `adsala_blas3::Blas3Op`, flows through the

@@ -1,12 +1,20 @@
-//! The runtime thread-count predictor with the paper's last-call cache
-//! (§III-B: "our software remembers the input to the last BLAS call and its
-//! correlated ML prediction") — rebuilt as a hot-swappable slot.
+//! The runtime thread-count predictor with a per-routine table of recent
+//! predictions — the paper's last-call cache (§III-B: "our software
+//! remembers the input to the last BLAS call and its correlated ML
+//! prediction") widened to its last 64 distinct dims (`CAPACITY`) — rebuilt
+//! as a hot-swappable slot.
 //!
 //! A predictor no longer owns its model: it owns an `Arc`-published
 //! [`ModelEpoch`] that [`ThreadPredictor::swap`] can replace atomically
-//! while calls are in flight. The last-call cache is tagged with the epoch
-//! version that filled it, so a swap invalidates it implicitly — a cached
+//! while calls are in flight. Every table entry is tagged with the epoch
+//! version that filled it, so a swap invalidates the table implicitly — an
 //! entry from epoch N can never be served under epoch N+1.
+//!
+//! The key is the call's exact [`Dims`], so a hit returns exactly what the
+//! sweep returned at those dims, and a workload that repeats up to 64
+//! shapes per routine sweeps each one once. The table is a fixed array
+//! scanned linearly, the most recently used entry first, and a new key
+//! replaces entries round-robin: neither a hit nor a miss allocates.
 //!
 //! The two views pay for what they ask. [`ThreadPredictor::predict`] — all
 //! that [`Adsala::execute`](crate::runtime::Adsala::execute) needs — is
@@ -21,6 +29,9 @@ use adsala_blas3::op::{Dims, Routine};
 use adsala_blas3::sync::{AtomicU64, Mutex, MutexGuard, Ordering};
 use std::sync::Arc;
 
+/// Entries in one routine's table: the distinct dims it remembers.
+const CAPACITY: usize = 64;
+
 /// One cached prediction, tagged with the epoch that produced it.
 #[derive(Debug, Clone, Copy)]
 struct CacheEntry {
@@ -32,17 +43,58 @@ struct CacheEntry {
     secs: Option<f64>,
 }
 
-/// What the predictor's one lock guards: the published epoch and the last
-/// call's entry. The entry keeps its version tag because a miss predicts
-/// outside the lock and may store after a swap.
+/// A routine's recent predictions, at most one per dims.
+#[derive(Debug)]
+struct Table {
+    entries: [Option<CacheEntry>; CAPACITY],
+    /// The most recently used entry, tried first.
+    recent: usize,
+    /// The entry a new key replaces.
+    next: usize,
+}
+
+impl Table {
+    const EMPTY: Table = Table {
+        entries: [None; CAPACITY],
+        recent: 0,
+        next: 0,
+    };
+
+    /// The entry for `dims` filled under epoch `version`.
+    fn get(&mut self, version: u64, dims: Dims) -> Option<CacheEntry> {
+        let fits =
+            |e: &Option<CacheEntry>| e.is_some_and(|e| e.version == version && e.dims == dims);
+        if !fits(&self.entries[self.recent]) {
+            self.recent = self.entries.iter().position(fits)?;
+        }
+        self.entries[self.recent]
+    }
+
+    /// Store `entry` over the one for its dims, or else over the next in
+    /// turn.
+    fn put(&mut self, entry: CacheEntry) {
+        let same = |e: &Option<CacheEntry>| e.is_some_and(|e| e.dims == entry.dims);
+        self.recent = self.entries.iter().position(same).unwrap_or_else(|| {
+            let i = self.next;
+            self.next = (i + 1) % CAPACITY;
+            i
+        });
+        self.entries[self.recent] = Some(entry);
+    }
+}
+
+/// What the predictor's one lock guards: the published epoch and the
+/// table. A swap leaves the table as it is: the version tags retire the
+/// old epoch's entries.
 #[derive(Debug)]
 struct Slot {
     epoch: Arc<ModelEpoch>,
-    last: Option<CacheEntry>,
+    table: Table,
 }
 
 /// Runtime predictor slot for one routine: an epoch-versioned
-/// [`CostModel`] plus the most recent `(dims, nt, seconds)` prediction.
+/// [`CostModel`] plus a table of its recent `(dims, nt, seconds)`
+/// predictions.
 ///
 /// All methods take `&self`; the slot is internally synchronised, so one
 /// predictor shared through an `Arc` (or inside
@@ -71,7 +123,7 @@ impl ThreadPredictor {
             routine,
             slot: Mutex::new(Slot {
                 epoch: Arc::new(ModelEpoch::new(version, model)),
-                last: None,
+                table: Table::EMPTY,
             }),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
@@ -91,9 +143,9 @@ impl ThreadPredictor {
     }
 
     /// Publish a new model, bumping the epoch version by one. Callers that
-    /// were mid-prediction keep the epoch they started with; the last-call
-    /// cache stops matching on the next lookup (its entries are
-    /// version-tagged). Returns the new version.
+    /// were mid-prediction keep the epoch they started with; the table
+    /// stops matching on the next lookup (its entries are version-tagged).
+    /// Returns the new version.
     ///
     /// # Panics
     /// If `model` prices a different routine than this slot serves —
@@ -131,11 +183,10 @@ impl ThreadPredictor {
         Ok(version)
     }
 
-    /// Predict the best thread count, consulting the last-call cache first.
+    /// Predict the best thread count, consulting the table first.
     ///
     /// A miss asks the model for the thread count alone
-    /// ([`CostModel::predict_nt`]) — under an install's serial threshold
-    /// that is one comparison — and caches it with its seconds unset.
+    /// ([`CostModel::predict_nt`]) and caches it with its seconds unset.
     pub fn predict(&self, dims: Dims) -> usize {
         let epoch = match self.lookup(dims, |e| Some(e.nt)) {
             Ok(nt) => {
@@ -146,7 +197,7 @@ impl ThreadPredictor {
         };
         self.misses.fetch_add(1, Ordering::Relaxed);
         let nt = epoch.model().predict_nt(dims);
-        self.lock().last = Some(CacheEntry {
+        self.store(CacheEntry {
             version: epoch.version(),
             dims,
             nt,
@@ -156,9 +207,9 @@ impl ThreadPredictor {
     }
 
     /// Predict the best thread count *and* the model's runtime estimate at
-    /// that count (seconds), consulting the last-call cache first.
+    /// that count (seconds), consulting the table first.
     ///
-    /// One cache serves both views, so a scheduler that estimates a call's
+    /// One table serves both views, so a scheduler that estimates a call's
     /// cost at admission time and then dispatches it pays for a single
     /// sweep, not two.
     pub fn predict_cost(&self, dims: Dims) -> (usize, f64) {
@@ -183,7 +234,7 @@ impl ThreadPredictor {
         self.misses.fetch_add(1, Ordering::Relaxed);
         let version = epoch.version();
         let (nt, secs) = epoch.model().predict_cost(dims);
-        self.lock().last = Some(CacheEntry {
+        self.store(CacheEntry {
             version,
             dims,
             nt,
@@ -192,19 +243,29 @@ impl ThreadPredictor {
         (nt, secs, version)
     }
 
-    /// `hit` of the last call's entry when it is for `dims` under the
-    /// current epoch and `hit` accepts it; otherwise the current epoch, to
+    /// `hit` of the table's entry for `dims` under the current epoch when
+    /// there is one and `hit` accepts it; otherwise the current epoch, to
     /// predict with outside the lock. A hit clones nothing.
     fn lookup<R>(
         &self,
         dims: Dims,
         hit: impl FnOnce(CacheEntry) -> Option<R>,
     ) -> Result<R, Arc<ModelEpoch>> {
-        let slot = self.lock();
-        slot.last
-            .filter(|e| e.version == slot.epoch.version() && e.dims == dims)
+        let mut slot = self.lock();
+        let version = slot.epoch.version();
+        slot.table
+            .get(version, dims)
             .and_then(hit)
             .ok_or_else(|| Arc::clone(&slot.epoch))
+    }
+
+    /// Cache a miss's prediction, unless a swap published since the miss
+    /// read the epoch: its entry could never be served.
+    fn store(&self, entry: CacheEntry) {
+        let mut slot = self.lock();
+        if entry.version == slot.epoch.version() {
+            slot.table.put(entry);
+        }
     }
 
     /// Bypass the cache (used by benchmarks isolating the sweep cost).
@@ -227,17 +288,17 @@ impl ThreadPredictor {
 
     /// Lock the slot, recovering from poisoning. A thread that panicked
     /// while holding this lock cannot have torn it (the critical sections
-    /// only read or assign whole values), but whatever entry it cached is
-    /// suspect — drop it, keep the epoch, and serve the lookup as a miss
-    /// rather than propagating the panic into every later caller (the
-    /// serve scheduler among them).
+    /// only read or assign whole values), but whatever it cached is
+    /// suspect — clear the table, keep the epoch, and serve the lookup as
+    /// a miss rather than propagating the panic into every later caller
+    /// (the serve scheduler among them).
     fn lock(&self) -> MutexGuard<'_, Slot> {
         match self.slot.lock() {
             Ok(guard) => guard,
             Err(poisoned) => {
                 self.slot.clear_poison();
                 let mut guard = poisoned.into_inner();
-                guard.last = None;
+                guard.table = Table::EMPTY;
                 guard
             }
         }
@@ -247,7 +308,6 @@ impl ThreadPredictor {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::install::tests::all_candidates_install;
     use crate::install::{install_routine, InstallOptions};
     use crate::timer::SimTimer;
     use adsala_blas3::op::{OpKind, Precision};
@@ -283,15 +343,41 @@ mod tests {
         assert_eq!(misses, 1);
     }
 
+    /// `k` distinct dims of one routine.
+    fn cycle(k: usize) -> Vec<Dims> {
+        (0..k)
+            .map(|i| Dims::d3(8 + i, 96 - i % 80, 16 + 3 * i))
+            .collect()
+    }
+
     #[test]
-    fn different_dims_miss_the_cache() {
+    fn a_cycle_that_fits_the_table_sweeps_each_dims_once() {
         let p = predictor();
-        p.predict(Dims::d3(100, 100, 100));
-        p.predict(Dims::d3(200, 200, 200));
-        p.predict(Dims::d3(100, 100, 100)); // evicted by the 200 call
-        let (hits, misses) = p.cache_stats();
-        assert_eq!(hits, 0);
-        assert_eq!(misses, 3);
+        let shapes = cycle(CAPACITY);
+        for pass in 0..3u64 {
+            for &d in &shapes {
+                let (nt, secs) = p.predict_cost(d);
+                let swept = p.epoch().model().predict_cost(d);
+                assert_eq!((nt, secs.to_bits()), (swept.0, swept.1.to_bits()));
+                assert_eq!(p.predict(d), nt);
+            }
+            let n = CAPACITY as u64;
+            assert_eq!(p.cache_stats(), ((2 * pass + 1) * n, n), "pass {pass}");
+        }
+    }
+
+    #[test]
+    fn a_cycle_longer_than_the_table_still_answers_the_sweep() {
+        let p = predictor();
+        let shapes = cycle(CAPACITY + 5);
+        for _ in 0..3 {
+            for &d in &shapes {
+                assert_eq!(p.predict(d), p.predict_uncached(d));
+            }
+        }
+        // Round-robin replacement under a cycle longer than the table:
+        // each dims is replaced before it comes round again.
+        assert_eq!(p.cache_stats(), (0, 3 * shapes.len() as u64));
     }
 
     #[test]
@@ -315,13 +401,10 @@ mod tests {
 
     #[test]
     fn predict_leaves_the_seconds_for_predict_cost_to_fill_in() {
-        let (inst, corpus) = all_candidates_install(OpKind::Symv, 4);
-        let p = ThreadPredictor::new(inst.clone());
-        let under = corpus.samples[0].dims;
-        let above = Dims::d1(3000);
-        assert!(inst.answers_serial(under) && !inst.answers_serial(above));
+        let p = predictor();
+        let shapes = [Dims::d3(48, 64, 80), Dims::d3(3000, 2000, 1000)];
         let mut misses = 0;
-        for d in [under, above] {
+        for d in shapes {
             // `predict` first: the entry it caches has no seconds, so the
             // cost view prices the call itself and completes the entry.
             let nt = p.predict(d);
@@ -336,19 +419,20 @@ mod tests {
             assert_eq!(p.cache_stats().1, misses);
         }
         // `predict_cost` first is one miss, then one hit.
-        let q = ThreadPredictor::new(inst);
-        for (i, d) in [under, above].into_iter().enumerate() {
+        let q = predictor();
+        for (i, d) in shapes.into_iter().enumerate() {
             let (nt, _) = q.predict_cost(d);
             assert_eq!(q.predict(d), nt);
             assert_eq!(q.cache_stats(), (i as u64 + 1, i as u64 + 1));
         }
-        // A swap invalidates an entry on either side of the threshold.
-        q.predict(under);
+        // A swap invalidates every entry.
         let replacement = q.epoch().installed().unwrap().clone();
         q.swap(Arc::new(replacement));
         let before = q.cache_stats();
-        q.predict(under);
-        assert_eq!(q.cache_stats(), (before.0, before.1 + 1));
+        for d in shapes {
+            q.predict(d);
+        }
+        assert_eq!(q.cache_stats(), (before.0, before.1 + 2));
     }
 
     #[test]
@@ -424,8 +508,8 @@ mod tests {
         assert!(joined.is_err());
         assert!(p.slot.is_poisoned());
 
-        // Prediction must not propagate the panic; the suspect entry is
-        // dropped, so this is a miss, and caching then works again.
+        // Prediction must not propagate the panic; the suspect table is
+        // cleared, so this is a miss, and caching then works again.
         assert_eq!(p.predict(d), before);
         assert!(!p.slot.is_poisoned(), "poison must be cleared");
         p.predict(d);

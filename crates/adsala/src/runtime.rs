@@ -7,7 +7,7 @@
 //! exactly the shape of [`Adsala`]: it is generic over the backend that
 //! executes the call, and every entry point funnels through one
 //! [`Adsala::execute`] path — describe the call as a
-//! [`Blas3Op`], predict `nt` from its dimensions (last-call cache included),
+//! [`Blas3Op`], predict `nt` from its dimensions (the predictor's table included),
 //! dispatch through the backend trait.
 //!
 //! Build instances with [`Adsala::builder`] (choose the backend, point at a
@@ -214,8 +214,8 @@ impl<B: Blas3Backend> Adsala<B> {
     }
 
     /// Predict the thread count *and* the model's runtime estimate for a
-    /// call (see [`CostEstimate`]). Shares the per-routine last-call cache
-    /// with [`Adsala::predict_nt`].
+    /// call (see [`CostEstimate`]). Shares the per-routine table of recent
+    /// predictions with [`Adsala::predict_nt`].
     pub fn predict_cost(&self, routine: Routine, dims: Dims) -> CostEstimate {
         match self.predictors.get(&routine) {
             Some(p) => {
@@ -254,7 +254,7 @@ impl<B: Blas3Backend> Adsala<B> {
     ///
     /// The swap is atomic from the callers' perspective: predictions in
     /// flight finish against the epoch they started with, later predictions
-    /// see the new one, and the routine's last-call cache cannot serve
+    /// see the new one, and the routine's table of predictions cannot serve
     /// entries computed under the old epoch (entries are version-tagged).
     /// Returns the new epoch version.
     ///

@@ -9,7 +9,8 @@
 //! Artefacts are outside input: [`load`] answers a truncated, damaged or
 //! older-layout file with an [`io::ErrorKind::InvalidData`] error naming
 //! it, so that what it hands the runtime can be indexed without a panic.
-//! There is no reader for older layouts — re-install.
+//! There is no reader for older layouts — re-install. A key the layout
+//! no longer has is ignored.
 
 use crate::features::feature_names;
 use crate::install::{InstalledRoutine, ModelReport};
@@ -76,17 +77,7 @@ fn read_json<T: Deserialize>(path: &Path) -> io::Result<T> {
 /// Load an installed routine from `dir`.
 pub fn load(dir: &Path, platform: &str, routine: Routine) -> io::Result<InstalledRoutine> {
     let (config_path, model_path) = paths(dir, platform, routine);
-    let tree: serde_json::Value = read_json(&config_path)?;
-    // `None` is written as `null`; the derive would read an absent key as
-    // `None` too, and an older layout must not load as "no threshold".
-    if tree
-        .get("pipeline")
-        .is_some_and(|p| p.get("serial_footprint").is_none())
-    {
-        let why = "missing field `serial_footprint` in PipelineConfig";
-        return Err(invalid(&config_path, why));
-    }
-    let cfg: ConfigFile = serde_json::from_value(&tree).map_err(|e| invalid(&config_path, e))?;
+    let cfg: ConfigFile = read_json(&config_path)?;
     let model: Model = read_json(&model_path)?;
     // The prediction sweep indexes raw features by `kept` and the
     // per-feature tables by raw feature, and hands the model rows as wide
@@ -104,13 +95,12 @@ pub fn load(dir: &Path, platform: &str, routine: Routine) -> io::Result<Installe
             format!("pipeline does not fit {raw} raw features"),
         ));
     }
-    // A threshold answers `nt = 1` for every call under it: a damaged one
-    // must not be able to do that for every call there is.
-    if let Some(words) = pipeline.serial_footprint {
-        if !(words.is_finite() && words >= 0.0) {
-            let why = format!("serial_footprint {words} is not a footprint");
-            return Err(invalid(&config_path, why));
-        }
+    // The sweep prices the candidates `1..=max_threads`: none is no answer.
+    if cfg.max_threads == 0 {
+        return Err(invalid(
+            &config_path,
+            "max_threads 0 leaves no thread count",
+        ));
     }
     let width = pipeline.correlation.kept.len();
     if let Model::Gbt(gbt) = &model {
@@ -260,34 +250,43 @@ mod tests {
     }
 
     #[test]
-    fn serial_threshold_roundtrips_and_a_damaged_one_is_rejected() {
-        let dir = tmpdir("threshold");
+    fn a_config_with_a_serial_footprint_key_loads_and_sweeps() {
+        // An earlier layout kept a serial threshold in the pipeline block,
+        // under which the runtime answered `nt = 1` unswept. The key is
+        // ignored now: every call is the sweep.
+        let dir = tmpdir("footprint-key");
         let r = Routine::new(OpKind::Trmm, Precision::Double);
-        let mut inst = quick_install(r);
-        assert_eq!(inst.pipeline.serial_footprint, None, "paper-style corpus");
-        save(&dir, &inst).unwrap();
-        assert_eq!(load(&dir, "gadi", r).unwrap().pipeline, inst.pipeline);
-        inst.pipeline.serial_footprint = Some(5000.0);
+        let inst = quick_install(r);
         let (text, path) = saved_config(&dir, &inst);
-        assert_eq!(load(&dir, "gadi", r).unwrap().pipeline, inst.pipeline);
-
-        let key = "\"serial_footprint\": 5000.0";
-        assert!(text.contains(key));
-        let rejects = |damaged: String, what: &str| {
-            fs::write(&path, damaged).unwrap();
-            let err = load(&dir, "gadi", r).expect_err(what);
-            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{what}");
-            let msg = err.to_string();
-            assert!(msg.contains("dtrmm.config.json"), "{what}: {msg}");
-            assert!(msg.contains("serial_footprint"), "{what}: {msg}");
-        };
-        for bad in ["-1", "-0.5", "1e999", "-1e999"] {
-            rejects(text.replace("5000.0", bad), bad);
-        }
-        // An older layout: the key is not there at all.
-        let older = text.replace(&format!(",\n    {key}"), "");
+        let older = text.replace(
+            "\"kept_features\": [",
+            "\"serial_footprint\": 1e9,\n    \"kept_features\": [",
+        );
         assert_ne!(older, text);
-        rejects(older, "key absent");
+        fs::write(&path, older).unwrap();
+        let back = load(&dir, "gadi", r).unwrap();
+        assert_eq!(back.pipeline, inst.pipeline);
+        for dims in [Dims::d2(8, 8), Dims::d2(300, 40), Dims::d2(4000, 4000)] {
+            assert_eq!(back.predict_cost(dims), inst.sweep(dims));
+        }
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_config_with_no_thread_count_is_rejected() {
+        let dir = tmpdir("max-threads");
+        let r = Routine::new(OpKind::Gemm, Precision::Double);
+        let (text, path) = saved_config(&dir, &quick_install(r));
+        let zero = text.replace("\"max_threads\": 96", "\"max_threads\": 0");
+        assert_ne!(zero, text);
+        fs::write(&path, zero).unwrap();
+        let err = load(&dir, "gadi", r).expect_err("max_threads 0");
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        let msg = err.to_string();
+        assert!(
+            msg.contains("dgemm.config.json") && msg.contains("max_threads"),
+            "{msg}"
+        );
         let _ = fs::remove_dir_all(&dir);
     }
 
@@ -296,12 +295,14 @@ mod tests {
     const HUGE: &str = "@1e999@";
 
     /// Every tree one single-token mutation away from `v`: an object key
-    /// deleted, or a number swapped for `null`, `-1`, `1e999` or a string.
+    /// deleted, or a number swapped for `null`, `0`, `-1`, `1e999` or a
+    /// string.
     fn mutants(v: &Value) -> Vec<Value> {
         let mut out = Vec::new();
         match v {
             Value::Number(_) => out.extend([
                 Value::Null,
+                Value::Number(Number::U(0)),
                 Value::Number(Number::I(-1)),
                 Value::String(HUGE.into()),
                 Value::String("seven".into()),
@@ -338,9 +339,7 @@ mod tests {
     fn a_mutated_config_file_is_a_typed_error_or_a_usable_artefact() {
         let dir = tmpdir("mutants");
         let r = Routine::new(OpKind::Gemm, Precision::Double);
-        let mut inst = quick_install(r);
-        inst.pipeline.serial_footprint = Some(5000.0);
-        let (text, path) = saved_config(&dir, &inst);
+        let (text, path) = saved_config(&dir, &quick_install(r));
         let tree: Value = serde_json::from_str(&text).unwrap();
 
         let mut damaged: Vec<String> = mutants(&tree)

@@ -1,6 +1,6 @@
 //! Criterion benches for the runtime dispatch path (paper §III-B): the
 //! cost of a prediction with a cold cache (full sweep), with a warm
-//! last-call cache (the repeated-dims fast path), the end-to-end overhead
+//! prediction table (the repeated-dims fast path), the end-to-end overhead
 //! relative to the raw BLAS call, and the price of the hot-swap seam
 //! (epoch read on the hit path, full epoch publication).
 

@@ -16,22 +16,11 @@ fn main() {
             spec.name,
             spec.max_threads()
         );
-        println!("{:-<104}", "");
-        // `thr` is the share of calls the install's serial threshold
-        // answered; `t_eval` is the mean on each side of it, microseconds.
+        println!("{:-<87}", "");
+        // `t_eval` is the mean prediction time of a call, microseconds.
         println!(
-            "{:8} {:>7} {:>7} {:>7} {:>7} {:>7} {:>7} {:>7} {:>5} {:>10} {:>10}  model",
-            "routine",
-            "mean",
-            "std",
-            "min",
-            "25%",
-            "50%",
-            "75%",
-            "max",
-            "thr",
-            "t_eval thr",
-            "sweep us"
+            "{:8} {:>7} {:>7} {:>7} {:>7} {:>7} {:>7} {:>7} {:>10}  model",
+            "routine", "mean", "std", "min", "25%", "50%", "75%", "max", "t_eval us"
         );
         let timer = SimTimer::new(spec.clone());
         for routine in args.routines() {
@@ -39,7 +28,7 @@ fn main() {
             let ev = evaluate(&timer, &inst, args.n_eval(), 0xE7A1);
             let s = ev.stats;
             println!(
-                "{:8} {:>7.2} {:>7.2} {:>7.2} {:>7.2} {:>7.2} {:>7.2} {:>7.2} {:>5.2} {:>10.2} {:>10.2}  {}",
+                "{:8} {:>7.2} {:>7.2} {:>7.2} {:>7.2} {:>7.2} {:>7.2} {:>7.2} {:>10.2}  {}",
                 routine.name(),
                 s.mean,
                 s.std,
@@ -48,9 +37,7 @@ fn main() {
                 s.median,
                 s.q75,
                 s.max,
-                ev.serial_share,
-                ev.t_eval_serial * 1e6,
-                ev.t_eval_sweep * 1e6,
+                ev.t_eval * 1e6,
                 inst.selected.sklearn_name()
             );
         }

@@ -18,7 +18,10 @@
 //! * **SYMV** — the stored triangle makes row-splits ragged, so each team
 //!   member accumulates a full-length private partial over its column
 //!   chunk, then after a barrier the team reduces disjoint row chunks of
-//!   the partials into `y`.
+//!   the partials into `y`. The partials split each sum where the column
+//!   chunks end, and the serial walk folds `alpha` in per column, so its
+//!   result moves with `nt` by rounding; every other routine here gives
+//!   the same bits at every `nt` (`tests/level2_parity.rs`).
 //! * **TRMV / TRSV** stay serial. TRSV's substitution recurrence makes
 //!   column `j` depend on every column after (or before) it — the
 //!   sequential chain *is* the algorithm — and TRMV's in-place update

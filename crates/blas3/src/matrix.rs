@@ -188,7 +188,8 @@ fn check_view(
         return Err(Blas3Error::BadLeadingDim { name, ld, rows });
     }
     if rows > 0 && cols > 0 {
-        let needed = ld * (cols - 1) + rows;
+        // Saturating: an extent past `usize::MAX` is one no slice covers.
+        let needed = ld.saturating_mul(cols - 1).saturating_add(rows);
         if len < needed {
             return Err(Blas3Error::ShortSlice {
                 name,
@@ -201,6 +202,11 @@ fn check_view(
         }
     }
     Ok(())
+}
+
+/// Whether `len` items from `start` stay within `0..parent`.
+fn fits(start: usize, len: usize, parent: usize) -> bool {
+    start.checked_add(len).is_some_and(|end| end <= parent)
 }
 
 /// A borrowed, immutable, column-major matrix view with leading dimension.
@@ -293,7 +299,7 @@ impl<'a, T: Float> MatRef<'a, T> {
         rows: usize,
         cols: usize,
     ) -> Result<MatRef<'a, T>, Blas3Error> {
-        if i + rows > self.rows || j + cols > self.cols {
+        if !fits(i, rows, self.rows) || !fits(j, cols, self.cols) {
             return Err(Blas3Error::SubviewOutOfBounds {
                 i,
                 j,
@@ -442,7 +448,7 @@ impl<'a, T: Float> MatMut<'a, T> {
         rows: usize,
         cols: usize,
     ) -> Result<MatMut<'a, T>, Blas3Error> {
-        if i + rows > self.rows || j + cols > self.cols {
+        if !fits(i, rows, self.rows) || !fits(j, cols, self.cols) {
             return Err(Blas3Error::SubviewOutOfBounds {
                 i,
                 j,
@@ -552,6 +558,39 @@ mod tests {
             Err(Blas3Error::BadLeadingDim { .. })
         ));
         assert!(MatRef::try_new(2, 2, 2, &d).is_ok());
+    }
+
+    #[test]
+    fn an_extent_past_usize_max_is_a_short_slice() {
+        // `ld * (cols - 1) + rows` wraps to a small number unchecked.
+        let d = [1.0f64; 2];
+        assert!(matches!(
+            MatRef::try_new(2, 3, 1 << 63, &d),
+            Err(Blas3Error::ShortSlice {
+                needed: usize::MAX,
+                got: 2,
+                ..
+            })
+        ));
+        let mut m = [1.0f64; 2];
+        assert!(matches!(
+            MatMut::try_new(1, usize::MAX, 2, &mut m),
+            Err(Blas3Error::ShortSlice {
+                needed: usize::MAX,
+                ..
+            })
+        ));
+    }
+
+    #[test]
+    fn a_subview_whose_end_overflows_is_out_of_bounds() {
+        let mut m = Matrix::<f64>::zeros(3, 3);
+        for (i, j, rows, cols) in [(1, 0, usize::MAX, 1), (0, 2, 1, usize::MAX)] {
+            let sub = m.as_ref().submatrix(i, j, rows, cols);
+            assert!(matches!(sub, Err(Blas3Error::SubviewOutOfBounds { .. })));
+            let sub = m.as_mut().submatrix(i, j, rows, cols);
+            assert!(matches!(sub, Err(Blas3Error::SubviewOutOfBounds { .. })));
+        }
     }
 
     #[test]

@@ -26,7 +26,8 @@ fn check_vector(
         return Err(Blas3Error::BadIncrement { name, inc });
     }
     if len > 0 {
-        let needed = (len - 1) * inc + 1;
+        // Saturating: an extent past `usize::MAX` is one no slice covers.
+        let needed = (len - 1).saturating_mul(inc).saturating_add(1);
         if slice_len < needed {
             return Err(Blas3Error::ShortVector {
                 name,
@@ -258,6 +259,23 @@ mod tests {
             Err(Blas3Error::ShortVector {
                 needed: 5,
                 got: 4,
+                ..
+            })
+        ));
+        // `(len - 1) * inc + 1` wraps to a small number unchecked.
+        assert!(matches!(
+            VecRef::try_new(3, 1 << 63, &[1.0f64; 2]),
+            Err(Blas3Error::ShortVector {
+                needed: usize::MAX,
+                got: 2,
+                ..
+            })
+        ));
+        let mut m = [1.0f64; 2];
+        assert!(matches!(
+            VecMut::try_new(usize::MAX, 2, &mut m),
+            Err(Blas3Error::ShortVector {
+                needed: usize::MAX,
                 ..
             })
         ));

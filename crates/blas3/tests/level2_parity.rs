@@ -1,6 +1,7 @@
 //! Level 2 parity: every routine, both precisions, every forcible kernel
 //! choice, and an nt sweep, against the naive reference oracle — including
-//! ragged leading dimensions, strided vectors, and empty shapes.
+//! ragged leading dimensions, strided vectors, and empty shapes — and the
+//! results across thread counts: bit for bit, except SYMV's.
 //!
 //! Like `simd_parity.rs`, the kernel-choice sweep is the only place here
 //! that mutates the process-wide override; the proptests run under
@@ -94,7 +95,7 @@ fn tol_for<T: Float>(n: usize) -> f64 {
 
 /// Drive all five routines at one `(m, n, pad, incx, incy, nt)` point
 /// against the reference oracle. `n` doubles as the order of the square
-/// SYMV/TRMV/TRSV operands.
+/// SYMV/TRMV/TRSV operands. Returns the bits of every result but SYMV's.
 #[allow(clippy::too_many_arguments)]
 fn check_level2<T: Float>(
     m: usize,
@@ -105,7 +106,9 @@ fn check_level2<T: Float>(
     nt: usize,
     seed: u64,
     label: &str,
-) {
+) -> Vec<u64> {
+    let mut bits = Vec::new();
+    let mut keep = |v: &[T]| bits.extend(v.iter().map(|x| x.to_f64().to_bits()));
     let lda = m.max(1) + pad;
     let a = col_major::<T>(m, n, lda, seed);
     let am = as_matrix(&a, m, n, lda);
@@ -129,6 +132,7 @@ fn check_level2<T: Float>(
         );
         reference::gemv(trans, alpha, &am, &gather(&x, xlen, incx), beta, &mut want);
         assert_vec_close(&y, incy, &want, tol, &format!("{label} gemv {trans:?}"));
+        keep(&y);
     }
 
     // GER: in-place rank-1 update on the ragged operand.
@@ -159,6 +163,7 @@ fn check_level2<T: Float>(
                 }
             }
         }
+        keep(&a2);
     }
 
     // The square families at order n, lda-padded.
@@ -204,6 +209,7 @@ fn check_level2<T: Float>(
                     tol2,
                     &format!("{label} trmv {uplo:?} {trans:?} {diag:?}"),
                 );
+                keep(&x);
 
                 // TRSV
                 let mut b = strided::<T>(n2, incx, seed ^ 0x12);
@@ -217,9 +223,11 @@ fn check_level2<T: Float>(
                     tol2,
                     &format!("{label} trsv {uplo:?} {trans:?} {diag:?}"),
                 );
+                keep(&b);
             }
         }
     }
+    bits
 }
 
 /// Every forcible kernel choice, both precisions, an nt sweep past the
@@ -257,6 +265,31 @@ fn all_level2_routines_agree_with_reference_under_every_kernel_choice() {
         }
     }
     assert!(set_kernel_choice(KernelChoice::Auto));
+}
+
+/// GEMV (both transposes), GER, TRMV and TRSV give the same bits at every
+/// thread count; SYMV sums per-member partials and is held to its reference
+/// tolerance at each (see the `level2` module docs). Row and column chunks
+/// end off any SIMD width; the kernel is the dispatched one.
+#[test]
+fn results_are_bitwise_across_thread_counts_except_symv() {
+    for (m, n) in [(33, 17), (203, 77), (7, 130)] {
+        for (incx, incy) in [(1, 1), (2, 3)] {
+            let label = format!("m={m} n={n} inc=({incx},{incy})");
+            let at = |nt| {
+                let label = format!("{label} nt={nt}");
+                let f64s = check_level2::<f64>(m, n, 3, incx, incy, nt, 0x2A, &label);
+                (
+                    f64s,
+                    check_level2::<f32>(m, n, 3, incx, incy, nt, 0x2B, &label),
+                )
+            };
+            let one = at(1);
+            for nt in [2, 3, 5] {
+                assert!(at(nt) == one, "{label}: nt {nt} differs from nt 1");
+            }
+        }
+    }
 }
 
 proptest! {

@@ -28,7 +28,7 @@
 //! 4. **Swap** — an accepted candidate is published with
 //!    [`Adsala::swap_model`](adsala::runtime::Adsala::swap_model): the
 //!    service keeps serving throughout, callers mid-prediction finish on
-//!    the epoch they started with, and the routine's last-call cache
+//!    the epoch they started with, and the routine's prediction table
 //!    cannot leak stale answers (entries are epoch-tagged).
 //!
 //! The driver is deliberately synchronous and re-entrant: call
@@ -478,12 +478,7 @@ pub fn refit_from_records(
             train_y.push(live.predict_secs(r.dims, nt).max(1e-12).ln() + shift);
         }
     }
-    let mut fitted = fit_pipeline(&Dataset::new(train_x, train_y, names));
-    // No shape in telemetry was timed at more than one `nt`: the rows at
-    // the other counts above are the live model's predictions, and a
-    // threshold derived from them would pass those off as measurements.
-    // The sweep decides every call until the next install.
-    fitted.config.serial_footprint = None;
+    let fitted = fit_pipeline(&Dataset::new(train_x, train_y, names));
 
     // Guardrail baseline: the live epoch scored on the held-out rows.
     let hold_y: Vec<f64> = hold_idx.iter().map(|&i| y[i]).collect();

@@ -293,104 +293,6 @@ fn refit_worse_than_live_epoch_is_rejected() {
 }
 
 #[test]
-fn a_refit_neither_inherits_nor_derives_a_serial_threshold() {
-    use adsala::install::predict_best_nt;
-    use adsala_serve::adapt::{refit_from_records, RefitOutcome};
-    use adsala_serve::{ClientId, TenantId};
-
-    /// Installed artefacts whose every call is priced fastest on one
-    /// thread: the `nt` profile a refit inherits for its synthetic rows.
-    #[derive(Debug)]
-    struct SerialLive(adsala::InstalledRoutine);
-    impl CostModel for SerialLive {
-        fn routine(&self) -> Routine {
-            self.0.routine
-        }
-        fn version(&self) -> u64 {
-            self.0.version
-        }
-        fn trained_samples(&self) -> usize {
-            self.0.trained_samples
-        }
-        fn predict_cost(&self, dims: Dims) -> (usize, f64) {
-            (1, self.predict_secs(dims, 1))
-        }
-        fn predict_secs(&self, dims: Dims, nt: usize) -> f64 {
-            self.0.predict_secs(dims, 1) * nt as f64
-        }
-        fn as_installed(&self) -> Option<&adsala::InstalledRoutine> {
-            Some(&self.0)
-        }
-    }
-
-    let inst = installed_dgemm(ModelKind::LinearRegression, 160);
-    assert_eq!(inst.pipeline.serial_footprint, None, "paper-style corpus");
-    let routine = inst.routine;
-    let refit = |live: &SerialLive| {
-        // Every record ran on one thread, 2x slower than priced: each shape
-        // then has a measured `nt = 1` row and synthetic rows at more
-        // threads, all of them slower — it would vote, and vote serial.
-        let records: Vec<TelemetryRecord> = (0..60usize)
-            .map(|i| {
-                let dims = Dims::d3(1024 + 16 * i, 1152 + 12 * i, 1280 + 20 * i);
-                TelemetryRecord {
-                    seq: i as u64,
-                    client: ClientId(0),
-                    tenant: TenantId(0),
-                    shard: 0,
-                    routine,
-                    dims,
-                    nt: 1,
-                    admitted_nt: 1,
-                    predicted_secs: live.predict_secs(dims, 1),
-                    model_backed: true,
-                    epoch: 1,
-                    observed_secs: 2.0 * live.predict_secs(dims, 1),
-                    batch_size: 1,
-                }
-            })
-            .collect();
-        let cfg = AdaptConfig {
-            min_window: 40,
-            kinds: vec![ModelKind::LinearRegression],
-            ..Default::default()
-        };
-        match refit_from_records(&records, live, &cfg) {
-            RefitOutcome::Accepted(cand) => cand,
-            other => panic!("a 2x drift must be refitted, got {other:?}"),
-        }
-    };
-
-    let plain = refit(&SerialLive(inst.clone()));
-    let mut with_threshold = inst;
-    with_threshold.pipeline.serial_footprint = Some(1e9);
-    let live = SerialLive(with_threshold);
-    assert!(live.0.answers_serial(Dims::d3(2000, 2000, 2000)));
-    let cand = refit(&live);
-
-    let refitted = &cand.installed;
-    assert_eq!(refitted.pipeline.serial_footprint, None);
-    let cands = refitted.candidates();
-    for i in 0..60usize {
-        let dims = Dims::d3(1024 + 16 * i, 1152 + 12 * i, 1280 + 20 * i);
-        assert!(!refitted.answers_serial(dims));
-        let swept = predict_best_nt(&refitted.model, &refitted.pipeline, routine, dims, &cands);
-        assert_eq!(refitted.predict_nt(dims), swept);
-    }
-    // The live threshold changed nothing else about the outcome.
-    assert_eq!(cand.selected, plain.selected);
-    assert_eq!(
-        cand.candidate_rmse.to_bits(),
-        plain.candidate_rmse.to_bits()
-    );
-    assert_eq!(cand.live_rmse.to_bits(), plain.live_rmse.to_bits());
-    assert_eq!(refitted.version, 2);
-    assert_eq!(refitted.pipeline, plain.installed.pipeline);
-    assert_eq!(refitted.model, plain.installed.model);
-    assert_eq!(refitted.trained_samples, plain.installed.trained_samples);
-}
-
-#[test]
 fn too_small_windows_and_opaque_models_do_not_refit() {
     use adsala_serve::adapt::{refit_from_records, RefitOutcome};
 

@@ -545,8 +545,8 @@ fn batch_submission_amortises_prediction_across_shape_groups() {
     }
     let (hits, misses) = service.runtime().predictor(routine).unwrap().cache_stats();
     // One prediction sweep per distinct (routine, dims) group — not per op.
-    // The interleaved shapes would evict the last-call cache on every
-    // per-op prediction (8 misses); grouped pricing does 2 sweeps total.
+    // Per-op prediction would look the table up once per op (2 misses,
+    // 6 hits); grouped pricing does 2 sweeps and no lookup besides.
     assert_eq!(misses, 2, "expected one sweep per shape group");
     assert_eq!(hits, 0, "grouped pricing never re-consults the cache");
 }
