@@ -108,6 +108,10 @@ pub fn evaluate(
         let nt = predictor.predict(s.dims);
         let t_eval = t0.elapsed().as_secs_f64();
         let rep = 7_000_000 + i as u64;
+        // A discarded call first: the timer may keep a shape's operands,
+        // and the pair's first call would otherwise pay for faulting in
+        // the fresh output's pages that the second call finds warm.
+        timer.time(routine, s.dims, nt_max, rep);
         let t_max = timer.time(routine, s.dims, nt_max, rep);
         let t_chosen = timer.time(routine, s.dims, nt, rep);
         records.push(EvalRecord {
@@ -134,7 +138,7 @@ pub fn evaluate(
 mod tests {
     use super::*;
     use crate::install::{install_routine, InstallOptions};
-    use crate::timer::SimTimer;
+    use crate::timer::{LoggedTimer, SimTimer};
     use adsala_blas3::op::{OpKind, Precision, Routine};
     use adsala_machine::MachineSpec;
     use adsala_ml::model::ModelKind;
@@ -177,6 +181,28 @@ mod tests {
         }
         let mean = ev.records.iter().map(|r| r.t_eval).sum::<f64>() / 30.0;
         assert!((ev.t_eval - mean).abs() <= 1e-12 * mean);
+    }
+
+    #[test]
+    fn every_timed_pair_follows_a_discarded_call_on_its_dims() {
+        let timer = SimTimer::new(MachineSpec::gadi());
+        let r = Routine::new(OpKind::Gemm, Precision::Double);
+        let opts = InstallOptions {
+            n_train: 60,
+            n_eval: 5,
+            kinds: vec![ModelKind::LinearRegression],
+            nt_stride: 8,
+            ..Default::default()
+        };
+        let inst = install_routine(&timer, r, &opts);
+        let logged = LoggedTimer::new(timer);
+        let ev = evaluate(&logged, &inst, 12, 7);
+        let pairs = logged.warmed_pairs();
+        assert_eq!(pairs.len(), ev.records.len());
+        for (rec, &(dims, nt, t_max, t_chosen)) in ev.records.iter().zip(&pairs) {
+            assert_eq!((rec.dims, rec.nt_chosen), (dims, nt));
+            assert_eq!((rec.t_max, rec.t_chosen), (t_max, t_chosen));
+        }
     }
 
     #[test]

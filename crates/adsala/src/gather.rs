@@ -76,7 +76,8 @@ fn timed(timer: &dyn BlasTimer, routine: Routine, samples: Vec<Sample>) -> Gathe
 /// Draw `shapes` shapes from `sampler` and time each at every thread count
 /// in `cands` (the sampler's own `nt` draw is unused) — the all-candidates
 /// corpus a host with few candidates can afford. Rows are shape-major, in
-/// `cands` order.
+/// `cands` order, so a [`RealTimer`](crate::timer::RealTimer) builds each
+/// shape's operands once for all its candidates.
 pub fn gather_all_candidates(
     timer: &dyn BlasTimer,
     sampler: &mut DomainSampler,

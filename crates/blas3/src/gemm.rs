@@ -50,8 +50,8 @@ pub fn gemm<T: Float>(
 }
 
 /// `C = alpha * A * B + beta * C` for two already-operated `m x k` / `k x n`
-/// packing sources, as one team region: GEMM's whole body, and SYMM's once
-/// its symmetric operand is a mirroring gather.
+/// packing sources, as one team region: GEMM's whole body, and SYMM's with
+/// its symmetric operand as a [`PackSrc::Symmetric`].
 ///
 /// The caller has checked that the sources cover `m x k` and `k x n` for
 /// the `m x n` view C.
@@ -91,8 +91,7 @@ pub(crate) fn scaled_product<T: Float>(
         }
         // SAFETY: C is exclusively borrowed for this call and the team is
         // the only accessor; shared bufs outlive the region; the sources
-        // cover the m x k / k x n extents (caller's check; a gather closure
-        // accepts any in-range index).
+        // cover the m x k / k x n extents (caller's check).
         unsafe {
             gemm_cooperative(&disp, &team, m, n, k, alpha, a, b, cptr.get(), ldc, &shared);
         }

@@ -17,11 +17,15 @@
 //! Operands are described by a [`PackSrc`]: either a **strided descriptor**
 //! (`element(i, j) = *(ptr + i*rs + j*cs)`) that covers plain and
 //! transposed column-major views — and lowers to contiguous `memcpy`-style
-//! copies when one stride is 1 — or a **gather closure** for operands with
-//! no affine layout (SYMM's symmetric mirroring). The strided path is what
-//! makes packing disappear from profiles: the seed's closure-per-element
-//! gather cost as much as a third of a mid-size GEMM once the micro-kernels
-//! went SIMD.
+//! copies when one stride is 1 — or a **symmetric** square operand with one
+//! triangle stored (SYMM's A). The symmetric one has no affine layout, but
+//! at depth `q` the rows a panel needs are column `q` of the full matrix:
+//! those on the stored side of the diagonal are one contiguous run of
+//! column `q`, the rest one strided run along row `q`. By symmetry the same
+//! two runs serve a B-side panel, whose columns at depth `q` are row `q`.
+//! Packing by runs rather than by element is what makes packing disappear
+//! from profiles: a closure call per element cost as much as a third of a
+//! mid-size GEMM once the micro-kernels went SIMD.
 //!
 //! A triangular operand needs neither: every rectangle TRMM/TRSM fold in
 //! lies wholly inside the stored triangle and is a plain strided view, and
@@ -46,10 +50,10 @@
 
 use crate::call::op_shape;
 use crate::matrix::MatRef;
-use crate::{Diag, Float, Transpose};
+use crate::{Diag, Float, Transpose, Uplo};
 use std::marker::PhantomData;
 
-/// A strided, read-only 2-D operand view: `at(i, j) = base[i*rs + j*cs]`.
+/// A strided, read-only 2-D operand view: element `(i, j)` is `base[i*rs + j*cs]`.
 ///
 /// Covers every affine layout the routines need: a column-major matrix is
 /// `(rs, cs) = (1, ld)`, its transpose `(ld, 1)`.
@@ -113,27 +117,23 @@ impl<'a, T: Float> StridedSrc<'a, T> {
             _marker: PhantomData,
         }
     }
-
-    /// Element `(i, j)`.
-    ///
-    /// # Safety
-    /// `(i, j)` must be inside the extent the view was constructed for.
-    #[inline(always)]
-    pub unsafe fn at(&self, i: usize, j: usize) -> T {
-        *self.ptr.add(i * self.rs + j * self.cs)
-    }
 }
 
-/// One packable operand: strided descriptor fast path, gather fallback.
+/// One packable operand: an affine layout, or a symmetric one.
 ///
 /// The packers index it as `src(i, p)` (A-side) or `src(p, j)` (B-side) —
 /// the descriptor itself is orientation-agnostic.
 pub enum PackSrc<'a, T: Float> {
     /// Affine layout; packs via contiguous or strided copies.
     Strided(StridedSrc<'a, T>),
-    /// Arbitrary layout (symmetric mirror, triangular mask); packs via one
-    /// closure call per element.
-    Gather(&'a (dyn Fn(usize, usize) -> T + Sync)),
+    /// The full symmetric matrix of a square column-major view of which
+    /// only one triangle is read: element `(i, j)` outside it is `(j, i)`.
+    Symmetric {
+        /// The stored view (square).
+        a: MatRef<'a, T>,
+        /// Whether the upper triangle is the stored one.
+        upper: bool,
+    },
 }
 
 impl<'a, T: Float> PackSrc<'a, T> {
@@ -166,23 +166,47 @@ impl<'a, T: Float> PackSrc<'a, T> {
         PackSrc::Strided(StridedSrc::from_raw(ptr, rs, cs))
     }
 
-    /// Gather fallback.
-    pub fn gather(f: &'a (dyn Fn(usize, usize) -> T + Sync)) -> Self {
-        PackSrc::Gather(f)
-    }
-
-    /// Element `(i, j)`.
+    /// The symmetric matrix whose `uplo` triangle the square view `a`
+    /// stores.
     ///
-    /// # Safety
-    /// For the strided variant, `(i, j)` must be inside the constructed
-    /// extent; the gather variant is safe for any indices its closure
-    /// accepts.
-    #[inline(always)]
-    pub unsafe fn at(&self, i: usize, j: usize) -> T {
-        match self {
-            PackSrc::Strided(s) => s.at(i, j),
-            PackSrc::Gather(f) => f(i, j),
+    /// # Panics
+    /// If `a` is not square.
+    pub fn symmetric(a: MatRef<'a, T>, uplo: Uplo) -> Self {
+        assert_eq!(a.rows(), a.cols(), "a symmetric operand is square");
+        PackSrc::Symmetric {
+            a,
+            upper: uplo == Uplo::Upper,
         }
+    }
+}
+
+/// Rows `lo..hi` of column `q` of the symmetric matrix that the square view
+/// `a` stores the `upper` (else lower) triangle of, into the head of `dst`:
+/// the stored side of the diagonal is one contiguous run of column `q`, the
+/// other side one run along row `q` with stride `ld`.
+#[inline]
+fn symmetric_column<T: Float>(
+    a: MatRef<'_, T>,
+    upper: bool,
+    q: usize,
+    lo: usize,
+    hi: usize,
+    dst: &mut [T],
+) {
+    let (ld, data) = (a.ld(), a.data());
+    debug_assert!(lo <= hi && hi <= a.rows() && q < a.rows());
+    // The first row past the stored run (upper) or the first stored row
+    // (lower): the diagonal `(q, q)` is stored either way.
+    let split = if upper { q + 1 } else { q }.clamp(lo, hi);
+    let (stored, mirrored) = if upper {
+        (lo..split, split..hi)
+    } else {
+        (split..hi, lo..split)
+    };
+    dst[stored.start - lo..stored.end - lo]
+        .copy_from_slice(&data[stored.start + q * ld..stored.end + q * ld]);
+    for (i, d) in mirrored.clone().zip(&mut dst[mirrored.start - lo..]) {
+        *d = data[q + i * ld];
     }
 }
 
@@ -263,12 +287,11 @@ pub fn pack_a_panels<T: Float>(
                     dst[rows..].fill(T::ZERO);
                 }
             }
-            PackSrc::Gather(f) => {
+            PackSrc::Symmetric { a, upper } => {
+                let lo = i_off + i0;
                 for p in 0..kc {
                     let dst = &mut buf[base + p * mr..base + p * mr + mr];
-                    for (r, d) in dst.iter_mut().enumerate().take(rows) {
-                        *d = f(i_off + i0 + r, p_off + p);
-                    }
+                    symmetric_column(*a, *upper, p_off + p, lo, lo + rows, dst);
                     dst[rows..].fill(T::ZERO);
                 }
             }
@@ -357,12 +380,12 @@ pub fn pack_b_panels<T: Float>(
                     dst[cols..].fill(T::ZERO);
                 }
             }
-            PackSrc::Gather(f) => {
+            PackSrc::Symmetric { a, upper } => {
+                // Row `q` of a symmetric matrix is its column `q`.
+                let lo = j_off + j0;
                 for p in 0..kc {
                     let dst = &mut buf[base + p * nr..base + p * nr + nr];
-                    for (c, d) in dst.iter_mut().enumerate().take(cols) {
-                        *d = f(p_off + p, j_off + j0 + c);
-                    }
+                    symmetric_column(*a, *upper, p_off + p, lo, lo + cols, dst);
                     dst[cols..].fill(T::ZERO);
                 }
             }
@@ -451,8 +474,28 @@ pub fn pack_tri_panels<T: Float>(
 mod tests {
     use super::*;
 
-    fn gather_of(vals: &[f64], rows: usize) -> impl Fn(usize, usize) -> f64 + Sync + '_ {
-        move |i, j| vals[i + j * rows]
+    /// The packed A block an `mr`-row packer must produce when element
+    /// `(i, p)` of the `mc x kc` block is `at(i, p)`, index by index.
+    fn expected_a(mr: usize, mc: usize, kc: usize, at: impl Fn(usize, usize) -> f64) -> Vec<f64> {
+        let mut out = vec![0.0; packed_a_len(mr, mc, kc)];
+        for i in 0..mc {
+            for p in 0..kc {
+                out[(i / mr) * mr * kc + p * mr + i % mr] = at(i, p);
+            }
+        }
+        out
+    }
+
+    /// The packed B block an `nr`-column packer must produce when element
+    /// `(p, j)` of the `kc x nc` block is `at(p, j)`.
+    fn expected_b(nr: usize, kc: usize, nc: usize, at: impl Fn(usize, usize) -> f64) -> Vec<f64> {
+        let mut out = vec![0.0; packed_b_len(nr, kc, nc)];
+        for p in 0..kc {
+            for j in 0..nc {
+                out[(j / nr) * nr * kc + p * nr + j % nr] = at(p, j);
+            }
+        }
+        out
     }
 
     #[test]
@@ -470,19 +513,18 @@ mod tests {
     }
 
     #[test]
-    fn pack_a_strided_matches_gather() {
-        // Transposed view (rs = ld, cs = 1) must agree with the closure.
+    fn pack_a_strided_matches_direct_indexing() {
+        // Transposed view (rs = ld, cs = 1), block rooted at (2, 1).
         let (rows, cols) = (7, 9);
         let data: Vec<f64> = (0..rows * cols).map(|x| x as f64).collect();
         let strided = PackSrc::strided(&data, 0, rows, 1, cols, rows);
-        let g = |i: usize, p: usize| data[p + i * rows];
-        let gather = PackSrc::gather(&g);
         let (mr, mc, kc) = (4, 6, 5);
-        let mut b1 = vec![f64::NAN; packed_a_len(mr, mc, kc)];
-        let mut b2 = vec![f64::NAN; packed_a_len(mr, mc, kc)];
-        pack_a(mr, mc, kc, &strided, 2, 1, &mut b1);
-        pack_a(mr, mc, kc, &gather, 2, 1, &mut b2);
-        assert_eq!(b1, b2);
+        let mut buf = vec![f64::NAN; packed_a_len(mr, mc, kc)];
+        pack_a(mr, mc, kc, &strided, 2, 1, &mut buf);
+        assert_eq!(
+            buf,
+            expected_a(mr, mc, kc, |i, p| data[1 + p + (2 + i) * rows])
+        );
     }
 
     #[test]
@@ -542,16 +584,13 @@ mod tests {
         let t = PackSrc::strided(&data, 0, rows, 1, cols, rows);
         // rs == 1 path: element (p, j) = data[p + j*rows].
         let n = PackSrc::strided(&data, 0, 1, rows, rows, cols);
-        let g1 = |p: usize, j: usize| data[j + p * rows];
-        let g2 = |p: usize, j: usize| data[p + j * rows];
+        // Both rooted at (1, 2).
+        let gt = expected_b(nr, kc, nc, |p, j| data[2 + j + (1 + p) * rows]);
+        let gn = expected_b(nr, kc, nc, |p, j| data[1 + p + (2 + j) * rows]);
         let mut bt = vec![f64::NAN; packed_b_len(nr, kc, nc)];
         let mut bn = vec![f64::NAN; packed_b_len(nr, kc, nc)];
-        let mut gt = vec![f64::NAN; packed_b_len(nr, kc, nc)];
-        let mut gn = vec![f64::NAN; packed_b_len(nr, kc, nc)];
         pack_b(nr, kc, nc, &t, 1, 2, &mut bt);
         pack_b(nr, kc, nc, &n, 1, 2, &mut bn);
-        pack_b(nr, kc, nc, &PackSrc::gather(&g1), 1, 2, &mut gt);
-        pack_b(nr, kc, nc, &PackSrc::gather(&g2), 1, 2, &mut gn);
         assert_eq!(bt, gt);
         assert_eq!(bn, gn);
     }
@@ -583,8 +622,7 @@ mod tests {
         let vals: Vec<f64> = (0..mc * kc)
             .map(|x| ((x % mc) * 31 + x / mc) as f64)
             .collect();
-        let g = gather_of(&vals, mc);
-        let src = PackSrc::gather(&g);
+        let src = PackSrc::strided(&vals, 0, 1, mc, mc, kc);
         let mut buf = vec![f64::NAN; packed_a_len(mr, mc, kc)];
         pack_a(mr, mc, kc, &src, 0, 0, &mut buf);
         for i in 0..mc {
@@ -593,6 +631,54 @@ mod tests {
                 let r = i % mr;
                 let v = buf[panel * mr * kc + p * mr + r];
                 assert_eq!(v, (i * 31 + p) as f64);
+            }
+        }
+    }
+
+    #[test]
+    fn symmetric_packs_match_direct_indexing_on_both_sides() {
+        // A 23 x 23 view at (1, 2) of a 27-row column-major buffer; the
+        // triangle not stored is NaN, so reading it fails the comparison.
+        let (n, ld, mr, nr) = (23, 27, 4, 6);
+        // (row or column offset, count, depth offset, depth): the whole
+        // matrix, blocks wholly above and wholly below the diagonal, and a
+        // straddling block; 7, 9 and 10 leave edge panels at mr = 4 and
+        // nr = 6.
+        let blocks = [(0, n, 0, n), (0, 7, 12, 9), (13, 10, 0, 11), (5, 9, 3, 10)];
+        for uplo in [Uplo::Upper, Uplo::Lower] {
+            let stored = |i: usize, j: usize| match uplo {
+                Uplo::Upper => i <= j,
+                Uplo::Lower => i >= j,
+            };
+            let mut data = vec![f64::NAN; ld * (n + 2)];
+            for j in 0..n {
+                for i in (0..n).filter(|&i| stored(i, j)) {
+                    data[1 + i + (2 + j) * ld] = (1 + i + 100 * j) as f64;
+                }
+            }
+            let a = MatRef::new(ld, n + 2, ld, &data)
+                .submatrix(1, 2, n, n)
+                .unwrap();
+            let sym = |i: usize, j: usize| match stored(i, j) {
+                true => data[1 + i + (2 + j) * ld],
+                false => data[1 + j + (2 + i) * ld],
+            };
+            let src = PackSrc::symmetric(a, uplo);
+            for (off, len, d_off, depth) in blocks {
+                let mut got = vec![f64::NAN; packed_a_len(mr, len, depth)];
+                pack_a(mr, len, depth, &src, off, d_off, &mut got);
+                let want = expected_a(mr, len, depth, |i, p| sym(off + i, d_off + p));
+                assert_eq!(
+                    got, want,
+                    "A side {uplo:?} rows {off}+{len} depth {d_off}+{depth}"
+                );
+                let mut got = vec![f64::NAN; packed_b_len(nr, depth, len)];
+                pack_b(nr, depth, len, &src, d_off, off, &mut got);
+                let want = expected_b(nr, depth, len, |p, j| sym(d_off + p, off + j));
+                assert_eq!(
+                    got, want,
+                    "B side {uplo:?} cols {off}+{len} depth {d_off}+{depth}"
+                );
             }
         }
     }

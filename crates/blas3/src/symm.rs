@@ -2,14 +2,15 @@
 //! `C = alpha*A*B + beta*C` (Left) or `C = alpha*B*A + beta*C` (Right),
 //! where A is symmetric with only the `uplo` triangle stored.
 //!
-//! SYMM is GEMM whose one operand is a mirroring gather [`PackSrc`] —
-//! element `(i, j)` outside the stored triangle reads the transposed
-//! location — so it runs GEMM's own scaled-product region
-//! (`scaled_product`), with the two operands ordered by `side`. The
-//! packing layer materialises the mirror into the shared packed panels —
-//! packed **once per cache block by the whole team**, which matters double
-//! here because the gather path is the expensive one — and the micro-kernel
-//! is oblivious. The dense B operand takes the strided fast path.
+//! SYMM is GEMM whose one operand is a symmetric [`PackSrc`] — element
+//! `(i, j)` outside the stored triangle reads the transposed location — so
+//! it runs GEMM's own scaled-product region (`scaled_product`), with the
+//! two operands ordered by `side`. The packing layer materialises the
+//! mirror into the shared packed panels — packed **once per cache block by
+//! the whole team**, each panel depth as one contiguous run of the stored
+//! column plus one strided run along the mirrored row — and the
+//! micro-kernel is oblivious. The dense B operand takes the strided fast
+//! path.
 //!
 //! Within the backend seam this module is the kernel level: the driver
 //! below takes the operand views a validated
@@ -41,18 +42,7 @@ pub fn symm<T: Float>(
     c: MatMut<'_, T>,
 ) {
     entry(symm_shape(side, a, b, c.as_ref()));
-    let sym_at = move |i: usize, j: usize| {
-        let stored = match uplo {
-            Uplo::Upper => i <= j,
-            Uplo::Lower => i >= j,
-        };
-        if stored {
-            a.get(i, j)
-        } else {
-            a.get(j, i)
-        }
-    };
-    let sym_src = PackSrc::gather(&sym_at);
+    let sym_src = PackSrc::symmetric(a, uplo);
     let b_src = PackSrc::matrix(b, Transpose::No);
     // C += alpha * A_sym * B on the Left, alpha * B * A_sym on the Right.
     let (lhs, rhs) = by_side(side, &sym_src, &b_src);
