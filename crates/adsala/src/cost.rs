@@ -17,7 +17,9 @@
 //!   pre-swap from post-swap behaviour and prediction tables can
 //!   invalidate on version bumps.
 //! * [`SwapError`] — the typed failure of
-//!   [`Adsala::swap_model`](crate::runtime::Adsala::swap_model).
+//!   [`Adsala::swap_model_if`](crate::runtime::Adsala::swap_model_if), the
+//!   one way to publish a new epoch: a compare-and-swap against the epoch
+//!   the replacement was prepared from.
 //!
 //! See [`crate::predictor::ThreadPredictor`] for the swap mechanics and
 //! `adsala-serve`'s `adapt` module for the drift → refit → swap driver built
@@ -129,8 +131,8 @@ impl ModelEpoch {
     }
 }
 
-/// Why [`Adsala::swap_model`](crate::runtime::Adsala::swap_model) refused a
-/// swap.
+/// Why [`Adsala::swap_model_if`](crate::runtime::Adsala::swap_model_if)
+/// refused a swap.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[non_exhaustive]
 pub enum SwapError {
@@ -144,8 +146,8 @@ pub enum SwapError {
         /// Routine the offered model claims to price.
         model: Routine,
     },
-    /// A conditional swap lost the race: the slot no longer serves the
-    /// epoch the replacement was prepared against.
+    /// The swap lost the race: the slot no longer serves the epoch the
+    /// replacement was prepared against.
     VersionConflict {
         /// Epoch version the caller refitted against.
         expected: u64,

@@ -6,7 +6,7 @@
 
 use crate::install::InstalledRoutine;
 use crate::predictor::ThreadPredictor;
-use crate::timer::BlasTimer;
+use crate::timer::{time_against_max, BlasTimer};
 use adsala_blas3::op::Dims;
 use serde::{Deserialize, Serialize};
 use std::time::Instant;
@@ -98,7 +98,6 @@ pub fn evaluate(
     let predictor = ThreadPredictor::new(installed.clone());
     let mut sampler = adsala_sampling::DomainSampler::new(routine, timer.max_threads(), seed);
     sampler.skip(50_000);
-    let nt_max = timer.max_threads();
     let mut records = Vec::with_capacity(n);
     for i in 0..n {
         let s = sampler.sample();
@@ -107,13 +106,7 @@ pub fn evaluate(
         let t0 = Instant::now();
         let nt = predictor.predict(s.dims);
         let t_eval = t0.elapsed().as_secs_f64();
-        let rep = 7_000_000 + i as u64;
-        // A discarded call first: the timer may keep a shape's operands,
-        // and the pair's first call would otherwise pay for faulting in
-        // the fresh output's pages that the second call finds warm.
-        timer.time(routine, s.dims, nt_max, rep);
-        let t_max = timer.time(routine, s.dims, nt_max, rep);
-        let t_chosen = timer.time(routine, s.dims, nt, rep);
+        let (t_max, t_chosen) = time_against_max(timer, routine, s.dims, nt, 7_000_000 + i as u64);
         records.push(EvalRecord {
             dims: s.dims,
             nt_chosen: nt,

@@ -27,7 +27,7 @@
 use crate::features::{features_into, MAX_FEATURES};
 use crate::gather::{gather, gather_offset, Gathered};
 use crate::pipeline::{fit_pipeline, PipelineConfig};
-use crate::timer::BlasTimer;
+use crate::timer::{time_against_max, BlasTimer};
 use adsala_blas3::op::{Dims, Routine};
 use adsala_ml::metrics::rmse;
 use adsala_ml::model::{HyperParams, Model, ModelKind, Regressor};
@@ -280,7 +280,6 @@ fn evaluate_model(
     eval: &Gathered,
     cands: &[usize],
 ) -> (f64, f64, f64, f64, f64) {
-    let nt_max = timer.max_threads();
     // Measure the sweep cost on a handful of points (paper: "averaging
     // multiple runs").
     let reps = 5.min(eval.samples.len());
@@ -296,13 +295,9 @@ fn evaluate_model(
     let mut sum_choice = 0.0;
     let mut sum_choice_est = 0.0;
     for (i, s) in eval.samples.iter().enumerate() {
-        let rep = 1_000_000 + i as u64;
         let choice = predict_best_nt(model, pipeline, routine, s.dims, cands);
-        // Discarded, so both timed calls find the shape warm (see
-        // `evaluate::evaluate`).
-        timer.time(routine, s.dims, nt_max, rep);
-        let t_max = timer.time(routine, s.dims, nt_max, rep);
-        let t_choice = timer.time(routine, s.dims, choice, rep);
+        let (t_max, t_choice) =
+            time_against_max(timer, routine, s.dims, choice, 1_000_000 + i as u64);
         ratios.push(t_max / t_choice);
         est_ratios.push(t_max / (t_choice + eval_time));
         sum_max += t_max;

@@ -30,8 +30,9 @@
 //!
 //! **Online adaptation** ([`cost`]): prediction is a first-class, object-safe
 //! [`cost::CostModel`] published through versioned [`cost::ModelEpoch`]s, and
-//! [`runtime::Adsala::swap_model`] replaces a routine's model in a *live*
-//! runtime — the seam the `adsala-serve` drift → refit → swap loop drives.
+//! [`runtime::Adsala::swap_model_if`] replaces a routine's model in a
+//! *live* runtime, by compare-and-swap on the epoch version — the seam the
+//! `adsala-serve` drift → refit → swap loop drives.
 
 #![warn(missing_docs)]
 

@@ -5,7 +5,7 @@
 //! as a hot-swappable slot.
 //!
 //! A predictor no longer owns its model: it owns an `Arc`-published
-//! [`ModelEpoch`] that [`ThreadPredictor::swap`] can replace atomically
+//! [`ModelEpoch`] that [`ThreadPredictor::swap_if`] can replace atomically
 //! while calls are in flight. Every table entry is tagged with the epoch
 //! version that filled it, so a swap invalidates the table implicitly — an
 //! entry from epoch N can never be served under epoch N+1.
@@ -142,31 +142,21 @@ impl ThreadPredictor {
         Arc::clone(&self.lock().epoch)
     }
 
-    /// Publish a new model, bumping the epoch version by one. Callers that
-    /// were mid-prediction keep the epoch they started with; the table
-    /// stops matching on the next lookup (its entries are version-tagged).
-    /// Returns the new version.
+    /// Compare-and-swap publication: publish `model` only if the current
+    /// epoch version still equals `expected`, bumping it by one, so two
+    /// concurrent refit drivers cannot silently replace each other's
+    /// accepted models. Callers that were mid-prediction keep the epoch
+    /// they started with; the table stops matching on the next lookup (its
+    /// entries are version-tagged). Returns the new version, or
+    /// `Err(current_version)` when another swap won the race (the caller's
+    /// refit is stale — re-observe and refit again rather than
+    /// force-publishing).
     ///
     /// # Panics
     /// If `model` prices a different routine than this slot serves —
-    /// [`Adsala::swap_model`](crate::runtime::Adsala::swap_model) is the
-    /// typed-error front door.
-    pub fn swap(&self, model: Arc<dyn CostModel>) -> u64 {
-        self.publish(None, model)
-            .expect("unconditional swap cannot conflict")
-    }
-
-    /// Compare-and-swap publication: publish `model` only if the current
-    /// epoch version still equals `expected`, so two concurrent refit
-    /// drivers cannot silently replace each other's accepted models.
-    /// Returns the new version, or `Err(current_version)` when another
-    /// swap won the race (the caller's refit is stale — re-observe and
-    /// refit again rather than force-publishing).
+    /// [`Adsala::swap_model_if`](crate::runtime::Adsala::swap_model_if) is
+    /// the typed-error front door.
     pub fn swap_if(&self, expected: u64, model: Arc<dyn CostModel>) -> Result<u64, u64> {
-        self.publish(Some(expected), model)
-    }
-
-    fn publish(&self, expected: Option<u64>, model: Arc<dyn CostModel>) -> Result<u64, u64> {
         assert_eq!(
             model.routine(),
             self.routine,
@@ -174,7 +164,7 @@ impl ThreadPredictor {
         );
         let mut slot = self.lock();
         let current = slot.epoch.version();
-        if expected.is_some_and(|expected| expected != current) {
+        if expected != current {
             return Err(current);
         }
         let version = current + 1;
@@ -427,7 +417,7 @@ mod tests {
         }
         // A swap invalidates every entry.
         let replacement = q.epoch().installed().unwrap().clone();
-        q.swap(Arc::new(replacement));
+        q.swap_if(1, Arc::new(replacement)).unwrap();
         let before = q.cache_stats();
         for d in shapes {
             q.predict(d);
@@ -455,7 +445,7 @@ mod tests {
         assert_eq!(old.version(), 1);
 
         let replacement = old.installed().unwrap().clone();
-        let v = p.swap(Arc::new(replacement));
+        let v = p.swap_if(1, Arc::new(replacement)).unwrap();
         assert_eq!(v, 2);
         assert_eq!(p.epoch().version(), 2);
         assert_eq!(p.swap_count(), 1);
@@ -488,7 +478,7 @@ mod tests {
                 ..Default::default()
             },
         );
-        p.swap(Arc::new(other));
+        let _ = p.swap_if(1, Arc::new(other));
     }
 
     #[test]

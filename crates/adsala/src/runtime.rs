@@ -11,8 +11,8 @@
 //! dispatch through the backend trait.
 //!
 //! Build instances with [`Adsala::builder`] (choose the backend, point at a
-//! model directory, set the fallback thread count), or use the
-//! [`Adsala::new`]/[`Adsala::load`] shims that pin the [`NativeBackend`].
+//! model directory, set the fallback thread count), or use [`Adsala::new`]
+//! on already-installed routines with the [`NativeBackend`].
 //! The six wide per-routine methods (`gemm`, `symm`, ...) remain as thin
 //! shims over [`Blas3Op`] so existing call sites keep compiling.
 //!
@@ -30,7 +30,7 @@ use adsala_blas3::{
     Uplo,
 };
 use std::collections::HashMap;
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::sync::Arc;
 
 /// The runtime library instance, generic over the executing backend.
@@ -100,16 +100,6 @@ impl Adsala<NativeBackend> {
     /// baseline: max threads).
     pub fn new(installed: Vec<InstalledRoutine>, fallback_nt: usize) -> Adsala {
         Adsala::with_backend(NativeBackend, installed, fallback_nt)
-    }
-
-    /// Load every routine saved for `platform` under `dir`, serving them
-    /// with the native backend.
-    pub fn load(dir: &Path, platform: &str, fallback_nt: usize) -> std::io::Result<Adsala> {
-        Adsala::builder()
-            .model_dir(dir)
-            .platform(platform)
-            .fallback_nt(fallback_nt)
-            .build()
     }
 }
 
@@ -183,12 +173,7 @@ impl<B: Blas3Backend> AdsalaBuilder<B> {
 }
 
 impl<B: Blas3Backend> Adsala<B> {
-    /// Build from pre-installed routines on an explicit backend.
-    pub fn with_backend(
-        backend: B,
-        installed: Vec<InstalledRoutine>,
-        fallback_nt: usize,
-    ) -> Adsala<B> {
+    fn with_backend(backend: B, installed: Vec<InstalledRoutine>, fallback_nt: usize) -> Adsala<B> {
         let predictors = installed
             .into_iter()
             .map(|i| (i.routine, ThreadPredictor::new(i)))
@@ -250,13 +235,16 @@ impl<B: Blas3Backend> Adsala<B> {
         self.predictors.get(&routine).map(|p| p.epoch())
     }
 
-    /// Publish a new cost model for `routine` without stopping the runtime.
+    /// Publish a new cost model for `routine` without stopping the runtime,
+    /// provided the slot still serves epoch `expected` — the compare-and-swap
+    /// that keeps two refit drivers (or a driver racing an operator) from
+    /// silently replacing each other's accepted models. Returns the new
+    /// epoch version.
     ///
     /// The swap is atomic from the callers' perspective: predictions in
     /// flight finish against the epoch they started with, later predictions
     /// see the new one, and the routine's table of predictions cannot serve
     /// entries computed under the old epoch (entries are version-tagged).
-    /// Returns the new epoch version.
     ///
     /// This is the runtime half of the online-adaptation loop: a refit
     /// driver (see `adsala-serve`'s `adapt` module) watches telemetry,
@@ -266,42 +254,15 @@ impl<B: Blas3Backend> Adsala<B> {
     /// [`SwapError::UnknownRoutine`] when no predictor slot exists for the
     /// routine (swaps replace models; they do not install new routines),
     /// [`SwapError::RoutineMismatch`] when the model prices a different
-    /// routine than the slot serves.
-    pub fn swap_model(
-        &self,
-        routine: Routine,
-        model: Arc<dyn CostModel>,
-    ) -> Result<u64, SwapError> {
-        let slot = self.swap_slot(routine, &model)?;
-        Ok(slot.swap(model))
-    }
-
-    /// [`Adsala::swap_model`], but only if the slot still serves epoch
-    /// `expected` — the compare-and-swap a refit driver needs so that two
-    /// concurrent drivers (or a driver racing an operator) cannot silently
-    /// replace each other's accepted models.
-    ///
-    /// # Errors
-    /// Everything [`Adsala::swap_model`] returns, plus
-    /// [`SwapError::VersionConflict`] when another swap won the race; the
-    /// caller's refit is stale — re-observe under the new epoch instead of
-    /// force-publishing.
+    /// routine than the slot serves, and [`SwapError::VersionConflict`]
+    /// when another swap won the race: the caller's refit is stale —
+    /// re-observe under the new epoch instead of force-publishing.
     pub fn swap_model_if(
         &self,
         routine: Routine,
         expected: u64,
         model: Arc<dyn CostModel>,
     ) -> Result<u64, SwapError> {
-        let slot = self.swap_slot(routine, &model)?;
-        slot.swap_if(expected, model)
-            .map_err(|current| SwapError::VersionConflict { expected, current })
-    }
-
-    fn swap_slot(
-        &self,
-        routine: Routine,
-        model: &Arc<dyn CostModel>,
-    ) -> Result<&ThreadPredictor, SwapError> {
         let slot = self
             .predictors
             .get(&routine)
@@ -312,7 +273,8 @@ impl<B: Blas3Backend> Adsala<B> {
                 model: model.routine(),
             });
         }
-        Ok(slot)
+        slot.swap_if(expected, model)
+            .map_err(|current| SwapError::VersionConflict { expected, current })
     }
 
     /// The single dispatch path every call goes through: validate the call
@@ -833,7 +795,7 @@ mod tests {
     }
 
     #[test]
-    fn swap_model_serves_the_new_epoch_and_invalidates_the_cache() {
+    fn swap_model_if_serves_the_new_epoch_and_invalidates_the_cache() {
         let lib = mini_adsala(&["dgemm"]);
         let r = Routine::parse("dgemm").unwrap();
         let d = Dims::d3(128, 128, 128);
@@ -846,7 +808,7 @@ mod tests {
             nt: before.nt + 1,
             secs: 42.0,
         };
-        let v = lib.swap_model(r, std::sync::Arc::new(stub)).unwrap();
+        let v = lib.swap_model_if(r, 1, std::sync::Arc::new(stub)).unwrap();
         assert_eq!(v, 2);
         assert_eq!(lib.model_epoch(r).unwrap().version(), 2);
 
@@ -861,7 +823,7 @@ mod tests {
     }
 
     #[test]
-    fn swap_model_rejects_unknown_and_mismatched_routines() {
+    fn swap_model_if_rejects_unknown_and_mismatched_routines() {
         let lib = mini_adsala(&["dgemm"]);
         let dgemm = Routine::parse("dgemm").unwrap();
         let strsm = Routine::parse("strsm").unwrap();
@@ -873,11 +835,11 @@ mod tests {
             })
         };
         assert_eq!(
-            lib.swap_model(strsm, stub(strsm)).unwrap_err(),
+            lib.swap_model_if(strsm, 1, stub(strsm)).unwrap_err(),
             crate::cost::SwapError::UnknownRoutine(strsm),
         );
         assert_eq!(
-            lib.swap_model(dgemm, stub(strsm)).unwrap_err(),
+            lib.swap_model_if(dgemm, 1, stub(strsm)).unwrap_err(),
             crate::cost::SwapError::RoutineMismatch {
                 slot: dgemm,
                 model: strsm,
@@ -921,9 +883,10 @@ mod tests {
         let swapper = {
             let lib = std::sync::Arc::clone(&lib);
             std::thread::spawn(move || {
-                for _ in 0..50 {
-                    lib.swap_model(
+                for expected in 1..=50 {
+                    lib.swap_model_if(
                         r,
+                        expected,
                         std::sync::Arc::new(FixedModel {
                             routine: r,
                             nt: 97,

@@ -62,6 +62,25 @@ pub trait BlasTimer: Sync {
     fn platform(&self) -> &str;
 }
 
+/// `(t_max, t_nt)`: one call of `routine` on `dims` timed at the timer's
+/// maximum thread count, then one at `nt`, both under repeat `rep` — the
+/// pair every speed-up is formed from. A discarded call at the maximum
+/// comes first: the timer may keep a shape's operands, and the pair's
+/// first call would otherwise pay for faulting in the fresh output's pages
+/// that the second call finds warm.
+pub(crate) fn time_against_max(
+    timer: &dyn BlasTimer,
+    routine: Routine,
+    dims: Dims,
+    nt: usize,
+    rep: u64,
+) -> (f64, f64) {
+    let nt_max = timer.max_threads();
+    timer.time(routine, dims, nt_max, rep);
+    let t_max = timer.time(routine, dims, nt_max, rep);
+    (t_max, timer.time(routine, dims, nt, rep))
+}
+
 /// Simulated timer over the analytic machine model.
 #[derive(Debug, Clone)]
 pub struct SimTimer {

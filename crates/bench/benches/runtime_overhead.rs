@@ -173,22 +173,28 @@ fn bench_epoch_swap(c: &mut Criterion) {
     let b: Arc<dyn adsala::cost::CostModel> = Arc::new(installed(ModelKind::LinearRegression));
     group.bench_function("swap_model", |bch| {
         let mut flip = false;
+        let mut version = p.epoch().version();
         bch.iter(|| {
             flip = !flip;
-            p.swap(std::hint::black_box(if flip {
-                a.clone()
-            } else {
-                b.clone()
-            }))
+            version = p
+                .swap_if(
+                    version,
+                    std::hint::black_box(if flip { a.clone() } else { b.clone() }),
+                )
+                .unwrap();
+            version
         })
     });
     group.bench_function("predict_after_swap", |bch| {
         // Every iteration invalidates the cache by version bump, so this is
         // the swap + cold-lookup path a refit loop actually pays.
         let mut flip = false;
+        let mut version = p.epoch().version();
         bch.iter(|| {
             flip = !flip;
-            p.swap(if flip { a.clone() } else { b.clone() });
+            version = p
+                .swap_if(version, if flip { a.clone() } else { b.clone() })
+                .unwrap();
             p.predict(std::hint::black_box(d))
         })
     });

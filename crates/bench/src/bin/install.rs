@@ -1,6 +1,7 @@
 //! Installation CLI (paper Fig. 1a): gathers timing data, trains and
 //! selects models for every requested routine, and saves the config +
-//! model files for later use by the runtime library (`Adsala::load`).
+//! model files for later use by the runtime library
+//! (`Adsala::builder().model_dir(..).platform(..)`).
 //!
 //! ```text
 //! cargo run --release -p adsala-bench --bin install -- \

@@ -56,12 +56,16 @@ use std::marker::PhantomData;
 /// A strided, read-only 2-D operand view: element `(i, j)` is `base[i*rs + j*cs]`.
 ///
 /// Covers every affine layout the routines need: a column-major matrix is
-/// `(rs, cs) = (1, ld)`, its transpose `(ld, 1)`.
+/// `(rs, cs) = (1, ld)`, its transpose `(ld, 1)`. The view keeps the
+/// extent `(rows, cols)` it may be read in; the packers check each block
+/// against it.
 #[derive(Clone, Copy)]
 pub struct StridedSrc<'a, T> {
     ptr: *const T,
     rs: usize,
     cs: usize,
+    rows: usize,
+    cols: usize,
     _marker: PhantomData<&'a T>,
 }
 
@@ -97,13 +101,16 @@ impl<'a, T: Float> StridedSrc<'a, T> {
             ptr: data.as_ptr().wrapping_add(off),
             rs,
             cs,
+            rows,
+            cols,
             _marker: PhantomData,
         }
     }
 
     /// Unchecked view rooted at `ptr` (for operands only reachable through
     /// a raw pointer, e.g. the in-place routines reading their own output
-    /// matrix while other regions of it are being written).
+    /// matrix while other regions of it are being written). Its extent is
+    /// unbounded: the caller promises it.
     ///
     /// # Safety
     /// `ptr + i*rs + j*cs` must be readable for every `(i, j)` the packing
@@ -114,8 +121,23 @@ impl<'a, T: Float> StridedSrc<'a, T> {
             ptr,
             rs,
             cs,
+            rows: usize::MAX,
+            cols: usize::MAX,
             _marker: PhantomData,
         }
+    }
+
+    /// Panics unless the `rows x cols` block rooted at `(i_off, j_off)`
+    /// lies inside the view's extent — the one check that stands behind
+    /// every unchecked read a packer makes of the block.
+    fn check_block(&self, i_off: usize, rows: usize, j_off: usize, cols: usize) {
+        assert!(
+            rows <= self.rows.saturating_sub(i_off) && cols <= self.cols.saturating_sub(j_off),
+            "block {rows}x{cols} at ({i_off}, {j_off}) reaches past the \
+             strided view's {}x{} extent",
+            self.rows,
+            self.cols
+        );
     }
 }
 
@@ -255,6 +277,9 @@ pub fn pack_a_panels<T: Float>(
 ) {
     debug_assert!(panel_hi <= mc.div_ceil(mr));
     assert!(buf.len() >= (panel_hi - panel_lo) * mr * kc);
+    if let PackSrc::Strided(s) = src {
+        s.check_block(i_off, mc, p_off, kc);
+    }
     for panel in panel_lo..panel_hi {
         let i0 = panel * mr;
         let rows = mr.min(mc - i0);
@@ -265,8 +290,8 @@ pub fn pack_a_panels<T: Float>(
                 // of `rows` source elements.
                 for p in 0..kc {
                     let dst = &mut buf[base + p * mr..base + p * mr + mr];
-                    // SAFETY: the view's constructor bounds the extent; the
-                    // run (i_off+i0 .. +rows, p_off+p) is inside it.
+                    // SAFETY: check_block put the block inside the view's
+                    // extent; the run (i_off+i0 .. +rows, p_off+p) is in it.
                     unsafe {
                         let sp = s.ptr.add((i_off + i0) + (p_off + p) * s.cs);
                         std::ptr::copy_nonoverlapping(sp, dst.as_mut_ptr(), rows);
@@ -277,7 +302,7 @@ pub fn pack_a_panels<T: Float>(
             PackSrc::Strided(s) => {
                 for p in 0..kc {
                     let dst = &mut buf[base + p * mr..base + p * mr + mr];
-                    // SAFETY: extent bounded by the view's constructor.
+                    // SAFETY: check_block put the block inside the view.
                     unsafe {
                         let sp = s.ptr.add((i_off + i0) * s.rs + (p_off + p) * s.cs);
                         for (r, d) in dst.iter_mut().enumerate().take(rows) {
@@ -330,6 +355,9 @@ pub fn pack_b_panels<T: Float>(
 ) {
     debug_assert!(panel_hi <= nc.div_ceil(nr));
     assert!(buf.len() >= (panel_hi - panel_lo) * nr * kc);
+    if let PackSrc::Strided(s) = src {
+        s.check_block(p_off, kc, j_off, nc);
+    }
     for panel in panel_lo..panel_hi {
         let j0 = panel * nr;
         let cols = nr.min(nc - j0);
@@ -340,7 +368,7 @@ pub fn pack_b_panels<T: Float>(
                 // run of `cols` source elements.
                 for p in 0..kc {
                     let dst = &mut buf[base + p * nr..base + p * nr + nr];
-                    // SAFETY: extent bounded by the view's constructor.
+                    // SAFETY: check_block put the block inside the view.
                     unsafe {
                         let sp = s.ptr.add((p_off + p) * s.rs + (j_off + j0));
                         std::ptr::copy_nonoverlapping(sp, dst.as_mut_ptr(), cols);
@@ -354,7 +382,7 @@ pub fn pack_b_panels<T: Float>(
                 // `nr` — sequential loads, short strided stores.
                 if kc > 0 {
                     for c in 0..cols {
-                        // SAFETY: extent bounded by the view's constructor.
+                        // SAFETY: check_block put the block inside the view.
                         unsafe {
                             let sp = s.ptr.add(p_off + (j_off + j0 + c) * s.cs);
                             for p in 0..kc {
@@ -370,7 +398,7 @@ pub fn pack_b_panels<T: Float>(
             PackSrc::Strided(s) => {
                 for p in 0..kc {
                     let dst = &mut buf[base + p * nr..base + p * nr + nr];
-                    // SAFETY: extent bounded by the view's constructor.
+                    // SAFETY: check_block put the block inside the view.
                     unsafe {
                         let sp = s.ptr.add((p_off + p) * s.rs + (j_off + j0) * s.cs);
                         for (c, d) in dst.iter_mut().enumerate().take(cols) {
@@ -758,5 +786,29 @@ mod tests {
     fn strided_out_of_bounds_panics() {
         let data = vec![0.0f64; 10];
         let _ = StridedSrc::new(&data, 0, 1, 5, 5, 3);
+    }
+
+    #[test]
+    #[should_panic(expected = "reaches past the strided view")]
+    fn pack_a_panels_rejects_a_block_one_past_the_view() {
+        // A 6 x 4 view of a 6 x 5 buffer: every read at depth offset 1
+        // stays inside `data`, but column 4 of the block is past the view.
+        let (mr, mc, kc) = (4, 6, 4);
+        let data = vec![0.0f64; 6 * 5];
+        let src = PackSrc::strided(&data, 0, 1, 6, 6, 4);
+        let mut buf = vec![0.0; packed_a_len(mr, mc, kc)];
+        pack_a_panels(mr, mc, kc, &src, 0, 1, 0, mc.div_ceil(mr), &mut buf);
+    }
+
+    #[test]
+    #[should_panic(expected = "reaches past the strided view")]
+    fn pack_b_panels_rejects_a_block_one_past_the_view() {
+        // A 4 x 6 view of a 4 x 7 buffer: column offset 1 stays inside
+        // `data` but puts the block's last column past the view.
+        let (nr, kc, nc) = (6, 4, 6);
+        let data = vec![0.0f64; 4 * 7];
+        let src = PackSrc::strided(&data, 0, 1, 4, 4, 6);
+        let mut buf = vec![0.0; packed_b_len(nr, kc, nc)];
+        pack_b_panels(nr, kc, nc, &src, 0, 1, 0, nc.div_ceil(nr), &mut buf);
     }
 }

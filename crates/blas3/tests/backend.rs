@@ -442,42 +442,56 @@ fn zero_sized_dims_agree_across_backends() {
     }
 }
 
-/// One NaN at `A(ROW, p)` with `alpha = 1`, `beta = 0` reaches every entry
-/// of row `ROW` of C and no other row — under whichever micro-kernel the
-/// process runs (CI repeats the suite per `ADSALA_KERNEL`). SYMM's NaN sits
-/// on the diagonal (`p = ROW`): off it, the mirrored `A(p, ROW)` would
-/// poison row `p` as well.
+/// One NaN — and, as a second poison, one infinity — at `A(ROW, p)` with
+/// `alpha = 1`, `beta = 0` reaches every entry of row `ROW` of C and no
+/// other row — under whichever micro-kernel the process runs (CI repeats
+/// the suite per `ADSALA_KERNEL`). The infinity makes row `ROW` infinite,
+/// or NaN where it meets a zero of B: non-finite either way. SYMM's poison
+/// sits on the diagonal (`p = ROW`): off it, the mirrored `A(p, ROW)`
+/// would poison row `p` as well.
 #[test]
 fn one_nan_in_a_poisons_exactly_its_row_of_c() {
     const ROW: usize = 5;
-    fn poisoned(r: usize, c: usize, seed: u64) -> Matrix<f64> {
+    fn poisoned<const INF: bool>(r: usize, c: usize, seed: u64) -> Matrix<f64> {
         let mut x = mat(r, c, seed);
         if seed == 1 {
-            x.set(ROW, if r == c { ROW } else { 7 }, f64::NAN);
+            let poison = if INF { f64::INFINITY } else { f64::NAN };
+            x.set(ROW, if r == c { ROW } else { 7 }, poison);
         }
         x
     }
-    for nt in [1, 2] {
-        for routine in ["gemm", "symm"] {
-            let dims = (13, 9, 11);
-            let (res, c) = level3(
-                &NativeBackend,
-                nt,
-                routine,
-                Uplo::Upper,
-                dims,
-                (1.0, 0.0),
-                poisoned,
-            );
-            res.unwrap();
-            for j in 0..c.cols() {
-                for i in 0..c.rows() {
-                    assert_eq!(
-                        c.get(i, j).is_nan(),
-                        i == ROW,
-                        "{routine} nt={nt}: C({i}, {j}) = {}",
-                        c.get(i, j)
-                    );
+    for inf in [false, true] {
+        let input = if inf {
+            poisoned::<true>
+        } else {
+            poisoned::<false>
+        };
+        for nt in [1, 2] {
+            for routine in ["gemm", "symm"] {
+                let dims = (13, 9, 11);
+                let (res, c) = level3(
+                    &NativeBackend,
+                    nt,
+                    routine,
+                    Uplo::Upper,
+                    dims,
+                    (1.0, 0.0),
+                    input,
+                );
+                res.unwrap();
+                for j in 0..c.cols() {
+                    for i in 0..c.rows() {
+                        assert_eq!(
+                            if inf {
+                                !c.get(i, j).is_finite()
+                            } else {
+                                c.get(i, j).is_nan()
+                            },
+                            i == ROW,
+                            "inf={inf} {routine} nt={nt}: C({i}, {j}) = {}",
+                            c.get(i, j)
+                        );
+                    }
                 }
             }
         }

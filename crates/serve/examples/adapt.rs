@@ -24,7 +24,7 @@ use adsala_blas3::op::Routine;
 use adsala_blas3::{Blas3Backend, Matrix, OwnedOp, Transpose};
 use adsala_machine::MachineSpec;
 use adsala_ml::model::ModelKind;
-use adsala_serve::{AdaptAction, AdaptConfig, Adapter, ServeConfig, Service};
+use adsala_serve::{adapt, AdaptAction, ServeConfig, Service};
 use drift_harness::{
     calibrated_time_scale, min_traffic_secs, traffic_shape, ScaledTimer, SkewedSpinBackend,
 };
@@ -126,12 +126,6 @@ fn main() {
         },
     )
     .expect("spawn scheduler cells");
-    let adapter = Adapter::new(AdaptConfig {
-        min_window: 32,
-        drift_band: (0.75, 1.35),
-        kinds: vec![ModelKind::LinearRegression, ModelKind::Xgboost],
-        ..Default::default()
-    });
 
     println!("\nround 1: 48 calls against the 2x-slower backend");
     traffic(&service, 48);
@@ -140,7 +134,7 @@ fn main() {
     // The adaptation loop: keep running passes between traffic rounds
     // until the drift signal sits inside the healthy band.
     for round in 1..=4 {
-        let reports = adapter.run_once(&service);
+        let reports = adapt::run_once(&service);
         let Some(report) = reports.first() else {
             break;
         };

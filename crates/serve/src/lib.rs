@@ -42,11 +42,14 @@
 //! the submitter receives it as [`Completed::stats`] and a successful
 //! execution appends the same value to the cell's [`Telemetry`] ring.
 //! `Service::telemetry_snapshot` merges the rings into one service-wide
-//! order, and the [`adapt`] module closes the loop: [`Adapter`] watches the per-routine drift signal across *all*
-//! cells, refits from the merged telemetry window when a routine leaves
-//! the healthy band, and hot-swaps the new model epoch into the live
-//! runtime — guarded so a refit that scores worse than the live epoch on
-//! holdout is rejected.
+//! order, and the [`adapt`] module closes the loop: each
+//! [`adapt::run_once`] pass watches the per-routine drift signal across
+//! *all* cells, refits from the merged telemetry window when a routine
+//! leaves the healthy band, and hot-swaps the new model epoch into the
+//! live runtime — guarded so a refit that scores worse than the live epoch
+//! on holdout is rejected. The loop has no settings: its window (32
+//! records), band (0.75–1.35), holdout share (a quarter) and model
+//! families (linear regression and XGBoost) are constants.
 //!
 //! ## Shape of the API
 //!
@@ -136,13 +139,12 @@ pub mod service;
 pub mod supervisor;
 pub mod telemetry;
 
-pub use adapt::{AdaptAction, AdaptConfig, AdaptConfigError, AdaptReport, Adapter};
+pub use adapt::{AdaptAction, AdaptReport};
 pub use completion::{CompletionCallback, Ticket};
 pub use job::{AnyOp, ClientId, Completed, RejectReason, Rejected, ServeError};
 pub use router::{QosClass, TenantConfig, TenantId};
 pub use service::{Client, ServeConfig, Service, ServiceStats, ShardStats, SubmitOptions};
 pub use supervisor::{BreakerSnapshot, BreakerState};
 pub use telemetry::{
-    drift_by_routine, mean_observed_over_predicted, RoutineDrift, Telemetry, TelemetryRecord,
-    MIN_PREDICTED_SECS,
+    drift_by_routine, RoutineDrift, Telemetry, TelemetryRecord, MIN_PREDICTED_SECS,
 };

@@ -229,14 +229,11 @@ pub struct ShardStats {
 
 /// A point-in-time operator snapshot of a [`Service`] from
 /// [`Service::stats`]: the per-shard breakdown — the view that shows
-/// skew and shedding — plus the merged drift signals.
+/// skew and shedding — plus the merged per-routine drift.
 #[derive(Debug, Clone)]
 pub struct ServiceStats {
     /// One entry per scheduler cell.
     pub shards: Vec<ShardStats>,
-    /// Aggregate observed/predicted drift over the merged telemetry,
-    /// when any record qualifies.
-    pub mean_observed_over_predicted: Option<f64>,
     /// Per-routine drift breakdown over the merged telemetry (see
     /// [`telemetry::drift_by_routine`]).
     pub drift_by_routine: Vec<RoutineDrift>,
@@ -448,9 +445,8 @@ impl<B: Blas3Backend + 'static> Service<B> {
 
     /// One consistent operator view: the per-shard breakdown (queue
     /// depth, backlog and shed counters — the skew view) plus the
-    /// drift signals over the merged telemetry, aggregate *and* per
-    /// routine, because the aggregate can hide one drifting routine
-    /// behind several healthy ones.
+    /// per-routine drift over the merged telemetry (one row per routine,
+    /// so one drifting routine cannot hide behind several healthy ones).
     pub fn stats(&self) -> ServiceStats {
         let shards = self
             .shared
@@ -473,7 +469,6 @@ impl<B: Blas3Backend + 'static> Service<B> {
         let snap = self.telemetry_snapshot();
         ServiceStats {
             shards,
-            mean_observed_over_predicted: telemetry::mean_observed_over_predicted(&snap),
             drift_by_routine: telemetry::drift_by_routine(&snap),
             breaker: self.shared.breaker.snapshot(),
         }

@@ -16,9 +16,9 @@
 //! Under sharding each cell owns a private ring (no cross-cell lock on
 //! the serve path); records carry a service-wide [`TelemetryRecord::seq`]
 //! stamp so `Service::telemetry_snapshot` can merge the rings back into
-//! one recording order, and the aggregation views are free functions
-//! ([`mean_observed_over_predicted`], [`drift_by_routine`]) that work on
-//! any record slice — per-cell or merged.
+//! one recording order, and the drift view is a free function
+//! ([`drift_by_routine`]) that works on any record slice — per-cell or
+//! merged.
 
 use crate::job::ClientId;
 use crate::router::TenantId;
@@ -176,25 +176,12 @@ impl Telemetry {
     }
 }
 
-/// Mean of `observed / predicted` over the records in `records` that
-/// [qualify](TelemetryRecord::qualifies_for_drift). `None` when no record
-/// qualifies. Works on any slice — one cell's snapshot or the merged
-/// service-wide view — which is how the adaptation loop aggregates drift
-/// across scheduler cells.
-pub fn mean_observed_over_predicted(records: &[TelemetryRecord]) -> Option<f64> {
-    let mut sum = 0.0;
-    let mut n = 0usize;
-    for r in records.iter().filter(|r| r.qualifies_for_drift()) {
-        sum += r.observed_secs / r.predicted_secs;
-        n += 1;
-    }
-    (n > 0).then(|| sum / n as f64)
-}
-
-/// Per-routine drift breakdown over the qualifying records in `records`,
-/// sorted by routine. The aggregate [`mean_observed_over_predicted`] can
-/// hide one badly drifting routine behind several healthy ones; this is
-/// the view an adaptation driver (and an operator) should watch.
+/// Per-routine drift over the records in `records` that
+/// [qualify](TelemetryRecord::qualifies_for_drift), sorted by routine;
+/// empty when no record qualifies. Works on any slice — one cell's
+/// snapshot or the merged service-wide view. One row per routine, so a
+/// badly drifting routine cannot hide behind several healthy ones (their
+/// `samples`-weighted mean is the service-wide ratio).
 pub fn drift_by_routine(records: &[TelemetryRecord]) -> Vec<RoutineDrift> {
     let mut per: Vec<(Routine, f64, usize, u64)> = Vec::new();
     for r in records.iter().filter(|r| r.qualifies_for_drift()) {
@@ -260,7 +247,7 @@ mod tests {
     #[test]
     fn drift_signal_averages_model_backed_records_only() {
         let t = Telemetry::new(8);
-        assert_eq!(mean_observed_over_predicted(&t.snapshot()), None);
+        assert_eq!(drift_by_routine(&t.snapshot()), Vec::new());
         t.record(rec(0)); // observed/predicted = 2.0
         let mut fallback = rec(1);
         fallback.model_backed = false;
@@ -273,7 +260,10 @@ mod tests {
         batched.admitted_nt = 8;
         batched.observed_secs = 50.0;
         t.record(batched);
-        assert_eq!(mean_observed_over_predicted(&t.snapshot()), Some(2.0));
+        let per = drift_by_routine(&t.snapshot());
+        assert_eq!(per.len(), 1);
+        assert_eq!(per[0].samples, 1);
+        assert_eq!(per[0].mean_observed_over_predicted, 2.0);
     }
 
     #[test]
@@ -297,9 +287,14 @@ mod tests {
         fallback.observed_secs = 1000.0;
         t.record(fallback);
 
-        let agg = mean_observed_over_predicted(&t.snapshot()).unwrap();
-        assert!((agg - 1.8).abs() < 1e-12, "aggregate {agg}");
         let per = drift_by_routine(&t.snapshot());
+        // The service-wide mean (1.8) is the rows' samples-weighted mean.
+        let weighted = per
+            .iter()
+            .map(|d| d.mean_observed_over_predicted * d.samples as f64)
+            .sum::<f64>()
+            / per.iter().map(|d| d.samples).sum::<usize>() as f64;
+        assert!((weighted - 1.8).abs() < 1e-12, "weighted {weighted}");
         assert_eq!(per.len(), 2);
         assert_eq!(per[0].routine.name(), "dgemm");
         assert!((per[0].mean_observed_over_predicted - 1.0).abs() < 1e-12);
@@ -334,7 +329,6 @@ mod tests {
             bad.observed_secs = observed;
             t.record(bad);
         }
-        assert_eq!(mean_observed_over_predicted(&t.snapshot()), Some(2.0));
         let per = drift_by_routine(&t.snapshot());
         assert_eq!(per.len(), 1);
         assert_eq!(per[0].samples, 4);

@@ -17,7 +17,8 @@ use adsala_blas3::op::{Dims, Routine};
 use adsala_blas3::{Blas3Backend, Matrix, OwnedOp, Transpose};
 use adsala_machine::MachineSpec;
 use adsala_ml::model::ModelKind;
-use adsala_serve::{AdaptAction, AdaptConfig, Adapter, ServeConfig, Service, TelemetryRecord};
+use adsala_serve::adapt::{self, refit_from_records};
+use adsala_serve::{AdaptAction, ServeConfig, Service, TelemetryRecord};
 use drift_harness::{
     calibrated_time_scale, min_traffic_secs, traffic_shape, ScaledTimer, SkewedSpinBackend,
 };
@@ -134,13 +135,7 @@ fn drift_is_detected_refit_and_swapped_without_stopping_the_service() {
     assert!(drift.mean_observed_over_predicted > 1.4);
 
     // Phase 2: one adaptation pass refits from telemetry and swaps.
-    let adapter = Adapter::new(AdaptConfig {
-        min_window: 32,
-        drift_band: (0.75, 1.35),
-        kinds: vec![ModelKind::LinearRegression, ModelKind::Xgboost],
-        ..Default::default()
-    });
-    let reports = adapter.run_once(&service);
+    let reports = adapt::run_once(&service);
     assert_eq!(reports.len(), 1);
     let report = &reports[0];
     assert_eq!(report.routine, routine);
@@ -186,7 +181,7 @@ fn drift_is_detected_refit_and_swapped_without_stopping_the_service() {
 
     // Phase 4: convergence — the next pass sees the healthy post-swap
     // window (epoch-2 records only) and leaves the model alone.
-    let reports = adapter.run_once(&service);
+    let reports = adapt::run_once(&service);
     assert_eq!(reports.len(), 1);
     assert_eq!(
         reports[0].action,
@@ -199,7 +194,6 @@ fn drift_is_detected_refit_and_swapped_without_stopping_the_service() {
 
 #[test]
 fn refit_worse_than_live_epoch_is_rejected() {
-    use adsala_serve::adapt::{refit_from_records, RefitOutcome};
     use adsala_serve::{ClientId, TenantId};
 
     let inst = installed_dgemm(ModelKind::LinearRegression, 160);
@@ -237,36 +231,26 @@ fn refit_worse_than_live_epoch_is_rejected() {
             .collect()
     };
 
-    // A decision tree on 45 training rows cannot reproduce the linear
-    // model's continuous surface: holdout RMSE > 0 = live's, so the
+    // Neither family, refit on a freshly fitted pipeline, reproduces the
+    // live model's surface exactly: holdout RMSE > 0 = live's, so the
     // guardrail must hold.
-    let cfg = AdaptConfig {
-        min_window: 40,
-        kinds: vec![ModelKind::DecisionTree],
-        ..Default::default()
-    };
-    match refit_from_records(&mk_records(1.0), live, &cfg) {
-        RefitOutcome::RejectedWorse {
+    match refit_from_records(&mk_records(1.0), live) {
+        Err(AdaptAction::RejectedWorse {
             candidate_rmse,
             live_rmse,
             ..
-        } => {
+        }) => {
             assert!(live_rmse < 1e-9, "live generated the data: rmse ~ 0");
             assert!(candidate_rmse > live_rmse);
         }
         other => panic!("guardrail must reject, got {other:?}"),
     }
 
-    // Same shapes, but observed = 2x live: now a linear refit fits the
-    // shifted surface exactly while the live epoch is off by ln(2), so the
-    // same guardrail accepts.
-    let cfg = AdaptConfig {
-        min_window: 40,
-        kinds: vec![ModelKind::LinearRegression],
-        ..Default::default()
-    };
-    match refit_from_records(&mk_records(2.0), live, &cfg) {
-        RefitOutcome::Accepted(cand) => {
+    // Same shapes, but observed = 2x live: now a refit fits the shifted
+    // surface closely while the live epoch is off by ln(2), so the same
+    // guardrail accepts.
+    match refit_from_records(&mk_records(2.0), live) {
+        Ok(cand) => {
             assert!(cand.candidate_rmse < cand.live_rmse);
             assert!((cand.live_rmse - std::f64::consts::LN_2).abs() < 0.05);
             assert_eq!(cand.installed.version, 2);
@@ -294,12 +278,9 @@ fn refit_worse_than_live_epoch_is_rejected() {
 
 #[test]
 fn too_small_windows_and_opaque_models_do_not_refit() {
-    use adsala_serve::adapt::{refit_from_records, RefitOutcome};
-
     let inst = installed_dgemm(ModelKind::LinearRegression, 120);
-    let cfg = AdaptConfig::default();
-    match refit_from_records(&[], &inst, &cfg) {
-        RefitOutcome::TooFewSamples { have: 0, need } => assert_eq!(need, cfg.min_window),
+    match refit_from_records(&[], &inst) {
+        Err(AdaptAction::TooFewSamples { need }) => assert!(need > 0),
         other => panic!("expected TooFewSamples, got {other:?}"),
     }
 
@@ -325,45 +306,7 @@ fn too_small_windows_and_opaque_models_do_not_refit() {
     }
     let opaque = OpaqueModel(inst.routine);
     assert!(matches!(
-        refit_from_records(&[], &opaque, &cfg),
-        RefitOutcome::Opaque
-    ));
-}
-
-#[test]
-fn empty_model_portfolio_is_a_typed_outcome_not_a_panic() {
-    use adsala_serve::adapt::{refit_from_records, RefitOutcome};
-    use adsala_serve::{ClientId, TenantId};
-
-    let inst = installed_dgemm(ModelKind::LinearRegression, 120);
-    let routine = inst.routine;
-    let records: Vec<TelemetryRecord> = (0..60usize)
-        .map(|i| {
-            let dims = Dims::d3(1024 + 16 * i, 1152 + 12 * i, 1280 + 20 * i);
-            TelemetryRecord {
-                seq: i as u64,
-                client: ClientId(0),
-                tenant: TenantId(0),
-                shard: 0,
-                routine,
-                dims,
-                nt: 9,
-                admitted_nt: 9,
-                predicted_secs: 1e-3,
-                model_backed: true,
-                epoch: 1,
-                observed_secs: 2e-3,
-                batch_size: 1,
-            }
-        })
-        .collect();
-    let cfg = AdaptConfig {
-        min_window: 40,
-        kinds: Vec::new(), // misconfigured: nothing to refit with
-        ..Default::default()
-    };
-    assert!(matches!(
-        refit_from_records(&records, &inst, &cfg),
-        RefitOutcome::NoViableCandidate
+        refit_from_records(&[], &opaque),
+        Err(AdaptAction::Opaque)
     ));
 }

@@ -167,8 +167,11 @@ fn main() {
             s.shard, s.served, s.shed_jobs
         );
     }
-    if let Some(ratio) = stats.mean_observed_over_predicted {
-        println!("mean observed/predicted wall-clock ratio: {ratio:.3e} (refit signal)");
+    for d in &stats.drift_by_routine {
+        println!(
+            "  {}: observed/predicted {:.3e} over {} records, epoch {} (refit signal)",
+            d.routine, d.mean_observed_over_predicted, d.samples, d.latest_epoch
+        );
     }
     for r in service.telemetry_snapshot().iter().rev().take(3) {
         println!(

@@ -36,7 +36,12 @@ fn full_workflow_gadi_dgemm() {
     let dir = std::env::temp_dir().join(format!("adsala-e2e-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     store::save(&dir, &inst).unwrap();
-    let lib = Adsala::load(&dir, "gadi", 96).unwrap();
+    let lib = Adsala::builder()
+        .model_dir(&dir)
+        .platform("gadi")
+        .fallback_nt(96)
+        .build()
+        .unwrap();
 
     // The evaluation over fresh samples must achieve a mean speedup > 1 on
     // the simulated platform (the paper's central claim, Table VII).

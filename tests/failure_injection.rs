@@ -294,7 +294,12 @@ fn damaged_boosted_model_files_are_typed_errors() {
 #[test]
 fn adsala_runtime_survives_missing_artifacts_dir() {
     let dir = std::env::temp_dir().join("adsala-definitely-missing-dir");
-    let lib = adsala_repro::adsala::runtime::Adsala::load(&dir, "gadi", 12).unwrap();
+    let lib = adsala_repro::adsala::runtime::Adsala::builder()
+        .model_dir(&dir)
+        .platform("gadi")
+        .fallback_nt(12)
+        .build()
+        .unwrap();
     // No models installed: everything falls back.
     let r = Routine::parse("sgemm").unwrap();
     assert_eq!(lib.predict_nt(r, Dims::d3(64, 64, 64)), 12);
