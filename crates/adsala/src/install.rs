@@ -110,8 +110,8 @@ pub struct InstalledRoutine {
     pub selected: ModelKind,
     /// Table VI rows for every candidate.
     pub reports: Vec<ModelReport>,
-    /// Artefact version: 1 for an offline install, counting up with every
-    /// online refit that replaces it (see [`crate::cost::CostModel`]).
+    /// Artefact version: 1 for an offline install. Saved and loaded with
+    /// the artefact; nothing at runtime reads it.
     pub version: u64,
     /// Training rows the production model was fitted on.
     pub trained_samples: usize,
@@ -168,8 +168,8 @@ pub fn predict_best_cost(
 }
 
 /// Model-predicted seconds for one call at an explicit thread count — the
-/// point query behind [`crate::cost::CostModel::predict_secs`]: the argmin
-/// sweep over that one candidate.
+/// point query behind [`crate::predictor::ThreadPredictor::observe`]: the
+/// argmin sweep over that one candidate.
 pub fn predict_secs_at(
     model: &Model,
     pipeline: &PipelineConfig,

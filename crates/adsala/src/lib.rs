@@ -28,15 +28,16 @@
 //! **Evaluation** ([`evaluate`]): held-out Halton test sets reproduce the
 //! paper's speedup statistics (Table VII) and heatmaps (Figs 4-7).
 //!
-//! **Online adaptation** ([`cost`]): prediction is a first-class, object-safe
-//! [`cost::CostModel`] published through versioned [`cost::ModelEpoch`]s, and
-//! [`runtime::Adsala::swap_model_if`] replaces a routine's model in a
-//! *live* runtime, by compare-and-swap on the epoch version — the seam the
-//! `adsala-serve` drift → refit → swap loop drives.
+//! **Price correction** ([`predictor`]): a served call's observed seconds
+//! can be fed back through [`ThreadPredictor::observe`]; each routine's
+//! predictor keeps a running mean of `ln(observed / model seconds)` and,
+//! from its 32nd sample on, multiplies the seconds
+//! [`runtime::Adsala::predict_cost`] reports by `exp(mean)`. The model
+//! still picks `nt`: the correction scales every candidate's price alike.
+//! `adsala-serve` feeds it from the calls its cells serve.
 
 #![warn(missing_docs)]
 
-pub mod cost;
 pub mod evaluate;
 pub mod features;
 pub mod gather;
@@ -47,8 +48,7 @@ pub mod runtime;
 pub mod store;
 pub mod timer;
 
-pub use cost::{CostModel, ModelEpoch, SwapError};
 pub use install::{install_routine, InstalledRoutine, ModelReport};
-pub use predictor::ThreadPredictor;
+pub use predictor::{ModelEpoch, ThreadPredictor};
 pub use runtime::{Adsala, AdsalaBuilder, CostEstimate};
 pub use timer::{BlasTimer, RealTimer, SimTimer};

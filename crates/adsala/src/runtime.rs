@@ -19,9 +19,8 @@
 //! Routines without an installed model fall back to the configured thread
 //! count, i.e. behave exactly like the baseline library.
 
-use crate::cost::{CostModel, ModelEpoch, SwapError};
 use crate::install::InstalledRoutine;
-use crate::predictor::ThreadPredictor;
+use crate::predictor::{ModelEpoch, ThreadPredictor};
 use crate::store;
 use adsala_blas3::call::{op_shape, side_order};
 use adsala_blas3::op::{Dims, Routine};
@@ -31,7 +30,6 @@ use adsala_blas3::{
 };
 use std::collections::HashMap;
 use std::path::PathBuf;
-use std::sync::Arc;
 
 /// The runtime library instance, generic over the executing backend.
 ///
@@ -52,13 +50,11 @@ pub struct Adsala<B: Blas3Backend = NativeBackend> {
 pub struct CostEstimate {
     /// Thread count the call would execute with.
     pub nt: usize,
-    /// Model-predicted seconds at `nt`; `None` when the routine has no
-    /// installed model (the fallback path predicts nothing).
+    /// Model-predicted seconds at `nt`, with the routine's price
+    /// correction applied (see [`ThreadPredictor::predict_cost`]); `None`
+    /// when the routine has no installed model (the fallback path predicts
+    /// nothing).
     pub secs: Option<f64>,
-    /// Epoch version of the model that made the prediction; `None` on the
-    /// fallback path. Telemetry keeps this so post-swap records can be
-    /// separated from the drift history that triggered the swap.
-    pub epoch: Option<u64>,
 }
 
 /// Configures and constructs an [`Adsala`] runtime.
@@ -204,17 +200,15 @@ impl<B: Blas3Backend> Adsala<B> {
     pub fn predict_cost(&self, routine: Routine, dims: Dims) -> CostEstimate {
         match self.predictors.get(&routine) {
             Some(p) => {
-                let (nt, secs, version) = p.predict_cost_versioned(dims);
+                let (nt, secs) = p.predict_cost(dims);
                 CostEstimate {
                     nt,
                     secs: Some(secs),
-                    epoch: Some(version),
                 }
             }
             None => CostEstimate {
                 nt: self.fallback_nt,
                 secs: None,
-                epoch: None,
             },
         }
     }
@@ -229,52 +223,12 @@ impl<B: Blas3Backend> Adsala<B> {
         self.predictors.get(&routine)
     }
 
-    /// The currently published model epoch for a routine, or `None` when
-    /// the routine is served by the fallback thread count.
-    pub fn model_epoch(&self, routine: Routine) -> Option<Arc<ModelEpoch>> {
-        self.predictors.get(&routine).map(|p| p.epoch())
-    }
-
-    /// Publish a new cost model for `routine` without stopping the runtime,
-    /// provided the slot still serves epoch `expected` — the compare-and-swap
-    /// that keeps two refit drivers (or a driver racing an operator) from
-    /// silently replacing each other's accepted models. Returns the new
-    /// epoch version.
-    ///
-    /// The swap is atomic from the callers' perspective: predictions in
-    /// flight finish against the epoch they started with, later predictions
-    /// see the new one, and the routine's table of predictions cannot serve
-    /// entries computed under the old epoch (entries are version-tagged).
-    ///
-    /// This is the runtime half of the online-adaptation loop: a refit
-    /// driver (see `adsala-serve`'s `adapt` module) watches telemetry,
-    /// retrains from observed wall-clock, and swaps the winner in here.
-    ///
-    /// # Errors
-    /// [`SwapError::UnknownRoutine`] when no predictor slot exists for the
-    /// routine (swaps replace models; they do not install new routines),
-    /// [`SwapError::RoutineMismatch`] when the model prices a different
-    /// routine than the slot serves, and [`SwapError::VersionConflict`]
-    /// when another swap won the race: the caller's refit is stale —
-    /// re-observe under the new epoch instead of force-publishing.
-    pub fn swap_model_if(
-        &self,
-        routine: Routine,
-        expected: u64,
-        model: Arc<dyn CostModel>,
-    ) -> Result<u64, SwapError> {
-        let slot = self
-            .predictors
-            .get(&routine)
-            .ok_or(SwapError::UnknownRoutine(routine))?;
-        if model.routine() != routine {
-            return Err(SwapError::RoutineMismatch {
-                slot: routine,
-                model: model.routine(),
-            });
-        }
-        slot.swap_if(expected, model)
-            .map_err(|current| SwapError::VersionConflict { expected, current })
+    /// The installed model of a routine, or `None` when the routine is
+    /// served by the fallback thread count. Frozen while
+    /// `benchmark/src/probes.rs` reads the artefacts through it;
+    /// [`ThreadPredictor::installed`] is the same.
+    pub fn model_epoch(&self, routine: Routine) -> Option<&ModelEpoch> {
+        self.predictors.get(&routine).map(ThreadPredictor::epoch)
     }
 
     /// The single dispatch path every call goes through: validate the call
@@ -755,7 +709,6 @@ mod tests {
         let lib = mini_adsala(&["dgemm"]);
         let modelled = lib.predict_cost(Routine::parse("dgemm").unwrap(), Dims::d3(96, 96, 96));
         assert!(modelled.secs.is_some_and(|s| s > 0.0));
-        assert_eq!(modelled.epoch, Some(1), "fresh installs serve epoch 1");
         assert_eq!(
             modelled.nt,
             lib.predict_nt(Routine::parse("dgemm").unwrap(), Dims::d3(96, 96, 96))
@@ -763,157 +716,6 @@ mod tests {
         let fallback = lib.predict_cost(Routine::parse("strsm").unwrap(), Dims::d2(64, 64));
         assert_eq!(fallback.nt, lib.fallback_nt());
         assert_eq!(fallback.secs, None);
-        assert_eq!(fallback.epoch, None);
-    }
-
-    /// A synthetic cost model: always the same thread count and estimate.
-    /// Exercises the trait seam with something that is *not* an
-    /// installation artefact.
-    #[derive(Debug)]
-    struct FixedModel {
-        routine: Routine,
-        nt: usize,
-        secs: f64,
-    }
-
-    impl crate::cost::CostModel for FixedModel {
-        fn routine(&self) -> Routine {
-            self.routine
-        }
-        fn version(&self) -> u64 {
-            1
-        }
-        fn trained_samples(&self) -> usize {
-            0
-        }
-        fn predict_cost(&self, _dims: Dims) -> (usize, f64) {
-            (self.nt, self.secs)
-        }
-        fn predict_secs(&self, _dims: Dims, _nt: usize) -> f64 {
-            self.secs
-        }
-    }
-
-    #[test]
-    fn swap_model_if_serves_the_new_epoch_and_invalidates_the_cache() {
-        let lib = mini_adsala(&["dgemm"]);
-        let r = Routine::parse("dgemm").unwrap();
-        let d = Dims::d3(128, 128, 128);
-        let before = lib.predict_cost(r, d);
-        assert_eq!(lib.predict_cost(r, d), before); // cached hit
-        assert_eq!(lib.predictor(r).unwrap().cache_stats(), (1, 1));
-
-        let stub = FixedModel {
-            routine: r,
-            nt: before.nt + 1,
-            secs: 42.0,
-        };
-        let v = lib.swap_model_if(r, 1, std::sync::Arc::new(stub)).unwrap();
-        assert_eq!(v, 2);
-        assert_eq!(lib.model_epoch(r).unwrap().version(), 2);
-
-        // The post-swap prediction must come from the stub, not the cached
-        // epoch-1 entry: a stale hit would return `before`.
-        let after = lib.predict_cost(r, d);
-        assert_eq!(after.nt, before.nt + 1);
-        assert_eq!(after.secs, Some(42.0));
-        assert_eq!(after.epoch, Some(2));
-        let (hits, misses) = lib.predictor(r).unwrap().cache_stats();
-        assert_eq!((hits, misses), (1, 2), "swap must not serve stale epochs");
-    }
-
-    #[test]
-    fn swap_model_if_rejects_unknown_and_mismatched_routines() {
-        let lib = mini_adsala(&["dgemm"]);
-        let dgemm = Routine::parse("dgemm").unwrap();
-        let strsm = Routine::parse("strsm").unwrap();
-        let stub = |routine| {
-            std::sync::Arc::new(FixedModel {
-                routine,
-                nt: 1,
-                secs: 1.0,
-            })
-        };
-        assert_eq!(
-            lib.swap_model_if(strsm, 1, stub(strsm)).unwrap_err(),
-            crate::cost::SwapError::UnknownRoutine(strsm),
-        );
-        assert_eq!(
-            lib.swap_model_if(dgemm, 1, stub(strsm)).unwrap_err(),
-            crate::cost::SwapError::RoutineMismatch {
-                slot: dgemm,
-                model: strsm,
-            },
-        );
-        assert!(lib.model_epoch(strsm).is_none());
-    }
-
-    #[test]
-    fn conditional_swap_rejects_a_stale_expected_version() {
-        let lib = mini_adsala(&["dgemm"]);
-        let r = Routine::parse("dgemm").unwrap();
-        let stub = || {
-            std::sync::Arc::new(FixedModel {
-                routine: r,
-                nt: 5,
-                secs: 1.0,
-            })
-        };
-        // Prepared against epoch 1, published while epoch 1 serves: ok.
-        assert_eq!(lib.swap_model_if(r, 1, stub()).unwrap(), 2);
-        // A second driver also prepared against epoch 1 must lose the race
-        // instead of silently replacing the first driver's model.
-        assert_eq!(
-            lib.swap_model_if(r, 1, stub()).unwrap_err(),
-            crate::cost::SwapError::VersionConflict {
-                expected: 1,
-                current: 2,
-            },
-        );
-        assert_eq!(lib.model_epoch(r).unwrap().version(), 2);
-    }
-
-    #[test]
-    #[cfg_attr(miri, ignore = "spawns OS threads; outside the Miri subset")]
-    fn swaps_race_cleanly_with_concurrent_predictions() {
-        let lib = std::sync::Arc::new(mini_adsala(&["dgemm"]));
-        let r = Routine::parse("dgemm").unwrap();
-        let d = Dims::d3(64, 64, 64);
-        let old_nt = lib.predict_nt(r, d);
-        let swapper = {
-            let lib = std::sync::Arc::clone(&lib);
-            std::thread::spawn(move || {
-                for expected in 1..=50 {
-                    lib.swap_model_if(
-                        r,
-                        expected,
-                        std::sync::Arc::new(FixedModel {
-                            routine: r,
-                            nt: 97,
-                            secs: 1.0,
-                        }),
-                    )
-                    .unwrap();
-                }
-            })
-        };
-        let readers: Vec<_> = (0..4)
-            .map(|_| {
-                let lib = std::sync::Arc::clone(&lib);
-                std::thread::spawn(move || {
-                    for _ in 0..200 {
-                        let nt = lib.predict_nt(r, d);
-                        assert!(nt == old_nt || nt == 97, "torn prediction: nt {nt}");
-                    }
-                })
-            })
-            .collect();
-        swapper.join().unwrap();
-        for h in readers {
-            h.join().unwrap();
-        }
-        assert_eq!(lib.model_epoch(r).unwrap().version(), 51);
-        assert_eq!(lib.predict_nt(r, d), 97);
     }
 
     #[test]

@@ -147,7 +147,6 @@ pub fn installed_routines(dir: &Path, platform: &str) -> Vec<Routine> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cost::CostModel;
     use crate::install::{install_routine, InstallOptions};
     use crate::timer::SimTimer;
     use adsala_blas3::op::{Dims, OpKind, Precision};
@@ -232,7 +231,7 @@ mod tests {
         let dir = tmpdir("epoch-meta");
         let r = Routine::new(OpKind::Syr2k, Precision::Double);
         let mut inst = quick_install(r);
-        // A refit artefact: version counted up, corpus size recorded.
+        // Version and corpus size are stored as given.
         inst.version = 7;
         inst.trained_samples = 321;
         save(&dir, &inst).unwrap();
@@ -267,7 +266,7 @@ mod tests {
         let back = load(&dir, "gadi", r).unwrap();
         assert_eq!(back.pipeline, inst.pipeline);
         for dims in [Dims::d2(8, 8), Dims::d2(300, 40), Dims::d2(4000, 4000)] {
-            assert_eq!(back.predict_cost(dims), inst.sweep(dims));
+            assert_eq!(back.sweep(dims), inst.sweep(dims));
         }
         let _ = fs::remove_dir_all(&dir);
     }
@@ -363,9 +362,8 @@ mod tests {
                         Dims::d3(300, 40, 1000),
                         Dims::d3(4000, 4000, 4000),
                     ] {
-                        let (nt, _) = CostModel::predict_cost(&back, dims);
+                        let (nt, _) = back.sweep(dims);
                         assert!((1..=back.max_threads).contains(&nt));
-                        assert_eq!(back.predict_nt(dims), nt);
                     }
                 }
                 Err(e) => {

@@ -171,11 +171,7 @@ fn explicit_install_wins_over_disk_artefact() {
         .unwrap();
     let serving = lib.predictor(r).expect("dgemm predictor present");
     assert_eq!(
-        serving
-            .epoch()
-            .installed()
-            .expect("artefact-backed")
-            .nt_stride,
+        serving.installed().nt_stride,
         16,
         "disk artefact overrode the explicitly installed routine"
     );

@@ -1,7 +1,8 @@
-//! The predictor performs **zero** heap allocations, on a miss and on a
-//! hit: raw features, the preprocessing transform, every candidate's row
-//! and the gradient-boosted walk all live on the stack, and the table of
-//! recent predictions is a fixed array.
+//! The predictor performs **zero** heap allocations, on a miss, on a hit
+//! and when it observes a served call: raw features, the preprocessing
+//! transform, every candidate's row and the gradient-boosted walk all live
+//! on the stack, and the table of recent predictions and the price
+//! correction are fixed-size.
 //!
 //! Allocations are counted per thread by a `#[global_allocator]`, which a
 //! test binary can only have one of and which would also count what
@@ -12,6 +13,7 @@
 #![cfg(not(miri))]
 
 use adsala::gather::gather_all_candidates;
+use adsala::install::predict_best_cost;
 use adsala::pipeline::fit_pipeline;
 use adsala::timer::SimTimer;
 use adsala::{InstalledRoutine, ThreadPredictor};
@@ -114,24 +116,52 @@ fn the_miss_path_allocates_nothing() {
 fn neither_a_miss_nor_a_hit_of_the_table_allocates() {
     let predictor = ThreadPredictor::new(boosted_install(OpKind::Symv, 48));
     let dims = |i: usize| Dims::d1(8 + i);
-    predictor.predict_cost(dims(1000)); // warm-up
-                                        // 1000 distinct dims, a miss of each view: `predict` caches no seconds.
-                                        // The table fills, then every new key replaces an entry.
+    // Warm-up.
+    predictor.predict_cost(dims(1000));
+    predictor.observe(dims(1000), 1, 1e-3);
+    // 1000 distinct dims: `predict` misses and `predict_cost` hits the
+    // entry it left. Each call is observed twice: at its chosen `nt` (the
+    // model's seconds come from the table) and at another (they come from
+    // the model's point query). From the 16th dims on the price is
+    // corrected. The table fills, then every new key replaces an entry.
     let before = allocations();
     for i in 0..1000 {
         let nt = predictor.predict(dims(i));
         assert_eq!(predictor.predict_cost(dims(i)).0, nt);
+        predictor.observe(dims(i), nt, 1e-3);
+        predictor.observe(dims(i), nt % 48 + 1, 1e-3);
     }
-    assert_eq!(allocations() - before, 0, "2000 misses allocated");
-    assert_eq!(predictor.cache_stats(), (0, 2001));
+    assert_eq!(
+        allocations() - before,
+        0,
+        "1000 misses and 1000 hits allocated"
+    );
+    assert_eq!(predictor.cache_stats(), (1000, 1001));
+    // The correction is on.
+    let d = dims(999);
+    let inst = predictor.installed();
+    let model = predict_best_cost(
+        &inst.model,
+        &inst.pipeline,
+        inst.routine,
+        d,
+        &inst.candidates(),
+    );
+    let priced = predictor.predict_cost(d);
+    assert_eq!(priced.0, model.0);
+    assert!(
+        (priced.1 / model.1 - 1.0).abs() > 1e-6,
+        "{priced:?} vs {model:?}"
+    );
     // The last 40 are still in the table: hits of both views.
     let before = allocations();
     for _ in 0..25 {
         for i in 960..1000 {
             let nt = predictor.predict(dims(i));
             assert_eq!(predictor.predict_cost(dims(i)).0, nt);
+            predictor.observe(dims(i), nt, 1e-3);
         }
     }
     assert_eq!(allocations() - before, 0, "2000 hits allocated");
-    assert_eq!(predictor.cache_stats(), (2000, 2001));
+    assert_eq!(predictor.cache_stats(), (3001, 1001));
 }

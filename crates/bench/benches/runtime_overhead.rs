@@ -1,8 +1,7 @@
 //! Criterion benches for the runtime dispatch path (paper §III-B): the
 //! cost of a prediction with a cold cache (full sweep), with a warm
-//! prediction table (the repeated-dims fast path), the end-to-end overhead
-//! relative to the raw BLAS call, and the price of the hot-swap seam
-//! (epoch read on the hit path, full epoch publication).
+//! prediction table (the repeated-dims fast path), and the end-to-end
+//! overhead relative to the raw BLAS call.
 
 use adsala::install::{install_routine, InstallOptions, InstalledRoutine};
 use adsala::predictor::ThreadPredictor;
@@ -45,7 +44,7 @@ fn bench_cache_paths(c: &mut Criterion) {
         // 48.
         if kind == ModelKind::Xgboost {
             for max_threads in [2, 8, 48] {
-                let mut inst = p.epoch().installed().expect("installed above").clone();
+                let mut inst = p.installed().clone();
                 inst.max_threads = max_threads;
                 let p = ThreadPredictor::new(inst);
                 group.bench_function(format!("uncached_sweep/{max_threads}"), |b| {
@@ -159,51 +158,9 @@ fn bench_backend_dispatch(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_epoch_swap(c: &mut Criterion) {
-    // The hot-swap seam costs an Arc clone + version compare on every
-    // prediction; swapping publishes a whole new epoch. Both must stay
-    // negligible against even the cached prediction path.
-    use std::sync::Arc;
-    let p = predictor(ModelKind::LinearRegression);
-    let d = Dims::d3(777, 333, 555);
-    let mut group = c.benchmark_group("runtime/swap");
-    // Two interchangeable models, pre-wrapped: the bench measures the
-    // publication itself, not artefact cloning.
-    let a: Arc<dyn adsala::cost::CostModel> = Arc::new(installed(ModelKind::LinearRegression));
-    let b: Arc<dyn adsala::cost::CostModel> = Arc::new(installed(ModelKind::LinearRegression));
-    group.bench_function("swap_model", |bch| {
-        let mut flip = false;
-        let mut version = p.epoch().version();
-        bch.iter(|| {
-            flip = !flip;
-            version = p
-                .swap_if(
-                    version,
-                    std::hint::black_box(if flip { a.clone() } else { b.clone() }),
-                )
-                .unwrap();
-            version
-        })
-    });
-    group.bench_function("predict_after_swap", |bch| {
-        // Every iteration invalidates the cache by version bump, so this is
-        // the swap + cold-lookup path a refit loop actually pays.
-        let mut flip = false;
-        let mut version = p.epoch().version();
-        bch.iter(|| {
-            flip = !flip;
-            version = p
-                .swap_if(version, if flip { a.clone() } else { b.clone() })
-                .unwrap();
-            p.predict(std::hint::black_box(d))
-        })
-    });
-    group.finish();
-}
-
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(20).measurement_time(std::time::Duration::from_secs(2)).warm_up_time(std::time::Duration::from_millis(400));
-    targets = bench_cache_paths, bench_end_to_end_small_gemm, bench_backend_dispatch, bench_epoch_swap
+    targets = bench_cache_paths, bench_end_to_end_small_gemm, bench_backend_dispatch
 }
 criterion_main!(benches);

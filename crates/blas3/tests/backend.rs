@@ -448,7 +448,10 @@ fn zero_sized_dims_agree_across_backends() {
 /// the suite per `ADSALA_KERNEL`). The infinity makes row `ROW` infinite,
 /// or NaN where it meets a zero of B: non-finite either way. SYMM's poison
 /// sits on the diagonal (`p = ROW`): off it, the mirrored `A(p, ROW)`
-/// would poison row `p` as well.
+/// would poison row `p` as well. SYRK and SYR2K form `A Aᵀ` (and
+/// `A Bᵀ + B Aᵀ`), so row `ROW` of A reaches row `ROW` *and* column `ROW`
+/// of C; only the stored triangle is written, and the other keeps C's
+/// finite input.
 #[test]
 fn one_nan_in_a_poisons_exactly_its_row_of_c() {
     const ROW: usize = 5;
@@ -467,28 +470,36 @@ fn one_nan_in_a_poisons_exactly_its_row_of_c() {
             poisoned::<false>
         };
         for nt in [1, 2] {
-            for routine in ["gemm", "symm"] {
+            for (routine, uplo) in [
+                ("gemm", Uplo::Upper),
+                ("symm", Uplo::Upper),
+                ("syrk", Uplo::Upper),
+                ("syrk", Uplo::Lower),
+                ("syr2k", Uplo::Upper),
+                ("syr2k", Uplo::Lower),
+            ] {
                 let dims = (13, 9, 11);
-                let (res, c) = level3(
-                    &NativeBackend,
-                    nt,
-                    routine,
-                    Uplo::Upper,
-                    dims,
-                    (1.0, 0.0),
-                    input,
-                );
+                let (res, c) = level3(&NativeBackend, nt, routine, uplo, dims, (1.0, 0.0), input);
                 res.unwrap();
+                let stored = |i: usize, j: usize| match uplo {
+                    Uplo::Upper => i <= j,
+                    Uplo::Lower => i >= j,
+                };
                 for j in 0..c.cols() {
                     for i in 0..c.rows() {
+                        let reached = if routine.starts_with("syr") {
+                            stored(i, j) && (i == ROW || j == ROW)
+                        } else {
+                            i == ROW
+                        };
                         assert_eq!(
                             if inf {
                                 !c.get(i, j).is_finite()
                             } else {
                                 c.get(i, j).is_nan()
                             },
-                            i == ROW,
-                            "inf={inf} {routine} nt={nt}: C({i}, {j}) = {}",
+                            reached,
+                            "inf={inf} {routine} {uplo:?} nt={nt}: C({i}, {j}) = {}",
                             c.get(i, j)
                         );
                     }

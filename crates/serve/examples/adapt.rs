@@ -1,14 +1,18 @@
-//! Online adaptation, end to end: a service whose installed cost model is
-//! systematically wrong detects the drift from its own telemetry, refits,
-//! and hot-swaps the new model epoch — without stopping.
+//! Price correction, end to end: a service whose installed cost model is
+//! systematically wrong learns the drift from the calls it serves and
+//! prices later calls at the wall-clock they take, without stopping and
+//! without moving any call's thread count.
 //!
 //! The drift is injected deterministically: the dgemm model is installed
 //! against the simulated Gadi timings, but the serving backend replays
 //! those timings **2x slower** (a "skewed timer" standing in for a machine
 //! that no longer matches its installation profile — new firmware, noisy
-//! neighbours, a BLAS upgrade). The adaptation loop must notice that
-//! observed wall-clock is twice what the model predicts, refit from the
-//! telemetry window, and converge the observed/predicted ratio back to ~1.
+//! neighbours, a BLAS upgrade). Each served call feeds the routine's
+//! predictor its observed seconds; from the 32nd on, admission prices at
+//! the model's seconds times the learned drift.
+//!
+//! Exits non-zero unless the mean observed/predicted of the second round
+//! lands in 0.75–1.35 and every shape keeps its thread count.
 //!
 //! ```text
 //! cargo run --release -p adsala-serve --example adapt
@@ -24,60 +28,58 @@ use adsala_blas3::op::Routine;
 use adsala_blas3::{Blas3Backend, Matrix, OwnedOp, Transpose};
 use adsala_machine::MachineSpec;
 use adsala_ml::model::ModelKind;
-use adsala_serve::{adapt, AdaptAction, ServeConfig, Service};
+use adsala_serve::{ServeConfig, Service, TelemetryRecord};
 use drift_harness::{
     calibrated_time_scale, min_traffic_secs, traffic_shape, ScaledTimer, SkewedSpinBackend,
 };
+use std::process::ExitCode;
 
-/// One round of production traffic: `count` gemms over 16 rotating shapes.
-fn traffic<B: Blas3Backend + 'static>(service: &Service<B>, count: usize) {
+/// One round of production traffic: `count` gemms over 16 rotating shapes,
+/// one at a time. Returns each call's record.
+fn traffic<B: Blas3Backend + 'static>(service: &Service<B>, count: usize) -> Vec<TelemetryRecord> {
     let client = service.client();
-    for i in 0..count {
-        let (m, k, n) = traffic_shape(i);
-        client
-            .submit(OwnedOp::Gemm {
-                transa: Transpose::No,
-                transb: Transpose::No,
-                alpha: 1.0,
-                a: Matrix::<f64>::zeros(m, k),
-                b: Matrix::<f64>::zeros(k, n),
-                beta: 0.0,
-                c: Matrix::<f64>::zeros(m, n),
-            })
-            .expect("within budget")
-            .wait()
-            .expect("service alive")
-            .result
-            .expect("backend ok");
-    }
+    (0..count)
+        .map(|i| {
+            let (m, k, n) = traffic_shape(i);
+            let done = client
+                .submit(OwnedOp::Gemm {
+                    transa: Transpose::No,
+                    transb: Transpose::No,
+                    alpha: 1.0,
+                    a: Matrix::<f64>::zeros(m, k),
+                    b: Matrix::<f64>::zeros(k, n),
+                    beta: 0.0,
+                    c: Matrix::<f64>::zeros(m, n),
+                })
+                .expect("within budget")
+                .wait()
+                .expect("service alive");
+            done.result.expect("backend ok");
+            done.stats
+        })
+        .collect()
 }
 
-/// Mean observed/predicted over the records priced by the *current* epoch
-/// — the window the adaptation driver itself watches.
-fn print_drift<B: Blas3Backend + 'static>(service: &Service<B>, routine: Routine) {
-    let version = service
-        .runtime()
-        .model_epoch(routine)
-        .expect("routine installed")
-        .version();
-    let (mut sum, mut n) = (0.0, 0usize);
-    for r in service.telemetry_snapshot() {
-        if r.routine == routine && r.epoch == version && r.qualifies_for_drift() {
-            sum += r.observed_secs / r.predicted_secs;
-            n += 1;
-        }
-    }
+/// Mean observed/predicted over `records`, printed.
+fn report(round: usize, records: &[TelemetryRecord]) -> f64 {
+    let ratios: Vec<f64> = records
+        .iter()
+        .filter(|r| r.qualifies_for_drift())
+        .map(|r| r.observed_secs / r.predicted_secs)
+        .collect();
+    let mean = ratios.iter().sum::<f64>() / ratios.len().max(1) as f64;
     println!(
-        "  drift: {} epoch {} observed/predicted = {:.2} over {} calls",
-        routine,
-        version,
-        sum / n.max(1) as f64,
-        n
+        "round {round}: {} calls, observed/predicted = {mean:.2} \
+         (first call {:.2}, last call {:.2})",
+        ratios.len(),
+        ratios.first().copied().unwrap_or(f64::NAN),
+        ratios.last().copied().unwrap_or(f64::NAN),
     );
+    mean
 }
 
-fn main() {
-    println!("== online adaptation: drift -> refit -> hot swap ==\n");
+fn main() -> ExitCode {
+    println!("== price correction: a 2x drift, learned from served calls ==\n");
 
     println!("installing dgemm on simulated gadi (gradient-boosted model)...");
     let routine = Routine::parse("dgemm").unwrap();
@@ -127,66 +129,25 @@ fn main() {
     )
     .expect("spawn scheduler cells");
 
-    println!("\nround 1: 48 calls against the 2x-slower backend");
-    traffic(&service, 48);
-    print_drift(&service, routine);
-
-    // The adaptation loop: keep running passes between traffic rounds
-    // until the drift signal sits inside the healthy band.
-    for round in 1..=4 {
-        let reports = adapt::run_once(&service);
-        let Some(report) = reports.first() else {
-            break;
-        };
-        match &report.action {
-            AdaptAction::Swapped {
-                version,
-                selected,
-                candidate_rmse,
-                live_rmse,
-            } => {
-                println!(
-                    "\nadapt pass {round}: drift {:.2} -> refit ({} on {} records, \
-                     holdout rmse {:.3} vs live {:.3}) -> swapped in epoch {version}",
-                    report.drift.unwrap_or(f64::NAN),
-                    selected.display_name(),
-                    report.window,
-                    candidate_rmse,
-                    live_rmse,
-                );
-                println!(
-                    "round {}: 48 more calls, now priced by epoch {version}",
-                    round + 1
-                );
-                traffic(&service, 48);
-                print_drift(&service, routine);
-            }
-            AdaptAction::InBand => {
-                println!(
-                    "\nadapt pass {round}: drift {:.2} is inside the healthy band - converged",
-                    report.drift.unwrap_or(f64::NAN)
-                );
-                break;
-            }
-            other => {
-                println!("\nadapt pass {round}: {other:?}");
-                break;
-            }
-        }
-    }
-
-    let epoch = service
-        .runtime()
-        .model_epoch(routine)
-        .expect("dgemm is installed");
     println!(
-        "\nfinal epoch: v{} ({}, {} training rows) - the service never stopped",
-        epoch.version(),
-        epoch
-            .installed()
-            .map(|i| i.selected.display_name())
-            .unwrap_or("opaque"),
-        epoch.model().trained_samples(),
+        "\n48 calls against the 2x-slower backend; the first 32 are priced by the model alone"
     );
-    println!("done.");
+    let pre = traffic(&service, 48);
+    report(1, &pre);
+    println!("48 more calls over the same shapes, priced with the learned correction");
+    let post = traffic(&service, 48);
+    let corrected = report(2, &post);
+
+    let moved = pre
+        .iter()
+        .zip(&post)
+        .filter(|(a, b)| a.admitted_nt != b.admitted_nt)
+        .count();
+    println!("shapes whose thread count moved: {moved} of {}", pre.len());
+    if moved > 0 || !(0.75..=1.35).contains(&corrected) {
+        println!("FAILED: the corrected ratio must lie in 0.75-1.35 with no thread count moved");
+        return ExitCode::FAILURE;
+    }
+    println!("done: priced at what the calls take, the service never stopped.");
+    ExitCode::SUCCESS
 }

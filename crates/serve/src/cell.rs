@@ -375,7 +375,7 @@ fn serve_one<B: Blas3Backend>(
     let mut start = Instant::now();
     let mut result = execute(&mut op);
     // Observed seconds cover the *last* attempt only, so retries and
-    // backoff sleeps do not pollute the telemetry the model refits from.
+    // backoff sleeps do not pollute the telemetry or the price correction.
     let mut observed_secs = start.elapsed().as_secs_f64();
     let mut attempt = 1u32;
     while let Err(e) = &result {
@@ -409,7 +409,7 @@ fn serve_one<B: Blas3Backend>(
         attempt += 1;
     }
     // The job's one record: the ticket carries it whatever the verdict;
-    // the ring — what the model refits from — only takes executions that
+    // the ring and the price correction only take executions that
     // succeeded.
     let stats = TelemetryRecord {
         seq: shared.next_seq(),
@@ -422,13 +422,19 @@ fn serve_one<B: Blas3Backend>(
         admitted_nt: cost.nt,
         predicted_secs: cost.secs,
         model_backed: cost.model_backed,
-        epoch: cost.epoch,
         observed_secs,
         batch_size,
     };
     if result.is_ok() {
         shared.breaker.record_success();
         cell.telemetry.record(stats);
+        // The routine's price correction learns from the same samples the
+        // drift view averages (no lock of the service is held here).
+        if stats.qualifies_for_drift() {
+            if let Some(predictor) = shared.runtime.predictor(routine) {
+                predictor.observe(dims, exec_nt, observed_secs);
+            }
+        }
     }
     tenant.settle(cost.secs);
     // The client may have dropped its ticket; that only means nobody is

@@ -228,7 +228,6 @@ mod tests {
                 admitted_nt: 1,
                 predicted_secs: 1e-6,
                 model_backed: false,
-                epoch: 0,
                 observed_secs: 1e-6,
                 batch_size: 1,
             },

@@ -42,15 +42,14 @@
 //! the submitter receives it as [`Completed::stats`] and a successful
 //! execution appends the same value to the cell's [`Telemetry`] ring.
 //! `Service::telemetry_snapshot` merges the rings into one service-wide
-//! order, and the [`adapt`] module closes the loop: each
-//! [`adapt::run_once`] pass watches the per-routine drift signal across
-//! *all* cells, refits from the merged telemetry window when a routine
-//! leaves the healthy band, and hot-swaps the new model epoch into the
-//! live runtime — guarded so a refit that scores worse than the live epoch
-//! on holdout is rejected. The loop has no settings: its window (32
-//! records), band (0.75–1.35), holdout share (a quarter) and model
-//! families (linear regression and XGBoost) are constants.
-//!
+//! order, and [`drift_by_routine`] reads the per-routine mean
+//! `observed / predicted` from it. The same successful records correct the
+//! prices admission works with: the cell feeds each one that
+//! [qualifies](TelemetryRecord::qualifies_for_drift) to its routine's
+//! predictor ([`ThreadPredictor::observe`](adsala::ThreadPredictor::observe)),
+//! which from 32 samples on scales the model's seconds by the observed
+//! drift. The thread count the model picks does not move.
+
 //! ## Shape of the API
 //!
 //! Submission returns a [`Ticket`], consumed one of two ways: blocking
@@ -128,7 +127,6 @@
 
 #![warn(missing_docs)]
 
-pub mod adapt;
 pub mod cell;
 pub mod completion;
 pub mod job;
@@ -139,7 +137,6 @@ pub mod service;
 pub mod supervisor;
 pub mod telemetry;
 
-pub use adapt::{AdaptAction, AdaptReport};
 pub use completion::{CompletionCallback, Ticket};
 pub use job::{AnyOp, ClientId, Completed, RejectReason, Rejected, ServeError};
 pub use router::{QosClass, TenantConfig, TenantId};

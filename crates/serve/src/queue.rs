@@ -384,7 +384,6 @@ pub mod tests {
                 nt: 1,
                 secs,
                 model_backed: false,
-                epoch: 0,
             },
             deadline: None,
             op,

@@ -134,8 +134,6 @@ pub(crate) struct GroupCost {
     pub secs: f64,
     /// Whether an installed model priced the group.
     pub model_backed: bool,
-    /// Epoch version of that model (0 on the fallback path).
-    pub epoch: u64,
 }
 
 /// The tenant registry, guarded by the admission lock. The same lock
@@ -416,7 +414,7 @@ impl<B: Blas3Backend + 'static> Service<B> {
 
     /// The merged observed-wall-clock telemetry across every cell, in
     /// service-wide recording order (each record carries the shard it
-    /// executed on). This is the view the adaptation loop refits from.
+    /// executed on).
     pub fn telemetry_snapshot(&self) -> Vec<TelemetryRecord> {
         let mut merged: Vec<TelemetryRecord> = self
             .shared
@@ -616,14 +614,12 @@ impl<B: Blas3Backend + 'static> Client<B> {
                                 nt: c.nt,
                                 secs: secs.clamp(lo, hi),
                                 model_backed: true,
-                                epoch: c.epoch.unwrap_or(0),
                             }
                         }
                         None => GroupCost {
                             nt: c.nt,
                             secs: flops / (self.shared.cfg.fallback_gflops * 1e9),
                             model_backed: false,
-                            epoch: 0,
                         },
                     };
                     groups.push((key, est));

@@ -1,17 +1,17 @@
 //! The per-job record, and the observed-vs-predicted telemetry built from it.
 //!
-//! The paper installs models once per platform; closing the loop (ROADMAP
-//! "online adaptation") needs production call timings paired with the
-//! predictions they were admitted under. [`TelemetryRecord`] is that pair
-//! and the service's **one** description of a finished job: the executing
-//! cell builds it once, hands it to the submitter as
+//! [`TelemetryRecord`] is the service's **one** description of a finished
+//! job: the priced decision it was admitted under, where and how wide it
+//! ran, and the observed wall-clock. The executing cell builds it once,
+//! hands it to the submitter as
 //! [`Completed::stats`](crate::Completed::stats), and — when the backend
-//! succeeded — appends the same value to its [`Telemetry`] ring. A refit
-//! loop can [`Telemetry::snapshot`] the ring periodically and feed the
-//! `(features, observed seconds)` pairs back through the installation
-//! pipeline. Whatever else is learned about a job on its way through the
-//! service (stage stamps, the decision's inputs) belongs here as a field,
-//! so both readers see it.
+//! succeeded — appends the same value to its [`Telemetry`] ring and, when
+//! the record [qualifies](TelemetryRecord::qualifies_for_drift), feeds
+//! the routine's price correction
+//! ([`ThreadPredictor::observe`](adsala::ThreadPredictor::observe)).
+//! Whatever else is learned about a job on its way through the service
+//! (stage stamps, the decision's inputs) belongs here as a field, so every
+//! reader sees it.
 //!
 //! Under sharding each cell owns a private ring (no cross-cell lock on
 //! the serve path); records carry a service-wide [`TelemetryRecord::seq`]
@@ -56,10 +56,6 @@ pub struct TelemetryRecord {
     /// Whether the prediction came from an installed model (`true`) or the
     /// flops-based fallback cost model (`false`).
     pub model_backed: bool,
-    /// Epoch version of the model that priced the job (0 on the fallback
-    /// path). Lets a refit loop separate records made under the current
-    /// epoch from the pre-swap history that triggered the swap.
-    pub epoch: u64,
     /// Observed wall-clock seconds of the execution (the last attempt,
     /// when the job was retried).
     pub observed_secs: f64,
@@ -67,16 +63,9 @@ pub struct TelemetryRecord {
     pub batch_size: usize,
 }
 
-/// Smallest prediction a drift ratio may be formed against, matching the
-/// `max(1e-12)` clamp the refit path applies before taking logarithms.
-///
-/// Predictions come out of `exp(ln_secs)`, which can round to a subnormal
-/// (or, through a degenerate model, to exactly zero) — and a single
-/// `observed / 1e-300` ratio is `~1e300`, poisoning the mean of an entire
-/// telemetry window. Records below this floor are skipped, not clamped:
-/// a model emitting them is broken in a way a drift refit cannot learn
-/// from.
-pub const MIN_PREDICTED_SECS: f64 = 1e-12;
+/// Smallest prediction a drift ratio may be formed against: the floor the
+/// price correction applies to the model's own seconds.
+pub use adsala::predictor::MIN_PREDICTED_SECS;
 
 impl TelemetryRecord {
     /// Whether this record is a valid drift sample: model-backed, with a
@@ -105,8 +94,6 @@ pub struct RoutineDrift {
     pub mean_observed_over_predicted: f64,
     /// Number of qualifying records behind the mean.
     pub samples: usize,
-    /// Highest epoch version seen among the qualifying records.
-    pub latest_epoch: u64,
 }
 
 struct Inner {
@@ -183,25 +170,23 @@ impl Telemetry {
 /// badly drifting routine cannot hide behind several healthy ones (their
 /// `samples`-weighted mean is the service-wide ratio).
 pub fn drift_by_routine(records: &[TelemetryRecord]) -> Vec<RoutineDrift> {
-    let mut per: Vec<(Routine, f64, usize, u64)> = Vec::new();
+    let mut per: Vec<(Routine, f64, usize)> = Vec::new();
     for r in records.iter().filter(|r| r.qualifies_for_drift()) {
         let ratio = r.observed_secs / r.predicted_secs;
         match per.iter_mut().find(|(rt, ..)| *rt == r.routine) {
-            Some((_, sum, n, epoch)) => {
+            Some((_, sum, n)) => {
                 *sum += ratio;
                 *n += 1;
-                *epoch = (*epoch).max(r.epoch);
             }
-            None => per.push((r.routine, ratio, 1, r.epoch)),
+            None => per.push((r.routine, ratio, 1)),
         }
     }
     per.sort_by_key(|&(rt, ..)| rt);
     per.into_iter()
-        .map(|(routine, sum, n, latest_epoch)| RoutineDrift {
+        .map(|(routine, sum, n)| RoutineDrift {
             routine,
             mean_observed_over_predicted: sum / n as f64,
             samples: n,
-            latest_epoch,
         })
         .collect()
 }
@@ -223,7 +208,6 @@ mod tests {
             admitted_nt: 2,
             predicted_secs: 1.0,
             model_backed: true,
-            epoch: 1,
             observed_secs: 2.0,
             batch_size: 1,
         }
@@ -275,11 +259,10 @@ mod tests {
             r.observed_secs = 1.0;
             t.record(r);
         }
-        // ...hiding one dsymm drifting 5x, served by a later epoch.
+        // ...hiding one dsymm drifting 5x.
         let mut drifting = rec(4);
         drifting.routine = Routine::new(OpKind::Symm, Precision::Double);
         drifting.observed_secs = 5.0;
-        drifting.epoch = 3;
         t.record(drifting);
         // A fallback record never pollutes either view.
         let mut fallback = rec(5);
@@ -299,11 +282,9 @@ mod tests {
         assert_eq!(per[0].routine.name(), "dgemm");
         assert!((per[0].mean_observed_over_predicted - 1.0).abs() < 1e-12);
         assert_eq!(per[0].samples, 4);
-        assert_eq!(per[0].latest_epoch, 1);
         assert_eq!(per[1].routine.name(), "dsymm");
         assert!((per[1].mean_observed_over_predicted - 5.0).abs() < 1e-12);
         assert_eq!(per[1].samples, 1);
-        assert_eq!(per[1].latest_epoch, 3);
     }
 
     #[test]

@@ -177,7 +177,7 @@ fn a_fatal_fault_settles_typed_without_burning_retries() {
     assert_eq!(snap, records, "the ring holds what the tickets delivered");
     assert!(
         snap.iter().all(|r| r.seq != failed.seq),
-        "a failed execution is nothing to refit from"
+        "a failed execution is no drift sample"
     );
     let stats = service.stats();
     assert_eq!(

@@ -1,4 +1,4 @@
-//! Shared drift-injection harness for the online-adaptation integration
+//! Shared drift-injection harness for the price-correction integration
 //! test (`tests/adapt.rs`) and example (`examples/adapt.rs`), both of which
 //! include this one file with `#[path]`, so they cannot silently diverge in
 //! how they calibrate against machine noise or inject the skew.

@@ -249,4 +249,82 @@ reason = "gauge \"snapshot\""
     fn key_before_header_is_an_error() {
         assert!(parse("file = \"f.rs\"\n", "relaxed").is_err());
     }
+
+    /// SplitMix64: a seeded stream for the mutant test.
+    struct Stream(u64);
+
+    impl Stream {
+        fn below(&mut self, n: usize) -> usize {
+            self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            ((z ^ (z >> 31)) % n.max(1) as u64) as usize
+        }
+    }
+
+    /// `text` damaged once: bits flipped, cut short, a quote dropped or
+    /// doubled, or a multi-byte character spliced in (possibly inside
+    /// another one, which leaves invalid UTF-8 for the lossy decode).
+    fn mutant(text: &str, kind: usize, rng: &mut Stream) -> String {
+        let mut bytes = text.as_bytes().to_vec();
+        let quotes: Vec<usize> = (0..bytes.len()).filter(|&i| bytes[i] == b'"').collect();
+        let quote = quotes[rng.below(quotes.len())];
+        match kind {
+            0 => {
+                for _ in 0..=rng.below(4) {
+                    let at = rng.below(bytes.len());
+                    bytes[at] ^= 1 << rng.below(8);
+                }
+            }
+            1 => bytes.truncate(rng.below(bytes.len())),
+            2 => {
+                bytes.remove(quote);
+            }
+            3 => bytes.insert(quote, b'"'),
+            _ => {
+                let wide = ["é", "—", "日本", "🦀", "\u{0}", "\u{feff}", "\\\""];
+                let at = rng.below(bytes.len() + 1);
+                let splice = wide[rng.below(wide.len())].as_bytes();
+                bytes.splice(at..at, splice.iter().copied());
+            }
+        }
+        String::from_utf8_lossy(&bytes).into_owned()
+    }
+
+    #[test]
+    fn a_mutated_ledger_parses_or_is_a_typed_error() {
+        let ledgers = [
+            (include_str!("../orderings.toml"), "relaxed"),
+            (include_str!("../panic_allow.toml"), "allow"),
+        ];
+        let per_ledger = if cfg!(miri) { 10 } else { 2000 };
+        let mut rng = Stream(0x1ED6_E125);
+        let (mut parsed, mut rejected) = (0, 0);
+        for (text, section) in ledgers {
+            assert!(
+                parse(text, section).is_ok(),
+                "the committed {section} ledger"
+            );
+            for i in 0..per_ledger {
+                let damaged = mutant(text, i % 5, &mut rng);
+                match std::panic::catch_unwind(|| parse(&damaged, section)) {
+                    Ok(Ok(_)) => parsed += 1,
+                    Ok(Err(e)) => {
+                        let lines = damaged.lines().count();
+                        assert!(
+                            (1..=lines).contains(&e.line),
+                            "mutant {i} of the {section} ledger: {e} (of {lines} lines)"
+                        );
+                        rejected += 1;
+                    }
+                    Err(_) => panic!("mutant {i} of the {section} ledger panicked:\n{damaged}"),
+                }
+            }
+        }
+        assert!(
+            parsed > 0 && rejected > 0,
+            "{parsed} parsed, {rejected} rejected"
+        );
+    }
 }

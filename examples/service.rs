@@ -6,7 +6,7 @@
 //! 2. compares batched vs per-op submission throughput on one stream,
 //! 3. shows admission control shedding load under a tiny backlog budget,
 //! 4. dumps the telemetry the scheduler recorded (the observed-vs-predicted
-//!    pairs a future online-refit loop would consume).
+//!    pairs the routine's price correction learns from).
 //!
 //! ```text
 //! cargo run --release --example service
@@ -169,8 +169,8 @@ fn main() {
     }
     for d in &stats.drift_by_routine {
         println!(
-            "  {}: observed/predicted {:.3e} over {} records, epoch {} (refit signal)",
-            d.routine, d.mean_observed_over_predicted, d.samples, d.latest_epoch
+            "  {}: observed/predicted {:.3e} over {} records (the drift the price correction learns)",
+            d.routine, d.mean_observed_over_predicted, d.samples
         );
     }
     for r in service.telemetry_snapshot().iter().rev().take(3) {
