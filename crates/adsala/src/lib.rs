@@ -34,7 +34,8 @@
 //! from its 32nd sample on, multiplies the seconds
 //! [`runtime::Adsala::predict_cost`] reports by `exp(mean)`. The model
 //! still picks `nt`: the correction scales every candidate's price alike.
-//! `adsala-serve` feeds it from the calls its cells serve.
+//! [`ThreadPredictor::drift`] reads it back as a [`Drift`]. `adsala-serve`
+//! feeds it from the calls its cells serve and reports those readings.
 
 #![warn(missing_docs)]
 
@@ -49,6 +50,6 @@ pub mod store;
 pub mod timer;
 
 pub use install::{install_routine, InstalledRoutine, ModelReport};
-pub use predictor::{ModelEpoch, ThreadPredictor};
+pub use predictor::{Drift, ModelEpoch, ThreadPredictor};
 pub use runtime::{Adsala, AdsalaBuilder, CostEstimate};
 pub use timer::{BlasTimer, RealTimer, SimTimer};

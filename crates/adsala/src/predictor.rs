@@ -27,10 +27,12 @@
 //! seconds, so the correction cannot chase itself, and it scales every
 //! candidate's price alike, so the chosen thread count never moves: the
 //! model decides `nt`, the correction only its price.
+//! [`ThreadPredictor::drift`] reads it back: how wrong the model's price
+//! has been lately, the one drift figure the repository reports.
 
 use crate::install::{predict_secs_at, InstalledRoutine};
 use adsala_blas3::op::{Dims, Routine};
-use adsala_blas3::sync::{AtomicU64, Mutex, MutexGuard, Ordering};
+use adsala_blas3::sync::{Mutex, MutexGuard};
 
 /// Entries in one routine's table: the distinct dims it remembers.
 const CAPACITY: usize = 64;
@@ -146,11 +148,37 @@ impl Correction {
     }
 }
 
+/// A routine's price correction, read: how wrong the installed model's
+/// seconds have been over the calls served lately.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Drift {
+    /// The routine.
+    pub routine: Routine,
+    /// Observations behind the reading.
+    pub samples: u64,
+    /// The geometric mean of `observed / model seconds`, over all samples
+    /// up to the 32nd and about the last 32 after it; 1 with none. From
+    /// sample 32 on, [`ThreadPredictor::predict_cost`] multiplies the
+    /// model's seconds by exactly this.
+    pub ratio: f64,
+}
+
 /// What the predictor's one lock guards.
 #[derive(Debug)]
 struct Slot {
     table: Table,
     correction: Correction,
+    hits: u64,
+    misses: u64,
+}
+
+impl Slot {
+    /// The table's entry for `dims`, counted as a hit when there is one.
+    fn hit(&mut self, dims: Dims) -> Option<CacheEntry> {
+        let entry = self.table.get(dims);
+        self.hits += u64::from(entry.is_some());
+        entry
+    }
 }
 
 /// Runtime predictor for one routine: its installed model, a table of the
@@ -165,8 +193,6 @@ struct Slot {
 pub struct ThreadPredictor {
     model: ModelEpoch,
     slot: Mutex<Slot>,
-    hits: AtomicU64,
-    misses: AtomicU64,
 }
 
 impl ThreadPredictor {
@@ -177,9 +203,9 @@ impl ThreadPredictor {
             slot: Mutex::new(Slot {
                 table: Table::EMPTY,
                 correction: Correction::NONE,
+                hits: 0,
+                misses: 0,
             }),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
         }
     }
 
@@ -199,14 +225,8 @@ impl ThreadPredictor {
 
     /// Predict the best thread count, consulting the table first.
     pub fn predict(&self, dims: Dims) -> usize {
-        let hit = self.lock().table.get(dims);
-        match hit {
-            Some(hit) => {
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                hit.nt
-            }
-            None => self.sweep(dims).nt,
-        }
+        let hit = self.lock().hit(dims);
+        hit.unwrap_or_else(|| self.sweep(dims)).nt
     }
 
     /// Predict the best thread count *and* the runtime estimate at that
@@ -219,15 +239,9 @@ impl ThreadPredictor {
     pub fn predict_cost(&self, dims: Dims) -> (usize, f64) {
         let (hit, factor) = {
             let mut slot = self.lock();
-            (slot.table.get(dims), slot.correction.factor())
+            (slot.hit(dims), slot.correction.factor())
         };
-        let entry = match hit {
-            Some(hit) => {
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                hit
-            }
-            None => self.sweep(dims),
-        };
+        let entry = hit.unwrap_or_else(|| self.sweep(dims));
         (entry.nt, entry.secs * factor)
     }
 
@@ -256,12 +270,23 @@ impl ThreadPredictor {
         }
     }
 
+    /// The price correction as it stands.
+    pub fn drift(&self) -> Drift {
+        let correction = self.lock().correction;
+        Drift {
+            routine: self.routine(),
+            samples: correction.count,
+            ratio: correction.mean.exp(),
+        }
+    }
+
     /// A miss: sweep outside the lock, then cache the result.
     fn sweep(&self, dims: Dims) -> CacheEntry {
-        self.misses.fetch_add(1, Ordering::Relaxed);
         let (nt, secs) = self.model.0.sweep(dims);
         let entry = CacheEntry { dims, nt, secs };
-        self.lock().table.put(entry);
+        let mut slot = self.lock();
+        slot.misses += 1;
+        slot.table.put(entry);
         entry
     }
 
@@ -272,18 +297,17 @@ impl ThreadPredictor {
 
     /// `(cache_hits, cache_misses)` counters.
     pub fn cache_stats(&self) -> (u64, u64) {
-        (
-            self.hits.load(Ordering::Relaxed),
-            self.misses.load(Ordering::Relaxed),
-        )
+        let slot = self.lock();
+        (slot.hits, slot.misses)
     }
 
     /// Lock the slot, recovering from poisoning. A thread that panicked
     /// while holding this lock cannot have torn it (the critical sections
     /// only read or assign whole values), but whatever it cached or
-    /// observed is suspect — clear the table and the correction, and serve
-    /// the lookup as a miss rather than propagating the panic into every
-    /// later caller (the serve scheduler among them).
+    /// observed is suspect — clear the table and the correction (the
+    /// counters stand), and serve the lookup as a miss rather than
+    /// propagating the panic into every later caller (the serve scheduler
+    /// among them).
     fn lock(&self) -> MutexGuard<'_, Slot> {
         match self.slot.lock() {
             Ok(guard) => guard,
@@ -432,17 +456,19 @@ mod tests {
     #[test]
     fn a_doubled_observation_doubles_the_price_from_the_32nd_sample_on() {
         let p = predictor();
+        assert_eq!(p.drift().samples, 0);
+        assert_eq!(p.drift().ratio, 1.0);
         let probes: Vec<Dims> = (0..8).map(|i| Dims::d3(16 << i, 700, 90 + i)).collect();
         let before: Vec<(usize, f64)> = probes.iter().map(|&d| p.predict_cost(d)).collect();
         let nts: Vec<usize> = probes.iter().map(|&d| p.predict(d)).collect();
         for i in 0..2 * WARM_SAMPLES as usize {
             let (d, nt, secs) = served(&p, i);
             p.observe(d, nt, 2.0 * secs);
-            let factor = if i + 1 < WARM_SAMPLES as usize {
-                1.0
-            } else {
-                2.0
-            };
+            let drift = p.drift();
+            assert_eq!((drift.routine, drift.samples), (p.routine(), i as u64 + 1));
+            assert!((drift.ratio - 2.0).abs() < 1e-12, "sample {i}: {drift:?}");
+            let warm = i + 1 >= WARM_SAMPLES as usize;
+            let factor = if warm { 2.0 } else { 1.0 };
             for ((&d, &(nt, secs)), &picked) in probes.iter().zip(&before).zip(&nts) {
                 let (now_nt, now) = p.predict_cost(d);
                 assert_eq!(now_nt, nt, "sample {i}: the price moved the choice");
@@ -450,6 +476,11 @@ mod tests {
                 assert_eq!(p.predict_uncached(d), picked, "sample {i}");
                 let rel = (now - factor * secs).abs() / (factor * secs);
                 assert!(rel < 1e-9, "sample {i}: {now} vs {factor} x {secs}");
+                // The reading is the factor the price carries.
+                if warm {
+                    let rel = (now - secs * drift.ratio).abs() / (secs * drift.ratio);
+                    assert!(rel < 1e-12, "sample {i}: {now} vs {secs} x {drift:?}");
+                }
             }
         }
     }
@@ -484,7 +515,7 @@ mod tests {
                 p.observe(d, nt, observed);
             }
         }
-        assert_eq!(p.lock().correction.count, 0);
+        assert_eq!(p.drift().samples, 0);
         assert_eq!(p.predict_cost(d), (nt, secs));
         // Model seconds under the floor: the table entry stands in for a
         // degenerate model's prediction.
@@ -500,7 +531,7 @@ mod tests {
                 p.observe(tiny, entry.nt, 1e-3);
             }
         }
-        assert_eq!(p.lock().correction.count, 0);
+        assert_eq!(p.drift().samples, 0);
         // At the floor a sample counts.
         let mut slot = p.lock();
         let mut entry = slot.table.get(tiny).unwrap();
@@ -508,7 +539,7 @@ mod tests {
         slot.table.put(entry);
         drop(slot);
         p.observe(tiny, entry.nt, 1e-3);
-        assert_eq!(p.lock().correction.count, 1);
+        assert_eq!(p.drift().samples, 1);
     }
 
     #[test]

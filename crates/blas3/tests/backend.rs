@@ -289,14 +289,41 @@ fn level3(
 
 /// Run one Level-2 `routine` (`gemv`, `symv` or `ger`) on a finite A and
 /// y with `x` (and GER's `y`) built by `input`; returns the output operand.
+/// TRMV and TRSV take a 7 x 7 A and their in-place x from `input`, and
+/// ignore `alpha` and `beta`.
 fn level2(
     backend: &dyn Blas3Backend,
     nt: usize,
     routine: &str,
+    uplo: Uplo,
     (alpha, beta): (f64, f64),
     input: fn(usize, usize, u64) -> Matrix<f64>,
 ) -> Matrix<f64> {
     let (m, n) = (7, 5);
+    if routine == "trmv" || routine == "trsv" {
+        let (a, mut x) = (input(m, m, 1), input(m, 1, 2));
+        let (a, diag) = (a.as_ref(), Diag::NonUnit);
+        let (trans, x_mut) = (Transpose::No, VecMut::new(m, 1, x.as_mut_slice()));
+        let op = if routine == "trmv" {
+            Blas3Op::Trmv {
+                uplo,
+                trans,
+                diag,
+                a,
+                x: x_mut,
+            }
+        } else {
+            Blas3Op::Trsv {
+                uplo,
+                trans,
+                diag,
+                a,
+                x: x_mut,
+            }
+        };
+        backend.execute_f64(nt, op).unwrap();
+        return x;
+    }
     let rows = if routine == "symv" { n } else { m };
     let mut a = mat(rows, n, 1);
     let (x, col) = (input(n, 1, 2), input(m, 1, 4));
@@ -312,7 +339,7 @@ fn level2(
             y: VecMut::new(m, 1, y.as_mut_slice()),
         },
         "symv" => Blas3Op::Symv {
-            uplo: Uplo::Upper,
+            uplo,
             alpha,
             a: a.as_ref(),
             x,
@@ -385,7 +412,7 @@ fn alpha_zero_reads_no_operand() {
                     )
                     .1
                 } else {
-                    level2(backend, nt, routine, (alpha, beta), nan)
+                    level2(backend, nt, routine, Uplo::Upper, (alpha, beta), nan)
                 }
             });
             for (name, out) in [("native", &native), ("reference", &reference)] {
@@ -451,18 +478,26 @@ fn zero_sized_dims_agree_across_backends() {
 /// would poison row `p` as well. SYRK and SYR2K form `A Aᵀ` (and
 /// `A Bᵀ + B Aᵀ`), so row `ROW` of A reaches row `ROW` *and* column `ROW`
 /// of C; only the stored triangle is written, and the other keeps C's
-/// finite input.
+/// finite input. TRMM, TRSM, TRMV and TRSV, poisoned at `A(ROW, ROW)` on
+/// either triangle, leave non-finite exactly the entries the reference
+/// backend does.
 #[test]
 fn one_nan_in_a_poisons_exactly_its_row_of_c() {
     const ROW: usize = 5;
     fn poisoned<const INF: bool>(r: usize, c: usize, seed: u64) -> Matrix<f64> {
-        let mut x = mat(r, c, seed);
+        let mut x = operand(r, c, seed);
         if seed == 1 {
             let poison = if INF { f64::INFINITY } else { f64::NAN };
             x.set(ROW, if r == c { ROW } else { 7 }, poison);
         }
         x
     }
+    let non_finite = |out: &Matrix<f64>| -> Vec<(usize, usize)> {
+        (0..out.cols())
+            .flat_map(|j| (0..out.rows()).map(move |i| (i, j)))
+            .filter(|&(i, j)| !out.get(i, j).is_finite())
+            .collect()
+    };
     for inf in [false, true] {
         let input = if inf {
             poisoned::<true>
@@ -503,6 +538,31 @@ fn one_nan_in_a_poisons_exactly_its_row_of_c() {
                             c.get(i, j)
                         );
                     }
+                }
+            }
+            // The triangular routines, poisoned on A's diagonal: where the
+            // poison spreads depends on the routine (an infinite pivot
+            // solves to 0, a NaN one runs on through the solve), so the
+            // oracle's output says which entries must come out non-finite.
+            for routine in ["trmm", "trsm", "trmv", "trsv"] {
+                for uplo in [Uplo::Upper, Uplo::Lower] {
+                    let [native, reference] = NATIVE_AND_REFERENCE.map(|backend| {
+                        if LEVEL3.contains(&routine) {
+                            let (res, out) =
+                                level3(backend, nt, routine, uplo, (13, 9, 11), (1.0, 0.0), input);
+                            res.unwrap();
+                            out
+                        } else {
+                            level2(backend, nt, routine, uplo, (1.0, 0.0), input)
+                        }
+                    });
+                    let case = format!("inf={inf} {routine} {uplo:?} nt={nt}");
+                    let expected = non_finite(&reference);
+                    assert!(
+                        inf || !expected.is_empty(),
+                        "{case}: the NaN was never read"
+                    );
+                    assert_eq!(non_finite(&native), expected, "{case}");
                 }
             }
         }

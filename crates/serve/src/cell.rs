@@ -428,8 +428,8 @@ fn serve_one<B: Blas3Backend>(
     if result.is_ok() {
         shared.breaker.record_success();
         cell.telemetry.record(stats);
-        // The routine's price correction learns from the same samples the
-        // drift view averages (no lock of the service is held here).
+        // The routine's price correction learns from the calls run at the
+        // `nt` they were priced at (no lock of the service is held here).
         if stats.qualifies_for_drift() {
             if let Some(predictor) = shared.runtime.predictor(routine) {
                 predictor.observe(dims, exec_nt, observed_secs);

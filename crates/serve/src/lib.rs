@@ -42,13 +42,15 @@
 //! the submitter receives it as [`Completed::stats`] and a successful
 //! execution appends the same value to the cell's [`Telemetry`] ring.
 //! `Service::telemetry_snapshot` merges the rings into one service-wide
-//! order, and [`drift_by_routine`] reads the per-routine mean
-//! `observed / predicted` from it. The same successful records correct the
-//! prices admission works with: the cell feeds each one that
-//! [qualifies](TelemetryRecord::qualifies_for_drift) to its routine's
-//! predictor ([`ThreadPredictor::observe`](adsala::ThreadPredictor::observe)),
-//! which from 32 samples on scales the model's seconds by the observed
-//! drift. The thread count the model picks does not move.
+//! order. The same successful records correct the prices admission works
+//! with: the cell feeds each one that
+//! [qualifies](TelemetryRecord::qualifies_for_drift) (model-backed, run at
+//! the `nt` it was priced at) to its routine's predictor
+//! ([`ThreadPredictor::observe`](adsala::ThreadPredictor::observe)), which
+//! from 32 samples on scales the model's seconds by the observed drift.
+//! The thread count the model picks does not move. The drift an operator
+//! reads in [`ServiceStats::drift_by_routine`] is that correction itself,
+//! one [`Drift`](adsala::Drift) per model-backed routine.
 
 //! ## Shape of the API
 //!
@@ -142,6 +144,4 @@ pub use job::{AnyOp, ClientId, Completed, RejectReason, Rejected, ServeError};
 pub use router::{QosClass, TenantConfig, TenantId};
 pub use service::{Client, ServeConfig, Service, ServiceStats, ShardStats, SubmitOptions};
 pub use supervisor::{BreakerSnapshot, BreakerState};
-pub use telemetry::{
-    drift_by_routine, RoutineDrift, Telemetry, TelemetryRecord, MIN_PREDICTED_SECS,
-};
+pub use telemetry::{Telemetry, TelemetryRecord};

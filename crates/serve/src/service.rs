@@ -17,7 +17,8 @@ use crate::job::{AnyOp, ClientId, RejectReason, Rejected, ServeError};
 use crate::queue::{Job, ShedCandidate};
 use crate::router::{TenantConfig, TenantId, TenantState};
 use crate::supervisor::{supervisor_loop, Breaker, BreakerSnapshot};
-use crate::telemetry::{self, RoutineDrift, TelemetryRecord};
+use crate::telemetry::TelemetryRecord;
+use adsala::predictor::Drift;
 use adsala::runtime::Adsala;
 use adsala_blas3::op::{Dims, Routine};
 use adsala_blas3::sync::{AtomicBool, AtomicU64, Mutex, MutexGuard, Ordering};
@@ -227,14 +228,16 @@ pub struct ShardStats {
 
 /// A point-in-time operator snapshot of a [`Service`] from
 /// [`Service::stats`]: the per-shard breakdown — the view that shows
-/// skew and shedding — plus the merged per-routine drift.
+/// skew and shedding — plus each routine's price correction.
 #[derive(Debug, Clone)]
 pub struct ServiceStats {
     /// One entry per scheduler cell.
     pub shards: Vec<ShardStats>,
-    /// Per-routine drift breakdown over the merged telemetry (see
-    /// [`telemetry::drift_by_routine`]).
-    pub drift_by_routine: Vec<RoutineDrift>,
+    /// One row per routine whose installed predictor has observed a
+    /// served call: its price correction
+    /// ([`ThreadPredictor::drift`](adsala::ThreadPredictor::drift)), in
+    /// [`Routine::all`] then [`Routine::all_level2`] order.
+    pub drift_by_routine: Vec<Drift>,
     /// The backend circuit breaker's position and trip count.
     pub breaker: BreakerSnapshot,
 }
@@ -441,10 +444,10 @@ impl<B: Blas3Backend + 'static> Service<B> {
         self.shared.backlog_secs()
     }
 
-    /// One consistent operator view: the per-shard breakdown (queue
-    /// depth, backlog and shed counters — the skew view) plus the
-    /// per-routine drift over the merged telemetry (one row per routine,
-    /// so one drifting routine cannot hide behind several healthy ones).
+    /// One operator view: the per-shard breakdown (queue depth, backlog
+    /// and shed counters — the skew view) plus each model-backed
+    /// routine's price correction (one row per routine, so one drifting
+    /// routine cannot hide behind several healthy ones).
     pub fn stats(&self) -> ServiceStats {
         let shards = self
             .shared
@@ -464,10 +467,17 @@ impl<B: Blas3Backend + 'static> Service<B> {
                 expired_jobs: c.expired_jobs.load(Ordering::Relaxed),
             })
             .collect();
-        let snap = self.telemetry_snapshot();
+        let runtime = &self.shared.runtime;
+        let drift_by_routine = Routine::all()
+            .into_iter()
+            .chain(Routine::all_level2())
+            .filter_map(|r| runtime.predictor(r))
+            .map(|p| p.drift())
+            .filter(|d| d.samples > 0)
+            .collect();
         ServiceStats {
             shards,
-            drift_by_routine: telemetry::drift_by_routine(&snap),
+            drift_by_routine,
             breaker: self.shared.breaker.snapshot(),
         }
     }

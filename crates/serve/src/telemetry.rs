@@ -1,4 +1,4 @@
-//! The per-job record, and the observed-vs-predicted telemetry built from it.
+//! The per-job record, and the ring of recent records.
 //!
 //! [`TelemetryRecord`] is the service's **one** description of a finished
 //! job: the priced decision it was admitted under, where and how wide it
@@ -8,7 +8,10 @@
 //! succeeded — appends the same value to its [`Telemetry`] ring and, when
 //! the record [qualifies](TelemetryRecord::qualifies_for_drift), feeds
 //! the routine's price correction
-//! ([`ThreadPredictor::observe`](adsala::ThreadPredictor::observe)).
+//! ([`ThreadPredictor::observe`](adsala::ThreadPredictor::observe)). The
+//! drift an operator reads is that correction's own
+//! ([`ServiceStats::drift_by_routine`](crate::ServiceStats::drift_by_routine)),
+//! not a second average over these records.
 //! Whatever else is learned about a job on its way through the service
 //! (stage stamps, the decision's inputs) belongs here as a field, so every
 //! reader sees it.
@@ -16,9 +19,7 @@
 //! Under sharding each cell owns a private ring (no cross-cell lock on
 //! the serve path); records carry a service-wide [`TelemetryRecord::seq`]
 //! stamp so `Service::telemetry_snapshot` can merge the rings back into
-//! one recording order, and the drift view is a free function
-//! ([`drift_by_routine`]) that works on any record slice — per-cell or
-//! merged.
+//! one recording order.
 
 use crate::job::ClientId;
 use crate::router::TenantId;
@@ -63,37 +64,17 @@ pub struct TelemetryRecord {
     pub batch_size: usize,
 }
 
-/// Smallest prediction a drift ratio may be formed against: the floor the
-/// price correction applies to the model's own seconds.
-pub use adsala::predictor::MIN_PREDICTED_SECS;
-
 impl TelemetryRecord {
-    /// Whether this record is a valid drift sample: model-backed, with a
-    /// finite prediction at or above [`MIN_PREDICTED_SECS`] (zero and
-    /// subnormal predictions would send one ratio to `inf` and poison the
-    /// whole window mean), a finite positive observation, executed at the
-    /// thread count it was priced at. Batch-serialised jobs (executed `nt`
-    /// differs from `admitted_nt`) are excluded — their mismatch is
-    /// scheduling policy, not model error.
+    /// Whether this record is a drift sample by the service's policy:
+    /// model-backed, and executed at the thread count it was priced at.
+    /// Batch-serialised jobs (executed `nt` differs from `admitted_nt`)
+    /// are excluded — their mismatch is scheduling policy, not model
+    /// error. The numbers themselves are the predictor's to vet
+    /// ([`ThreadPredictor::observe`](adsala::ThreadPredictor::observe)
+    /// skips a sample it cannot form a finite ratio from).
     pub fn qualifies_for_drift(&self) -> bool {
-        self.model_backed
-            && self.predicted_secs.is_finite()
-            && self.predicted_secs >= MIN_PREDICTED_SECS
-            && self.observed_secs.is_finite()
-            && self.observed_secs > 0.0
-            && self.nt == self.admitted_nt
+        self.model_backed && self.nt == self.admitted_nt
     }
-}
-
-/// Per-routine drift summary from [`drift_by_routine`].
-#[derive(Debug, Clone, PartialEq)]
-pub struct RoutineDrift {
-    /// The routine.
-    pub routine: Routine,
-    /// Mean `observed / predicted` over this routine's qualifying records.
-    pub mean_observed_over_predicted: f64,
-    /// Number of qualifying records behind the mean.
-    pub samples: usize,
 }
 
 struct Inner {
@@ -163,34 +144,6 @@ impl Telemetry {
     }
 }
 
-/// Per-routine drift over the records in `records` that
-/// [qualify](TelemetryRecord::qualifies_for_drift), sorted by routine;
-/// empty when no record qualifies. Works on any slice — one cell's
-/// snapshot or the merged service-wide view. One row per routine, so a
-/// badly drifting routine cannot hide behind several healthy ones (their
-/// `samples`-weighted mean is the service-wide ratio).
-pub fn drift_by_routine(records: &[TelemetryRecord]) -> Vec<RoutineDrift> {
-    let mut per: Vec<(Routine, f64, usize)> = Vec::new();
-    for r in records.iter().filter(|r| r.qualifies_for_drift()) {
-        let ratio = r.observed_secs / r.predicted_secs;
-        match per.iter_mut().find(|(rt, ..)| *rt == r.routine) {
-            Some((_, sum, n)) => {
-                *sum += ratio;
-                *n += 1;
-            }
-            None => per.push((r.routine, ratio, 1)),
-        }
-    }
-    per.sort_by_key(|&(rt, ..)| rt);
-    per.into_iter()
-        .map(|(routine, sum, n)| RoutineDrift {
-            routine,
-            mean_observed_over_predicted: sum / n as f64,
-            samples: n,
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -229,100 +182,17 @@ mod tests {
     }
 
     #[test]
-    fn drift_signal_averages_model_backed_records_only() {
-        let t = Telemetry::new(8);
-        assert_eq!(drift_by_routine(&t.snapshot()), Vec::new());
-        t.record(rec(0)); // observed/predicted = 2.0
+    fn only_model_backed_records_run_at_their_priced_nt_qualify() {
+        assert!(rec(0).qualifies_for_drift());
         let mut fallback = rec(1);
         fallback.model_backed = false;
-        fallback.observed_secs = 100.0;
-        t.record(fallback);
+        assert!(!fallback.qualifies_for_drift());
         // Batch-serialised execution (nt != admitted_nt) is policy, not
-        // model error — it must not pollute the drift signal.
+        // model error.
         let mut batched = rec(2);
         batched.nt = 1;
         batched.admitted_nt = 8;
-        batched.observed_secs = 50.0;
-        t.record(batched);
-        let per = drift_by_routine(&t.snapshot());
-        assert_eq!(per.len(), 1);
-        assert_eq!(per[0].samples, 1);
-        assert_eq!(per[0].mean_observed_over_predicted, 2.0);
-    }
-
-    #[test]
-    fn drift_by_routine_exposes_what_the_aggregate_hides() {
-        let t = Telemetry::new(16);
-        // Four healthy dgemm records (ratio 1.0)...
-        for i in 0..4 {
-            let mut r = rec(i);
-            r.observed_secs = 1.0;
-            t.record(r);
-        }
-        // ...hiding one dsymm drifting 5x.
-        let mut drifting = rec(4);
-        drifting.routine = Routine::new(OpKind::Symm, Precision::Double);
-        drifting.observed_secs = 5.0;
-        t.record(drifting);
-        // A fallback record never pollutes either view.
-        let mut fallback = rec(5);
-        fallback.model_backed = false;
-        fallback.observed_secs = 1000.0;
-        t.record(fallback);
-
-        let per = drift_by_routine(&t.snapshot());
-        // The service-wide mean (1.8) is the rows' samples-weighted mean.
-        let weighted = per
-            .iter()
-            .map(|d| d.mean_observed_over_predicted * d.samples as f64)
-            .sum::<f64>()
-            / per.iter().map(|d| d.samples).sum::<usize>() as f64;
-        assert!((weighted - 1.8).abs() < 1e-12, "weighted {weighted}");
-        assert_eq!(per.len(), 2);
-        assert_eq!(per[0].routine.name(), "dgemm");
-        assert!((per[0].mean_observed_over_predicted - 1.0).abs() < 1e-12);
-        assert_eq!(per[0].samples, 4);
-        assert_eq!(per[1].routine.name(), "dsymm");
-        assert!((per[1].mean_observed_over_predicted - 5.0).abs() < 1e-12);
-        assert_eq!(per[1].samples, 1);
-    }
-
-    #[test]
-    fn zero_and_subnormal_predictions_cannot_poison_the_window_mean() {
-        let t = Telemetry::new(16);
-        // Four healthy records (ratio 2.0)...
-        for i in 0..4 {
-            t.record(rec(i));
-        }
-        // ...plus records whose predictions slipped below the exp-path
-        // clamp floor: exactly zero, subnormal, tiny-but-normal, and NaN /
-        // infinite observations. Any one of these would have sent a single
-        // ratio to ~inf and dragged the whole window mean with it.
-        for (predicted, observed) in [
-            (0.0, 1.0),
-            (f64::MIN_POSITIVE / 2.0, 1.0), // subnormal
-            (1e-300, 1.0),                  // normal but far below the floor
-            (1.0, f64::NAN),
-            (1.0, f64::INFINITY),
-        ] {
-            let mut bad = rec(9);
-            bad.predicted_secs = predicted;
-            bad.observed_secs = observed;
-            t.record(bad);
-        }
-        let per = drift_by_routine(&t.snapshot());
-        assert_eq!(per.len(), 1);
-        assert_eq!(per[0].samples, 4);
-        assert!((per[0].mean_observed_over_predicted - 2.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn prediction_at_the_floor_still_qualifies() {
-        let mut r = rec(0);
-        r.predicted_secs = MIN_PREDICTED_SECS;
-        assert!(r.qualifies_for_drift());
-        r.predicted_secs = MIN_PREDICTED_SECS / 2.0;
-        assert!(!r.qualifies_for_drift());
+        assert!(!batched.qualifies_for_drift());
     }
 
     #[test]

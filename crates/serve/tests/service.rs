@@ -8,7 +8,7 @@
 use adsala::install::{install_routine, InstallOptions};
 use adsala::runtime::Adsala;
 use adsala::timer::SimTimer;
-use adsala_blas3::op::Routine;
+use adsala_blas3::op::{Dims, Routine};
 use adsala_blas3::{
     Blas3Backend, Diag, Float, Matrix, NativeBackend, OwnedOp, OwnedOp2, ReferenceBackend, Side,
     Transpose, Uplo,
@@ -501,6 +501,78 @@ fn telemetry_records_every_served_job() {
         assert!(r.observed_secs >= 0.0);
         assert!(r.predicted_secs > 0.0);
         assert!(!r.model_backed, "no model installed");
+    }
+}
+
+#[test]
+fn drift_rows_are_the_model_backed_predictors_own_readings() {
+    let timer = SimTimer::new(MachineSpec::gadi());
+    let [gemm, symm, syrk] = ["dgemm", "dsymm", "dsyrk"].map(|r| Routine::parse(r).unwrap());
+    let install = |routine| {
+        install_routine(
+            &timer,
+            routine,
+            &InstallOptions {
+                n_train: 100,
+                n_eval: 8,
+                kinds: vec![ModelKind::LinearRegression],
+                nt_stride: 16,
+                ..Default::default()
+            },
+        )
+    };
+    let service = Service::new(Adsala::new(vec![install(gemm), install(symm)], 2))
+        .expect("spawn scheduler cells");
+    assert!(service.stats().drift_by_routine.is_empty());
+
+    // dgemm's model is right, dsymm's 5x too optimistic.
+    for (routine, ratio) in [(gemm, 1.0), (symm, 5.0)] {
+        let predictor = service.runtime().predictor(routine).unwrap();
+        // Priced before the first observation: the model's own seconds.
+        let priced: Vec<(Dims, usize, f64)> = (0..40)
+            .map(|i| {
+                let dims = if routine == gemm {
+                    Dims::d3(64 + 8 * i, 96, 128)
+                } else {
+                    Dims::d2(64 + 8 * i, 96)
+                };
+                let (nt, model_secs) = predictor.predict_cost(dims);
+                (dims, nt, model_secs)
+            })
+            .collect();
+        for (dims, nt, model_secs) in priced {
+            predictor.observe(dims, nt, ratio * model_secs);
+        }
+    }
+    // dsyrk has no model: its jobs are served and recorded at the
+    // fallback price, and teach no correction.
+    let client = service.client();
+    let ops: Vec<AnyOp> = (0..4)
+        .map(|i| {
+            AnyOp::from(OwnedOp::Syrk {
+                uplo: Uplo::Lower,
+                trans: Transpose::No,
+                alpha: 1.0,
+                a: mat(16, 16, i),
+                beta: 0.0,
+                c: Matrix::zeros(16, 16),
+            })
+        })
+        .collect();
+    for t in client.submit_batch(ops).unwrap() {
+        t.wait().unwrap().result.unwrap();
+    }
+    let records = service.telemetry_snapshot();
+    assert_eq!(records.len(), 4);
+    assert!(records.iter().all(|r| r.routine == syrk && !r.model_backed));
+    assert!(service.runtime().predictor(syrk).is_none());
+
+    let rows = service.stats().drift_by_routine;
+    assert_eq!(rows.len(), 2, "{rows:?}");
+    for (row, (routine, ratio)) in rows.iter().zip([(gemm, 1.0), (symm, 5.0)]) {
+        assert_eq!(*row, service.runtime().predictor(routine).unwrap().drift());
+        assert_eq!((row.routine, row.samples), (routine, 40));
+        assert!((row.ratio - ratio).abs() < 1e-12 * ratio, "{row:?}");
     }
 }
 

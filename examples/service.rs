@@ -6,7 +6,8 @@
 //! 2. compares batched vs per-op submission throughput on one stream,
 //! 3. shows admission control shedding load under a tiny backlog budget,
 //! 4. dumps the telemetry the scheduler recorded (the observed-vs-predicted
-//!    pairs the routine's price correction learns from).
+//!    pairs the routine's price correction learns from) and the correction
+//!    itself.
 //!
 //! ```text
 //! cargo run --release --example service
@@ -169,8 +170,8 @@ fn main() {
     }
     for d in &stats.drift_by_routine {
         println!(
-            "  {}: observed/predicted {:.3e} over {} records (the drift the price correction learns)",
-            d.routine, d.mean_observed_over_predicted, d.samples
+            "  {}: observed/model seconds {:.3e} (geometric mean) over {} calls (the drift the price correction learns)",
+            d.routine, d.ratio, d.samples
         );
     }
     for r in service.telemetry_snapshot().iter().rev().take(3) {
