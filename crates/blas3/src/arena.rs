@@ -20,6 +20,14 @@
 //! [`take_zeroed`]. Lending a buffer twice or releasing it twice cannot be
 //! expressed: its `Vec` is moved out of the free list into the `PackBuf`,
 //! and `Drop` runs once.
+//!
+//! Every buffer's first element sits on a 64-byte line, so a 512-bit load
+//! of a packed panel never spans two cache lines. The `Vec` is allocated
+//! `PAD` (8) words longer than its class and the buffer starts at the first
+//! 64-byte boundary inside it. The `Vec` keeps `u64`'s 8-byte alignment and
+//! is allocated zeroed (`vec![0u64; n]`, i.e. `calloc`), so a large buffer's
+//! untouched pages stay unmapped until the packers write them; an
+//! over-aligned allocation would be zeroed by writing every page.
 
 use crate::Float;
 use std::cell::RefCell;
@@ -33,6 +41,13 @@ const CLASSES: usize = 34;
 /// Free buffers kept per (thread, class); beyond this, dropped buffers are
 /// released to the allocator so one burst cannot pin memory forever.
 const MAX_FREE_PER_CLASS: usize = 8;
+
+/// Words allocated beyond a buffer's class: the most an 8-byte-aligned
+/// base can lie below the next 64-byte boundary is 7 words.
+const PAD: usize = 8;
+
+/// Bytes per cache line, the alignment of every buffer's first element.
+const LINE: usize = 64;
 
 /// Fresh allocations performed because no free-listed buffer fit
 /// (process-wide, all threads). The parallel parity suite's steady-state
@@ -69,6 +84,13 @@ fn class_of(words: usize) -> usize {
     (words.max(1).next_power_of_two().trailing_zeros() as usize).min(CLASSES - 1)
 }
 
+/// Words from `words`' base to its first 64-byte boundary (0..PAD), from
+/// the address itself rather than `align_offset`, which may give up.
+fn line_offset(words: &[u64]) -> usize {
+    let misalign = words.as_ptr().addr() % LINE;
+    (LINE - misalign) % LINE / std::mem::size_of::<u64>()
+}
+
 /// Take a buffer of `len` elements of `T` from this thread's arena
 /// (allocating only on a free-list miss). Contents are unspecified; the
 /// packing layer overwrites every lane it will read.
@@ -85,12 +107,14 @@ pub fn take<T: Float>(len: usize) -> PackBuf<T> {
         }
         None => {
             MISSES.fetch_add(1, Ordering::Relaxed);
-            vec![0u64; cap.max(words)]
+            vec![0u64; cap.max(words) + PAD]
         }
     };
-    debug_assert!(words_vec.len() * 8 >= len * T::BYTES);
+    let off = line_offset(&words_vec);
+    debug_assert!((words_vec.len() - off) * 8 >= len * T::BYTES);
     PackBuf {
         words: words_vec,
+        off,
         len,
         _marker: PhantomData,
     }
@@ -111,7 +135,10 @@ pub fn take_zeroed<T: Float>(len: usize) -> PackBuf<T> {
 /// (the storage just migrates to that thread's free list), which is exactly
 /// what long-lived pool workers want.
 pub struct PackBuf<T: Float> {
+    /// Class capacity plus [`PAD`] words.
     words: Vec<u64>,
+    /// Words from `words`' base to the live elements (a 64-byte boundary).
+    off: usize,
     len: usize,
     _marker: PhantomData<T>,
 }
@@ -120,25 +147,33 @@ impl<T: Float> PackBuf<T> {
     /// The live elements.
     #[inline]
     pub fn as_slice(&self) -> &[T] {
-        // SAFETY: `words` owns at least `len * T::BYTES` initialised bytes
-        // (asserted in `take`), u64 storage satisfies f32/f64 alignment,
-        // and every bit pattern is a valid f32/f64.
-        unsafe { std::slice::from_raw_parts(self.words.as_ptr() as *const T, self.len) }
+        // SAFETY: `take` allocated `words` as a class capacity that holds
+        // `len` elements plus `PAD` words, and `off < PAD` (`line_offset`),
+        // so `off` words plus `len * T::BYTES` bytes stay inside the `Vec`'s
+        // initialised storage (asserted in `take`); the base is 64-byte
+        // aligned, which satisfies f32/f64, and every bit pattern is a valid
+        // f32/f64.
+        unsafe {
+            std::slice::from_raw_parts(self.words.as_ptr().add(self.off) as *const T, self.len)
+        }
     }
 
     /// The live elements, mutably.
     #[inline]
     pub fn as_mut_slice(&mut self) -> &mut [T] {
+        let base = self.as_mut_ptr();
         // SAFETY: as for `as_slice`, plus `&mut self` gives exclusivity.
-        unsafe { std::slice::from_raw_parts_mut(self.words.as_mut_ptr() as *mut T, self.len) }
+        unsafe { std::slice::from_raw_parts_mut(base, self.len) }
     }
 
-    /// Base pointer to the live elements (for sharing across a team via
-    /// [`SendPtr`](crate::pool::SendPtr); the caller keeps the `PackBuf`
-    /// alive for the duration).
+    /// Base pointer to the live elements, on a 64-byte line (for sharing
+    /// across a team via [`SendPtr`](crate::pool::SendPtr); the caller keeps
+    /// the `PackBuf` alive for the duration).
     #[inline]
     pub fn as_mut_ptr(&mut self) -> *mut T {
-        self.words.as_mut_ptr() as *mut T
+        // SAFETY: `off < PAD <= words.len()`, so the offset pointer stays
+        // inside the `Vec`'s allocation.
+        unsafe { self.words.as_mut_ptr().add(self.off) as *mut T }
     }
 
     /// Number of live elements.
@@ -175,7 +210,8 @@ impl<T: Float> Drop for PackBuf<T> {
         if words.is_empty() {
             return;
         }
-        let class = class_of(words.len());
+        // The class of the unpadded capacity, the one `take` looks up.
+        let class = class_of(words.len() - PAD);
         // If the thread is unwinding its TLS (process exit), just let the
         // Vec drop normally.
         let _ = FREE.try_with(|free| {
@@ -246,6 +282,28 @@ mod tests {
         .join()
         .unwrap();
         assert_eq!(reused, storage, "the dropping thread's next take");
+    }
+
+    #[test]
+    fn every_base_is_on_a_line_and_keeps_its_class() {
+        // Word counts on both sides of glibc's 128 KiB mmap threshold
+        // (16 384 words). This test's thread starts with empty free lists,
+        // so a class's first take is a fresh allocation; every later one,
+        // and the second take of each size, reuses storage.
+        let words = [1usize, 7, 777, 12_345, 16_383, 16_385, 300_001];
+        fn check<T: Float>(len: usize) {
+            let fresh = take::<T>(len);
+            let storage = fresh.as_ptr();
+            assert_eq!(storage.addr() % LINE, 0, "fresh base, len {len}");
+            drop(fresh);
+            let reused = take::<T>(len);
+            assert_eq!(reused.as_ptr(), storage, "same class, len {len}");
+            assert_eq!(reused.as_ptr().addr() % LINE, 0, "reused base, len {len}");
+        }
+        for w in words {
+            check::<f64>(w);
+            check::<f32>(2 * w);
+        }
     }
 
     #[test]

@@ -287,10 +287,11 @@ fn level3(
     (backend.execute_f64(nt, op), c)
 }
 
-/// Run one Level-2 `routine` (`gemv`, `symv` or `ger`) on a finite A and
-/// y with `x` (and GER's `y`) built by `input`; returns the output operand.
-/// TRMV and TRSV take a 7 x 7 A and their in-place x from `input`, and
-/// ignore `alpha` and `beta`.
+/// Run one Level-2 `routine` (`gemv`, `symv` or `ger`) on a finite `y`
+/// (GER: a finite A) with the other operands built by `input`, seed 1 for
+/// the one a poisoning `input` reaches (A of GEMV and SYMV, GER's `x`);
+/// returns the output operand. TRMV and TRSV take a 7 x 7 A (seed 1) and
+/// their in-place x from `input`, and ignore `alpha` and `beta`.
 fn level2(
     backend: &dyn Blas3Backend,
     nt: usize,
@@ -299,7 +300,7 @@ fn level2(
     (alpha, beta): (f64, f64),
     input: fn(usize, usize, u64) -> Matrix<f64>,
 ) -> Matrix<f64> {
-    let (m, n) = (7, 5);
+    let (m, n) = (7, 6);
     if routine == "trmv" || routine == "trsv" {
         let (a, mut x) = (input(m, m, 1), input(m, 1, 2));
         let (a, diag) = (a.as_ref(), Diag::NonUnit);
@@ -325,8 +326,12 @@ fn level2(
         return x;
     }
     let rows = if routine == "symv" { n } else { m };
-    let mut a = mat(rows, n, 1);
-    let (x, col) = (input(n, 1, 2), input(m, 1, 4));
+    let mut a = if routine == "ger" {
+        mat(rows, n, 1)
+    } else {
+        input(rows, n, 1)
+    };
+    let (x, col) = (input(n, 1, 2), input(m, 1, 1));
     let mut y = mat(rows, 1, 3);
     let x = VecRef::new(n, 1, x.as_slice());
     let op = match routine {
@@ -479,8 +484,9 @@ fn zero_sized_dims_agree_across_backends() {
 /// `A Bᵀ + B Aᵀ`), so row `ROW` of A reaches row `ROW` *and* column `ROW`
 /// of C; only the stored triangle is written, and the other keeps C's
 /// finite input. TRMM, TRSM, TRMV and TRSV, poisoned at `A(ROW, ROW)` on
-/// either triangle, leave non-finite exactly the entries the reference
-/// backend does.
+/// either triangle, and GEMV, SYMV and GER (poisoned in A, or in GER's
+/// `x(ROW)`) leave non-finite exactly the entries the reference backend
+/// does.
 #[test]
 fn one_nan_in_a_poisons_exactly_its_row_of_c() {
     const ROW: usize = 5;
@@ -488,7 +494,7 @@ fn one_nan_in_a_poisons_exactly_its_row_of_c() {
         let mut x = operand(r, c, seed);
         if seed == 1 {
             let poison = if INF { f64::INFINITY } else { f64::NAN };
-            x.set(ROW, if r == c { ROW } else { 7 }, poison);
+            x.set(ROW, if r == c { ROW } else { (c - 1).min(7) }, poison);
         }
         x
     }
@@ -540,11 +546,12 @@ fn one_nan_in_a_poisons_exactly_its_row_of_c() {
                     }
                 }
             }
-            // The triangular routines, poisoned on A's diagonal: where the
-            // poison spreads depends on the routine (an infinite pivot
-            // solves to 0, a NaN one runs on through the solve), so the
-            // oracle's output says which entries must come out non-finite.
-            for routine in ["trmm", "trsm", "trmv", "trsv"] {
+            // The triangular routines, poisoned on A's diagonal, and
+            // Level 2: where the poison spreads depends on the routine (an
+            // infinite pivot solves to 0, a NaN one runs on through the
+            // solve), so the oracle's output says which entries must come
+            // out non-finite.
+            for routine in ["trmm", "trsm", "trmv", "trsv", "gemv", "symv", "ger"] {
                 for uplo in [Uplo::Upper, Uplo::Lower] {
                     let [native, reference] = NATIVE_AND_REFERENCE.map(|backend| {
                         if LEVEL3.contains(&routine) {

@@ -19,7 +19,7 @@ use crate::router::{TenantConfig, TenantId, TenantState};
 use crate::supervisor::{supervisor_loop, Breaker, BreakerSnapshot};
 use crate::telemetry::TelemetryRecord;
 use adsala::predictor::Drift;
-use adsala::runtime::Adsala;
+use adsala::runtime::{Adsala, CostEstimate};
 use adsala_blas3::op::{Dims, Routine};
 use adsala_blas3::sync::{AtomicBool, AtomicU64, Mutex, MutexGuard, Ordering};
 use adsala_blas3::{Blas3Backend, ThreadPool};
@@ -122,6 +122,36 @@ fn plausible_window(flops: f64, bytes: f64) -> (f64, f64) {
     (lo, hi)
 }
 
+/// Admission's price for one `(routine, dims)` group: the model's seconds
+/// clamped into [`plausible_window`], or the flops fallback at
+/// `fallback_gflops` when no model is installed. The group is model-backed
+/// only when the clamp left the model's seconds as they were: a clamped
+/// price is the window's edge, not the model's estimate, and fed back to
+/// the predictor it would teach the correction the window's error.
+fn price_group(
+    (routine, dims): (Routine, Dims),
+    estimate: CostEstimate,
+    fallback_gflops: f64,
+) -> GroupCost {
+    let flops = routine.op.flops(dims).max(1.0);
+    match estimate.secs {
+        Some(secs) => {
+            let (lo, hi) = plausible_window(flops, routine.op.footprint_bytes(dims, routine.prec));
+            let clamped = secs.clamp(lo, hi);
+            GroupCost {
+                nt: estimate.nt,
+                secs: clamped,
+                model_backed: clamped == secs,
+            }
+        }
+        None => GroupCost {
+            nt: estimate.nt,
+            secs: flops / (fallback_gflops * 1e9),
+            model_backed: false,
+        },
+    }
+}
+
 /// The priced decision shared by every op of one `(routine, dims)` group
 /// in a submission. Computed once in [`Client::submit_batch_with`] and
 /// carried whole on the job (`queue::Job::cost`) until the executing cell
@@ -130,10 +160,11 @@ fn plausible_window(flops: f64, bytes: f64) -> (f64, f64) {
 pub(crate) struct GroupCost {
     /// Thread count the cost model chose.
     pub nt: usize,
-    /// Predicted seconds at `nt` (clamped plausible when model-backed,
-    /// else the flops fallback).
+    /// Predicted seconds at `nt`: the model's, clamped into the
+    /// plausibility window, or else the flops fallback.
     pub secs: f64,
-    /// Whether an installed model priced the group.
+    /// Whether an installed model priced the group and its seconds lay
+    /// inside the plausibility window.
     pub model_backed: bool,
 }
 
@@ -615,23 +646,8 @@ impl<B: Blas3Backend + 'static> Client<B> {
             let est = match groups.iter().find(|(k, _)| *k == key) {
                 Some((_, est)) => *est,
                 None => {
-                    let c = self.shared.runtime.predict_cost(key.0, key.1);
-                    let flops = op.flops().max(1.0);
-                    let est = match c.secs {
-                        Some(secs) => {
-                            let (lo, hi) = plausible_window(flops, op.bytes_touched());
-                            GroupCost {
-                                nt: c.nt,
-                                secs: secs.clamp(lo, hi),
-                                model_backed: true,
-                            }
-                        }
-                        None => GroupCost {
-                            nt: c.nt,
-                            secs: flops / (self.shared.cfg.fallback_gflops * 1e9),
-                            model_backed: false,
-                        },
-                    };
+                    let estimate = self.shared.runtime.predict_cost(key.0, key.1);
+                    let est = price_group(key, estimate, self.shared.cfg.fallback_gflops);
                     groups.push((key, est));
                     est
                 }
@@ -846,6 +862,7 @@ impl<B: Blas3Backend + 'static> Client<B> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use adsala_blas3::op::{OpKind, Precision};
 
     #[test]
     fn plausible_window_tracks_the_binding_resource() {
@@ -880,5 +897,61 @@ mod tests {
         // The window stays well-formed at degenerate inputs.
         let (lo, hi) = plausible_window(0.0, 0.0);
         assert!(lo > 0.0 && hi >= lo);
+    }
+
+    /// A job's record as a cell writes it when the job ran at its priced
+    /// `nt`.
+    fn served(cost: GroupCost) -> TelemetryRecord {
+        TelemetryRecord {
+            seq: 0,
+            client: ClientId(0),
+            tenant: TenantId(0),
+            shard: 0,
+            routine: Routine::new(OpKind::Gemm, Precision::Double),
+            dims: Dims::d3(32, 32, 32),
+            nt: cost.nt,
+            admitted_nt: cost.nt,
+            predicted_secs: cost.secs,
+            model_backed: cost.model_backed,
+            observed_secs: 1.85e-5,
+            batch_size: 1,
+        }
+    }
+
+    #[test]
+    fn a_price_the_clamp_moved_is_not_the_models() {
+        let key = (
+            Routine::new(OpKind::Gemm, Precision::Double),
+            Dims::d3(32, 32, 32),
+        );
+        let (lo, hi) = plausible_window(
+            key.0.op.flops(key.1),
+            key.0.op.footprint_bytes(key.1, key.0.prec),
+        );
+        // An extrapolated estimate (a quick linear dgemm model's 32^3
+        // price) is held at the ceiling and kept out of the correction.
+        let absurd = CostEstimate {
+            nt: 96,
+            secs: Some(6.0e61),
+        };
+        let cost = price_group(key, absurd, 1.0);
+        assert_eq!((cost.nt, cost.secs), (96, hi));
+        assert!(!served(cost).qualifies_for_drift());
+
+        // An estimate inside the window is the model's own and feeds it.
+        let sane = CostEstimate {
+            nt: 2,
+            secs: Some(1e-4),
+        };
+        assert!(lo < 1e-4 && 1e-4 < hi);
+        let cost = price_group(key, sane, 1.0);
+        assert_eq!((cost.nt, cost.secs), (2, 1e-4));
+        assert!(served(cost).qualifies_for_drift());
+
+        // No model: the flops fallback, never a drift sample.
+        let none = CostEstimate { nt: 1, secs: None };
+        let cost = price_group(key, none, 1.0);
+        assert_eq!(cost.secs, 2.0 * 32f64.powi(3) / 1e9);
+        assert!(!served(cost).qualifies_for_drift());
     }
 }

@@ -54,8 +54,9 @@ pub struct TelemetryRecord {
     pub admitted_nt: usize,
     /// Predicted seconds the job was admitted under.
     pub predicted_secs: f64,
-    /// Whether the prediction came from an installed model (`true`) or the
-    /// flops-based fallback cost model (`false`).
+    /// Whether the prediction came from an installed model (`true`) or
+    /// not (`false`): the flops-based fallback cost model, or a model
+    /// estimate that admission's plausibility window clamped.
     pub model_backed: bool,
     /// Observed wall-clock seconds of the execution (the last attempt,
     /// when the job was retried).

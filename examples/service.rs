@@ -168,6 +168,9 @@ fn main() {
             s.shard, s.served, s.shed_jobs
         );
     }
+    if stats.drift_by_routine.is_empty() {
+        println!("  no drift samples: no job ran at its priced nt on an unclamped model price");
+    }
     for d in &stats.drift_by_routine {
         println!(
             "  {}: observed/model seconds {:.3e} (geometric mean) over {} calls (the drift the price correction learns)",
