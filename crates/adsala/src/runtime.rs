@@ -239,7 +239,7 @@ impl<B: Blas3Backend> Adsala<B> {
     /// the prediction sweep; the built-in backends validate again on entry
     /// because they are independently public. The double check is a handful
     /// of integer comparisons — noise next to even the smallest kernel
-    /// launch (see the `runtime/backend_dispatch` bench).
+    /// launch (the benchmark's `adsala.dispatch_ns`).
     ///
     /// # Errors
     /// [`Blas3Error`] when the call description is dimensionally
