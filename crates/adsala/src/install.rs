@@ -344,7 +344,6 @@ pub fn install_routine(
 
     // 4. Tune, train, and evaluate every candidate kind.
     let mut reports = Vec::with_capacity(opts.kinds.len());
-    let mut models: Vec<Model> = Vec::with_capacity(opts.kinds.len());
     for &kind in &opts.kinds {
         let tuned = GridSearch::new(kind).search(&tr.x, &tr.y);
         let pred = tuned.model.predict(&te.x);
@@ -362,7 +361,6 @@ pub fn install_routine(
             estimated_mean_speedup: est_mean,
             estimated_aggregate_speedup: est_agg,
         });
-        models.push(tuned.model);
     }
     let worst = reports
         .iter()
@@ -386,7 +384,6 @@ pub fn install_routine(
         .expect("at least one candidate kind");
     let selected = reports[best_i].kind;
     let model = selected.fit(&train_all.x, &train_all.y, &reports[best_i].params);
-    drop(models);
 
     InstalledRoutine {
         routine,

@@ -94,11 +94,6 @@ impl SimTimer {
             model: PerfModel::new(spec),
         }
     }
-
-    /// Access the underlying model (used by ground-truth evaluations).
-    pub fn model(&self) -> &PerfModel {
-        &self.model
-    }
 }
 
 impl BlasTimer for SimTimer {

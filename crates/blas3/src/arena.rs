@@ -9,17 +9,16 @@
 //! free list, bucketed by power-of-two size class, so steady-state traffic
 //! (a service replaying the same shapes) performs **zero** packing
 //! allocations: the [`allocation_count`] counter — incremented only when a
-//! request misses the free list — is asserted to stay flat by the parallel
-//! parity suite.
+//! request misses the free list — is asserted to stay flat by
+//! `tests/arena_steady_state.rs`.
 //!
 //! Buffers are handed out as [`PackBuf<T>`], which derefs to `[T]` and
 //! returns its storage to the arena on drop. Storage is `u64`-backed, so
 //! any `Float` (f32/f64) is align- and bit-pattern-compatible; contents are
 //! *stale* on reuse, which is fine for the packing layer (it overwrites
-//! every lane, padding included) — callers that need zeroed scratch use
-//! [`take_zeroed`]. Lending a buffer twice or releasing it twice cannot be
-//! expressed: its `Vec` is moved out of the free list into the `PackBuf`,
-//! and `Drop` runs once.
+//! every lane, padding included). Lending a buffer twice or releasing it
+//! twice cannot be expressed: its `Vec` is moved out of the free list into
+//! the `PackBuf`, and `Drop` runs once.
 //!
 //! Every buffer's first element sits on a 64-byte line, so a 512-bit load
 //! of a packed panel never spans two cache lines. The `Vec` is allocated
@@ -118,14 +117,6 @@ pub fn take<T: Float>(len: usize) -> PackBuf<T> {
         len,
         _marker: PhantomData,
     }
-}
-
-/// [`take`], then zero the live `len` elements (for accumulate-into
-/// scratch such as the triangular routines' diagonal tiles).
-pub fn take_zeroed<T: Float>(len: usize) -> PackBuf<T> {
-    let mut buf = take::<T>(len);
-    buf.as_mut_slice().fill(T::ZERO);
-    buf
 }
 
 /// A borrowed-from-the-arena buffer of `len` elements of `T`; storage goes
@@ -245,17 +236,6 @@ mod tests {
             before,
             "steady-state takes must not allocate"
         );
-    }
-
-    #[test]
-    fn take_zeroed_is_zero_even_after_reuse() {
-        let len = 777usize;
-        {
-            let mut b = take::<f32>(len);
-            b.as_mut_slice().fill(3.5);
-        }
-        let b = take_zeroed::<f32>(len);
-        assert!(b.iter().all(|&x| x == 0.0));
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! The synchronisation facade: every first-party `Mutex`, `Condvar` and
 //! the atomics beside them — the pool's [`TeamBarrier`](crate::pool::TeamBarrier)
-//! and job hand-off, the serve layer's completion slot, cells, admission,
-//! breaker and telemetry, the predictor's cache — come from here instead
+//! and job hand-off, the serve layer's completion slot, cells, admission
+//! and breaker, the predictor's cache — come from here instead
 //! of from `std::sync`, so the interleaving checker (`crate::chaos`) can
 //! run *them*, not a copy, and every lock acquisition is order-checked.
 //!

@@ -1,13 +1,13 @@
 //! Scheduler cells: the unit of sharding.
 //!
 //! A cell is one scheduler thread plus a private [`ThreadPool`] capped at
-//! its slice of the hardware threads, a private [`Telemetry`] ring, and a
-//! per-cell `LaneQueues`. The router places every admitted job on
-//! exactly one cell; the cell's scheduler drains its lanes highest QoS
-//! class first and executes batches on its own pool (the scheduler thread
-//! holds a [`ThreadPool::enter`] override for its lifetime, so the
-//! runtime's per-call parallelism stays confined to the cell's worker
-//! slice).
+//! its slice of the hardware threads, a per-cell `LaneQueues`, and the
+//! counters [`Service::stats`](crate::Service::stats) reports for it. The
+//! router places every admitted job on exactly one cell; the cell's
+//! scheduler drains its lanes highest QoS class first and executes batches
+//! on its own pool (the scheduler thread holds a [`ThreadPool::enter`]
+//! override for its lifetime, so the runtime's per-call parallelism stays
+//! confined to the cell's worker slice).
 //!
 //! A cell serves only its own queues: a batch finishes on the cell that
 //! took it. With nothing queued the scheduler parks on the cell's condvar
@@ -15,13 +15,12 @@
 //! (paused, or every tenant with work in flight) it parks for at most
 //! `IDLE_TICK`.
 
-use crate::job::{AnyOp, Completed, ServeError};
+use crate::job::{AnyOp, Completed, ServeError, TelemetryRecord};
 use crate::queue::{Batch, Job, LaneQueues};
 use crate::retry::{backoff_delay, RETRY_ATTEMPTS};
 use crate::router::secs_to_nanos;
 use crate::service::Shared;
 use crate::supervisor::SWEEP_INTERVAL;
-use crate::telemetry::{Telemetry, TelemetryRecord};
 use adsala_blas3::sync::{self, AtomicU64, AtomicUsize, Condvar, Mutex, MutexGuard, Ordering};
 use adsala_blas3::{Blas3Backend, ThreadPool};
 use std::sync::Arc;
@@ -40,10 +39,6 @@ use std::time::{Duration, Instant};
 /// time.
 const IDLE_TICK: Duration = Duration::from_millis(5);
 const _: () = assert!(2 * IDLE_TICK.as_nanos() < SWEEP_INTERVAL.as_nanos());
-
-/// Records each cell's telemetry ring holds before evicting the oldest
-/// (the merged view holds up to `shards * TELEMETRY_CAPACITY`).
-const TELEMETRY_CAPACITY: usize = 1024;
 
 /// Queue state guarded by the cell lock.
 pub(crate) struct CellState {
@@ -64,9 +59,6 @@ pub(crate) struct Cell {
     /// Signalled on push, re-home, finish-batch, pause/resume, and
     /// shutdown.
     pub cv: Condvar,
-    /// Per-cell telemetry ring (merged across cells by
-    /// `Service::telemetry_snapshot`).
-    pub telemetry: Telemetry,
     /// Mirror of `queues.queued()`, readable without the cell lock.
     pub pending: AtomicUsize,
     /// Mirror of `queues.backlog_secs()` in nanoseconds, readable without
@@ -86,6 +78,8 @@ pub(crate) struct Cell {
     pub generation: AtomicU64,
     /// Times the supervisor drained and restarted this cell.
     pub restarts: AtomicU64,
+    /// Jobs whose execution on this cell succeeded.
+    pub served: AtomicU64,
     /// Transient-failure retries executed on this cell.
     pub retries: AtomicU64,
     /// Jobs settled as [`ServeError::DeadlineExceeded`] — swept from the
@@ -104,7 +98,6 @@ impl Cell {
                 shutdown: false,
             }),
             cv: Condvar::new(),
-            telemetry: Telemetry::new(TELEMETRY_CAPACITY),
             pending: AtomicUsize::new(0),
             backlog_nanos: AtomicU64::new(0),
             shed_jobs: AtomicU64::new(0),
@@ -112,6 +105,7 @@ impl Cell {
             heartbeat: AtomicU64::new(0),
             generation: AtomicU64::new(0),
             restarts: AtomicU64::new(0),
+            served: AtomicU64::new(0),
             retries: AtomicU64::new(0),
             expired_jobs: AtomicU64::new(0),
         }
@@ -375,7 +369,7 @@ fn serve_one<B: Blas3Backend>(
     let mut start = Instant::now();
     let mut result = execute(&mut op);
     // Observed seconds cover the *last* attempt only, so retries and
-    // backoff sleeps do not pollute the telemetry or the price correction.
+    // backoff sleeps do not pollute the record or the price correction.
     let mut observed_secs = start.elapsed().as_secs_f64();
     let mut attempt = 1u32;
     while let Err(e) = &result {
@@ -409,8 +403,8 @@ fn serve_one<B: Blas3Backend>(
         attempt += 1;
     }
     // The job's one record: the ticket carries it whatever the verdict;
-    // the ring and the price correction only take executions that
-    // succeeded.
+    // the `served` count and the price correction only take executions
+    // that succeeded.
     let stats = TelemetryRecord {
         seq: shared.next_seq(),
         client,
@@ -427,7 +421,9 @@ fn serve_one<B: Blas3Backend>(
     };
     if result.is_ok() {
         shared.breaker.record_success();
-        cell.telemetry.record(stats);
+        // ORDER: Relaxed — a pure event count; `slot.complete` below
+        // publishes it to whoever reads `stats()` after the ticket.
+        cell.served.fetch_add(1, Ordering::Relaxed);
         // The routine's price correction learns from the calls run at the
         // `nt` they were priced at (no lock of the service is held here).
         if stats.qualifies_for_drift() {

@@ -198,9 +198,8 @@ impl Ticket {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::job::{AnyOp, ClientId};
+    use crate::job::{AnyOp, ClientId, TelemetryRecord};
     use crate::router::TenantId;
-    use crate::telemetry::TelemetryRecord;
     use adsala_blas3::{Matrix, OwnedOp, Transpose};
     use std::sync::atomic::{AtomicUsize, Ordering};
     use std::sync::mpsc::{self, TryRecvError};

@@ -1,9 +1,21 @@
-//! Job descriptions and typed errors/rejections. (Completion handling —
-//! tickets, callbacks, queues — lives in [`crate::completion`]; the per-job
-//! record a completion carries is [`TelemetryRecord`].)
+//! Job descriptions, the per-job record, and typed errors/rejections.
+//! (Completion handling — tickets, callbacks, queues — lives in
+//! [`crate::completion`].)
+//!
+//! [`TelemetryRecord`] is the service's **one** description of a finished
+//! job: the priced decision it was admitted under, where and how wide it
+//! ran, and the observed wall-clock. The executing cell builds it once and
+//! hands it to the submitter as [`Completed::stats`]; when the backend
+//! succeeded and the record
+//! [qualifies](TelemetryRecord::qualifies_for_drift), the cell also feeds
+//! it to the routine's price correction
+//! ([`ThreadPredictor::observe`](adsala::ThreadPredictor::observe)). The
+//! service retains no records; its aggregate view is
+//! [`Service::stats`](crate::Service::stats). Whatever else is learned
+//! about a job on its way through the service (stage stamps, the
+//! decision's inputs) belongs here as a field, so every reader sees it.
 
 use crate::router::TenantId;
-use crate::telemetry::TelemetryRecord;
 use adsala_blas3::op::{Dims, Routine};
 use adsala_blas3::{Blas3Error, OwnedOp, OwnedOp2};
 use std::fmt;
@@ -118,10 +130,8 @@ pub struct Completed {
     /// The job's operands; the output operand holds the result when
     /// `result` is `Ok`.
     pub op: AnyOp,
-    /// Execution accounting: the job's one record. For a job whose
-    /// `result` is `Ok` this same value is what the executing cell's
-    /// telemetry ring holds (`Service::telemetry_snapshot`); a failed job
-    /// delivers it here only.
+    /// Execution accounting: the job's one record, delivered here whatever
+    /// the verdict.
     pub stats: TelemetryRecord,
     /// The backend's verdict. Admission validates every description, so
     /// with the built-in backends this is always `Ok`; a custom
@@ -129,6 +139,56 @@ pub struct Completed {
     /// resource exhaustion), and that error surfaces here instead of
     /// wedging the scheduler.
     pub result: Result<(), Blas3Error>,
+}
+
+/// One executed job: what was predicted, what was observed, where it ran.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct TelemetryRecord {
+    /// Service-wide execution-order stamp, taken when the job finished
+    /// executing (failed executions take one too).
+    pub seq: u64,
+    /// Submitting client.
+    pub client: ClientId,
+    /// Tenant the client submitted as.
+    pub tenant: TenantId,
+    /// Scheduler cell that executed the job: the cell it was queued on
+    /// when its batch was taken.
+    pub shard: usize,
+    /// Routine of the call.
+    pub routine: Routine,
+    /// Dimensions of the call.
+    pub dims: Dims,
+    /// Thread count the call executed with. Inside a multi-job batch this
+    /// is 1 (batch members run serially across one pool wake-up) and may
+    /// differ from [`TelemetryRecord::admitted_nt`].
+    pub nt: usize,
+    /// Thread count the cost model chose at admission — the count
+    /// `predicted_secs` was priced at.
+    pub admitted_nt: usize,
+    /// Predicted seconds the job was admitted under.
+    pub predicted_secs: f64,
+    /// Whether the prediction came from an installed model (`true`) or
+    /// not (`false`): the flops-based fallback cost model, or a model
+    /// estimate that admission's plausibility window clamped.
+    pub model_backed: bool,
+    /// Observed wall-clock seconds of the execution (the last attempt,
+    /// when the job was retried).
+    pub observed_secs: f64,
+    /// Jobs served in the same scheduler wake-up.
+    pub batch_size: usize,
+}
+
+impl TelemetryRecord {
+    /// Whether this record is a drift sample by the service's policy:
+    /// model-backed, and executed at the thread count it was priced at.
+    /// Batch-serialised jobs (executed `nt` differs from `admitted_nt`)
+    /// are excluded — their mismatch is scheduling policy, not model
+    /// error. The numbers themselves are the predictor's to vet
+    /// ([`ThreadPredictor::observe`](adsala::ThreadPredictor::observe)
+    /// skips a sample it cannot form a finite ratio from).
+    pub fn qualifies_for_drift(&self) -> bool {
+        self.model_backed && self.nt == self.admitted_nt
+    }
 }
 
 /// Service-level error surfaced through tickets and constructors.
@@ -292,3 +352,40 @@ impl fmt::Display for Rejected {
 }
 
 impl std::error::Error for Rejected {}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use adsala_blas3::op::{OpKind, Precision};
+
+    fn rec() -> TelemetryRecord {
+        TelemetryRecord {
+            seq: 0,
+            client: ClientId(0),
+            tenant: TenantId(0),
+            shard: 0,
+            routine: Routine::new(OpKind::Gemm, Precision::Double),
+            dims: Dims::d3(8, 8, 8),
+            nt: 2,
+            admitted_nt: 2,
+            predicted_secs: 1.0,
+            model_backed: true,
+            observed_secs: 2.0,
+            batch_size: 1,
+        }
+    }
+
+    #[test]
+    fn only_model_backed_records_run_at_their_priced_nt_qualify() {
+        assert!(rec().qualifies_for_drift());
+        let mut fallback = rec();
+        fallback.model_backed = false;
+        assert!(!fallback.qualifies_for_drift());
+        // Batch-serialised execution (nt != admitted_nt) is policy, not
+        // model error.
+        let mut batched = rec();
+        batched.nt = 1;
+        batched.admitted_nt = 8;
+        assert!(!batched.qualifies_for_drift());
+    }
+}

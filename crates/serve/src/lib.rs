@@ -38,11 +38,11 @@
 //!
 //! A job has one record, [`TelemetryRecord`]: the priced decision it was
 //! admitted under (carried whole on the queued job), where and how wide it
-//! ran, and the observed wall-clock. The executing cell builds it once;
-//! the submitter receives it as [`Completed::stats`] and a successful
-//! execution appends the same value to the cell's [`Telemetry`] ring.
-//! `Service::telemetry_snapshot` merges the rings into one service-wide
-//! order. The same successful records correct the prices admission works
+//! ran, and the observed wall-clock. The executing cell builds it once and
+//! the submitter receives it as [`Completed::stats`]; the service keeps no
+//! copy. Its one aggregate view is [`Service::stats`]: per-cell queue
+//! depth, backlog and event counters, plus each routine's price
+//! correction. The successful records correct the prices admission works
 //! with: the cell feeds each one that
 //! [qualifies](TelemetryRecord::qualifies_for_drift) (model-backed, run at
 //! the `nt` it was priced at) to its routine's predictor
@@ -137,11 +137,9 @@ mod retry;
 pub mod router;
 pub mod service;
 pub mod supervisor;
-pub mod telemetry;
 
 pub use completion::{CompletionCallback, Ticket};
-pub use job::{AnyOp, ClientId, Completed, RejectReason, Rejected, ServeError};
+pub use job::{AnyOp, ClientId, Completed, RejectReason, Rejected, ServeError, TelemetryRecord};
 pub use router::{QosClass, TenantConfig, TenantId};
 pub use service::{Client, ServeConfig, Service, ServiceStats, ShardStats, SubmitOptions};
 pub use supervisor::{BreakerSnapshot, BreakerState};
-pub use telemetry::{Telemetry, TelemetryRecord};

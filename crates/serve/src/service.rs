@@ -17,7 +17,6 @@ use crate::job::{AnyOp, ClientId, RejectReason, Rejected, ServeError};
 use crate::queue::{Job, ShedCandidate};
 use crate::router::{TenantConfig, TenantId, TenantState};
 use crate::supervisor::{supervisor_loop, Breaker, BreakerSnapshot};
-use crate::telemetry::TelemetryRecord;
 use adsala::predictor::Drift;
 use adsala::runtime::{Adsala, CostEstimate};
 use adsala_blas3::op::{Dims, Routine};
@@ -26,9 +25,8 @@ use adsala_blas3::{Blas3Backend, ThreadPool};
 use std::sync::Arc;
 
 /// Service-level knobs, one value each. The retry schedule, the
-/// watchdog's timing, the breaker's thresholds and the per-cell telemetry
-/// ring's size (1024 records) are fixed; the `retry`, `supervisor` and
-/// `breaker` switches turn each defence off whole.
+/// watchdog's timing and the breaker's thresholds are fixed; the `retry`,
+/// `supervisor` and `breaker` switches turn each defence off whole.
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
     /// Number of scheduler cells. `0` (the default) resolves to the
@@ -155,7 +153,7 @@ fn price_group(
 /// The priced decision shared by every op of one `(routine, dims)` group
 /// in a submission. Computed once in [`Client::submit_batch_with`] and
 /// carried whole on the job (`queue::Job::cost`) until the executing cell
-/// writes it into the job's [`TelemetryRecord`].
+/// writes it into the job's [`TelemetryRecord`](crate::TelemetryRecord).
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct GroupCost {
     /// Thread count the cost model chose.
@@ -187,8 +185,8 @@ pub(crate) struct Shared<B: Blas3Backend> {
     /// Set before shutdown notifications; submissions observe it without
     /// touching any cell lock.
     stopped: AtomicBool,
-    /// Global telemetry sequence stamp, so per-cell rings merge into one
-    /// service-wide order.
+    /// Mint of [`TelemetryRecord::seq`](crate::TelemetryRecord::seq), the
+    /// service-wide execution-order stamp.
     seq: AtomicU64,
     next_client: AtomicU64,
     next_tenant: AtomicU64,
@@ -237,10 +235,8 @@ pub struct ShardStats {
     pub pending_jobs: usize,
     /// Predicted seconds of this cell's queued backlog.
     pub backlog_secs: f64,
-    /// Telemetry records currently retained in this cell's ring.
-    pub telemetry_records: usize,
-    /// Jobs this cell served over the service lifetime (including records
-    /// since evicted from the ring).
+    /// Jobs whose execution on this cell succeeded, over the service
+    /// lifetime (a failed execution settles its ticket but is not counted).
     pub served: u64,
     /// Jobs shed from this cell's queues under overload.
     pub shed_jobs: u64,
@@ -422,12 +418,6 @@ impl<B: Blas3Backend + 'static> Service<B> {
         self.client_for(tenant)
     }
 
-    /// Number of scheduler cells actually running (after
-    /// [`ServeConfig::shards`] resolution).
-    pub fn shards(&self) -> usize {
-        self.shared.cells.len()
-    }
-
     /// Pause serving on every cell (submissions still admit and queue
     /// until [`Service::resume`]). Called before the first submission it
     /// is a staged start-up: nothing is served until `resume`.
@@ -446,39 +436,17 @@ impl<B: Blas3Backend + 'static> Service<B> {
         }
     }
 
-    /// The merged observed-wall-clock telemetry across every cell, in
-    /// service-wide recording order (each record carries the shard it
-    /// executed on).
-    pub fn telemetry_snapshot(&self) -> Vec<TelemetryRecord> {
-        let mut merged: Vec<TelemetryRecord> = self
-            .shared
-            .cells
-            .iter()
-            .flat_map(|c| c.telemetry.snapshot())
-            .collect();
-        merged.sort_by_key(|r| r.seq);
-        merged
-    }
-
     /// The runtime serving this service's calls.
     pub fn runtime(&self) -> &Adsala<B> {
         &self.shared.runtime
     }
 
-    /// Jobs admitted but not yet taken for execution, across all cells.
-    pub fn pending_jobs(&self) -> usize {
-        self.shared.pending_jobs()
-    }
-
-    /// Predicted seconds of the admitted-but-untaken backlog.
-    pub fn backlog_secs(&self) -> f64 {
-        self.shared.backlog_secs()
-    }
-
-    /// One operator view: the per-shard breakdown (queue depth, backlog
-    /// and shed counters — the skew view) plus each model-backed
-    /// routine's price correction (one row per routine, so one drifting
-    /// routine cannot hide behind several healthy ones).
+    /// The service's one aggregate view: the per-shard breakdown (queue
+    /// depth, backlog, served and event counters — the skew view) plus
+    /// each model-backed routine's price correction (one row per routine,
+    /// so one drifting routine cannot hide behind several healthy ones).
+    /// Each job's own record travels on its ticket
+    /// ([`Completed::stats`](crate::Completed::stats)).
     pub fn stats(&self) -> ServiceStats {
         let shards = self
             .shared
@@ -489,8 +457,9 @@ impl<B: Blas3Backend + 'static> Service<B> {
                 // ORDER: Acquire — pairs with sync_gauges' Release store.
                 pending_jobs: c.pending.load(Ordering::Acquire),
                 backlog_secs: c.backlog_secs(),
-                telemetry_records: c.telemetry.len(),
-                served: c.telemetry.total_recorded(),
+                // ORDER: Relaxed — a read after a ticket resolved sees
+                // that job's increment: it precedes the slot's completion.
+                served: c.served.load(Ordering::Relaxed),
                 shed_jobs: c.shed_jobs.load(Ordering::Relaxed),
                 callback_panics: c.callback_panics.load(Ordering::Relaxed),
                 retries: c.retries.load(Ordering::Relaxed),
@@ -560,7 +529,8 @@ impl<B: Blas3Backend + 'static> Clone for Client<B> {
 }
 
 impl<B: Blas3Backend + 'static> Client<B> {
-    /// This handle's identifier (appears in [`TelemetryRecord`]s).
+    /// This handle's identifier (appears in
+    /// [`TelemetryRecord`](crate::TelemetryRecord)s).
     pub fn id(&self) -> ClientId {
         self.id
     }
@@ -862,6 +832,7 @@ impl<B: Blas3Backend + 'static> Client<B> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::job::TelemetryRecord;
     use adsala_blas3::op::{OpKind, Precision};
 
     #[test]

@@ -10,13 +10,17 @@
 // Outside the Miri subset: drives a live Service (OS worker threads).
 #![cfg(not(miri))]
 
+use adsala::install::{install_routine, InstallOptions};
 use adsala::runtime::Adsala;
+use adsala::timer::SimTimer;
 use adsala_blas3::fault::{FaultBackend, FaultKind, FaultRule, FaultTarget};
 use adsala_blas3::op::{Dims, Routine};
 use adsala_blas3::{
     Blas3Backend, Blas3Error, Matrix, NativeBackend, OpKind, OwnedOp, Precision, ReferenceBackend,
     Transpose,
 };
+use adsala_machine::MachineSpec;
+use adsala_ml::model::ModelKind;
 use adsala_serve::{
     AnyOp, BreakerState, QosClass, RejectReason, ServeConfig, ServeError, Service, SubmitOptions,
     TenantConfig, Ticket,
@@ -133,8 +137,8 @@ fn transient_faults_are_retried_to_success_with_exactly_once_settlement() {
 fn a_fatal_fault_settles_typed_without_burning_retries() {
     // The 2nd call fails fatally: the job's ticket carries the typed
     // error, nothing is retried, and the cell keeps serving. Every ticket
-    // delivers the job's record; the telemetry ring holds exactly the
-    // records of the executions that succeeded.
+    // delivers the job's record; only the executions that succeeded count
+    // as served.
     let rules = vec![FaultRule::new(FaultKind::Fatal).window(1, 1)];
     let service = Service::with_config(
         faulted_runtime(7, rules),
@@ -172,19 +176,79 @@ fn a_fatal_fault_settles_typed_without_burning_retries() {
             assert!(done.result.is_ok(), "job {i} unaffected");
         }
     }
-    let failed = records.remove(1);
-    let snap = service.telemetry_snapshot();
-    assert_eq!(snap, records, "the ring holds what the tickets delivered");
     assert!(
-        snap.iter().all(|r| r.seq != failed.seq),
-        "a failed execution is no drift sample"
+        records.windows(2).all(|w| w[0].seq < w[1].seq),
+        "one cell executes the tenant's FIFO in order: {records:?}"
     );
     let stats = service.stats();
+    assert_eq!(
+        stats.shards.iter().map(|s| s.served).sum::<u64>(),
+        3,
+        "a failed execution is not served"
+    );
     assert_eq!(
         stats.shards.iter().map(|s| s.retries).sum::<u64>(),
         0,
         "fatal faults are not retried"
     );
+}
+
+#[test]
+fn a_failed_execution_feeds_no_drift_sample() {
+    // A model-backed dgemm behind a backend whose 3rd call fails fatally.
+    // Jobs go one at a time through singleton batches, so every success
+    // runs at its priced nt and is a drift sample; the failure is not.
+    let routine = Routine::parse("dgemm").unwrap();
+    let installed = install_routine(
+        &SimTimer::new(MachineSpec::gadi()),
+        routine,
+        &InstallOptions {
+            n_train: 100,
+            n_eval: 8,
+            kinds: vec![ModelKind::LinearRegression],
+            nt_stride: 16,
+            ..Default::default()
+        },
+    );
+    let rules = vec![FaultRule::new(FaultKind::Fatal).window(2, 1)];
+    let runtime = Adsala::builder()
+        .backend(FaultBackend::new(NativeBackend, 5, rules))
+        .install(installed)
+        .fallback_nt(2)
+        .build()
+        .expect("build runtime");
+    let service = Service::with_config(
+        runtime,
+        ServeConfig {
+            shards: 1,
+            max_batch: 1,
+            ..Default::default()
+        },
+    )
+    .expect("spawn scheduler cells");
+    let client = service.client();
+
+    let mut successes = 0u64;
+    for i in 0..8 {
+        let done = client
+            .submit(gemm(64 + 8 * i, i))
+            .expect("within budget")
+            .wait()
+            .expect("settled, not dropped");
+        if i == 2 {
+            assert!(done.result.is_err(), "the scripted fault must fire");
+            continue;
+        }
+        done.result.expect("job unaffected");
+        // A clamped model price would feed no sample and pass vacuously.
+        assert!(done.stats.qualifies_for_drift(), "{:?}", done.stats);
+        successes += 1;
+    }
+    assert_eq!(successes, 7);
+    let drift = service.runtime().predictor(routine).unwrap().drift();
+    assert_eq!(drift.samples, successes, "a failed execution is no sample");
+    let served: u64 = service.stats().shards.iter().map(|s| s.served).sum();
+    assert_eq!(served, successes);
 }
 
 #[test]

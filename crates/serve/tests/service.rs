@@ -1,6 +1,6 @@
 //! Integration tests for the service layer: result equivalence against the
-//! reference-backend oracle, fairness, admission control, telemetry, and
-//! amortised batch prediction.
+//! reference-backend oracle, fairness, admission control, per-job records,
+//! and amortised batch prediction.
 
 // Outside the Miri subset: drives a live Service (OS worker threads).
 #![cfg(not(miri))]
@@ -298,16 +298,15 @@ fn round_robin_prevents_starvation_between_competing_clients() {
     // Client a fills its queue first; without fairness it would monopolise.
     let ta = submit_n(&a, 6);
     let tb = submit_n(&b, 6);
-    assert_eq!(service.pending_jobs(), 12);
+    assert_eq!(service.stats().shards[0].pending_jobs, 12);
     service.resume();
-    for t in ta.into_iter().chain(tb) {
-        t.wait().unwrap();
-    }
-    let order: Vec<u64> = service
-        .telemetry_snapshot()
-        .iter()
-        .map(|r| r.client.0)
+    let mut records: Vec<_> = ta
+        .into_iter()
+        .chain(tb)
+        .map(|t| t.wait().unwrap().stats)
         .collect();
+    records.sort_by_key(|r| r.seq);
+    let order: Vec<u64> = records.iter().map(|r| r.client.0).collect();
     assert_eq!(order.len(), 12);
     // Round-robin with max_batch 2 must interleave strictly: a,a,b,b,...
     let expect: Vec<u64> = (0..12).map(|i| ((i / 2) % 2) as u64).collect();
@@ -372,7 +371,8 @@ fn admission_rejects_when_the_queue_is_full_and_returns_all_ops() {
         RejectReason::QueueFull { capacity: 2 }
     ));
     assert_eq!(rejected.ops.len(), mixed_ops(5).len());
-    assert_eq!(service.pending_jobs(), 0, "rejection must admit nothing");
+    let pending: usize = service.stats().shards.iter().map(|s| s.pending_jobs).sum();
+    assert_eq!(pending, 0, "rejection must admit nothing");
 }
 
 #[test]
@@ -459,13 +459,11 @@ fn a_shutdown_right_after_a_job_returns_at_once() {
 }
 
 #[test]
-fn telemetry_records_every_served_job() {
-    // Ring eviction is covered by the telemetry module's unit tests; here
-    // five jobs fit the per-cell ring whole.
+fn every_served_job_delivers_its_record() {
     let service = Service::with_config(
         modelless_runtime(),
         ServeConfig {
-            // One cell: the served/len assertions below are about one ring.
+            // One cell: the served count below is about one cell.
             shards: 1,
             ..Default::default()
         },
@@ -485,15 +483,15 @@ fn telemetry_records_every_served_job() {
             })
         })
         .collect();
-    for t in client.submit_batch(ops).unwrap() {
-        t.wait().unwrap();
-    }
+    let records: Vec<_> = client
+        .submit_batch(ops)
+        .unwrap()
+        .into_iter()
+        .map(|t| t.wait().unwrap().stats)
+        .collect();
     let stats = service.stats();
     assert_eq!(stats.shards.len(), 1);
     assert_eq!(stats.shards[0].served, 5);
-    assert_eq!(stats.shards[0].telemetry_records, 5);
-    let records = service.telemetry_snapshot();
-    assert_eq!(records.len(), 5);
     for r in records {
         assert_eq!(r.client, client.id());
         assert_eq!(r.routine, Routine::parse("dgemm").unwrap());
@@ -559,12 +557,19 @@ fn drift_rows_are_the_model_backed_predictors_own_readings() {
             })
         })
         .collect();
-    for t in client.submit_batch(ops).unwrap() {
-        t.wait().unwrap().result.unwrap();
-    }
-    let records = service.telemetry_snapshot();
-    assert_eq!(records.len(), 4);
+    let records: Vec<_> = client
+        .submit_batch(ops)
+        .unwrap()
+        .into_iter()
+        .map(|t| {
+            let done = t.wait().unwrap();
+            done.result.unwrap();
+            done.stats
+        })
+        .collect();
     assert!(records.iter().all(|r| r.routine == syrk && !r.model_backed));
+    let served: u64 = service.stats().shards.iter().map(|s| s.served).sum();
+    assert_eq!(served, 4);
     assert!(service.runtime().predictor(syrk).is_none());
 
     let rows = service.stats().drift_by_routine;
@@ -629,8 +634,8 @@ fn level2_jobs_are_priced_batched_and_served_with_telemetry() {
     // admitted under a model-backed price, taken as one same-shape batch
     // (`submit_batch` pushes the six jobs under one hold of the cell
     // lock, so the prefix is whole when the scheduler looks), executed
-    // through the Level 2 runtime entry point, and recorded in telemetry
-    // under the Level 2 routine kind.
+    // through the Level 2 runtime entry point, and recorded under the
+    // Level 2 routine kind.
     let timer = SimTimer::new(MachineSpec::gadi());
     let routine = Routine::parse("dgemv").unwrap();
     let installed = install_routine(
@@ -667,32 +672,19 @@ fn level2_jobs_are_priced_batched_and_served_with_telemetry() {
     let ops: Vec<AnyOp> = (0..6).map(gemv).collect();
     let expected: Vec<AnyOp> = ops.iter().map(oracle).collect();
     let tickets = client.submit_batch(ops).expect("within budget");
-    let mut delivered = Vec::new();
     for (ticket, want) in tickets.into_iter().zip(&expected) {
         let done = ticket.wait().unwrap();
-        delivered.push(done.stats);
         assert!(done.result.is_ok());
-        assert!(
-            done.stats.model_backed,
-            "dgemv predictor must price the job"
-        );
-        assert!(done.stats.predicted_secs > 0.0);
-        assert!(done.stats.admitted_nt >= 1);
-        assert_eq!(done.stats.batch_size, 6, "same-shape gemvs must coalesce");
         assert!(max_diff(&done.op, want) < 1e-10);
-    }
-    let snap = service.telemetry_snapshot();
-    assert_eq!(snap.len(), 6);
-    for r in &snap {
-        // Batch members finish in any order: the ring holds, in recording
-        // order, exactly the records the tickets delivered.
-        assert!(delivered.contains(r), "{r:?} was delivered to no ticket");
+        let r = done.stats;
         assert_eq!(r.routine, routine);
         assert_eq!(r.dims.a(), 32);
         assert_eq!(r.dims.b(), 24);
-        assert!(r.model_backed);
+        assert!(r.model_backed, "dgemv predictor must price the job");
         assert!(r.predicted_secs > 0.0);
+        assert!(r.admitted_nt >= 1);
         assert!(r.observed_secs >= 0.0);
-        assert_eq!(r.batch_size, 6);
+        assert_eq!(r.batch_size, 6, "same-shape gemvs must coalesce");
     }
+    assert_eq!(service.stats().shards[0].served, 6);
 }

@@ -79,7 +79,7 @@ fn tenants_sharing_a_cell_run_there_in_oracle_and_fifo_order() {
         },
     )
     .expect("spawn scheduler cells");
-    assert_eq!(service.shards(), 3);
+    assert_eq!(service.stats().shards.len(), 3);
 
     let heavy_a = service.client_for(service.tenant(TenantConfig::default()));
     let heavy_b = service.client_for(service.tenant(TenantConfig::default()));
@@ -194,7 +194,11 @@ fn qos_shedding_evicts_the_cheapest_lower_class_job_for_interactive_work() {
     // Infeasible even with full shedding: rejected up front, nothing shed.
     let huge = vip.submit(gemm(128, 2)).unwrap_err();
     assert!(matches!(huge.reason, RejectReason::BudgetExceeded { .. }));
-    assert_eq!(service.pending_jobs(), 2, "infeasible reject must not shed");
+    assert_eq!(
+        service.stats().shards[0].pending_jobs,
+        2,
+        "infeasible reject must not shed"
+    );
 
     // Feasible after shedding: the cheapest Batch-class tail goes first.
     let served = vip.submit(gemm(48, 3)).expect("sheds to make room");
@@ -212,12 +216,8 @@ fn qos_shedding_evicts_the_cheapest_lower_class_job_for_interactive_work() {
 
     // Strict lane priority: the interactive job ran before the batch job
     // that was queued first.
-    let order: Vec<u64> = service
-        .telemetry_snapshot()
-        .iter()
-        .map(|r| r.tenant.0)
-        .collect();
-    assert_eq!(order.first(), Some(&vip.tenant_id().0));
+    assert_eq!(vip_done.stats.tenant, vip.tenant_id());
+    assert!(vip_done.stats.seq < batch_done.stats.seq);
 
     let stats = service.stats();
     assert_eq!(stats.shards[0].shed_jobs, 1);
@@ -312,10 +312,9 @@ fn shard_count_resolution_prefers_explicit_config_over_the_env_override() {
         },
     )
     .expect("spawn scheduler cells");
-    assert_eq!(pinned.shards(), 5);
     assert_eq!(pinned.stats().shards.len(), 5);
 
     let from_env = Service::new(modelless_runtime()).expect("spawn scheduler cells");
-    assert_eq!(from_env.shards(), 2);
+    assert_eq!(from_env.stats().shards.len(), 2);
     std::env::remove_var("ADSALA_TEST_SHARDS");
 }

@@ -140,8 +140,10 @@ fn run_case(seed: u64) -> [u64; 5] {
 
     // Budget conservation: nothing queued, nothing priced, and each
     // finite-budget tenant can spend its whole budget again.
-    assert_eq!(service.pending_jobs(), 0, "case {seed}");
-    assert_eq!(service.backlog_secs(), 0.0, "case {seed}");
+    for s in &stats.shards {
+        let queued = (s.pending_jobs, s.backlog_secs);
+        assert_eq!(queued, (0, 0.0), "case {seed}, shard {}", s.shard);
+    }
     for (t, (client, budget)) in tenants.iter().enumerate() {
         if budget.is_infinite() {
             continue;

@@ -5,9 +5,10 @@
 //! 1. serves N concurrent clients submitting batched fixed-shape streams,
 //! 2. compares batched vs per-op submission throughput on one stream,
 //! 3. shows admission control shedding load under a tiny backlog budget,
-//! 4. dumps the telemetry the scheduler recorded (the observed-vs-predicted
-//!    pairs the routine's price correction learns from) and the correction
-//!    itself.
+//! 4. prints the service's one aggregate view (jobs served per cell, the
+//!    routine's price correction) and the last records its own tickets
+//!    delivered (the observed-vs-predicted pairs the correction learns
+//!    from).
 //!
 //! ```text
 //! cargo run --release --example service
@@ -103,13 +104,14 @@ fn main() {
     }
     let per_op = t0.elapsed().as_secs_f64();
     let t0 = Instant::now();
-    for t in client
+    let mut records: Vec<_> = client
         .submit_batch(stream(count, 0))
         .expect("within budget")
-    {
-        t.wait().unwrap();
-    }
+        .into_iter()
+        .map(|t| t.wait().unwrap().stats)
+        .collect();
     let batched = t0.elapsed().as_secs_f64();
+    records.sort_by_key(|r| r.seq);
     println!(
         "{count}-op alternating-shape stream: per-op {:.2} ms, batched {:.2} ms ({:.2}x)",
         per_op * 1e3,
@@ -150,15 +152,10 @@ fn main() {
     }
     println!("strict budget admitted {admitted} and shed {rejected} of 32 jobs");
 
-    // --- 4. telemetry ------------------------------------------------------
+    // --- 4. stats and records ----------------------------------------------
     let stats = service.stats();
     println!(
-        "\ntelemetry: {} records retained of {} served across {} scheduler cells",
-        stats
-            .shards
-            .iter()
-            .map(|s| s.telemetry_records)
-            .sum::<usize>(),
+        "\nstats: {} jobs served across {} scheduler cells",
         stats.shards.iter().map(|s| s.served).sum::<u64>(),
         stats.shards.len()
     );
@@ -177,7 +174,8 @@ fn main() {
             d.routine, d.ratio, d.samples
         );
     }
-    for r in service.telemetry_snapshot().iter().rev().take(3) {
+    println!("last records delivered to the batched stream's tickets:");
+    for r in records.iter().rev().take(3) {
         println!(
             "  {} {} nt={} predicted {:.2e}s observed {:.2e}s batch={} ({}, cell {})",
             r.routine,
