@@ -1,21 +1,19 @@
 //! General matrix-matrix multiply: `C = alpha * op(A) * op(B) + beta * C`.
 //!
-//! Parallel strategy: one **cooperative macro-kernel** region
-//! ([`gemm_cooperative`]) — the whole team walks the same cache-block
-//! schedule, jointly packs one shared B panel per `(jc, pc)` iteration and
-//! one shared A block per `ic` iteration, then splits the macro-kernel's
-//! register-tile loop. Shared operands are packed once per block instead of
-//! once per worker, and the tile split stays balanced at thread counts where
-//! per-worker C chunks would go ragged.
+//! Parallel strategy: one team region running [`gemm_team`] — each member
+//! owns a slab of C in whole register panels (rows when `m > n`, else
+//! columns), scales it by `beta`, and packs and multiplies only what its
+//! slab reads. The team meets no barrier; the slabs are cut by flops, and
+//! every tile is computed as a team of one computes it, so the result is
+//! bitwise the same at every `nt`.
 //!
 //! Within the backend seam this module is the kernel level: the driver
 //! below takes the operand views a validated
 //! [`Blas3Op::Gemm`](crate::call::Blas3Op) holds, and is what
 //! [`NativeBackend`](crate::backend::NativeBackend) invokes for one.
 
-use crate::arena;
 use crate::call::{entry, gemm_shape};
-use crate::kernel::{gemm_cooperative, scale_block, shared_pack_lens, SharedPack};
+use crate::kernel::gemm_team;
 use crate::matrix::{MatMut, MatRef};
 use crate::op::Dims;
 use crate::pack::PackSrc;
@@ -69,31 +67,27 @@ pub(crate) fn scaled_product<T: Float>(
         return;
     }
     let cptr = SendPtr(c.into_slice().as_mut_ptr());
-    let skip_product = alpha == T::ZERO || k == 0;
     // Resolve the micro-kernel once; the whole team shares it.
     let disp = T::kernel();
-    // Shared packed-panel buffers, from the calling thread's arena.
-    let (alen, blen) = shared_pack_lens(&disp, m, n, k);
-    let mut abuf = arena::take::<T>(alen);
-    let mut bbuf = arena::take::<T>(blen);
-    let shared = SharedPack::new(&mut abuf, &mut bbuf);
     ThreadPool::run_team_current(nt, |team| {
-        // Beta scale first, split by columns; the barrier publishes the
-        // scaled C before any accumulation.
-        let (js, je) = team.chunk(n);
-        if js < je {
-            // SAFETY: disjoint column ranges per member.
-            unsafe { scale_block(m, je - js, beta, cptr.get().add(js * ldc), ldc) };
-        }
-        team.barrier();
-        if skip_product {
-            return;
-        }
         // SAFETY: C is exclusively borrowed for this call and the team is
-        // the only accessor; shared bufs outlive the region; the sources
-        // cover the m x k / k x n extents (caller's check).
+        // the only accessor; the sources cover the m x k / k x n extents
+        // (caller's check).
         unsafe {
-            gemm_cooperative(&disp, &team, m, n, k, alpha, a, b, cptr.get(), ldc, &shared);
+            gemm_team(
+                None,
+                &disp,
+                &team,
+                m,
+                n,
+                k,
+                alpha,
+                a,
+                b,
+                beta,
+                cptr.get(),
+                ldc,
+            )
         }
     });
 }
@@ -161,10 +155,10 @@ mod tests {
     }
 
     #[test]
-    fn cooperative_is_nt_invariant_bitwise() {
-        // The cooperative schedule computes every tile with the same
-        // micro-kernel and block order at any team size — so changing nt
-        // cannot change a single bit of the result.
+    fn slabs_are_nt_invariant_bitwise() {
+        // Every slab computes its tiles with the same micro-kernel and
+        // block order as a team of one — so changing nt cannot change a
+        // single bit of the result.
         let (m, n, k) = (130, 75, 61);
         let a = test_mat(m, k, 5);
         let b = test_mat(n, k, 6); // op(B) = B' is k x n
@@ -189,8 +183,8 @@ mod tests {
 
     #[test]
     fn many_threads_small_matrix() {
-        // More threads than rows/cols: extra workers must no-op cleanly
-        // (empty pack/tile chunks) while still meeting every barrier.
+        // More threads than register panels: the members past the last
+        // panel own empty slabs and must return without touching C.
         let a = test_mat(3, 3, 1);
         let b = test_mat(3, 3, 2);
         let mut c = Matrix::<f64>::zeros(3, 3);

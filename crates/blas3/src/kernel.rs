@@ -1,5 +1,5 @@
-//! Register-blocked micro-kernels, the serial macro-kernel ("Goto" loops),
-//! and the team-cooperative macro-kernel the parallel drivers are built on.
+//! Register-blocked micro-kernels, the macro-kernel, and the blocked
+//! ("Goto" loops) product engine the serial and parallel drivers share.
 //!
 //! A micro-kernel multiplies one packed `MR x kc` A panel by one packed
 //! `kc x NR` B panel and adds the `alpha`-scaled product into C. Which
@@ -18,27 +18,29 @@
 //! dispatch instead of from `Float` constants.
 //!
 //! One execution engine sits on the packing and micro-kernel layers:
-//! [`gemm_cooperative`], the BLIS-style five-loop blocked algorithm run by
-//! a team. Every member of a [`TeamCtx`] walks the same `jc/pc/ic` block
-//! schedule, jointly packs **one shared** B panel and **one shared** A
-//! block per iteration (split by panel, published by a barrier), then
-//! splits the flattened register-tile loop over the packed block. Shared
-//! operands are packed once per block — not once per worker — and the tile
-//! split (`(nc/nr)*(mc/mr)` units) stays load-balanced at thread counts
-//! where splitting C into per-worker chunks would leave workers idle.
+//! [`gemm_team`], the BLIS-style five-loop blocked algorithm run by a team
+//! **owner-computes**. Each member of a [`TeamCtx`] owns one slab of C
+//! in whole register panels, scales it by `beta`, and walks the `jc/pc/ic`
+//! block schedule over it alone, packing into its own buffers only the B
+//! panels and A blocks its slab reads. Nothing is shared, so the engine
+//! meets no barrier and no thread writes another's packing buffers: on
+//! cores with private L2 caches each keeps what it packed (Smith et al.,
+//! "Anatomy of High-Performance Many-Threaded Matrix Multiplication",
+//! IPDPS 2014), and a caller's next serial call finds its own buffers
+//! where it left them.
 //!
-//! [`gemm_serial_with`] is that engine on a team of one (its barriers
-//! return at once), with packing buffers drawn from the reuse [`arena`]
-//! (steady-state calls allocate nothing).
+//! [`gemm_serial_with`] is that engine on a team of one, with packing
+//! buffers drawn from the reuse [`arena`] (steady-state calls allocate
+//! nothing).
 //!
 //! Every flop of every Level-3 routine goes through
 //! [`KernelDispatch::run`] on packed, zero-padded panels — there is no
 //! scalar inner loop beside it. Two pieces beyond the whole-block product
 //! make that so for the triangular routines:
 //!
-//! * a **triangle-restricted product**, [`gemm_cooperative_in`]: the same
-//!   engine with a tile filter in [`macro_kernel`], which is all of SYRK
-//!   and SYR2K;
+//! * a **triangle-restricted product**, [`gemm_team`] with `tri` set: the
+//!   same engine with a tile filter in [`macro_kernel`], which is all of
+//!   SYRK and SYR2K;
 //! * the **diagonal-block sweep** of TRMM and TRSM, [`tri_block_sweep`]:
 //!   the block packed with its unstored half written as zeros, its rows of
 //!   B copied into packed panels, a product or a substitution run tile by
@@ -51,9 +53,10 @@ pub mod simd;
 
 use crate::arena;
 use crate::call::by_side;
-use crate::pack::{pack_a_panels, pack_b_panels, packed_a_len, packed_b_len, PackSrc};
-use crate::pool::{SendPtr, TeamCtx};
+use crate::pack::{pack_a, pack_b, packed_a_len, packed_b_len, PackSrc};
+use crate::pool::TeamCtx;
 use crate::{Float, Side, Uplo};
+use std::ops::Range;
 
 pub use simd::{available_f32, available_f64, set_kernel_choice, KernelChoice};
 
@@ -91,7 +94,7 @@ pub type TileSolveFn<T> = unsafe fn(upper: bool, rows: usize, tdiag: &[T], x: &m
 /// ISA-agnostic macro-kernel/packing/drivers: callers obtain one via
 /// [`Float::kernel`] (runtime CPU detection, overridable with
 /// [`set_kernel_choice`] or the `ADSALA_KERNEL` environment variable) and
-/// thread it through [`gemm_serial_with`] / [`gemm_cooperative`].
+/// thread it through [`gemm_serial_with`] / [`gemm_team`].
 #[derive(Debug, Clone, Copy)]
 pub struct KernelDispatch<T: Float> {
     /// Human-readable kernel name (`"scalar"`, `"avx2-f32x8"`, ...).
@@ -118,10 +121,11 @@ impl<T: Float> KernelDispatch<T> {
     /// Describe a micro-kernel.
     ///
     /// # Panics
-    /// If `mc` is not a (non-zero) multiple of `mr`: packed A blocks must
-    /// tile evenly in the common interior case, or every cache block would
-    /// silently pay a partial edge panel. Compile-time for `const`
-    /// dispatches.
+    /// If `mc` is not a (non-zero) multiple of `mr`, or `nc` of `nr`:
+    /// packed blocks must tile evenly in the common interior case, or every
+    /// cache block would silently pay a partial edge panel, and a
+    /// [`gemm_team`] slab's tiles would leave the register grid of a team
+    /// of one at its `nc` boundaries. Compile-time for `const` dispatches.
     pub const fn new(
         name: &'static str,
         mr: usize,
@@ -136,6 +140,10 @@ impl<T: Float> KernelDispatch<T> {
         assert!(
             mr > 0 && mc > 0 && mc.is_multiple_of(mr),
             "cache block mc must be a multiple of the register block mr"
+        );
+        assert!(
+            nr > 0 && nc > 0 && nc.is_multiple_of(nr),
+            "cache block nc must be a multiple of the register block nr"
         );
         assert!(
             mr * nr <= MAX_TILE,
@@ -156,8 +164,8 @@ impl<T: Float> KernelDispatch<T> {
 
     /// Order of the diagonal blocks TRMM and TRSM cut their triangular
     /// operand into ([`tri_block_sweep`]): one cache block of rows, so the
-    /// fold against a block is a single `ic` block of the cooperative
-    /// engine, and the largest the packed-block buffer ever gets.
+    /// fold against a block is at most one `ic` block of [`gemm_team`],
+    /// and the largest the packed-block buffer ever gets.
     pub fn tri_block(&self) -> usize {
         self.mc
     }
@@ -317,16 +325,9 @@ pub(crate) fn prefetch_read<T>(ptr: *const T, lines: usize) {
 const PREFETCH_LINES: usize = 4;
 
 /// Run the macro-kernel over a packed block pair: for every register tile
-/// in the **flattened** `(jp, ip)` tile range `tile_lo..tile_hi` — tile
-/// `t` is B micro-panel `t / a_panels`, A micro-panel `t % a_panels` —
+/// — B micro-panel by B micro-panel, every A micro-panel against each —
 /// invoke the micro-kernel on the corresponding C tile. `c` is the base of
 /// the `mc x nc` output block.
-///
-/// The flattened tile range is the cooperative split unit: every tile
-/// writes a disjoint `mr x nr` block of C, so a team can partition
-/// `0..a_panels * b_panels` freely. Splitting tiles (not just B panels)
-/// keeps narrow outputs parallel: a tall-skinny product with a single B
-/// micro-panel still spreads its many A panels across the team.
 ///
 /// `tri` restricts the update to one triangle of the output — the rank-k
 /// routines': `(uplo, shift)` keeps element `(i, j)` of the block when
@@ -341,9 +342,8 @@ const PREFETCH_LINES: usize = 4;
 /// # Safety
 /// `abuf`/`bbuf` must be fully packed blocks of `disp`'s geometry
 /// (`mc x kc` and `kc x nc`); `c` must point to an `mc x nc` block with
-/// leading dimension `ldc >= mc` whose tiles `tile_lo..tile_hi` (their
-/// kept triangle, under `tri`) this caller owns exclusively; `disp` must
-/// be runnable on this CPU.
+/// leading dimension `ldc >= mc` (its kept triangle, under `tri`) that
+/// this caller owns exclusively; `disp` must be runnable on this CPU.
 #[allow(clippy::too_many_arguments)]
 pub unsafe fn macro_kernel<T: Float>(
     disp: &KernelDispatch<T>,
@@ -353,8 +353,6 @@ pub unsafe fn macro_kernel<T: Float>(
     bbuf: &[T],
     mc: usize,
     nc: usize,
-    tile_lo: usize,
-    tile_hi: usize,
     tri: Option<(Uplo, isize)>,
     c: *mut T,
     ldc: usize,
@@ -362,8 +360,8 @@ pub unsafe fn macro_kernel<T: Float>(
     let mr = disp.mr;
     let nr = disp.nr;
     let a_panels = mc.div_ceil(mr);
-    debug_assert!(tile_hi <= a_panels * nc.div_ceil(nr));
-    for t in tile_lo..tile_hi {
+    let tiles = a_panels * nc.div_ceil(nr);
+    for t in 0..tiles {
         let jp = t / a_panels;
         let ip = t % a_panels;
         let j0 = jp * nr;
@@ -372,7 +370,7 @@ pub unsafe fn macro_kernel<T: Float>(
         let mr_eff = mr.min(mc - i0);
         let bp = &bbuf[jp * nr * kc..(jp + 1) * nr * kc];
         let ap = &abuf[ip * mr * kc..(ip + 1) * mr * kc];
-        if disp.prefetch && t + 1 < tile_hi {
+        if disp.prefetch && t + 1 < tiles {
             // Warm the next tile's panels while this one computes: its A
             // panel always changes; its B panel only when jp advances.
             let nip = (t + 1) % a_panels;
@@ -438,8 +436,8 @@ pub unsafe fn macro_kernel<T: Float>(
 /// descriptors (`a(i, p)`, `b(p, j)` indexing); `C` is raw column-major
 /// storage with leading dimension `ldc`.
 ///
-/// Accumulates (no beta handling — callers pre-scale C), which is what lets
-/// SYMM/SYR2K/TRMM layer multiple products onto one output.
+/// Accumulates (`beta = 1`), which is what lets callers layer several
+/// products onto one output.
 ///
 /// # Safety
 /// `c` must point to an `m x n` column-major block (leading dimension `ldc`)
@@ -458,13 +456,12 @@ pub unsafe fn gemm_serial<T: Float>(
     gemm_serial_with(&T::kernel(), m, n, k, alpha, a, b, c, ldc)
 }
 
-/// [`gemm_serial`] with an explicit kernel dispatch: [`gemm_cooperative`]
-/// on a team of one, so the `jc/pc/ic` block schedule exists once.
+/// [`gemm_serial`] with an explicit kernel dispatch: [`gemm_team`] on a
+/// team of one, so the `jc/pc/ic` block schedule exists once.
 ///
-/// Drivers that issue serial products (the rank-k diagonal tiles, and the
-/// parity/bench harnesses that pin a specific kernel) resolve the dispatch
-/// once and pass it here; the two packing buffers come from the calling
-/// thread's [`arena`] (zero allocations once warm).
+/// Harnesses that pin a specific kernel (the parity suites) resolve the
+/// dispatch once and pass it here; the two packing buffers come from the
+/// calling thread's [`arena`] (zero allocations once warm).
 ///
 /// # Safety
 /// As for [`gemm_serial`]; additionally `disp` must be runnable on this CPU
@@ -482,122 +479,92 @@ pub unsafe fn gemm_serial_with<T: Float>(
     c: *mut T,
     ldc: usize,
 ) {
-    let (alen, blen) = shared_pack_lens(disp, m, n, k);
-    let mut abuf = arena::take::<T>(alen);
-    let mut bbuf = arena::take::<T>(blen);
-    let shared = SharedPack::new(&mut abuf, &mut bbuf);
     TeamCtx::solo(|team| {
-        // SAFETY: the caller's contract is gemm_cooperative's, with this
-        // thread as the whole team; the buffers above are sized by
-        // shared_pack_lens and outlive the call.
-        unsafe { gemm_cooperative(disp, &team, m, n, k, alpha, a, b, c, ldc, &shared) }
+        // SAFETY: the caller's contract is gemm_team's, with this thread
+        // as the whole team.
+        unsafe { gemm_team(None, disp, &team, m, n, k, alpha, a, b, T::ONE, c, ldc) }
     });
 }
 
-/// Shared packed-panel storage for one cooperative product: raw views over
-/// two caller-owned arena buffers ([`shared_pack_lens`] gives the sizes).
+/// The slab of an `m x n` C that member `tid` of a team of `size` owns in
+/// [`gemm_team`], as `(rows, cols)`, cut on register-panel boundaries.
 ///
-/// The caller (the thread that enters
-/// [`ThreadPool::run_team`](crate::pool::ThreadPool::run_team)) takes the
-/// buffers from *its* arena, builds this descriptor, and keeps the buffers
-/// alive for the whole team region; inside, every member packs a disjoint
-/// panel range and reads the whole block after the barrier.
-#[derive(Clone, Copy)]
-pub struct SharedPack<T> {
-    abuf: SendPtr<T>,
-    alen: usize,
-    bbuf: SendPtr<T>,
-    blen: usize,
-}
-
-// SAFETY: the raw buffer pointers are shared across the team by design;
-// the cooperative engine writes disjoint panel ranges between barriers.
-unsafe impl<T> Sync for SharedPack<T> {}
-
-impl<T: Float> SharedPack<T> {
-    /// Describe two caller-owned buffers as the team's shared packing
-    /// space. `abuf`/`bbuf` must stay alive (and otherwise untouched) for
-    /// as long as any team member may use this descriptor.
-    pub fn new(abuf: &mut arena::PackBuf<T>, bbuf: &mut arena::PackBuf<T>) -> SharedPack<T> {
-        SharedPack {
-            alen: abuf.len(),
-            abuf: SendPtr(abuf.as_mut_ptr()),
-            blen: bbuf.len(),
-            bbuf: SendPtr(bbuf.as_mut_ptr()),
+/// A rectangle is cut along its longer side — rows in `mr` units when
+/// `m > n`, else columns in `nr` units — and a triangle (`tri`) always by
+/// columns. Member `t`'s slab runs from the cut at flop fraction `t/size`
+/// to the one at `(t+1)/size`; the cut at `f` is the panel boundary
+/// nearest the point with that share of the flops before it: `f` of the
+/// way along a rectangle, `1 - sqrt(1 - f)` along a Lower triangle (its
+/// first columns are the longest), `sqrt(f)` along an Upper one. So the
+/// slabs are disjoint, cover C (or its triangle), and each holds its
+/// `1/size` of the flops to within one panel; a member past the last panel
+/// owns an empty slab.
+pub(crate) fn slab(
+    tri: Option<Uplo>,
+    m: usize,
+    n: usize,
+    mr: usize,
+    nr: usize,
+    size: usize,
+    tid: usize,
+) -> (Range<usize>, Range<usize>) {
+    let by_rows = tri.is_none() && m > n;
+    let (len, unit) = if by_rows { (m, mr) } else { (n, nr) };
+    let cut = |t: usize| {
+        if t >= size {
+            return len;
         }
+        let f = t as f64 / size as f64;
+        let at = match tri {
+            None => f,
+            Some(Uplo::Lower) => 1.0 - (1.0 - f).sqrt(),
+            Some(Uplo::Upper) => f.sqrt(),
+        };
+        ((at * len as f64 / unit as f64).round() as usize * unit).min(len)
+    };
+    let own = cut(tid)..cut(tid + 1);
+    if by_rows {
+        (own, 0..n)
+    } else {
+        (0..m, own)
     }
 }
 
-/// Buffer lengths (`a`, `b`) a [`SharedPack`] needs for an `m x n x k`
-/// cooperative product under `disp`.
-pub fn shared_pack_lens<T: Float>(
-    disp: &KernelDispatch<T>,
-    m: usize,
-    n: usize,
-    k: usize,
-) -> (usize, usize) {
-    let kc = disp.kc.min(k.max(1));
-    (
-        packed_a_len(disp.mr, disp.mc.min(m.max(1)), kc),
-        packed_b_len(disp.nr, kc, disp.nc.min(n.max(1))),
-    )
-}
-
-/// Team-cooperative blocked GEMM: `C[0..m, 0..n] += alpha * A * B`.
+/// Team blocked GEMM, owner-computes: `C = beta * C + alpha * A * B` on
+/// the `m x n` block at `c`, or — `tri = Some(uplo)` — on its `uplo`
+/// triangle only (`i >= j` Lower, `i <= j` Upper; nothing else of C is
+/// read or written), which is a rank-k update when `B = A'`.
 ///
 /// **Every member of the team must call this with identical arguments**
-/// (only `team.tid` differs): all members walk the same `jc/pc/ic` block
-/// schedule and rendezvous inside. Per `(jc, pc)` iteration the team packs
-/// one shared B panel (split by micro-panel), and per `ic` block one shared
-/// A block; barriers publish each pack before anyone consumes it and fence
-/// consumption before the next iteration overwrites the buffers. The
-/// macro-kernel's flattened `(jp, ip)` tile loop is then split across
-/// members — `(nc/nr)*(mc/mr)` units, so the split stays balanced even
-/// for narrow or short outputs.
+/// (only `team.tid` differs). Each member owns one slab of C in whole
+/// register panels — rows when `m > n`, else columns, and a triangle's
+/// columns cut by area — holding its share of the flops to within one
+/// panel. It scales the slab by `beta`, then walks the `jc/pc/ic` block
+/// schedule with the dispatch's `mc/kc/nc` over it, packs the B panels and
+/// A blocks the slab reads into its own buffers, and runs [`macro_kernel`]
+/// on them.
+/// Under `tri` a column block's rows start at the diagonal (Lower) or end
+/// there (Upper), widened to register panels, and the tile filter handles
+/// the tiles the diagonal crosses. Member 0 — the calling thread — takes
+/// buffers of the size a team of one would, a class its serial calls of
+/// the shape already hold in its [`arena`]; every other member takes
+/// slab-sized ones from its own.
 ///
-/// Accumulates like [`gemm_serial_with`] (callers pre-scale C by `beta`,
-/// inside the same team region, barrier-separated). Returns with a trailing
-/// barrier: on exit all of C's contribution is visible to every member.
+/// **Meets no barrier**: each member returns when its slab is done, so a
+/// caller that then reads C across slabs meets one itself. Every C tile is
+/// the same micro-kernel call on the same `kc` blocks, in the same order,
+/// at the same tile origin whoever owns it, so the result is bitwise the
+/// same at every team size. With `alpha == 0` or `k == 0` only the scale
+/// runs, and neither A nor B is read.
 ///
 /// # Safety
 /// `c` must point to an `m x n` column-major block (leading dimension
-/// `ldc`) that nothing outside this team touches during the call; `shared`
-/// must describe live buffers of at least [`shared_pack_lens`] elements
-/// not used for anything else during the call; operand descriptors must
-/// cover the `m x k` / `k x n` extents; `disp` must be runnable on this
-/// CPU. All members must pass identical `disp`/shape/operand/`shared`
+/// `ldc`) whose named part nothing outside this team touches during the
+/// call; operand descriptors must cover the `m x k` / `k x n` extents;
+/// `disp` must be runnable on this CPU. All members must pass identical
 /// arguments.
 #[allow(clippy::too_many_arguments)]
-pub unsafe fn gemm_cooperative<T: Float>(
-    disp: &KernelDispatch<T>,
-    team: &TeamCtx<'_>,
-    m: usize,
-    n: usize,
-    k: usize,
-    alpha: T,
-    a: &PackSrc<'_, T>,
-    b: &PackSrc<'_, T>,
-    c: *mut T,
-    ldc: usize,
-    shared: &SharedPack<T>,
-) {
-    gemm_cooperative_in(None, disp, team, m, n, k, alpha, a, b, c, ldc, shared)
-}
-
-/// [`gemm_cooperative`] restricted to one triangle of the output: with
-/// `tri = Some(uplo)` only the elements `(i, j)` of C in that triangle
-/// (`i >= j` Lower, `i <= j` Upper) are updated — or read — which is a
-/// rank-k update when `B = A'`. The schedule, the packing and the barriers
-/// are the whole-block product's; each `ic` block runs only the B
-/// micro-panels its rows reach, dealt round-robin, and [`macro_kernel`]'s
-/// tile filter handles the block the diagonal crosses. `None` is
-/// [`gemm_cooperative`].
-///
-/// # Safety
-/// As for [`gemm_cooperative`], the team owning the named triangle of `c`
-/// rather than the whole block.
-#[allow(clippy::too_many_arguments)]
-pub unsafe fn gemm_cooperative_in<T: Float>(
+pub unsafe fn gemm_team<T: Float>(
     tri: Option<Uplo>,
     disp: &KernelDispatch<T>,
     team: &TeamCtx<'_>,
@@ -607,117 +574,71 @@ pub unsafe fn gemm_cooperative_in<T: Float>(
     alpha: T,
     a: &PackSrc<'_, T>,
     b: &PackSrc<'_, T>,
+    beta: T,
     c: *mut T,
     ldc: usize,
-    shared: &SharedPack<T>,
 ) {
-    if m == 0 || n == 0 || k == 0 {
+    let (mr, nr) = (disp.mr, disp.nr);
+    let (rows, cols) = slab(tri, m, n, mr, nr, team.size, team.tid);
+    if rows.is_empty() || cols.is_empty() {
         return;
     }
     debug_assert!(
         n <= 1 || ldc >= m,
         "an m x n block with n > 1 requires ldc {ldc} >= m {m}"
     );
-    let (need_a, need_b) = shared_pack_lens(disp, m, n, k);
-    assert!(
-        shared.alen >= need_a && shared.blen >= need_b,
-        "shared pack buffers too small: have ({}, {}), need ({need_a}, {need_b})",
-        shared.alen,
-        shared.blen
-    );
-    let mr = disp.mr;
-    let nr = disp.nr;
-    let mut jc = 0;
-    while jc < n {
-        let ncb = disp.nc.min(n - jc);
-        let b_panels = ncb.div_ceil(nr);
+    for j in cols.clone() {
+        let stored = match tri {
+            None => rows.clone(),
+            Some(Uplo::Lower) => j.min(m)..m,
+            Some(Uplo::Upper) => 0..(j + 1).min(m),
+        };
+        // SAFETY: column j's part of this member's slab.
+        scale_block(stored.len(), 1, beta, c.add(stored.start + j * ldc), ldc);
+    }
+    if k == 0 || alpha == T::ZERO {
+        return;
+    }
+    let kc = disp.kc.min(k);
+    let (pm, pn) = match team.tid {
+        0 => (m, n),
+        _ => (rows.len(), cols.len()),
+    };
+    let mut abuf = arena::take::<T>(packed_a_len(mr, disp.mc.min(pm), kc));
+    let mut bbuf = arena::take::<T>(packed_b_len(nr, kc, disp.nc.min(pn)));
+    let mut jc = cols.start;
+    while jc < cols.end {
+        let ncb = disp.nc.min(cols.end - jc);
+        // The rows whose tiles reach the stored part of these columns.
+        let (i_lo, i_hi) = match tri {
+            None => (rows.start, rows.end),
+            Some(Uplo::Lower) => ((jc / mr * mr).min(m), m),
+            Some(Uplo::Upper) => (0, (jc + ncb).next_multiple_of(mr).min(m)),
+        };
         let mut pc = 0;
         while pc < k {
             let kcb = disp.kc.min(k - pc);
-            // Cooperative B pack: each member fills a disjoint panel range
-            // of the shared buffer through its own sub-slice.
-            let (bp_lo, bp_hi) = team.chunk(b_panels);
-            if bp_lo < bp_hi {
-                // SAFETY: panel ranges are disjoint across members, so the
-                // mutable sub-slices never alias; extents checked above.
-                let my = std::slice::from_raw_parts_mut(
-                    shared.bbuf.get().add(bp_lo * nr * kcb),
-                    (bp_hi - bp_lo) * nr * kcb,
+            pack_b(nr, kcb, ncb, b, pc, jc, &mut bbuf);
+            let mut ic = i_lo;
+            while ic < i_hi {
+                let mcb = disp.mc.min(i_hi - ic);
+                pack_a(mr, mcb, kcb, a, ic, pc, &mut abuf);
+                let shift = ic as isize - jc as isize;
+                // SAFETY: the block lies in this member's slab, every tile
+                // on the register grid of a team of one; panels fully
+                // packed.
+                macro_kernel(
+                    disp,
+                    kcb,
+                    alpha,
+                    &abuf,
+                    &bbuf,
+                    mcb,
+                    ncb,
+                    tri.map(|uplo| (uplo, shift)),
+                    c.add(ic + jc * ldc),
+                    ldc,
                 );
-                pack_b_panels(nr, kcb, ncb, b, pc, jc, bp_lo, bp_hi, my);
-            }
-            // Publish the packed B panel to the whole team.
-            team.barrier();
-            // SAFETY: after the barrier the packed B block is immutable
-            // until the next iteration's barrier; shared read-only view.
-            let bbuf = std::slice::from_raw_parts(shared.bbuf.get(), b_panels * nr * kcb);
-            let mut ic = 0;
-            while ic < m {
-                let mcb = disp.mc.min(m - ic);
-                let a_panels = mcb.div_ceil(mr);
-                let (ap_lo, ap_hi) = team.chunk(a_panels);
-                if ap_lo < ap_hi {
-                    // SAFETY: disjoint panel ranges as for B above.
-                    let my = std::slice::from_raw_parts_mut(
-                        shared.abuf.get().add(ap_lo * mr * kcb),
-                        (ap_hi - ap_lo) * mr * kcb,
-                    );
-                    pack_a_panels(mr, mcb, kcb, a, ic, pc, ap_lo, ap_hi, my);
-                }
-                // Publish the packed A block.
-                team.barrier();
-                // SAFETY: immutable until the post-consumption barrier.
-                let abuf = std::slice::from_raw_parts(shared.abuf.get(), a_panels * mr * kcb);
-                let cblk = c.add(ic + jc * ldc);
-                match tri {
-                    None => {
-                        // Split the flattened (jp, ip) tile space: disjoint
-                        // mr x nr C tiles per member, and still balanced
-                        // when the output is narrow (b_panels == 1 but many
-                        // A panels) or short.
-                        let (t_lo, t_hi) = team.chunk(a_panels * b_panels);
-                        if t_lo < t_hi {
-                            // SAFETY: members write disjoint tile ranges of
-                            // the team-exclusive C block; panels fully
-                            // packed.
-                            macro_kernel(
-                                disp, kcb, alpha, abuf, bbuf, mcb, ncb, t_lo, t_hi, None, cblk, ldc,
-                            );
-                        }
-                    }
-                    Some(uplo) => {
-                        // The B micro-panels this block's rows reach: those
-                        // not wholly past the diagonal. They are dealt
-                        // round-robin, because a contiguous split of a
-                        // triangle gives one member the long columns.
-                        let (jp_lo, jp_hi) = match uplo {
-                            Uplo::Lower => (0, (ic + mcb).saturating_sub(jc).div_ceil(nr)),
-                            Uplo::Upper => (ic.saturating_sub(jc) / nr, b_panels),
-                        };
-                        let shift = ic as isize - jc as isize;
-                        for jp in (jp_lo + team.tid..jp_hi.min(b_panels)).step_by(team.size) {
-                            // SAFETY: as above, one B micro-panel's tiles
-                            // at a time; the filter keeps to the triangle.
-                            macro_kernel(
-                                disp,
-                                kcb,
-                                alpha,
-                                abuf,
-                                bbuf,
-                                mcb,
-                                ncb,
-                                jp * a_panels,
-                                (jp + 1) * a_panels,
-                                Some((uplo, shift)),
-                                cblk,
-                                ldc,
-                            );
-                        }
-                    }
-                }
-                // Everyone must finish consuming the A block (and, on the
-                // last ic, the B panel) before the next pack overwrites it.
-                team.barrier();
                 ic += mcb;
             }
             pc += kcb;
@@ -764,7 +685,7 @@ impl<T: Float> TriOp<T> {
 /// (`(pt, pf)` = [`TriOp::tile`]) — the unstored half zeros, the diagonal
 /// inverted for [`TriOp::Solve`] — and `upper` says row `t` of it reaches
 /// depths `p >= t`. The block's rows of B are copied, one `pf`-lane
-/// micro-panel of the free extent at a time, into the shared buffer of the
+/// micro-panel of the free extent at a time, into a packed panel of the
 /// other operand, which makes the update out of place; then, per register
 /// tile:
 ///
@@ -777,21 +698,18 @@ impl<T: Float> TriOp<T> {
 ///   `nr x nr` triangle left over is [`KernelDispatch::solve_tile`], in
 ///   place; the solved panel is copied back to B once.
 ///
-/// **Meets no barrier.** The free micro-panels are dealt to fixed slots of
-/// the shared buffer, each member packs and alone consumes the panels in
-/// its own slots, and a tile's arithmetic does not depend on who runs it —
-/// so the result is bitwise the same at every team size. Every member must
-/// call with identical arguments.
+/// **Meets no barrier.** Each member takes a contiguous chunk of the free
+/// micro-panels and packs them one at a time into a one-panel buffer from
+/// its own [`arena`], and a tile's arithmetic does not depend on who runs
+/// it — so the result is bitwise the same at every team size. Every member
+/// must call with identical arguments.
 ///
 /// # Safety
 /// `b` must point to the block's rows of B (extent and strides as above),
 /// which nothing outside the team touches during the call and which the
 /// team has finished writing before it (a barrier); `tri` must be a fully
 /// packed `len`-order block in `pt`-row panels, published to every member;
-/// `shared` must describe live buffers of at least
-/// [`shared_pack_lens`]`(rows, cols, len)` elements, `(rows, cols)` the
-/// block's rows of B as a matrix, that no member uses for anything else
-/// until a barrier after the call; `disp` must be runnable on this CPU.
+/// `disp` must be runnable on this CPU.
 #[allow(clippy::too_many_arguments)]
 pub unsafe fn tri_block_sweep<T: Float>(
     disp: &KernelDispatch<T>,
@@ -804,102 +722,93 @@ pub unsafe fn tri_block_sweep<T: Float>(
     tri: &[T],
     b: *mut T,
     ldb: usize,
-    shared: &SharedPack<T>,
 ) {
     let (pt, pf) = op.tile(disp, side);
     let (st, sf) = by_side(side, 1, ldb);
     // The free panels take the place of the micro-kernel's A operand
     // unless the triangle does.
     let f_on_a = matches!(op, TriOp::Solve) || side == Side::Right;
-    let (fbuf, fbuf_len) = match f_on_a {
-        true => (shared.abuf, shared.alen),
-        false => (shared.bbuf, shared.blen),
-    };
     let (t_panels, f_panels) = (len.div_ceil(pt), flen.div_ceil(pf));
     debug_assert!(tri.len() >= t_panels * pt * len);
-    let slots = (fbuf_len / (pf * len)).min(f_panels);
-    assert!(slots > 0, "shared pack buffer shorter than one free panel");
-    let (slot_lo, slot_hi) = team.chunk(slots);
+    let (lo, hi) = team.chunk(f_panels);
+    if lo == hi {
+        return;
+    }
+    let mut fp = arena::take::<T>(pf * len);
     // SAFETY: the block's rows of B, stable for the whole call except
     // where this member itself writes (after it has packed them). Read as
     // a B-side operand `(p, j) = (t, f)`: the two sides' panel layouts
     // coincide.
     let src = PackSrc::from_raw(b as *const T, st, sf);
-    for base in (0..f_panels).step_by(slots) {
-        for slot in slot_lo..slot_hi.min(f_panels - base) {
-            let panel = base + slot;
-            let f0 = panel * pf;
-            let cols = pf.min(flen - f0);
-            // SAFETY: slot ranges are disjoint across members and inside
-            // the buffer (`slots * pf * len <= fbuf_len`).
-            let fp = std::slice::from_raw_parts_mut(fbuf.get().add(slot * pf * len), pf * len);
-            pack_b_panels(pf, len, flen, &src, 0, 0, panel, panel + 1, fp);
-            let out = b.add(f0 * sf);
-            match op {
-                TriOp::Product(alpha) => {
-                    let (r, c) = by_side(side, len, cols);
-                    // SAFETY: this member's own micro-panel of the block.
-                    scale_block(r, c, T::ZERO, out, ldb);
-                    for s in 0..t_panels {
-                        let r0 = s * pt;
-                        let rows = pt.min(len - r0);
-                        // Depths at which this panel of the triangle is
-                        // not identically zero.
-                        let (d_lo, d_hi) = if upper { (r0, len) } else { (0, r0 + rows) };
-                        let tp = &tri[(s * len + d_lo) * pt..(s * len + d_hi) * pt];
-                        let fpp = &fp[d_lo * pf..d_hi * pf];
-                        let ((ap, mr_eff), (bp, nr_eff)) = match f_on_a {
-                            true => ((fpp, cols), (tp, rows)),
-                            false => ((tp, rows), (fpp, cols)),
-                        };
-                        // SAFETY: the tile lies in this member's micro-panel
-                        // of the block; both slices hold d_hi - d_lo tiles.
-                        disp.run(
-                            d_hi - d_lo,
-                            alpha,
-                            ap,
-                            bp,
-                            out.add(r0 * st),
-                            ldb,
-                            mr_eff,
-                            nr_eff,
-                        );
-                    }
+    for panel in lo..hi {
+        let f0 = panel * pf;
+        let cols = pf.min(flen - f0);
+        pack_b(pf, len, cols, &src, 0, f0, &mut fp);
+        let out = b.add(f0 * sf);
+        match op {
+            TriOp::Product(alpha) => {
+                let (r, c) = by_side(side, len, cols);
+                // SAFETY: this member's own micro-panel of the block.
+                scale_block(r, c, T::ZERO, out, ldb);
+                for s in 0..t_panels {
+                    let r0 = s * pt;
+                    let rows = pt.min(len - r0);
+                    // Depths at which this panel of the triangle is
+                    // not identically zero.
+                    let (d_lo, d_hi) = if upper { (r0, len) } else { (0, r0 + rows) };
+                    let tp = &tri[(s * len + d_lo) * pt..(s * len + d_hi) * pt];
+                    let fpp = &fp[d_lo * pf..d_hi * pf];
+                    let ((ap, mr_eff), (bp, nr_eff)) = match f_on_a {
+                        true => ((fpp, cols), (tp, rows)),
+                        false => ((tp, rows), (fpp, cols)),
+                    };
+                    // SAFETY: the tile lies in this member's micro-panel
+                    // of the block; both slices hold d_hi - d_lo tiles.
+                    disp.run(
+                        d_hi - d_lo,
+                        alpha,
+                        ap,
+                        bp,
+                        out.add(r0 * st),
+                        ldb,
+                        mr_eff,
+                        nr_eff,
+                    );
                 }
-                TriOp::Solve => {
-                    for step in 0..t_panels {
-                        // Start at the rows that depend on no other.
-                        let s = if upper { t_panels - 1 - step } else { step };
-                        let r0 = s * pt;
-                        let rows = pt.min(len - r0);
-                        // The rows of the panel solved so far, and the rest
-                        // with this step's rows in it.
-                        let split = if upper { r0 + rows } else { r0 };
-                        let (head, tail) = fp.split_at_mut(split * pf);
-                        let (solved, d_lo, x) = match upper {
-                            true => (&*tail, split, &mut head[r0 * pf..]),
-                            false => (&*head, 0, &mut tail[..rows * pf]),
-                        };
-                        let depth = solved.len() / pf;
-                        if depth > 0 {
-                            let tp = &tri[(s * len + d_lo) * pt..(s * len + d_lo + depth) * pt];
-                            // SAFETY: `x` is the step's rows of the packed
-                            // panel as a `cols x rows` tile of leading
-                            // dimension `pf`, disjoint from `solved`.
-                            disp.run(depth, -T::ONE, solved, tp, x.as_mut_ptr(), pf, cols, rows);
-                        }
-                        // SAFETY: `disp` is runnable on this CPU.
-                        disp.solve_tile(upper, rows, &tri[(s * len + r0) * pt..], x);
+            }
+            TriOp::Solve => {
+                for step in 0..t_panels {
+                    // Start at the rows that depend on no other.
+                    let s = if upper { t_panels - 1 - step } else { step };
+                    let r0 = s * pt;
+                    let rows = pt.min(len - r0);
+                    // The rows of the panel solved so far, and the rest
+                    // with this step's rows in it.
+                    let split = if upper { r0 + rows } else { r0 };
+                    let (head, tail) = fp.split_at_mut(split * pf);
+                    let (solved, d_lo, x) = match upper {
+                        true => (&*tail, split, &mut head[r0 * pf..]),
+                        false => (&*head, 0, &mut tail[..rows * pf]),
+                    };
+                    let depth = solved.len() / pf;
+                    if depth > 0 {
+                        let tp = &tri[(s * len + d_lo) * pt..(s * len + d_lo + depth) * pt];
+                        // SAFETY: `x` is the step's rows of the packed
+                        // panel as a `cols x rows` tile of leading
+                        // dimension `pf`, disjoint from `solved`.
+                        disp.run(depth, -T::ONE, solved, tp, x.as_mut_ptr(), pf, cols, rows);
                     }
-                    // Unpack, B's unit stride innermost: (count, stride in
-                    // the panel, stride in B) along `f` and along `t`.
-                    let ((n_out, p_out, b_out), (n_in, p_in, b_in)) =
-                        by_side(side, (cols, 1, sf), (len, pf, st));
-                    for o in 0..n_out {
-                        for i in 0..n_in {
-                            // SAFETY: every (t, f) of this member's panel.
-                            *out.add(o * b_out + i * b_in) = fp[o * p_out + i * p_in];
-                        }
+                    // SAFETY: `disp` is runnable on this CPU.
+                    disp.solve_tile(upper, rows, &tri[(s * len + r0) * pt..], x);
+                }
+                // Unpack, B's unit stride innermost: (count, stride in
+                // the panel, stride in B) along `f` and along `t`.
+                let ((n_out, p_out, b_out), (n_in, p_in, b_in)) =
+                    by_side(side, (cols, 1, sf), (len, pf, st));
+                for o in 0..n_out {
+                    for i in 0..n_in {
+                        // SAFETY: every (t, f) of this member's panel.
+                        *out.add(o * b_out + i * b_in) = fp[o * p_out + i * p_in];
                     }
                 }
             }
@@ -1017,7 +926,7 @@ pub unsafe fn scale_block<T: Float>(m: usize, n: usize, beta: T, c: *mut T, ldc:
 mod tests {
     use super::*;
     use crate::matrix::Matrix;
-    use crate::pool::ThreadPool;
+    use crate::pool::{SendPtr, ThreadPool};
 
     fn naive(m: usize, n: usize, k: usize, a: &Matrix<f64>, b: &Matrix<f64>) -> Matrix<f64> {
         Matrix::from_fn(m, n, |i, j| (0..k).map(|p| a.get(i, p) * b.get(p, j)).sum())
@@ -1081,63 +990,138 @@ mod tests {
 
     #[test]
     #[cfg_attr(miri, ignore = "spawns OS threads; outside the Miri subset")]
-    fn gemm_cooperative_matches_serial_bitwise() {
-        // The cooperative engine walks the same block schedule with the
-        // same micro-kernel per tile as the serial engine — the split only
-        // changes *who* computes a tile — so results are bitwise equal at
-        // every team size.
+    fn gemm_team_matches_serial_bitwise() {
+        // Every slab's tiles sit on a team of one's register grid and take
+        // the same micro-kernel calls in the same order — the slabs only
+        // change *who* computes a tile — so results are bitwise equal at
+        // every team size, for the whole block and for either triangle.
         let (m, n, k) = (83, 131, 97);
         let a = Matrix::<f64>::from_fn(m, k, |i, j| ((i * 13 + j * 7) % 17) as f64 - 8.0);
         let b = Matrix::<f64>::from_fn(k, n, |i, j| ((i * 3 + j * 11) % 19) as f64 - 9.0);
+        let c0 = Matrix::<f64>::from_fn(m, n, |i, j| ((i + 2 * j) % 5) as f64);
         let disp = f64::kernel();
-        let mut serial = Matrix::<f64>::zeros(m, n);
+        let asrc = PackSrc::strided(a.as_slice(), 0, 1, m, m, k);
+        let bsrc = PackSrc::strided(b.as_slice(), 0, 1, k, k, n);
+        let pool = ThreadPool::with_max_workers(8);
+        let run = |tri: Option<Uplo>, nt: usize| {
+            let mut c = c0.clone();
+            let cptr = SendPtr(c.as_mut_slice().as_mut_ptr());
+            pool.run_team(nt, |team| {
+                // SAFETY: C is exclusive to this team.
+                unsafe {
+                    gemm_team(
+                        tri,
+                        &disp,
+                        &team,
+                        m,
+                        n,
+                        k,
+                        1.5,
+                        &asrc,
+                        &bsrc,
+                        0.5,
+                        cptr.get(),
+                        m,
+                    );
+                }
+            });
+            c
+        };
+        for tri in [None, Some(Uplo::Lower), Some(Uplo::Upper)] {
+            let serial = run(tri, 1);
+            for nt in [2usize, 3, 5] {
+                assert_eq!(
+                    run(tri, nt).as_slice(),
+                    serial.as_slice(),
+                    "{tri:?} nt={nt} diverged from a team of one"
+                );
+            }
+        }
+        let mut plain = c0.clone();
+        unsafe { scale_block(m, n, 0.5, plain.as_mut_slice().as_mut_ptr(), m) };
         unsafe {
             gemm_serial_with(
                 &disp,
                 m,
                 n,
                 k,
-                1.0,
-                &PackSrc::strided(a.as_slice(), 0, 1, m, m, k),
-                &PackSrc::strided(b.as_slice(), 0, 1, k, k, n),
-                serial.as_mut_slice().as_mut_ptr(),
+                1.5,
+                &asrc,
+                &bsrc,
+                plain.as_mut_slice().as_mut_ptr(),
                 m,
-            );
+            )
+        };
+        assert_eq!(run(None, 1).as_slice(), plain.as_slice());
+    }
+
+    #[test]
+    fn slabs_partition_c_by_flops() {
+        // Thread-free: the slab rule alone, at every dispatch's geometry.
+        let geometries = available_f64()
+            .into_iter()
+            .map(|d| (d.mr, d.nr))
+            .chain(available_f32().into_iter().map(|d| (d.mr, d.nr)));
+        let mut cases: Vec<(Option<Uplo>, usize, usize)> =
+            [(1, 1), (3, 3), (5, 300), (300, 5), (130, 75), (512, 512)]
+                .map(|(m, n)| (None, m, n))
+                .to_vec();
+        for n in [7, 96, 385] {
+            cases.push((Some(Uplo::Lower), n, n));
+            cases.push((Some(Uplo::Upper), n, n));
         }
-        let pool = ThreadPool::with_max_workers(8);
-        for nt in [1usize, 2, 3, 5] {
-            let mut c = Matrix::<f64>::zeros(m, n);
-            let (alen, blen) = shared_pack_lens(&disp, m, n, k);
-            let mut abuf = arena::take::<f64>(alen);
-            let mut bbuf = arena::take::<f64>(blen);
-            let shared = SharedPack::new(&mut abuf, &mut bbuf);
-            let cptr = SendPtr(c.as_mut_slice().as_mut_ptr());
-            let asrc = PackSrc::strided(a.as_slice(), 0, 1, m, m, k);
-            let bsrc = PackSrc::strided(b.as_slice(), 0, 1, k, k, n);
-            pool.run_team(nt, |team| {
-                // SAFETY: C is exclusive to this team; shared bufs live on
-                // this stack frame for the whole region.
-                unsafe {
-                    gemm_cooperative(
-                        &disp,
-                        &team,
-                        m,
-                        n,
-                        k,
-                        1.0,
-                        &asrc,
-                        &bsrc,
-                        cptr.get(),
-                        m,
-                        &shared,
-                    );
+        for (mr, nr) in geometries {
+            for &(tri, m, n) in &cases {
+                // C elements a slab updates: its stored rows, column by
+                // column.
+                let flops = |rows: &Range<usize>, cols: &Range<usize>| -> usize {
+                    let stored = |j: usize| match tri {
+                        None => rows.clone(),
+                        Some(Uplo::Lower) => j.max(rows.start)..rows.end,
+                        Some(Uplo::Upper) => rows.start..(j + 1).min(rows.end),
+                    };
+                    cols.clone().map(|j| stored(j).len()).sum()
+                };
+                let total = flops(&(0..m), &(0..n));
+                // The cut side, its register panel, and the heaviest
+                // panel's flops.
+                let (by_rows, unit, len) = match tri.is_none() && m > n {
+                    true => (true, mr, m),
+                    false => (false, nr, n),
+                };
+                let panel = if by_rows { mr * n } else { nr * m };
+                for size in 1..=8 {
+                    let mut next = 0;
+                    for tid in 0..size {
+                        let (rows, cols) = slab(tri, m, n, mr, nr, size, tid);
+                        let at = format!("{tri:?} {m}x{n} mr={mr} nr={nr} size={size} tid={tid}");
+                        let (own, full, other) = match by_rows {
+                            true => (rows.clone(), cols.clone(), n),
+                            false => (cols.clone(), rows.clone(), m),
+                        };
+                        // Disjoint and covering: each slab starts where the
+                        // last ended, spans the other side whole, and the
+                        // last ends at C's edge.
+                        assert_eq!(own.start, next, "{at}: gap or overlap");
+                        assert!(own.start <= own.end, "{at}");
+                        assert_eq!(full, 0..other, "{at}: slab not whole along the other side");
+                        next = own.end;
+                        for cut in [own.start, own.end] {
+                            assert!(
+                                cut % unit == 0 || cut == len,
+                                "{at}: cut {cut} off the panels"
+                            );
+                        }
+                        let share = total as f64 / size as f64;
+                        let mine = flops(&rows, &cols);
+                        assert!(
+                            (mine as f64 - share).abs() <= panel as f64,
+                            "{at}: {mine} flops against a share of {share:.1}"
+                        );
+                    }
+                    assert_eq!(next, len, "{tri:?} {m}x{n} size={size}: C not covered");
                 }
-            });
-            assert_eq!(
-                c.as_slice(),
-                serial.as_slice(),
-                "cooperative nt={nt} diverged from serial"
-            );
+            }
         }
     }
 
@@ -1233,29 +1217,8 @@ mod tests {
         let mut bbuf = vec![0.0; packed_b_len(disp.nr, k, n)];
         let asrc = PackSrc::strided(a.as_slice(), 0, 1, m, m, k);
         let bsrc = PackSrc::strided(b.as_slice(), 0, 1, k, k, n);
-        pack_a_panels(
-            disp.mr,
-            m,
-            k,
-            &asrc,
-            0,
-            0,
-            0,
-            m.div_ceil(disp.mr),
-            &mut abuf,
-        );
-        pack_b_panels(
-            disp.nr,
-            k,
-            n,
-            &bsrc,
-            0,
-            0,
-            0,
-            n.div_ceil(disp.nr),
-            &mut bbuf,
-        );
-        let tiles = m.div_ceil(disp.mr) * n.div_ceil(disp.nr);
+        pack_a(disp.mr, m, k, &asrc, 0, 0, &mut abuf);
+        pack_b(disp.nr, k, n, &bsrc, 0, 0, &mut bbuf);
         for uplo in [Uplo::Lower, Uplo::Upper] {
             for shift in [-7isize, 0, 5] {
                 let kept = |i: usize, j: usize| {
@@ -1277,8 +1240,6 @@ mod tests {
                         &bbuf,
                         m,
                         n,
-                        0,
-                        tiles,
                         Some((uplo, shift)),
                         c.as_mut_slice().as_mut_ptr(),
                         m,
@@ -1302,10 +1263,12 @@ mod tests {
         for disp in available_f32() {
             assert!(disp.mr > 0 && disp.nr > 0, "{}", disp.name);
             assert_eq!(disp.mc % disp.mr, 0, "{}: mc must tile by mr", disp.name);
+            assert_eq!(disp.nc % disp.nr, 0, "{}: nc must tile by nr", disp.name);
         }
         for disp in available_f64() {
             assert!(disp.mr > 0 && disp.nr > 0, "{}", disp.name);
             assert_eq!(disp.mc % disp.mr, 0, "{}: mc must tile by mr", disp.name);
+            assert_eq!(disp.nc % disp.nr, 0, "{}: nc must tile by nr", disp.name);
         }
     }
 }

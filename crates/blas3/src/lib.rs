@@ -37,7 +37,7 @@
 //!   ([`NativeBackend`] blocked kernels, [`ReferenceBackend`] oracles), one
 //!   entry point per precision for both levels.
 //! * [`pool`] — a persistent work-stealing-free fork/join thread pool with
-//!   cooperative *teams* ([`pool::TeamCtx`], a reusable barrier); the cost
+//!   *teams* ([`pool::TeamCtx`], a reusable barrier); the cost
 //!   of spawning/synchronising threads is part of what the paper's model
 //!   learns, so the pool is deliberately explicit rather than hidden behind
 //!   rayon.
@@ -51,10 +51,12 @@
 //!   default `simd` feature) at runtime via CPU detection, falling back to
 //!   the portable scalar kernel, and carries the
 //!   tile geometry the packing and blocking layers must use with it.
-//!   Parallel execution is a BLIS-style **cooperative macro-kernel**
-//!   ([`kernel::gemm_cooperative`]): the team jointly packs one shared
-//!   panel per cache block and splits the consuming loop, instead of each
-//!   worker re-packing shared operands for a private chunk of C.
+//!   Parallel execution is **owner-computes** ([`kernel::gemm_team`]):
+//!   each team member owns one slab of C in whole register panels, cut by
+//!   flops, and scales, packs and multiplies it alone — no barrier inside
+//!   a product, no thread writing another's packing buffers, and every
+//!   tile computed as a team of one computes it, so results are bitwise
+//!   the same at every thread count.
 //! * One module per Level 3 subroutine family, plus [`level2`] for the
 //!   matrix-vector drivers (the memory-bound regime: O(n^2) flops over
 //!   O(n^2) bytes, so the profitable thread count saturates at the

@@ -43,10 +43,10 @@
 //! because buffers come from the reuse [`arena`](crate::arena) and carry
 //! stale contents.
 //!
-//! The `*_panels` variants pack only a sub-range of panels — that is the
-//! unit the cooperative macro-kernel splits across a
-//! [`TeamCtx`](crate::pool::TeamCtx) so one shared packed block is produced
-//! jointly by the whole team.
+//! Each member of a team packs into its own buffers only what its own slab
+//! of C reads ([`gemm_team`](crate::kernel::gemm_team)). The one block a
+//! team shares is TRMM/TRSM's packed diagonal block, which
+//! [`pack_tri_panels`] fills a panel range at a time, one range per member.
 
 use crate::call::op_shape;
 use crate::matrix::MatRef;
@@ -256,34 +256,14 @@ pub fn pack_a<T: Float>(
     p_off: usize,
     buf: &mut [T],
 ) {
-    pack_a_panels(mr, mc, kc, src, i_off, p_off, 0, mc.div_ceil(mr), buf);
-}
-
-/// Pack panels `panel_lo..panel_hi` of the A block — the cooperative
-/// packing unit: each team member packs a disjoint panel range through its
-/// own `buf` slice, which starts at panel `panel_lo`'s offset (so disjoint
-/// `&mut` sub-slices of one shared buffer compose into a full pack).
-#[allow(clippy::too_many_arguments)]
-pub fn pack_a_panels<T: Float>(
-    mr: usize,
-    mc: usize,
-    kc: usize,
-    src: &PackSrc<'_, T>,
-    i_off: usize,
-    p_off: usize,
-    panel_lo: usize,
-    panel_hi: usize,
-    buf: &mut [T],
-) {
-    debug_assert!(panel_hi <= mc.div_ceil(mr));
-    assert!(buf.len() >= (panel_hi - panel_lo) * mr * kc);
+    assert!(buf.len() >= packed_a_len(mr, mc, kc));
     if let PackSrc::Strided(s) = src {
         s.check_block(i_off, mc, p_off, kc);
     }
-    for panel in panel_lo..panel_hi {
+    for panel in 0..mc.div_ceil(mr) {
         let i0 = panel * mr;
         let rows = mr.min(mc - i0);
-        let base = (panel - panel_lo) * mr * kc;
+        let base = panel * mr * kc;
         match src {
             PackSrc::Strided(s) if s.rs == 1 => {
                 // Unit row stride: each packed column is a contiguous run
@@ -336,32 +316,14 @@ pub fn pack_b<T: Float>(
     j_off: usize,
     buf: &mut [T],
 ) {
-    pack_b_panels(nr, kc, nc, src, p_off, j_off, 0, nc.div_ceil(nr), buf);
-}
-
-/// Pack panels `panel_lo..panel_hi` of the B block (cooperative unit;
-/// `buf` starts at panel `panel_lo`'s offset, as for [`pack_a_panels`]).
-#[allow(clippy::too_many_arguments)]
-pub fn pack_b_panels<T: Float>(
-    nr: usize,
-    kc: usize,
-    nc: usize,
-    src: &PackSrc<'_, T>,
-    p_off: usize,
-    j_off: usize,
-    panel_lo: usize,
-    panel_hi: usize,
-    buf: &mut [T],
-) {
-    debug_assert!(panel_hi <= nc.div_ceil(nr));
-    assert!(buf.len() >= (panel_hi - panel_lo) * nr * kc);
+    assert!(buf.len() >= packed_b_len(nr, kc, nc));
     if let PackSrc::Strided(s) = src {
         s.check_block(p_off, kc, j_off, nc);
     }
-    for panel in panel_lo..panel_hi {
+    for panel in 0..nc.div_ceil(nr) {
         let j0 = panel * nr;
         let cols = nr.min(nc - j0);
-        let base = (panel - panel_lo) * nr * kc;
+        let base = panel * nr * kc;
         match src {
             PackSrc::Strided(s) if s.cs == 1 => {
                 // Unit column stride: each packed row-group is a contiguous
@@ -422,7 +384,7 @@ pub fn pack_b_panels<T: Float>(
 }
 
 /// Pack panels `panel_lo..panel_hi` of a triangular **diagonal block** as
-/// `pw`-row panels in the layout of [`pack_a_panels`] / [`pack_b_panels`]
+/// `pw`-row panels in the layout of [`pack_a`] / [`pack_b`]
 /// (the two coincide), depth running over the block's whole order.
 ///
 /// `blk` is the square diagonal block of the stored operand and the packed
@@ -570,22 +532,6 @@ mod tests {
         assert_eq!(buf[mr], mr as f64);
         assert_eq!(buf[mr + 1], (mr + 1) as f64);
         assert_eq!(buf[mr + 2], 0.0);
-    }
-
-    #[test]
-    fn pack_a_panel_ranges_compose() {
-        // Packing [0..1) and [1..panels) into the same buffer equals one
-        // full pack — the cooperative-split invariant.
-        let (mr, mc, kc) = (8, 29, 7);
-        let data: Vec<f64> = (0..mc * kc).map(|x| (x * 31 % 101) as f64).collect();
-        let src = PackSrc::strided(&data, 0, 1, mc, mc, kc);
-        let panels = mc.div_ceil(mr);
-        let mut whole = vec![f64::NAN; packed_a_len(mr, mc, kc)];
-        let mut split = vec![f64::NAN; packed_a_len(mr, mc, kc)];
-        pack_a(mr, mc, kc, &src, 0, 0, &mut whole);
-        pack_a_panels(mr, mc, kc, &src, 0, 0, 0, 1, &mut split[..mr * kc]);
-        pack_a_panels(mr, mc, kc, &src, 0, 0, 1, panels, &mut split[mr * kc..]);
-        assert_eq!(whole, split);
     }
 
     #[test]
@@ -790,25 +736,25 @@ mod tests {
 
     #[test]
     #[should_panic(expected = "reaches past the strided view")]
-    fn pack_a_panels_rejects_a_block_one_past_the_view() {
+    fn pack_a_rejects_a_block_one_past_the_view() {
         // A 6 x 4 view of a 6 x 5 buffer: every read at depth offset 1
         // stays inside `data`, but column 4 of the block is past the view.
         let (mr, mc, kc) = (4, 6, 4);
         let data = vec![0.0f64; 6 * 5];
         let src = PackSrc::strided(&data, 0, 1, 6, 6, 4);
         let mut buf = vec![0.0; packed_a_len(mr, mc, kc)];
-        pack_a_panels(mr, mc, kc, &src, 0, 1, 0, mc.div_ceil(mr), &mut buf);
+        pack_a(mr, mc, kc, &src, 0, 1, &mut buf);
     }
 
     #[test]
     #[should_panic(expected = "reaches past the strided view")]
-    fn pack_b_panels_rejects_a_block_one_past_the_view() {
+    fn pack_b_rejects_a_block_one_past_the_view() {
         // A 4 x 6 view of a 4 x 7 buffer: column offset 1 stays inside
         // `data` but puts the block's last column past the view.
         let (nr, kc, nc) = (6, 4, 6);
         let data = vec![0.0f64; 4 * 7];
         let src = PackSrc::strided(&data, 0, 1, 4, 4, 6);
         let mut buf = vec![0.0; packed_b_len(nr, kc, nc)];
-        pack_b_panels(nr, kc, nc, &src, 0, 1, 0, nc.div_ceil(nr), &mut buf);
+        pack_b(nr, kc, nc, &src, 0, 1, &mut buf);
     }
 }

@@ -8,11 +8,11 @@
 //!
 //! There is one fork/join, [`ThreadPool::run_team`]: the caller and up to
 //! `nt - 1` helpers form a *team* that can rendezvous repeatedly on a
-//! reusable [`TeamBarrier`] during one parallel region. This is what the
-//! BLIS-style cooperative macro-kernel in [`kernel`](crate::kernel) is
-//! built on — workers jointly pack one shared operand panel, cross the
-//! barrier, then split the consuming loop, instead of each worker owning a
-//! private top-level chunk. Helpers beyond the current pool size are
+//! reusable [`TeamBarrier`] during one parallel region. The Level 3
+//! product engine in [`kernel`](crate::kernel) needs none — each member
+//! owns a slab of C — but TRMM/TRSM meet it between the phases of their
+//! block sweep, and the Level 2 drivers between partial sums and their
+//! reduction. Helpers beyond the current pool size are
 //! created on demand and kept until [`ThreadPool::shutdown`].
 //! Oversubscription (more workers than hardware threads) is allowed — the
 //! paper's platforms run with hyper-threading, and "too many threads" is
@@ -517,15 +517,16 @@ impl Drop for ThreadPool {
 
 /// A reusable sense-reversing barrier for one team of cooperating workers.
 ///
-/// Compute-bound teams rendezvous many times per BLAS call (once per shared
-/// packed panel), so the barrier spins briefly and then yields instead of
+/// Teams rendezvous several times per BLAS call (TRMM/TRSM twice per
+/// diagonal block), so the barrier spins briefly and then yields instead of
 /// taking a mutex/condvar round-trip; yielding keeps oversubscribed hosts
 /// (more workers than cores — a regime the ADSALA model must be able to
 /// measure) from burning whole scheduler quanta in spin loops.
 ///
 /// Crossing the barrier establishes happens-before between everything the
 /// members wrote before arriving and everything they read after leaving —
-/// that is what lets one worker read a panel another worker packed.
+/// that is what lets one worker read a block another worker packed or
+/// solved.
 pub struct TeamBarrier {
     arrived: AtomicUsize,
     generation: AtomicUsize,
@@ -609,8 +610,8 @@ impl TeamBarrier {
     }
 }
 
-/// One member's view of a cooperative team: its id, the team size to split
-/// work by, and the shared rendezvous barrier.
+/// One member's view of a team: its id, the team size to split work by,
+/// and the shared rendezvous barrier.
 #[derive(Clone, Copy)]
 pub struct TeamCtx<'a> {
     /// This member's id, `0..size`.
@@ -625,7 +626,7 @@ impl TeamCtx<'_> {
     /// Run `f` as a team of one on the calling thread: no pool, and every
     /// [`barrier`](TeamCtx::barrier) returns at once. The `nt == 1` arm of
     /// [`ThreadPool::run_team`], and how the serial GEMM entry runs the
-    /// cooperative engine.
+    /// team engine.
     pub(crate) fn solo<R>(f: impl FnOnce(TeamCtx<'_>) -> R) -> R {
         let barrier = TeamBarrier::new(1);
         f(TeamCtx {

@@ -6,10 +6,9 @@
 //! `(i, j)` outside the stored triangle reads the transposed location — so
 //! it runs GEMM's own scaled-product region (`scaled_product`), with the
 //! two operands ordered by `side`. The packing layer materialises the
-//! mirror into the shared packed panels — packed **once per cache block by
-//! the whole team**, each panel depth as one contiguous run of the stored
-//! column plus one strided run along the mirrored row — and the
-//! micro-kernel is oblivious. The dense B operand takes the strided fast
+//! mirror into each team member's packed panels — each panel depth as one
+//! contiguous run of the stored column plus one strided run along the
+//! mirrored row — and the micro-kernel is oblivious. The dense B operand takes the strided fast
 //! path.
 //!
 //! Within the backend seam this module is the kernel level: the driver

@@ -3,10 +3,10 @@
 //! `C = alpha*(A'*B + B'*A) + beta*C` (Trans);
 //! only the `uplo` triangle of C is referenced and updated.
 //!
-//! SYRK's driver (`syrk::rank_k`) run with a second operand: **two
-//! cooperative GEMMs into the stored triangle** (`A * B'` and `B * A'`)
-//! over team-shared packed panels, each skipping the register tiles
-//! outside the triangle.
+//! SYRK's driver (`syrk::rank_k`) run with a second operand: **two GEMMs
+//! into the stored triangle** (`A * B'` and `B * A'`), each team member
+//! running both over its own slab of the triangle's columns, each product
+//! skipping the register tiles outside the triangle.
 //!
 //! Within the backend seam this module is the kernel level: the driver
 //! below takes the operand views a validated

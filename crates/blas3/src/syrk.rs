@@ -2,26 +2,26 @@
 //! `C = alpha*A'*A + beta*C` (Trans); only the `uplo` triangle of C is
 //! referenced and updated.
 //!
-//! It is **one cooperative GEMM** of `op(A)` by `op(A)'` whose output is a
-//! triangle ([`gemm_cooperative_in`]): the team packs `op(A)` once per
-//! cache block on either side, exactly as for a GEMM of the same extents,
-//! each `ic` block of rows runs only the column panels up to (from) the
-//! diagonal, and in the one block the diagonal crosses the macro-kernel's
+//! It is **one GEMM** of `op(A)` by `op(A)'` whose output is a triangle
+//! ([`gemm_team`] with `tri` set): each team member owns a slab of the
+//! triangle's columns, cut by area so the slabs carry equal flops, scales
+//! it by `beta` and packs `op(A)` on either side for it as for a GEMM of
+//! its extents. Each column block runs only the rows from (up to) the
+//! diagonal, and in the blocks the diagonal crosses the macro-kernel's
 //! tile filter skips the register tiles wholly outside the triangle and
 //! commits only the stored half of the ones that straddle it. Half a
-//! GEMM's flops for a GEMM's packing, nothing computed and thrown away
-//! beyond those straddling tiles, and the opposite triangle never touched.
-//! SYR2K is the same driver, `rank_k`, given its second operand: two such
-//! products.
+//! GEMM's flops, nothing computed and thrown away beyond those straddling
+//! tiles, the opposite triangle never touched, and no barrier. SYR2K is
+//! the same driver, `rank_k`, given its second operand: two such products
+//! over the same slabs.
 //!
 //! Within the backend seam this module is the kernel level: the driver
 //! below takes the operand views a validated
 //! [`Blas3Op::Syrk`](crate::call::Blas3Op) holds, and is what
 //! [`NativeBackend`](crate::backend::NativeBackend) invokes for one.
 
-use crate::arena;
 use crate::call::{entry, syrk_shape};
-use crate::kernel::{gemm_cooperative_in, scale_block, shared_pack_lens, SharedPack};
+use crate::kernel::gemm_team;
 use crate::matrix::{MatMut, MatRef};
 use crate::op::{Dims, OpKind};
 use crate::pack::PackSrc;
@@ -78,42 +78,17 @@ pub(crate) fn rank_k<T: Float>(
 
     let ldc = c.ld();
     let cptr = SendPtr(c.into_slice().as_mut_ptr());
-    let skip = alpha == T::ZERO || k == 0;
     // Resolve the micro-kernel once; the whole team shares it.
     let disp = T::kernel();
-    let (alen, blen) = shared_pack_lens(&disp, n, n, k.max(1));
-    let mut abuf = arena::take::<T>(alen);
-    let mut bbuf = arena::take::<T>(blen);
-    let shared = SharedPack::new(&mut abuf, &mut bbuf);
     ThreadPool::run_team_current(nt, |team| {
-        // Beta scale of the stored triangle, split by columns.
-        let (js, je) = team.chunk(n);
-        for j in js..je {
-            let rows = match uplo {
-                Uplo::Lower => j..n,
-                Uplo::Upper => 0..j + 1,
-            };
-            // SAFETY: column j of the triangle belongs to this member only.
-            unsafe {
-                scale_block(
-                    rows.len(),
-                    1,
-                    beta,
-                    cptr.get().add(rows.start + j * ldc),
-                    ldc,
-                )
-            };
-        }
-        team.barrier();
-        if skip {
-            return;
-        }
-        for &(x, y) in pairs {
+        for (i, &(x, y)) in pairs.iter().enumerate() {
+            // The first product scales the slab by `beta`; the second
+            // accumulates onto the same slab.
+            let beta = if i == 0 { beta } else { T::ONE };
             // SAFETY: the stored triangle of C is exclusive to the team,
-            // and the product touches nothing else of it; shared bufs are
-            // sized for the whole `n x n x k` product.
+            // and the product touches nothing else of it.
             unsafe {
-                gemm_cooperative_in(
+                gemm_team(
                     Some(uplo),
                     &disp,
                     &team,
@@ -123,9 +98,9 @@ pub(crate) fn rank_k<T: Float>(
                     alpha,
                     &PackSrc::matrix(x, trans),
                     &PackSrc::matrix(y, flipped),
+                    beta,
                     cptr.get(),
                     ldc,
-                    &shared,
                 );
             }
         }
@@ -180,8 +155,8 @@ mod tests {
 
     #[test]
     fn nt_invariant_bitwise() {
-        // Strips and diagonal tiles are computed with a fixed schedule,
-        // so the team size cannot change any bit of the result.
+        // Every tile is computed as a team of one computes it, so the
+        // team size cannot change any bit of the result.
         let (n, k) = (300, 40);
         let a = test_mat(n, k, 3);
         let c0 = test_mat(n, n, 4);

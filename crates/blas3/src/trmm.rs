@@ -19,17 +19,20 @@
 //!    update is out of place, no order of overwriting matters, and B is
 //!    read in contiguous runs whatever its leading dimension
 //!    ([`tri_block_sweep`]; register tiles in the zero half are not run);
-//! 2. the **fold** of the not-yet-overwritten remainder is one
-//!    **cooperative GEMM** over the whole free extent. Its triangular
-//!    operand is a rectangle wholly inside the stored triangle — the blocks
-//!    are cut on the diagonal — so it packs as a plain strided view.
+//! 2. the **fold** of the not-yet-overwritten remainder is one team
+//!    product ([`gemm_team`], `beta = 1`) over the whole free extent. Its
+//!    triangular operand is a rectangle wholly inside the stored triangle
+//!    — the blocks are cut on the diagonal — so it packs as a plain
+//!    strided view.
 //!
 //! `alpha` rides inside both products. The sweep direction is chosen so
-//! every fold reads rows no block has overwritten yet; a barrier separates
-//! the two phases because they partition B differently, the next block's
-//! packed panels are published by the fold's own barriers, and every
-//! member meets the same waits because every branch inside the region
-//! depends on the block (or on `alpha`) only.
+//! every fold reads rows no block has overwritten yet. The team meets two
+//! barriers per block: one before the fold, because the fold partitions
+//! the block's rows by slab and the sweep by free micro-panel, and one
+//! after it, which publishes the next packed diagonal block and keeps the
+//! next sweep from overwriting rows a fold is still reading. Every member
+//! meets the same waits because every branch inside the region depends on
+//! the block (or on `alpha`) only.
 //!
 //! Within the backend seam this module is the kernel level: the driver
 //! below takes the operand views a validated
@@ -38,10 +41,7 @@
 
 use crate::arena;
 use crate::call::{by_side, entry, op_shape, tri_shape};
-use crate::kernel::{
-    gemm_cooperative, scale_block, shared_pack_lens, tri_block_sweep, KernelDispatch, SharedPack,
-    TriOp,
-};
+use crate::kernel::{gemm_team, scale_block, tri_block_sweep, KernelDispatch, TriOp};
 use crate::matrix::{MatMut, MatRef};
 use crate::op::{Dims, OpKind};
 use crate::pack::{pack_tri_panels, packed_a_len, PackSrc};
@@ -190,11 +190,6 @@ pub fn trmm<T: Float>(
         let t0 = tb * if tri.upper { blk } else { nblocks - 1 - blk };
         (t0, (t0 + tb).min(tlen))
     };
-    let (rows, cols) = by_side(side, tb.min(tlen), flen);
-    let (alen, blen) = shared_pack_lens(&disp, rows, cols, tlen);
-    let mut pa = arena::take::<T>(alen);
-    let mut pb = arena::take::<T>(blen);
-    let shared = SharedPack::new(&mut pa, &mut pb);
     // The packed diagonal block, one at a time.
     let mut pd = arena::take::<T>(tri.packed_len(tb.min(tlen)));
     let dbuf = SendPtr(pd.as_mut_ptr());
@@ -219,8 +214,9 @@ pub fn trmm<T: Float>(
             // 1. The diagonal block times its own rows of B, out of place
             // through packed panels, `alpha` inside.
             // SAFETY: the packed block was published by the barrier above
-            // or by the previous fold's; rows t0..t1 still hold original
-            // data, and each member writes its own micro-panels of them.
+            // or by the one after the previous fold; rows t0..t1 still
+            // hold original data, and each member writes its own
+            // micro-panels of them.
             unsafe {
                 let packed = std::slice::from_raw_parts(dbuf.get(), tri.packed_len(t1 - t0));
                 tri_block_sweep(
@@ -234,7 +230,6 @@ pub fn trmm<T: Float>(
                     packed,
                     bp.get().add(t0 * st),
                     ldb,
-                    &shared,
                 );
             }
             let (src0, krem) = if tri.upper { (t1, tlen - t1) } else { (0, t0) };
@@ -242,15 +237,14 @@ pub fn trmm<T: Float>(
                 // The last block: nothing left to fold in.
                 break;
             }
-            // The fold repartitions the same rows by register tile and
-            // reuses the shared buffers; the next block's panels ride on
-            // its barriers.
+            // The fold repartitions the same rows by slab, and the next
+            // block is packed over this one.
             team.barrier();
             let (n0, n1) = block(blk + 1);
             // SAFETY: every member is past its sweep of this block.
             unsafe { tri.pack_block(&team, n0, n1 - n0, dbuf) };
             // 2. Rectangular accumulation against the untouched part, as
-            // one cooperative product over the whole free extent.
+            // one team product over the whole free extent.
             let tri_src = tri.fold_operand(t0, t1 - t0, src0, krem);
             // SAFETY: `t` in src0..src0+krem is untouched until its own
             // block's turn, so it is a stable read while t0..t1 is
@@ -259,11 +253,10 @@ pub fn trmm<T: Float>(
             let (lhs, rhs) = by_side(side, &tri_src, &b_src);
             let (rows, cols) = by_side(side, t1 - t0, flen);
             // SAFETY: the destination `t` in t0..t1 is team-exclusive
-            // (tile split inside); the barrier above ended the sweep, the
-            // trailing one fences the source before the next block
-            // overwrites it.
+            // (slabs inside); the barrier above ended the sweep.
             unsafe {
-                gemm_cooperative(
+                gemm_team(
+                    None,
                     &disp,
                     &team,
                     rows,
@@ -272,11 +265,14 @@ pub fn trmm<T: Float>(
                     alpha,
                     lhs,
                     rhs,
+                    T::ONE,
                     bp.get().add(t0 * st),
                     ldb,
-                    &shared,
                 );
             }
+            // Publishes the next packed block, and fences the rows this
+            // fold read before the next sweep overwrites them.
+            team.barrier();
         }
     });
 }

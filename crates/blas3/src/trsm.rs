@@ -9,20 +9,24 @@
 //! The diagonal blocks are **dependent** — block `t0..t1` can only be
 //! solved after every earlier block's contribution is folded in — so their
 //! serial ordering is kept, and the team sweeps them in lockstep: per
-//! block, the fold of the already-solved part is one **cooperative GEMM**
-//! over the whole free extent (its triangular operand a rectangle wholly
-//! inside the stored triangle, packed as a plain strided view), then the
-//! diagonal block is solved by **substitution on packed panels**
+//! block, the fold of the already-solved part is one team product
+//! ([`gemm_team`], `beta = 1`) over the whole free extent (its triangular
+//! operand a rectangle wholly inside the stored triangle, packed as a
+//! plain strided view), then the diagonal block is solved by
+//! **substitution on packed panels**
 //! ([`tri_block_sweep`], the BLIS scheme): the block is packed once by the
 //! team with the reciprocals of its diagonal, each member copies its
 //! micro-panels of the block's rows of B into packed panels, and sweeps
 //! them in `nr`-row steps — the fold from the rows solved earlier in the
 //! block is the ordinary micro-kernel, and only the `nr x nr` triangle
 //! left on a register tile is solved by the dispatch's portable tile
-//! solve. No block is inverted, so the error bound is substitution's. A
-//! barrier after each block publishes the solved values the next fold
-//! reads; every member meets the same waits because every branch inside
-//! the region depends on the block (or on `alpha`) only.
+//! solve. No block is inverted, so the error bound is substitution's. The
+//! team meets two barriers per block: one after the fold, because the
+//! substitution partitions the block's rows by free micro-panel and the
+//! fold by slab, and one after the substitution, which publishes the solved
+//! values the next fold reads. Every member meets the same waits because
+//! every branch inside the region depends on the block (or on `alpha`)
+//! only.
 //!
 //! Within the backend seam this module is the kernel level: the driver
 //! below takes the operand views a validated
@@ -31,9 +35,7 @@
 
 use crate::arena;
 use crate::call::{by_side, entry, tri_shape};
-use crate::kernel::{
-    gemm_cooperative, scale_block, shared_pack_lens, tri_block_sweep, SharedPack, TriOp,
-};
+use crate::kernel::{gemm_team, scale_block, tri_block_sweep, TriOp};
 use crate::matrix::{MatMut, MatRef};
 use crate::op::{Dims, OpKind};
 use crate::pack::PackSrc;
@@ -80,11 +82,6 @@ pub fn trsm<T: Float>(
         let t0 = tb * if tri.upper { nblocks - 1 - blk } else { blk };
         (t0, (t0 + tb).min(tlen))
     };
-    let (rows, cols) = by_side(side, tb.min(tlen), flen);
-    let (alen, blen) = shared_pack_lens(&disp, rows, cols, tlen);
-    let mut pa = arena::take::<T>(alen);
-    let mut pb = arena::take::<T>(blen);
-    let shared = SharedPack::new(&mut pa, &mut pb);
     // The packed diagonal block (reciprocals on its diagonal), one at a
     // time.
     let mut pd = arena::take::<T>(tri.packed_len(tb.min(tlen)));
@@ -110,8 +107,8 @@ pub fn trsm<T: Float>(
         team.barrier();
         for blk in 0..nblocks {
             let (t0, t1) = block(blk);
-            // 1. Fold in the already-solved part as one cooperative
-            // product over the whole free extent (none for the first block).
+            // 1. Fold in the already-solved part as one team product over
+            // the whole free extent (none for the first block).
             let (src0, krem) = if tri.upper { (t1, tlen - t1) } else { (0, t0) };
             if krem > 0 {
                 let tri_src = tri.fold_operand(t0, t1 - t0, src0, krem);
@@ -123,10 +120,10 @@ pub fn trsm<T: Float>(
                 let (lhs, rhs) = by_side(side, &tri_src, &b_src);
                 let (rows, cols) = by_side(side, t1 - t0, flen);
                 // SAFETY: the destination `t` in t0..t1 is team-exclusive
-                // (tile split inside); its trailing barrier orders the
-                // substitution below after every tile.
+                // (slabs inside).
                 unsafe {
-                    gemm_cooperative(
+                    gemm_team(
+                        None,
                         &disp,
                         &team,
                         rows,
@@ -135,17 +132,20 @@ pub fn trsm<T: Float>(
                         -T::ONE,
                         lhs,
                         rhs,
+                        T::ONE,
                         bp.get().add(t0 * st),
                         ldb,
-                        &shared,
                     );
                 }
+                // The substitution repartitions the folded rows, and reads
+                // the block packed after the last one.
+                team.barrier();
             }
             // 2. Solve the diagonal block by substitution on packed
             // panels, each member its own micro-panels of the free extent.
-            // SAFETY: the packed block was published by the first barrier
-            // or by the fold's; the fold's trailing barrier (the first
-            // one, for block 0) completed rows t0..t1.
+            // SAFETY: the packed block was published, and rows t0..t1
+            // completed, by the barrier after the fold (the first one, for
+            // block 0).
             unsafe {
                 let packed = std::slice::from_raw_parts(dbuf.get(), tri.packed_len(t1 - t0));
                 tri_block_sweep(
@@ -159,14 +159,13 @@ pub fn trsm<T: Float>(
                     packed,
                     bp.get().add(t0 * st),
                     ldb,
-                    &shared,
                 );
             }
             if blk + 1 == nblocks {
                 break;
             }
-            // Publish the solved block for the next fold, whose barriers
-            // in turn publish the next packed block.
+            // Publish the solved block for the next fold; the barrier after
+            // that fold publishes the next packed block.
             team.barrier();
             let (n0, n1) = block(blk + 1);
             // SAFETY: every member is past its sweep of this block.

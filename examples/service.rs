@@ -46,7 +46,10 @@ fn stream(count: usize, seed: usize) -> Vec<AnyOp> {
 fn main() {
     println!("== adsala-serve: batched, admission-controlled serving ==\n");
 
-    println!("installing dgemm on simulated gadi (linear model, quick corpus)...");
+    println!("installing dgemm on simulated gadi (decision-tree model, quick corpus)...");
+    // A tree's prices stay inside the simulated timings it learned from, so
+    // admission's plausibility window never clamps them and every served
+    // call feeds the price correction.
     let timer = SimTimer::new(MachineSpec::gadi());
     let routine = Routine::parse("dgemm").unwrap();
     let installed = install_routine(
@@ -55,7 +58,7 @@ fn main() {
         &InstallOptions {
             n_train: 200,
             n_eval: 10,
-            kinds: vec![ModelKind::LinearRegression],
+            kinds: vec![ModelKind::DecisionTree],
             nt_stride: 8,
             ..Default::default()
         },
@@ -168,6 +171,9 @@ fn main() {
     if stats.drift_by_routine.is_empty() {
         println!("  no drift samples: no job ran at its priced nt on an unclamped model price");
     }
+    // The model was trained on a simulated Gadi node and the jobs ran on
+    // this host, so the ratio is that gap: measuring it is what the price
+    // correction is for.
     for d in &stats.drift_by_routine {
         println!(
             "  {}: observed/model seconds {:.3e} (geometric mean) over {} calls (the drift the price correction learns)",
